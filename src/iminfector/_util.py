@@ -11,10 +11,3 @@ def slack_ceil(value):
     """Ceiling of ``value`` that tolerates float noise just above an integer."""
     return math.ceil(value - _CEIL_SLACK)
 
-
-def stable_sigmoid(z):
-    """Logistic function, safe against exp overflow for large |z|."""
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)

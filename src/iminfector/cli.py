@@ -425,6 +425,7 @@ def cmd_pipeline(args):
         extra={
             "epoch_loss_classify": report.classify_loss,
             "epoch_loss_regress": report.regress_loss,
+            "epoch_seconds": report.epoch_seconds,
             "n_candidates": matrix.n_candidates,
             "n_selected": len(selection.seeds),
             "dni": result.dni,

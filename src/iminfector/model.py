@@ -5,8 +5,18 @@ column per node) are trained by plain SGD on an alternating stream: each
 influencer-context pair takes a softmax/NLL step, each influencer-size pair
 takes a sigmoid/squared-loss step through the untrainable all-ones vector C.
 Everything is float64; gradient tolerances depend on it.
+
+train() gives its classification steps one StepWorkspace: an N-vector for
+the logits, softmax and gradient, and an E x N buffer for the T update, so
+no step allocates an array of size N or more. The workspace also keeps an
+upper bound on max|T| that grows by lr * max|O_u| per step (every softmax
+gradient entry is within [-1, 1]); T is scanned for non-finite values only
+when that bound reaches 1e300. Both change no arithmetic: a step with a
+workspace is bitwise-identical to one without, and NonFiniteUpdate fires
+at the same step.
 """
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -91,12 +101,18 @@ def init_model(config, n_influencers, n_nodes, influencer_ids=None, node_ids=Non
     )
 
 
-def forward_classify(model, u):
-    """Softmax over all nodes for influencer row u, max-stabilized."""
-    z = model.O[u] @ model.T + model.b_t
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+def forward_classify(model, u, out=None):
+    """Softmax over all nodes for influencer row u, max-stabilized.
+
+    With ``out`` (a float64 N-vector) the result is computed in place there
+    and no array is allocated.
+    """
+    z = np.matmul(model.O[u], model.T, out=out)
+    z += model.b_t
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
 
 
 def forward_regress(model, u):
@@ -108,28 +124,58 @@ def forward_regress(model, u):
     return e / (1.0 + e)
 
 
-def step_classify(model, pair, lr):
+# A bound on max|T| below this proves T finite; at or above it, or NaN, the
+# step scans T and resets the bound to the exact max|T|.
+_BOUND_LIMIT = 1e300
+
+
+class StepWorkspace:
+    """Buffers and the max|T| bound that consecutive classify steps share.
+
+    Valid only while T changes through step_classify calls given this
+    workspace. ``bound`` starts at inf, which makes the first step scan T.
+    """
+
+    def __init__(self, model):
+        self.phi = np.empty(model.n_nodes)
+        self.update = np.empty_like(model.T)
+        self.bound = math.inf
+
+
+def step_classify(model, pair, lr, workspace=None):
     """One SGD step on the classification head; returns the pre-update loss.
 
     The softmax/NLL gradient w.r.t. the logits collapses to phi - y, so the
     parameter gradients are T(phi - y) for O_u, the outer product
     O_u (phi - y)^T for T, and phi - y for b_t. Both matrix gradients use the
     pre-update O_u / T values (a single simultaneous step).
+
+    Without a workspace the step allocates its own and scans all of T for
+    non-finite values. With one shared across steps (as train() does), T is
+    scanned only when the workspace's bound on max|T| reaches 1e300.
     """
+    ws = StepWorkspace(model) if workspace is None else workspace
     u, y = pair.influencer, pair.context
-    phi = forward_classify(model, u)
-    loss = -np.log(phi[y])
-    g = phi.copy()
+    O_u = model.O[u]
+    g = forward_classify(model, u, out=ws.phi)
+    loss = -np.log(g[y])
     g[y] -= 1.0
     grad_O_u = model.T @ g
-    grad_T = np.outer(model.O[u], g)
-    model.O[u] -= lr * grad_O_u
-    model.T -= lr * grad_T
-    model.b_t -= lr * g
+    # |g_j| <= 1 once g is finite, so |lr * O_u[i] * g_j| <= lr * max|O_u|
+    ws.bound += lr * float(np.abs(O_u).max())
+    np.outer(O_u, g, out=ws.update)
+    O_u -= lr * grad_O_u
+    ws.update *= lr
+    model.T -= ws.update
+    model.b_t -= np.multiply(lr, g, out=ws.update[0])
+    if not ws.bound < _BOUND_LIMIT:
+        # exact: max|T| is finite iff every entry is
+        ws.bound = float(np.abs(model.T, out=ws.update).max())
     if not (
         np.isfinite(loss)
-        and np.isfinite(model.O[u]).all()
-        and np.isfinite(model.T).all()
+        and np.isfinite(g).all()
+        and np.isfinite(O_u).all()
+        and math.isfinite(ws.bound)
         and np.isfinite(model.b_t).all()
     ):
         raise NonFiniteUpdate("classification step produced a non-finite value")
@@ -163,6 +209,7 @@ def train(model, stream_producer, config):
     """
     report = TrainReport()
     lr = config.learning_rate
+    workspace = StepWorkspace(model)
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         stream = stream_producer(epoch)
@@ -173,7 +220,7 @@ def train(model, stream_producer, config):
         for step, pair in enumerate(stream):
             try:
                 if isinstance(pair, ContextPair):
-                    classify_losses.append(step_classify(model, pair, lr))
+                    classify_losses.append(step_classify(model, pair, lr, workspace))
                 else:
                     regress_losses.append(step_regress(model, pair, lr))
             except NonFiniteUpdate as exc:

@@ -155,10 +155,12 @@ def test_train_flag_validation_is_exit_2(tmp_path, corpus_file):
 
 def test_nonfinite_training_is_exit_4(tmp_path, corpus_file, capsys):
     out = str(tmp_path / "m.infv")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--cascades", str(corpus_file), "--out", out, "--lr", "1e308"])
-    assert code == 4
-    assert "epoch" in capsys.readouterr().err
+    for lr in ("1e308", "1e300"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--cascades", str(corpus_file), "--out", out, "--lr", lr])
+        assert code == 4
+        # step 0 stays finite at these rates; step 1's logits overflow
+        assert "epoch 0, step 1" in capsys.readouterr().err
 
 
 def test_train_dump_pairs(tmp_path, corpus_file):
@@ -281,3 +283,4 @@ def test_pipeline_reruns_byte_identical(tmp_path, corpus_file):
     assert doc["subcommand"] == "pipeline"
     assert doc["parameters"]["prune_percent"] == 10.0
     assert len(doc["epoch_loss_classify"]) == 5
+    assert len(doc["epoch_seconds"]) == 5

@@ -11,6 +11,7 @@ from iminfector.exceptions import CorruptFile, FormatVersionMismatch, NonFiniteU
 from iminfector.model import (
     InfectorModel,
     ModelConfig,
+    StepWorkspace,
     forward_classify,
     forward_regress,
     init_model,
@@ -20,6 +21,7 @@ from iminfector.model import (
     step_regress,
     train,
 )
+from iminfector.synth import generate_corpus
 
 
 def random_model(rng, I, N, E):
@@ -228,6 +230,176 @@ def test_train_reduces_loss_on_toy_corpus():
     assert report.classify_loss[-1] < report.classify_loss[0]
     assert report.regress_loss[-1] <= report.regress_loss[0]
     assert all(t >= 0 for t in report.epoch_seconds)
+
+
+# The classify step as first written, with fresh temporaries and a scan of
+# all of T on every step: the oracle for the workspace step.
+def reference_forward_classify(model, u):
+    z = model.O[u] @ model.T + model.b_t
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def reference_step_classify(model, pair, lr):
+    u, y = pair.influencer, pair.context
+    phi = reference_forward_classify(model, u)
+    loss = -np.log(phi[y])
+    g = phi.copy()
+    g[y] -= 1.0
+    grad_O_u = model.T @ g
+    grad_T = np.outer(model.O[u], g)
+    model.O[u] -= lr * grad_O_u
+    model.T -= lr * grad_T
+    model.b_t -= lr * g
+    if not (
+        np.isfinite(loss)
+        and np.isfinite(model.O[u]).all()
+        and np.isfinite(model.T).all()
+        and np.isfinite(model.b_t).all()
+    ):
+        raise NonFiniteUpdate("classification step produced a non-finite value")
+    return float(loss)
+
+
+def copy_model(m):
+    return InfectorModel(O=m.O.copy(), T=m.T.copy(), b_t=m.b_t.copy(), b_c=m.b_c, C=m.C.copy())
+
+
+def assert_same_model(a, b, what):
+    assert np.array_equal(a.O, b.O), f"{what}: O differs"
+    assert np.array_equal(a.T, b.T), f"{what}: T differs"
+    assert np.array_equal(a.b_t, b.b_t), f"{what}: b_t differs"
+    assert a.b_c == b.b_c, f"{what}: b_c differs"
+
+
+def run_until_raise(step, model, steps):
+    """Losses of the (pair, lr) steps taken, and the index of the one that raised."""
+    losses = []
+    for i, (pair, lr) in enumerate(steps):
+        try:
+            losses.append(step(model, pair, lr))
+        except NonFiniteUpdate:
+            return losses, i
+    return losses, None
+
+
+def test_workspace_step_bitwise_equals_reference():
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        I = int(rng.integers(1, 5))
+        N = int(rng.integers(1, 40)) if trial % 4 else int(rng.integers(200, 400))
+        E = int(rng.integers(1, 9))
+        lr = (0.0, 1.0)[trial] if trial < 2 else float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
+        ref = random_model(rng, I, N, E)
+        # smaller weights keep 25 steps at lr up to 1 away from log(0)
+        ref.O *= 0.2
+        ref.T *= 0.2
+        new = copy_model(ref)
+        ws = StepWorkspace(new)
+        for s in range(25):
+            u = int(rng.integers(0, I))
+            logits = ref.O[u] @ ref.T + ref.b_t
+            # the target at the softmax argmax, or anywhere else
+            y = int(logits.argmax()) if s % 2 else int(rng.integers(0, N))
+            pair = ContextPair(u, y)
+            assert np.array_equal(forward_classify(new, u), reference_forward_classify(ref, u))
+            want = reference_step_classify(ref, pair, lr)
+            got = step_classify(new, pair, lr, ws)
+            assert got == want, f"trial {trial} step {s}: loss {got} != {want}"
+            assert_same_model(ref, new, f"trial {trial} step {s}")
+        # a step without a workspace takes the same arithmetic
+        pair = ContextPair(0, N - 1)
+        assert step_classify(new, pair, lr) == reference_step_classify(ref, pair, lr)
+        assert_same_model(ref, new, f"trial {trial} without workspace")
+
+
+def test_train_bitwise_equals_reference_loop():
+    corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=3, rng_seed=4)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
+
+    model, report = train(init_model(cfg, corpus.n_influencers, corpus.n_nodes), streams.__getitem__, cfg)
+
+    ref = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
+    for epoch, stream in enumerate(streams):
+        classify, regress = [], []
+        for pair in stream:
+            if isinstance(pair, ContextPair):
+                classify.append(reference_step_classify(ref, pair, cfg.learning_rate))
+            else:
+                regress.append(step_regress(ref, pair, cfg.learning_rate))
+        assert report.classify_loss[epoch] == float(np.mean(classify))
+        assert report.regress_loss[epoch] == float(np.mean(regress))
+    assert_same_model(model, ref, "train")
+
+
+@pytest.mark.parametrize("big, lr", [(1e308, 3.0), (1e10, 3e298)])
+def test_workspace_step_catches_overflow_of_t_alone(big, lr):
+    # O[0, 0] is big and row 0 of T is zero, so influencer 0's logits stay
+    # finite while its step at rate lr pushes T[0, 1] past the largest
+    # double. The loss, g, O_u and b_t stay finite: only the scan that the
+    # max|T| bound falls back to can see the overflow. First, influencer 1
+    # (O[1, 0] = 0, so row 0 of T stays zero) takes steps at rate 1 that
+    # leave the bound finite and far below the limit.
+    ref = InfectorModel(
+        O=np.array([[big, 0.0], [0.0, 0.3]]),
+        T=np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.4]]),
+        b_t=np.zeros(3),
+        b_c=0.0,
+        C=np.ones(2),
+    )
+    new = copy_model(ref)
+    steps = [(ContextPair(1, s % 3), 1.0) for s in range(6)] + [(ContextPair(0, 1), lr)] * 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = run_until_raise(reference_step_classify, ref, steps)
+        ws = StepWorkspace(new)
+        got = run_until_raise(lambda m, p, r: step_classify(m, p, r, ws), new, steps)
+    assert want[1] == 6
+    assert np.isinf(ref.T[0, 1]) and np.isfinite(ref.O).all() and np.isfinite(ref.b_t).all()
+    assert got == want
+    assert_same_model(ref, new, "overflow")
+
+
+def test_workspace_step_raises_at_reference_step_on_huge_entries():
+    # Entries near 1e308 in O or T and moderate learning rates: whichever
+    # check fires, the workspace step must stop at the reference's step.
+    rng = np.random.default_rng(23)
+    raised = 0
+    for trial in range(40):
+        I, N, E = 2, int(rng.integers(2, 12)), int(rng.integers(1, 5))
+        ref = random_model(rng, I, N, E)
+        which = ref.O if trial % 2 else ref.T
+        mask = rng.random(which.shape) < 0.3
+        which[mask] = rng.choice([-1.0, 1.0], mask.sum()) * rng.uniform(1e306, 1.7e308, mask.sum())
+        new = copy_model(ref)
+        lr = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
+        steps = [(ContextPair(int(rng.integers(0, I)), int(rng.integers(0, N))), lr) for _ in range(20)]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = run_until_raise(reference_step_classify, ref, steps)
+            ws = StepWorkspace(new)
+            got = run_until_raise(lambda m, p, r: step_classify(m, p, r, ws), new, steps)
+        assert got == want, f"trial {trial}"
+        raised += want[1] is not None
+    assert raised > 0
+
+
+def test_workspace_step_large_t_without_overflow_does_not_raise():
+    # Column 0 of T holds -1.7e308, so its logit is hugely negative, its
+    # softmax entry is exactly 0 and no step moves it. max|T| stays above
+    # the bound limit and every step scans T, finds it finite and goes on.
+    rng = np.random.default_rng(29)
+    ref = random_model(rng, 2, 6, 3)
+    ref.O[:] = np.abs(ref.O) + 0.5
+    ref.T[0, 0] = -1.7e308
+    new = copy_model(ref)
+    ws = StepWorkspace(new)
+    for s in range(20):
+        pair = ContextPair(s % 2, 1 + s % 5)
+        assert step_classify(new, pair, 0.1, ws) == reference_step_classify(ref, pair, 0.1)
+        assert_same_model(ref, new, f"step {s}")
+    assert ws.bound == 1.7e308
+    assert new.T[0, 0] == -1.7e308
 
 
 def test_train_raises_with_epoch_and_step():
