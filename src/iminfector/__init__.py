@@ -11,12 +11,11 @@ __version__ = "0.1.0"
 from .cascades import (
     Cascade,
     CascadeCorpus,
-    CascadeEvent,
+    build_corpus,
     derive_edges,
     initiator_stats,
     load_cascades,
     load_edges,
-    make_cascade,
     parse_cascades,
     parse_edges,
     save_cascades,
@@ -24,10 +23,10 @@ from .cascades import (
     temporal_split,
 )
 from .context import (
-    ContextPair,
-    SizePair,
+    SIZE_PAIR,
+    TrainingStream,
     build_training_stream,
-    sampling_distribution,
+    sampling_weights,
     size_targets,
 )
 from .diffusion import (

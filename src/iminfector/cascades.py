@@ -4,12 +4,20 @@ A cascade log is UTF-8 text, one cascade per line:
 
     <initiator>:<start_time> TAB <node>:<time> <node>:<time> ...
 
-Ids match ``[^\\s:]+`` and times are non-negative integers. Lines starting
+Ids match ``[^\\s:]+`` and times are integers in [0, 2**63). Lines starting
 with ``#`` are comments. An edge list file is one ``src TAB dst`` per line.
+
+A corpus is held as arrays (CSR layout), not as one object per event: the
+events of cascade i are positions ``offsets[i]:offsets[i+1]`` of
+``node_idx`` and ``times``.
 """
 
 import re
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .exceptions import (
     DegenerateSplit,
@@ -17,99 +25,213 @@ from .exceptions import (
     MalformedLine,
     TimeOrderViolation,
 )
-from ._util import slack_ceil
+from ._util import read_lines, slack_ceil
 
 _ID_RE = re.compile(r"[^\s:]+\Z")
 _TIME_RE = re.compile(r"[0-9]+\Z")
+# A whole well-formed line. Event tokens are separated by any whitespace
+# but a tab, since a second tab would make a third field.
+_LINE_RE = re.compile(
+    r"([^\s:]+):([0-9]+)\t([^\S\t]*[^\s:]+:[0-9]+(?:[^\S\t]+[^\s:]+:[0-9]+)*[^\S\t]*)"
+)
+TIME_LIMIT = 2**63  # times are stored as int64
 
 
-@dataclass(frozen=True)
-class CascadeEvent:
-    """One node reposting at an absolute time (not a delay)."""
-
-    node: str
-    time: int
-
-
-@dataclass(frozen=True)
 class Cascade:
-    initiator: str
-    start_time: int
-    events: tuple  # tuple[CascadeEvent], sorted by time, initiator excluded
+    """Read-only view of cascade ``index`` of a corpus."""
+
+    __slots__ = ("_corpus", "_index")
+
+    def __init__(self, corpus, index):
+        self._corpus = corpus
+        self._index = index
+
+    @property
+    def _span(self):
+        offsets = self._corpus.offsets
+        return slice(int(offsets[self._index]), int(offsets[self._index + 1]))
+
+    @property
+    def initiator(self):
+        return self._corpus.ids[self._corpus.initiator[self._index]]
+
+    @property
+    def start_time(self):
+        return int(self._corpus.start_time[self._index])
 
     @property
     def size(self):
-        return len(self.events)
+        span = self._span
+        return span.stop - span.start
 
-    def event_nodes(self):
-        return {e.node for e in self.events}
+    @property
+    def nodes(self):
+        """Participant ids in event order."""
+        ids = self._corpus.ids
+        return [ids[v] for v in self._corpus.node_idx[self._span].tolist()]
 
+    @property
+    def times(self):
+        return self._corpus.times[self._span]
 
-def make_cascade(initiator, start_time, events, line_number=None):
-    """Build a validated cascade from raw (node, time) event pairs.
+    @property
+    def events(self):
+        """(node id, absolute time) pairs, sorted by time, initiator excluded."""
+        return list(zip(self.nodes, self.times.tolist()))
 
-    Events are sorted by time (stable), duplicate participants keep only
-    their earliest occurrence, and the initiator is dropped from the event
-    list (it is already infected at the start).
-    """
-    for node, time in events:
-        if time < start_time:
-            raise TimeOrderViolation(
-                f"event {node}:{time} precedes start time {start_time}",
-                line_number,
-            )
-    ordered = sorted(events, key=lambda nt: nt[1])
-    seen = {initiator}
-    cleaned = []
-    for node, time in ordered:
-        if node in seen:
-            continue
-        seen.add(node)
-        cleaned.append(CascadeEvent(node, time))
-    if not cleaned:
-        raise EmptyCascade(
-            f"cascade started by {initiator} has no events after validation",
-            line_number,
+    def __eq__(self, other):
+        if not isinstance(other, Cascade):
+            return NotImplemented
+        return (self.initiator, self.start_time, self.events) == (
+            other.initiator,
+            other.start_time,
+            other.events,
         )
-    return Cascade(initiator, start_time, tuple(cleaned))
+
+    def __repr__(self):
+        return f"Cascade({self.initiator!r}, {self.start_time}, {self.events!r})"
 
 
-@dataclass
 class CascadeCorpus:
-    """Cascades plus dense, gap-free index maps for nodes and influencers.
+    """Cascades as arrays over a sorted id table.
 
-    Indices are assigned in sorted id order, so they are stable for a given
-    id set regardless of line order. ``node_index`` covers every id seen
-    anywhere (initiator or event); ``influencer_index`` covers initiators.
+    - ``ids``: every id seen (initiator or event), sorted; a node's dense
+      index is its position here, so indices are stable for a given id set
+      regardless of line order.
+    - ``initiator`` (int32) and ``start_time`` (int64): one per cascade.
+    - ``offsets`` (int64, one more than the cascades): cascade i's events
+      are ``node_idx[offsets[i]:offsets[i+1]]`` (int32 node indices) and
+      the same slice of ``times`` (int64).
+
+    Within a cascade, events are sorted by time, no node repeats and the
+    initiator does not appear. build_corpus establishes these invariants;
+    the constructor takes arrays that already hold them. Influencer
+    indices are dense over the sorted initiator ids.
     """
 
-    cascades: list
-    node_index: dict = field(init=False)
-    influencer_index: dict = field(init=False)
+    def __init__(self, ids, initiator, start_time, offsets, node_idx, times):
+        self.ids = ids
+        self.initiator = initiator
+        self.start_time = start_time
+        self.offsets = offsets
+        self.node_idx = node_idx
+        self.times = times
 
-    def __post_init__(self):
-        nodes = set()
-        initiators = set()
-        for c in self.cascades:
-            nodes.add(c.initiator)
-            initiators.add(c.initiator)
-            nodes.update(e.node for e in c.events)
-        self.node_index = {nid: i for i, nid in enumerate(sorted(nodes))}
-        self.influencer_index = {nid: i for i, nid in enumerate(sorted(initiators))}
+    @property
+    def n_cascades(self):
+        return len(self.start_time)
 
     @property
     def n_nodes(self):
-        return len(self.node_index)
+        return len(self.ids)
 
     @property
     def n_influencers(self):
-        return len(self.influencer_index)
+        return len(self.influencers)
+
+    @property
+    def cascades(self):
+        return [Cascade(self, i) for i in range(self.n_cascades)]
+
+    @cached_property
+    def influencers(self):
+        """Node index of each influencer, in influencer-index order."""
+        return np.unique(self.initiator)
+
+    def cascade_influencers(self):
+        """Influencer index of each cascade's initiator."""
+        return np.searchsorted(self.influencers, self.initiator)
+
+    def sizes(self):
+        return np.diff(self.offsets)
 
     def node_ids(self):
-        return sorted(self.node_index, key=self.node_index.get)
+        return list(self.ids)
 
     def influencer_ids(self):
-        return sorted(self.influencer_index, key=self.influencer_index.get)
+        return [self.ids[v] for v in self.influencers.tolist()]
+
+    @cached_property
+    def node_index(self):
+        return {nid: i for i, nid in enumerate(self.ids)}
+
+    @cached_property
+    def influencer_index(self):
+        return {nid: i for i, nid in enumerate(self.influencer_ids())}
+
+    def take(self, selection):
+        """Corpus of the cascades at positions ``selection``, in that order.
+
+        The id table shrinks to the ids those cascades use.
+        """
+        sizes = self.sizes()[selection]
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        events = np.repeat(self.offsets[:-1][selection] - offsets[:-1], sizes)
+        events += np.arange(offsets[-1])
+        return _reindexed(
+            self.ids,
+            self.initiator[selection],
+            self.start_time[selection],
+            offsets,
+            self.node_idx[events],
+            self.times[events],
+        )
+
+
+def _reindexed(ids, initiator, start_time, offsets, node_idx, times, sort_ids=False):
+    """Corpus whose id table keeps only the ids in use, sorted if asked."""
+    used = np.zeros(len(ids), dtype=bool)
+    used[initiator] = True
+    used[node_idx] = True
+    kept = np.flatnonzero(used).tolist()
+    if sort_ids:
+        kept.sort(key=ids.__getitem__)
+    remap = np.empty(len(ids), dtype=np.int32)
+    remap[kept] = np.arange(len(kept), dtype=np.int32)
+    return CascadeCorpus(
+        [ids[v] for v in kept],
+        remap[initiator],
+        start_time,
+        offsets,
+        remap[node_idx],
+        times,
+    )
+
+
+def build_corpus(ids, initiator, start_time, offsets, node_idx, times):
+    """Corpus from raw cascades over an id table in any order.
+
+    ``ids`` holds distinct strings; ``initiator`` and ``node_idx`` index
+    into it, and the other arrays are laid out as in CascadeCorpus. Events
+    are sorted by time (stable), a repeated participant keeps only its
+    earliest occurrence, and the initiator is dropped from its own events
+    (it is already infected at the start). The caller has checked that no
+    event precedes its cascade's start and that every cascade has some
+    participant other than its initiator.
+    """
+    initiator = np.asarray(initiator, dtype=np.int32)
+    node_idx = np.asarray(node_idx, dtype=np.int32)
+    times = np.asarray(times, dtype=np.int64)
+    sizes = np.diff(offsets)
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    order = np.lexsort((times, owner))  # stable: equal times keep input order
+    owner, node_idx, times = owner[order], node_idx[order], times[order]
+    _, first = np.unique(owner * len(ids) + node_idx, return_index=True)
+    keep = np.zeros(len(owner), dtype=bool)
+    keep[first] = True
+    keep &= node_idx != initiator[owner]
+    new_offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[keep], minlength=len(sizes)), out=new_offsets[1:])
+    return _reindexed(
+        ids,
+        initiator,
+        np.asarray(start_time, dtype=np.int64),
+        new_offsets,
+        node_idx[keep],
+        times[keep],
+        sort_ids=True,
+    )
 
 
 def _parse_token(token, line_number, what):
@@ -124,6 +246,34 @@ def _parse_token(token, line_number, what):
     return node, int(time)
 
 
+def _parse_line_slowly(line, line_number):
+    """Token-by-token reading of a line the fast pattern rejected.
+
+    Raises the error for the first bad field or token; returns
+    (initiator, start, nodes, times) if there is none.
+    """
+    fields = line.split("\t")
+    if len(fields) != 2:
+        raise MalformedLine(
+            f"expected '<initiator> TAB <events>', got {len(fields)} field(s)",
+            line_number,
+        )
+    initiator, start = _parse_token(fields[0], line_number, "initiator")
+    tokens = fields[1].split()
+    if not tokens:
+        raise EmptyCascade(f"cascade started by {initiator} has no events", line_number)
+    events = [_parse_token(t, line_number, "event") for t in tokens]
+    return initiator, start, [n for n, _ in events], [t for _, t in events]
+
+
+class _Interner(dict):
+    """Id -> position in first-seen order; a lookup of a new id adds it."""
+
+    def __missing__(self, key):
+        self[key] = position = len(self)
+        return position
+
+
 def parse_cascades(lines):
     """Parse a cascade log into a corpus.
 
@@ -131,38 +281,72 @@ def parse_cascades(lines):
     MalformedLine / TimeOrderViolation / EmptyCascade with the 1-based line
     number of the first offending line.
     """
-    cascades = []
+    index = _Interner()
+    initiators = array("i")
+    starts = array("q")
+    offsets = array("q", [0])
+    nodes = array("i")
+    times = array("q")
     for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        fields = line.split("\t")
-        if len(fields) != 2:
+        match = _LINE_RE.fullmatch(line)
+        if match:
+            initiator, start, body = match.groups()
+            start = int(start)
+            tokens = body.replace(":", " ").split()
+            names = tokens[0::2]
+            stamps = list(map(int, tokens[1::2]))
+        else:
+            initiator, start, names, stamps = _parse_line_slowly(line, line_number)
+        latest = max(stamps)
+        if start >= TIME_LIMIT or latest >= TIME_LIMIT:
             raise MalformedLine(
-                f"expected '<initiator> TAB <events>', got {len(fields)} field(s)",
+                f"time {max(start, latest)} does not fit in 64 bits", line_number
+            )
+        if min(stamps) < start:
+            k = next(k for k, t in enumerate(stamps) if t < start)
+            raise TimeOrderViolation(
+                f"event {names[k]}:{stamps[k]} precedes start time {start}",
                 line_number,
             )
-        initiator, start_time = _parse_token(fields[0], line_number, "initiator")
-        tokens = fields[1].split()
-        if not tokens:
-            raise EmptyCascade(f"cascade started by {initiator} has no events", line_number)
-        events = [_parse_token(t, line_number, "event") for t in tokens]
-        cascades.append(make_cascade(initiator, start_time, events, line_number))
-    return CascadeCorpus(cascades)
+        if names.count(initiator) == len(names):
+            raise EmptyCascade(
+                f"cascade started by {initiator} has no events after validation",
+                line_number,
+            )
+        initiators.append(index[initiator])
+        starts.append(start)
+        nodes.extend(map(index.__getitem__, names))
+        times.extend(stamps)
+        offsets.append(len(nodes))
+    return build_corpus(
+        list(index),
+        np.frombuffer(initiators, dtype=np.int32),
+        np.frombuffer(starts, dtype=np.int64),
+        np.frombuffer(offsets, dtype=np.int64),
+        np.frombuffer(nodes, dtype=np.int32),
+        np.frombuffer(times, dtype=np.int64),
+    )
 
 
 def serialize_cascades(corpus):
     """Render a corpus back to the one-cascade-per-line text format."""
-    out = []
-    for c in corpus.cascades:
-        events = " ".join(f"{e.node}:{e.time}" for e in c.events)
-        out.append(f"{c.initiator}:{c.start_time}\t{events}")
+    ids = corpus.ids
+    tokens = [f"{ids[v]}:{t}" for v, t in zip(corpus.node_idx.tolist(), corpus.times.tolist())]
+    offsets = corpus.offsets.tolist()
+    out = [
+        f"{ids[u]}:{start}\t" + " ".join(tokens[a:b])
+        for u, start, a, b in zip(
+            corpus.initiator.tolist(), corpus.start_time.tolist(), offsets, offsets[1:]
+        )
+    ]
     return "\n".join(out) + "\n" if out else ""
 
 
 def load_cascades(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cascades(fh)
+    return parse_cascades(read_lines(path))
 
 
 def save_cascades(corpus, path):
@@ -178,16 +362,17 @@ def temporal_split(corpus, train_fraction):
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0,1), got {train_fraction}")
-    if not corpus.cascades:
+    count = corpus.n_cascades
+    if not count:
         raise DegenerateSplit("empty corpus")
-    ordered = sorted(corpus.cascades, key=lambda c: c.start_time)
-    n_train = slack_ceil(train_fraction * len(ordered))
-    if n_train == 0 or n_train == len(ordered):
+    order = np.argsort(corpus.start_time, kind="stable")
+    n_train = slack_ceil(train_fraction * count)
+    if n_train == 0 or n_train == count:
         raise DegenerateSplit(
-            f"{len(ordered)} cascades at fraction {train_fraction} would leave "
+            f"{count} cascades at fraction {train_fraction} would leave "
             "an empty train or test side"
         )
-    return CascadeCorpus(ordered[:n_train]), CascadeCorpus(ordered[n_train:])
+    return corpus.take(order[:n_train]), corpus.take(order[n_train:])
 
 
 @dataclass
@@ -201,6 +386,13 @@ class InitiatorStats:
     test_count: int = 0
 
 
+def _distinct_reach(corpus):
+    """Per node index: distinct participants over the cascades it started."""
+    owner = np.repeat(corpus.initiator.astype(np.int64), corpus.sizes())
+    pairs = np.unique(owner * corpus.n_nodes + corpus.node_idx)
+    return np.bincount(pairs // corpus.n_nodes, minlength=corpus.n_nodes)
+
+
 def initiator_stats(train, test):
     """Per-node activity/success record over a train/test corpus pair.
 
@@ -209,31 +401,23 @@ def initiator_stats(train, test):
     measures are the number of test cascades started, their cumulative size,
     and the distinct nodes appearing in them.
     """
-    stats = {}
-
-    def row(node):
-        if node not in stats:
-            stats[node] = InitiatorStats()
-        return stats[node]
-
-    for nid in train.node_index:
-        row(nid)
-    for nid in test.node_index:
-        row(nid)
-
-    for c in train.cascades:
-        row(c.initiator).cascades_started += 1
-        for e in c.events:
-            row(e.node).cascades_participated += 1
-
-    influenced = {}
-    for c in test.cascades:
-        r = row(c.initiator)
-        r.test_count += 1
-        r.test_total_size += c.size
-        influenced.setdefault(c.initiator, set()).update(c.event_nodes())
-    for node, nodes in influenced.items():
-        stats[node].test_dni = len(nodes)
+    stats = {nid: InitiatorStats() for nid in sorted(set(train.ids).union(test.ids))}
+    columns = zip(
+        np.bincount(train.initiator, minlength=train.n_nodes).tolist(),
+        np.bincount(train.node_idx, minlength=train.n_nodes).tolist(),
+    )
+    for nid, (started, participated) in zip(train.ids, columns):
+        stats[nid].cascades_started = started
+        stats[nid].cascades_participated = participated
+    columns = zip(
+        np.bincount(test.initiator, minlength=test.n_nodes).tolist(),
+        np.bincount(test.initiator, weights=test.sizes(), minlength=test.n_nodes).tolist(),
+        _distinct_reach(test).tolist(),
+    )
+    for nid, (count, total, reach) in zip(test.ids, columns):
+        stats[nid].test_count = count
+        stats[nid].test_total_size = int(total)
+        stats[nid].test_dni = reach
     return stats
 
 
@@ -261,8 +445,7 @@ def parse_edges(lines):
 
 
 def load_edges(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edges(fh)
+    return parse_edges(read_lines(path))
 
 
 def save_edges(edges, path):
@@ -274,15 +457,14 @@ def save_edges(edges, path):
 def derive_edges(corpus):
     """Initiator-to-participant edges implied by a corpus, deduplicated.
 
-    Gives cascade-only datasets something to feed graph baselines.
+    Edges come in order of first appearance. Gives cascade-only datasets
+    something to feed graph baselines.
     """
-    edges = []
-    seen = set()
-    for c in corpus.cascades:
-        for e in c.events:
-            pair = (c.initiator, e.node)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            edges.append(pair)
-    return edges
+    owner = np.repeat(corpus.initiator.astype(np.int64), corpus.sizes())
+    _, first = np.unique(owner * corpus.n_nodes + corpus.node_idx, return_index=True)
+    first.sort()
+    ids = corpus.ids
+    return [
+        (ids[u], ids[v])
+        for u, v in zip(owner[first].tolist(), corpus.node_idx[first].tolist())
+    ]

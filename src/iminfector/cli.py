@@ -132,7 +132,7 @@ def cmd_synth(args):
         {},
         outputs,
         {"synth": time.perf_counter() - t0},
-        extra={"n_nodes": corpus.n_nodes, "n_cascades": len(corpus.cascades)},
+        extra={"n_nodes": corpus.n_nodes, "n_cascades": corpus.n_cascades},
     )
     return 0
 
@@ -153,8 +153,8 @@ def cmd_split(args):
         [args.train_out, args.test_out],
         {"split": time.perf_counter() - t0},
         extra={
-            "n_train": len(train_corpus.cascades),
-            "n_test": len(test_corpus.cascades),
+            "n_train": train_corpus.n_cascades,
+            "n_test": test_corpus.n_cascades,
         },
     )
     return 0

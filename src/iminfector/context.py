@@ -10,40 +10,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EmptyCascade
 from ._util import slack_ceil
 
-
-@dataclass(frozen=True)
-class ContextPair:
-    """Classification pair: dense influencer index, dense context node index."""
-
-    influencer: int
-    context: int
+# Context value that marks an influencer-size pair in a TrainingStream.
+SIZE_PAIR = -1
 
 
-@dataclass(frozen=True)
-class SizePair:
-    """Regression pair: dense influencer index, normalized size in [0, 1]."""
+@dataclass(frozen=True, eq=False)
+class TrainingStream:
+    """One epoch's pairs as three aligned arrays, one entry per pair.
 
-    influencer: int
-    size_target: float
-
-
-def sampling_distribution(cascade):
-    """Probability of each event being drawn as a context node.
-
-    P(v) is proportional to 1 / max(t_v - t_u, 1) where t_u is the cascade
-    start time; delays under one tick are clamped to 1 so simultaneous
-    reposts stay finite and keep the fast-copier ordering.
+    ``influencer`` holds dense influencer indices. ``context`` holds the
+    dense context node index of a classification pair, or SIZE_PAIR for a
+    regression pair, whose normalized size in [0, 1] is in ``size_target``
+    (NaN on classification pairs).
     """
-    if not cascade.events:
-        raise EmptyCascade(f"cascade started by {cascade.initiator} has no events")
-    delays = np.array(
-        [max(e.time - cascade.start_time, 1) for e in cascade.events], dtype=np.float64
-    )
-    weights = 1.0 / delays
-    return weights / weights.sum()
+
+    influencer: np.ndarray
+    context: np.ndarray
+    size_target: np.ndarray
+
+    def __len__(self):
+        return len(self.influencer)
+
+
+def sampling_weights(corpus):
+    """Unnormalized context-draw weight of every event of the corpus.
+
+    P(v) within a cascade is proportional to 1 / max(t_v - t_u, 1) where
+    t_u is the cascade start time; delays under one tick are clamped to 1
+    so simultaneous reposts stay finite and keep the fast-copier ordering.
+    """
+    delays = corpus.times - np.repeat(corpus.start_time, corpus.sizes())
+    return 1.0 / np.maximum(delays, 1).astype(np.float64)
 
 
 def size_targets(train):
@@ -52,7 +51,7 @@ def size_targets(train):
     All-equal sizes carry no signal, so the degenerate case maps every
     cascade to 0.5 instead of raising.
     """
-    sizes = np.array([c.size for c in train.cascades], dtype=np.float64)
+    sizes = train.sizes().astype(np.float64)
     m_min, m_max = sizes.min(), sizes.max()
     if m_max == m_min:
         return np.full(len(sizes), 0.5)
@@ -60,36 +59,42 @@ def size_targets(train):
 
 
 def build_training_stream(train, oversample=1.2, rng_seed=0):
-    """Materialize one epoch's training stream as a list of pairs.
+    """Materialize one epoch's training stream.
 
-    Stream order follows cascade input order; within a cascade all
-    ContextPairs precede the single SizePair. Identical rng_seed values
-    reproduce the identical stream.
+    Stream order follows cascade input order; within a cascade all context
+    pairs precede the single size pair. Identical rng_seed values reproduce
+    the identical stream.
     """
-    if not train.cascades:
+    if not train.n_cascades:
         raise ValueError("empty train corpus")
     rng = np.random.default_rng(rng_seed)
-    targets = size_targets(train)
-    stream = []
-    for cascade, y_c in zip(train.cascades, targets):
-        x = train.influencer_index[cascade.initiator]
-        probs = sampling_distribution(cascade)
-        node_idx = np.array(
-            [train.node_index[e.node] for e in cascade.events], dtype=np.int64
+    weights = sampling_weights(train)
+    draws = [slack_ceil(oversample * m) for m in train.sizes().tolist()]
+    pairs = np.add(draws, 1)
+    size_rows = np.cumsum(pairs) - 1
+    context = np.full(size_rows[-1] + 1, SIZE_PAIR, dtype=np.int32)
+    size_target = np.full(len(context), np.nan)
+    size_target[size_rows] = size_targets(train)
+    offsets = train.offsets.tolist()
+    row = 0
+    for a, b, n_draws in zip(offsets, offsets[1:], draws):
+        w = weights[a:b]
+        context[row : row + n_draws] = rng.choice(
+            train.node_idx[a:b], size=n_draws, replace=True, p=w / w.sum()
         )
-        n_draws = slack_ceil(oversample * cascade.size)
-        draws = rng.choice(node_idx, size=n_draws, replace=True, p=probs)
-        stream.extend(ContextPair(x, int(ctx)) for ctx in draws)
-        stream.append(SizePair(x, float(y_c)))
-    return stream
+        row += n_draws + 1
+    influencer = np.repeat(train.cascade_influencers(), pairs)
+    return TrainingStream(influencer, context, size_target)
 
 
 def dump_pairs(stream, path):
     """Write a stream as TSV: influencer, target, kind (C|S), value."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("influencer\ttarget\tkind\tvalue\n")
-        for pair in stream:
-            if isinstance(pair, ContextPair):
-                fh.write(f"{pair.influencer}\t{pair.context}\tC\t1\n")
+        for u, v, y in zip(
+            stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist()
+        ):
+            if v == SIZE_PAIR:
+                fh.write(f"{u}\t-\tS\t{y!r}\n")
             else:
-                fh.write(f"{pair.influencer}\t-\tS\t{pair.size_target!r}\n")
+                fh.write(f"{u}\t{v}\tC\t1\n")

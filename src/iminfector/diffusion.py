@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import AllZeroNorms, CorruptFile, FormatVersionMismatch
 from .model import forward_classify
-from ._util import slack_ceil
+from ._util import pack_ids, read_ids, slack_ceil, take
 
 MAGIC = b"DPM1"
 
@@ -86,32 +86,16 @@ def compute_budgets(matrix, n_nodes):
     return SpreadBudget(lambdas=lambdas)
 
 
-def _pack_ids(ids):
-    chunks = []
-    for s in ids:
-        b = s.encode("utf-8")
-        chunks.append(struct.pack("<I", len(b)))
-        chunks.append(b)
-    return b"".join(chunks)
-
-
 def save_matrix(matrix, budgets, path):
     """Write the DPM1 binary: magic, dims, candidate ids, norms, lambdas, rows."""
     n, N = matrix.probs.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<QQ", n, N))
-        fh.write(_pack_ids(matrix.candidate_ids))
+        fh.write(pack_ids(matrix.candidate_ids))
         fh.write(np.ascontiguousarray(matrix.norms, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(budgets.lambdas, dtype="<u8").tobytes())
         fh.write(np.ascontiguousarray(matrix.probs, dtype="<f8").tobytes())
-
-
-def _take(buf, offset, count, path):
-    end = offset + count
-    if end > len(buf):
-        raise CorruptFile(f"{path}: truncated (needed {end} bytes, have {len(buf)})")
-    return buf[offset:end], end
 
 
 def load_matrix(path):
@@ -126,21 +110,16 @@ def load_matrix(path):
     if len(buf) < len(MAGIC) or buf[: len(MAGIC)] != MAGIC:
         raise FormatVersionMismatch(f"{path}: not a DPM1 diffusion-matrix file")
     offset = len(MAGIC)
-    raw, offset = _take(buf, offset, 16, path)
+    raw, offset = take(buf, offset, 16, path)
     n, N = struct.unpack("<QQ", raw)
     if n < 1 or N < 1:
         raise CorruptFile(f"{path}: bad dimensions candidates={n} nodes={N}")
-    ids = []
-    for _ in range(n):
-        raw, offset = _take(buf, offset, 4, path)
-        (length,) = struct.unpack("<I", raw)
-        raw, offset = _take(buf, offset, length, path)
-        ids.append(raw.decode("utf-8"))
-    raw, offset = _take(buf, offset, n * 8, path)
+    ids, offset = read_ids(buf, offset, n, path)
+    raw, offset = take(buf, offset, n * 8, path)
     norms = np.frombuffer(raw, dtype="<f8").copy()
-    raw, offset = _take(buf, offset, n * 8, path)
+    raw, offset = take(buf, offset, n * 8, path)
     lambdas = np.frombuffer(raw, dtype="<u8").astype(np.int64)
-    raw, offset = _take(buf, offset, n * N * 8, path)
+    raw, offset = take(buf, offset, n * N * 8, path)
     probs = np.frombuffer(raw, dtype="<f8").reshape(n, N).copy()
     if offset != len(buf):
         raise CorruptFile(f"{path}: {len(buf) - offset} trailing bytes")

@@ -8,6 +8,9 @@ with the same metric.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+
+import numpy as np
 
 
 @dataclass
@@ -30,7 +33,7 @@ def influenced_sets(test):
     """Map each test initiator to the union of its cascades' event nodes."""
     by_initiator = {}
     for c in test.cascades:
-        by_initiator.setdefault(c.initiator, set()).update(c.event_nodes())
+        by_initiator.setdefault(c.initiator, set()).update(c.nodes)
     return by_initiator
 
 
@@ -66,24 +69,39 @@ def _adjacency(edges):
 def core_numbers(edges):
     """Core number of every node of the undirected simple graph.
 
-    Peeling: repeatedly remove a minimum-degree node; a node's core number
-    is the largest minimum degree seen up to its removal. Quadratic in the
-    node count, which is fine at the corpus sizes this package targets.
+    Bucket peeling (Batagelj & Zaversnik 2003, "An O(m) Algorithm for Cores
+    Decomposition of Networks"): ``vert`` holds the nodes sorted by current
+    degree, ``start[d]`` is where degree d begins in it, and ``pos`` is each
+    node's place. Nodes are taken in that order; a node's degree when it
+    is taken is its core number, and each neighbour of higher degree moves
+    to the front of its bucket and down one degree. O(V + E). Core numbers
+    do not depend on the peeling order.
     """
     adj = _adjacency(edges)
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    remaining = set(adj)
-    cores = {}
-    level = 0
-    while remaining:
-        v = min(remaining, key=lambda u: (degree[u], u))
-        level = max(level, degree[v])
-        cores[v] = level
-        remaining.discard(v)
-        for w in adj[v]:
-            if w in remaining:
-                degree[w] -= 1
-    return cores
+    nodes = list(adj)
+    index = {v: i for i, v in enumerate(nodes)}
+    nbrs = [[index[w] for w in adj[v]] for v in nodes]
+    degree = [len(ns) for ns in nbrs]
+    vert = sorted(range(len(nodes)), key=degree.__getitem__)
+    pos = [0] * len(nodes)
+    for i, v in enumerate(vert):
+        pos[v] = i
+    counts = [0] * (max(degree, default=0) + 2)
+    for d in degree:
+        counts[d + 1] += 1
+    start = list(accumulate(counts))  # nodes of degree below d, empty buckets too
+    for v in vert:
+        for u in nbrs[v]:
+            du = degree[u]
+            if du > degree[v]:
+                # swap u with the first node of its bucket, then shrink the bucket
+                pu, pw = pos[u], start[du]
+                w = vert[pw]
+                vert[pu], vert[pw] = w, u
+                pos[u], pos[w] = pw, pu
+                start[du] += 1
+                degree[u] = du - 1
+    return {nodes[v]: d for v, d in enumerate(degree)}
 
 
 def kcore_ranking(edges):
@@ -97,11 +115,9 @@ def kcore_ranking(edges):
 
 def avg_size_ranking(train):
     """Rank train initiators by mean cascade event count, descending."""
-    totals = {}
-    counts = {}
-    for c in train.cascades:
-        totals[c.initiator] = totals.get(c.initiator, 0) + c.size
-        counts[c.initiator] = counts.get(c.initiator, 0) + 1
-    scores = {u: totals[u] / counts[u] for u in totals}
-    ranking = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    totals = np.bincount(train.initiator, weights=train.sizes(), minlength=train.n_nodes)
+    counts = np.bincount(train.initiator, minlength=train.n_nodes)
+    started = train.influencers
+    scores = zip(train.influencer_ids(), (totals[started] / counts[started]).tolist())
+    ranking = sorted(scores, key=lambda kv: (-kv[1], kv[0]))
     return RankedBaseline(method="avgsize", ranking=ranking)

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .context import ContextPair
+from .context import SIZE_PAIR
 from .exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
+from ._util import pack_ids, read_ids, take
 
 MAGIC = b"INFV1"
 
@@ -142,8 +143,8 @@ class StepWorkspace:
         self.bound = math.inf
 
 
-def step_classify(model, pair, lr, workspace=None):
-    """One SGD step on the classification head; returns the pre-update loss.
+def step_classify(model, u, y, lr, workspace=None):
+    """One SGD step on pair (influencer u, context node y); returns the pre-update loss.
 
     The softmax/NLL gradient w.r.t. the logits collapses to phi - y, so the
     parameter gradients are T(phi - y) for O_u, the outer product
@@ -155,7 +156,6 @@ def step_classify(model, pair, lr, workspace=None):
     scanned only when the workspace's bound on max|T| reaches 1e300.
     """
     ws = StepWorkspace(model) if workspace is None else workspace
-    u, y = pair.influencer, pair.context
     O_u = model.O[u]
     g = forward_classify(model, u, out=ws.phi)
     loss = -np.log(g[y])
@@ -182,14 +182,13 @@ def step_classify(model, pair, lr, workspace=None):
     return float(loss)
 
 
-def step_regress(model, pair, lr):
-    """One SGD step on the regression head; returns the pre-update loss.
+def step_regress(model, u, y_c, lr):
+    """One SGD step on pair (influencer u, size target y_c); returns the pre-update loss.
 
     The gradient w.r.t. O_u is the scalar -2(y_c - phi_c) phi_c (1 - phi_c)
     broadcast across all E coordinates, because dz_c/dO_u = C = ones. T and
     C are untouched.
     """
-    u, y_c = pair.influencer, pair.size_target
     phi_c = forward_regress(model, u)
     loss = (y_c - phi_c) ** 2
     g = -2.0 * (y_c - phi_c) * phi_c * (1.0 - phi_c)
@@ -203,8 +202,8 @@ def step_regress(model, pair, lr):
 def train(model, stream_producer, config):
     """Alternating SGD over fresh streams, one per epoch.
 
-    ``stream_producer(epoch)`` must return that epoch's list of training
-    pairs (epoch counts from 0). The model is updated in place; the report
+    ``stream_producer(epoch)`` must return that epoch's TrainingStream
+    (epoch counts from 0). The model is updated in place; the report
     carries mean losses per head and wall time for each epoch.
     """
     report = TrainReport()
@@ -217,12 +216,15 @@ def train(model, stream_producer, config):
             raise ValueError(f"stream for epoch {epoch} is empty")
         classify_losses = []
         regress_losses = []
-        for step, pair in enumerate(stream):
+        pairs = zip(
+            stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist()
+        )
+        for step, (u, v, y_c) in enumerate(pairs):
             try:
-                if isinstance(pair, ContextPair):
-                    classify_losses.append(step_classify(model, pair, lr, workspace))
+                if v == SIZE_PAIR:
+                    regress_losses.append(step_regress(model, u, y_c, lr))
                 else:
-                    regress_losses.append(step_regress(model, pair, lr))
+                    classify_losses.append(step_classify(model, u, v, lr, workspace))
             except NonFiniteUpdate as exc:
                 raise NonFiniteUpdate(str(exc), epoch=epoch, step=step) from None
         report.classify_loss.append(
@@ -233,15 +235,6 @@ def train(model, stream_producer, config):
         )
         report.epoch_seconds.append(time.perf_counter() - t0)
     return model, report
-
-
-def _pack_ids(ids):
-    chunks = []
-    for s in ids:
-        b = s.encode("utf-8")
-        chunks.append(struct.pack("<I", len(b)))
-        chunks.append(b)
-    return b"".join(chunks)
 
 
 def save_embeddings(model, path):
@@ -261,25 +254,8 @@ def save_embeddings(model, path):
         fh.write(np.ascontiguousarray(model.b_t, dtype="<f8").tobytes())
         fh.write(struct.pack("<d", model.b_c))
         if model.influencer_ids is not None and model.node_ids is not None:
-            fh.write(_pack_ids(model.influencer_ids))
-            fh.write(_pack_ids(model.node_ids))
-
-
-def _take(buf, offset, count, path):
-    end = offset + count
-    if end > len(buf):
-        raise CorruptFile(f"{path}: truncated (needed {end} bytes, have {len(buf)})")
-    return buf[offset:end], end
-
-
-def _read_ids(buf, offset, count, path):
-    ids = []
-    for _ in range(count):
-        raw, offset = _take(buf, offset, 4, path)
-        (n,) = struct.unpack("<I", raw)
-        raw, offset = _take(buf, offset, n, path)
-        ids.append(raw.decode("utf-8"))
-    return ids, offset
+            fh.write(pack_ids(model.influencer_ids))
+            fh.write(pack_ids(model.node_ids))
 
 
 def load_embeddings(path):
@@ -289,26 +265,26 @@ def load_embeddings(path):
     if len(buf) < len(MAGIC) or buf[: len(MAGIC)] != MAGIC:
         raise FormatVersionMismatch(f"{path}: not an INFV1 embedding file")
     offset = len(MAGIC)
-    raw, offset = _take(buf, offset, 24, path)
+    raw, offset = take(buf, offset, 24, path)
     E, I, N = struct.unpack("<QQQ", raw)
     if E < 1 or I < 1 or N < 1:
         raise CorruptFile(f"{path}: bad dimensions E={E} I={I} N={N}")
 
     def matrix(rows, cols):
         nonlocal offset
-        raw, offset_ = _take(buf, offset, rows * cols * 8, path)
+        raw, offset_ = take(buf, offset, rows * cols * 8, path)
         offset = offset_
         return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
 
     O = matrix(I, E)
     T = matrix(E, N)
     b_t = matrix(1, N).reshape(N)
-    raw, offset = _take(buf, offset, 8, path)
+    raw, offset = take(buf, offset, 8, path)
     (b_c,) = struct.unpack("<d", raw)
     influencer_ids = node_ids = None
     if offset < len(buf):
-        influencer_ids, offset = _read_ids(buf, offset, I, path)
-        node_ids, offset = _read_ids(buf, offset, N, path)
+        influencer_ids, offset = read_ids(buf, offset, I, path)
+        node_ids, offset = read_ids(buf, offset, N, path)
         if offset != len(buf):
             raise CorruptFile(f"{path}: {len(buf) - offset} trailing bytes")
     return InfectorModel(

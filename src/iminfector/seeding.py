@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EmptyMatrix
+from .exceptions import EmptyMatrix, MalformedLine
+from ._util import read_lines
 
 
 @dataclass(frozen=True)
@@ -134,15 +135,17 @@ def save_seeds(selection, path):
 
 
 def load_seed_ids(path):
-    """Read the candidate ids back from a seeds.txt file, in rank order."""
+    """Read the candidate ids back from a seeds.txt file, in rank order.
+
+    A line without three tab-separated fields, or invalid UTF-8, raises
+    MalformedLine with its 1-based line number.
+    """
     ids = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"bad seed line: {line!r}")
-            ids.append(fields[1])
+    for line_number, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLine(f"bad seed line: {line!r}", line_number)
+        ids.append(fields[1])
     return ids

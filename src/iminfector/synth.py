@@ -11,7 +11,9 @@ Audiences tile nearly all ordinary nodes, so the participant pool is
 uniformly hot and no initiator group can coast on rare targets.
 """
 
-from .cascades import CascadeCorpus, make_cascade
+import numpy as np
+
+from .cascades import build_corpus
 
 TIME_RANGE = 100_000
 LURE_TIME_CAP = 40_000  # early enough to land in the train side at 80/20
@@ -29,14 +31,16 @@ def generate_corpus(rng, n_nodes=300, n_cascades=500, n_planted=5, n_lures=6):
     """Build a synthetic corpus over a universe of ``n_nodes`` node ids.
 
     ``rng`` is a numpy Generator; every draw flows through it, so equal
-    seeds give equal corpora.
+    seeds give equal corpora. Nodes are drawn as positions in the id table;
+    the draws depend only on pool sizes, so they match drawing the ids.
     """
     n_ordinary = n_nodes - n_planted - n_lures
     if n_ordinary < 20 * n_planted:
         raise ValueError("too few nodes for the requested planted/lure counts")
-    planted = planted_ids(n_planted)
-    lures = lure_ids(n_lures)
-    ordinary = [f"n{i:03d}" for i in range(n_ordinary)]
+    ids = planted_ids(n_planted) + lure_ids(n_lures) + [f"n{i:03d}" for i in range(n_ordinary)]
+    planted = range(n_planted)
+    lures = range(n_planted, n_planted + n_lures)
+    ordinary = list(range(n_planted + n_lures, len(ids)))
 
     shuffled = list(ordinary)
     rng.shuffle(shuffled)
@@ -55,12 +59,14 @@ def generate_corpus(rng, n_nodes=300, n_cascades=500, n_planted=5, n_lures=6):
     if n_background < 1:
         raise ValueError("too few cascades for the requested planted/lure counts")
 
-    cascades = []
+    initiators, starts, nodes, times = [], [], [], []
 
     def emit(initiator, start, participants, max_delay):
         delays = rng.integers(1, max_delay + 1, size=len(participants))
-        events = [(node, int(start + d)) for node, d in zip(participants, delays)]
-        cascades.append(make_cascade(initiator, int(start), events))
+        initiators.append(initiator)
+        starts.append(start)
+        nodes.append(participants)
+        times.append(start + delays)
 
     draw_lo = max(2, int(0.29 * audience_size))
     draw_hi = max(draw_lo, int(0.43 * audience_size))
@@ -91,8 +97,12 @@ def generate_corpus(rng, n_nodes=300, n_cascades=500, n_planted=5, n_lures=6):
     bg_size = min(3, len(susceptible))
     for u in background_initiators:
         start = rng.integers(0, TIME_RANGE)
-        # the initiator may come up in its own draw; make_cascade drops it
+        # the initiator may come up in its own draw; build_corpus drops it
         participants = rng.choice(susceptible, size=bg_size, replace=False)
         emit(u, start, participants, max_delay=500)
 
-    return CascadeCorpus(cascades)
+    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in nodes], out=offsets[1:])
+    return build_corpus(
+        ids, initiators, starts, offsets, np.concatenate(nodes), np.concatenate(times)
+    )

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iminfector.cascades import CascadeCorpus, make_cascade, parse_cascades
+from iminfector.cascades import parse_cascades
 from iminfector.cli import main
-from iminfector.context import ContextPair, SizePair, build_training_stream
+from iminfector.context import SIZE_PAIR, build_training_stream
 from iminfector.diffusion import DiffusionMatrix, SpreadBudget
 from iminfector.evaluation import dni
 from iminfector.model import (
@@ -139,13 +139,13 @@ def test_acceptance_2_gradients(capsys):
             y_c = float(rng.uniform(0, 1))
 
             O0, T0, bt0, bc0 = m.O.copy(), m.T.copy(), m.b_t.copy(), m.b_c
-            step_classify(m, ContextPair(u, y), lr=1.0)
+            step_classify(m, u, y, lr=1.0)
             assert close(O0 - m.O, central(lambda: nll(O0, T0, bt0, u, y), O0))
             assert close(T0 - m.T, central(lambda: nll(O0, T0, bt0, u, y), T0))
             assert close(bt0 - m.b_t, central(lambda: nll(O0, T0, bt0, u, y), bt0))
 
             m.O[:], m.T[:], m.b_t[:], m.b_c = O0, T0, bt0, bc0
-            step_regress(m, SizePair(u, y_c), lr=1.0)
+            step_regress(m, u, y_c, lr=1.0)
             box = np.array([bc0])
             assert close(O0 - m.O, central(lambda: sq(O0, float(box[0]), u, y_c), O0))
             assert close(
@@ -210,10 +210,10 @@ def test_acceptance_4_celf_equals_naive(capsys):
 def test_acceptance_5_sampling_law(capsys):
     with acceptance(capsys, 5, "context frequencies within 3 SE of the inverse-delay law"):
         t0 = time.perf_counter()
-        corpus = CascadeCorpus([make_cascade("u", 0, [("a", 2), ("b", 4)])])
+        corpus = parse_cascades(["u:0\ta:2 b:4\n"])
         n_draws = 100_000
         stream = build_training_stream(corpus, oversample=n_draws / 2, rng_seed=0)
-        contexts = [p.context for p in stream if isinstance(p, ContextPair)]
+        contexts = [v for v in stream.context.tolist() if v != SIZE_PAIR]
         assert len(contexts) == n_draws
         freq_a = contexts.count(corpus.node_index["a"]) / n_draws
         p = 2 / 3
@@ -260,23 +260,20 @@ def test_acceptance_7_dni_oracle(capsys):
         rng = np.random.default_rng(11)
         names = [f"v{i}" for i in range(25)]
         for _ in range(100):
-            cascades = []
+            lines = []
             for _ in range(int(rng.integers(1, 15))):
                 initiator = names[int(rng.integers(0, 25))]
                 start = int(rng.integers(0, 50))
                 others = [x for x in names if x != initiator]
                 chosen = rng.choice(others, size=int(rng.integers(1, 6)), replace=False)
-                cascades.append(
-                    make_cascade(
-                        initiator, start, [(v, start + int(rng.integers(1, 9))) for v in chosen]
-                    )
-                )
-            test = CascadeCorpus(cascades)
+                events = " ".join(f"{v}:{start + int(rng.integers(1, 9))}" for v in chosen)
+                lines.append(f"{initiator}:{start}\t{events}\n")
+            test = parse_cascades(lines)
             seeds = [names[int(rng.integers(0, 25))] for _ in range(int(rng.integers(0, 8)))]
             expected = set()
             for c in test.cascades:
                 if c.initiator in seeds:
-                    expected |= {e.node for e in c.events}
+                    expected |= set(c.nodes)
             assert dni(seeds, test).dni == len(expected)
 
 

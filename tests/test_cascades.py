@@ -5,11 +5,9 @@ import pytest
 
 from iminfector.cascades import (
     Cascade,
-    CascadeCorpus,
     derive_edges,
     initiator_stats,
     load_cascades,
-    make_cascade,
     parse_cascades,
     parse_edges,
     save_cascades,
@@ -25,7 +23,6 @@ from iminfector.exceptions import (
 
 GOOD = "u1:10\tv1:12 v2:11 v3:20\n"
 
-
 def test_parse_single_line():
     corpus = parse_cascades([GOOD])
     assert len(corpus.cascades) == 1
@@ -33,7 +30,7 @@ def test_parse_single_line():
     assert c.initiator == "u1"
     assert c.start_time == 10
     # events sorted by time, not input order
-    assert [(e.node, e.time) for e in c.events] == [("v2", 11), ("v1", 12), ("v3", 20)]
+    assert c.events == [("v2", 11), ("v1", 12), ("v3", 20)]
     assert c.size == 3
 
 
@@ -72,12 +69,12 @@ def test_initiator_only_cascade_rejected():
 def test_duplicate_participant_keeps_earliest():
     corpus = parse_cascades(["u1:0\tv1:5 v1:3 v2:4\n"])
     c = corpus.cascades[0]
-    assert [(e.node, e.time) for e in c.events] == [("v1", 3), ("v2", 4)]
+    assert c.events == [("v1", 3), ("v2", 4)]
 
 
 def test_equal_times_allowed_and_stable():
     corpus = parse_cascades(["u1:7\tv1:7 v2:7 v3:7\n"])
-    assert [e.node for e in corpus.cascades[0].events] == ["v1", "v2", "v3"]
+    assert corpus.cascades[0].nodes == ["v1", "v2", "v3"]
 
 
 def test_serialize_round_trip():
@@ -114,11 +111,9 @@ def test_temporal_split_counts():
     rng = np.random.default_rng(1)
     for _ in range(20):
         n = int(rng.integers(2, 60))
-        cascades = [
-            make_cascade(f"u{i}", int(rng.integers(0, 1000)), [(f"v{i}", 2000)])
-            for i in range(n)
-        ]
-        corpus = CascadeCorpus(cascades)
+        corpus = parse_cascades(
+            [f"u{i}:{int(rng.integers(0, 1000))}\tv{i}:2000\n" for i in range(n)]
+        )
         frac = float(rng.uniform(0.1, 0.9))
         try:
             train, test = temporal_split(corpus, frac)
@@ -132,13 +127,13 @@ def test_temporal_split_counts():
 
 
 def test_temporal_split_degenerate():
-    one = CascadeCorpus([make_cascade("u", 0, [("v", 1)])])
+    one = parse_cascades(["u:0\tv:1\n"])
     with pytest.raises(DegenerateSplit):
         temporal_split(one, 0.5)
     with pytest.raises(ValueError):
         temporal_split(one, 1.0)
     with pytest.raises(DegenerateSplit):
-        temporal_split(CascadeCorpus([]), 0.5)
+        temporal_split(parse_cascades([]), 0.5)
 
 
 def test_initiator_stats():
@@ -167,7 +162,7 @@ def test_edges_parse_and_derive():
 
 
 def test_cascade_is_frozen():
-    c = make_cascade("u", 0, [("v", 1)])
+    c = parse_cascades(["u:0\tv:1\n"]).cascades[0]
     assert isinstance(c, Cascade)
     with pytest.raises(AttributeError):
         c.initiator = "w"

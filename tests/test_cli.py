@@ -212,6 +212,70 @@ def test_wrong_binary_magic_is_exit_3(tmp_path, corpus_file, capsys):
     capsys.readouterr()
 
 
+def split_argv(tmp_path, cascades):
+    return ["split", "--cascades", str(cascades),
+            "--train-out", str(tmp_path / "a"), "--test-out", str(tmp_path / "b")]
+
+
+def test_invalid_utf8_cascades_is_exit_3(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    # CRLF and a lone CR both end a line, as text mode reads them
+    bad.write_bytes(b"u1:0\tv1:1\r\nu2:0\tv2:1\ru3:\xff0\tv3:1\n")
+    assert main(split_argv(tmp_path, bad)) == 3
+    err = capsys.readouterr().err
+    assert "line 3" in err and "UTF-8" in err
+    # a format error on an earlier line is still the first one reported
+    bad.write_bytes(b"u1:0 v1:1\nu2:0\tv2:1\xff\n")
+    assert main(split_argv(tmp_path, bad)) == 3
+    assert "line 1: expected" in capsys.readouterr().err
+
+
+def test_time_beyond_int64_is_exit_3(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text(f"u1:0\tv1:1\nu2:0\tv2:{2**63}\n")
+    assert main(split_argv(tmp_path, big)) == 3
+    assert "line 2" in capsys.readouterr().err
+    small = "".join(f"u{i}:{i}\tv{i}:{i + 1}\n" for i in range(4))
+    big.write_text(small + f"u9:{2**63 - 1}\tv2:{2**63 - 1}\n")
+    assert main(split_argv(tmp_path, big)) == 0
+    assert (tmp_path / "b").read_text() == f"u9:{2**63 - 1}\tv2:{2**63 - 1}\n"
+
+
+def test_invalid_utf8_edges_is_exit_3(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(b"a\tb\nb\tc\xc3\n")
+    out = tmp_path / "kcore.txt"
+    assert main(["baseline", "--method", "kcore", "--edges", str(edges), "--out", str(out)]) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+def set_byte(path, offset, value):
+    data = bytearray(path.read_bytes())
+    data[offset] = value
+    path.write_bytes(bytes(data))
+
+
+def test_invalid_utf8_id_tables_are_exit_3(tmp_path, corpus_file, capsys):
+    _, _, model, dmat, _, _ = chain(tmp_path, corpus_file)
+    # INFV1 ends with the node id table: corrupt the last id's first byte
+    set_byte(model, -2, 0xFF)
+    assert main(["rank", "--model", str(model), "--out", str(tmp_path / "x.bin")]) == 3
+    assert "not valid UTF-8" in capsys.readouterr().err
+    # DPM1: magic, two u64 dims, then the first id's u32 length and bytes
+    set_byte(dmat, 4 + 16 + 4, 0xE9)
+    assert main(["seed", "--dmatrix", str(dmat), "--out", str(tmp_path / "y.txt")]) == 3
+    assert "not valid UTF-8" in capsys.readouterr().err
+
+
+def test_malformed_seeds_file_is_exit_3(tmp_path, corpus_file, capsys):
+    _, test, _, _, _, _ = chain(tmp_path, corpus_file)
+    seeds = tmp_path / "bad_seeds.txt"
+    seeds.write_text("1\tu01\t0.5\n2 u02 0.4\n")
+    out = tmp_path / "r.tsv"
+    assert main(["evaluate", "--seeds", str(seeds), "--test", str(test), "--out", str(out)]) == 3
+    assert "line 2: bad seed line" in capsys.readouterr().err
+
+
 def test_rank_prune_validation_is_exit_2(tmp_path, corpus_file):
     _, _, model, _, _, _ = chain(tmp_path, corpus_file)
     assert main(["rank", "--model", str(model), "--prune-percent", "0", "--out", str(tmp_path / "x")]) == 2

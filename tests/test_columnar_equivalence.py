@@ -1,0 +1,291 @@
+"""The array corpus and stream against the object-per-event code they replaced.
+
+reference_parse and reference_build_training_stream are the earlier
+implementations, kept here as oracles: they build one frozen object per
+event and one object per training pair. On any input, the array code must
+give the same ids, cascades and pairs, or raise the same exception class
+with the same message.
+"""
+
+import os
+import re
+import tempfile
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from iminfector._util import slack_ceil
+from iminfector.cascades import load_cascades, parse_cascades, serialize_cascades
+from iminfector.context import SIZE_PAIR, build_training_stream
+from iminfector.exceptions import (
+    CascadeFormatError,
+    EmptyCascade,
+    MalformedLine,
+    TimeOrderViolation,
+)
+from iminfector.synth import generate_corpus
+
+# ---- the previous implementation, verbatim apart from names ----
+
+_ID_RE = re.compile(r"[^\s:]+\Z")
+_TIME_RE = re.compile(r"[0-9]+\Z")
+
+
+@dataclass(frozen=True)
+class RefEvent:
+    node: str
+    time: int
+
+
+@dataclass(frozen=True)
+class RefCascade:
+    initiator: str
+    start_time: int
+    events: tuple
+
+    @property
+    def size(self):
+        return len(self.events)
+
+
+class RefCorpus:
+    def __init__(self, cascades):
+        self.cascades = cascades
+        nodes = set()
+        initiators = set()
+        for c in cascades:
+            nodes.add(c.initiator)
+            initiators.add(c.initiator)
+            nodes.update(e.node for e in c.events)
+        self.node_index = {nid: i for i, nid in enumerate(sorted(nodes))}
+        self.influencer_index = {nid: i for i, nid in enumerate(sorted(initiators))}
+
+
+def reference_make_cascade(initiator, start_time, events, line_number=None):
+    for node, time in events:
+        if time < start_time:
+            raise TimeOrderViolation(
+                f"event {node}:{time} precedes start time {start_time}",
+                line_number,
+            )
+    ordered = sorted(events, key=lambda nt: nt[1])
+    seen = {initiator}
+    cleaned = []
+    for node, time in ordered:
+        if node in seen:
+            continue
+        seen.add(node)
+        cleaned.append(RefEvent(node, time))
+    if not cleaned:
+        raise EmptyCascade(
+            f"cascade started by {initiator} has no events after validation",
+            line_number,
+        )
+    return RefCascade(initiator, start_time, tuple(cleaned))
+
+
+def _reference_token(token, line_number, what):
+    parts = token.split(":")
+    if len(parts) != 2:
+        raise MalformedLine(f"bad {what} token {token!r}", line_number)
+    node, time = parts
+    if not _ID_RE.match(node):
+        raise MalformedLine(f"bad node id {node!r}", line_number)
+    if not _TIME_RE.match(time):
+        raise MalformedLine(f"bad time {time!r} in {token!r}", line_number)
+    return node, int(time)
+
+
+def reference_parse(lines):
+    cascades = []
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise MalformedLine(
+                f"expected '<initiator> TAB <events>', got {len(fields)} field(s)",
+                line_number,
+            )
+        initiator, start_time = _reference_token(fields[0], line_number, "initiator")
+        tokens = fields[1].split()
+        if not tokens:
+            raise EmptyCascade(f"cascade started by {initiator} has no events", line_number)
+        events = [_reference_token(t, line_number, "event") for t in tokens]
+        cascades.append(reference_make_cascade(initiator, start_time, events, line_number))
+    return RefCorpus(cascades)
+
+
+def reference_build_training_stream(train, oversample, rng_seed):
+    """Pairs as ("C", influencer, context) and ("S", influencer, size target)."""
+    rng = np.random.default_rng(rng_seed)
+    sizes = np.array([c.size for c in train.cascades], dtype=np.float64)
+    m_min, m_max = sizes.min(), sizes.max()
+    if m_max == m_min:
+        targets = np.full(len(sizes), 0.5)
+    else:
+        targets = (sizes - m_min) / (m_max - m_min)
+    stream = []
+    for cascade, y_c in zip(train.cascades, targets):
+        x = train.influencer_index[cascade.initiator]
+        delays = np.array(
+            [max(e.time - cascade.start_time, 1) for e in cascade.events], dtype=np.float64
+        )
+        weights = 1.0 / delays
+        probs = weights / weights.sum()
+        node_idx = np.array(
+            [train.node_index[e.node] for e in cascade.events], dtype=np.int64
+        )
+        n_draws = slack_ceil(oversample * cascade.size)
+        draws = rng.choice(node_idx, size=n_draws, replace=True, p=probs)
+        stream.extend(("C", x, int(ctx)) for ctx in draws)
+        stream.append(("S", x, float(y_c)))
+    return stream
+
+
+# ---- comparison ----
+
+
+def summary(corpus):
+    cascades = [(c.initiator, c.start_time, c.events) for c in corpus.cascades]
+    return corpus.node_ids(), corpus.influencer_ids(), cascades
+
+
+def reference_summary(corpus):
+    cascades = [
+        (c.initiator, c.start_time, [(e.node, e.time) for e in c.events])
+        for c in corpus.cascades
+    ]
+    nodes = sorted(corpus.node_index, key=corpus.node_index.get)
+    influencers = sorted(corpus.influencer_index, key=corpus.influencer_index.get)
+    return nodes, influencers, cascades
+
+
+def outcome(parse, summarize, lines):
+    try:
+        return summarize(parse(lines))
+    except CascadeFormatError as exc:
+        return type(exc), str(exc)
+
+
+def stream_pairs(stream):
+    return [
+        ("S", u, y) if v == SIZE_PAIR else ("C", u, v)
+        for u, v, y in zip(
+            stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist()
+        )
+    ]
+
+
+# ---- generated logs ----
+
+IDS = ["u", "v", "w", "a1", "x_y", "é", "中文", "s00"]
+SEPARATORS = [" ", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u3000"]
+NOISE = ["", "   ", "# comment", "  # u:1\tv:2", "\u3000", "#"]
+EDIT_CHARS = ["\t", ":", " ", "\r", "\n", "\u2003", "#", "x", "9", "-", "\x00", "é", "\u0663"]
+
+
+@st.composite
+def cascade_line(draw):
+    initiator = draw(st.sampled_from(IDS))
+    start = draw(st.integers(0, 10**5))
+    n = draw(st.integers(1, 6))
+    tokens = [
+        f"{draw(st.sampled_from(IDS))}:{draw(st.integers(start, start + 20))}"
+        for _ in range(n)
+    ]
+    body = tokens[0]
+    for token in tokens[1:]:
+        body += draw(st.sampled_from(SEPARATORS)) + token
+    lead = draw(st.sampled_from(["", " ", "\xa0"]))
+    trail = draw(st.sampled_from(["", " ", "\r", "\u3000"]))
+    return f"{initiator}:{start}\t{lead}{body}{trail}"
+
+
+valid_logs = st.lists(st.one_of(cascade_line(), cascade_line(), st.sampled_from(NOISE)), max_size=8)
+
+
+@st.composite
+def mutated_logs(draw):
+    lines = draw(valid_logs)
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        kinds = ["insert", "delete", "replace", "separator", "duplicate", "self", "early"]
+        kind = draw(st.sampled_from(kinds))
+        pos = draw(st.integers(0, len(line)))
+        char = draw(st.sampled_from(EDIT_CHARS))
+        spaces = [k for k, ch in enumerate(line) if ch.isspace()]
+        head = re.match(r"[^:]*:([0-9]+)", line)
+        # around the start time: one tick early is the first bad time
+        near_start = max(0, int(head.group(1)) + draw(st.integers(-2, 2))) if head else 0
+        if kind == "separator" and spaces:
+            pos = draw(st.sampled_from(spaces))
+            line = line[:pos] + char + line[pos + 1 :]
+        elif kind == "insert":
+            line = line[:pos] + char + line[pos:]
+        elif kind == "delete":
+            line = line[:pos] + line[pos + 1 :]
+        elif kind == "replace":
+            line = line[:pos] + char + line[pos + 1 :]
+        elif kind == "duplicate" and line.split():
+            line = line + " " + draw(st.sampled_from(line.split()))
+        elif kind == "self":
+            line = line + " " + line.split(":")[0] + ":" + str(draw(st.integers(0, 10**5)))
+        else:
+            line = line + f" {draw(st.sampled_from(IDS))}:{near_start}"
+        lines[i] = line
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_logs())
+def test_parse_matches_reference(lines):
+    lines = [line + "\n" for line in lines]
+    assert outcome(parse_cascades, summary, lines) == outcome(
+        reference_parse, reference_summary, lines
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_logs(), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_load_matches_reference_text_mode(lines, newline):
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(newline.join(lines).encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            want = outcome(reference_parse, reference_summary, fh)
+        assert outcome(load_cascades, summary, path) == want
+    finally:
+        os.unlink(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_logs, st.integers(0, 2**32 - 1), st.sampled_from([0.3, 1.0, 1.2, 2.5]))
+def test_stream_matches_reference(lines, seed, oversample):
+    try:
+        reference = reference_parse(lines)
+    except CascadeFormatError:
+        assume(False)
+    assume(reference.cascades)
+    want = reference_build_training_stream(reference, oversample, seed)
+    assert stream_pairs(build_training_stream(parse_cascades(lines), oversample, seed)) == want
+
+
+def test_stream_matches_reference_on_synthetic_corpora():
+    rng = np.random.default_rng(31)
+    for trial in range(6):
+        corpus = generate_corpus(rng, n_nodes=int(rng.integers(60, 400)), n_cascades=int(rng.integers(30, 300)),
+                                 n_planted=2, n_lures=2)
+        lines = serialize_cascades(corpus).splitlines()
+        reference = reference_parse(lines)
+        assert summary(corpus) == reference_summary(reference)
+        for seed in rng.integers(0, 2**31, size=2).tolist():
+            want = reference_build_training_stream(reference, 1.2, seed)
+            assert stream_pairs(build_training_stream(corpus, 1.2, seed)) == want, trial

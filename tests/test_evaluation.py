@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from iminfector.cascades import CascadeCorpus, make_cascade, parse_cascades
+from iminfector.cascades import parse_cascades
 from iminfector.evaluation import (
     avg_size_ranking,
     core_numbers,
@@ -16,17 +16,16 @@ from iminfector.evaluation import (
 
 def random_corpus(rng, n_nodes=25, n_cascades=12):
     names = [f"v{i}" for i in range(n_nodes)]
-    cascades = []
+    lines = []
     for _ in range(n_cascades):
         initiator = names[int(rng.integers(0, n_nodes))]
         start = int(rng.integers(0, 100))
         others = [x for x in names if x != initiator]
         k = int(rng.integers(1, 6))
         chosen = rng.choice(others, size=k, replace=False)
-        cascades.append(
-            make_cascade(initiator, start, [(v, start + int(rng.integers(1, 9))) for v in chosen])
-        )
-    return CascadeCorpus(cascades)
+        events = " ".join(f"{v}:{start + int(rng.integers(1, 9))}" for v in chosen)
+        lines.append(f"{initiator}:{start}\t{events}\n")
+    return parse_cascades(lines)
 
 
 def brute_force_dni(seeds, test):
@@ -34,7 +33,7 @@ def brute_force_dni(seeds, test):
     union = set()
     for c in test.cascades:
         if c.initiator in set(seeds):
-            union |= {e.node for e in c.events}
+            union |= set(c.nodes)
     return len(union)
 
 
@@ -106,6 +105,17 @@ def test_core_numbers_match_networkx():
         g = nx.Graph()
         g.add_edges_from(edges)
         assert core_numbers(sorted(edges)) == nx.core_number(g)
+
+
+def test_core_numbers_match_networkx_on_skewed_degrees():
+    # hubs and stars leave degrees with no node at all, so peeling moves
+    # nodes into buckets that started empty
+    for seed in range(12):
+        g = nx.barabasi_albert_graph(60 + 20 * seed, 1 + seed % 4, seed=seed)
+        g.add_edges_from((0, 1000 + k) for k in range(3 * seed + 1))  # a pendant star
+        edges = [(f"n{u}", f"n{v}") for u, v in g.edges()]
+        expected = {f"n{v}": k for v, k in nx.core_number(g).items()}
+        assert core_numbers(edges) == expected
 
 
 def test_kcore_ranking_order_and_empty():

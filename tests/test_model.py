@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iminfector.cascades import parse_cascades
-from iminfector.context import ContextPair, SizePair, build_training_stream
+from iminfector.context import SIZE_PAIR, build_training_stream
 from iminfector.exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
 from iminfector.model import (
     InfectorModel,
@@ -87,7 +87,7 @@ def test_gradcheck_fifty_random_models():
         y_c = float(rng.uniform(0, 1))
 
         O0, T0, b_t0, b_c0 = snapshot(m)
-        step_classify(m, ContextPair(u, y), lr=1.0)
+        step_classify(m, u, y, lr=1.0)
         # lr = 1 makes the update exactly the gradient
         an_O = O0 - m.O
         an_T = T0 - m.T
@@ -102,7 +102,7 @@ def test_gradcheck_fifty_random_models():
         assert_grad_close(an_bt, fd_bt, f"trial {trial} dL_t/db_t")
 
         m.O[:], m.T[:], m.b_t[:], m.b_c = O0, T0, b_t0, b_c0
-        step_regress(m, SizePair(u, y_c), lr=1.0)
+        step_regress(m, u, y_c, lr=1.0)
         an_O = O0 - m.O
         an_bc = b_c0 - m.b_c
 
@@ -138,7 +138,7 @@ def test_classify_step_closed_form():
         b_c=0.0,
         C=np.ones(1),
     )
-    loss = step_classify(m, ContextPair(0, 0), lr=0.1)
+    loss = step_classify(m, 0, 0, lr=0.1)
     # uniform softmax: loss ln 2, only the bias moves (O and T are zero)
     assert loss == pytest.approx(math.log(2), abs=1e-15)
     assert np.allclose(m.b_t, [0.05, -0.05], atol=1e-15)
@@ -153,7 +153,7 @@ def test_regress_step_closed_form():
         b_c=0.0,
         C=np.ones(3),
     )
-    loss = step_regress(m, SizePair(0, 1.0), lr=0.1)
+    loss = step_regress(m, 0, 1.0, lr=0.1)
     # phi_c = 0.5, loss 0.25, gradient -2 * 0.5 * 0.25 = -0.25
     assert loss == pytest.approx(0.25, abs=1e-15)
     assert np.allclose(m.O[0], 0.025, atol=1e-15)
@@ -170,7 +170,7 @@ def test_classify_step_is_simultaneous():
     g = phi.copy()
     g[y] -= 1.0
     lr = 0.7
-    step_classify(m, ContextPair(u, y), lr)
+    step_classify(m, u, y, lr)
     assert np.allclose(m.O[u], O0[u] - lr * (T0 @ g), atol=1e-14)
     assert np.allclose(m.T, T0 - lr * np.outer(O0[u], g), atol=1e-14)
     assert np.allclose(m.b_t, b_t0 - lr * g, atol=1e-14)
@@ -241,8 +241,7 @@ def reference_forward_classify(model, u):
     return e / e.sum()
 
 
-def reference_step_classify(model, pair, lr):
-    u, y = pair.influencer, pair.context
+def reference_step_classify(model, u, y, lr):
     phi = reference_forward_classify(model, u)
     loss = -np.log(phi[y])
     g = phi.copy()
@@ -274,11 +273,11 @@ def assert_same_model(a, b, what):
 
 
 def run_until_raise(step, model, steps):
-    """Losses of the (pair, lr) steps taken, and the index of the one that raised."""
+    """Losses of the ((u, y), lr) steps taken, and the index of the one that raised."""
     losses = []
-    for i, (pair, lr) in enumerate(steps):
+    for i, ((u, y), lr) in enumerate(steps):
         try:
-            losses.append(step(model, pair, lr))
+            losses.append(step(model, u, y, lr))
         except NonFiniteUpdate:
             return losses, i
     return losses, None
@@ -302,15 +301,13 @@ def test_workspace_step_bitwise_equals_reference():
             logits = ref.O[u] @ ref.T + ref.b_t
             # the target at the softmax argmax, or anywhere else
             y = int(logits.argmax()) if s % 2 else int(rng.integers(0, N))
-            pair = ContextPair(u, y)
             assert np.array_equal(forward_classify(new, u), reference_forward_classify(ref, u))
-            want = reference_step_classify(ref, pair, lr)
-            got = step_classify(new, pair, lr, ws)
+            want = reference_step_classify(ref, u, y, lr)
+            got = step_classify(new, u, y, lr, ws)
             assert got == want, f"trial {trial} step {s}: loss {got} != {want}"
             assert_same_model(ref, new, f"trial {trial} step {s}")
         # a step without a workspace takes the same arithmetic
-        pair = ContextPair(0, N - 1)
-        assert step_classify(new, pair, lr) == reference_step_classify(ref, pair, lr)
+        assert step_classify(new, 0, N - 1, lr) == reference_step_classify(ref, 0, N - 1, lr)
         assert_same_model(ref, new, f"trial {trial} without workspace")
 
 
@@ -324,11 +321,12 @@ def test_train_bitwise_equals_reference_loop():
     ref = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
     for epoch, stream in enumerate(streams):
         classify, regress = [], []
-        for pair in stream:
-            if isinstance(pair, ContextPair):
-                classify.append(reference_step_classify(ref, pair, cfg.learning_rate))
+        pairs = zip(stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist())
+        for u, v, y_c in pairs:
+            if v != SIZE_PAIR:
+                classify.append(reference_step_classify(ref, u, v, cfg.learning_rate))
             else:
-                regress.append(step_regress(ref, pair, cfg.learning_rate))
+                regress.append(step_regress(ref, u, y_c, cfg.learning_rate))
         assert report.classify_loss[epoch] == float(np.mean(classify))
         assert report.regress_loss[epoch] == float(np.mean(regress))
     assert_same_model(model, ref, "train")
@@ -350,11 +348,11 @@ def test_workspace_step_catches_overflow_of_t_alone(big, lr):
         C=np.ones(2),
     )
     new = copy_model(ref)
-    steps = [(ContextPair(1, s % 3), 1.0) for s in range(6)] + [(ContextPair(0, 1), lr)] * 3
+    steps = [((1, s % 3), 1.0) for s in range(6)] + [((0, 1), lr)] * 3
     with np.errstate(over="ignore", invalid="ignore"):
         want = run_until_raise(reference_step_classify, ref, steps)
         ws = StepWorkspace(new)
-        got = run_until_raise(lambda m, p, r: step_classify(m, p, r, ws), new, steps)
+        got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
     assert want[1] == 6
     assert np.isinf(ref.T[0, 1]) and np.isfinite(ref.O).all() and np.isfinite(ref.b_t).all()
     assert got == want
@@ -374,11 +372,11 @@ def test_workspace_step_raises_at_reference_step_on_huge_entries():
         which[mask] = rng.choice([-1.0, 1.0], mask.sum()) * rng.uniform(1e306, 1.7e308, mask.sum())
         new = copy_model(ref)
         lr = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
-        steps = [(ContextPair(int(rng.integers(0, I)), int(rng.integers(0, N))), lr) for _ in range(20)]
+        steps = [((int(rng.integers(0, I)), int(rng.integers(0, N))), lr) for _ in range(20)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             want = run_until_raise(reference_step_classify, ref, steps)
             ws = StepWorkspace(new)
-            got = run_until_raise(lambda m, p, r: step_classify(m, p, r, ws), new, steps)
+            got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
         assert got == want, f"trial {trial}"
         raised += want[1] is not None
     assert raised > 0
@@ -395,8 +393,8 @@ def test_workspace_step_large_t_without_overflow_does_not_raise():
     new = copy_model(ref)
     ws = StepWorkspace(new)
     for s in range(20):
-        pair = ContextPair(s % 2, 1 + s % 5)
-        assert step_classify(new, pair, 0.1, ws) == reference_step_classify(ref, pair, 0.1)
+        u, y = s % 2, 1 + s % 5
+        assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
         assert_same_model(ref, new, f"step {s}")
     assert ws.bound == 1.7e308
     assert new.T[0, 0] == -1.7e308

@@ -56,8 +56,8 @@ def test_lures_start_early_and_outsize_the_planted_mean():
 def test_participants_never_include_planted_or_lures():
     corpus = generate_corpus(np.random.default_rng(3))
     for c in corpus.cascades:
-        for e in c.events:
-            assert e.node.startswith("n")
+        for node in c.nodes:
+            assert node.startswith("n")
 
 
 def test_too_small_universe_rejected():
