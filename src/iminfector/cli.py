@@ -189,7 +189,8 @@ def cmd_stats(args):
     return 0
 
 
-def _train_model(corpus, args):
+def _train_model(corpus, args, keep_first_stream=False):
+    """Train on ``corpus``; returns (model, report, epoch 0's stream or None)."""
     config = ModelConfig(
         embed_dim=args.embed_dim,
         learning_rate=args.lr,
@@ -204,10 +205,17 @@ def _train_model(corpus, args):
         node_ids=corpus.node_ids(),
     )
 
-    def stream_producer(epoch):
-        return build_training_stream(corpus, args.oversample, args.rng_seed + epoch)
+    first_stream = None
 
-    return train(model, stream_producer, config)
+    def stream_producer(epoch):
+        nonlocal first_stream
+        stream = build_training_stream(corpus, args.oversample, args.rng_seed + epoch)
+        if epoch == 0 and keep_first_stream:
+            first_stream = stream
+        return stream
+
+    model, report = train(model, stream_producer, config)
+    return model, report, first_stream
 
 
 def _validate_train_flags(args):
@@ -215,7 +223,6 @@ def _validate_train_flags(args):
     _require(args.epochs >= 1, "--epochs must be at least 1")
     _require(args.lr >= 0.0, "--lr must be non-negative")
     _require(args.oversample > 0.0, "--oversample must be positive")
-    _require(args.threads >= 1, "--threads must be at least 1")
 
 
 def cmd_train(args):
@@ -223,11 +230,11 @@ def cmd_train(args):
     _validate_train_flags(args)
     t0 = time.perf_counter()
     corpus = load_cascades(args.cascades)
-    model, report = _train_model(corpus, args)
+    model, report, first_stream = _train_model(corpus, args, bool(args.dump_pairs))
     save_embeddings(model, args.out)
     outputs = [args.out]
     if args.dump_pairs:
-        dump_pairs(build_training_stream(corpus, args.oversample, args.rng_seed), args.dump_pairs)
+        dump_pairs(first_stream, args.dump_pairs)
         outputs.append(args.dump_pairs)
     _write_manifest(
         _manifest_path(args, args.out),
@@ -248,7 +255,6 @@ def cmd_train(args):
 def cmd_rank(args):
     _require_file(args.model, "--model")
     _require(0.0 < args.prune_percent <= 100.0, "--prune-percent must be in (0, 100]")
-    _require(args.threads >= 1, "--threads must be at least 1")
     t0 = time.perf_counter()
     model = load_embeddings(args.model)
     matrix = build_matrix(model, args.prune_percent)
@@ -269,7 +275,6 @@ def cmd_rank(args):
 def cmd_seed(args):
     _require_file(args.dmatrix, "--dmatrix")
     _require(args.size >= 1, "--size must be at least 1")
-    _require(args.threads >= 1, "--threads must be at least 1")
     t0 = time.perf_counter()
     matrix, budgets = load_matrix(args.dmatrix)
     selection = select_seeds_celf(matrix, budgets, args.size)
@@ -378,7 +383,7 @@ def cmd_pipeline(args):
     wall["split"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    model, report = _train_model(train_corpus, args)
+    model, report, _ = _train_model(train_corpus, args)
     save_embeddings(model, paths["model.infv"])
     wall["train"] = time.perf_counter() - t
 
@@ -438,13 +443,6 @@ def cmd_pipeline(args):
 def _add_common(sub, *flags):
     if "rng_seed" in flags:
         sub.add_argument("--rng-seed", type=int, default=0, help="master RNG seed")
-    if "threads" in flags:
-        sub.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker cap; this reference implementation always runs sequentially",
-        )
     sub.add_argument("--manifest", default=None, help="manifest path override")
 
 
@@ -489,21 +487,21 @@ def build_parser():
     p.add_argument("--oversample", type=float, default=1.2)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-pairs", default=None, help="write the epoch-0 stream as TSV")
-    _add_common(p, "rng_seed", "threads")
+    _add_common(p, "rng_seed")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("rank", help="build the pruned diffusion matrix and budgets")
     p.add_argument("--model", required=True)
     p.add_argument("--prune-percent", type=float, default=10.0)
     p.add_argument("--out", required=True)
-    _add_common(p, "threads")
+    _add_common(p)
     p.set_defaults(func=cmd_rank)
 
     p = subs.add_parser("seed", help="select seeds by lazy greedy over a diffusion matrix")
     p.add_argument("--dmatrix", required=True)
     p.add_argument("--size", type=int, default=10)
     p.add_argument("--out", required=True)
-    _add_common(p, "threads")
+    _add_common(p)
     p.set_defaults(func=cmd_seed)
 
     p = subs.add_parser("evaluate", help="distinct nodes influenced over a test split")
@@ -532,7 +530,7 @@ def build_parser():
     p.add_argument("--prune-percent", type=float, default=10.0)
     p.add_argument("--size", type=int, default=10)
     p.add_argument("--outdir", required=True)
-    _add_common(p, "rng_seed", "threads")
+    _add_common(p, "rng_seed")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

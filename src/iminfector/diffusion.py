@@ -103,7 +103,8 @@ def load_matrix(path):
 
     Candidate indices are re-based to row positions; original model row
     numbers are not stored because downstream stages address candidates by
-    id string.
+    id string. Budgets outside [1, N], negative or non-finite norms and
+    probabilities outside [0, 1] (NaN included) raise CorruptFile.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -118,11 +119,19 @@ def load_matrix(path):
     raw, offset = take(buf, offset, n * 8, path)
     norms = np.frombuffer(raw, dtype="<f8").copy()
     raw, offset = take(buf, offset, n * 8, path)
-    lambdas = np.frombuffer(raw, dtype="<u8").astype(np.int64)
+    lambdas = np.frombuffer(raw, dtype="<u8")
     raw, offset = take(buf, offset, n * N * 8, path)
     probs = np.frombuffer(raw, dtype="<f8").reshape(n, N).copy()
     if offset != len(buf):
         raise CorruptFile(f"{path}: {len(buf) - offset} trailing bytes")
+    # checked on the u8 values: a budget >= 2**63 would wrap negative in int64
+    if not ((lambdas >= 1) & (lambdas <= N)).all():
+        raise CorruptFile(f"{path}: a budget lies outside [1, {N}]")
+    if not (np.isfinite(norms) & (norms >= 0)).all():
+        raise CorruptFile(f"{path}: a norm is negative or not finite")
+    if not ((probs >= 0) & (probs <= 1)).all():  # False for NaN too
+        raise CorruptFile(f"{path}: a probability is not finite or lies outside [0, 1]")
+    lambdas = lambdas.astype(np.int64)
     matrix = DiffusionMatrix(
         candidates=list(range(n)), candidate_ids=ids, probs=probs, norms=norms
     )

@@ -14,6 +14,15 @@ gradient entry is within [-1, 1]); T is scanned for non-finite values only
 when that bound reaches 1e300. Both change no arithmetic: a step with a
 workspace is bitwise-identical to one without, and NonFiniteUpdate fires
 at the same step.
+
+train() also runs each epoch's steps with numpy's ufunc buffer at its
+minimum, SGD_BUFSIZE elements, and restores the caller's size on every
+exit. np.outer broadcasts O_u and g with stride 0, and while three or more
+rows of the E x N update fit in the default 8,192-element buffer (N up to
+about 2,730) the buffered iterator packs rows and copies both operands,
+which makes the outer about four times slower per element. A minimal
+buffer leaves nothing to pack. Buffering only moves elements between
+memory and the buffer, so every value is bitwise the same.
 """
 
 import math
@@ -199,6 +208,11 @@ def step_regress(model, u, y_c, lr):
     return float(loss)
 
 
+# Smallest ufunc buffer numpy accepts; see the module docstring for why the
+# SGD loop runs with it.
+SGD_BUFSIZE = 16
+
+
 def train(model, stream_producer, config):
     """Alternating SGD over fresh streams, one per epoch.
 
@@ -219,14 +233,19 @@ def train(model, stream_producer, config):
         pairs = zip(
             stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist()
         )
-        for step, (u, v, y_c) in enumerate(pairs):
-            try:
-                if v == SIZE_PAIR:
-                    regress_losses.append(step_regress(model, u, y_c, lr))
-                else:
-                    classify_losses.append(step_classify(model, u, v, lr, workspace))
-            except NonFiniteUpdate as exc:
-                raise NonFiniteUpdate(str(exc), epoch=epoch, step=step) from None
+        # try/finally, not np.errstate: numpy 1.x errstate does not scope bufsize
+        old_bufsize = np.setbufsize(SGD_BUFSIZE)
+        try:
+            for step, (u, v, y_c) in enumerate(pairs):
+                try:
+                    if v == SIZE_PAIR:
+                        regress_losses.append(step_regress(model, u, y_c, lr))
+                    else:
+                        classify_losses.append(step_classify(model, u, v, lr, workspace))
+                except NonFiniteUpdate as exc:
+                    raise NonFiniteUpdate(str(exc), epoch=epoch, step=step) from None
+        finally:
+            np.setbufsize(old_bufsize)
         report.classify_loss.append(
             float(np.mean(classify_losses)) if classify_losses else 0.0
         )

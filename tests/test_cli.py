@@ -1,13 +1,19 @@
 """Exit codes, manifests, and artifact formats of the command line."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import iminfector
+from iminfector import cli
+from iminfector.cascades import load_cascades
 from iminfector.cli import main
+from iminfector.context import build_training_stream, dump_pairs
+from iminfector.diffusion import load_matrix, save_matrix
 from iminfector.model import load_embeddings
 
 CORPUS = [
@@ -140,7 +146,6 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file):
     assert p["lr"] == 0.1
     assert p["oversample"] == 1.2
     assert p["rng_seed"] == 0
-    assert p["threads"] == 1
     assert len(doc["epoch_loss_classify"]) == 5
     model = load_embeddings(out)
     assert model.embed_dim == 50
@@ -149,7 +154,7 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file):
 
 def test_train_flag_validation_is_exit_2(tmp_path, corpus_file):
     out = str(tmp_path / "m.infv")
-    for extra in (["--epochs", "0"], ["--embed-dim", "0"], ["--oversample", "0"], ["--threads", "0"]):
+    for extra in (["--epochs", "0"], ["--embed-dim", "0"], ["--oversample", "0"]):
         assert main(["train", "--cascades", str(corpus_file), "--out", out] + extra) == 2
 
 
@@ -163,13 +168,25 @@ def test_nonfinite_training_is_exit_4(tmp_path, corpus_file, capsys):
         assert "epoch 0, step 1" in capsys.readouterr().err
 
 
-def test_train_dump_pairs(tmp_path, corpus_file):
+def test_train_dump_pairs(tmp_path, corpus_file, monkeypatch):
     out, pairs = tmp_path / "m.infv", tmp_path / "pairs.tsv"
+    built = []
+
+    def counting_build(*args):
+        built.append(args)
+        return build_training_stream(*args)
+
+    monkeypatch.setattr(cli, "build_training_stream", counting_build)
     code = main(
         ["train", "--cascades", str(corpus_file), "--out", str(out),
-         "--embed-dim", "4", "--dump-pairs", str(pairs)]
+         "--embed-dim", "4", "--epochs", "3", "--rng-seed", "7", "--dump-pairs", str(pairs)]
     )
     assert code == 0
+    # the dump is the stream epoch 0 trained on, not a second build of it
+    assert len(built) == 3
+    expected = tmp_path / "expected.tsv"
+    dump_pairs(build_training_stream(load_cascades(corpus_file), 1.2, 7), expected)
+    assert pairs.read_bytes() == expected.read_bytes()
     lines = pairs.read_text().splitlines()
     assert lines[0] == "influencer\ttarget\tkind\tvalue"
     # ceil(1.2 m) contexts plus one size row per cascade
@@ -276,6 +293,54 @@ def test_malformed_seeds_file_is_exit_3(tmp_path, corpus_file, capsys):
     assert "line 2: bad seed line" in capsys.readouterr().err
 
 
+def set_dmatrix_entry(path, good, field, index, value):
+    """Write the DPM1 bytes ``good`` to ``path`` with one entry of
+    ``norms``, ``lambdas`` or ``probs`` set to ``value``."""
+    path.write_bytes(good)
+    matrix, budgets = load_matrix(path)
+    budgets.lambdas = budgets.lambdas.astype(np.uint64)
+    getattr(budgets if field == "lambdas" else matrix, field)[index] = value
+    save_matrix(matrix, budgets, path)
+
+
+def seed_argv(dmat, tmp_path):
+    return ["seed", "--dmatrix", str(dmat), "--size", "2", "--out", str(tmp_path / "s.txt")]
+
+
+def test_dmatrix_budget_outside_range_is_exit_3(tmp_path, corpus_file, capsys):
+    _, _, _, dmat, _, _ = chain(tmp_path, corpus_file)
+    good = dmat.read_bytes()
+    N = load_matrix(dmat)[0].n_nodes
+    # 2**63 would wrap to a negative int64 and silently drop the candidate
+    for budget in (2**63, 2**64 - 1, 0, N + 1):
+        set_dmatrix_entry(dmat, good, "lambdas", 0, budget)
+        assert main(seed_argv(dmat, tmp_path)) == 3, budget
+        assert "budget" in capsys.readouterr().err
+    for budget in (1, N):
+        set_dmatrix_entry(dmat, good, "lambdas", 0, budget)
+        assert main(seed_argv(dmat, tmp_path)) == 0, budget
+
+
+def test_dmatrix_bad_probability_is_exit_3(tmp_path, corpus_file, capsys):
+    _, _, _, dmat, _, _ = chain(tmp_path, corpus_file)
+    good = dmat.read_bytes()
+    for value in (np.nan, np.inf, -0.25, 1.5):
+        set_dmatrix_entry(dmat, good, "probs", (1, 2), value)
+        assert main(seed_argv(dmat, tmp_path)) == 3, value
+        assert "probability" in capsys.readouterr().err
+
+
+def test_dmatrix_bad_norm_is_exit_3(tmp_path, corpus_file, capsys):
+    _, _, _, dmat, _, _ = chain(tmp_path, corpus_file)
+    good = dmat.read_bytes()
+    for value in (np.nan, np.inf, -1.0):
+        set_dmatrix_entry(dmat, good, "norms", 0, value)
+        assert main(seed_argv(dmat, tmp_path)) == 3, value
+        assert "norm" in capsys.readouterr().err
+    set_dmatrix_entry(dmat, good, "norms", 0, 0.0)
+    assert main(seed_argv(dmat, tmp_path)) == 0
+
+
 def test_rank_prune_validation_is_exit_2(tmp_path, corpus_file):
     _, _, model, _, _, _ = chain(tmp_path, corpus_file)
     assert main(["rank", "--model", str(model), "--prune-percent", "0", "--out", str(tmp_path / "x")]) == 2
@@ -322,6 +387,13 @@ def test_baseline_methods(tmp_path, corpus_file, capsys):
     assert rows[0][1] == "u03"
 
 
+def package_env():
+    """The environment with the imported iminfector package's directory on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(iminfector.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_pipeline_reruns_byte_identical(tmp_path, corpus_file):
     synth = tmp_path / "synth.txt"
     assert main(
@@ -337,6 +409,7 @@ def test_pipeline_reruns_byte_identical(tmp_path, corpus_file):
              "--embed-dim", "12", "--rng-seed", "5"],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("dni\timinfector=")

@@ -1,14 +1,17 @@
 """Model training: gradients, closed forms, persistence."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+from iminfector import model as model_module
 from iminfector.cascades import parse_cascades
 from iminfector.context import SIZE_PAIR, build_training_stream
 from iminfector.exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
 from iminfector.model import (
+    SGD_BUFSIZE,
     InfectorModel,
     ModelConfig,
     StepWorkspace,
@@ -283,12 +286,28 @@ def run_until_raise(step, model, steps):
     return losses, None
 
 
+@contextlib.contextmanager
+def ufunc_bufsize(size):
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def test_workspace_step_bitwise_equals_reference():
+    # The reference runs under numpy's default ufunc buffer. Odd trials and
+    # the last two take the workspace step under the buffer train() uses;
+    # the last two have N just below and just above the largest N (about
+    # 2,730) for which the default buffer packs rows of the E x N outer.
     rng = np.random.default_rng(17)
-    for trial in range(60):
+    for trial in range(62):
         I = int(rng.integers(1, 5))
         N = int(rng.integers(1, 40)) if trial % 4 else int(rng.integers(200, 400))
         E = int(rng.integers(1, 9))
+        if trial >= 60:
+            N, E = (2700, 2800)[trial - 60], 8
+        bufsize = SGD_BUFSIZE if trial % 2 or trial >= 60 else np.getbufsize()
         lr = (0.0, 1.0)[trial] if trial < 2 else float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
         ref = random_model(rng, I, N, E)
         # smaller weights keep 25 steps at lr up to 1 away from log(0)
@@ -301,13 +320,17 @@ def test_workspace_step_bitwise_equals_reference():
             logits = ref.O[u] @ ref.T + ref.b_t
             # the target at the softmax argmax, or anywhere else
             y = int(logits.argmax()) if s % 2 else int(rng.integers(0, N))
-            assert np.array_equal(forward_classify(new, u), reference_forward_classify(ref, u))
+            want_phi = reference_forward_classify(ref, u)
             want = reference_step_classify(ref, u, y, lr)
-            got = step_classify(new, u, y, lr, ws)
+            with ufunc_bufsize(bufsize):
+                assert np.array_equal(forward_classify(new, u), want_phi)
+                got = step_classify(new, u, y, lr, ws)
             assert got == want, f"trial {trial} step {s}: loss {got} != {want}"
             assert_same_model(ref, new, f"trial {trial} step {s}")
         # a step without a workspace takes the same arithmetic
-        assert step_classify(new, 0, N - 1, lr) == reference_step_classify(ref, 0, N - 1, lr)
+        want = reference_step_classify(ref, 0, N - 1, lr)
+        with ufunc_bufsize(bufsize):
+            assert step_classify(new, 0, N - 1, lr) == want
         assert_same_model(ref, new, f"trial {trial} without workspace")
 
 
@@ -398,6 +421,35 @@ def test_workspace_step_large_t_without_overflow_does_not_raise():
         assert_same_model(ref, new, f"step {s}")
     assert ws.bound == 1.7e308
     assert new.T[0, 0] == -1.7e308
+
+
+def test_train_scopes_the_small_ufunc_buffer(monkeypatch):
+    # Steps run under SGD_BUFSIZE, stream builds and the caller under the
+    # caller's size, which train restores on return and on NonFiniteUpdate.
+    corpus = parse_cascades(["u1:0\ta:1 b:2\n", "u2:5\tb:6 c:7\n"])
+    seen = {"stream": set(), "step": set()}
+
+    def producer(epoch):
+        seen["stream"].add(np.getbufsize())
+        return build_training_stream(corpus, 1.2, epoch)
+
+    def recording_step(*args):
+        seen["step"].add(np.getbufsize())
+        return step_classify(*args)
+
+    monkeypatch.setattr(model_module, "step_classify", recording_step)
+    # numpy 2's errstate restores the buffer size on exit, so check inside it
+    with ufunc_bufsize(4096), np.errstate(over="ignore", invalid="ignore"):
+        for lr in (0.1, 1e308):
+            cfg = ModelConfig(embed_dim=4, learning_rate=lr, epochs=2, rng_seed=0)
+            m = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
+            if lr == 0.1:
+                train(m, producer, cfg)
+            else:
+                with pytest.raises(NonFiniteUpdate):
+                    train(m, producer, cfg)
+            assert np.getbufsize() == 4096
+    assert seen == {"stream": {4096}, "step": {SGD_BUFSIZE}}
 
 
 def test_train_raises_with_epoch_and_step():
