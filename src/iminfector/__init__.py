@@ -54,6 +54,7 @@ from .exceptions import (
     EmptyMatrix,
     FormatVersionMismatch,
     MalformedLine,
+    NonFiniteMatrix,
     NonFiniteUpdate,
     TimeOrderViolation,
 )

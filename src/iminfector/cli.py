@@ -246,6 +246,8 @@ def cmd_train(args):
         extra={
             "epoch_loss_classify": report.classify_loss,
             "epoch_loss_regress": report.regress_loss,
+            "epoch_classify_steps": report.classify_steps,
+            "epoch_regress_steps": report.regress_steps,
             "epoch_seconds": report.epoch_seconds,
         },
     )
@@ -257,6 +259,10 @@ def cmd_rank(args):
     _require(0.0 < args.prune_percent <= 100.0, "--prune-percent must be in (0, 100]")
     t0 = time.perf_counter()
     model = load_embeddings(args.model)
+    # without them candidates would be named by row number, which a later
+    # evaluate would read as node ids
+    if model.influencer_ids is None:
+        raise CorruptFile(f"{args.model}: no id tables (cut short, or saved without ids)")
     matrix = build_matrix(model, args.prune_percent)
     budgets = compute_budgets(matrix, model.n_nodes)
     save_matrix(matrix, budgets, args.out)
@@ -430,6 +436,8 @@ def cmd_pipeline(args):
         extra={
             "epoch_loss_classify": report.classify_loss,
             "epoch_loss_regress": report.regress_loss,
+            "epoch_classify_steps": report.classify_steps,
+            "epoch_regress_steps": report.regress_steps,
             "epoch_seconds": report.epoch_seconds,
             "n_candidates": matrix.n_candidates,
             "n_selected": len(selection.seeds),
@@ -554,7 +562,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
-        # DegenerateSplit, AllZeroNorms, EmptyMatrix and kin
+        # DegenerateSplit, AllZeroNorms, EmptyMatrix, NonFiniteMatrix and kin
         print(f"error: {exc}", file=sys.stderr)
         return 5
 

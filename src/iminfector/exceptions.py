@@ -55,6 +55,10 @@ class CorruptFile(IOError):
     """Binary artifact is truncated or internally inconsistent."""
 
 
+class NonFiniteMatrix(ValueError):
+    """A candidate's norm or diffusion probabilities overflow float64."""
+
+
 class AllZeroNorms(ValueError):
     """Every candidate influencer embedding has zero norm; budgets undefined."""
 

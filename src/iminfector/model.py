@@ -7,22 +7,38 @@ takes a sigmoid/squared-loss step through the untrainable all-ones vector C.
 Everything is float64; gradient tolerances depend on it.
 
 train() gives its classification steps one StepWorkspace: an N-vector for
-the logits, softmax and gradient, and an E x N buffer for the T update, so
-no step allocates an array of size N or more. The workspace also keeps an
-upper bound on max|T| that grows by lr * max|O_u| per step (every softmax
-gradient entry is within [-1, 1]); T is scanned for non-finite values only
-when that bound reaches 1e300. Both change no arithmetic: a step with a
-workspace is bitwise-identical to one without, and NonFiniteUpdate fires
-at the same step.
+the logits, softmax and gradient, an E x N buffer for the T update and two
+E-vectors, so a step allocates no array data. A step proves the model finite
+instead of scanning it, and each proof is exact:
+
+- a finite loss -log(phi_y) proves the softmax gradient g finite. A NaN or
+  +-inf logit makes the softmax denominator s NaN, and with it every
+  phi_j. Otherwise every exp(z - max z) lies in [0, 1] and s >= 1, so
+  every |g_j| <= 1;
+- the workspace keeps upper bounds on max|T| and max|b_t|. With |g_j| <= 1
+  a step moves T by at most lr * max|O_u| and b_t by at most lr, so the
+  bounds grow by that much. T or b_t is scanned only when its bound
+  reaches 1e300 (both start at inf, so the first step scans), and the
+  bound is then reset to the exact maximum;
+- O_u is finite iff its dot product with a vector of 2**-60 is. Scaling
+  by a power of two keeps +-inf and NaN, and the scaled entries are below
+  2**964, so the sum of E < 2**60 of them cannot overflow. Unlike a plain
+  sum of O_u, it needs no fallback scan and cannot warn of an overflow
+  the step did not make.
+
+None of this changes the arithmetic: a step with a workspace is
+bitwise-identical to one without, and NonFiniteUpdate fires at the same
+step.
 
 train() also runs each epoch's steps with numpy's ufunc buffer at its
 minimum, SGD_BUFSIZE elements, and restores the caller's size on every
-exit. np.outer broadcasts O_u and g with stride 0, and while three or more
-rows of the E x N update fit in the default 8,192-element buffer (N up to
-about 2,730) the buffered iterator packs rows and copies both operands,
-which makes the outer about four times slower per element. A minimal
-buffer leaves nothing to pack. Buffering only moves elements between
-memory and the buffer, so every value is bitwise the same.
+exit. The outer product O_u g^T broadcasts O_u and g with stride 0, and
+while three or more rows of the E x N update fit in the default
+8,192-element buffer (N up to about 2,730) the buffered iterator packs
+rows and copies both operands, which makes the outer product about four
+times slower per element. A minimal buffer leaves nothing to pack.
+Buffering only moves elements between memory and the buffer, so every
+value is bitwise the same.
 """
 
 import math
@@ -80,10 +96,12 @@ class InfectorModel:
 
 @dataclass
 class TrainReport:
-    """Per-epoch mean losses and wall times, filled in by train()."""
+    """Per-epoch mean losses, step counts and wall times, filled in by train()."""
 
     classify_loss: list = field(default_factory=list)
     regress_loss: list = field(default_factory=list)
+    classify_steps: list = field(default_factory=list)
+    regress_steps: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
 
 
@@ -119,9 +137,9 @@ def forward_classify(model, u, out=None):
     """
     z = np.matmul(model.O[u], model.T, out=out)
     z += model.b_t
-    z -= z.max()
+    z -= np.maximum.reduce(z)
     np.exp(z, out=z)
-    z /= z.sum()
+    z /= np.add.reduce(z)
     return z
 
 
@@ -134,22 +152,30 @@ def forward_regress(model, u):
     return e / (1.0 + e)
 
 
-# A bound on max|T| below this proves T finite; at or above it, or NaN, the
-# step scans T and resets the bound to the exact max|T|.
+# A bound on max|T| or max|b_t| below this proves the array finite; at or
+# above it, or NaN, the step scans the array and resets the bound to its
+# exact maximum.
 _BOUND_LIMIT = 1e300
 
 
 class StepWorkspace:
-    """Buffers and the max|T| bound that consecutive classify steps share.
+    """Buffers and the max|T|, max|b_t| bounds that consecutive classify steps share.
 
-    Valid only while T changes through step_classify calls given this
-    workspace. ``bound`` starts at inf, which makes the first step scan T.
+    Valid only while T and b_t change through step_classify calls given
+    this workspace. Both bounds start at inf, which makes the first step
+    scan T and b_t; a step that raises NonFiniteUpdate sets them back to inf.
     """
 
     def __init__(self, model):
-        self.phi = np.empty(model.n_nodes)
+        E, N = model.T.shape
+        self.phi = np.empty(N)
         self.update = np.empty_like(model.T)
+        self.bias_step = self.update[0]  # lr * g, once T's update is applied
+        self.grad = np.empty(E)
+        self.abs_O = np.empty(E)
+        self.scale = np.full(E, 2.0**-60)
         self.bound = math.inf
+        self.bias_bound = math.inf
 
 
 def step_classify(model, u, y, lr, workspace=None):
@@ -160,33 +186,40 @@ def step_classify(model, u, y, lr, workspace=None):
     O_u (phi - y)^T for T, and phi - y for b_t. Both matrix gradients use the
     pre-update O_u / T values (a single simultaneous step).
 
-    Without a workspace the step allocates its own and scans all of T for
-    non-finite values. With one shared across steps (as train() does), T is
-    scanned only when the workspace's bound on max|T| reaches 1e300.
+    Without a workspace the step allocates its own and scans all of T and
+    b_t for non-finite values. With one shared across steps (as train()
+    does), each is scanned only when the workspace's bound on its maximum
+    magnitude reaches 1e300; the module docstring gives the proofs.
     """
     ws = StepWorkspace(model) if workspace is None else workspace
+    T = model.T
     O_u = model.O[u]
     g = forward_classify(model, u, out=ws.phi)
     loss = -np.log(g[y])
     g[y] -= 1.0
-    grad_O_u = model.T @ g
-    # |g_j| <= 1 once g is finite, so |lr * O_u[i] * g_j| <= lr * max|O_u|
-    ws.bound += lr * float(np.abs(O_u).max())
-    np.outer(O_u, g, out=ws.update)
-    O_u -= lr * grad_O_u
+    grad = np.matmul(T, g, out=ws.grad)
+    # once the loss is finite every |g_j| <= 1: an entry of T moves by at
+    # most lr * max|O_u|, one of b_t by at most lr
+    ws.bound += lr * float(np.maximum.reduce(np.abs(O_u, out=ws.abs_O)))
+    ws.bias_bound += lr
+    np.multiply(O_u[:, None], g, out=ws.update)
+    grad *= lr
+    O_u -= grad
     ws.update *= lr
-    model.T -= ws.update
-    model.b_t -= np.multiply(lr, g, out=ws.update[0])
+    T -= ws.update
+    model.b_t -= np.multiply(lr, g, out=ws.bias_step)
     if not ws.bound < _BOUND_LIMIT:
         # exact: max|T| is finite iff every entry is
-        ws.bound = float(np.abs(model.T, out=ws.update).max())
+        ws.bound = float(np.abs(T, out=ws.update).max())
+    if not ws.bias_bound < _BOUND_LIMIT:
+        ws.bias_bound = float(np.abs(model.b_t, out=ws.bias_step).max())
     if not (
-        np.isfinite(loss)
-        and np.isfinite(g).all()
-        and np.isfinite(O_u).all()
+        math.isfinite(loss)
+        and math.isfinite(np.dot(O_u, ws.scale))
         and math.isfinite(ws.bound)
-        and np.isfinite(model.b_t).all()
+        and math.isfinite(ws.bias_bound)
     ):
+        ws.bound = ws.bias_bound = math.inf
         raise NonFiniteUpdate("classification step produced a non-finite value")
     return float(loss)
 
@@ -218,7 +251,8 @@ def train(model, stream_producer, config):
 
     ``stream_producer(epoch)`` must return that epoch's TrainingStream
     (epoch counts from 0). The model is updated in place; the report
-    carries mean losses per head and wall time for each epoch.
+    carries mean losses and step counts per head and wall time for each
+    epoch.
     """
     report = TrainReport()
     lr = config.learning_rate
@@ -252,6 +286,8 @@ def train(model, stream_producer, config):
         report.regress_loss.append(
             float(np.mean(regress_losses)) if regress_losses else 0.0
         )
+        report.classify_steps.append(len(classify_losses))
+        report.regress_steps.append(len(regress_losses))
         report.epoch_seconds.append(time.perf_counter() - t0)
     return model, report
 
@@ -278,7 +314,11 @@ def save_embeddings(model, path):
 
 
 def load_embeddings(path):
-    """Read an INFV1 file back into an InfectorModel (lossless round-trip)."""
+    """Read an INFV1 file back into an InfectorModel (lossless round-trip).
+
+    A non-finite value in O, T, b_t or b_c, or an id that appears twice in
+    its table, raises CorruptFile: a trained model holds neither.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < len(MAGIC) or buf[: len(MAGIC)] != MAGIC:
@@ -300,12 +340,17 @@ def load_embeddings(path):
     b_t = matrix(1, N).reshape(N)
     raw, offset = take(buf, offset, 8, path)
     (b_c,) = struct.unpack("<d", raw)
+    for name, values in (("O", O), ("T", T), ("b_t", b_t), ("b_c", b_c)):
+        if not np.isfinite(values).all():
+            raise CorruptFile(f"{path}: {name} holds a non-finite value")
     influencer_ids = node_ids = None
     if offset < len(buf):
         influencer_ids, offset = read_ids(buf, offset, I, path)
         node_ids, offset = read_ids(buf, offset, N, path)
         if offset != len(buf):
             raise CorruptFile(f"{path}: {len(buf) - offset} trailing bytes")
+        if len(set(influencer_ids)) != I or len(set(node_ids)) != N:
+            raise CorruptFile(f"{path}: an id appears more than once in its table")
     return InfectorModel(
         O=O,
         T=T,

@@ -14,7 +14,7 @@ from iminfector.cascades import load_cascades
 from iminfector.cli import main
 from iminfector.context import build_training_stream, dump_pairs
 from iminfector.diffusion import load_matrix, save_matrix
-from iminfector.model import load_embeddings
+from iminfector.model import load_embeddings, save_embeddings
 
 CORPUS = [
     "u01:0\tv1:2 v2:4 v3:9\n",
@@ -147,6 +147,11 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file):
     assert p["oversample"] == 1.2
     assert p["rng_seed"] == 0
     assert len(doc["epoch_loss_classify"]) == 5
+    # one step per stream pair: a size pair per cascade, the rest context pairs
+    corpus = load_cascades(corpus_file)
+    streams = [build_training_stream(corpus, 1.2, epoch) for epoch in range(5)]
+    assert doc["epoch_regress_steps"] == [len(CORPUS)] * 5
+    assert doc["epoch_classify_steps"] == [len(s) - len(CORPUS) for s in streams]
     model = load_embeddings(out)
     assert model.embed_dim == 50
     assert model.influencer_ids == ["u01", "u02", "u03"]
@@ -293,6 +298,52 @@ def test_malformed_seeds_file_is_exit_3(tmp_path, corpus_file, capsys):
     assert "line 2: bad seed line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["O", "T", "b_t", "b_c"])
+def test_infv_nonfinite_value_is_exit_3(tmp_path, corpus_file, capsys, name):
+    _, _, model_path, _, _, _ = chain(tmp_path, corpus_file)
+    good = model_path.read_bytes()
+    out = str(tmp_path / "x.bin")
+    for value in (np.nan, np.inf, -np.inf):
+        model_path.write_bytes(good)
+        model = load_embeddings(model_path)
+        if name == "b_c":
+            model.b_c = value
+        else:
+            getattr(model, name)[{"O": (1, 2), "T": (0, 3), "b_t": 4}[name]] = value
+        save_embeddings(model, model_path)
+        assert main(["rank", "--model", str(model_path), "--out", out]) == 3, value
+        assert f"{name} holds a non-finite value" in capsys.readouterr().err
+
+
+def test_rank_without_id_tables_is_exit_3(tmp_path, corpus_file, capsys):
+    # a model cut right after b_c loads as one saved without ids; rank
+    # would name the candidates by row number
+    _, _, model_path, _, _, _ = chain(tmp_path, corpus_file)
+    model = load_embeddings(model_path)
+    model.influencer_ids = model.node_ids = None
+    save_embeddings(model, model_path)
+    assert main(["rank", "--model", str(model_path), "--out", str(tmp_path / "x.bin")]) == 3
+    assert "no id tables" in capsys.readouterr().err
+
+
+def test_rank_of_overflowing_model_is_exit_5(tmp_path, corpus_file, capsys):
+    _, _, model_path, _, _, _ = chain(tmp_path, corpus_file)
+    good = model_path.read_bytes()
+    out = tmp_path / "x.bin"
+    # the norm of O_0, then the logit of influencer 0 for node 0, overflow
+    for name, index, value in (("O", (0, 0), 1e200), ("T", (slice(None), 0), 1.7e308)):
+        model_path.write_bytes(good)
+        model = load_embeddings(model_path)
+        model.O[0] = np.abs(model.O[0]) + 1.0
+        getattr(model, name)[index] = value
+        save_embeddings(model, model_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["rank", "--model", str(model_path), "--prune-percent", "100", "--out", str(out)])
+        assert code == 5, name
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def set_dmatrix_entry(path, good, field, index, value):
     """Write the DPM1 bytes ``good`` to ``path`` with one entry of
     ``norms``, ``lambdas`` or ``probs`` set to ``value``."""
@@ -338,6 +389,33 @@ def test_dmatrix_bad_norm_is_exit_3(tmp_path, corpus_file, capsys):
         assert main(seed_argv(dmat, tmp_path)) == 3, value
         assert "norm" in capsys.readouterr().err
     set_dmatrix_entry(dmat, good, "norms", 0, 0.0)
+    assert main(seed_argv(dmat, tmp_path)) == 0
+
+
+def test_dmatrix_repeated_candidate_id_is_exit_3(tmp_path, corpus_file, capsys):
+    _, _, _, dmat, _, _ = chain(tmp_path, corpus_file)
+    matrix, budgets = load_matrix(dmat)
+    assert matrix.n_candidates == 3
+    matrix.candidate_ids[1] = matrix.candidate_ids[0]
+    save_matrix(matrix, budgets, dmat)
+    assert main(seed_argv(dmat, tmp_path)) == 3
+    assert "candidate id appears more than once" in capsys.readouterr().err
+
+
+def test_dmatrix_row_sum_off_one_is_exit_3(tmp_path, corpus_file, capsys):
+    _, _, _, dmat, _, _ = chain(tmp_path, corpus_file)
+    good = dmat.read_bytes()
+    matrix, budgets = load_matrix(dmat)
+    N = matrix.n_nodes
+    row = matrix.probs[1]
+    # each row sums to 1 within N * 2**-52; all-zero, halved and nudged rows do not
+    for bad in (np.zeros(N), row / 2, row * (1 + 4 * N * 2.0**-52)):
+        set_dmatrix_entry(dmat, good, "probs", 1, bad)
+        assert main(seed_argv(dmat, tmp_path)) == 3
+        assert "does not sum to 1" in capsys.readouterr().err
+    one_hot = np.zeros(N)
+    one_hot[2] = 1.0
+    set_dmatrix_entry(dmat, good, "probs", 1, one_hot)
     assert main(seed_argv(dmat, tmp_path)) == 0
 
 
@@ -421,3 +499,7 @@ def test_pipeline_reruns_byte_identical(tmp_path, corpus_file):
     assert doc["parameters"]["prune_percent"] == 10.0
     assert len(doc["epoch_loss_classify"]) == 5
     assert len(doc["epoch_seconds"]) == 5
+    n_train = len((outs[0] / "train.txt").read_text().splitlines())
+    assert doc["epoch_regress_steps"] == [n_train] * 5
+    assert len(doc["epoch_classify_steps"]) == 5
+    assert all(steps > n_train for steps in doc["epoch_classify_steps"])

@@ -352,6 +352,7 @@ def test_train_bitwise_equals_reference_loop():
                 regress.append(step_regress(ref, u, y_c, cfg.learning_rate))
         assert report.classify_loss[epoch] == float(np.mean(classify))
         assert report.regress_loss[epoch] == float(np.mean(regress))
+        assert (report.classify_steps[epoch], report.regress_steps[epoch]) == (len(classify), len(regress))
     assert_same_model(model, ref, "train")
 
 
@@ -379,22 +380,60 @@ def test_workspace_step_catches_overflow_of_t_alone(big, lr):
     assert want[1] == 6
     assert np.isinf(ref.T[0, 1]) and np.isfinite(ref.O).all() and np.isfinite(ref.b_t).all()
     assert got == want
+    # the raise leaves the workspace to scan T and b_t again if reused
+    assert ws.bound == ws.bias_bound == math.inf
+    assert_same_model(ref, new, "overflow")
+
+
+def test_workspace_step_catches_overflow_of_o_u_alone():
+    # O[0, 0] is zero, so row 0 of T (+-1e308) adds nothing to the logits
+    # and does not move. After four steps at rate 0, which change nothing,
+    # the gradient of O[0, 0], 1e308 * (g_0 - g_1) or about -1e308, times
+    # the rate 3 pushes O[0, 0] past the largest double. The loss, T and
+    # b_t stay finite: only the check of O_u can see it.
+    ref = InfectorModel(
+        O=np.array([[0.0, 0.5]]),
+        T=np.array([[1e308, -1e308, 0.0], [0.2, -0.1, 0.4]]),
+        b_t=np.zeros(3),
+        b_c=0.0,
+        C=np.ones(2),
+    )
+    new = copy_model(ref)
+    steps = [((0, 2), 0.0)] * 4 + [((0, 0), 3.0)]
+    with np.errstate(over="ignore"):
+        want = run_until_raise(reference_step_classify, ref, steps)
+        ws = StepWorkspace(new)
+        got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
+    assert want[1] == 4 and all(math.isfinite(loss) for loss in want[0])
+    assert np.isinf(ref.O[0, 0]) and np.isfinite(ref.T).all() and np.isfinite(ref.b_t).all()
+    assert got == want
     assert_same_model(ref, new, "overflow")
 
 
 def test_workspace_step_raises_at_reference_step_on_huge_entries():
     # Entries near 1e308 in O or T and moderate learning rates: whichever
     # check fires, the workspace step must stop at the reference's step.
+    # Trials 40-59 put tied entries near 1e308 into b_t and take large
+    # rates, so that b_t alone can overflow; trials 60-79 put a NaN or
+    # +-inf into O, T or b_t, which makes logits non-finite.
     rng = np.random.default_rng(23)
-    raised = 0
-    for trial in range(40):
+    raised = b_t_alone = nonfinite_raised = 0
+    for trial in range(80):
         I, N, E = 2, int(rng.integers(2, 12)), int(rng.integers(1, 5))
         ref = random_model(rng, I, N, E)
-        which = ref.O if trial % 2 else ref.T
-        mask = rng.random(which.shape) < 0.3
-        which[mask] = rng.choice([-1.0, 1.0], mask.sum()) * rng.uniform(1e306, 1.7e308, mask.sum())
-        new = copy_model(ref)
-        lr = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
+        if trial >= 60:
+            which = (ref.O, ref.T, ref.b_t)[trial % 3]
+            which.flat[int(rng.integers(0, which.size))] = rng.choice([np.nan, np.inf, -np.inf])
+        elif trial >= 40:
+            mask = rng.random(N) < 0.5
+            ref.b_t[mask] = rng.uniform(1.5e308, 1.7e308)
+        else:
+            which = ref.O if trial % 2 else ref.T
+            mask = rng.random(which.shape) < 0.3
+            which[mask] = rng.choice([-1.0, 1.0], mask.sum()) * rng.uniform(1e306, 1.7e308, mask.sum())
+        new, before = copy_model(ref), copy_model(ref)
+        rates = [0.1, 0.5, 1.0, 3.0] if trial < 40 else [1.0, 1e307, 4e307]
+        lr = float(rng.choice(rates))
         steps = [((int(rng.integers(0, I)), int(rng.integers(0, N))), lr) for _ in range(20)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             want = run_until_raise(reference_step_classify, ref, steps)
@@ -402,7 +441,19 @@ def test_workspace_step_raises_at_reference_step_on_huge_entries():
             got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
         assert got == want, f"trial {trial}"
         raised += want[1] is not None
-    assert raised > 0
+        if 40 <= trial < 60 and want[1] is not None:
+            # the raising step's loss is finite and only b_t overflowed, so
+            # only the b_t check can see it
+            (u, y), _ = steps[want[1]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_until_raise(reference_step_classify, before, steps[: want[1]])
+                finite_loss = reference_forward_classify(before, u)[y] > 0
+            b_t_alone += bool(
+                finite_loss
+                and np.isinf(ref.b_t).any() and np.isfinite(ref.O).all() and np.isfinite(ref.T).all()
+            )
+        nonfinite_raised += trial >= 60 and want[1] is not None
+    assert raised > 0 and b_t_alone > 0 and nonfinite_raised > 0
 
 
 def test_workspace_step_large_t_without_overflow_does_not_raise():
@@ -421,6 +472,38 @@ def test_workspace_step_large_t_without_overflow_does_not_raise():
         assert_same_model(ref, new, f"step {s}")
     assert ws.bound == 1.7e308
     assert new.T[0, 0] == -1.7e308
+
+    # The same with b_t[0] = -1.7e308: every step scans b_t, finds it
+    # finite and goes on.
+    ref = random_model(rng, 2, 6, 3)
+    ref.O[:] = np.abs(ref.O) + 0.5
+    ref.b_t[0] = -1.7e308
+    new = copy_model(ref)
+    ws = StepWorkspace(new)
+    for s in range(20):
+        u, y = s % 2, 1 + s % 5
+        assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
+        assert_same_model(ref, new, f"b_t step {s}")
+    assert ws.bias_bound == 1.7e308
+    assert new.b_t[0] == -1.7e308
+
+    # O_0 is finite though its sum overflows. Rows 0 and 1 of T start at
+    # zero and move by 1e-310 * 1e308 * g per step, so every logit stays
+    # finite and no step raises.
+    ref = InfectorModel(
+        O=np.array([[1e308, 1e308, 0.3]]),
+        T=np.vstack([np.zeros((2, 5)), rng.normal(0, 0.5, (1, 5))]),
+        b_t=np.zeros(5),
+        b_c=0.0,
+        C=np.ones(3),
+    )
+    new = copy_model(ref)
+    ws = StepWorkspace(new)
+    for s in range(10):
+        lr = (0.0, 1e-310)[s % 2]
+        assert step_classify(new, 0, 1, lr, ws) == reference_step_classify(ref, 0, 1, lr)
+        assert_same_model(ref, new, f"O_u step {s}")
+    assert new.O[0, 0] == 1e308 and (new.T[:2] != 0).any()
 
 
 def test_train_scopes_the_small_ufunc_buffer(monkeypatch):
