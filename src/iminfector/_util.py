@@ -1,6 +1,8 @@
 """Small helpers shared by several stages: rounding, text and binary IO."""
 
+import contextlib
 import math
+import os
 import struct
 
 from .exceptions import CorruptFile, MalformedLine
@@ -13,6 +15,29 @@ _CEIL_SLACK = 1e-9
 def slack_ceil(value):
     """Ceiling of ``value`` that tolerates float noise just above an integer."""
     return math.ceil(value - _CEIL_SLACK)
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode="w"):
+    """Open a file that replaces ``path`` only once its block completes.
+
+    The block writes to a temp file beside ``path`` (text modes as UTF-8),
+    which ``os.replace`` moves over ``path`` when the block ends without
+    error. On any error the temp file is removed and ``path`` keeps its old
+    bytes, or stays absent, so an interrupted writer never leaves a shorter
+    file that still parses.
+    """
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_lines(path):

@@ -25,7 +25,7 @@ from .exceptions import (
     MalformedLine,
     TimeOrderViolation,
 )
-from ._util import read_lines, slack_ceil
+from ._util import atomic_write, read_lines, slack_ceil
 
 _ID_RE = re.compile(r"[^\s:]+\Z")
 _TIME_RE = re.compile(r"[0-9]+\Z")
@@ -350,7 +350,7 @@ def load_cascades(path):
 
 
 def save_cascades(corpus, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(serialize_cascades(corpus))
 
 
@@ -449,7 +449,7 @@ def load_edges(path):
 
 
 def save_edges(edges, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for src, dst in edges:
             fh.write(f"{src}\t{dst}\n")
 

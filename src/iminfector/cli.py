@@ -1,12 +1,22 @@
-"""Command-line pipeline: split, train, rank, seed, evaluate, and friends.
+"""Command line: the pipeline's stages and the subcommands that run them.
+
+There is one function per stage: split, train, rank, seed, evaluate and
+the baseline ranking. Each computes its artifacts, writes them and returns
+them. Each subcommand loads its inputs and runs one stage; ``pipeline``
+runs them all in order, so its artifacts equal those of the chain of
+subcommands. The flags that several subcommands share are declared and
+range-checked once, at parse time, so a bad value exits 2 before any file
+is written.
 
 Every run writes a JSON manifest recording parameters, input digests and
-wall times, so a run can be reproduced from its artifacts alone. Exit
-codes: 0 success, 2 usage, 3 input format, 4 numeric failure during
-training, 5 degenerate data.
+wall times, so a run can be reproduced from its artifacts alone. Every
+artifact is written to a temp file that replaces its target only when
+complete. Exit codes: 0 success, 2 usage, 3 input format, 4 numeric failure
+during training, 5 degenerate data.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -43,6 +53,7 @@ from .model import (
 )
 from .seeding import load_seed_ids, save_seeds, select_seeds_celf
 from .synth import generate_corpus
+from ._util import atomic_write
 
 
 class UsageError(Exception):
@@ -54,9 +65,41 @@ def _require_file(path, flag):
         raise UsageError(f"{flag}: file not found: {path}")
 
 
-def _require(condition, message):
-    if not condition:
-        raise UsageError(message)
+def _checked(kind, ok, requirement):
+    """An argparse ``type``: parse with ``kind``, then exit 2 unless ``ok(value)``."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" names it
+    return parse
+
+
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
+
+# The flags that several subcommands share, each declared and checked once.
+FLAGS = {
+    "--train-frac": dict(type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), default=0.8),
+    "--embed-dim": dict(type=_AT_LEAST_1, default=50),
+    "--epochs": dict(type=_AT_LEAST_1, default=5),
+    "--lr": dict(type=_checked(float, lambda v: v >= 0.0, "non-negative"), default=0.1),
+    "--oversample": dict(type=_checked(float, lambda v: v > 0.0, "positive"), default=1.2),
+    "--prune-percent": dict(
+        type=_checked(float, lambda v: 0.0 < v <= 100.0, "in (0, 100]"), default=10.0
+    ),
+    "--size": dict(type=_AT_LEAST_1, default=10),
+    "--rng-seed": dict(type=int, default=0, help="master RNG seed"),
+    "--manifest": dict(default=None, help="manifest path override"),
+}
+TRAIN_FLAGS = ("--embed-dim", "--epochs", "--lr", "--oversample")
+
+
+def _add_flags(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **FLAGS[flag])
 
 
 def _sha256(path):
@@ -67,130 +110,61 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(path, subcommand, params, inputs, outputs, wall_times, extra=None):
+def _write_manifest(args, inputs, outputs, wall_times, path=None, **extra):
+    """Write the run's JSON manifest to ``--manifest``, else ``path``, else
+    beside the first output. ``inputs`` are the flags whose files are
+    digested; the parameters are every parsed flag."""
+    paths = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in inputs}
     doc = {
         "tool": "iminfector",
         "version": __version__,
-        "subcommand": subcommand,
-        "parameters": params,
-        "inputs": {flag: {"path": p, "sha256": _sha256(p)} for flag, p in inputs.items()},
+        "subcommand": args.subcommand,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "manifest")},
+        "inputs": {flag: {"path": p, "sha256": _sha256(p)} for flag, p in paths.items()},
         "outputs": outputs,
         "wall_times": wall_times,
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(args.manifest or path or outputs[0] + ".manifest.json") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _params(args):
-    skip = {"func", "manifest"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
-def _manifest_path(args, primary_out):
-    return args.manifest if args.manifest else primary_out + ".manifest.json"
-
-
-def _write_result(path, seed_ids, result):
-    """Cumulative DNI per seed prefix, one row per seed line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank\tnode_id\tnew_nodes\tcumulative_dni\n")
-        cumulative = 0
-        reported = set()
-        for rank, seed in enumerate(seed_ids, start=1):
-            added = 0 if seed in reported else result.per_seed_contribution[seed]
-            reported.add(seed)
-            cumulative += added
-            fh.write(f"{rank}\t{seed}\t{added}\t{cumulative}\n")
-
-
-def cmd_synth(args):
-    _require(args.nodes >= 20, "--nodes must be at least 20")
-    _require(args.cascades >= 10, "--cascades must be at least 10")
-    _require(args.planted >= 1, "--planted must be at least 1")
-    _require(args.lures >= 0, "--lures must be non-negative")
+@contextlib.contextmanager
+def _timed(wall_times, stage):
+    """Record the block's wall time in ``wall_times[stage]``."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(args.rng_seed)
-    corpus = generate_corpus(
-        rng,
-        n_nodes=args.nodes,
-        n_cascades=args.cascades,
-        n_planted=args.planted,
-        n_lures=args.lures,
-    )
-    save_cascades(corpus, args.out)
-    outputs = [args.out]
-    if args.edges_out:
-        save_edges(derive_edges(corpus), args.edges_out)
-        outputs.append(args.edges_out)
-    _write_manifest(
-        _manifest_path(args, args.out),
-        "synth",
-        _params(args),
-        {},
-        outputs,
-        {"synth": time.perf_counter() - t0},
-        extra={"n_nodes": corpus.n_nodes, "n_cascades": corpus.n_cascades},
-    )
-    return 0
+    yield
+    wall_times[stage] = time.perf_counter() - t0
 
 
-def cmd_split(args):
-    _require_file(args.cascades, "--cascades")
-    _require(0.0 < args.train_frac < 1.0, "--train-frac must be in (0, 1)")
-    t0 = time.perf_counter()
-    corpus = load_cascades(args.cascades)
+def _epoch_fields(report):
+    return {
+        "epoch_loss_classify": report.classify_loss,
+        "epoch_loss_regress": report.regress_loss,
+        "epoch_classify_steps": report.classify_steps,
+        "epoch_regress_steps": report.regress_steps,
+        "epoch_seconds": report.epoch_seconds,
+    }
+
+
+# The stages. Each computes its artifacts, writes them and returns them; the
+# subcommands run one stage each, pipeline runs them all in order.
+
+
+def split_stage(args, corpus, train_out, test_out):
+    """Temporal split of ``corpus``; writes and returns (train, test)."""
     train_corpus, test_corpus = temporal_split(corpus, args.train_frac)
-    save_cascades(train_corpus, args.train_out)
-    save_cascades(test_corpus, args.test_out)
-    _write_manifest(
-        _manifest_path(args, args.train_out),
-        "split",
-        _params(args),
-        {"--cascades": args.cascades},
-        [args.train_out, args.test_out],
-        {"split": time.perf_counter() - t0},
-        extra={
-            "n_train": train_corpus.n_cascades,
-            "n_test": test_corpus.n_cascades,
-        },
-    )
-    return 0
+    save_cascades(train_corpus, train_out)
+    save_cascades(test_corpus, test_out)
+    return train_corpus, test_corpus
 
 
-def cmd_stats(args):
-    _require_file(args.train, "--train")
-    _require_file(args.test, "--test")
-    t0 = time.perf_counter()
-    train_corpus = load_cascades(args.train)
-    test_corpus = load_cascades(args.test)
-    stats = initiator_stats(train_corpus, test_corpus)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(
-            "node_id\ttrain_started\ttrain_participated\t"
-            "test_started\ttest_total_size\ttest_dni\n"
-        )
-        for node in sorted(stats):
-            r = stats[node]
-            fh.write(
-                f"{node}\t{r.cascades_started}\t{r.cascades_participated}\t"
-                f"{r.test_count}\t{r.test_total_size}\t{r.test_dni}\n"
-            )
-    _write_manifest(
-        _manifest_path(args, args.out),
-        "stats",
-        _params(args),
-        {"--train": args.train, "--test": args.test},
-        [args.out],
-        {"stats": time.perf_counter() - t0},
-    )
-    return 0
+def train_stage(args, corpus, out, pairs_out=None):
+    """Train on ``corpus`` and write the model; returns (model, report).
 
-
-def _train_model(corpus, args, keep_first_stream=False):
-    """Train on ``corpus``; returns (model, report, epoch 0's stream or None)."""
+    With ``pairs_out``, the stream epoch 0 trained on is written there too.
+    """
     config = ModelConfig(
         embed_dim=args.embed_dim,
         learning_rate=args.lr,
@@ -204,85 +178,32 @@ def _train_model(corpus, args, keep_first_stream=False):
         influencer_ids=corpus.influencer_ids(),
         node_ids=corpus.node_ids(),
     )
-
     first_stream = None
 
     def stream_producer(epoch):
         nonlocal first_stream
         stream = build_training_stream(corpus, args.oversample, args.rng_seed + epoch)
-        if epoch == 0 and keep_first_stream:
+        if epoch == 0 and pairs_out:
             first_stream = stream
         return stream
 
     model, report = train(model, stream_producer, config)
-    return model, report, first_stream
+    save_embeddings(model, out)
+    if pairs_out:
+        dump_pairs(first_stream, pairs_out)
+    return model, report
 
 
-def _validate_train_flags(args):
-    _require(args.embed_dim >= 1, "--embed-dim must be at least 1")
-    _require(args.epochs >= 1, "--epochs must be at least 1")
-    _require(args.lr >= 0.0, "--lr must be non-negative")
-    _require(args.oversample > 0.0, "--oversample must be positive")
-
-
-def cmd_train(args):
-    _require_file(args.cascades, "--cascades")
-    _validate_train_flags(args)
-    t0 = time.perf_counter()
-    corpus = load_cascades(args.cascades)
-    model, report, first_stream = _train_model(corpus, args, bool(args.dump_pairs))
-    save_embeddings(model, args.out)
-    outputs = [args.out]
-    if args.dump_pairs:
-        dump_pairs(first_stream, args.dump_pairs)
-        outputs.append(args.dump_pairs)
-    _write_manifest(
-        _manifest_path(args, args.out),
-        "train",
-        _params(args),
-        {"--cascades": args.cascades},
-        outputs,
-        {"train": time.perf_counter() - t0},
-        extra={
-            "epoch_loss_classify": report.classify_loss,
-            "epoch_loss_regress": report.regress_loss,
-            "epoch_classify_steps": report.classify_steps,
-            "epoch_regress_steps": report.regress_steps,
-            "epoch_seconds": report.epoch_seconds,
-        },
-    )
-    return 0
-
-
-def cmd_rank(args):
-    _require_file(args.model, "--model")
-    _require(0.0 < args.prune_percent <= 100.0, "--prune-percent must be in (0, 100]")
-    t0 = time.perf_counter()
-    model = load_embeddings(args.model)
-    # without them candidates would be named by row number, which a later
-    # evaluate would read as node ids
-    if model.influencer_ids is None:
-        raise CorruptFile(f"{args.model}: no id tables (cut short, or saved without ids)")
+def rank_stage(args, model, out):
+    """Pruned diffusion matrix and budgets of ``model``; writes and returns them."""
     matrix = build_matrix(model, args.prune_percent)
     budgets = compute_budgets(matrix, model.n_nodes)
-    save_matrix(matrix, budgets, args.out)
-    _write_manifest(
-        _manifest_path(args, args.out),
-        "rank",
-        _params(args),
-        {"--model": args.model},
-        [args.out],
-        {"rank": time.perf_counter() - t0},
-        extra={"n_candidates": matrix.n_candidates},
-    )
-    return 0
+    save_matrix(matrix, budgets, out)
+    return matrix, budgets
 
 
-def cmd_seed(args):
-    _require_file(args.dmatrix, "--dmatrix")
-    _require(args.size >= 1, "--size must be at least 1")
-    t0 = time.perf_counter()
-    matrix, budgets = load_matrix(args.dmatrix)
+def seed_stage(args, matrix, budgets, out):
+    """CELF seed selection; notes a short selection, writes and returns it."""
     selection = select_seeds_celf(matrix, budgets, args.size)
     if selection.truncated:
         print(
@@ -290,168 +211,200 @@ def cmd_seed(args):
             "(candidates or uninfected nodes ran out)",
             file=sys.stderr,
         )
-    save_seeds(selection, args.out)
+    save_seeds(selection, out)
+    return selection
+
+
+def evaluate_stage(seed_ids, test_corpus, out):
+    """DNI of ``seed_ids`` on the test corpus; writes the cumulative table
+    (one row per seed line) and returns the result."""
+    result = dni(seed_ids, test_corpus)
+    with atomic_write(out) as fh:
+        fh.write("rank\tnode_id\tnew_nodes\tcumulative_dni\n")
+        cumulative = 0
+        reported = set()
+        for rank, seed in enumerate(seed_ids, start=1):
+            added = 0 if seed in reported else result.per_seed_contribution[seed]
+            reported.add(seed)
+            cumulative += added
+            fh.write(f"{rank}\t{seed}\t{added}\t{cumulative}\n")
+    return result
+
+
+def baseline_stage(args, ranking, out):
+    """Top ``--size`` of a baseline ranking; notes a short ranking, writes
+    ``rank TAB node TAB score`` rows and returns the node ids."""
+    top = ranking.ranking[: args.size]
+    if len(top) < args.size:
+        print(f"note: ranking has only {len(top)} of {args.size} requested seeds", file=sys.stderr)
+    with atomic_write(out) as fh:
+        for rank, (node, score) in enumerate(top, start=1):
+            fh.write(f"{rank}\t{node}\t{score!r}\n")
+    return [node for node, _ in top]
+
+
+def cmd_synth(args):
+    wall = {}
+    with _timed(wall, "synth"):
+        rng = np.random.default_rng(args.rng_seed)
+        corpus = generate_corpus(
+            rng,
+            n_nodes=args.nodes,
+            n_cascades=args.cascades,
+            n_planted=args.planted,
+            n_lures=args.lures,
+        )
+        save_cascades(corpus, args.out)
+        outputs = [args.out]
+        if args.edges_out:
+            save_edges(derive_edges(corpus), args.edges_out)
+            outputs.append(args.edges_out)
     _write_manifest(
-        _manifest_path(args, args.out),
-        "seed",
-        _params(args),
-        {"--dmatrix": args.dmatrix},
-        [args.out],
-        {"seed": time.perf_counter() - t0},
-        extra={"n_selected": len(selection.seeds), "truncated": selection.truncated},
+        args, [], outputs, wall, n_nodes=corpus.n_nodes, n_cascades=corpus.n_cascades
     )
-    return 0
+
+
+def cmd_split(args):
+    _require_file(args.cascades, "--cascades")
+    wall = {}
+    with _timed(wall, "split"):
+        corpus = load_cascades(args.cascades)
+        train_corpus, test_corpus = split_stage(args, corpus, args.train_out, args.test_out)
+    _write_manifest(
+        args,
+        ["--cascades"],
+        [args.train_out, args.test_out],
+        wall,
+        n_train=train_corpus.n_cascades,
+        n_test=test_corpus.n_cascades,
+    )
+
+
+def cmd_stats(args):
+    _require_file(args.train, "--train")
+    _require_file(args.test, "--test")
+    wall = {}
+    with _timed(wall, "stats"):
+        stats = initiator_stats(load_cascades(args.train), load_cascades(args.test))
+        with atomic_write(args.out) as fh:
+            fh.write(
+                "node_id\ttrain_started\ttrain_participated\t"
+                "test_started\ttest_total_size\ttest_dni\n"
+            )
+            for node in sorted(stats):
+                r = stats[node]
+                fh.write(
+                    f"{node}\t{r.cascades_started}\t{r.cascades_participated}\t"
+                    f"{r.test_count}\t{r.test_total_size}\t{r.test_dni}\n"
+                )
+    _write_manifest(args, ["--train", "--test"], [args.out], wall)
+
+
+def cmd_train(args):
+    _require_file(args.cascades, "--cascades")
+    wall = {}
+    with _timed(wall, "train"):
+        corpus = load_cascades(args.cascades)
+        _, report = train_stage(args, corpus, args.out, args.dump_pairs)
+    outputs = [args.out] + ([args.dump_pairs] if args.dump_pairs else [])
+    _write_manifest(args, ["--cascades"], outputs, wall, **_epoch_fields(report))
+
+
+def cmd_rank(args):
+    _require_file(args.model, "--model")
+    wall = {}
+    with _timed(wall, "rank"):
+        model = load_embeddings(args.model)
+        # without them candidates would be named by row number, which a later
+        # evaluate would read as node ids
+        if model.influencer_ids is None:
+            raise CorruptFile(f"{args.model}: no id tables (cut short, or saved without ids)")
+        matrix, _ = rank_stage(args, model, args.out)
+    _write_manifest(args, ["--model"], [args.out], wall, n_candidates=matrix.n_candidates)
+
+
+def cmd_seed(args):
+    _require_file(args.dmatrix, "--dmatrix")
+    wall = {}
+    with _timed(wall, "seed"):
+        selection = seed_stage(args, *load_matrix(args.dmatrix), args.out)
+    _write_manifest(
+        args,
+        ["--dmatrix"],
+        [args.out],
+        wall,
+        n_selected=len(selection.seeds),
+        truncated=selection.truncated,
+    )
 
 
 def cmd_evaluate(args):
     _require_file(args.seeds, "--seeds")
     _require_file(args.test, "--test")
-    t0 = time.perf_counter()
-    seed_ids = load_seed_ids(args.seeds)
-    test_corpus = load_cascades(args.test)
-    result = dni(seed_ids, test_corpus)
-    _write_result(args.out, seed_ids, result)
+    wall = {}
+    with _timed(wall, "evaluate"):
+        seed_ids = load_seed_ids(args.seeds)
+        result = evaluate_stage(seed_ids, load_cascades(args.test), args.out)
     print(f"dni\t{result.dni}")
-    _write_manifest(
-        _manifest_path(args, args.out),
-        "evaluate",
-        _params(args),
-        {"--seeds": args.seeds, "--test": args.test},
-        [args.out],
-        {"evaluate": time.perf_counter() - t0},
-        extra={"dni": result.dni},
-    )
-    return 0
+    _write_manifest(args, ["--seeds", "--test"], [args.out], wall, dni=result.dni)
 
 
 def cmd_baseline(args):
-    _require(args.size >= 1, "--size must be at least 1")
-    t0 = time.perf_counter()
-    inputs = {}
-    if args.method == "kcore":
-        _require(args.edges, "--edges is required for --method kcore")
-        _require_file(args.edges, "--edges")
-        inputs["--edges"] = args.edges
-        ranking = kcore_ranking(load_edges(args.edges))
-    else:
-        _require(args.train, "--train is required for --method avgsize")
-        _require_file(args.train, "--train")
-        inputs["--train"] = args.train
-        ranking = avg_size_ranking(load_cascades(args.train))
-    top = ranking.ranking[: args.size]
-    if len(top) < args.size:
-        print(
-            f"note: ranking has only {len(top)} of {args.size} requested seeds",
-            file=sys.stderr,
-        )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for rank, (node, score) in enumerate(top, start=1):
-            fh.write(f"{rank}\t{node}\t{score!r}\n")
-    _write_manifest(
-        _manifest_path(args, args.out),
-        "baseline",
-        _params(args),
-        inputs,
-        [args.out],
-        {"baseline": time.perf_counter() - t0},
-        extra={"n_selected": len(top)},
-    )
-    return 0
+    flag = "--edges" if args.method == "kcore" else "--train"
+    path = getattr(args, flag[2:])
+    if not path:
+        raise UsageError(f"{flag} is required for --method {args.method}")
+    _require_file(path, flag)
+    wall = {}
+    with _timed(wall, "baseline"):
+        if args.method == "kcore":
+            ranking = kcore_ranking(load_edges(path))
+        else:
+            ranking = avg_size_ranking(load_cascades(path))
+        top = baseline_stage(args, ranking, args.out)
+    _write_manifest(args, [flag], [args.out], wall, n_selected=len(top))
 
 
 def cmd_pipeline(args):
     _require_file(args.cascades, "--cascades")
-    _require(0.0 < args.train_frac < 1.0, "--train-frac must be in (0, 1)")
-    _validate_train_flags(args)
-    _require(0.0 < args.prune_percent <= 100.0, "--prune-percent must be in (0, 100]")
-    _require(args.size >= 1, "--size must be at least 1")
     os.makedirs(args.outdir, exist_ok=True)
-    paths = {
-        name: os.path.join(args.outdir, name)
-        for name in (
-            "train.txt",
-            "test.txt",
-            "model.infv",
-            "dmatrix.bin",
-            "seeds.txt",
-            "result.tsv",
-            "baseline_avgsize_seeds.txt",
-            "baseline_avgsize_result.tsv",
-        )
-    }
+    outputs = []
+
+    def out(name):
+        outputs.append(os.path.join(args.outdir, name))
+        return outputs[-1]
+
     wall = {}
-
-    t = time.perf_counter()
-    corpus = load_cascades(args.cascades)
-    train_corpus, test_corpus = temporal_split(corpus, args.train_frac)
-    save_cascades(train_corpus, paths["train.txt"])
-    save_cascades(test_corpus, paths["test.txt"])
-    wall["split"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    model, report, _ = _train_model(train_corpus, args)
-    save_embeddings(model, paths["model.infv"])
-    wall["train"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    matrix = build_matrix(model, args.prune_percent)
-    budgets = compute_budgets(matrix, model.n_nodes)
-    save_matrix(matrix, budgets, paths["dmatrix.bin"])
-    wall["rank"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    selection = select_seeds_celf(matrix, budgets, args.size)
-    if selection.truncated:
-        print(
-            f"note: selected {len(selection.seeds)} of {args.size} requested seeds",
-            file=sys.stderr,
+    with _timed(wall, "split"):
+        corpus = load_cascades(args.cascades)
+        train_corpus, test_corpus = split_stage(args, corpus, out("train.txt"), out("test.txt"))
+    with _timed(wall, "train"):
+        model, report = train_stage(args, train_corpus, out("model.infv"))
+    with _timed(wall, "rank"):
+        matrix, budgets = rank_stage(args, model, out("dmatrix.bin"))
+    with _timed(wall, "seed"):
+        selection = seed_stage(args, matrix, budgets, out("seeds.txt"))
+    with _timed(wall, "evaluate"):
+        result = evaluate_stage(selection.seed_ids(), test_corpus, out("result.tsv"))
+    with _timed(wall, "baseline"):
+        ranking = avg_size_ranking(train_corpus)
+        baseline_ids = baseline_stage(args, ranking, out("baseline_avgsize_seeds.txt"))
+        baseline_result = evaluate_stage(
+            baseline_ids, test_corpus, out("baseline_avgsize_result.tsv")
         )
-    save_seeds(selection, paths["seeds.txt"])
-    wall["seed"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    seed_ids = selection.seed_ids()
-    result = dni(seed_ids, test_corpus)
-    _write_result(paths["result.tsv"], seed_ids, result)
-    wall["evaluate"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    baseline_ids = avg_size_ranking(train_corpus).top(args.size)
-    baseline_result = dni(baseline_ids, test_corpus)
-    with open(paths["baseline_avgsize_seeds.txt"], "w", encoding="utf-8") as fh:
-        for rank, node in enumerate(baseline_ids, start=1):
-            fh.write(f"{rank}\t{node}\t0.0\n")
-    _write_result(paths["baseline_avgsize_result.tsv"], baseline_ids, baseline_result)
-    wall["baseline"] = time.perf_counter() - t
-
     print(f"dni\timinfector={result.dni}\tavgsize={baseline_result.dni}")
-    manifest = args.manifest if args.manifest else os.path.join(args.outdir, "manifest.json")
     _write_manifest(
-        manifest,
-        "pipeline",
-        _params(args),
-        {"--cascades": args.cascades},
-        sorted(paths.values()),
+        args,
+        ["--cascades"],
+        sorted(outputs),
         wall,
-        extra={
-            "epoch_loss_classify": report.classify_loss,
-            "epoch_loss_regress": report.regress_loss,
-            "epoch_classify_steps": report.classify_steps,
-            "epoch_regress_steps": report.regress_steps,
-            "epoch_seconds": report.epoch_seconds,
-            "n_candidates": matrix.n_candidates,
-            "n_selected": len(selection.seeds),
-            "dni": result.dni,
-            "dni_avgsize": baseline_result.dni,
-        },
+        path=os.path.join(args.outdir, "manifest.json"),
+        **_epoch_fields(report),
+        n_candidates=matrix.n_candidates,
+        n_selected=len(selection.seeds),
+        dni=result.dni,
+        dni_avgsize=baseline_result.dni,
     )
-    return 0
-
-
-def _add_common(sub, *flags):
-    if "rng_seed" in flags:
-        sub.add_argument("--rng-seed", type=int, default=0, help="master RNG seed")
-    sub.add_argument("--manifest", default=None, help="manifest path override")
 
 
 def build_parser():
@@ -463,82 +416,73 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("synth", help="generate a synthetic corpus with planted influencers")
-    p.add_argument("--nodes", type=int, default=300)
-    p.add_argument("--cascades", type=int, default=500)
-    p.add_argument("--planted", type=int, default=5)
-    p.add_argument("--lures", type=int, default=6)
+    p.add_argument("--nodes", type=_checked(int, lambda v: v >= 20, "at least 20"), default=300)
+    p.add_argument("--cascades", type=_checked(int, lambda v: v >= 10, "at least 10"), default=500)
+    p.add_argument("--planted", type=_AT_LEAST_1, default=5)
+    p.add_argument("--lures", type=_checked(int, lambda v: v >= 0, "non-negative"), default=6)
     p.add_argument("--out", required=True)
     p.add_argument("--edges-out", default=None, help="also write the implied edge list")
-    _add_common(p, "rng_seed")
+    _add_flags(p, "--rng-seed", "--manifest")
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("split", help="temporal 80/20 split of a cascade file")
     p.add_argument("--cascades", required=True)
-    p.add_argument("--train-frac", type=float, default=0.8)
+    _add_flags(p, "--train-frac")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
-    _add_common(p)
+    _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_split)
 
     p = subs.add_parser("stats", help="per-node activity and test-side influence table")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_stats)
 
     p = subs.add_parser("train", help="train the embedding model on a train split")
     p.add_argument("--cascades", required=True)
-    p.add_argument("--embed-dim", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--oversample", type=float, default=1.2)
+    _add_flags(p, *TRAIN_FLAGS)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-pairs", default=None, help="write the epoch-0 stream as TSV")
-    _add_common(p, "rng_seed")
+    _add_flags(p, "--rng-seed", "--manifest")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("rank", help="build the pruned diffusion matrix and budgets")
     p.add_argument("--model", required=True)
-    p.add_argument("--prune-percent", type=float, default=10.0)
+    _add_flags(p, "--prune-percent")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_rank)
 
     p = subs.add_parser("seed", help="select seeds by lazy greedy over a diffusion matrix")
     p.add_argument("--dmatrix", required=True)
-    p.add_argument("--size", type=int, default=10)
+    _add_flags(p, "--size")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_seed)
 
     p = subs.add_parser("evaluate", help="distinct nodes influenced over a test split")
     p.add_argument("--seeds", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("baseline", help="k-core or average-cascade-size ranking")
     p.add_argument("--method", choices=("kcore", "avgsize"), required=True)
     p.add_argument("--edges", default=None)
     p.add_argument("--train", default=None)
-    p.add_argument("--size", type=int, default=10)
+    _add_flags(p, "--size")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_baseline)
 
     p = subs.add_parser("pipeline", help="split, train, rank, seed and evaluate in one run")
     p.add_argument("--cascades", required=True)
-    p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--embed-dim", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--oversample", type=float, default=1.2)
-    p.add_argument("--prune-percent", type=float, default=10.0)
-    p.add_argument("--size", type=int, default=10)
+    _add_flags(p, "--train-frac", *TRAIN_FLAGS, "--prune-percent", "--size")
     p.add_argument("--outdir", required=True)
-    _add_common(p, "rng_seed")
+    _add_flags(p, "--rng-seed", "--manifest")
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -551,7 +495,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

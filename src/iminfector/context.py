@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import slack_ceil
+from ._util import atomic_write, slack_ceil
 
 # Context value that marks an influencer-size pair in a TrainingStream.
 SIZE_PAIR = -1
@@ -89,7 +89,7 @@ def build_training_stream(train, oversample=1.2, rng_seed=0):
 
 def dump_pairs(stream, path):
     """Write a stream as TSV: influencer, target, kind (C|S), value."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("influencer\ttarget\tkind\tvalue\n")
         for u, v, y in zip(
             stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist()

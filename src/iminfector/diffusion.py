@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import AllZeroNorms, CorruptFile, FormatVersionMismatch, NonFiniteMatrix
 from .model import forward_classify
-from ._util import pack_ids, read_ids, slack_ceil, take
+from ._util import atomic_write, pack_ids, read_ids, slack_ceil, take
 
 MAGIC = b"DPM1"
 
@@ -51,7 +51,9 @@ def build_matrix(model, prune_percent):
     if not 0.0 < prune_percent <= 100.0:
         raise ValueError(f"prune_percent must be in (0, 100], got {prune_percent}")
     I = model.n_influencers
-    norms = np.linalg.norm(model.O, axis=1)
+    # an overflow is reported below as NonFiniteMatrix, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(model.O, axis=1)
     if model.influencer_ids is not None:
         order = sorted(range(I), key=lambda u: (-norms[u], model.influencer_ids[u]))
     else:
@@ -61,7 +63,8 @@ def build_matrix(model, prune_percent):
         ids = [model.influencer_ids[u] for u in kept]
     else:
         ids = [str(u) for u in kept]
-    probs = np.stack([forward_classify(model, u) for u in kept])
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = np.stack([forward_classify(model, u) for u in kept])
     if not (np.isfinite(norms[kept]).all() and np.isfinite(probs).all()):
         raise NonFiniteMatrix("a candidate's norm or diffusion probabilities overflow")
     return DiffusionMatrix(
@@ -92,7 +95,7 @@ def compute_budgets(matrix, n_nodes):
 def save_matrix(matrix, budgets, path):
     """Write the DPM1 binary: magic, dims, candidate ids, norms, lambdas, rows."""
     n, N = matrix.probs.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<QQ", n, N))
         fh.write(pack_ids(matrix.candidate_ids))

@@ -50,7 +50,7 @@ import numpy as np
 
 from .context import SIZE_PAIR
 from .exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
-from ._util import pack_ids, read_ids, take
+from ._util import atomic_write, pack_ids, read_ids, take
 
 MAGIC = b"INFV1"
 
@@ -301,7 +301,7 @@ def save_embeddings(model, path):
     """
     I, E = model.O.shape
     N = model.T.shape[1]
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<QQQ", E, I, N))
         fh.write(np.ascontiguousarray(model.O, dtype="<f8").tobytes())

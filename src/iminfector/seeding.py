@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyMatrix, MalformedLine
-from ._util import read_lines
+from ._util import atomic_write, read_lines
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def select_seeds_naive(matrix, budgets, size):
 
 def save_seeds(selection, path):
     """Write seeds.txt: rank TAB candidate id TAB marginal spread, no header."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rank, seed in enumerate(selection.seeds, start=1):
             fh.write(f"{rank}\t{seed.candidate_id}\t{seed.spread!r}\n")
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -155,12 +156,6 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file):
     model = load_embeddings(out)
     assert model.embed_dim == 50
     assert model.influencer_ids == ["u01", "u02", "u03"]
-
-
-def test_train_flag_validation_is_exit_2(tmp_path, corpus_file):
-    out = str(tmp_path / "m.infv")
-    for extra in (["--epochs", "0"], ["--embed-dim", "0"], ["--oversample", "0"]):
-        assert main(["train", "--cascades", str(corpus_file), "--out", out] + extra) == 2
 
 
 def test_nonfinite_training_is_exit_4(tmp_path, corpus_file, capsys):
@@ -337,7 +332,9 @@ def test_rank_of_overflowing_model_is_exit_5(tmp_path, corpus_file, capsys):
         model.O[0] = np.abs(model.O[0]) + 1.0
         getattr(model, name)[index] = value
         save_embeddings(model, model_path)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # only the exit-5 error is reported: a numpy warning fails the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["rank", "--model", str(model_path), "--prune-percent", "100", "--out", str(out)])
         assert code == 5, name
         assert "overflow" in capsys.readouterr().err
@@ -419,10 +416,32 @@ def test_dmatrix_row_sum_off_one_is_exit_3(tmp_path, corpus_file, capsys):
     assert main(seed_argv(dmat, tmp_path)) == 0
 
 
-def test_rank_prune_validation_is_exit_2(tmp_path, corpus_file):
-    _, _, model, _, _, _ = chain(tmp_path, corpus_file)
-    assert main(["rank", "--model", str(model), "--prune-percent", "0", "--out", str(tmp_path / "x")]) == 2
-    assert main(["rank", "--model", str(model), "--prune-percent", "101", "--out", str(tmp_path / "x")]) == 2
+def notes(err):
+    return [line for line in err.splitlines() if line.startswith("note: ")]
+
+
+def test_pipeline_seed_note_equals_seed_subcommand(tmp_path, corpus_file, capsys):
+    run = tmp_path / "run"
+    argv = ["pipeline", "--cascades", str(corpus_file), "--outdir", str(run), "--embed-dim", "6"]
+    assert main(argv + ["--size", "50"]) == 0
+    pipeline_notes = notes(capsys.readouterr().err)
+    out = str(tmp_path / "s.txt")
+    assert main(["seed", "--dmatrix", str(run / "dmatrix.bin"), "--size", "50", "--out", out]) == 0
+    (seed_note,) = notes(capsys.readouterr().err)
+    assert seed_note.startswith("note: selected 1 of 50 requested seeds (candidates")
+    assert seed_note in pipeline_notes
+
+
+def test_pipeline_baseline_file_equals_baseline_subcommand(tmp_path, corpus_file, capsys):
+    run, out = tmp_path / "run", tmp_path / "avgsize.txt"
+    argv = ["pipeline", "--cascades", str(corpus_file), "--outdir", str(run), "--embed-dim", "6"]
+    assert main(argv + ["--size", "2"]) == 0
+    train = str(run / "train.txt")
+    assert main(["baseline", "--method", "avgsize", "--train", train, "--size", "2", "--out", str(out)]) == 0
+    # rank, node and mean cascade size: u01 starts 3 train cascades of 7 nodes
+    assert out.read_text().splitlines()[1] == f"2\tu01\t{7 / 3!r}"
+    assert (run / "baseline_avgsize_seeds.txt").read_bytes() == out.read_bytes()
+    capsys.readouterr()
 
 
 def test_seed_truncation_note(tmp_path, corpus_file, capsys):
@@ -503,3 +522,79 @@ def test_pipeline_reruns_byte_identical(tmp_path, corpus_file):
     assert doc["epoch_regress_steps"] == [n_train] * 5
     assert len(doc["epoch_classify_steps"]) == 5
     assert all(steps > n_train for steps in doc["epoch_classify_steps"])
+
+
+def test_pipeline_equals_stage_chain(tmp_path, capsys):
+    synth = tmp_path / "synth.txt"
+    assert main(
+        ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
+         "--rng-seed", "2", "--out", str(synth)]
+    ) == 0
+    run, chain_dir = tmp_path / "run", tmp_path / "chain"
+    chain_dir.mkdir()
+    train_flags = ["--embed-dim", "8", "--epochs", "2", "--lr", "0.05", "--oversample", "1.5",
+                   "--rng-seed", "3"]
+    assert main(
+        ["pipeline", "--cascades", str(synth), "--outdir", str(run), "--train-frac", "0.7",
+         *train_flags, "--prune-percent", "30", "--size", "4"]
+    ) == 0
+
+    def c(name):
+        return str(chain_dir / name)
+
+    for argv in (
+        ["split", "--cascades", str(synth), "--train-frac", "0.7",
+         "--train-out", c("train.txt"), "--test-out", c("test.txt")],
+        ["train", "--cascades", c("train.txt"), *train_flags, "--out", c("model.infv")],
+        ["rank", "--model", c("model.infv"), "--prune-percent", "30", "--out", c("dmatrix.bin")],
+        ["seed", "--dmatrix", c("dmatrix.bin"), "--size", "4", "--out", c("seeds.txt")],
+        ["evaluate", "--seeds", c("seeds.txt"), "--test", c("test.txt"), "--out", c("result.tsv")],
+        ["baseline", "--method", "avgsize", "--train", c("train.txt"), "--size", "4",
+         "--out", c("baseline_avgsize_seeds.txt")],
+        ["evaluate", "--seeds", c("baseline_avgsize_seeds.txt"), "--test", c("test.txt"),
+         "--out", c("baseline_avgsize_result.tsv")],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    names = ["train.txt", "test.txt", "model.infv", "dmatrix.bin", "seeds.txt", "result.tsv",
+             "baseline_avgsize_seeds.txt", "baseline_avgsize_result.tsv"]
+    for name in names:
+        assert (run / name).read_bytes() == (chain_dir / name).read_bytes(), name
+    doc = read_manifest(run / "manifest.json")
+    assert doc["outputs"] == sorted(str(run / name) for name in names)
+    assert list(doc["wall_times"]) == ["baseline", "evaluate", "rank", "seed", "split", "train"]
+
+
+# Out-of-range values of the flags that a subcommand shares with pipeline.
+BAD_FLAGS = [
+    ("split", "--train-frac", "0"),
+    ("split", "--train-frac", "1"),
+    ("train", "--embed-dim", "0"),
+    ("train", "--epochs", "0"),
+    ("train", "--lr", "-1"),
+    ("train", "--oversample", "0"),
+    ("rank", "--prune-percent", "0"),
+    ("rank", "--prune-percent", "101"),
+    ("seed", "--size", "0"),
+    ("baseline", "--size", "0"),
+]
+
+
+@pytest.mark.parametrize("subcommand, flag, value", BAD_FLAGS)
+def test_out_of_range_flag_is_exit_2_before_any_write(tmp_path, corpus_file, capsys,
+                                                       subcommand, flag, value):
+    # every input exists, so only the flag can be refused
+    cascades, out = str(corpus_file), str(tmp_path / "out")
+    argv = {
+        "split": ["--cascades", cascades, "--train-out", out, "--test-out", out + "2"],
+        "train": ["--cascades", cascades, "--out", out],
+        "rank": ["--model", cascades, "--out", out],
+        "seed": ["--dmatrix", cascades, "--out", out],
+        "baseline": ["--method", "avgsize", "--train", cascades, "--out", out],
+    }[subcommand]
+    assert main([subcommand, *argv, flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    outdir = tmp_path / "run"
+    assert main(["pipeline", "--cascades", cascades, "--outdir", str(outdir), flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cascades.txt"]
