@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -85,8 +86,12 @@ FLAGS = {
     "--train-frac": dict(type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), default=0.8),
     "--embed-dim": dict(type=_AT_LEAST_1, default=50),
     "--epochs": dict(type=_AT_LEAST_1, default=5),
-    "--lr": dict(type=_checked(float, lambda v: v >= 0.0, "non-negative"), default=0.1),
-    "--oversample": dict(type=_checked(float, lambda v: v > 0.0, "positive"), default=1.2),
+    "--lr": dict(
+        type=_checked(float, lambda v: 0.0 <= v < math.inf, "finite and non-negative"), default=0.1
+    ),
+    "--oversample": dict(
+        type=_checked(float, lambda v: 0.0 < v < math.inf, "finite and positive"), default=1.2
+    ),
     "--prune-percent": dict(
         type=_checked(float, lambda v: 0.0 < v <= 100.0, "in (0, 100]"), default=10.0
     ),
@@ -145,6 +150,7 @@ def _epoch_fields(report):
         "epoch_classify_steps": report.classify_steps,
         "epoch_regress_steps": report.regress_steps,
         "epoch_seconds": report.epoch_seconds,
+        "classify_kernel": report.classify_kernel,
     }
 
 

@@ -7,9 +7,24 @@ takes a sigmoid/squared-loss step through the untrainable all-ones vector C.
 Everything is float64; gradient tolerances depend on it.
 
 train() gives its classification steps one StepWorkspace: an N-vector for
-the logits, softmax and gradient, an E x N buffer for the T update and two
-E-vectors, so a step allocates no array data. A step proves the model finite
-instead of scanning it, and each proof is exact:
+the logits, softmax and gradient and two E-vectors, so a step allocates no
+array data unless it rescans T or b_t (below). When the C kernel of _kernel.py loads, the workspace updates T
+and b_t with it in one pass: T[i,j] - ((O_u[i] * g[j]) * lr) and
+b_t[j] - lr * g[j], the same IEEE operations in the same order as numpy's
+outer product, in-place scaling and subtraction. Each element is one
+rounded product, a second rounded product and one rounded difference, and
+neither numpy nor the kernel (built with -ffp-contract=off, without
+-ffast-math) fuses or reorders them, so T and b_t come out bitwise the
+same. The kernel also returns max|O_u|, NaN if O_u holds one, as numpy's
+maximum.reduce does. The workspace keeps the kernel only after a fixed
+self-check matches the numpy update bit for bit, and only while the model
+holds the contiguous float64 arrays it was checked against; otherwise it
+takes the numpy update through an E x N buffer, made on its first use. The matrix-vector
+products and the softmax stay in numpy, whose BLAS summation order and
+SIMD exp a C loop cannot match bitwise.
+
+A step proves the model finite instead of scanning it, and each proof is
+exact:
 
 - a finite loss -log(phi_y) proves the softmax gradient g finite. A NaN or
   +-inf logit makes the softmax denominator s NaN, and with it every
@@ -26,9 +41,11 @@ instead of scanning it, and each proof is exact:
   sum of O_u, it needs no fallback scan and cannot warn of an overflow
   the step did not make.
 
-None of this changes the arithmetic: a step with a workspace is
-bitwise-identical to one without, and NonFiniteUpdate fires at the same
-step.
+None of this changes the arithmetic: a step with a workspace, on either
+update, is bitwise-identical to one without, and NonFiniteUpdate fires at
+the same step. train() runs the steps with numpy's overflow, invalid and
+divide warnings off, so that NonFiniteUpdate is the only report of a
+non-finite step.
 
 train() also runs each epoch's steps with numpy's ufunc buffer at its
 minimum, SGD_BUFSIZE elements, and restores the caller's size on every
@@ -48,6 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .context import SIZE_PAIR
 from .exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
 from ._util import atomic_write, pack_ids, read_ids, take
@@ -103,6 +121,7 @@ class TrainReport:
     classify_steps: list = field(default_factory=list)
     regress_steps: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
+    classify_kernel: str = "numpy"  # "c" when the C kernel updated T and b_t
 
 
 def init_model(config, n_influencers, n_nodes, influencer_ids=None, node_ids=None):
@@ -158,24 +177,113 @@ def forward_regress(model, u):
 _BOUND_LIMIT = 1e300
 
 
+def _numpy_update(T, O_u, g, b_t, lr, update, abs_O):
+    """T -= (O_u g^T) * lr and b_t -= lr * g through the E x N buffer
+    ``update``; returns max|O_u|, NaN if O_u holds a NaN."""
+    max_abs = float(np.maximum.reduce(np.abs(O_u, out=abs_O)))
+    np.multiply(O_u[:, None], g, out=update)
+    update *= lr
+    T -= update
+    b_t -= np.multiply(lr, g, out=update[0])
+    return max_abs
+
+
+def _fits_kernel(model):
+    """True if O, T and b_t are distinct, aligned, writable, C-contiguous
+    float64 arrays of matching shapes, as the C kernel reads them."""
+    O, T, b_t = model.O, model.T, model.b_t
+    arrays = (O, T, b_t)
+    return (
+        all(
+            isinstance(a, np.ndarray)
+            and a.dtype == np.float64
+            and a.flags.c_contiguous
+            and a.flags.aligned
+            and a.flags.writeable
+            for a in arrays
+        )
+        and O.ndim == T.ndim == 2
+        and O.shape[1] == T.shape[0]
+        and b_t.shape == T.shape[1:]
+        and not any(np.may_share_memory(a, b) for a, b in ((O, T), (O, b_t), (T, b_t)))
+    )
+
+
+def _matches_numpy(kernel):
+    """True if ``kernel`` updates fixed small arrays bitwise as _numpy_update
+    does and returns the same max|O_u|, NaN included."""
+    rng = np.random.default_rng(2019)
+    E, N, lr = 3, 13, 0.1
+    for O_u in (rng.normal(size=E), np.array([0.5, np.nan, -2.0])):
+        T, g, b_t = rng.normal(size=(E, N)), rng.normal(size=N), rng.normal(size=N)
+        got_T, got_b_t = T.copy(), b_t.copy()
+        want = _numpy_update(T, O_u, g, b_t, lr, np.empty_like(T), np.empty(E))
+        got = kernel(
+            got_T.ctypes.data, O_u.ctypes.data, g.ctypes.data, got_b_t.ctypes.data, lr, E, N
+        )
+        if not (
+            np.array_equal(got_T, T, equal_nan=True)
+            and np.array_equal(got_b_t, b_t)
+            and (got == want or (math.isnan(got) and math.isnan(want)))
+        ):
+            return False
+    return True
+
+
 class StepWorkspace:
     """Buffers and the max|T|, max|b_t| bounds that consecutive classify steps share.
 
     Valid only while T and b_t change through step_classify calls given
     this workspace. Both bounds start at inf, which makes the first step
     scan T and b_t; a step that raises NonFiniteUpdate sets them back to inf.
+
+    ``kernel`` is the C kernel from ``_kernel.load()``, or None. The
+    workspace keeps it only if the model's arrays fit it and it passes a
+    self-check against the numpy update; ``self.kernel`` is then the
+    kernel, else None.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, kernel=None):
         E, N = model.T.shape
         self.phi = np.empty(N)
-        self.update = np.empty_like(model.T)
-        self.bias_step = self.update[0]  # lr * g, once T's update is applied
         self.grad = np.empty(E)
-        self.abs_O = np.empty(E)
         self.scale = np.full(E, 2.0**-60)
         self.bound = math.inf
         self.bias_bound = math.inf
+        # the numpy update's buffers, made when it first runs
+        self.update = self.abs_O = None
+        self.kernel = None
+        if kernel is not None and _fits_kernel(model) and _matches_numpy(kernel):
+            self.kernel = kernel
+            # held, so that the arrays outlive every kernel call on their addresses
+            self.O, self.T, self.b_t = model.O, model.T, model.b_t
+            self.T_address, self.O_address = model.T.ctypes.data, model.O.ctypes.data
+            self.g_address, self.b_t_address = self.phi.ctypes.data, model.b_t.ctypes.data
+            self.row_bytes = model.O.strides[0]
+
+    def update_t_and_b_t(self, model, u, lr):
+        """T -= (O_u g^T) * lr and b_t -= lr * g for the gradient g in
+        ``self.phi``; returns max|O_u|, NaN if O_u holds a NaN.
+
+        The C kernel runs when the model still holds the arrays it was
+        checked against and u is a row of O; otherwise the numpy update.
+        """
+        O, T, b_t = model.O, model.T, model.b_t
+        if (
+            self.kernel is not None
+            and O is self.O
+            and T is self.T
+            and b_t is self.b_t
+            and 0 <= u < len(O)
+        ):
+            E, N = T.shape
+            O_u_address = self.O_address + u * self.row_bytes
+            return self.kernel(
+                self.T_address, O_u_address, self.g_address, self.b_t_address, lr, E, N
+            )
+        if self.update is None:
+            self.update, self.abs_O = np.empty_like(T), np.empty(T.shape[0])
+        return _numpy_update(T, O[u], self.phi, b_t, lr, self.update, self.abs_O)
 
 
 def step_classify(model, u, y, lr, workspace=None):
@@ -186,10 +294,11 @@ def step_classify(model, u, y, lr, workspace=None):
     O_u (phi - y)^T for T, and phi - y for b_t. Both matrix gradients use the
     pre-update O_u / T values (a single simultaneous step).
 
-    Without a workspace the step allocates its own and scans all of T and
-    b_t for non-finite values. With one shared across steps (as train()
-    does), each is scanned only when the workspace's bound on its maximum
-    magnitude reaches 1e300; the module docstring gives the proofs.
+    Without a workspace the step allocates its own, takes the numpy update
+    and scans all of T and b_t for non-finite values. With one shared
+    across steps (as train() does), each is scanned only when the
+    workspace's bound on its maximum magnitude reaches 1e300; the module
+    docstring gives the proofs.
     """
     ws = StepWorkspace(model) if workspace is None else workspace
     T = model.T
@@ -200,19 +309,15 @@ def step_classify(model, u, y, lr, workspace=None):
     grad = np.matmul(T, g, out=ws.grad)
     # once the loss is finite every |g_j| <= 1: an entry of T moves by at
     # most lr * max|O_u|, one of b_t by at most lr
-    ws.bound += lr * float(np.maximum.reduce(np.abs(O_u, out=ws.abs_O)))
+    ws.bound += lr * ws.update_t_and_b_t(model, u, lr)
     ws.bias_bound += lr
-    np.multiply(O_u[:, None], g, out=ws.update)
     grad *= lr
     O_u -= grad
-    ws.update *= lr
-    T -= ws.update
-    model.b_t -= np.multiply(lr, g, out=ws.bias_step)
     if not ws.bound < _BOUND_LIMIT:
         # exact: max|T| is finite iff every entry is
-        ws.bound = float(np.abs(T, out=ws.update).max())
+        ws.bound = float(np.abs(T).max())
     if not ws.bias_bound < _BOUND_LIMIT:
-        ws.bias_bound = float(np.abs(model.b_t, out=ws.bias_step).max())
+        ws.bias_bound = float(np.abs(model.b_t).max())
     if not (
         math.isfinite(loss)
         and math.isfinite(np.dot(O_u, ws.scale))
@@ -256,7 +361,9 @@ def train(model, stream_producer, config):
     """
     report = TrainReport()
     lr = config.learning_rate
-    workspace = StepWorkspace(model)
+    workspace = StepWorkspace(model, _kernel.load())
+    if workspace.kernel is not None:
+        report.classify_kernel = "c"
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         stream = stream_producer(epoch)
@@ -270,14 +377,17 @@ def train(model, stream_producer, config):
         # try/finally, not np.errstate: numpy 1.x errstate does not scope bufsize
         old_bufsize = np.setbufsize(SGD_BUFSIZE)
         try:
-            for step, (u, v, y_c) in enumerate(pairs):
-                try:
-                    if v == SIZE_PAIR:
-                        regress_losses.append(step_regress(model, u, y_c, lr))
-                    else:
-                        classify_losses.append(step_classify(model, u, v, lr, workspace))
-                except NonFiniteUpdate as exc:
-                    raise NonFiniteUpdate(str(exc), epoch=epoch, step=step) from None
+            # a step that overflows, or whose loss is -log(0), raises
+            # NonFiniteUpdate, not a warning
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for step, (u, v, y_c) in enumerate(pairs):
+                    try:
+                        if v == SIZE_PAIR:
+                            regress_losses.append(step_regress(model, u, y_c, lr))
+                        else:
+                            classify_losses.append(step_classify(model, u, v, lr, workspace))
+                    except NonFiniteUpdate as exc:
+                        raise NonFiniteUpdate(str(exc), epoch=epoch, step=step) from None
         finally:
             np.setbufsize(old_bufsize)
         report.classify_loss.append(

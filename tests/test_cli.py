@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import iminfector
+from iminfector import _kernel as kernel_module
 from iminfector import cli
 from iminfector.cascades import load_cascades
 from iminfector.cli import main
@@ -137,7 +138,7 @@ def test_stats_table(tmp_path, corpus_file):
     assert rows["u03"][1] == "2" and rows["u03"][3] == "1"
 
 
-def test_train_defaults_in_manifest(tmp_path, corpus_file):
+def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name):
     out = tmp_path / "model.infv"
     assert main(["train", "--cascades", str(corpus_file), "--out", str(out)]) == 0
     doc = read_manifest(str(out) + ".manifest.json")
@@ -153,19 +154,26 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file):
     streams = [build_training_stream(corpus, 1.2, epoch) for epoch in range(5)]
     assert doc["epoch_regress_steps"] == [len(CORPUS)] * 5
     assert doc["epoch_classify_steps"] == [len(s) - len(CORPUS) for s in streams]
+    assert doc["classify_kernel"] == kernel_name
     model = load_embeddings(out)
     assert model.embed_dim == 50
     assert model.influencer_ids == ["u01", "u02", "u03"]
 
 
-def test_nonfinite_training_is_exit_4(tmp_path, corpus_file, capsys):
+def test_nonfinite_training_is_exit_4(tmp_path, corpus_file, capsys, step_kernels, monkeypatch):
     out = str(tmp_path / "m.infv")
-    for lr in ("1e308", "1e300"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["train", "--cascades", str(corpus_file), "--out", out, "--lr", lr])
-        assert code == 4
-        # step 0 stays finite at these rates; step 1's logits overflow
-        assert "epoch 0, step 1" in capsys.readouterr().err
+    for kernel in step_kernels:
+        monkeypatch.setattr(kernel_module, "load", lambda: kernel)
+        # 1e308 and 1e300 overflow step 1's logits, 1e5 makes its loss -log(0)
+        for lr in ("1e308", "1e300", "1e5"):
+            # the exit-4 error is the only report: no numpy warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["train", "--cascades", str(corpus_file), "--out", out, "--lr", lr])
+            assert code == 4
+            assert capsys.readouterr().err == (
+                "error: classification step produced a non-finite value (epoch 0, step 1)\n"
+            )
 
 
 def test_train_dump_pairs(tmp_path, corpus_file, monkeypatch):
@@ -491,7 +499,7 @@ def package_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
-def test_pipeline_reruns_byte_identical(tmp_path, corpus_file):
+def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name):
     synth = tmp_path / "synth.txt"
     assert main(
         ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
@@ -522,6 +530,7 @@ def test_pipeline_reruns_byte_identical(tmp_path, corpus_file):
     assert doc["epoch_regress_steps"] == [n_train] * 5
     assert len(doc["epoch_classify_steps"]) == 5
     assert all(steps > n_train for steps in doc["epoch_classify_steps"])
+    assert doc["classify_kernel"] == kernel_name
 
 
 def test_pipeline_equals_stage_chain(tmp_path, capsys):
@@ -572,7 +581,9 @@ BAD_FLAGS = [
     ("train", "--embed-dim", "0"),
     ("train", "--epochs", "0"),
     ("train", "--lr", "-1"),
+    ("train", "--lr", "inf"),
     ("train", "--oversample", "0"),
+    ("train", "--oversample", "inf"),
     ("rank", "--prune-percent", "0"),
     ("rank", "--prune-percent", "101"),
     ("seed", "--size", "0"),

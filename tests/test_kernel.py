@@ -1,0 +1,196 @@
+"""The C kernel of the classify step: its loader, its cache and its self-check."""
+
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+import time
+
+import numpy as np
+import pytest
+
+from iminfector import _kernel
+from iminfector.cli import main
+from iminfector.model import StepWorkspace, _matches_numpy, step_classify
+from test_cli import package_env as cli_env
+from test_model import assert_same_model, copy_model, random_model, reference_step_classify
+
+
+@pytest.fixture
+def built_kernel(classify_kernel):
+    if classify_kernel is None:
+        pytest.skip("no C compiler on PATH")
+    return classify_kernel
+
+
+def library_files(directory):
+    return sorted(os.listdir(directory)) if os.path.isdir(directory) else []
+
+
+def package_env(cache_home):
+    return {**cli_env(), "XDG_CACHE_HOME": str(cache_home)}
+
+
+# Loads the kernel in a fresh process and prints the library it loaded and
+# whether the kernel passed the self-check. A load that dies of a signal
+# shows as a negative return code.
+LOAD_SCRIPT = textwrap.dedent(
+    """
+    import sys, time
+    from iminfector import _kernel
+    from iminfector.model import _matches_numpy
+    time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
+    kernel = _kernel.load()
+    path = _kernel.cached_library(_kernel.cache_dir(), _kernel.name_prefix(_kernel.source()))
+    print(path, kernel is not None and _matches_numpy(kernel))
+    """
+)
+
+
+def load_in_process(cache_home, start=0.0):
+    return subprocess.Popen(
+        [sys.executable, "-c", LOAD_SCRIPT, str(start)],
+        env=package_env(cache_home),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def test_import_builds_and_writes_nothing(tmp_path):
+    code = "import iminfector.cli, iminfector.model, iminfector._kernel"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=package_env(tmp_path), capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, built_kernel,
+                                                         capsys):
+    synth = tmp_path / "synth.txt"
+    assert main(
+        ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
+         "--rng-seed", "3", "--out", str(synth)]
+    ) == 0
+    argv = ["pipeline", "--cascades", str(synth), "--embed-dim", "12", "--epochs", "2"]
+    assert main([*argv, "--outdir", str(tmp_path / "c")]) == 0
+    printed = capsys.readouterr()
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    for name, cc, cache_home in (
+        ("no-cc", "iminfector-no-such-cc", tmp_path / "cache"),
+        ("unwritable", _kernel.CC, not_a_dir),
+    ):
+        with monkeypatch.context() as mp:
+            mp.setattr(_kernel, "CC", cc)
+            mp.setenv("XDG_CACHE_HOME", str(cache_home))
+            assert main([*argv, "--outdir", str(tmp_path / name)]) == 0
+        # the fallback is quiet: the run prints what the kernel's run did
+        assert capsys.readouterr() == printed
+        assert library_files(tmp_path / "cache" / "iminfector") == []
+        names = sorted(os.listdir(tmp_path / "c"))
+        assert names == sorted(os.listdir(tmp_path / name))
+        for artifact in names:
+            if artifact != "manifest.json":
+                got = (tmp_path / name / artifact).read_bytes()
+                assert got == (tmp_path / "c" / artifact).read_bytes(), (name, artifact)
+        assert '"classify_kernel": "numpy"' in (tmp_path / name / "manifest.json").read_text()
+    assert '"classify_kernel": "c"' in (tmp_path / "c" / "manifest.json").read_text()
+
+
+@pytest.mark.parametrize("damage", ["garbage", "cut-short", "empty"])
+def test_damaged_cached_library_is_rebuilt(tmp_path, built_kernel, damage):
+    good_path = _kernel.cached_library(_kernel.cache_dir(), _kernel.name_prefix(_kernel.source()))
+    good = pathlib.Path(good_path).read_bytes()
+    # the damaged file sits under the good library's name, so only its
+    # bytes can tell it apart; loading a cut-short library can kill the
+    # process with SIGBUS
+    bad = {"garbage": os.urandom(len(good)), "cut-short": good[: len(good) // 2], "empty": b""}
+    damaged_dir = tmp_path / "damaged" / "iminfector"
+    os.makedirs(damaged_dir)
+    (damaged_dir / os.path.basename(good_path)).write_bytes(bad[damage])
+    proc = load_in_process(tmp_path / "damaged")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, (proc.returncode, err)
+    path, ok = out.split()
+    assert ok == "True"
+    assert os.path.basename(path) == os.path.basename(good_path)
+    assert library_files(damaged_dir) == [os.path.basename(path)]
+    assert pathlib.Path(path).read_bytes() == good
+
+
+def test_concurrent_builds_end_with_one_library(tmp_path, built_kernel):
+    start = time.time() + 1.0
+    procs = [load_in_process(tmp_path, start) for _ in range(2)]
+    results = [proc.communicate(timeout=120) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in results]
+    lines = [out.split() for out, _ in results]
+    assert lines[0] == lines[1] and lines[0][1] == "True"
+    # no temp directory or file is left beside the library
+    assert library_files(tmp_path / "iminfector") == [os.path.basename(lines[0][0])]
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        b"row[j] = row[j] - (o * (g[j] * lr));",  # the product reordered
+        b"row[j] = fma(-(o * g[j]), lr, row[j]);",  # a fused multiply-add
+    ],
+)
+def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, built_kernel, mutant):
+    code = _kernel.source()
+    exact = b"row[j] = row[j] - ((o * g[j]) * lr);"
+    assert code.count(exact) == 1
+    path = _kernel.build(code.replace(exact, mutant), str(tmp_path), "mutant-")
+    kernel = _kernel.open_library(path)
+    rng = np.random.default_rng(41)
+    ref = random_model(rng, 3, 17, 4)
+    new = copy_model(ref)
+    assert not _matches_numpy(kernel)
+    ws = StepWorkspace(new, kernel)
+    assert ws.kernel is None
+    for s in range(10):
+        u, y = s % 3, (5 * s) % 17
+        assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
+    assert_same_model(ref, new, "mutant kernel")
+
+
+@pytest.mark.parametrize("change", ["negative u", "O", "T", "b_t"])
+def test_kernel_workspace_takes_numpy_update_when_arrays_change(built_kernel, change):
+    # The kernel would write to the wrong row of O, or read or write an
+    # array the model no longer holds: the workspace takes the numpy update.
+    rng = np.random.default_rng(43)
+    ref = random_model(rng, 3, 11, 4)
+    new = copy_model(ref)
+    ws = StepWorkspace(new, built_kernel)
+    assert ws.kernel is built_kernel and ws.update is None
+    for s in range(6):
+        u = s % 3
+        if s >= 2 and change == "negative u":
+            u -= 3
+        elif s == 2:
+            setattr(new, change, getattr(new, change).copy())
+        assert step_classify(new, u, s, 0.1, ws) == reference_step_classify(ref, u, s, 0.1)
+        assert_same_model(ref, new, f"step {s}")
+    assert ws.update is not None
+
+
+def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(built_kernel):
+    rng = np.random.default_rng(47)
+    base = random_model(rng, 3, 9, 4)
+    shared = np.zeros(4 * 9 + 9)
+    misfits = {
+        "T in Fortran order": dict(T=np.asfortranarray(base.T)),
+        "float32 b_t": dict(b_t=base.b_t.astype(np.float32)),
+        "strided O": dict(O=np.repeat(base.O, 2, axis=0)[::2]),
+        "read-only T": dict(T=np.frombuffer(base.T.tobytes()).reshape(4, 9)),
+        "T and b_t overlap": dict(T=shared[:36].reshape(4, 9), b_t=shared[30:39]),
+        "b_t too short": dict(b_t=base.b_t[:8].copy()),
+    }
+    for what, arrays in misfits.items():
+        model = copy_model(base)
+        for name, value in arrays.items():
+            setattr(model, name, value)
+        assert StepWorkspace(model, built_kernel).kernel is None, what

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from iminfector import _kernel as kernel_module
 from iminfector import model as model_module
 from iminfector.cascades import parse_cascades
 from iminfector.context import SIZE_PAIR, build_training_stream
@@ -295,54 +296,62 @@ def ufunc_bufsize(size):
         np.setbufsize(old)
 
 
-def test_workspace_step_bitwise_equals_reference():
+def new_workspace(model, kernel):
+    """A workspace on the given step path; the C kernel must be kept."""
+    ws = StepWorkspace(model, kernel)
+    assert ws.kernel is kernel
+    return ws
+
+
+def test_workspace_step_bitwise_equals_reference(step_kernels):
     # The reference runs under numpy's default ufunc buffer. Odd trials and
-    # the last two take the workspace step under the buffer train() uses;
-    # the last two have N just below and just above the largest N (about
-    # 2,730) for which the default buffer packs rows of the E x N outer.
-    rng = np.random.default_rng(17)
-    for trial in range(62):
-        I = int(rng.integers(1, 5))
-        N = int(rng.integers(1, 40)) if trial % 4 else int(rng.integers(200, 400))
-        E = int(rng.integers(1, 9))
-        if trial >= 60:
-            N, E = (2700, 2800)[trial - 60], 8
-        bufsize = SGD_BUFSIZE if trial % 2 or trial >= 60 else np.getbufsize()
-        lr = (0.0, 1.0)[trial] if trial < 2 else float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
-        ref = random_model(rng, I, N, E)
-        # smaller weights keep 25 steps at lr up to 1 away from log(0)
-        ref.O *= 0.2
-        ref.T *= 0.2
-        new = copy_model(ref)
-        ws = StepWorkspace(new)
-        for s in range(25):
-            u = int(rng.integers(0, I))
-            logits = ref.O[u] @ ref.T + ref.b_t
-            # the target at the softmax argmax, or anywhere else
-            y = int(logits.argmax()) if s % 2 else int(rng.integers(0, N))
-            want_phi = reference_forward_classify(ref, u)
-            want = reference_step_classify(ref, u, y, lr)
+    # the last three take the workspace step under the buffer train() uses;
+    # trials 60 and 61 have N just below and just above the largest N
+    # (about 2,730) for which the default buffer packs rows of the E x N
+    # outer, trial 62 has the shape of the wide-3000 benchmark workload.
+    for kernel in step_kernels:
+        rng = np.random.default_rng(17)
+        for trial in range(63):
+            I = int(rng.integers(1, 5))
+            N = int(rng.integers(1, 40)) if trial % 4 else int(rng.integers(200, 400))
+            E = int(rng.integers(1, 9))
+            if trial >= 60:
+                N, E = ((2700, 8), (2800, 8), (2930, 50))[trial - 60]
+            bufsize = SGD_BUFSIZE if trial % 2 or trial >= 60 else np.getbufsize()
+            lr = (0.0, 1.0)[trial] if trial < 2 else float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
+            ref = random_model(rng, I, N, E)
+            # smaller weights keep 25 steps at lr up to 1 away from log(0)
+            ref.O *= 0.2
+            ref.T *= 0.2
+            new = copy_model(ref)
+            ws = new_workspace(new, kernel)
+            for s in range(25):
+                u = int(rng.integers(0, I))
+                logits = ref.O[u] @ ref.T + ref.b_t
+                # the target at the softmax argmax, or anywhere else
+                y = int(logits.argmax()) if s % 2 else int(rng.integers(0, N))
+                want_phi = reference_forward_classify(ref, u)
+                want = reference_step_classify(ref, u, y, lr)
+                with ufunc_bufsize(bufsize):
+                    assert np.array_equal(forward_classify(new, u), want_phi)
+                    got = step_classify(new, u, y, lr, ws)
+                assert got == want, f"{kernel} trial {trial} step {s}: loss {got} != {want}"
+                assert_same_model(ref, new, f"{kernel} trial {trial} step {s}")
+            # a step without a workspace takes the same arithmetic
+            want = reference_step_classify(ref, 0, N - 1, lr)
             with ufunc_bufsize(bufsize):
-                assert np.array_equal(forward_classify(new, u), want_phi)
-                got = step_classify(new, u, y, lr, ws)
-            assert got == want, f"trial {trial} step {s}: loss {got} != {want}"
-            assert_same_model(ref, new, f"trial {trial} step {s}")
-        # a step without a workspace takes the same arithmetic
-        want = reference_step_classify(ref, 0, N - 1, lr)
-        with ufunc_bufsize(bufsize):
-            assert step_classify(new, 0, N - 1, lr) == want
-        assert_same_model(ref, new, f"trial {trial} without workspace")
+                assert step_classify(new, 0, N - 1, lr) == want
+            assert_same_model(ref, new, f"{kernel} trial {trial} without workspace")
 
 
-def test_train_bitwise_equals_reference_loop():
+def test_train_bitwise_equals_reference_loop(step_kernels, monkeypatch):
     corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
     cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=3, rng_seed=4)
     streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
 
-    model, report = train(init_model(cfg, corpus.n_influencers, corpus.n_nodes), streams.__getitem__, cfg)
-
     ref = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
-    for epoch, stream in enumerate(streams):
+    want = []
+    for stream in streams:
         classify, regress = [], []
         pairs = zip(stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist())
         for u, v, y_c in pairs:
@@ -350,163 +359,172 @@ def test_train_bitwise_equals_reference_loop():
                 classify.append(reference_step_classify(ref, u, v, cfg.learning_rate))
             else:
                 regress.append(step_regress(ref, u, y_c, cfg.learning_rate))
-        assert report.classify_loss[epoch] == float(np.mean(classify))
-        assert report.regress_loss[epoch] == float(np.mean(regress))
-        assert (report.classify_steps[epoch], report.regress_steps[epoch]) == (len(classify), len(regress))
-    assert_same_model(model, ref, "train")
+        want.append((float(np.mean(classify)), float(np.mean(regress)), len(classify), len(regress)))
+
+    for kernel in step_kernels:
+        monkeypatch.setattr(kernel_module, "load", lambda: kernel)
+        model, report = train(init_model(cfg, corpus.n_influencers, corpus.n_nodes), streams.__getitem__, cfg)
+        assert report.classify_kernel == ("numpy" if kernel is None else "c")
+        got = list(zip(report.classify_loss, report.regress_loss, report.classify_steps, report.regress_steps))
+        assert got == want
+        assert_same_model(model, ref, f"train, {report.classify_kernel} step")
 
 
 @pytest.mark.parametrize("big, lr", [(1e308, 3.0), (1e10, 3e298)])
-def test_workspace_step_catches_overflow_of_t_alone(big, lr):
+def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_kernels):
     # O[0, 0] is big and row 0 of T is zero, so influencer 0's logits stay
     # finite while its step at rate lr pushes T[0, 1] past the largest
     # double. The loss, g, O_u and b_t stay finite: only the scan that the
     # max|T| bound falls back to can see the overflow. First, influencer 1
     # (O[1, 0] = 0, so row 0 of T stays zero) takes steps at rate 1 that
     # leave the bound finite and far below the limit.
-    ref = InfectorModel(
-        O=np.array([[big, 0.0], [0.0, 0.3]]),
-        T=np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.4]]),
-        b_t=np.zeros(3),
-        b_c=0.0,
-        C=np.ones(2),
-    )
-    new = copy_model(ref)
-    steps = [((1, s % 3), 1.0) for s in range(6)] + [((0, 1), lr)] * 3
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = run_until_raise(reference_step_classify, ref, steps)
-        ws = StepWorkspace(new)
-        got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
-    assert want[1] == 6
-    assert np.isinf(ref.T[0, 1]) and np.isfinite(ref.O).all() and np.isfinite(ref.b_t).all()
-    assert got == want
-    # the raise leaves the workspace to scan T and b_t again if reused
-    assert ws.bound == ws.bias_bound == math.inf
-    assert_same_model(ref, new, "overflow")
+    for kernel in step_kernels:
+        ref = InfectorModel(
+            O=np.array([[big, 0.0], [0.0, 0.3]]),
+            T=np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.4]]),
+            b_t=np.zeros(3),
+            b_c=0.0,
+            C=np.ones(2),
+        )
+        new = copy_model(ref)
+        steps = [((1, s % 3), 1.0) for s in range(6)] + [((0, 1), lr)] * 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = run_until_raise(reference_step_classify, ref, steps)
+            ws = new_workspace(new, kernel)
+            got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
+        assert want[1] == 6
+        assert np.isinf(ref.T[0, 1]) and np.isfinite(ref.O).all() and np.isfinite(ref.b_t).all()
+        assert got == want
+        # the raise leaves the workspace to scan T and b_t again if reused
+        assert ws.bound == ws.bias_bound == math.inf
+        assert_same_model(ref, new, f"overflow, kernel {kernel}")
 
 
-def test_workspace_step_catches_overflow_of_o_u_alone():
+def test_workspace_step_catches_overflow_of_o_u_alone(step_kernels):
     # O[0, 0] is zero, so row 0 of T (+-1e308) adds nothing to the logits
     # and does not move. After four steps at rate 0, which change nothing,
     # the gradient of O[0, 0], 1e308 * (g_0 - g_1) or about -1e308, times
     # the rate 3 pushes O[0, 0] past the largest double. The loss, T and
     # b_t stay finite: only the check of O_u can see it.
-    ref = InfectorModel(
-        O=np.array([[0.0, 0.5]]),
-        T=np.array([[1e308, -1e308, 0.0], [0.2, -0.1, 0.4]]),
-        b_t=np.zeros(3),
-        b_c=0.0,
-        C=np.ones(2),
-    )
-    new = copy_model(ref)
-    steps = [((0, 2), 0.0)] * 4 + [((0, 0), 3.0)]
-    with np.errstate(over="ignore"):
-        want = run_until_raise(reference_step_classify, ref, steps)
-        ws = StepWorkspace(new)
-        got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
-    assert want[1] == 4 and all(math.isfinite(loss) for loss in want[0])
-    assert np.isinf(ref.O[0, 0]) and np.isfinite(ref.T).all() and np.isfinite(ref.b_t).all()
-    assert got == want
-    assert_same_model(ref, new, "overflow")
+    for kernel in step_kernels:
+        ref = InfectorModel(
+            O=np.array([[0.0, 0.5]]),
+            T=np.array([[1e308, -1e308, 0.0], [0.2, -0.1, 0.4]]),
+            b_t=np.zeros(3),
+            b_c=0.0,
+            C=np.ones(2),
+        )
+        new = copy_model(ref)
+        steps = [((0, 2), 0.0)] * 4 + [((0, 0), 3.0)]
+        with np.errstate(over="ignore"):
+            want = run_until_raise(reference_step_classify, ref, steps)
+            ws = new_workspace(new, kernel)
+            got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
+        assert want[1] == 4 and all(math.isfinite(loss) for loss in want[0])
+        assert np.isinf(ref.O[0, 0]) and np.isfinite(ref.T).all() and np.isfinite(ref.b_t).all()
+        assert got == want
+        assert_same_model(ref, new, f"overflow, kernel {kernel}")
 
 
-def test_workspace_step_raises_at_reference_step_on_huge_entries():
+def test_workspace_step_raises_at_reference_step_on_huge_entries(step_kernels):
     # Entries near 1e308 in O or T and moderate learning rates: whichever
     # check fires, the workspace step must stop at the reference's step.
     # Trials 40-59 put tied entries near 1e308 into b_t and take large
     # rates, so that b_t alone can overflow; trials 60-79 put a NaN or
     # +-inf into O, T or b_t, which makes logits non-finite.
-    rng = np.random.default_rng(23)
-    raised = b_t_alone = nonfinite_raised = 0
-    for trial in range(80):
-        I, N, E = 2, int(rng.integers(2, 12)), int(rng.integers(1, 5))
-        ref = random_model(rng, I, N, E)
-        if trial >= 60:
-            which = (ref.O, ref.T, ref.b_t)[trial % 3]
-            which.flat[int(rng.integers(0, which.size))] = rng.choice([np.nan, np.inf, -np.inf])
-        elif trial >= 40:
-            mask = rng.random(N) < 0.5
-            ref.b_t[mask] = rng.uniform(1.5e308, 1.7e308)
-        else:
-            which = ref.O if trial % 2 else ref.T
-            mask = rng.random(which.shape) < 0.3
-            which[mask] = rng.choice([-1.0, 1.0], mask.sum()) * rng.uniform(1e306, 1.7e308, mask.sum())
-        new, before = copy_model(ref), copy_model(ref)
-        rates = [0.1, 0.5, 1.0, 3.0] if trial < 40 else [1.0, 1e307, 4e307]
-        lr = float(rng.choice(rates))
-        steps = [((int(rng.integers(0, I)), int(rng.integers(0, N))), lr) for _ in range(20)]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            want = run_until_raise(reference_step_classify, ref, steps)
-            ws = StepWorkspace(new)
-            got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
-        assert got == want, f"trial {trial}"
-        raised += want[1] is not None
-        if 40 <= trial < 60 and want[1] is not None:
-            # the raising step's loss is finite and only b_t overflowed, so
-            # only the b_t check can see it
-            (u, y), _ = steps[want[1]]
-            with np.errstate(over="ignore", invalid="ignore"):
-                run_until_raise(reference_step_classify, before, steps[: want[1]])
-                finite_loss = reference_forward_classify(before, u)[y] > 0
-            b_t_alone += bool(
-                finite_loss
-                and np.isinf(ref.b_t).any() and np.isfinite(ref.O).all() and np.isfinite(ref.T).all()
-            )
-        nonfinite_raised += trial >= 60 and want[1] is not None
-    assert raised > 0 and b_t_alone > 0 and nonfinite_raised > 0
+    for kernel in step_kernels:
+        rng = np.random.default_rng(23)
+        raised = b_t_alone = nonfinite_raised = 0
+        for trial in range(80):
+            I, N, E = 2, int(rng.integers(2, 12)), int(rng.integers(1, 5))
+            ref = random_model(rng, I, N, E)
+            if trial >= 60:
+                which = (ref.O, ref.T, ref.b_t)[trial % 3]
+                which.flat[int(rng.integers(0, which.size))] = rng.choice([np.nan, np.inf, -np.inf])
+            elif trial >= 40:
+                mask = rng.random(N) < 0.5
+                ref.b_t[mask] = rng.uniform(1.5e308, 1.7e308)
+            else:
+                which = ref.O if trial % 2 else ref.T
+                mask = rng.random(which.shape) < 0.3
+                which[mask] = rng.choice([-1.0, 1.0], mask.sum()) * rng.uniform(1e306, 1.7e308, mask.sum())
+            new, before = copy_model(ref), copy_model(ref)
+            rates = [0.1, 0.5, 1.0, 3.0] if trial < 40 else [1.0, 1e307, 4e307]
+            lr = float(rng.choice(rates))
+            steps = [((int(rng.integers(0, I)), int(rng.integers(0, N))), lr) for _ in range(20)]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                want = run_until_raise(reference_step_classify, ref, steps)
+                ws = new_workspace(new, kernel)
+                got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
+            assert got == want, f"kernel {kernel} trial {trial}"
+            raised += want[1] is not None
+            if 40 <= trial < 60 and want[1] is not None:
+                # the raising step's loss is finite and only b_t overflowed, so
+                # only the b_t check can see it
+                (u, y), _ = steps[want[1]]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    run_until_raise(reference_step_classify, before, steps[: want[1]])
+                    finite_loss = reference_forward_classify(before, u)[y] > 0
+                b_t_alone += bool(
+                    finite_loss
+                    and np.isinf(ref.b_t).any() and np.isfinite(ref.O).all() and np.isfinite(ref.T).all()
+                )
+            nonfinite_raised += trial >= 60 and want[1] is not None
+        assert raised > 0 and b_t_alone > 0 and nonfinite_raised > 0
 
 
-def test_workspace_step_large_t_without_overflow_does_not_raise():
+def test_workspace_step_large_t_without_overflow_does_not_raise(step_kernels):
     # Column 0 of T holds -1.7e308, so its logit is hugely negative, its
     # softmax entry is exactly 0 and no step moves it. max|T| stays above
     # the bound limit and every step scans T, finds it finite and goes on.
-    rng = np.random.default_rng(29)
-    ref = random_model(rng, 2, 6, 3)
-    ref.O[:] = np.abs(ref.O) + 0.5
-    ref.T[0, 0] = -1.7e308
-    new = copy_model(ref)
-    ws = StepWorkspace(new)
-    for s in range(20):
-        u, y = s % 2, 1 + s % 5
-        assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
-        assert_same_model(ref, new, f"step {s}")
-    assert ws.bound == 1.7e308
-    assert new.T[0, 0] == -1.7e308
+    for kernel in step_kernels:
+        rng = np.random.default_rng(29)
+        ref = random_model(rng, 2, 6, 3)
+        ref.O[:] = np.abs(ref.O) + 0.5
+        ref.T[0, 0] = -1.7e308
+        new = copy_model(ref)
+        ws = new_workspace(new, kernel)
+        for s in range(20):
+            u, y = s % 2, 1 + s % 5
+            assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
+            assert_same_model(ref, new, f"step {s}")
+        assert ws.bound == 1.7e308
+        assert new.T[0, 0] == -1.7e308
 
-    # The same with b_t[0] = -1.7e308: every step scans b_t, finds it
-    # finite and goes on.
-    ref = random_model(rng, 2, 6, 3)
-    ref.O[:] = np.abs(ref.O) + 0.5
-    ref.b_t[0] = -1.7e308
-    new = copy_model(ref)
-    ws = StepWorkspace(new)
-    for s in range(20):
-        u, y = s % 2, 1 + s % 5
-        assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
-        assert_same_model(ref, new, f"b_t step {s}")
-    assert ws.bias_bound == 1.7e308
-    assert new.b_t[0] == -1.7e308
+        # The same with b_t[0] = -1.7e308: every step scans b_t, finds it
+        # finite and goes on.
+        ref = random_model(rng, 2, 6, 3)
+        ref.O[:] = np.abs(ref.O) + 0.5
+        ref.b_t[0] = -1.7e308
+        new = copy_model(ref)
+        ws = new_workspace(new, kernel)
+        for s in range(20):
+            u, y = s % 2, 1 + s % 5
+            assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
+            assert_same_model(ref, new, f"b_t step {s}")
+        assert ws.bias_bound == 1.7e308
+        assert new.b_t[0] == -1.7e308
 
-    # O_0 is finite though its sum overflows. Rows 0 and 1 of T start at
-    # zero and move by 1e-310 * 1e308 * g per step, so every logit stays
-    # finite and no step raises.
-    ref = InfectorModel(
-        O=np.array([[1e308, 1e308, 0.3]]),
-        T=np.vstack([np.zeros((2, 5)), rng.normal(0, 0.5, (1, 5))]),
-        b_t=np.zeros(5),
-        b_c=0.0,
-        C=np.ones(3),
-    )
-    new = copy_model(ref)
-    ws = StepWorkspace(new)
-    for s in range(10):
-        lr = (0.0, 1e-310)[s % 2]
-        assert step_classify(new, 0, 1, lr, ws) == reference_step_classify(ref, 0, 1, lr)
-        assert_same_model(ref, new, f"O_u step {s}")
-    assert new.O[0, 0] == 1e308 and (new.T[:2] != 0).any()
+        # O_0 is finite though its sum overflows. Rows 0 and 1 of T start at
+        # zero and move by 1e-310 * 1e308 * g per step, so every logit stays
+        # finite and no step raises.
+        ref = InfectorModel(
+            O=np.array([[1e308, 1e308, 0.3]]),
+            T=np.vstack([np.zeros((2, 5)), rng.normal(0, 0.5, (1, 5))]),
+            b_t=np.zeros(5),
+            b_c=0.0,
+            C=np.ones(3),
+        )
+        new = copy_model(ref)
+        ws = new_workspace(new, kernel)
+        for s in range(10):
+            lr = (0.0, 1e-310)[s % 2]
+            assert step_classify(new, 0, 1, lr, ws) == reference_step_classify(ref, 0, 1, lr)
+            assert_same_model(ref, new, f"O_u step {s}")
+        assert new.O[0, 0] == 1e308 and (new.T[:2] != 0).any()
 
 
-def test_train_scopes_the_small_ufunc_buffer(monkeypatch):
+def test_train_scopes_the_small_ufunc_buffer(monkeypatch, step_kernels):
     # Steps run under SGD_BUFSIZE, stream builds and the caller under the
     # caller's size, which train restores on return and on NonFiniteUpdate.
     corpus = parse_cascades(["u1:0\ta:1 b:2\n", "u2:5\tb:6 c:7\n"])
@@ -521,17 +539,20 @@ def test_train_scopes_the_small_ufunc_buffer(monkeypatch):
         return step_classify(*args)
 
     monkeypatch.setattr(model_module, "step_classify", recording_step)
-    # numpy 2's errstate restores the buffer size on exit, so check inside it
-    with ufunc_bufsize(4096), np.errstate(over="ignore", invalid="ignore"):
-        for lr in (0.1, 1e308):
-            cfg = ModelConfig(embed_dim=4, learning_rate=lr, epochs=2, rng_seed=0)
-            m = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
-            if lr == 0.1:
-                train(m, producer, cfg)
-            else:
-                with pytest.raises(NonFiniteUpdate):
-                    train(m, producer, cfg)
-            assert np.getbufsize() == 4096
+    for kernel in step_kernels:
+        monkeypatch.setattr(kernel_module, "load", lambda: kernel)
+        # numpy 2's errstate restores the buffer size on exit, so check inside it
+        with ufunc_bufsize(4096), np.errstate(over="ignore", invalid="ignore"):
+            for lr in (0.1, 1e308):
+                cfg = ModelConfig(embed_dim=4, learning_rate=lr, epochs=2, rng_seed=0)
+                m = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
+                if lr == 0.1:
+                    _, report = train(m, producer, cfg)
+                    assert report.classify_kernel == ("numpy" if kernel is None else "c")
+                else:
+                    with pytest.raises(NonFiniteUpdate):
+                        train(m, producer, cfg)
+                assert np.getbufsize() == 4096
     assert seen == {"stream": {4096}, "step": {SGD_BUFSIZE}}
 
 
