@@ -10,6 +10,11 @@ checked before it is loaded. Loading a cut-short shared library can kill
 the process with SIGBUS, so a file whose bytes do not match its name is
 never loaded; a build replaces it.
 
+On x86-64 with glibc the library holds a clone of the kernel for each of
+AVX-512F, AVX2 and baseline x86-64, and glibc's dynamic loader picks the
+widest one the CPU runs, so one cached library serves every CPU of its
+machine type; ``step_isa`` names the clone picked.
+
 A build writes into a temp directory beside the cache entries and moves
 the library into place with ``os.replace``, so processes building at the
 same time each see either no library or a complete one.
@@ -28,9 +33,13 @@ from importlib import resources
 
 CC = "cc"
 # -O3: gcc 12 vectorizes the loops only from -O3, and at -O2 the kernel is
-# slower than numpy at N = 300. No -ffast-math and no FMA contraction:
-# either changes the rounding. No -march=native: a cached library must not
-# depend on the host that built it.
+# slower than numpy at N = 300. No -ffast-math: it reorders the arithmetic.
+# -ffp-contract=off is what keeps the AVX-512F clone exact: AVX-512F
+# implies FMA, and without the flag gcc 12 fuses the update into 8 FMA
+# instructions there, whose single rounding differs from numpy's.
+# No -march: the source's target_clones build a clone per instruction set
+# and the widest the CPU runs is picked at load time, so the cached
+# library does not depend on the host that built it.
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 SYMBOL = "fused_t_update"
 BUILD_TIMEOUT_S = 120
@@ -105,8 +114,13 @@ def build(code, directory, prefix, cc=CC):
 
 
 def open_library(path):
-    """The kernel function of the library at ``path``, with its C signature."""
-    fn = getattr(ctypes.CDLL(path), SYMBOL)
+    """The kernel function of the library at ``path``, with its C signature.
+
+    Its ``isa`` attribute names the clone that runs on this CPU:
+    ``"avx512f"``, ``"avx2"`` or ``"baseline"``.
+    """
+    lib = ctypes.CDLL(path)
+    fn = getattr(lib, SYMBOL)
     fn.argtypes = (
         ctypes.c_void_p,  # T, E x N, row-major
         ctypes.c_void_p,  # O_u, E
@@ -117,6 +131,10 @@ def open_library(path):
         ctypes.c_size_t,  # N
     )
     fn.restype = ctypes.c_double
+    step_isa = lib.step_isa
+    step_isa.argtypes = ()
+    step_isa.restype = ctypes.c_char_p
+    fn.isa = step_isa().decode()
     return fn
 
 

@@ -151,6 +151,7 @@ def _epoch_fields(report):
         "epoch_regress_steps": report.regress_steps,
         "epoch_seconds": report.epoch_seconds,
         "classify_kernel": report.classify_kernel,
+        "classify_isa": report.classify_isa,
     }
 
 
@@ -177,13 +178,18 @@ def train_stage(args, corpus, out, pairs_out=None):
         epochs=args.epochs,
         rng_seed=args.rng_seed,
     )
-    model = init_model(
-        config,
-        corpus.n_influencers,
-        corpus.n_nodes,
-        influencer_ids=corpus.influencer_ids(),
-        node_ids=corpus.node_ids(),
-    )
+    E, I, N = args.embed_dim, corpus.n_influencers, corpus.n_nodes
+    try:
+        model = init_model(
+            config, I, N, influencer_ids=corpus.influencer_ids(), node_ids=corpus.node_ids()
+        )
+    except MemoryError:
+        # O, T, b_t and C, float64
+        need = 8 * (I * E + E * N + N + E)
+        raise UsageError(
+            f"--embed-dim {E}: a model of E={E}, I={I}, N={N} needs {need} bytes, "
+            "more than could be allocated"
+        ) from None
     first_stream = None
 
     def stream_producer(epoch):

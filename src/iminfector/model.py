@@ -8,20 +8,26 @@ Everything is float64; gradient tolerances depend on it.
 
 train() gives its classification steps one StepWorkspace: an N-vector for
 the logits, softmax and gradient and two E-vectors, so a step allocates no
-array data unless it rescans T or b_t (below). When the C kernel of _kernel.py loads, the workspace updates T
-and b_t with it in one pass: T[i,j] - ((O_u[i] * g[j]) * lr) and
-b_t[j] - lr * g[j], the same IEEE operations in the same order as numpy's
-outer product, in-place scaling and subtraction. Each element is one
-rounded product, a second rounded product and one rounded difference, and
-neither numpy nor the kernel (built with -ffp-contract=off, without
--ffast-math) fuses or reorders them, so T and b_t come out bitwise the
-same. The kernel also returns max|O_u|, NaN if O_u holds one, as numpy's
-maximum.reduce does. The workspace keeps the kernel only after a fixed
-self-check matches the numpy update bit for bit, and only while the model
-holds the contiguous float64 arrays it was checked against; otherwise it
-takes the numpy update through an E x N buffer, made on its first use. The matrix-vector
-products and the softmax stay in numpy, whose BLAS summation order and
-SIMD exp a C loop cannot match bitwise.
+array data unless it rescans T or b_t (below). When the C kernel of
+_kernel.py loads, the workspace updates T and b_t with it in one pass:
+T[i,j] - ((O_u[i] * g[j]) * lr) and b_t[j] - lr * g[j], the same IEEE
+operations in the same order as numpy's outer product, in-place scaling
+and subtraction. Each element is one rounded product, a second rounded
+product and one rounded difference, and neither numpy nor the kernel
+(built with -ffp-contract=off, without -ffast-math) fuses or reorders
+them, so T and b_t come out bitwise the same. That holds for each of the
+kernel's vector clones (AVX-512F, AVX2, baseline x86-64, picked per CPU at
+load time): a lane of a vector multiply or subtract rounds exactly as the
+scalar operation does, nothing sets flush-to-zero or denormals-are-zero,
+and -ffp-contract=off keeps the AVX-512F clone, whose instruction set
+includes FMA, from fusing the multiply and subtract. The kernel also
+returns max|O_u|, NaN if O_u holds one, as numpy's maximum.reduce does.
+The workspace keeps the kernel only after a fixed self-check matches the
+numpy update bit for bit, and only while the model holds the contiguous
+float64 arrays it was checked against; otherwise it takes the numpy update
+through an E x N buffer, made on its first use. The matrix-vector products
+and the softmax stay in numpy, whose BLAS summation order and SIMD exp a C
+loop cannot match bitwise.
 
 A step proves the model finite instead of scanning it, and each proof is
 exact:
@@ -122,6 +128,7 @@ class TrainReport:
     regress_steps: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
     classify_kernel: str = "numpy"  # "c" when the C kernel updated T and b_t
+    classify_isa: str = None  # with the C kernel, its clone: "avx512f", "avx2" or "baseline"
 
 
 def init_model(config, n_influencers, n_nodes, influencer_ids=None, node_ids=None):
@@ -209,24 +216,33 @@ def _fits_kernel(model):
     )
 
 
+# The (E, N) shapes of the self-check. In the second, N = 79 = 9 * 8 + 4 + 3,
+# so each row of T and b_t runs every part of every clone's loop that
+# gcc 12 builds: the 8-wide AVX-512 body, its 4-wide epilogue and a scalar
+# tail; the 4-wide AVX2 body, its 2-wide epilogue and a scalar tail; and
+# baseline x86-64's 2-wide body and scalar tail.
+_SELF_CHECK_SHAPES = ((3, 13), (5, 79))
+
+
 def _matches_numpy(kernel):
-    """True if ``kernel`` updates fixed small arrays bitwise as _numpy_update
-    does and returns the same max|O_u|, NaN included."""
+    """True if ``kernel`` updates fixed arrays bitwise as _numpy_update does
+    and returns the same max|O_u|, NaN included."""
     rng = np.random.default_rng(2019)
-    E, N, lr = 3, 13, 0.1
-    for O_u in (rng.normal(size=E), np.array([0.5, np.nan, -2.0])):
-        T, g, b_t = rng.normal(size=(E, N)), rng.normal(size=N), rng.normal(size=N)
-        got_T, got_b_t = T.copy(), b_t.copy()
-        want = _numpy_update(T, O_u, g, b_t, lr, np.empty_like(T), np.empty(E))
-        got = kernel(
-            got_T.ctypes.data, O_u.ctypes.data, g.ctypes.data, got_b_t.ctypes.data, lr, E, N
-        )
-        if not (
-            np.array_equal(got_T, T, equal_nan=True)
-            and np.array_equal(got_b_t, b_t)
-            and (got == want or (math.isnan(got) and math.isnan(want)))
-        ):
-            return False
+    lr = 0.1
+    for E, N in _SELF_CHECK_SHAPES:
+        for O_u in (rng.normal(size=E), np.resize([0.5, np.nan, -2.0], E)):
+            T, g, b_t = rng.normal(size=(E, N)), rng.normal(size=N), rng.normal(size=N)
+            got_T, got_b_t = T.copy(), b_t.copy()
+            want = _numpy_update(T, O_u, g, b_t, lr, np.empty_like(T), np.empty(E))
+            got = kernel(
+                got_T.ctypes.data, O_u.ctypes.data, g.ctypes.data, got_b_t.ctypes.data, lr, E, N
+            )
+            if not (
+                np.array_equal(got_T, T, equal_nan=True)
+                and np.array_equal(got_b_t, b_t)
+                and (got == want or (math.isnan(got) and math.isnan(want)))
+            ):
+                return False
     return True
 
 
@@ -364,6 +380,7 @@ def train(model, stream_producer, config):
     workspace = StepWorkspace(model, _kernel.load())
     if workspace.kernel is not None:
         report.classify_kernel = "c"
+        report.classify_isa = workspace.kernel.isa
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         stream = stream_producer(epoch)

@@ -37,3 +37,10 @@ def step_kernels(classify_kernel):
 def kernel_name(classify_kernel):
     """The manifest's ``classify_kernel`` on this host."""
     return "numpy" if classify_kernel is None else "c"
+
+
+@pytest.fixture(scope="session")
+def kernel_isa(classify_kernel):
+    """The manifest's ``classify_isa`` on this host: the kernel's clone, or
+    None when the numpy update runs."""
+    return None if classify_kernel is None else classify_kernel.isa

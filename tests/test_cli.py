@@ -138,7 +138,7 @@ def test_stats_table(tmp_path, corpus_file):
     assert rows["u03"][1] == "2" and rows["u03"][3] == "1"
 
 
-def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name):
+def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_isa):
     out = tmp_path / "model.infv"
     assert main(["train", "--cascades", str(corpus_file), "--out", str(out)]) == 0
     doc = read_manifest(str(out) + ".manifest.json")
@@ -155,6 +155,7 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name):
     assert doc["epoch_regress_steps"] == [len(CORPUS)] * 5
     assert doc["epoch_classify_steps"] == [len(s) - len(CORPUS) for s in streams]
     assert doc["classify_kernel"] == kernel_name
+    assert doc["classify_isa"] == kernel_isa
     model = load_embeddings(out)
     assert model.embed_dim == 50
     assert model.influencer_ids == ["u01", "u02", "u03"]
@@ -499,7 +500,7 @@ def package_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
-def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name):
+def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kernel_isa):
     synth = tmp_path / "synth.txt"
     assert main(
         ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
@@ -531,6 +532,7 @@ def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name):
     assert len(doc["epoch_classify_steps"]) == 5
     assert all(steps > n_train for steps in doc["epoch_classify_steps"])
     assert doc["classify_kernel"] == kernel_name
+    assert doc["classify_isa"] == kernel_isa
 
 
 def test_pipeline_equals_stage_chain(tmp_path, capsys):
@@ -609,3 +611,24 @@ def test_out_of_range_flag_is_exit_2_before_any_write(tmp_path, corpus_file, cap
     assert main(["pipeline", "--cascades", cascades, "--outdir", str(outdir), flag, value]) == 2
     assert flag in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["cascades.txt"]
+
+
+def test_model_too_large_to_allocate_is_exit_2_before_model_write(tmp_path, corpus_file, capsys):
+    # 10**15 is far beyond any machine: the allocation fails at once
+    E = 10**15
+    # the corpus has I = 3 influencers and N = 10 nodes
+    need = 8 * (3 * E + E * 10 + 10 + E)
+    out = tmp_path / "m.infv"
+    assert main(["train", "--cascades", str(corpus_file), "--out", str(out),
+                 "--embed-dim", str(E)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --embed-dim") and err.count("\n") == 1
+    assert f"E={E}, I=3, N=10" in err and f"{need} bytes" in err
+    assert os.listdir(tmp_path) == ["cascades.txt"]
+    outdir = tmp_path / "run"
+    assert main(["pipeline", "--cascades", str(corpus_file), "--outdir", str(outdir),
+                 "--embed-dim", str(E)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --embed-dim") and err.count("\n") == 1
+    # the split is written before the model's size is known
+    assert sorted(os.listdir(outdir)) == ["test.txt", "train.txt"]

@@ -1,7 +1,10 @@
 """The C kernel of the classify step: its loader, its cache and its self-check."""
 
+import ctypes
 import os
 import pathlib
+import platform
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -96,8 +99,11 @@ def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, 
             if artifact != "manifest.json":
                 got = (tmp_path / name / artifact).read_bytes()
                 assert got == (tmp_path / "c" / artifact).read_bytes(), (name, artifact)
-        assert '"classify_kernel": "numpy"' in (tmp_path / name / "manifest.json").read_text()
-    assert '"classify_kernel": "c"' in (tmp_path / "c" / "manifest.json").read_text()
+        manifest = (tmp_path / name / "manifest.json").read_text()
+        assert '"classify_kernel": "numpy"' in manifest and '"classify_isa": null' in manifest
+    manifest = (tmp_path / "c" / "manifest.json").read_text()
+    assert '"classify_kernel": "c"' in manifest
+    assert f'"classify_isa": "{built_kernel.isa}"' in manifest
 
 
 @pytest.mark.parametrize("damage", ["garbage", "cut-short", "empty"])
@@ -132,6 +138,44 @@ def test_concurrent_builds_end_with_one_library(tmp_path, built_kernel):
     assert library_files(tmp_path / "iminfector") == [os.path.basename(lines[0][0])]
 
 
+def cpu_flags():
+    """The feature flags of the first CPU in /proc/cpuinfo; empty where there is none."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+X86_64_V2 = {"cx16", "lahf_lm", "popcnt", "pni", "sse4_1", "sse4_2", "ssse3"}
+X86_64_V3 = X86_64_V2 | {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave"}
+# the /proc/cpuinfo flags each -march level needs
+MARCH_FLAGS = {
+    "x86-64": set(),
+    "x86-64-v3": X86_64_V3,
+    "x86-64-v4": X86_64_V3 | {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+}
+CLONES = b'#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))'
+
+
+def assert_refused(kernel):
+    """The self-check refuses ``kernel``, and the workspace's steps stay
+    bitwise those of the reference."""
+    rng = np.random.default_rng(41)
+    ref = random_model(rng, 3, 17, 4)
+    new = copy_model(ref)
+    assert not _matches_numpy(kernel)
+    ws = StepWorkspace(new, kernel)
+    assert ws.kernel is None
+    for s in range(10):
+        u, y = s % 3, (5 * s) % 17
+        assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
+    assert_same_model(ref, new, "mutant kernel")
+
+
 @pytest.mark.parametrize(
     "mutant",
     [
@@ -144,17 +188,84 @@ def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, built_kernel,
     exact = b"row[j] = row[j] - ((o * g[j]) * lr);"
     assert code.count(exact) == 1
     path = _kernel.build(code.replace(exact, mutant), str(tmp_path), "mutant-")
+    assert_refused(_kernel.open_library(path))
+
+
+def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, built_kernel,
+                                                                monkeypatch):
+    # AVX-512F implies FMA: without -ffp-contract=off gcc fuses the update's
+    # multiply and subtract in that clone, and the rounding changes
+    flags = tuple(flag for flag in _kernel.FLAGS if flag != "-ffp-contract=off")
+    assert len(flags) == len(_kernel.FLAGS) - 1
+    monkeypatch.setattr(_kernel, "FLAGS", flags)
+    kernel = _kernel.open_library(_kernel.build(_kernel.source(), str(tmp_path), "fma-"))
+    if kernel.isa != "avx512f":
+        pytest.skip(f"the {kernel.isa} clone that runs here has no FMA to contract into")
+    assert_refused(kernel)
+
+
+@pytest.mark.parametrize("march", sorted(MARCH_FLAGS))
+def test_each_isa_level_is_bitwise_numpy(tmp_path, built_kernel, monkeypatch, march):
+    # One copy of the loops, built for one instruction set, must match numpy
+    # on the self-check and on steps of the wide-3000 benchmark's shape.
+    if platform.machine() != "x86_64" or not MARCH_FLAGS[march] <= cpu_flags():
+        pytest.skip(f"this host cannot run -march={march}")
+    code = _kernel.source()
+    assert code.count(CLONES) == 1
+    monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, f"-march={march}"))
+    path = _kernel.build(code.replace(CLONES, b"#define CLONES"), str(tmp_path), "m-")
     kernel = _kernel.open_library(path)
-    rng = np.random.default_rng(41)
-    ref = random_model(rng, 3, 17, 4)
+    assert _matches_numpy(kernel)
+    rng = np.random.default_rng(53)
+    I, N, E = 3, 2930, 50
+    ref = random_model(rng, I, N, E)
+    ref.O *= 0.2
+    ref.T *= 0.2
     new = copy_model(ref)
-    assert not _matches_numpy(kernel)
     ws = StepWorkspace(new, kernel)
-    assert ws.kernel is None
-    for s in range(10):
-        u, y = s % 3, (5 * s) % 17
-        assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
-    assert_same_model(ref, new, "mutant kernel")
+    assert ws.kernel is kernel
+    for s in range(6):
+        u, y = s % I, int(rng.integers(0, N))
+        assert step_classify(new, u, y, 0.5, ws) == reference_step_classify(ref, u, y, 0.5)
+        assert_same_model(ref, new, f"-march={march} step {s}")
+
+
+class DlInfo(ctypes.Structure):
+    _fields_ = [
+        ("dli_fname", ctypes.c_char_p),
+        ("dli_fbase", ctypes.c_void_p),
+        ("dli_sname", ctypes.c_char_p),
+        ("dli_saddr", ctypes.c_void_p),
+    ]
+
+
+def test_step_isa_names_the_clone_that_runs(built_kernel):
+    assert built_kernel.isa in ("avx512f", "avx2", "baseline")
+    if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
+        # the resolver takes the first clone listed that the CPU supports
+        flags = cpu_flags()
+        want = "avx512f" if "avx512f" in flags else "avx2" if "avx2" in flags else "baseline"
+        assert built_kernel.isa == want
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("no nm to list the library's clones")
+    # the address the kernel's symbol resolved to, as an offset into the
+    # library, against the local symbols of its clones
+    path = _kernel.cached_library(_kernel.cache_dir(), _kernel.name_prefix(_kernel.source()))
+    resolved = ctypes.cast(getattr(ctypes.CDLL(path), _kernel.SYMBOL), ctypes.c_void_p).value
+    info = DlInfo()
+    dladdr = ctypes.CDLL(None).dladdr
+    dladdr.argtypes = (ctypes.c_void_p, ctypes.POINTER(DlInfo))
+    assert dladdr(resolved, ctypes.byref(info))
+    listing = subprocess.run([nm, path], capture_output=True, text=True, check=True).stdout
+    names = [
+        name
+        for address, kind, name in (line.split() for line in listing.splitlines() if line.count(" ") == 2)
+        if int(address, 16) == resolved - info.dli_fbase and name.startswith(_kernel.SYMBOL)
+    ]
+    assert len(names) == 1, names
+    clone = names[0][len(_kernel.SYMBOL):].lstrip(".") or "default"
+    assert {"default": "baseline"}.get(clone, clone) == built_kernel.isa
 
 
 @pytest.mark.parametrize("change", ["negative u", "O", "T", "b_t"])
