@@ -39,7 +39,6 @@ from .diffusion import (
 )
 from .evaluation import (
     EvaluationResult,
-    RankedBaseline,
     avg_size_ranking,
     core_numbers,
     dni,

@@ -14,7 +14,6 @@ events of cascade i are positions ``offsets[i]:offsets[i+1]`` of
 
 import re
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +26,7 @@ from .exceptions import (
 )
 from ._util import atomic_write, read_lines, slack_ceil
 
-_ID_RE = re.compile(r"[^\s:]+\Z")
+ID_RE = re.compile(r"[^\s:]+\Z")
 _TIME_RE = re.compile(r"[0-9]+\Z")
 # A whole well-formed line. Event tokens are separated by any whitespace
 # but a tab, since a second tab would make a third field.
@@ -239,7 +238,7 @@ def _parse_token(token, line_number, what):
     if len(parts) != 2:
         raise MalformedLine(f"bad {what} token {token!r}", line_number)
     node, time = parts
-    if not _ID_RE.match(node):
+    if not ID_RE.match(node):
         raise MalformedLine(f"bad node id {node!r}", line_number)
     if not _TIME_RE.match(time):
         raise MalformedLine(f"bad time {time!r} in {token!r}", line_number)
@@ -375,50 +374,49 @@ def temporal_split(corpus, train_fraction):
     return corpus.take(order[:n_train]), corpus.take(order[n_train:])
 
 
-@dataclass
-class InitiatorStats:
-    """Training-side activity counts and test-side success measures."""
+def reach_pairs(corpus):
+    """Sorted distinct (initiator, participant) pairs of a corpus.
 
-    cascades_started: int = 0
-    cascades_participated: int = 0
-    test_dni: int = 0
-    test_total_size: int = 0
-    test_count: int = 0
-
-
-def _distinct_reach(corpus):
-    """Per node index: distinct participants over the cascades it started."""
+    Returns two int64 arrays of node indices, ordered by initiator, then
+    by participant: each participant of the cascades a node started,
+    once per initiator.
+    """
     owner = np.repeat(corpus.initiator.astype(np.int64), corpus.sizes())
     pairs = np.unique(owner * corpus.n_nodes + corpus.node_idx)
-    return np.bincount(pairs // corpus.n_nodes, minlength=corpus.n_nodes)
+    return np.divmod(pairs, corpus.n_nodes)
 
 
 def initiator_stats(train, test):
-    """Per-node activity/success record over a train/test corpus pair.
+    """Per-node activity/success table over a train/test corpus pair.
 
-    Returns a dict keyed by node id covering every node seen in either
-    corpus. Initiation and participation are counted disjointly; the test
-    measures are the number of test cascades started, their cumulative size,
-    and the distinct nodes appearing in them.
+    Returns the sorted ids seen in either corpus and a dict of int64
+    columns aligned with them, keyed by their ``stats`` TSV field names in
+    TSV order. Initiation and participation are counted disjointly; the
+    test measures are the number of test cascades started, their
+    cumulative size, and the distinct nodes appearing in them.
     """
-    stats = {nid: InitiatorStats() for nid in sorted(set(train.ids).union(test.ids))}
-    columns = zip(
-        np.bincount(train.initiator, minlength=train.n_nodes).tolist(),
-        np.bincount(train.node_idx, minlength=train.n_nodes).tolist(),
+    ids = sorted(set(train.ids).union(test.ids))
+    row = {nid: i for i, nid in enumerate(ids)}
+    sides = (
+        (train, {
+            "train_started": np.bincount(train.initiator, minlength=train.n_nodes),
+            "train_participated": np.bincount(train.node_idx, minlength=train.n_nodes),
+        }),
+        (test, {
+            "test_started": np.bincount(test.initiator, minlength=test.n_nodes),
+            "test_total_size": np.bincount(
+                test.initiator, weights=test.sizes(), minlength=test.n_nodes
+            ),
+            "test_dni": np.bincount(reach_pairs(test)[0], minlength=test.n_nodes),
+        }),
     )
-    for nid, (started, participated) in zip(train.ids, columns):
-        stats[nid].cascades_started = started
-        stats[nid].cascades_participated = participated
-    columns = zip(
-        np.bincount(test.initiator, minlength=test.n_nodes).tolist(),
-        np.bincount(test.initiator, weights=test.sizes(), minlength=test.n_nodes).tolist(),
-        _distinct_reach(test).tolist(),
-    )
-    for nid, (count, total, reach) in zip(test.ids, columns):
-        stats[nid].test_count = count
-        stats[nid].test_total_size = int(total)
-        stats[nid].test_dni = reach
-    return stats
+    columns = {}
+    for corpus, per_node in sides:
+        rows = [row[nid] for nid in corpus.ids]
+        for name, counts in per_node.items():
+            columns[name] = np.zeros(len(ids), dtype=np.int64)
+            columns[name][rows] = counts
+    return ids, columns
 
 
 def parse_edges(lines):
@@ -433,7 +431,7 @@ def parse_edges(lines):
         if len(fields) != 2:
             raise MalformedLine("expected '<src> TAB <dst>'", line_number)
         src, dst = fields
-        if not _ID_RE.match(src) or not _ID_RE.match(dst):
+        if not ID_RE.match(src) or not ID_RE.match(dst):
             raise MalformedLine(f"bad node id in {line!r}", line_number)
         if src == dst:
             continue

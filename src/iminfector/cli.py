@@ -246,7 +246,7 @@ def evaluate_stage(seed_ids, test_corpus, out):
 def baseline_stage(args, ranking, out):
     """Top ``--size`` of a baseline ranking; notes a short ranking, writes
     ``rank TAB node TAB score`` rows and returns the node ids."""
-    top = ranking.ranking[: args.size]
+    top = ranking[: args.size]
     if len(top) < args.size:
         print(f"note: ranking has only {len(top)} of {args.size} requested seeds", file=sys.stderr)
     with atomic_write(out) as fh:
@@ -297,18 +297,11 @@ def cmd_stats(args):
     _require_file(args.test, "--test")
     wall = {}
     with _timed(wall, "stats"):
-        stats = initiator_stats(load_cascades(args.train), load_cascades(args.test))
+        ids, columns = initiator_stats(load_cascades(args.train), load_cascades(args.test))
         with atomic_write(args.out) as fh:
-            fh.write(
-                "node_id\ttrain_started\ttrain_participated\t"
-                "test_started\ttest_total_size\ttest_dni\n"
-            )
-            for node in sorted(stats):
-                r = stats[node]
-                fh.write(
-                    f"{node}\t{r.cascades_started}\t{r.cascades_participated}\t"
-                    f"{r.test_count}\t{r.test_total_size}\t{r.test_dni}\n"
-                )
+            fh.write("\t".join(["node_id", *columns]) + "\n")
+            for row in zip(ids, *(column.tolist() for column in columns.values())):
+                fh.write("\t".join(map(str, row)) + "\n")
     _write_manifest(args, ["--train", "--test"], [args.out], wall)
 
 

@@ -21,14 +21,13 @@ MAGIC = b"DPM1"
 
 @dataclass
 class DiffusionMatrix:
-    candidates: list  # original influencer row indices, pruned order
-    candidate_ids: list  # id strings aligned with candidates
-    probs: np.ndarray  # len(candidates) x N, each row a softmax distribution
+    candidate_ids: list  # id strings, pruned order
+    probs: np.ndarray  # one softmax distribution over the N nodes per candidate
     norms: np.ndarray  # Euclidean norm of O_u per candidate
 
     @property
     def n_candidates(self):
-        return len(self.candidates)
+        return len(self.candidate_ids)
 
     @property
     def n_nodes(self):
@@ -67,12 +66,7 @@ def build_matrix(model, prune_percent):
         probs = np.stack([forward_classify(model, u) for u in kept])
     if not (np.isfinite(norms[kept]).all() and np.isfinite(probs).all()):
         raise NonFiniteMatrix("a candidate's norm or diffusion probabilities overflow")
-    return DiffusionMatrix(
-        candidates=kept,
-        candidate_ids=ids,
-        probs=probs,
-        norms=norms[kept].copy(),
-    )
+    return DiffusionMatrix(candidate_ids=ids, probs=probs, norms=norms[kept].copy())
 
 
 def compute_budgets(matrix, n_nodes):
@@ -107,11 +101,11 @@ def save_matrix(matrix, budgets, path):
 def load_matrix(path):
     """Read a DPM1 file back into (DiffusionMatrix, SpreadBudget).
 
-    Candidate indices are re-based to row positions; original model row
-    numbers are not stored because downstream stages address candidates by
-    id string. A repeated candidate id, budgets outside [1, N], negative or
-    non-finite norms, probabilities outside [0, 1] (NaN included) and rows
-    whose sum is further than N * 2**-52 from 1 raise CorruptFile.
+    Model row numbers are not stored: downstream stages address candidates
+    by row position or id string. A repeated candidate id, budgets outside
+    [1, N], negative or non-finite norms, probabilities outside [0, 1] (NaN
+    included) and rows whose sum is further than N * 2**-52 from 1 raise
+    CorruptFile.
 
     The row tolerance holds for every row build_matrix writes, whatever the
     summation order: each entry e_j / s rounds once, the denominator s and
@@ -148,8 +142,5 @@ def load_matrix(path):
         raise CorruptFile(f"{path}: a probability is not finite or lies outside [0, 1]")
     if not (np.abs(np.add.reduce(probs, axis=1) - 1.0) <= N * 2.0**-52).all():
         raise CorruptFile(f"{path}: a row of probabilities does not sum to 1")
-    lambdas = lambdas.astype(np.int64)
-    matrix = DiffusionMatrix(
-        candidates=list(range(n)), candidate_ids=ids, probs=probs, norms=norms
-    )
-    return matrix, SpreadBudget(lambdas=lambdas)
+    matrix = DiffusionMatrix(candidate_ids=ids, probs=probs, norms=norms)
+    return matrix, SpreadBudget(lambdas=lambdas.astype(np.int64))

@@ -12,29 +12,13 @@ from itertools import accumulate
 
 import numpy as np
 
+from .cascades import reach_pairs
+
 
 @dataclass
 class EvaluationResult:
-    seed_set_size: int
     dni: int
     per_seed_contribution: dict = field(default_factory=dict)  # seed id -> new nodes
-
-
-@dataclass
-class RankedBaseline:
-    method: str
-    ranking: list  # (node id, score), score non-increasing, ties id-ascending
-
-    def top(self, size):
-        return [node for node, _ in self.ranking[:size]]
-
-
-def influenced_sets(test):
-    """Map each test initiator to the union of its cascades' event nodes."""
-    by_initiator = {}
-    for c in test.cascades:
-        by_initiator.setdefault(c.initiator, set()).update(c.nodes)
-    return by_initiator
 
 
 def dni(seeds, test):
@@ -44,18 +28,23 @@ def dni(seeds, test):
     cascades add beyond nodes already claimed. Seeds without test cascades
     (and repeated seeds) contribute zero.
     """
-    evidence = influenced_sets(test)
-    union = set()
+    initiators, participants = reach_pairs(test)
+    # seed v's distinct participants are participants[start[v]:start[v + 1]]
+    start = np.searchsorted(initiators, np.arange(test.n_nodes + 1))
+    claimed = np.zeros(test.n_nodes, dtype=bool)
     contributions = {}
     for seed in seeds:
         if seed in contributions:
             continue
-        added = evidence.get(seed, set()) - union
-        union |= added
+        v = test.node_index.get(seed)
+        if v is None:
+            contributions[seed] = 0
+            continue
+        reached = participants[start[v] : start[v + 1]]
+        added = reached[~claimed[reached]]
+        claimed[added] = True
         contributions[seed] = len(added)
-    return EvaluationResult(
-        seed_set_size=len(seeds), dni=len(union), per_seed_contribution=contributions
-    )
+    return EvaluationResult(dni=int(np.count_nonzero(claimed)), per_seed_contribution=contributions)
 
 
 def _adjacency(edges):
@@ -105,19 +94,18 @@ def core_numbers(edges):
 
 
 def kcore_ranking(edges):
-    """Rank nodes by core number descending, ties by id ascending."""
+    """(node id, core number) pairs, core number descending, ties by id ascending."""
     if not edges:
         raise ValueError("empty edge list")
     cores = core_numbers(edges)
-    ranking = sorted(cores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return RankedBaseline(method="kcore", ranking=ranking)
+    return sorted(cores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def avg_size_ranking(train):
-    """Rank train initiators by mean cascade event count, descending."""
+    """(initiator id, mean cascade event count) pairs, mean descending, ties
+    by id ascending."""
     totals = np.bincount(train.initiator, weights=train.sizes(), minlength=train.n_nodes)
     counts = np.bincount(train.initiator, minlength=train.n_nodes)
     started = train.influencers
     scores = zip(train.influencer_ids(), (totals[started] / counts[started]).tolist())
-    ranking = sorted(scores, key=lambda kv: (-kv[1], kv[0]))
-    return RankedBaseline(method="avgsize", ranking=ranking)
+    return sorted(scores, key=lambda kv: (-kv[1], kv[0]))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cascades import ID_RE
 from .exceptions import EmptyMatrix, MalformedLine
 from ._util import atomic_write, read_lines
 
@@ -33,7 +34,6 @@ class SelectedSeed:
 @dataclass
 class SeedSelection:
     seeds: list  # SelectedSeed, in selection order
-    infected: set  # union of all influenced sets
     truncated: bool  # fewer seeds than requested (candidates or nodes ran out)
 
     def seed_ids(self):
@@ -81,21 +81,19 @@ def select_seeds_celf(matrix, budgets, size):
     heapq.heapify(heap)
 
     seeds = []
-    infected = set()
     while heap and len(seeds) < size and uninfected.size > 0:
         neg_spread, pos, last_updated, chosen = heapq.heappop(heap)
         if last_updated == len(seeds):
             seeds.append(
                 SelectedSeed(pos, matrix.candidate_ids[pos], -neg_spread, chosen)
             )
-            infected.update(chosen)
             uninfected = np.setdiff1d(
                 uninfected, np.array(chosen, dtype=np.int64), assume_unique=True
             )
         else:
             spread, chosen = sigma(matrix, budgets, pos, uninfected)
             heapq.heappush(heap, (-spread, pos, len(seeds), chosen))
-    return SeedSelection(seeds, infected, truncated=len(seeds) < size)
+    return SeedSelection(seeds, truncated=len(seeds) < size)
 
 
 def select_seeds_naive(matrix, budgets, size):
@@ -110,7 +108,6 @@ def select_seeds_naive(matrix, budgets, size):
     uninfected = np.arange(matrix.n_nodes)
     remaining = list(range(matrix.n_candidates))
     seeds = []
-    infected = set()
     while remaining and len(seeds) < size and uninfected.size > 0:
         best = None
         for pos in remaining:
@@ -119,12 +116,11 @@ def select_seeds_naive(matrix, budgets, size):
                 best = (spread, pos, chosen)
         spread, pos, chosen = best
         seeds.append(SelectedSeed(pos, matrix.candidate_ids[pos], spread, chosen))
-        infected.update(chosen)
         uninfected = np.setdiff1d(
             uninfected, np.array(chosen, dtype=np.int64), assume_unique=True
         )
         remaining.remove(pos)
-    return SeedSelection(seeds, infected, truncated=len(seeds) < size)
+    return SeedSelection(seeds, truncated=len(seeds) < size)
 
 
 def save_seeds(selection, path):
@@ -137,8 +133,9 @@ def save_seeds(selection, path):
 def load_seed_ids(path):
     """Read the candidate ids back from a seeds.txt file, in rank order.
 
-    A line without three tab-separated fields, or invalid UTF-8, raises
-    MalformedLine with its 1-based line number.
+    A line without three tab-separated fields, an id that a cascade log
+    could not hold (empty, or with whitespace or ``:``), or invalid UTF-8
+    raises MalformedLine with its 1-based line number.
     """
     ids = []
     for line_number, line in enumerate(read_lines(path), start=1):
@@ -147,5 +144,7 @@ def load_seed_ids(path):
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedLine(f"bad seed line: {line!r}", line_number)
+        if not ID_RE.match(fields[1]):
+            raise MalformedLine(f"bad seed id {fields[1]!r}", line_number)
         ids.append(fields[1])
     return ids

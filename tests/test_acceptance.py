@@ -58,7 +58,6 @@ def walkthrough_instance():
         ]
     )
     mat = DiffusionMatrix(
-        candidates=[0, 1, 2],
         candidate_ids=["S1", "S2", "S3"],
         probs=probs,
         norms=np.ones(3),
@@ -72,7 +71,6 @@ def random_instance(rng):
     probs = rng.random((n, N)) + 1e-12
     probs /= probs.sum(axis=1, keepdims=True)
     mat = DiffusionMatrix(
-        candidates=list(range(n)),
         candidate_ids=[f"u{i:03d}" for i in range(n)],
         probs=probs,
         norms=rng.random(n) + 0.01,

@@ -136,20 +136,77 @@ def test_temporal_split_degenerate():
         temporal_split(parse_cascades([]), 0.5)
 
 
+STATS_FIELDS = ["train_started", "train_participated", "test_started", "test_total_size", "test_dni"]
+
+
 def test_initiator_stats():
     train = parse_cascades(["a:0\tb:1 c:2\n", "a:5\tb:6\n", "b:7\tc:8\n"])
     test = parse_cascades(["a:10\tc:11 d:12\n", "a:20\tc:21\n"])
-    stats = initiator_stats(train, test)
-    assert stats["a"].cascades_started == 2
-    assert stats["a"].cascades_participated == 0
-    assert stats["b"].cascades_started == 1
-    assert stats["b"].cascades_participated == 2
-    assert stats["c"].cascades_participated == 2
-    # two test cascades, union {c, d}, sizes 2 + 1
-    assert stats["a"].test_count == 2
-    assert stats["a"].test_total_size == 3
-    assert stats["a"].test_dni == 2
-    assert stats["d"].cascades_started == 0
+    ids, columns = initiator_stats(train, test)
+    assert ids == ["a", "b", "c", "d"]
+    assert list(columns) == STATS_FIELDS
+    assert all(column.dtype == np.int64 for column in columns.values())
+    assert columns["train_started"].tolist() == [2, 1, 0, 0]
+    assert columns["train_participated"].tolist() == [0, 2, 2, 0]
+    # a starts both test cascades: sizes 2 + 1, union {c, d}
+    assert columns["test_started"].tolist() == [2, 0, 0, 0]
+    assert columns["test_total_size"].tolist() == [3, 0, 0, 0]
+    assert columns["test_dni"].tolist() == [2, 0, 0, 0]
+
+
+def random_side(rng, names, n_cascades):
+    lines = []
+    for _ in range(n_cascades):
+        initiator = names[int(rng.integers(0, len(names)))]
+        start = int(rng.integers(0, 100))
+        others = [x for x in names if x != initiator]
+        chosen = rng.choice(others, size=int(rng.integers(1, 6)), replace=False)
+        events = " ".join(f"{v}:{start + int(rng.integers(0, 9))}" for v in chosen)
+        lines.append(f"{initiator}:{start}\t{events}\n")
+    return lines
+
+
+def stats_from_views(train, test):
+    """Stats rows counted one Cascade view at a time."""
+    rows = {}
+
+    def row(nid):
+        return rows.setdefault(nid, dict.fromkeys(STATS_FIELDS, 0))
+
+    for c in train.cascades:
+        row(c.initiator)["train_started"] += 1
+        for v in c.nodes:
+            row(v)["train_participated"] += 1
+    reached = {}
+    for c in test.cascades:
+        row(c.initiator)["test_started"] += 1
+        row(c.initiator)["test_total_size"] += c.size
+        reached.setdefault(c.initiator, set()).update(c.nodes)
+        for v in c.nodes:
+            row(v)
+    for nid, nodes in reached.items():
+        rows[nid]["test_dni"] = len(nodes)
+    return rows
+
+
+def test_initiator_stats_match_cascade_views():
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        # overlapping pools; t0 starts only train cascades, t29 only test ones
+        train = parse_cascades(
+            random_side(rng, [f"t{i}" for i in range(20)], int(rng.integers(1, 15)))
+            + ["t0:0\tt1:1\n"]
+        )
+        test = parse_cascades(
+            random_side(rng, [f"t{i}" for i in range(10, 30)], int(rng.integers(1, 15)))
+            + ["t29:0\tt28:1 t10:1\n"]
+        )
+        assert "t0" not in test.ids and "t29" not in train.ids
+        want = stats_from_views(train, test)
+        ids, columns = initiator_stats(train, test)
+        assert ids == sorted(want)
+        for name in STATS_FIELDS:
+            assert columns[name].tolist() == [want[nid][name] for nid in ids], name
 
 
 def test_edges_parse_and_derive():

@@ -302,6 +302,18 @@ def test_malformed_seeds_file_is_exit_3(tmp_path, corpus_file, capsys):
     assert "line 2: bad seed line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["1\t\t0.5", "2\ta b\t0.1", "3\tx:y\t0.2"])
+def test_seed_id_a_cascade_log_cannot_hold_is_exit_3(tmp_path, corpus_file, capsys, line):
+    # an empty id, or one with whitespace or ':', names no node of any test split
+    seeds = tmp_path / "bad_seeds.txt"
+    seeds.write_text(f"1\tu01\t0.5\n{line}\n")
+    out = tmp_path / "r.tsv"
+    argv = ["evaluate", "--seeds", str(seeds), "--test", str(corpus_file), "--out", str(out)]
+    assert main(argv) == 3
+    assert "line 2: bad seed id" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["O", "T", "b_t", "b_c"])
 def test_infv_nonfinite_value_is_exit_3(tmp_path, corpus_file, capsys, name):
     _, _, model_path, _, _, _ = chain(tmp_path, corpus_file)

@@ -42,14 +42,13 @@ def test_prune_keeps_top_norms_ties_by_id():
     mat = build_matrix(m, 75.0)
     assert mat.n_candidates == 3
     assert mat.candidate_ids == ["d", "b", "c"]
-    assert mat.candidates == [0, 3, 2]
     assert np.allclose(mat.norms, [3.0, 2.0, 2.0])
 
 
 def test_prune_without_id_table_ties_by_row():
     m = model_from_rows([[2.0], [2.0], [1.0]])
     mat = build_matrix(m, 50.0)
-    assert mat.candidates == [0, 1]
+    assert mat.candidate_ids == ["0", "1"]
 
 
 def test_rows_are_softmax_distributions():
@@ -71,7 +70,6 @@ def test_prune_percent_validation():
 
 def test_budget_values():
     mat = DiffusionMatrix(
-        candidates=[0, 1],
         candidate_ids=["a", "b"],
         probs=np.full((2, 5), 0.2),
         norms=np.array([1.0, 3.0]),
@@ -83,7 +81,6 @@ def test_budget_values():
 
 def test_budget_uniform_norms_stay_at_exact_share():
     mat = DiffusionMatrix(
-        candidates=[0, 1, 2],
         candidate_ids=["a", "b", "c"],
         probs=np.full((3, 3), 1 / 3),
         norms=np.ones(3),
@@ -94,7 +91,6 @@ def test_budget_uniform_norms_stay_at_exact_share():
 
 def test_budget_clamped_to_one():
     mat = DiffusionMatrix(
-        candidates=[0, 1],
         candidate_ids=["a", "b"],
         probs=np.full((2, 4), 0.25),
         norms=np.array([1e-9, 10.0]),
@@ -105,7 +101,6 @@ def test_budget_clamped_to_one():
 
 def test_budget_all_zero_norms():
     mat = DiffusionMatrix(
-        candidates=[0],
         candidate_ids=["a"],
         probs=np.full((1, 2), 0.5),
         norms=np.zeros(1),
@@ -121,7 +116,6 @@ def test_save_load_round_trip(tmp_path):
         probs = rng.random((n, N))
         probs /= probs.sum(axis=1, keepdims=True)
         mat = DiffusionMatrix(
-            candidates=list(range(n)),
             candidate_ids=[f"u{i}" for i in range(n)],
             probs=probs,
             norms=rng.random(n) + 0.1,
@@ -134,7 +128,6 @@ def test_save_load_round_trip(tmp_path):
         assert (back.probs == mat.probs).all()
         assert (back.norms == mat.norms).all()
         assert (bud2.lambdas == bud.lambdas).all()
-        assert back.candidates == list(range(n))
 
 
 def test_load_rejects_wrong_magic(tmp_path):
@@ -146,7 +139,6 @@ def test_load_rejects_wrong_magic(tmp_path):
 
 def test_load_rejects_truncation_and_trailing(tmp_path):
     mat = DiffusionMatrix(
-        candidates=[0, 1],
         candidate_ids=["a", "b"],
         probs=np.full((2, 3), 1 / 3),
         norms=np.array([1.0, 2.0]),

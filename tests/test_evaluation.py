@@ -9,7 +9,6 @@ from iminfector.evaluation import (
     avg_size_ranking,
     core_numbers,
     dni,
-    influenced_sets,
     kcore_ranking,
 )
 
@@ -29,12 +28,21 @@ def random_corpus(rng, n_nodes=25, n_cascades=12):
 
 
 def brute_force_dni(seeds, test):
-    # independent route: direct union over matching cascades
+    """(DNI, per-seed contributions in seed order) by direct set unions over
+    each seed's cascades: a repeated seed is counted once, and a seed that
+    starts no cascade adds nothing."""
     union = set()
-    for c in test.cascades:
-        if c.initiator in set(seeds):
-            union |= set(c.nodes)
-    return len(union)
+    contributions = {}
+    for seed in seeds:
+        if seed in contributions:
+            continue
+        reached = set()
+        for c in test.cascades:
+            if c.initiator == seed:
+                reached |= set(c.nodes)
+        contributions[seed] = len(reached - union)
+        union |= reached
+    return len(union), contributions
 
 
 def test_dni_matches_brute_force():
@@ -43,10 +51,13 @@ def test_dni_matches_brute_force():
         test = random_corpus(rng)
         pool = [f"v{i}" for i in range(25)] + ["ghost"]
         k = int(rng.integers(0, 8))
-        seeds = [pool[int(rng.integers(0, len(pool)))] for _ in range(k)]
+        drawn = [pool[int(rng.integers(0, len(pool)))] for _ in range(k)]
+        # every trial also repeats its first seed and asks for one not in the corpus
+        seeds = drawn + drawn[:1] + ["ghost"]
         result = dni(seeds, test)
-        assert result.dni == brute_force_dni(seeds, test)
-        assert result.seed_set_size == len(seeds)
+        want_dni, want_contributions = brute_force_dni(seeds, test)
+        assert result.dni == want_dni
+        assert list(result.per_seed_contribution.items()) == list(want_contributions.items())
         assert sum(result.per_seed_contribution.values()) == result.dni
 
 
@@ -64,7 +75,6 @@ def test_dni_duplicates_and_unknown_seeds():
     test = parse_cascades(["a:0\tx:1 y:2\n"])
     r = dni(["a", "a", "nobody"], test)
     assert r.dni == 2
-    assert r.seed_set_size == 3
     assert r.per_seed_contribution == {"a": 2, "nobody": 0}
 
 
@@ -75,12 +85,6 @@ def test_dni_contribution_order_is_seed_order():
     # y is claimed by b first, so a only adds x
     assert r.per_seed_contribution == {"b": 2, "a": 1}
     assert r.dni == 3
-
-
-def test_influenced_sets_unions_cascades_per_initiator():
-    test = parse_cascades(["a:0\tx:1\n", "a:5\ty:6\n", "b:0\tx:1\n"])
-    sets = influenced_sets(test)
-    assert sets == {"a": {"x", "y"}, "b": {"x"}}
 
 
 def test_core_numbers_clique_with_pendant():
@@ -120,7 +124,7 @@ def test_core_numbers_match_networkx_on_skewed_degrees():
 
 def test_kcore_ranking_order_and_empty():
     edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]
-    ranking = kcore_ranking(edges).ranking
+    ranking = kcore_ranking(edges)
     assert ranking == [("a", 2), ("b", 2), ("c", 2), ("d", 1)]
     with pytest.raises(ValueError):
         kcore_ranking([])
@@ -135,7 +139,4 @@ def test_avg_size_ranking():
             "u3:0\ta:1 b:2 c:3\n",  # u3 mean 3, ties u1 by id
         ]
     )
-    baseline = avg_size_ranking(train)
-    assert baseline.method == "avgsize"
-    assert baseline.ranking == [("u2", 4.0), ("u1", 3.0), ("u3", 3.0)]
-    assert baseline.top(2) == ["u2", "u1"]
+    assert avg_size_ranking(train) == [("u2", 4.0), ("u1", 3.0), ("u3", 3.0)]

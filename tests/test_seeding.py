@@ -26,7 +26,6 @@ def golden_instance():
         ]
     )
     mat = DiffusionMatrix(
-        candidates=[0, 1, 2],
         candidate_ids=["S1", "S2", "S3"],
         probs=probs,
         norms=np.array([1.0, 1.0, 1.0]),
@@ -40,7 +39,6 @@ def random_instance(rng):
     probs = rng.random((n, N)) + 1e-12
     probs /= probs.sum(axis=1, keepdims=True)
     mat = DiffusionMatrix(
-        candidates=list(range(n)),
         candidate_ids=[f"u{i:03d}" for i in range(n)],
         probs=probs,
         norms=rng.random(n) + 0.01,
@@ -58,7 +56,6 @@ def test_two_seed_walkthrough():
     # S3 claims its lambda = 3 best nodes, value ties broken by node index
     assert sel.seeds[0].influenced == (0, 2, 3)
     assert sel.seeds[1].influenced == (1, 4)
-    assert sel.infected == {0, 1, 2, 3, 4}
     assert sel.truncated is False
 
 
@@ -85,7 +82,6 @@ def test_sigma_basics():
 
 def test_equal_probability_ties_take_smallest_node_index():
     mat = DiffusionMatrix(
-        candidates=[0],
         candidate_ids=["u"],
         probs=np.array([[0.25, 0.25, 0.25, 0.25]]),
         norms=np.ones(1),
@@ -98,7 +94,6 @@ def test_equal_probability_ties_take_smallest_node_index():
 def test_equal_spread_candidates_take_smallest_position():
     row = np.array([0.5, 0.3, 0.2])
     mat = DiffusionMatrix(
-        candidates=[0, 1],
         candidate_ids=["b", "a"],
         probs=np.vstack([row, row]),
         norms=np.ones(2),
@@ -117,7 +112,6 @@ def test_requesting_more_seeds_than_candidates_truncates():
     # with nodes left over, the candidate pool is the binding limit
     mat.probs[2] = np.array([0.5, 0.1, 0.2, 0.2, 0.0])
     small = DiffusionMatrix(
-        candidates=[0],
         candidate_ids=["S1"],
         probs=mat.probs[:1],
         norms=mat.norms[:1],
@@ -130,7 +124,6 @@ def test_requesting_more_seeds_than_candidates_truncates():
 
 def test_stops_when_every_node_is_infected():
     mat = DiffusionMatrix(
-        candidates=[0, 1, 2],
         candidate_ids=["a", "b", "c"],
         probs=np.full((3, 2), 0.5),
         norms=np.ones(3),
@@ -142,9 +135,7 @@ def test_stops_when_every_node_is_infected():
 
 
 def test_empty_matrix_rejected():
-    mat = DiffusionMatrix(
-        candidates=[], candidate_ids=[], probs=np.zeros((0, 4)), norms=np.zeros(0)
-    )
+    mat = DiffusionMatrix(candidate_ids=[], probs=np.zeros((0, 4)), norms=np.zeros(0))
     bud = SpreadBudget(lambdas=np.zeros(0, dtype=np.int64))
     with pytest.raises(EmptyMatrix):
         select_seeds_celf(mat, bud, 1)

@@ -4,8 +4,11 @@
 edge file and ``evaluate`` a seed file. Whatever bytes they are given, each
 ends with exit 0, 3 (format error) or 5 (degenerate data) and never with an
 uncaught exception. A cascade file that a subcommand reads with exit 0
-parses as the earlier object-per-event parser parses it.
+parses as the earlier object-per-event parser parses it, and a seed file
+read with exit 0 holds only ids a cascade log could hold.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from iminfector.cascades import load_cascades
 from iminfector.cli import main
+from iminfector.seeding import load_seed_ids
 from test_columnar_equivalence import outcome, reference_parse, reference_summary, summary
 
 CORPUS = "".join(
@@ -107,6 +111,8 @@ def test_mutated_seeds_through_evaluate(workdir, blob):
     code = main(["evaluate", "--seeds", str(path), "--test", str(workdir / "cascades.txt"),
                  "--out", str(workdir / "result.tsv"), "--manifest", str(workdir / "m.json")])
     assert code in (0, 3, 5)
+    if code == 0:
+        assert all(re.fullmatch(r"[^\s:]+", seed) for seed in load_seed_ids(path))
 
 
 def test_valid_inputs_exit_0(workdir, capsys):
