@@ -3,9 +3,13 @@
 import contextlib
 import math
 import os
+import re
 import struct
 
 from .exceptions import CorruptFile, MalformedLine
+
+# A node id as a cascade log can hold it: no whitespace, no ':', not empty.
+ID_RE = re.compile(r"[^\s:]+\Z")
 
 # Slack subtracted before ceil so that binary floating point noise in products
 # like 1.2 * m cannot push an exact integer over the next boundary.
@@ -82,7 +86,11 @@ def take(buf, offset, count, path):
 
 
 def read_ids(buf, offset, count, path):
-    """Read ``count`` ids written by pack_ids; returns (ids, offset after them)."""
+    """Read ``count`` ids written by pack_ids; returns (ids, offset after them).
+
+    An id that is not valid UTF-8, or that no cascade log could hold (see
+    ID_RE), raises CorruptFile.
+    """
     ids = []
     for k in range(count):
         raw, offset = take(buf, offset, 4, path)
@@ -92,4 +100,6 @@ def read_ids(buf, offset, count, path):
             ids.append(raw.decode("utf-8"))
         except UnicodeDecodeError:
             raise CorruptFile(f"{path}: id {k} of its table is not valid UTF-8") from None
+        if not ID_RE.match(ids[-1]):
+            raise CorruptFile(f"{path}: id {k} of its table, {ids[-1]!r}, is not a node id")
     return ids, offset

@@ -24,9 +24,8 @@ from .exceptions import (
     MalformedLine,
     TimeOrderViolation,
 )
-from ._util import atomic_write, read_lines, slack_ceil
+from ._util import ID_RE, atomic_write, read_lines, slack_ceil
 
-ID_RE = re.compile(r"[^\s:]+\Z")
 _TIME_RE = re.compile(r"[0-9]+\Z")
 # A whole well-formed line. Event tokens are separated by any whitespace
 # but a tab, since a second tab would make a third field.

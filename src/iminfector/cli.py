@@ -1,18 +1,18 @@
 """Command line: the pipeline's stages and the subcommands that run them.
 
-There is one function per stage: split, train, rank, seed, evaluate and
-the baseline ranking. Each computes its artifacts, writes them and returns
-them. Each subcommand loads its inputs and runs one stage; ``pipeline``
-runs them all in order, so its artifacts equal those of the chain of
-subcommands. The flags that several subcommands share are declared and
-range-checked once, at parse time, so a bad value exits 2 before any file
-is written.
+There is one function per stage: train, rank, seed, evaluate and the
+baseline ranking. Each computes its artifacts, writes them and returns
+them. Each subcommand loads its inputs and runs one stage, or for split
+two library calls; ``pipeline`` runs them all in order, so its artifacts
+equal those of the chain of subcommands. Every flag is declared and
+checked once, at parse time: an out-of-range value or a missing input
+file exits 2 before any file is written.
 
-Every run writes a JSON manifest recording parameters, input digests and
-wall times, so a run can be reproduced from its artifacts alone. Every
-artifact is written to a temp file that replaces its target only when
-complete. Exit codes: 0 success, 2 usage, 3 input format, 4 numeric failure
-during training, 5 degenerate data.
+``main`` times each subcommand and writes its JSON manifest, recording
+parameters, input digests and wall times, so a run can be reproduced from
+its artifacts alone. Every artifact is written to a temp file that
+replaces its target only when complete. Exit codes: 0 success, 2 usage, 3
+input format, 4 numeric failure during training, 5 degenerate data.
 """
 
 import argparse
@@ -61,9 +61,18 @@ class UsageError(Exception):
     pass
 
 
-def _require_file(path, flag):
+class InputPath(str):
+    """The value of an input-file flag; the manifest digests every one."""
+
+
+def _input_file(path):
+    """An argparse ``type`` for an input file: exit 2 unless it exists."""
     if not os.path.isfile(path):
-        raise UsageError(f"{flag}: file not found: {path}")
+        raise argparse.ArgumentTypeError(f"file not found: {path}")
+    return InputPath(path)
+
+
+INPUT = dict(type=_input_file, required=True)  # a required input-file flag
 
 
 def _checked(kind, ok, requirement):
@@ -115,22 +124,32 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(args, inputs, outputs, wall_times, path=None, **extra):
-    """Write the run's JSON manifest to ``--manifest``, else ``path``, else
-    beside the first output. ``inputs`` are the flags whose files are
-    digested; the parameters are every parsed flag."""
-    paths = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in inputs}
+def _write_manifest(args, outputs, fields):
+    """Write the run's JSON manifest to ``--manifest``, else to manifest.json
+    in ``--outdir``, else beside the first output. The parameters are every
+    parsed flag; the inputs are the files given to input-file flags, with
+    their digests."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
     doc = {
         "tool": "iminfector",
         "version": __version__,
         "subcommand": args.subcommand,
-        "parameters": {k: v for k, v in vars(args).items() if k not in ("func", "manifest")},
-        "inputs": {flag: {"path": p, "sha256": _sha256(p)} for flag, p in paths.items()},
+        "parameters": parameters,
+        "inputs": {
+            "--" + k.replace("_", "-"): {"path": v, "sha256": _sha256(v)}
+            for k, v in parameters.items()
+            if isinstance(v, InputPath)
+        },
         "outputs": outputs,
-        "wall_times": wall_times,
-        **extra,
+        **fields,
     }
-    with atomic_write(args.manifest or path or outputs[0] + ".manifest.json") as fh:
+    if args.manifest:
+        path = args.manifest
+    elif "outdir" in args:
+        path = os.path.join(args.outdir, "manifest.json")
+    else:
+        path = outputs[0] + ".manifest.json"
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -155,41 +174,34 @@ def _epoch_fields(report):
     }
 
 
+def _model_config(args):
+    return ModelConfig(
+        embed_dim=args.embed_dim, learning_rate=args.lr, epochs=args.epochs, rng_seed=args.rng_seed
+    )
+
+
 # The stages. Each computes its artifacts, writes them and returns them; the
 # subcommands run one stage each, pipeline runs them all in order.
 
 
-def split_stage(args, corpus, train_out, test_out):
-    """Temporal split of ``corpus``; writes and returns (train, test)."""
-    train_corpus, test_corpus = temporal_split(corpus, args.train_frac)
-    save_cascades(train_corpus, train_out)
-    save_cascades(test_corpus, test_out)
-    return train_corpus, test_corpus
-
-
-def train_stage(args, corpus, out, pairs_out=None):
-    """Train on ``corpus`` and write the model; returns (model, report).
-
-    With ``pairs_out``, the stream epoch 0 trained on is written there too.
-    """
-    config = ModelConfig(
-        embed_dim=args.embed_dim,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        rng_seed=args.rng_seed,
-    )
-    E, I, N = args.embed_dim, corpus.n_influencers, corpus.n_nodes
+def new_model(args, corpus):
+    """A fresh model for ``corpus``; one too large to allocate is a usage error."""
     try:
-        model = init_model(
-            config, I, N, influencer_ids=corpus.influencer_ids(), node_ids=corpus.node_ids()
-        )
+        return init_model(_model_config(args), corpus.influencer_ids(), corpus.node_ids())
     except MemoryError:
-        # O, T, b_t and C, float64
-        need = 8 * (I * E + E * N + N + E)
+        E, I, N = args.embed_dim, corpus.n_influencers, corpus.n_nodes
+        need = 8 * (I * E + E * N + N + E)  # O, T, b_t and C, float64
         raise UsageError(
             f"--embed-dim {E}: a model of E={E}, I={I}, N={N} needs {need} bytes, "
             "more than could be allocated"
         ) from None
+
+
+def train_stage(args, corpus, model, out, pairs_out=None):
+    """Train ``model`` on ``corpus`` and write it; returns the TrainReport.
+
+    With ``pairs_out``, the stream epoch 0 trained on is written there too.
+    """
     first_stream = None
 
     def stream_producer(epoch):
@@ -199,11 +211,11 @@ def train_stage(args, corpus, out, pairs_out=None):
             first_stream = stream
         return stream
 
-    model, report = train(model, stream_producer, config)
+    model, report = train(model, stream_producer, _model_config(args))
     save_embeddings(model, out)
     if pairs_out:
         dump_pairs(first_stream, pairs_out)
-    return model, report
+    return report
 
 
 def rank_stage(args, model, out):
@@ -255,103 +267,66 @@ def baseline_stage(args, ranking, out):
     return [node for node, _ in top]
 
 
+# The subcommands. Each loads its inputs and runs its stage, and returns its
+# outputs and the manifest fields of its own; main times the call and
+# writes the manifest.
+
+
 def cmd_synth(args):
-    wall = {}
-    with _timed(wall, "synth"):
-        rng = np.random.default_rng(args.rng_seed)
-        corpus = generate_corpus(
-            rng,
-            n_nodes=args.nodes,
-            n_cascades=args.cascades,
-            n_planted=args.planted,
-            n_lures=args.lures,
-        )
-        save_cascades(corpus, args.out)
-        outputs = [args.out]
-        if args.edges_out:
-            save_edges(derive_edges(corpus), args.edges_out)
-            outputs.append(args.edges_out)
-    _write_manifest(
-        args, [], outputs, wall, n_nodes=corpus.n_nodes, n_cascades=corpus.n_cascades
+    rng = np.random.default_rng(args.rng_seed)
+    corpus = generate_corpus(
+        rng,
+        n_nodes=args.nodes,
+        n_cascades=args.cascades,
+        n_planted=args.planted,
+        n_lures=args.lures,
     )
+    save_cascades(corpus, args.out)
+    outputs = [args.out]
+    if args.edges_out:
+        save_edges(derive_edges(corpus), args.edges_out)
+        outputs.append(args.edges_out)
+    return outputs, dict(n_nodes=corpus.n_nodes, n_cascades=corpus.n_cascades)
 
 
 def cmd_split(args):
-    _require_file(args.cascades, "--cascades")
-    wall = {}
-    with _timed(wall, "split"):
-        corpus = load_cascades(args.cascades)
-        train_corpus, test_corpus = split_stage(args, corpus, args.train_out, args.test_out)
-    _write_manifest(
-        args,
-        ["--cascades"],
-        [args.train_out, args.test_out],
-        wall,
-        n_train=train_corpus.n_cascades,
-        n_test=test_corpus.n_cascades,
-    )
+    train_corpus, test_corpus = temporal_split(load_cascades(args.cascades), args.train_frac)
+    save_cascades(train_corpus, args.train_out)
+    save_cascades(test_corpus, args.test_out)
+    outputs = [args.train_out, args.test_out]
+    return outputs, dict(n_train=train_corpus.n_cascades, n_test=test_corpus.n_cascades)
 
 
 def cmd_stats(args):
-    _require_file(args.train, "--train")
-    _require_file(args.test, "--test")
-    wall = {}
-    with _timed(wall, "stats"):
-        ids, columns = initiator_stats(load_cascades(args.train), load_cascades(args.test))
-        with atomic_write(args.out) as fh:
-            fh.write("\t".join(["node_id", *columns]) + "\n")
-            for row in zip(ids, *(column.tolist() for column in columns.values())):
-                fh.write("\t".join(map(str, row)) + "\n")
-    _write_manifest(args, ["--train", "--test"], [args.out], wall)
+    ids, columns = initiator_stats(load_cascades(args.train), load_cascades(args.test))
+    with atomic_write(args.out) as fh:
+        fh.write("\t".join(["node_id", *columns]) + "\n")
+        for row in zip(ids, *(column.tolist() for column in columns.values())):
+            fh.write("\t".join(map(str, row)) + "\n")
+    return [args.out], {}
 
 
 def cmd_train(args):
-    _require_file(args.cascades, "--cascades")
-    wall = {}
-    with _timed(wall, "train"):
-        corpus = load_cascades(args.cascades)
-        _, report = train_stage(args, corpus, args.out, args.dump_pairs)
+    corpus = load_cascades(args.cascades)
+    report = train_stage(args, corpus, new_model(args, corpus), args.out, args.dump_pairs)
     outputs = [args.out] + ([args.dump_pairs] if args.dump_pairs else [])
-    _write_manifest(args, ["--cascades"], outputs, wall, **_epoch_fields(report))
+    return outputs, _epoch_fields(report)
 
 
 def cmd_rank(args):
-    _require_file(args.model, "--model")
-    wall = {}
-    with _timed(wall, "rank"):
-        model = load_embeddings(args.model)
-        # without them candidates would be named by row number, which a later
-        # evaluate would read as node ids
-        if model.influencer_ids is None:
-            raise CorruptFile(f"{args.model}: no id tables (cut short, or saved without ids)")
-        matrix, _ = rank_stage(args, model, args.out)
-    _write_manifest(args, ["--model"], [args.out], wall, n_candidates=matrix.n_candidates)
+    matrix, _ = rank_stage(args, load_embeddings(args.model), args.out)
+    return [args.out], dict(n_candidates=matrix.n_candidates)
 
 
 def cmd_seed(args):
-    _require_file(args.dmatrix, "--dmatrix")
-    wall = {}
-    with _timed(wall, "seed"):
-        selection = seed_stage(args, *load_matrix(args.dmatrix), args.out)
-    _write_manifest(
-        args,
-        ["--dmatrix"],
-        [args.out],
-        wall,
-        n_selected=len(selection.seeds),
-        truncated=selection.truncated,
-    )
+    selection = seed_stage(args, *load_matrix(args.dmatrix), args.out)
+    return [args.out], dict(n_selected=len(selection.seeds), truncated=selection.truncated)
 
 
 def cmd_evaluate(args):
-    _require_file(args.seeds, "--seeds")
-    _require_file(args.test, "--test")
-    wall = {}
-    with _timed(wall, "evaluate"):
-        seed_ids = load_seed_ids(args.seeds)
-        result = evaluate_stage(seed_ids, load_cascades(args.test), args.out)
+    result = evaluate_stage(load_seed_ids(args.seeds), load_cascades(args.test), args.out)
     print(f"dni\t{result.dni}")
-    _write_manifest(args, ["--seeds", "--test"], [args.out], wall, dni=result.dni)
+    return [args.out], dict(dni=result.dni)
 
 
 def cmd_baseline(args):
@@ -359,20 +334,14 @@ def cmd_baseline(args):
     path = getattr(args, flag[2:])
     if not path:
         raise UsageError(f"{flag} is required for --method {args.method}")
-    _require_file(path, flag)
-    wall = {}
-    with _timed(wall, "baseline"):
-        if args.method == "kcore":
-            ranking = kcore_ranking(load_edges(path))
-        else:
-            ranking = avg_size_ranking(load_cascades(path))
-        top = baseline_stage(args, ranking, args.out)
-    _write_manifest(args, [flag], [args.out], wall, n_selected=len(top))
+    if args.method == "kcore":
+        ranking = kcore_ranking(load_edges(path))
+    else:
+        ranking = avg_size_ranking(load_cascades(path))
+    return [args.out], dict(n_selected=len(baseline_stage(args, ranking, args.out)))
 
 
 def cmd_pipeline(args):
-    _require_file(args.cascades, "--cascades")
-    os.makedirs(args.outdir, exist_ok=True)
     outputs = []
 
     def out(name):
@@ -381,10 +350,14 @@ def cmd_pipeline(args):
 
     wall = {}
     with _timed(wall, "split"):
-        corpus = load_cascades(args.cascades)
-        train_corpus, test_corpus = split_stage(args, corpus, out("train.txt"), out("test.txt"))
+        train_corpus, test_corpus = temporal_split(load_cascades(args.cascades), args.train_frac)
+        # made before the first write, so a model too large to allocate leaves no file
+        model = new_model(args, train_corpus)
+        os.makedirs(args.outdir, exist_ok=True)
+        save_cascades(train_corpus, out("train.txt"))
+        save_cascades(test_corpus, out("test.txt"))
     with _timed(wall, "train"):
-        model, report = train_stage(args, train_corpus, out("model.infv"))
+        report = train_stage(args, train_corpus, model, out("model.infv"))
     with _timed(wall, "rank"):
         matrix, budgets = rank_stage(args, model, out("dmatrix.bin"))
     with _timed(wall, "seed"):
@@ -398,12 +371,8 @@ def cmd_pipeline(args):
             baseline_ids, test_corpus, out("baseline_avgsize_result.tsv")
         )
     print(f"dni\timinfector={result.dni}\tavgsize={baseline_result.dni}")
-    _write_manifest(
-        args,
-        ["--cascades"],
-        sorted(outputs),
-        wall,
-        path=os.path.join(args.outdir, "manifest.json"),
+    return sorted(outputs), dict(
+        wall_times=wall,
         **_epoch_fields(report),
         n_candidates=matrix.n_candidates,
         n_selected=len(selection.seeds),
@@ -431,7 +400,7 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("split", help="temporal 80/20 split of a cascade file")
-    p.add_argument("--cascades", required=True)
+    p.add_argument("--cascades", **INPUT)
     _add_flags(p, "--train-frac")
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
@@ -439,14 +408,14 @@ def build_parser():
     p.set_defaults(func=cmd_split)
 
     p = subs.add_parser("stats", help="per-node activity and test-side influence table")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
+    p.add_argument("--train", **INPUT)
+    p.add_argument("--test", **INPUT)
     p.add_argument("--out", required=True)
     _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_stats)
 
     p = subs.add_parser("train", help="train the embedding model on a train split")
-    p.add_argument("--cascades", required=True)
+    p.add_argument("--cascades", **INPUT)
     _add_flags(p, *TRAIN_FLAGS)
     p.add_argument("--out", required=True)
     p.add_argument("--dump-pairs", default=None, help="write the epoch-0 stream as TSV")
@@ -454,37 +423,37 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("rank", help="build the pruned diffusion matrix and budgets")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", **INPUT)
     _add_flags(p, "--prune-percent")
     p.add_argument("--out", required=True)
     _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_rank)
 
     p = subs.add_parser("seed", help="select seeds by lazy greedy over a diffusion matrix")
-    p.add_argument("--dmatrix", required=True)
+    p.add_argument("--dmatrix", **INPUT)
     _add_flags(p, "--size")
     p.add_argument("--out", required=True)
     _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_seed)
 
     p = subs.add_parser("evaluate", help="distinct nodes influenced over a test split")
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--test", required=True)
+    p.add_argument("--seeds", **INPUT)
+    p.add_argument("--test", **INPUT)
     p.add_argument("--out", required=True)
     _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("baseline", help="k-core or average-cascade-size ranking")
     p.add_argument("--method", choices=("kcore", "avgsize"), required=True)
-    p.add_argument("--edges", default=None)
-    p.add_argument("--train", default=None)
+    p.add_argument("--edges", type=_input_file)
+    p.add_argument("--train", type=_input_file)
     _add_flags(p, "--size")
     p.add_argument("--out", required=True)
     _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_baseline)
 
     p = subs.add_parser("pipeline", help="split, train, rank, seed and evaluate in one run")
-    p.add_argument("--cascades", required=True)
+    p.add_argument("--cascades", **INPUT)
     _add_flags(p, "--train-frac", *TRAIN_FLAGS, "--prune-percent", "--size")
     p.add_argument("--outdir", required=True)
     _add_flags(p, "--rng-seed", "--manifest")
@@ -500,7 +469,10 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.func(args)
+        wall = {}
+        with _timed(wall, args.subcommand):
+            outputs, fields = args.func(args)
+        _write_manifest(args, outputs, {"wall_times": wall, **fields})
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

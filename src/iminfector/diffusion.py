@@ -42,10 +42,10 @@ class SpreadBudget:
 def build_matrix(model, prune_percent):
     """Keep the top ceil(P * I / 100) influencers by embedding norm.
 
-    Order is norm descending, ties by id ascending (index ascending when the
-    model carries no id table). Rows are forward_classify outputs, so they
-    match the training-time softmax bit for bit. A kept norm or row that is
-    not finite (the model's values overflow) raises NonFiniteMatrix.
+    Order is norm descending, ties by id ascending. Rows are
+    forward_classify outputs, so they match the training-time softmax bit
+    for bit. A kept norm or row that is not finite (the model's values
+    overflow) raises NonFiniteMatrix.
     """
     if not 0.0 < prune_percent <= 100.0:
         raise ValueError(f"prune_percent must be in (0, 100], got {prune_percent}")
@@ -53,15 +53,9 @@ def build_matrix(model, prune_percent):
     # an overflow is reported below as NonFiniteMatrix, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(model.O, axis=1)
-    if model.influencer_ids is not None:
-        order = sorted(range(I), key=lambda u: (-norms[u], model.influencer_ids[u]))
-    else:
-        order = sorted(range(I), key=lambda u: (-norms[u], u))
+    order = sorted(range(I), key=lambda u: (-norms[u], model.influencer_ids[u]))
     kept = order[: slack_ceil(prune_percent * I / 100.0)]
-    if model.influencer_ids is not None:
-        ids = [model.influencer_ids[u] for u in kept]
-    else:
-        ids = [str(u) for u in kept]
+    ids = [model.influencer_ids[u] for u in kept]
     with np.errstate(over="ignore", invalid="ignore"):
         probs = np.stack([forward_classify(model, u) for u in kept])
     if not (np.isfinite(norms[kept]).all() and np.isfinite(probs).all()):
@@ -102,10 +96,10 @@ def load_matrix(path):
     """Read a DPM1 file back into (DiffusionMatrix, SpreadBudget).
 
     Model row numbers are not stored: downstream stages address candidates
-    by row position or id string. A repeated candidate id, budgets outside
-    [1, N], negative or non-finite norms, probabilities outside [0, 1] (NaN
-    included) and rows whose sum is further than N * 2**-52 from 1 raise
-    CorruptFile.
+    by row position or id string. A candidate id that a cascade log could
+    not hold, a repeated candidate id, budgets outside [1, N], negative or
+    non-finite norms, probabilities outside [0, 1] (NaN included) and rows
+    whose sum is further than N * 2**-52 from 1 raise CorruptFile.
 
     The row tolerance holds for every row build_matrix writes, whatever the
     summation order: each entry e_j / s rounds once, the denominator s and

@@ -102,8 +102,8 @@ class InfectorModel:
     b_t: np.ndarray  # N classification bias
     b_c: float  # regression bias
     C: np.ndarray  # E, all ones, never trained
-    influencer_ids: list = None  # row u of O belongs to influencer_ids[u]
-    node_ids: list = None  # column v of T belongs to node_ids[v]
+    influencer_ids: list  # row u of O belongs to influencer_ids[u]
+    node_ids: list  # column v of T belongs to node_ids[v]
 
     @property
     def n_influencers(self):
@@ -131,23 +131,24 @@ class TrainReport:
     classify_isa: str = None  # with the C kernel, its clone: "avx512f", "avx2" or "baseline"
 
 
-def init_model(config, n_influencers, n_nodes, influencer_ids=None, node_ids=None):
-    """Fresh model with O, T uniform in [-0.5/E, 0.5/E] and zero biases.
+def init_model(config, influencer_ids, node_ids):
+    """Fresh model with one row of O per influencer id and one column of T
+    per node id, uniform in [-0.5/E, 0.5/E], and zero biases.
 
     The init generator is seeded with (rng_seed, 0) so its draws stay
     distinct from the per-epoch context streams seeded with rng_seed+epoch.
     """
-    if n_influencers < 1 or n_nodes < 1:
+    if not influencer_ids or not node_ids:
         raise ValueError("model needs at least one influencer and one node")
-    E = config.embed_dim
+    E, N = config.embed_dim, len(node_ids)
     rng = np.random.default_rng([config.rng_seed, 0])
     half = 0.5 / E
-    O = rng.uniform(-half, half, size=(n_influencers, E))
-    T = rng.uniform(-half, half, size=(E, n_nodes))
+    O = rng.uniform(-half, half, size=(len(influencer_ids), E))
+    T = rng.uniform(-half, half, size=(E, N))
     return InfectorModel(
         O=O,
         T=T,
-        b_t=np.zeros(n_nodes),
+        b_t=np.zeros(N),
         b_c=0.0,
         C=np.ones(E),
         influencer_ids=influencer_ids,
@@ -435,16 +436,17 @@ def save_embeddings(model, path):
         fh.write(np.ascontiguousarray(model.T, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.b_t, dtype="<f8").tobytes())
         fh.write(struct.pack("<d", model.b_c))
-        if model.influencer_ids is not None and model.node_ids is not None:
-            fh.write(pack_ids(model.influencer_ids))
-            fh.write(pack_ids(model.node_ids))
+        fh.write(pack_ids(model.influencer_ids))
+        fh.write(pack_ids(model.node_ids))
 
 
 def load_embeddings(path):
     """Read an INFV1 file back into an InfectorModel (lossless round-trip).
 
-    A non-finite value in O, T, b_t or b_c, or an id that appears twice in
-    its table, raises CorruptFile: a trained model holds neither.
+    A file cut short anywhere, its id tables included, raises CorruptFile,
+    as do a non-finite value in O, T, b_t or b_c, an id that a cascade log
+    could not hold and an id that appears twice in its table: a trained
+    model holds none of these.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -470,14 +472,12 @@ def load_embeddings(path):
     for name, values in (("O", O), ("T", T), ("b_t", b_t), ("b_c", b_c)):
         if not np.isfinite(values).all():
             raise CorruptFile(f"{path}: {name} holds a non-finite value")
-    influencer_ids = node_ids = None
-    if offset < len(buf):
-        influencer_ids, offset = read_ids(buf, offset, I, path)
-        node_ids, offset = read_ids(buf, offset, N, path)
-        if offset != len(buf):
-            raise CorruptFile(f"{path}: {len(buf) - offset} trailing bytes")
-        if len(set(influencer_ids)) != I or len(set(node_ids)) != N:
-            raise CorruptFile(f"{path}: an id appears more than once in its table")
+    influencer_ids, offset = read_ids(buf, offset, I, path)
+    node_ids, offset = read_ids(buf, offset, N, path)
+    if offset != len(buf):
+        raise CorruptFile(f"{path}: {len(buf) - offset} trailing bytes")
+    if len(set(influencer_ids)) != I or len(set(node_ids)) != N:
+        raise CorruptFile(f"{path}: an id appears more than once in its table")
     return InfectorModel(
         O=O,
         T=T,

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascades import ID_RE
 from .exceptions import EmptyMatrix, MalformedLine
-from ._util import atomic_write, read_lines
+from ._util import ID_RE, atomic_write, read_lines
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,10 @@ class acceptance:
         return False
 
 
+def ids(prefix, n):
+    return [f"{prefix}{i}" for i in range(n)]
+
+
 def walkthrough_instance():
     probs = np.array(
         [
@@ -128,7 +132,7 @@ def test_acceptance_2_gradients(capsys):
         for _ in range(50):
             I, N, E = (int(rng.integers(1, k)) for k in (6, 9, 7))
             N = max(N, 2)
-            m = init_model(ModelConfig(embed_dim=E, rng_seed=0), I, N)
+            m = init_model(ModelConfig(embed_dim=E, rng_seed=0), ids("u", I), ids("v", N))
             m.O += rng.normal(0, 0.5, m.O.shape)
             m.T += rng.normal(0, 0.5, m.T.shape)
             m.b_t += rng.normal(0, 0.2, m.b_t.shape)
@@ -151,7 +155,7 @@ def test_acceptance_2_gradients(capsys):
             )
 
         # collapsed softmax/NLL gradient equals the explicit Jacobian product
-        m = init_model(ModelConfig(embed_dim=4, rng_seed=1), 2, 5)
+        m = init_model(ModelConfig(embed_dim=4, rng_seed=1), ids("u", 2), ids("v", 5))
         m.O += np.random.default_rng(2).normal(0, 0.5, m.O.shape)
         m.T += np.random.default_rng(3).normal(0, 0.5, m.T.shape)
         phi = forward_classify(m, 0)

@@ -1,5 +1,6 @@
 """Exit codes, manifests, and artifact formats of the command line."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -95,13 +96,34 @@ def test_split_counts_and_manifest(tmp_path, corpus_file):
     assert doc["inputs"]["--cascades"]["sha256"]
 
 
-def test_missing_input_file_is_exit_2(tmp_path, capsys):
-    code = main(
-        ["split", "--cascades", str(tmp_path / "nope.txt"),
-         "--train-out", str(tmp_path / "a"), "--test-out", str(tmp_path / "b")]
+# Every input-file flag of every subcommand, with the other flags its run needs.
+INPUT_FLAGS = [
+    ("split", "--cascades", ["--train-out", "a", "--test-out", "b"]),
+    ("stats", "--train", ["--test", "IN", "--out", "a"]),
+    ("stats", "--test", ["--train", "IN", "--out", "a"]),
+    ("train", "--cascades", ["--out", "a"]),
+    ("rank", "--model", ["--out", "a"]),
+    ("seed", "--dmatrix", ["--out", "a"]),
+    ("evaluate", "--seeds", ["--test", "IN", "--out", "a"]),
+    ("evaluate", "--test", ["--seeds", "IN", "--out", "a"]),
+    ("baseline", "--edges", ["--method", "kcore", "--out", "a"]),
+    ("baseline", "--train", ["--method", "avgsize", "--out", "a"]),
+    ("pipeline", "--cascades", ["--outdir", "run"]),
+]
+
+
+@pytest.mark.parametrize("subcommand, flag, rest", INPUT_FLAGS,
+                         ids=[f"{sub}-{flag}" for sub, flag, _ in INPUT_FLAGS])
+def test_missing_input_file_is_exit_2(tmp_path, corpus_file, capsys, subcommand, flag, rest):
+    missing = str(tmp_path / "nope.txt")
+    # every other input exists, so only the missing file can be refused
+    rest = [str(corpus_file) if a == "IN" else a if a.startswith("--") else str(tmp_path / a)
+            for a in rest]
+    assert main([subcommand, flag, missing, *rest]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"iminfector {subcommand}: error: argument {flag}: file not found: {missing}"
     )
-    assert code == 2
-    assert "--cascades" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cascades.txt"]
 
 
 def test_malformed_cascades_is_exit_3(tmp_path, capsys):
@@ -332,14 +354,38 @@ def test_infv_nonfinite_value_is_exit_3(tmp_path, corpus_file, capsys, name):
 
 
 def test_rank_without_id_tables_is_exit_3(tmp_path, corpus_file, capsys):
-    # a model cut right after b_c loads as one saved without ids; rank
-    # would name the candidates by row number
+    # a model cut right after b_c is cut short: INFV1 always ends with its
+    # id tables, without which rank would name candidates by row number
     _, _, model_path, _, _, _ = chain(tmp_path, corpus_file)
     model = load_embeddings(model_path)
-    model.influencer_ids = model.node_ids = None
+    (I, E), N = model.O.shape, model.n_nodes
+    end_of_b_c = 5 + 24 + 8 * (I * E + E * N + N) + 8
+    model_path.write_bytes(model_path.read_bytes()[:end_of_b_c])
+    out = tmp_path / "x.bin"
+    assert main(["rank", "--model", str(model_path), "--out", str(out)]) == 3
+    assert "truncated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_id", ["", "a b", "x:y", "v\t1", "v\n1"])
+def test_id_a_cascade_log_cannot_hold_in_a_binary_is_exit_3(tmp_path, corpus_file, capsys,
+                                                             bad_id):
+    # seed would write the id into seeds.txt, which evaluate refuses or misreads
+    _, _, model_path, dmat, _, _ = chain(tmp_path, corpus_file)
+    matrix, budgets = load_matrix(dmat)
+    matrix.candidate_ids[1] = bad_id
+    save_matrix(matrix, budgets, dmat)
+    seeds = tmp_path / "s.txt"
+    assert main(["seed", "--dmatrix", str(dmat), "--size", "2", "--out", str(seeds)]) == 3
+    assert f"id 1 of its table, {bad_id!r}, is not a node id" in capsys.readouterr().err
+    assert not seeds.exists()
+    model = load_embeddings(model_path)
+    model.node_ids[2] = bad_id
     save_embeddings(model, model_path)
-    assert main(["rank", "--model", str(model_path), "--out", str(tmp_path / "x.bin")]) == 3
-    assert "no id tables" in capsys.readouterr().err
+    out = tmp_path / "x.bin"
+    assert main(["rank", "--model", str(model_path), "--out", str(out)]) == 3
+    assert f"id 2 of its table, {bad_id!r}, is not a node id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rank_of_overflowing_model_is_exit_5(tmp_path, corpus_file, capsys):
@@ -642,5 +688,56 @@ def test_model_too_large_to_allocate_is_exit_2_before_model_write(tmp_path, corp
                  "--embed-dim", str(E)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --embed-dim") and err.count("\n") == 1
-    # the split is written before the model's size is known
-    assert sorted(os.listdir(outdir)) == ["test.txt", "train.txt"]
+    # the model is allocated before the split is written
+    assert os.listdir(tmp_path) == ["cascades.txt"]
+
+
+def readme_invocations():
+    """The README's ``iminfector`` command lines, in order, as argv lists."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## Command line\n"):text.index("\n## Synthetic corpora\n")]
+    return [line.split()[1:] for line in section.splitlines() if line.startswith("iminfector ")]
+
+
+# The input-file flags each README invocation reads, by subcommand (and method).
+README_INPUTS = {
+    "synth": [],
+    "pipeline": ["--cascades"],
+    "split": ["--cascades"],
+    "train": ["--cascades"],
+    "rank": ["--model"],
+    "seed": ["--dmatrix"],
+    "evaluate": ["--seeds", "--test"],
+    "stats": ["--train", "--test"],
+    "baseline avgsize": ["--train"],
+    "baseline kcore": ["--edges"],
+}
+
+
+def test_manifest_inputs_are_the_files_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    invocations = readme_invocations()
+    assert sorted({argv[0] for argv in invocations}) == sorted({k.split()[0] for k in README_INPUTS})
+    for argv in invocations:
+        if argv[0] == "synth":
+            # a small corpus, with the edge list the k-core baseline reads
+            argv = [*argv, "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
+                    "--edges-out", "edges.txt"]
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        key = argv[0] + (" " + argv[argv.index("--method") + 1] if "--method" in argv else "")
+        if argv[0] == "pipeline":
+            manifest = os.path.join(argv[argv.index("--outdir") + 1], "manifest.json")
+        else:
+            first_out = "--train-out" if argv[0] == "split" else "--out"
+            manifest = argv[argv.index(first_out) + 1] + ".manifest.json"
+        inputs = read_manifest(manifest)["inputs"]
+        flags = README_INPUTS[key]
+        assert sorted(inputs) == sorted(flags), key
+        for flag in flags:
+            given = argv[argv.index(flag) + 1]
+            with open(given, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            assert inputs[flag] == {"path": given, "sha256": digest}, (key, flag)

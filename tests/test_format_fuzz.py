@@ -4,7 +4,8 @@
 they are given, each ends with exit 0, 3 (format error) or 5 (degenerate
 data) and never with an uncaught exception. A file cut short or with bytes
 appended is always a format error. A ``rank`` that exits 0 writes a matrix
-that ``seed`` accepts.
+that ``seed`` accepts, and a ``seed`` that exits 0 writes a ``seeds.txt``
+that ``evaluate`` can read.
 """
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iminfector.cli import main
+from iminfector.seeding import load_seed_ids
 
 CORPUS = "".join(
     f"u{i % 4}:{10 * i}\t" + " ".join(f"v{(i * 3 + k) % 9}:{10 * i + k + 1}" for k in range(1 + i % 3)) + "\n"
@@ -58,19 +60,25 @@ def test_mutated_model_keeps_exit_codes(valid, data):
     if kind != "flip":
         assert code == 3
     if code == 0:
-        assert main(["seed", "--dmatrix", str(dmat), "--out", str(valid / "seeds.txt")]) == 0
+        seeds = valid / "seeds.txt"
+        assert main(["seed", "--dmatrix", str(dmat), "--out", str(seeds)]) == 0
+        assert load_seed_ids(seeds)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mutated_matrix_keeps_exit_codes(valid, data):
     kind, blob = data.draw(mutated((valid / "dmatrix.bin").read_bytes()))
-    dmat = valid / "mutated.bin"
+    dmat, seeds = valid / "mutated.bin", valid / "seeds.txt"
     dmat.write_bytes(blob)
-    code = main(["seed", "--dmatrix", str(dmat), "--out", str(valid / "seeds.txt")])
+    seeds.unlink(missing_ok=True)
+    code = main(["seed", "--dmatrix", str(dmat), "--out", str(seeds)])
     assert code in (0, 3, 5)
     if kind != "flip":
         assert code == 3
+    if code == 0:
+        # every id seed writes is one evaluate accepts
+        assert load_seed_ids(seeds)
 
 
 def test_every_prefix_is_exit_3(valid):

@@ -28,9 +28,18 @@ from iminfector.model import (
 from iminfector.synth import generate_corpus
 
 
+def ids(prefix, n):
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def model_with_ids(O, T, b_t, b_c, C):
+    """InfectorModel of these arrays, with id tables u0, u1, ... and v0, v1, ..."""
+    return InfectorModel(O, T, b_t, b_c, C, ids("u", O.shape[0]), ids("v", T.shape[1]))
+
+
 def random_model(rng, I, N, E):
     cfg = ModelConfig(embed_dim=E, rng_seed=int(rng.integers(0, 2**31)))
-    m = init_model(cfg, I, N)
+    m = init_model(cfg, ids("u", I), ids("v", N))
     # move away from the tiny init so gradients have size
     m.O += rng.normal(0, 0.5, m.O.shape)
     m.T += rng.normal(0, 0.5, m.T.shape)
@@ -135,7 +144,7 @@ def test_collapsed_gradient_equals_jacobian_product():
 
 
 def test_classify_step_closed_form():
-    m = InfectorModel(
+    m = model_with_ids(
         O=np.zeros((1, 1)),
         T=np.zeros((1, 2)),
         b_t=np.zeros(2),
@@ -150,7 +159,7 @@ def test_classify_step_closed_form():
 
 
 def test_regress_step_closed_form():
-    m = InfectorModel(
+    m = model_with_ids(
         O=np.zeros((1, 3)),
         T=np.zeros((3, 2)),
         b_t=np.zeros(2),
@@ -183,7 +192,7 @@ def test_classify_step_is_simultaneous():
 
 
 def test_forward_regress_stable_at_extremes():
-    m = InfectorModel(
+    m = model_with_ids(
         O=np.array([[800.0], [-800.0]]),
         T=np.zeros((1, 2)),
         b_t=np.zeros(2),
@@ -197,14 +206,14 @@ def test_forward_regress_stable_at_extremes():
 
 def test_init_model_deterministic_and_bounded():
     cfg = ModelConfig(embed_dim=8, rng_seed=11)
-    a = init_model(cfg, 4, 9)
-    b = init_model(cfg, 4, 9)
+    a = init_model(cfg, ids("u", 4), ids("v", 9))
+    b = init_model(cfg, ids("u", 4), ids("v", 9))
     assert (a.O == b.O).all() and (a.T == b.T).all()
     assert (a.b_t == 0).all() and a.b_c == 0.0
     assert (a.C == 1).all()
     bound = 0.5 / cfg.embed_dim
     assert np.abs(a.O).max() <= bound and np.abs(a.T).max() <= bound
-    c = init_model(ModelConfig(embed_dim=8, rng_seed=12), 4, 9)
+    c = init_model(ModelConfig(embed_dim=8, rng_seed=12), ids("u", 4), ids("v", 9))
     assert not (a.O == c.O).all()
 
 
@@ -228,7 +237,7 @@ def test_train_reduces_loss_on_toy_corpus():
         ]
     )
     cfg = ModelConfig(embed_dim=6, epochs=5, rng_seed=0)
-    m = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
+    m = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
     m, report = train(m, lambda e: build_training_stream(corpus, 1.2, e), cfg)
     assert len(report.classify_loss) == 5
     assert report.classify_loss[-1] < report.classify_loss[0]
@@ -266,7 +275,7 @@ def reference_step_classify(model, u, y, lr):
 
 
 def copy_model(m):
-    return InfectorModel(O=m.O.copy(), T=m.T.copy(), b_t=m.b_t.copy(), b_c=m.b_c, C=m.C.copy())
+    return model_with_ids(O=m.O.copy(), T=m.T.copy(), b_t=m.b_t.copy(), b_c=m.b_c, C=m.C.copy())
 
 
 def assert_same_model(a, b, what):
@@ -349,7 +358,7 @@ def test_train_bitwise_equals_reference_loop(step_kernels, monkeypatch):
     cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=3, rng_seed=4)
     streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
 
-    ref = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
+    ref = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
     want = []
     for stream in streams:
         classify, regress = [], []
@@ -363,7 +372,7 @@ def test_train_bitwise_equals_reference_loop(step_kernels, monkeypatch):
 
     for kernel in step_kernels:
         monkeypatch.setattr(kernel_module, "load", lambda: kernel)
-        model, report = train(init_model(cfg, corpus.n_influencers, corpus.n_nodes), streams.__getitem__, cfg)
+        model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
         assert report.classify_kernel == ("numpy" if kernel is None else "c")
         got = list(zip(report.classify_loss, report.regress_loss, report.classify_steps, report.regress_steps))
         assert got == want
@@ -379,7 +388,7 @@ def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_kernels):
     # (O[1, 0] = 0, so row 0 of T stays zero) takes steps at rate 1 that
     # leave the bound finite and far below the limit.
     for kernel in step_kernels:
-        ref = InfectorModel(
+        ref = model_with_ids(
             O=np.array([[big, 0.0], [0.0, 0.3]]),
             T=np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.4]]),
             b_t=np.zeros(3),
@@ -407,7 +416,7 @@ def test_workspace_step_catches_overflow_of_o_u_alone(step_kernels):
     # the rate 3 pushes O[0, 0] past the largest double. The loss, T and
     # b_t stay finite: only the check of O_u can see it.
     for kernel in step_kernels:
-        ref = InfectorModel(
+        ref = model_with_ids(
             O=np.array([[0.0, 0.5]]),
             T=np.array([[1e308, -1e308, 0.0], [0.2, -0.1, 0.4]]),
             b_t=np.zeros(3),
@@ -508,7 +517,7 @@ def test_workspace_step_large_t_without_overflow_does_not_raise(step_kernels):
         # O_0 is finite though its sum overflows. Rows 0 and 1 of T start at
         # zero and move by 1e-310 * 1e308 * g per step, so every logit stays
         # finite and no step raises.
-        ref = InfectorModel(
+        ref = model_with_ids(
             O=np.array([[1e308, 1e308, 0.3]]),
             T=np.vstack([np.zeros((2, 5)), rng.normal(0, 0.5, (1, 5))]),
             b_t=np.zeros(5),
@@ -545,7 +554,7 @@ def test_train_scopes_the_small_ufunc_buffer(monkeypatch, step_kernels):
         with ufunc_bufsize(4096), np.errstate(over="ignore", invalid="ignore"):
             for lr in (0.1, 1e308):
                 cfg = ModelConfig(embed_dim=4, learning_rate=lr, epochs=2, rng_seed=0)
-                m = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
+                m = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
                 if lr == 0.1:
                     _, report = train(m, producer, cfg)
                     assert report.classify_kernel == ("numpy" if kernel is None else "c")
@@ -559,7 +568,7 @@ def test_train_scopes_the_small_ufunc_buffer(monkeypatch, step_kernels):
 def test_train_raises_with_epoch_and_step():
     corpus = parse_cascades(["u1:0\ta:1 b:2\n"])
     cfg = ModelConfig(embed_dim=4, learning_rate=1e308, epochs=1, rng_seed=0)
-    m = init_model(cfg, corpus.n_influencers, corpus.n_nodes)
+    m = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
     with pytest.raises(NonFiniteUpdate) as exc, np.errstate(over="ignore", invalid="ignore"):
         train(m, lambda e: build_training_stream(corpus, 1.2, e), cfg)
     assert exc.value.epoch == 0
@@ -583,16 +592,6 @@ def test_save_load_round_trip(tmp_path):
         assert (back.C == 1).all()
         assert back.influencer_ids == m.influencer_ids
         assert back.node_ids == m.node_ids
-
-
-def test_save_load_without_id_tables(tmp_path):
-    rng = np.random.default_rng(2)
-    m = random_model(rng, 2, 3, 2)
-    path = tmp_path / "anon.infv"
-    save_embeddings(m, path)
-    back = load_embeddings(path)
-    assert back.influencer_ids is None and back.node_ids is None
-    assert (back.O == m.O).all()
 
 
 def test_load_rejects_wrong_magic(tmp_path):
