@@ -4,9 +4,10 @@ import contextlib
 import math
 import os
 import re
-import struct
 
-from .exceptions import CorruptFile, MalformedLine
+import numpy as np
+
+from .exceptions import CorruptFile, FormatVersionMismatch, MalformedLine
 
 # A node id as a cascade log can hold it: no whitespace, no ':', not empty.
 ID_RE = re.compile(r"[^\s:]+\Z")
@@ -67,39 +68,68 @@ def read_lines(path):
     raise MalformedLine(f"invalid UTF-8 (byte 0x{data[bad]:02x})", len(lines))
 
 
-def pack_ids(ids):
-    """Id table as length-prefixed UTF-8 strings (little-endian u32 lengths)."""
-    chunks = []
-    for s in ids:
-        b = s.encode("utf-8")
-        chunks.append(struct.pack("<I", len(b)))
-        chunks.append(b)
-    return b"".join(chunks)
+def write_binary(path, magic, dims, sections):
+    """Write a binary artifact: ``magic``, ``dims`` as little-endian u64s,
+    then each section in order. An array section is its bytes in C order
+    (the caller gives it its little-endian dtype); any other section is an
+    id table, each id a u32 byte length and its UTF-8 bytes."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(np.array(dims, dtype="<u8").tobytes())
+        for section in sections:
+            if isinstance(section, np.ndarray):
+                fh.write(section.tobytes())
+            else:
+                encoded = map(str.encode, section)  # UTF-8
+                fh.write(b"".join(len(b).to_bytes(4, "little") + b for b in encoded))
 
 
-def take(buf, offset, count, path):
-    """``count`` bytes of ``buf`` from ``offset``, and the offset after them."""
-    end = offset + count
-    if end > len(buf):
-        raise CorruptFile(f"{path}: truncated (needed {end} bytes, have {len(buf)})")
-    return buf[offset:end], end
+class BinaryReader:
+    """Sequential reader of a file that write_binary wrote.
 
-
-def read_ids(buf, offset, count, path):
-    """Read ``count`` ids written by pack_ids; returns (ids, offset after them).
-
-    An id that is not valid UTF-8, or that no cascade log could hold (see
-    ID_RE), raises CorruptFile.
+    The constructor checks the magic (FormatVersionMismatch otherwise) and
+    reads ``n_dims`` u64 dims into ``dims``. Each read checks that its bytes
+    are there before it allocates, so a file cut short raises CorruptFile
+    however large its dims claim to be.
     """
-    ids = []
-    for k in range(count):
-        raw, offset = take(buf, offset, 4, path)
-        (n,) = struct.unpack("<I", raw)
-        raw, offset = take(buf, offset, n, path)
-        try:
-            ids.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise CorruptFile(f"{path}: id {k} of its table is not valid UTF-8") from None
-        if not ID_RE.match(ids[-1]):
-            raise CorruptFile(f"{path}: id {k} of its table, {ids[-1]!r}, is not a node id")
-    return ids, offset
+
+    def __init__(self, path, magic, n_dims, what):
+        with open(path, "rb") as fh:
+            self.data = memoryview(fh.read())
+        self.path, self.offset = path, len(magic)
+        if self.data[: len(magic)] != magic:
+            raise FormatVersionMismatch(f"{path}: not {what}")
+        self.dims = self.array("<u8", n_dims).tolist()
+
+    def take(self, count):
+        """The next ``count`` bytes, as a view of the file's bytes."""
+        end, size = self.offset + count, len(self.data)
+        if end > size:
+            raise CorruptFile(f"{self.path}: truncated (needed {end} bytes, have {size})")
+        view, self.offset = self.data[self.offset : end], end
+        return view
+
+    def array(self, dtype, *shape):
+        """The next array of ``shape``, copied out of the file once."""
+        raw = self.take(math.prod(shape) * np.dtype(dtype).itemsize)
+        return np.frombuffer(raw, dtype).reshape(shape).copy()
+
+    def ids(self, count):
+        """The next id table, of ``count`` ids. An id that is not valid UTF-8,
+        or that no cascade log could hold (see ID_RE), raises CorruptFile."""
+        ids = []
+        for k in range(count):
+            raw = self.take(int.from_bytes(self.take(4), "little"))
+            try:
+                name = str(raw, "utf-8")
+            except UnicodeDecodeError:
+                raise CorruptFile(f"{self.path}: id {k} of its table is not valid UTF-8") from None
+            if not ID_RE.match(name):
+                raise CorruptFile(f"{self.path}: id {k} of its table, {name!r}, is not a node id")
+            ids.append(name)
+        return ids
+
+    def close(self):
+        """Refuse any bytes after the last section read."""
+        if self.offset != len(self.data):
+            raise CorruptFile(f"{self.path}: {len(self.data) - self.offset} trailing bytes")

@@ -15,6 +15,7 @@ events of cascade i are positions ``offsets[i]:offsets[i+1]`` of
 import re
 from array import array
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,59 +36,21 @@ _LINE_RE = re.compile(
 TIME_LIMIT = 2**63  # times are stored as int64
 
 
-class Cascade:
-    """Read-only view of cascade ``index`` of a corpus."""
+class Cascade(NamedTuple):
+    """One cascade as plain values, as ``corpus.cascades`` lists them."""
 
-    __slots__ = ("_corpus", "_index")
-
-    def __init__(self, corpus, index):
-        self._corpus = corpus
-        self._index = index
-
-    @property
-    def _span(self):
-        offsets = self._corpus.offsets
-        return slice(int(offsets[self._index]), int(offsets[self._index + 1]))
-
-    @property
-    def initiator(self):
-        return self._corpus.ids[self._corpus.initiator[self._index]]
-
-    @property
-    def start_time(self):
-        return int(self._corpus.start_time[self._index])
-
-    @property
-    def size(self):
-        span = self._span
-        return span.stop - span.start
+    initiator: str
+    start_time: int
+    events: list  # (node id, absolute time) pairs, sorted by time, initiator excluded
 
     @property
     def nodes(self):
         """Participant ids in event order."""
-        ids = self._corpus.ids
-        return [ids[v] for v in self._corpus.node_idx[self._span].tolist()]
+        return [node for node, _ in self.events]
 
     @property
-    def times(self):
-        return self._corpus.times[self._span]
-
-    @property
-    def events(self):
-        """(node id, absolute time) pairs, sorted by time, initiator excluded."""
-        return list(zip(self.nodes, self.times.tolist()))
-
-    def __eq__(self, other):
-        if not isinstance(other, Cascade):
-            return NotImplemented
-        return (self.initiator, self.start_time, self.events) == (
-            other.initiator,
-            other.start_time,
-            other.events,
-        )
-
-    def __repr__(self):
-        return f"Cascade({self.initiator!r}, {self.start_time}, {self.events!r})"
+    def size(self):
+        return len(self.events)
 
 
 class CascadeCorpus:
@@ -129,7 +92,11 @@ class CascadeCorpus:
 
     @property
     def cascades(self):
-        return [Cascade(self, i) for i in range(self.n_cascades)]
+        """Every cascade as a Cascade, built from the arrays in one pass."""
+        ids, offsets = self.ids, self.offsets.tolist()
+        events = list(zip([ids[v] for v in self.node_idx.tolist()], self.times.tolist()))
+        spans = zip(self.initiator.tolist(), self.start_time.tolist(), offsets, offsets[1:])
+        return [Cascade(ids[u], start, events[a:b]) for u, start, a, b in spans]
 
     @cached_property
     def influencers(self):
@@ -152,10 +119,6 @@ class CascadeCorpus:
     @cached_property
     def node_index(self):
         return {nid: i for i, nid in enumerate(self.ids)}
-
-    @cached_property
-    def influencer_index(self):
-        return {nid: i for i, nid in enumerate(self.influencer_ids())}
 
     def take(self, selection):
         """Corpus of the cascades at positions ``selection``, in that order.

@@ -5,8 +5,9 @@ baseline ranking. Each computes its artifacts, writes them and returns
 them. Each subcommand loads its inputs and runs one stage, or for split
 two library calls; ``pipeline`` runs them all in order, so its artifacts
 equal those of the chain of subcommands. Every flag is declared and
-checked once, at parse time: an out-of-range value or a missing input
-file exits 2 before any file is written.
+checked once, at parse time: an out-of-range value, a missing input file
+or an output target that cannot be replaced exits 2 before any file is
+written.
 
 ``main`` times each subcommand and writes its JSON manifest, recording
 parameters, input digests and wall times, so a run can be reproduced from
@@ -75,6 +76,29 @@ def _input_file(path):
 INPUT = dict(type=_input_file, required=True)  # a required input-file flag
 
 
+def _output_file(path):
+    """An argparse ``type`` for an output file: exit 2 unless its directory
+    exists and the path names a file that is absent or regular, which
+    atomic_write replaces."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory not found: {parent}")
+    if not os.path.basename(path) or (os.path.lexists(path) and not os.path.isfile(path)):
+        raise argparse.ArgumentTypeError(f"not a regular file: {path}")
+    return path
+
+
+def _output_dir(path):
+    """An argparse ``type`` for pipeline's --outdir, made if missing: exit 2
+    if it exists and is not a directory."""
+    if not path or (os.path.lexists(path) and not os.path.isdir(path)):
+        raise argparse.ArgumentTypeError(f"not a directory: {path}")
+    return path
+
+
+OUTPUT = dict(type=_output_file, required=True)  # a required output-file flag
+
+
 def _checked(kind, ok, requirement):
     """An argparse ``type``: parse with ``kind``, then exit 2 unless ``ok(value)``."""
 
@@ -89,6 +113,7 @@ def _checked(kind, ok, requirement):
 
 
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "non-negative")
 
 # The flags that several subcommands share, each declared and checked once.
 FLAGS = {
@@ -105,8 +130,9 @@ FLAGS = {
         type=_checked(float, lambda v: 0.0 < v <= 100.0, "in (0, 100]"), default=10.0
     ),
     "--size": dict(type=_AT_LEAST_1, default=10),
-    "--rng-seed": dict(type=int, default=0, help="master RNG seed"),
-    "--manifest": dict(default=None, help="manifest path override"),
+    "--rng-seed": dict(type=_NON_NEGATIVE, default=0, help="master RNG seed"),
+    "--out": OUTPUT,
+    "--manifest": dict(type=_output_file, default=None, help="manifest path override"),
 }
 TRAIN_FLAGS = ("--embed-dim", "--epochs", "--lr", "--oversample")
 
@@ -393,70 +419,58 @@ def build_parser():
     p.add_argument("--nodes", type=_checked(int, lambda v: v >= 20, "at least 20"), default=300)
     p.add_argument("--cascades", type=_checked(int, lambda v: v >= 10, "at least 10"), default=500)
     p.add_argument("--planted", type=_AT_LEAST_1, default=5)
-    p.add_argument("--lures", type=_checked(int, lambda v: v >= 0, "non-negative"), default=6)
-    p.add_argument("--out", required=True)
-    p.add_argument("--edges-out", default=None, help="also write the implied edge list")
-    _add_flags(p, "--rng-seed", "--manifest")
+    p.add_argument("--lures", type=_NON_NEGATIVE, default=6)
+    p.add_argument("--edges-out", type=_output_file, help="also write the implied edge list")
+    _add_flags(p, "--out", "--rng-seed", "--manifest")
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("split", help="temporal 80/20 split of a cascade file")
     p.add_argument("--cascades", **INPUT)
-    _add_flags(p, "--train-frac")
-    p.add_argument("--train-out", required=True)
-    p.add_argument("--test-out", required=True)
-    _add_flags(p, "--manifest")
+    p.add_argument("--train-out", **OUTPUT)
+    p.add_argument("--test-out", **OUTPUT)
+    _add_flags(p, "--train-frac", "--manifest")
     p.set_defaults(func=cmd_split)
 
     p = subs.add_parser("stats", help="per-node activity and test-side influence table")
     p.add_argument("--train", **INPUT)
     p.add_argument("--test", **INPUT)
-    p.add_argument("--out", required=True)
-    _add_flags(p, "--manifest")
+    _add_flags(p, "--out", "--manifest")
     p.set_defaults(func=cmd_stats)
 
     p = subs.add_parser("train", help="train the embedding model on a train split")
     p.add_argument("--cascades", **INPUT)
-    _add_flags(p, *TRAIN_FLAGS)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dump-pairs", default=None, help="write the epoch-0 stream as TSV")
-    _add_flags(p, "--rng-seed", "--manifest")
+    p.add_argument("--dump-pairs", type=_output_file, help="write the epoch-0 stream as TSV")
+    _add_flags(p, *TRAIN_FLAGS, "--out", "--rng-seed", "--manifest")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("rank", help="build the pruned diffusion matrix and budgets")
     p.add_argument("--model", **INPUT)
-    _add_flags(p, "--prune-percent")
-    p.add_argument("--out", required=True)
-    _add_flags(p, "--manifest")
+    _add_flags(p, "--prune-percent", "--out", "--manifest")
     p.set_defaults(func=cmd_rank)
 
     p = subs.add_parser("seed", help="select seeds by lazy greedy over a diffusion matrix")
     p.add_argument("--dmatrix", **INPUT)
-    _add_flags(p, "--size")
-    p.add_argument("--out", required=True)
-    _add_flags(p, "--manifest")
+    _add_flags(p, "--size", "--out", "--manifest")
     p.set_defaults(func=cmd_seed)
 
     p = subs.add_parser("evaluate", help="distinct nodes influenced over a test split")
     p.add_argument("--seeds", **INPUT)
     p.add_argument("--test", **INPUT)
-    p.add_argument("--out", required=True)
-    _add_flags(p, "--manifest")
+    _add_flags(p, "--out", "--manifest")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("baseline", help="k-core or average-cascade-size ranking")
     p.add_argument("--method", choices=("kcore", "avgsize"), required=True)
     p.add_argument("--edges", type=_input_file)
     p.add_argument("--train", type=_input_file)
-    _add_flags(p, "--size")
-    p.add_argument("--out", required=True)
-    _add_flags(p, "--manifest")
+    _add_flags(p, "--size", "--out", "--manifest")
     p.set_defaults(func=cmd_baseline)
 
     p = subs.add_parser("pipeline", help="split, train, rank, seed and evaluate in one run")
     p.add_argument("--cascades", **INPUT)
-    _add_flags(p, "--train-frac", *TRAIN_FLAGS, "--prune-percent", "--size")
-    p.add_argument("--outdir", required=True)
-    _add_flags(p, "--rng-seed", "--manifest")
+    p.add_argument("--outdir", type=_output_dir, required=True)
+    _add_flags(p, "--train-frac", *TRAIN_FLAGS, "--prune-percent", "--size", "--rng-seed")
+    _add_flags(p, "--manifest")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -7,14 +7,13 @@ proportional to its share of the total candidate norm.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AllZeroNorms, CorruptFile, FormatVersionMismatch, NonFiniteMatrix
+from .exceptions import AllZeroNorms, CorruptFile, NonFiniteMatrix
 from .model import forward_classify
-from ._util import atomic_write, pack_ids, read_ids, slack_ceil, take
+from ._util import BinaryReader, slack_ceil, write_binary
 
 MAGIC = b"DPM1"
 
@@ -82,14 +81,12 @@ def compute_budgets(matrix, n_nodes):
 
 def save_matrix(matrix, budgets, path):
     """Write the DPM1 binary: magic, dims, candidate ids, norms, lambdas, rows."""
-    n, N = matrix.probs.shape
-    with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQ", n, N))
-        fh.write(pack_ids(matrix.candidate_ids))
-        fh.write(np.ascontiguousarray(matrix.norms, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(budgets.lambdas, dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(matrix.probs, dtype="<f8").tobytes())
+    write_binary(path, MAGIC, matrix.probs.shape, [
+        matrix.candidate_ids,
+        np.asarray(matrix.norms, dtype="<f8"),
+        np.asarray(budgets.lambdas, dtype="<u8"),
+        np.asarray(matrix.probs, dtype="<f8"),
+    ])
 
 
 def load_matrix(path):
@@ -107,24 +104,15 @@ def load_matrix(path):
     non-negative terms, so a row sums to 1 within (2N - 1) * 2**-53 plus
     higher-order terms. Measured rows deviate by at most 2.2e-16 at N = 296.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < len(MAGIC) or buf[: len(MAGIC)] != MAGIC:
-        raise FormatVersionMismatch(f"{path}: not a DPM1 diffusion-matrix file")
-    offset = len(MAGIC)
-    raw, offset = take(buf, offset, 16, path)
-    n, N = struct.unpack("<QQ", raw)
+    reader = BinaryReader(path, MAGIC, 2, "a DPM1 diffusion-matrix file")
+    n, N = reader.dims
     if n < 1 or N < 1:
         raise CorruptFile(f"{path}: bad dimensions candidates={n} nodes={N}")
-    ids, offset = read_ids(buf, offset, n, path)
-    raw, offset = take(buf, offset, n * 8, path)
-    norms = np.frombuffer(raw, dtype="<f8").copy()
-    raw, offset = take(buf, offset, n * 8, path)
-    lambdas = np.frombuffer(raw, dtype="<u8")
-    raw, offset = take(buf, offset, n * N * 8, path)
-    probs = np.frombuffer(raw, dtype="<f8").reshape(n, N).copy()
-    if offset != len(buf):
-        raise CorruptFile(f"{path}: {len(buf) - offset} trailing bytes")
+    ids = reader.ids(n)
+    norms = reader.array("<f8", n)
+    lambdas = reader.array("<u8", n)
+    probs = reader.array("<f8", n, N)
+    reader.close()
     if len(set(ids)) != n:
         raise CorruptFile(f"{path}: a candidate id appears more than once")
     # checked on the u8 values: a budget >= 2**63 would wrap negative in int64

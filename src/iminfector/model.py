@@ -65,7 +65,6 @@ value is bitwise the same.
 """
 
 import math
-import struct
 import time
 from dataclasses import dataclass, field
 
@@ -73,8 +72,8 @@ import numpy as np
 
 from . import _kernel
 from .context import SIZE_PAIR
-from .exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
-from ._util import atomic_write, pack_ids, read_ids, take
+from .exceptions import CorruptFile, NonFiniteUpdate
+from ._util import BinaryReader, write_binary
 
 MAGIC = b"INFV1"
 
@@ -423,21 +422,14 @@ def train(model, stream_producer, config):
 def save_embeddings(model, path):
     """Write the INFV1 binary: magic, dims, O, T, b_t, b_c, then id tables.
 
-    The id tables (length-prefixed UTF-8 strings, influencers then nodes)
-    follow the fixed-layout prefix so downstream stages can name rows and
-    columns without the original cascade file.
+    The id tables (influencers, then nodes) follow the fixed-layout prefix
+    so downstream stages can name rows and columns without the original
+    cascade file.
     """
     I, E = model.O.shape
     N = model.T.shape[1]
-    with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQQ", E, I, N))
-        fh.write(np.ascontiguousarray(model.O, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.T, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.b_t, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", model.b_c))
-        fh.write(pack_ids(model.influencer_ids))
-        fh.write(pack_ids(model.node_ids))
+    sections = [np.asarray(a, dtype="<f8") for a in (model.O, model.T, model.b_t, model.b_c)]
+    write_binary(path, MAGIC, (E, I, N), [*sections, model.influencer_ids, model.node_ids])
 
 
 def load_embeddings(path):
@@ -448,34 +440,16 @@ def load_embeddings(path):
     could not hold and an id that appears twice in its table: a trained
     model holds none of these.
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < len(MAGIC) or buf[: len(MAGIC)] != MAGIC:
-        raise FormatVersionMismatch(f"{path}: not an INFV1 embedding file")
-    offset = len(MAGIC)
-    raw, offset = take(buf, offset, 24, path)
-    E, I, N = struct.unpack("<QQQ", raw)
+    reader = BinaryReader(path, MAGIC, 3, "an INFV1 embedding file")
+    E, I, N = reader.dims
     if E < 1 or I < 1 or N < 1:
         raise CorruptFile(f"{path}: bad dimensions E={E} I={I} N={N}")
-
-    def matrix(rows, cols):
-        nonlocal offset
-        raw, offset_ = take(buf, offset, rows * cols * 8, path)
-        offset = offset_
-        return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-
-    O = matrix(I, E)
-    T = matrix(E, N)
-    b_t = matrix(1, N).reshape(N)
-    raw, offset = take(buf, offset, 8, path)
-    (b_c,) = struct.unpack("<d", raw)
+    O, T, b_t, b_c = (reader.array("<f8", *shape) for shape in ((I, E), (E, N), (N,), ()))
     for name, values in (("O", O), ("T", T), ("b_t", b_t), ("b_c", b_c)):
         if not np.isfinite(values).all():
             raise CorruptFile(f"{path}: {name} holds a non-finite value")
-    influencer_ids, offset = read_ids(buf, offset, I, path)
-    node_ids, offset = read_ids(buf, offset, N, path)
-    if offset != len(buf):
-        raise CorruptFile(f"{path}: {len(buf) - offset} trailing bytes")
+    influencer_ids, node_ids = reader.ids(I), reader.ids(N)
+    reader.close()
     if len(set(influencer_ids)) != I or len(set(node_ids)) != N:
         raise CorruptFile(f"{path}: an id appears more than once in its table")
     return InfectorModel(

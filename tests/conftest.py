@@ -1,20 +1,11 @@
-"""Session fixtures: a private kernel cache, and the step paths to test."""
+"""Session fixtures: the classify step paths to test. The private kernel
+cache, ``kernel_cache``, is in the repository root's conftest.py."""
 
 import shutil
 
 import pytest
 
 from iminfector import _kernel
-
-
-@pytest.fixture(scope="session", autouse=True)
-def kernel_cache(tmp_path_factory):
-    """Point XDG_CACHE_HOME at a temp directory for the whole session, so
-    that neither the tests nor the processes they start write under the
-    home directory."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
-        yield
 
 
 @pytest.fixture(scope="session")

@@ -104,7 +104,6 @@ def test_indices_cover_sorted_ids():
     assert corpus.node_ids() == ["a", "b", "z"]
     assert corpus.influencer_ids() == ["a", "b"]
     assert corpus.node_index == {"a": 0, "b": 1, "z": 2}
-    assert corpus.influencer_index == {"a": 0, "b": 1}
 
 
 def test_temporal_split_counts():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -124,6 +125,76 @@ def test_missing_input_file_is_exit_2(tmp_path, corpus_file, capsys, subcommand,
         f"iminfector {subcommand}: error: argument {flag}: file not found: {missing}"
     )
     assert os.listdir(tmp_path) == ["cascades.txt"]
+
+
+# A run of each subcommand: IN is an existing file, and a, b and run are
+# outputs in the test's directory.
+RUNS = {
+    "synth": ["--out", "a"],
+    "split": ["--cascades", "IN", "--train-out", "a", "--test-out", "b"],
+    "stats": ["--train", "IN", "--test", "IN", "--out", "a"],
+    "train": ["--cascades", "IN", "--out", "a"],
+    "rank": ["--model", "IN", "--out", "a"],
+    "seed": ["--dmatrix", "IN", "--out", "a"],
+    "evaluate": ["--seeds", "IN", "--test", "IN", "--out", "a"],
+    "baseline": ["--method", "avgsize", "--train", "IN", "--out", "a"],
+    "pipeline": ["--cascades", "IN", "--outdir", "run"],
+}
+# Every output-file flag of every subcommand.
+OUTPUT_FLAGS = [
+    (sub, flag) for sub, argv in RUNS.items() for flag in argv if flag.endswith("-out")
+] + [("synth", "--edges-out"), ("train", "--dump-pairs")] + [(sub, "--manifest") for sub in RUNS]
+
+
+def run_argv(tmp_path, corpus_file, subcommand, flag, value):
+    """RUNS' argv of ``subcommand`` with ``flag`` given ``value``."""
+    paths = {"IN": str(corpus_file), **{name: str(tmp_path / name) for name in ("a", "b", "run")}}
+    argv = [paths.get(a, a) for a in RUNS[subcommand]]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return [subcommand, *argv]
+
+
+@pytest.mark.parametrize("subcommand, flag", OUTPUT_FLAGS,
+                         ids=[f"{sub}-{flag}" for sub, flag in OUTPUT_FLAGS])
+def test_output_target_atomic_write_cannot_replace_is_exit_2(tmp_path, corpus_file, capsys,
+                                                             subcommand, flag):
+    fifo, directory = tmp_path / "fifo", tmp_path / "dir"
+    os.mkfifo(fifo)
+    directory.mkdir()
+    for target, message in [
+        (tmp_path / "nodir" / "x", f"directory not found: {tmp_path / 'nodir'}"),
+        (fifo, f"not a regular file: {fifo}"),
+        (directory, f"not a regular file: {directory}"),
+        ("", "not a regular file: "),
+    ]:
+        assert main(run_argv(tmp_path, corpus_file, subcommand, flag, str(target))) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"iminfector {subcommand}: error: argument {flag}: {message}"
+        )
+    # refused at parse time: nothing written, and the FIFO is still a FIFO
+    assert sorted(os.listdir(tmp_path)) == ["cascades.txt", "dir", "fifo"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and not os.listdir(directory)
+
+
+def test_pipeline_outdir_that_is_not_a_directory_is_exit_2(tmp_path, corpus_file, capsys):
+    fifo, regular = tmp_path / "fifo", tmp_path / "file"
+    os.mkfifo(fifo)
+    regular.write_text("x")
+    for target in (fifo, regular, ""):
+        assert main(run_argv(tmp_path, corpus_file, "pipeline", "--outdir", str(target))) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"iminfector pipeline: error: argument --outdir: not a directory: {target}"
+        )
+    assert sorted(os.listdir(tmp_path)) == ["cascades.txt", "fifo", "file"]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and regular.read_text() == "x"
+    # a missing --outdir is made, parents and all
+    outdir = tmp_path / "new" / "run"
+    assert main(run_argv(tmp_path, corpus_file, "pipeline", "--outdir", str(outdir))) == 0
+    capsys.readouterr()
+    assert (outdir / "manifest.json").is_file()
 
 
 def test_malformed_cascades_is_exit_3(tmp_path, capsys):
@@ -648,6 +719,8 @@ BAD_FLAGS = [
     ("rank", "--prune-percent", "101"),
     ("seed", "--size", "0"),
     ("baseline", "--size", "0"),
+    ("synth", "--rng-seed", "-1"),
+    ("train", "--rng-seed", "-1"),
 ]
 
 
@@ -657,6 +730,7 @@ def test_out_of_range_flag_is_exit_2_before_any_write(tmp_path, corpus_file, cap
     # every input exists, so only the flag can be refused
     cascades, out = str(corpus_file), str(tmp_path / "out")
     argv = {
+        "synth": ["--out", out],
         "split": ["--cascades", cascades, "--train-out", out, "--test-out", out + "2"],
         "train": ["--cascades", cascades, "--out", out],
         "rank": ["--model", cascades, "--out", out],

@@ -75,8 +75,8 @@ def test_stream_shape_and_order():
     kinds = ["S" if v == SIZE_PAIR else "C" for v in stream.context.tolist()]
     assert kinds == ["C", "C", "C", "C", "S", "C", "C", "S"]
     assert len(stream) == 8
-    u1 = corpus.influencer_index["u1"]
-    u2 = corpus.influencer_index["u2"]
+    u1 = corpus.influencer_ids().index("u1")
+    u2 = corpus.influencer_ids().index("u2")
     assert stream.influencer.tolist() == [u1] * 5 + [u2] * 3
     sizes = stream.size_target[stream.context == SIZE_PAIR]
     assert sizes.tolist() == [1.0, 0.0]
