@@ -46,15 +46,20 @@ def atomic_write(path, mode="w"):
 
 
 def read_lines(path):
-    """Yield the lines of a UTF-8 text file, without their line breaks.
+    """Yield the lines of a UTF-8 text file, as text_lines does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    yield from text_lines(data)
+
+
+def text_lines(data):
+    """Yield the lines of UTF-8 text ``data`` (bytes), without their line breaks.
 
     Line breaks are ``\\n``, ``\\r\\n`` and ``\\r``, as text-mode files read
     them. Invalid UTF-8 raises MalformedLine with the 1-based number of the
     line that holds it, after every line before it has been yielded, so a
     parser still stops at the first bad line in file order.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         text, bad = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:

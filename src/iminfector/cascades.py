@@ -12,6 +12,7 @@ events of cascade i are positions ``offsets[i]:offsets[i+1]`` of
 ``node_idx`` and ``times``.
 """
 
+import ctypes
 import re
 from array import array
 from functools import cached_property
@@ -25,7 +26,8 @@ from .exceptions import (
     MalformedLine,
     TimeOrderViolation,
 )
-from ._util import ID_RE, atomic_write, read_lines, slack_ceil
+from . import _native
+from ._util import ID_RE, atomic_write, read_lines, slack_ceil, text_lines
 
 _TIME_RE = re.compile(r"[0-9]+\Z")
 # A whole well-formed line. Event tokens are separated by any whitespace
@@ -68,7 +70,13 @@ class CascadeCorpus:
     initiator does not appear. build_corpus establishes these invariants;
     the constructor takes arrays that already hold them. Influencer
     indices are dense over the sorted initiator ids.
+
+    ``reader`` says what read a corpus that load_cascades returns: ``"c"``
+    for the native scanner, ``"python"`` for parse_cascades. It is None for
+    any other corpus.
     """
+
+    reader = None
 
     def __init__(self, ids, initiator, start_time, offsets, node_idx, times):
         self.ids = ids
@@ -176,8 +184,11 @@ def build_corpus(ids, initiator, start_time, offsets, node_idx, times):
     times = np.asarray(times, dtype=np.int64)
     sizes = np.diff(offsets)
     owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    order = np.lexsort((times, owner))  # stable: equal times keep input order
-    owner, node_idx, times = owner[order], node_idx[order], times[order]
+    # A stable sort of keys already in order is the identity, so the sort
+    # runs only when some cascade's times descend somewhere.
+    if np.any((times[1:] < times[:-1]) & (owner[1:] == owner[:-1])):
+        order = np.lexsort((times, owner))  # stable: equal times keep input order
+        owner, node_idx, times = owner[order], node_idx[order], times[order]
     _, first = np.unique(owner * len(ids) + node_idx, return_index=True)
     keep = np.zeros(len(owner), dtype=bool)
     keep[first] = True
@@ -306,13 +317,95 @@ def serialize_cascades(corpus):
     return "\n".join(out) + "\n" if out else ""
 
 
+def _scan(lib, data):
+    """The arguments of build_corpus for the log ``data`` (bytes), read by
+    the native scanner; None if the log is not in the scanner's strict
+    form (see _native.c), which parse_cascades reads the same way."""
+    # every cascade ends a line, and every event holds a ':'
+    max_cascades, max_events = data.count(b"\n") + 1, data.count(b":")
+    initiator = np.empty(max_cascades, dtype=np.int32)
+    start = np.empty(max_cascades, dtype=np.int64)
+    offsets = np.empty(max_cascades + 1, dtype=np.int64)
+    node_idx = np.empty(max_events, dtype=np.int32)
+    times = np.empty(max_events, dtype=np.int64)
+    table = _native.IdTable()
+    try:
+        n = lib.scan_cascades(
+            data, len(data), initiator.ctypes.data, start.ctypes.data, offsets.ctypes.data,
+            max_cascades, node_idx.ctypes.data, times.ctypes.data, max_events,
+            ctypes.byref(table),
+        )
+        if n < 0:
+            return None
+        count = table.count
+        spans = zip(table.offset[:count], table.length[:count])
+        ids = [data[at : at + length].decode("ascii") for at, length in spans]
+    finally:
+        lib.release_ids(ctypes.byref(table))
+    events = int(offsets[n])
+    return ids, initiator[:n], start[:n], offsets[: n + 1], node_idx[:events], times[:events]
+
+
 def load_cascades(path):
-    return parse_cascades(read_lines(path))
+    """Read a cascade log into a corpus, as parse_cascades reads its lines.
+
+    The native scanner reads a log in its strict ASCII form; any other log,
+    and every log when the library is missing, goes through
+    parse_cascades, which raises every format error. ``corpus.reader``
+    says which one read it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lib = _native.load()
+    raw = None if lib is None else _scan(lib, data)
+    if raw is None:
+        corpus = parse_cascades(text_lines(data))
+        corpus.reader = "python"
+        return corpus
+    del data  # build_corpus needs the memory more
+    corpus = build_corpus(*raw)
+    corpus.reader = "c"
+    return corpus
+
+
+def _render(lib, corpus):
+    """serialize_cascades(corpus) as UTF-8 bytes, from the native writer;
+    None if the corpus's arrays are not those of a valid corpus."""
+    encoded = [nid.encode() for nid in corpus.ids]
+    bounds = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=bounds[1:])
+    arrays = [
+        np.ascontiguousarray(a, dtype)
+        for a, dtype in (
+            (corpus.initiator, np.int32), (corpus.start_time, np.int64),
+            (corpus.offsets, np.int64), (corpus.node_idx, np.int32), (corpus.times, np.int64),
+        )
+    ]
+    initiator, start, offsets, node_idx, times = arrays
+    n, events = len(initiator), len(node_idx)
+    if (len(start), len(offsets), len(times)) != (n, n + 1, events):
+        return None
+    args = (
+        b"".join(encoded), bounds.ctypes.data, len(encoded), initiator.ctypes.data,
+        start.ctypes.data, offsets.ctypes.data, n, node_idx.ctypes.data, times.ctypes.data,
+        events,
+    )
+    size = lib.write_cascades(*args, None)  # no output buffer: only the size
+    if size < 0:
+        return None
+    out = np.empty(size, dtype=np.uint8)
+    lib.write_cascades(*args, out.ctypes.data)
+    return out
 
 
 def save_cascades(corpus, path):
-    with atomic_write(path) as fh:
-        fh.write(serialize_cascades(corpus))
+    """Write ``corpus`` in the text format, the bytes of serialize_cascades."""
+    lib = _native.load()
+    data = None if lib is None else _render(lib, corpus)
+    if data is None:
+        data = serialize_cascades(corpus).encode()
+    with atomic_write(path, "wb") as fh:
+        fh.write(data)
 
 
 def temporal_split(corpus, train_fraction):

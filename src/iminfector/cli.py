@@ -88,11 +88,22 @@ def _output_file(path):
     return path
 
 
+# The files pipeline writes into --outdir, besides its manifest.
+PIPELINE_FILES = (
+    "train.txt", "test.txt", "model.infv", "dmatrix.bin", "seeds.txt", "result.tsv",
+    "baseline_avgsize_seeds.txt", "baseline_avgsize_result.tsv",
+)
+
+
 def _output_dir(path):
     """An argparse ``type`` for pipeline's --outdir, made if missing: exit 2
-    if it exists and is not a directory."""
+    if it exists and is not a directory, or if it holds something other
+    than a regular file at the name of a file pipeline writes."""
     if not path or (os.path.lexists(path) and not os.path.isdir(path)):
         raise argparse.ArgumentTypeError(f"not a directory: {path}")
+    if os.path.isdir(path):
+        for name in PIPELINE_FILES:
+            _output_file(os.path.join(path, name))
     return path
 
 
@@ -150,9 +161,23 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(args, outputs, fields):
-    """Write the run's JSON manifest to ``--manifest``, else to manifest.json
-    in ``--outdir``, else beside the first output. The parameters are every
+def _manifest_path(args):
+    """``--manifest``, else manifest.json in ``--outdir``, else the first
+    output's path plus ``.manifest.json``. A derived path that names
+    something other than a regular file is a usage error."""
+    if args.manifest:
+        return args.manifest
+    if "outdir" in args:
+        path = os.path.join(args.outdir, "manifest.json")
+    else:
+        path = (args.out if "out" in args else args.train_out) + ".manifest.json"
+    if os.path.lexists(path) and not os.path.isfile(path):
+        raise UsageError(f"manifest path is not a regular file: {path}")
+    return path
+
+
+def _write_manifest(args, path, outputs, fields):
+    """Write the run's JSON manifest to ``path``. The parameters are every
     parsed flag; the inputs are the files given to input-file flags, with
     their digests."""
     parameters = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
@@ -169,12 +194,6 @@ def _write_manifest(args, outputs, fields):
         "outputs": outputs,
         **fields,
     }
-    if args.manifest:
-        path = args.manifest
-    elif "outdir" in args:
-        path = os.path.join(args.outdir, "manifest.json")
-    else:
-        path = outputs[0] + ".manifest.json"
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -198,6 +217,12 @@ def _epoch_fields(report):
         "classify_kernel": report.classify_kernel,
         "classify_isa": report.classify_isa,
     }
+
+
+def _reader(*corpora):
+    """The manifest's ``cascade_reader``: ``"c"`` if the native scanner read
+    every corpus load_cascades returned, else ``"python"``."""
+    return "c" if all(corpus.reader == "c" for corpus in corpora) else "python"
 
 
 def _model_config(args):
@@ -316,27 +341,33 @@ def cmd_synth(args):
 
 
 def cmd_split(args):
-    train_corpus, test_corpus = temporal_split(load_cascades(args.cascades), args.train_frac)
+    corpus = load_cascades(args.cascades)
+    reader = _reader(corpus)
+    train_corpus, test_corpus = temporal_split(corpus, args.train_frac)
+    del corpus  # freed before the saves, as only the two sides are written
     save_cascades(train_corpus, args.train_out)
     save_cascades(test_corpus, args.test_out)
     outputs = [args.train_out, args.test_out]
-    return outputs, dict(n_train=train_corpus.n_cascades, n_test=test_corpus.n_cascades)
+    return outputs, dict(
+        n_train=train_corpus.n_cascades, n_test=test_corpus.n_cascades, cascade_reader=reader
+    )
 
 
 def cmd_stats(args):
-    ids, columns = initiator_stats(load_cascades(args.train), load_cascades(args.test))
+    train_corpus, test_corpus = load_cascades(args.train), load_cascades(args.test)
+    ids, columns = initiator_stats(train_corpus, test_corpus)
     with atomic_write(args.out) as fh:
         fh.write("\t".join(["node_id", *columns]) + "\n")
         for row in zip(ids, *(column.tolist() for column in columns.values())):
             fh.write("\t".join(map(str, row)) + "\n")
-    return [args.out], {}
+    return [args.out], dict(cascade_reader=_reader(train_corpus, test_corpus))
 
 
 def cmd_train(args):
     corpus = load_cascades(args.cascades)
     report = train_stage(args, corpus, new_model(args, corpus), args.out, args.dump_pairs)
     outputs = [args.out] + ([args.dump_pairs] if args.dump_pairs else [])
-    return outputs, _epoch_fields(report)
+    return outputs, dict(**_epoch_fields(report), cascade_reader=_reader(corpus))
 
 
 def cmd_rank(args):
@@ -350,9 +381,10 @@ def cmd_seed(args):
 
 
 def cmd_evaluate(args):
-    result = evaluate_stage(load_seed_ids(args.seeds), load_cascades(args.test), args.out)
+    test_corpus = load_cascades(args.test)
+    result = evaluate_stage(load_seed_ids(args.seeds), test_corpus, args.out)
     print(f"dni\t{result.dni}")
-    return [args.out], dict(dni=result.dni)
+    return [args.out], dict(dni=result.dni, cascade_reader=_reader(test_corpus))
 
 
 def cmd_baseline(args):
@@ -360,11 +392,14 @@ def cmd_baseline(args):
     path = getattr(args, flag[2:])
     if not path:
         raise UsageError(f"{flag} is required for --method {args.method}")
+    fields = {}
     if args.method == "kcore":
         ranking = kcore_ranking(load_edges(path))
     else:
-        ranking = avg_size_ranking(load_cascades(path))
-    return [args.out], dict(n_selected=len(baseline_stage(args, ranking, args.out)))
+        corpus = load_cascades(path)
+        ranking = avg_size_ranking(corpus)
+        fields["cascade_reader"] = _reader(corpus)
+    return [args.out], dict(n_selected=len(baseline_stage(args, ranking, args.out)), **fields)
 
 
 def cmd_pipeline(args):
@@ -376,7 +411,10 @@ def cmd_pipeline(args):
 
     wall = {}
     with _timed(wall, "split"):
-        train_corpus, test_corpus = temporal_split(load_cascades(args.cascades), args.train_frac)
+        corpus = load_cascades(args.cascades)
+        reader = _reader(corpus)
+        train_corpus, test_corpus = temporal_split(corpus, args.train_frac)
+        del corpus  # freed before training, which keeps only the two sides
         # made before the first write, so a model too large to allocate leaves no file
         model = new_model(args, train_corpus)
         os.makedirs(args.outdir, exist_ok=True)
@@ -404,6 +442,7 @@ def cmd_pipeline(args):
         n_selected=len(selection.seeds),
         dni=result.dni,
         dni_avgsize=baseline_result.dni,
+        cascade_reader=reader,
     )
 
 
@@ -483,10 +522,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        manifest = _manifest_path(args)
         wall = {}
         with _timed(wall, args.subcommand):
             outputs, fields = args.func(args)
-        _write_manifest(args, outputs, {"wall_times": wall, **fields})
+        _write_manifest(args, manifest, outputs, {"wall_times": wall, **fields})
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

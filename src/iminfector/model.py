@@ -9,7 +9,7 @@ Everything is float64; gradient tolerances depend on it.
 train() gives its classification steps one StepWorkspace: an N-vector for
 the logits, softmax and gradient and two E-vectors, so a step allocates no
 array data unless it rescans T or b_t (below). When the C kernel of
-_kernel.py loads, the workspace updates T and b_t with it in one pass:
+_native.py loads, the workspace updates T and b_t with it in one pass:
 T[i,j] - ((O_u[i] * g[j]) * lr) and b_t[j] - lr * g[j], the same IEEE
 operations in the same order as numpy's outer product, in-place scaling
 and subtraction. Each element is one rounded product, a second rounded
@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernel
+from . import _native
 from .context import SIZE_PAIR
 from .exceptions import CorruptFile, NonFiniteUpdate
 from ._util import BinaryReader, write_binary
@@ -253,7 +253,7 @@ class StepWorkspace:
     this workspace. Both bounds start at inf, which makes the first step
     scan T and b_t; a step that raises NonFiniteUpdate sets them back to inf.
 
-    ``kernel`` is the C kernel from ``_kernel.load()``, or None. The
+    ``kernel`` is the C kernel from ``_native.step_kernel()``, or None. The
     workspace keeps it only if the model's arrays fit it and it passes a
     self-check against the numpy update; ``self.kernel`` is then the
     kernel, else None.
@@ -377,7 +377,7 @@ def train(model, stream_producer, config):
     """
     report = TrainReport()
     lr = config.learning_rate
-    workspace = StepWorkspace(model, _kernel.load())
+    workspace = StepWorkspace(model, _native.step_kernel())
     if workspace.kernel is not None:
         report.classify_kernel = "c"
         report.classify_isa = workspace.kernel.isa

@@ -1,21 +1,36 @@
-"""Session fixtures: the classify step paths to test. The private kernel
-cache, ``kernel_cache``, is in the repository root's conftest.py."""
+"""Fixtures: the native library and the classify step paths to test. The
+private cache of the native library, ``kernel_cache``, is in the
+repository root's conftest.py."""
 
 import shutil
 
 import pytest
 
-from iminfector import _kernel
+from iminfector import _native
 
 
 @pytest.fixture(scope="session")
-def classify_kernel(kernel_cache):
-    """The C kernel built into the session cache; None only on a host with
-    no C compiler. A compiler on PATH with no kernel fails the test."""
-    kernel = _kernel.load()
-    if kernel is None and shutil.which(_kernel.CC):
-        pytest.fail(f"{_kernel.CC} is on PATH, but the classify kernel did not build or load")
-    return kernel
+def native_library(kernel_cache):
+    """The native library built into the session cache; None only on a host
+    with no C compiler. A compiler on PATH with no library fails the test."""
+    lib = _native.load()
+    if lib is None and shutil.which(_native.CC):
+        pytest.fail(f"{_native.CC} is on PATH, but the native library did not build or load")
+    return lib
+
+
+@pytest.fixture
+def built_library(native_library):
+    """The native library; skips the test on a host with no C compiler."""
+    if native_library is None:
+        pytest.skip("no C compiler on PATH")
+    return native_library
+
+
+@pytest.fixture(scope="session")
+def classify_kernel(native_library):
+    """The C kernel of the classify step, or None with no native library."""
+    return None if native_library is None else native_library.fused_t_update
 
 
 @pytest.fixture(scope="session")

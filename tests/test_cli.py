@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import iminfector
-from iminfector import _kernel as kernel_module
+from iminfector import _native
 from iminfector import cli
 from iminfector.cascades import load_cascades
 from iminfector.cli import main
@@ -197,6 +197,45 @@ def test_pipeline_outdir_that_is_not_a_directory_is_exit_2(tmp_path, corpus_file
     assert (outdir / "manifest.json").is_file()
 
 
+@pytest.mark.parametrize("name", [*cli.PIPELINE_FILES, "manifest.json"])
+def test_pipeline_file_in_outdir_that_cannot_be_replaced_is_exit_2(tmp_path, corpus_file, capsys,
+                                                                    name):
+    run = tmp_path / "run"
+    for kind in ("fifo", "dir"):
+        run.mkdir()
+        target = run / name
+        os.mkfifo(target) if kind == "fifo" else target.mkdir()
+        assert main(run_argv(tmp_path, corpus_file, "pipeline", "--outdir", str(run))) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        if name == "manifest.json":
+            assert err == f"error: manifest path is not a regular file: {target}"
+        else:
+            assert err == (
+                f"iminfector pipeline: error: argument --outdir: not a regular file: {target}"
+            )
+        # refused before any write
+        assert os.listdir(run) == [name]
+        assert stat.S_ISFIFO(os.lstat(target).st_mode) if kind == "fifo" else not os.listdir(target)
+        target.unlink() if kind == "fifo" else target.rmdir()
+        run.rmdir()
+
+
+@pytest.mark.parametrize("subcommand", [sub for sub in RUNS if sub != "pipeline"])
+def test_derived_manifest_path_that_cannot_be_replaced_is_exit_2(tmp_path, corpus_file, capsys,
+                                                                  subcommand):
+    target = tmp_path / "a.manifest.json"
+    for kind in ("fifo", "dir"):
+        os.mkfifo(target) if kind == "fifo" else target.mkdir()
+        first = "--train-out" if subcommand == "split" else "--out"  # output "a" in RUNS
+        assert main(run_argv(tmp_path, corpus_file, subcommand, first, str(tmp_path / "a"))) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: manifest path is not a regular file: {target}"
+        )
+        # refused before any write
+        assert sorted(os.listdir(tmp_path)) == ["a.manifest.json", "cascades.txt"]
+        target.unlink() if kind == "fifo" else target.rmdir()
+
+
 def test_malformed_cascades_is_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("u1:0 v1:1\n")  # space, not tab
@@ -257,7 +296,7 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_i
 def test_nonfinite_training_is_exit_4(tmp_path, corpus_file, capsys, step_kernels, monkeypatch):
     out = str(tmp_path / "m.infv")
     for kernel in step_kernels:
-        monkeypatch.setattr(kernel_module, "load", lambda: kernel)
+        monkeypatch.setattr(_native, "step_kernel", lambda: kernel)
         # 1e308 and 1e300 overflow step 1's logits, 1e5 makes its loss -log(0)
         for lr in ("1e308", "1e300", "1e5"):
             # the exit-4 error is the only report: no numpy warning

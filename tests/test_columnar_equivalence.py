@@ -1,10 +1,17 @@
-"""The array corpus and stream against the object-per-event code they replaced.
+"""The array corpus and stream against the object-per-event code they replaced,
+and the native cascade scanner against the Python parser.
 
 reference_parse and reference_build_training_stream are the earlier
 implementations, kept here as oracles: they build one frozen object per
 event and one object per training pair. On any input, the array code must
 give the same ids, cascades and pairs, or raise the same exception class
-with the same message.
+with the same message. reference_build_corpus is build_corpus before it
+skipped the sort of events already in time order.
+
+load_cascades reads a log with the native scanner when it is in the
+scanner's strict form, and with parse_cascades otherwise. On any file it
+must give the id table and the five arrays that parse_cascades gives, or
+raise the same exception class with the same message and line number.
 """
 
 import os
@@ -16,8 +23,14 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iminfector._util import slack_ceil
-from iminfector.cascades import load_cascades, parse_cascades, serialize_cascades
+from iminfector._util import read_lines, slack_ceil
+from iminfector.cascades import (
+    _reindexed,
+    build_corpus,
+    load_cascades,
+    parse_cascades,
+    serialize_cascades,
+)
 from iminfector.context import SIZE_PAIR, build_training_stream
 from iminfector.exceptions import (
     CascadeFormatError,
@@ -119,6 +132,31 @@ def reference_parse(lines):
     return RefCorpus(cascades)
 
 
+def reference_build_corpus(ids, initiator, start_time, offsets, node_idx, times):
+    initiator = np.asarray(initiator, dtype=np.int32)
+    node_idx = np.asarray(node_idx, dtype=np.int32)
+    times = np.asarray(times, dtype=np.int64)
+    sizes = np.diff(offsets)
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    order = np.lexsort((times, owner))  # stable: equal times keep input order
+    owner, node_idx, times = owner[order], node_idx[order], times[order]
+    _, first = np.unique(owner * len(ids) + node_idx, return_index=True)
+    keep = np.zeros(len(owner), dtype=bool)
+    keep[first] = True
+    keep &= node_idx != initiator[owner]
+    new_offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[keep], minlength=len(sizes)), out=new_offsets[1:])
+    return _reindexed(
+        ids,
+        initiator,
+        np.asarray(start_time, dtype=np.int64),
+        new_offsets,
+        node_idx[keep],
+        times[keep],
+        sort_ids=True,
+    )
+
+
 def reference_build_training_stream(train, oversample, rng_seed):
     """Pairs as ("C", influencer, context) and ("S", influencer, size target)."""
     rng = np.random.default_rng(rng_seed)
@@ -169,6 +207,31 @@ def outcome(parse, summarize, lines):
         return summarize(parse(lines))
     except CascadeFormatError as exc:
         return type(exc), str(exc)
+
+
+ARRAYS = ("initiator", "start_time", "offsets", "node_idx", "times")
+
+
+def corpus_state(corpus):
+    """The id table and the five arrays of a corpus, with their dtypes."""
+    return corpus.ids, [(str(a.dtype), a.tolist()) for a in map(corpus.__getattribute__, ARRAYS)]
+
+
+def read_outcome(read, path):
+    try:
+        return corpus_state(read(path))
+    except CascadeFormatError as exc:
+        return type(exc), str(exc), exc.line_number
+
+
+def assert_readers_agree(path):
+    """load_cascades reads ``path`` as parse_cascades does alone; returns
+    the reader load_cascades took, or None if the file is a format error."""
+    want = read_outcome(lambda p: parse_cascades(read_lines(p)), path)
+    readers = []
+    got = read_outcome(lambda p: readers.append(load_cascades(p)) or readers[0], path)
+    assert got == want
+    return readers[0].reader if readers else None
 
 
 def stream_pairs(stream):
@@ -262,8 +325,95 @@ def test_load_matches_reference_text_mode(lines, newline):
         with open(path, encoding="utf-8") as fh:
             want = outcome(reference_parse, reference_summary, fh)
         assert outcome(load_cascades, summary, path) == want
+        assert_readers_agree(path)
     finally:
         os.unlink(path)
+
+
+# ---- logs in the native scanner's strict form, with its refusals ----
+
+# '#' may appear in an id, but a line whose first byte is '#' is a comment
+STRICT_IDS = ["u", "v", "w", "a1", "x_y", "s00", "q#", "~!", "0", "#h"]
+LIMIT = 2**63
+
+
+@st.composite
+def strict_line(draw):
+    initiator = draw(st.sampled_from(STRICT_IDS))
+    start = draw(st.sampled_from([1, 2, 7, 30, 0, LIMIT - 3, LIMIT]))
+    n = draw(st.integers(1, 5))
+    # mostly at or after the start; one tick before it, or 2**63, refuses
+    times = [start + draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, -1])) for _ in range(n)]
+    # the initiator alone refuses too
+    ids = [draw(st.sampled_from(STRICT_IDS + [initiator])) for _ in range(n)]
+
+    def stamp(t):
+        return "0" * draw(st.integers(0, 2)) + str(max(t, 0))
+
+    events = " ".join(f"{v}:{stamp(t)}" for v, t in zip(ids, times))
+    return f"{initiator}:{stamp(start)}\t{events}"
+
+
+strict_logs = st.tuples(
+    st.lists(st.one_of(strict_line(), strict_line(), st.sampled_from(["", "#", "# u:1\tv:2 !~"])),
+             max_size=5),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strict_logs)
+def test_scanner_reads_strict_logs_as_the_parser(native_library, log):
+    lines, newline, final_newline = log
+    text = newline.join(lines) + (newline if final_newline else "")
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("ascii"))
+        reader = assert_readers_agree(path)
+    finally:
+        os.unlink(path)
+    # every strict log the parser takes, the scanner takes too
+    if native_library is not None:
+        assert reader in ("c", None)
+
+
+@st.composite
+def raw_cascades(draw):
+    """build_corpus arguments: ids, and events with times in any order or
+    in time order within each cascade."""
+    ids = [f"n{k}" for k in draw(st.permutations(range(draw(st.integers(1, 8)))))]
+    sizes = draw(st.lists(st.integers(0, 6), max_size=6))
+    n_events = sum(sizes)
+    node_idx = draw(st.lists(st.integers(0, len(ids) - 1), min_size=n_events, max_size=n_events))
+    times = draw(st.lists(st.integers(0, 5), min_size=n_events, max_size=n_events))
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    if draw(st.booleans()):
+        times = sorted(times)  # then in order within every cascade too
+    initiator = draw(st.lists(st.integers(0, len(ids) - 1), min_size=len(sizes),
+                              max_size=len(sizes)))
+    starts = [0] * len(sizes)
+    return ids, initiator, starts, offsets, node_idx, times
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_cascades())
+def test_build_corpus_matches_plain_sort(raw):
+    assert corpus_state(build_corpus(*raw)) == corpus_state(reference_build_corpus(*raw))
+
+
+def test_build_corpus_skips_the_sort_of_events_in_time_order(monkeypatch):
+    raw = (["a", "b", "c"], [0, 1], [0, 0], np.array([0, 3, 5]), [1, 2, 1, 0, 2], [1, 1, 2, 0, 7])
+
+    def no_sort(keys):
+        raise AssertionError("sorted events were sorted again")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "lexsort", no_sort)
+        got = build_corpus(*raw)
+    assert corpus_state(got) == corpus_state(reference_build_corpus(*raw))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
-"""The C kernel of the classify step: its loader, its cache and its self-check."""
+"""The native library: its loader and its cache, and the self-check of the
+classify step's C kernel."""
 
 import ctypes
 import os
@@ -13,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from iminfector import _kernel
+from iminfector import _native
 from iminfector.cli import main
 from iminfector.model import StepWorkspace, _matches_numpy, step_classify
 from test_cli import package_env as cli_env
@@ -41,11 +42,11 @@ def package_env(cache_home):
 LOAD_SCRIPT = textwrap.dedent(
     """
     import sys, time
-    from iminfector import _kernel
+    from iminfector import _native
     from iminfector.model import _matches_numpy
     time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
-    kernel = _kernel.load()
-    path = _kernel.cached_library(_kernel.cache_dir(), _kernel.name_prefix(_kernel.source()))
+    kernel = _native.step_kernel()
+    path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
     print(path, kernel is not None and _matches_numpy(kernel))
     """
 )
@@ -62,7 +63,7 @@ def load_in_process(cache_home, start=0.0):
 
 
 def test_import_builds_and_writes_nothing(tmp_path):
-    code = "import iminfector.cli, iminfector.model, iminfector._kernel"
+    code = "import iminfector.cli, iminfector.model, iminfector._native"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=package_env(tmp_path), capture_output=True, timeout=60
     )
@@ -84,12 +85,17 @@ def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, 
     not_a_dir.write_text("")
     for name, cc, cache_home in (
         ("no-cc", "iminfector-no-such-cc", tmp_path / "cache"),
-        ("unwritable", _kernel.CC, not_a_dir),
+        ("unwritable", _native.CC, not_a_dir),
     ):
         with monkeypatch.context() as mp:
-            mp.setattr(_kernel, "CC", cc)
+            mp.setattr(_native, "CC", cc)
             mp.setenv("XDG_CACHE_HOME", str(cache_home))
-            assert main([*argv, "--outdir", str(tmp_path / name)]) == 0
+            # the library loads once per process: forget this one's
+            _native.load.cache_clear()
+            try:
+                assert main([*argv, "--outdir", str(tmp_path / name)]) == 0
+            finally:
+                _native.load.cache_clear()
         # the fallback is quiet: the run prints what the kernel's run did
         assert capsys.readouterr() == printed
         assert library_files(tmp_path / "cache" / "iminfector") == []
@@ -101,14 +107,15 @@ def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, 
                 assert got == (tmp_path / "c" / artifact).read_bytes(), (name, artifact)
         manifest = (tmp_path / name / "manifest.json").read_text()
         assert '"classify_kernel": "numpy"' in manifest and '"classify_isa": null' in manifest
+        assert '"cascade_reader": "python"' in manifest
     manifest = (tmp_path / "c" / "manifest.json").read_text()
-    assert '"classify_kernel": "c"' in manifest
+    assert '"classify_kernel": "c"' in manifest and '"cascade_reader": "c"' in manifest
     assert f'"classify_isa": "{built_kernel.isa}"' in manifest
 
 
 @pytest.mark.parametrize("damage", ["garbage", "cut-short", "empty"])
 def test_damaged_cached_library_is_rebuilt(tmp_path, built_kernel, damage):
-    good_path = _kernel.cached_library(_kernel.cache_dir(), _kernel.name_prefix(_kernel.source()))
+    good_path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
     good = pathlib.Path(good_path).read_bytes()
     # the damaged file sits under the good library's name, so only its
     # bytes can tell it apart; loading a cut-short library can kill the
@@ -136,6 +143,51 @@ def test_concurrent_builds_end_with_one_library(tmp_path, built_kernel):
     assert lines[0] == lines[1] and lines[0][1] == "True"
     # no temp directory or file is left beside the library
     assert library_files(tmp_path / "iminfector") == [os.path.basename(lines[0][0])]
+
+
+def test_build_keeps_the_newest_libraries(tmp_path, built_kernel):
+    cache = tmp_path / "iminfector"
+    cache.mkdir()
+    # six stale libraries, oldest first: of another source, or of an older
+    # package that named them step-*
+    stale = [f"{kind}-{k}.so" for k, kind in enumerate(["step", "native"] * 3)]
+    for age, name in enumerate(reversed(stale), start=1):
+        (cache / name).write_bytes(b"stale")
+        os.utime(cache / name, (time.time() - 3600 * age,) * 2)
+    (cache / "notes.txt").write_text("not a library")
+    proc = load_in_process(tmp_path)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    path, ok = out.split()
+    assert ok == "True"
+    # the new library and the three newest stale ones
+    assert library_files(cache) == sorted([os.path.basename(path), "notes.txt", *stale[-3:]])
+
+
+def test_library_gone_before_it_is_opened_is_no_library(tmp_path, built_kernel, monkeypatch):
+    # another process's build may prune the library between the digest
+    # check and the dlopen: the package then runs without it
+    good = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
+    cache = tmp_path / "iminfector"
+    cache.mkdir()
+    copy = cache / os.path.basename(good)
+    copy.write_bytes(pathlib.Path(good).read_bytes())
+    found = _native.cached_library
+
+    def found_then_pruned(directory, prefix):
+        path = found(directory, prefix)
+        os.remove(path)
+        return path
+
+    with monkeypatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path))
+        mp.setattr(_native, "cached_library", found_then_pruned)
+        _native.load.cache_clear()
+        try:
+            assert _native.load() is None and _native.step_kernel() is None
+        finally:
+            _native.load.cache_clear()
+    assert not copy.exists()
 
 
 def cpu_flags():
@@ -184,21 +236,21 @@ def assert_refused(kernel):
     ],
 )
 def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, built_kernel, mutant):
-    code = _kernel.source()
+    code = _native.source()
     exact = b"row[j] = row[j] - ((o * g[j]) * lr);"
     assert code.count(exact) == 1
-    path = _kernel.build(code.replace(exact, mutant), str(tmp_path), "mutant-")
-    assert_refused(_kernel.open_library(path))
+    path = _native.build(code.replace(exact, mutant), str(tmp_path), "mutant-")
+    assert_refused(_native.open_library(path).fused_t_update)
 
 
 def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, built_kernel,
                                                                 monkeypatch):
     # AVX-512F implies FMA: without -ffp-contract=off gcc fuses the update's
     # multiply and subtract in that clone, and the rounding changes
-    flags = tuple(flag for flag in _kernel.FLAGS if flag != "-ffp-contract=off")
-    assert len(flags) == len(_kernel.FLAGS) - 1
-    monkeypatch.setattr(_kernel, "FLAGS", flags)
-    kernel = _kernel.open_library(_kernel.build(_kernel.source(), str(tmp_path), "fma-"))
+    flags = tuple(flag for flag in _native.FLAGS if flag != "-ffp-contract=off")
+    assert len(flags) == len(_native.FLAGS) - 1
+    monkeypatch.setattr(_native, "FLAGS", flags)
+    kernel = _native.open_library(_native.build(_native.source(), str(tmp_path), "fma-")).fused_t_update
     if kernel.isa != "avx512f":
         pytest.skip(f"the {kernel.isa} clone that runs here has no FMA to contract into")
     assert_refused(kernel)
@@ -210,11 +262,11 @@ def test_each_isa_level_is_bitwise_numpy(tmp_path, built_kernel, monkeypatch, ma
     # on the self-check and on steps of the wide-3000 benchmark's shape.
     if platform.machine() != "x86_64" or not MARCH_FLAGS[march] <= cpu_flags():
         pytest.skip(f"this host cannot run -march={march}")
-    code = _kernel.source()
+    code = _native.source()
     assert code.count(CLONES) == 1
-    monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, f"-march={march}"))
-    path = _kernel.build(code.replace(CLONES, b"#define CLONES"), str(tmp_path), "m-")
-    kernel = _kernel.open_library(path)
+    monkeypatch.setattr(_native, "FLAGS", (*_native.FLAGS, f"-march={march}"))
+    path = _native.build(code.replace(CLONES, b"#define CLONES"), str(tmp_path), "m-")
+    kernel = _native.open_library(path).fused_t_update
     assert _matches_numpy(kernel)
     rng = np.random.default_rng(53)
     I, N, E = 3, 2930, 50
@@ -251,8 +303,8 @@ def test_step_isa_names_the_clone_that_runs(built_kernel):
         pytest.skip("no nm to list the library's clones")
     # the address the kernel's symbol resolved to, as an offset into the
     # library, against the local symbols of its clones
-    path = _kernel.cached_library(_kernel.cache_dir(), _kernel.name_prefix(_kernel.source()))
-    resolved = ctypes.cast(getattr(ctypes.CDLL(path), _kernel.SYMBOL), ctypes.c_void_p).value
+    path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
+    resolved = ctypes.cast(ctypes.CDLL(path).fused_t_update, ctypes.c_void_p).value
     info = DlInfo()
     dladdr = ctypes.CDLL(None).dladdr
     dladdr.argtypes = (ctypes.c_void_p, ctypes.POINTER(DlInfo))
@@ -261,10 +313,10 @@ def test_step_isa_names_the_clone_that_runs(built_kernel):
     names = [
         name
         for address, kind, name in (line.split() for line in listing.splitlines() if line.count(" ") == 2)
-        if int(address, 16) == resolved - info.dli_fbase and name.startswith(_kernel.SYMBOL)
+        if int(address, 16) == resolved - info.dli_fbase and name.startswith("fused_t_update")
     ]
     assert len(names) == 1, names
-    clone = names[0][len(_kernel.SYMBOL):].lstrip(".") or "default"
+    clone = names[0][len("fused_t_update"):].lstrip(".") or "default"
     assert {"default": "baseline"}.get(clone, clone) == built_kernel.isa
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from iminfector import _kernel as kernel_module
+from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cascades import parse_cascades
 from iminfector.context import SIZE_PAIR, build_training_stream
@@ -371,7 +371,7 @@ def test_train_bitwise_equals_reference_loop(step_kernels, monkeypatch):
         want.append((float(np.mean(classify)), float(np.mean(regress)), len(classify), len(regress)))
 
     for kernel in step_kernels:
-        monkeypatch.setattr(kernel_module, "load", lambda: kernel)
+        monkeypatch.setattr(_native, "step_kernel", lambda: kernel)
         model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
         assert report.classify_kernel == ("numpy" if kernel is None else "c")
         got = list(zip(report.classify_loss, report.regress_loss, report.classify_steps, report.regress_steps))
@@ -549,7 +549,7 @@ def test_train_scopes_the_small_ufunc_buffer(monkeypatch, step_kernels):
 
     monkeypatch.setattr(model_module, "step_classify", recording_step)
     for kernel in step_kernels:
-        monkeypatch.setattr(kernel_module, "load", lambda: kernel)
+        monkeypatch.setattr(_native, "step_kernel", lambda: kernel)
         # numpy 2's errstate restores the buffer size on exit, so check inside it
         with ufunc_bufsize(4096), np.errstate(over="ignore", invalid="ignore"):
             for lr in (0.1, 1e308):

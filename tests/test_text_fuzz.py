@@ -4,8 +4,10 @@
 edge file and ``evaluate`` a seed file. Whatever bytes they are given, each
 ends with exit 0, 3 (format error) or 5 (degenerate data) and never with an
 uncaught exception. A cascade file that a subcommand reads with exit 0
-parses as the earlier object-per-event parser parses it, and a seed file
-read with exit 0 holds only ids a cascade log could hold.
+parses as the earlier object-per-event parser parses it, every cascade
+file reads the same through the native scanner as through the Python
+parser alone, and a seed file read with exit 0 holds only ids a cascade
+log could hold.
 """
 
 import re
@@ -17,7 +19,13 @@ from hypothesis import strategies as st
 from iminfector.cascades import load_cascades
 from iminfector.cli import main
 from iminfector.seeding import load_seed_ids
-from test_columnar_equivalence import outcome, reference_parse, reference_summary, summary
+from test_columnar_equivalence import (
+    assert_readers_agree,
+    outcome,
+    reference_parse,
+    reference_summary,
+    summary,
+)
 
 CORPUS = "".join(
     f"u{i % 4}:{10 * i}\t" + " ".join(f"v{(i * 3 + k) % 9}:{10 * i + k + 1}" for k in range(1 + i % 3)) + "\n"
@@ -78,6 +86,7 @@ def test_mutated_cascades_through_split(workdir, blob):
     assert code in (0, 3, 5)
     if code == 0:
         assert_parses_as_reference(path)
+    assert_readers_agree(path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -91,6 +100,7 @@ def test_mutated_cascades_through_stats(workdir, blob, side):
     assert code in (0, 3, 5)
     if code == 0:
         assert_parses_as_reference(path)
+    assert_readers_agree(path)
 
 
 @settings(max_examples=150, deadline=None)
