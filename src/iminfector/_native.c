@@ -93,39 +93,36 @@ const char *step_isa(void)
  * Every log in this form parses alike in the Python parser, which reads
  * every other log: so a give-up costs only the time spent, and every error
  * is the Python parser's. Ids are interned in first-seen order (each
- * line's initiator, then its events) into an open-addressing hash table
- * sized by distinct ids.
+ * line's initiator, then its events) into the caller's id arrays, through
+ * an open-addressing hash table that lives only for the call.
  */
 
-/* The distinct ids of a log, as offsets and lengths into its bytes. The
- * arrays are malloc'ed and grown here; release_ids frees them. */
-struct id_table {
-    int64_t count;
+/* The distinct ids of the log being scanned: id k is
+ * data[offset[k]:offset[k] + length[k]], in the caller's arrays of max
+ * entries. slot is the hash table, of 2^(64 - shift) slots, each 1 + an
+ * id's index or 0 when free; scan_cascades frees it before it returns. */
+struct ids {
+    const unsigned char *data;
     int64_t *offset;
     int32_t *length;
-    uint64_t *hash;
-    int64_t capacity; /* of offset, length and hash */
-    int32_t *slot;    /* 1 + an id's index, or 0 for a free slot */
-    int shift;        /* the table has 2^(64 - shift) slots */
+    int64_t count, max;
+    int32_t *slot;
+    int shift;
 };
 
-void release_ids(struct id_table *ids)
+/* The slot of the id start[0:end - start]: its FNV-1a hash, Fibonacci
+ * hashed, so the top bits of the product pick the slot. */
+static size_t slot_of(const unsigned char *start, const unsigned char *end, int shift)
 {
-    free(ids->offset);
-    free(ids->length);
-    free(ids->hash);
-    free(ids->slot);
-    memset(ids, 0, sizeof *ids);
-}
-
-/* Fibonacci hashing: the top bits of the product pick the slot. */
-static size_t slot_of(uint64_t hash, int shift)
-{
+    uint64_t hash = 14695981039346656037ULL;
+    for (const unsigned char *p = start; p < end; p++)
+        hash = (hash ^ *p) * 1099511628211ULL;
     return (size_t)((hash * 0x9E3779B97F4A7C15ULL) >> shift);
 }
 
-/* Rebuilds the slots at twice their number (at 1024 the first time). */
-static int grow_slots(struct id_table *ids)
+/* Rebuilds the slots at twice their number (at 1024 the first time),
+ * hashing each id again from its bytes. */
+static int grow_slots(struct ids *ids)
 {
     const int shift = ids->slot ? ids->shift - 1 : 54;
     const size_t n = (size_t)1 << (64 - shift);
@@ -133,7 +130,8 @@ static int grow_slots(struct id_table *ids)
     if (!slot)
         return -1;
     for (int64_t k = 0; k < ids->count; k++) {
-        size_t s = slot_of(ids->hash[k], shift);
+        const unsigned char *id = ids->data + ids->offset[k];
+        size_t s = slot_of(id, id + ids->length[k], shift);
         while (slot[s])
             s = (s + 1) & (n - 1);
         slot[s] = (int32_t)(k + 1);
@@ -144,56 +142,31 @@ static int grow_slots(struct id_table *ids)
     return 0;
 }
 
-static int grow_ids(struct id_table *ids)
+/* The index of the id start[0:end - start], added if new; -1 on failure. */
+static int64_t intern(struct ids *ids, const unsigned char *start, const unsigned char *end)
 {
-    const int64_t capacity = ids->capacity ? 2 * ids->capacity : 1024;
-    int64_t *offset = realloc(ids->offset, capacity * sizeof *offset);
-    if (offset)
-        ids->offset = offset;
-    int32_t *length = realloc(ids->length, capacity * sizeof *length);
-    if (length)
-        ids->length = length;
-    uint64_t *hash = realloc(ids->hash, capacity * sizeof *hash);
-    if (hash)
-        ids->hash = hash;
-    if (!offset || !length || !hash)
-        return -1;
-    ids->capacity = capacity;
-    return 0;
-}
-
-/* The index of the id data[start:end], added if new; -1 on failure. */
-static int64_t intern(struct id_table *ids, const unsigned char *data,
-                      const unsigned char *start, const unsigned char *end)
-{
-    uint64_t hash = 14695981039346656037ULL; /* FNV-1a */
-    for (const unsigned char *p = start; p < end; p++)
-        hash = (hash ^ *p) * 1099511628211ULL;
     if (!ids->slot || 2 * (ids->count + 1) > ((int64_t)1 << (64 - ids->shift)))
         if (grow_slots(ids))
             return -1;
     const size_t mask = ((size_t)1 << (64 - ids->shift)) - 1;
     const int32_t length = (int32_t)(end - start);
-    size_t s = slot_of(hash, ids->shift);
+    size_t s = slot_of(start, end, ids->shift);
     for (; ids->slot[s]; s = (s + 1) & mask) {
         const int64_t k = ids->slot[s] - 1;
-        if (ids->hash[k] == hash && ids->length[k] == length &&
-            memcmp(data + ids->offset[k], start, length) == 0)
+        if (ids->length[k] == length && memcmp(ids->data + ids->offset[k], start, length) == 0)
             return k;
     }
-    if (ids->count == INT32_MAX - 1 || (ids->count == ids->capacity && grow_ids(ids)))
+    if (ids->count == ids->max || ids->count == INT32_MAX - 1)
         return -1;
     const int64_t k = ids->count++;
-    ids->offset[k] = start - data;
+    ids->offset[k] = start - ids->data;
     ids->length[k] = length;
-    ids->hash[k] = hash;
     ids->slot[s] = (int32_t)(k + 1);
     return k;
 }
 
 /* Reads "ID:" at *p and interns the id; -1 if the bytes are not that. */
-static int64_t read_id(struct id_table *ids, const unsigned char *data,
-                       const unsigned char **p, const unsigned char *end)
+static int64_t read_id(struct ids *ids, const unsigned char **p, const unsigned char *end)
 {
     const unsigned char *start = *p, *q = start;
     while (q < end && *q > 0x20 && *q < 0x7f && *q != ':')
@@ -201,7 +174,7 @@ static int64_t read_id(struct id_table *ids, const unsigned char *data,
     if (q == start || q == end || *q != ':' || q - start > INT32_MAX)
         return -1;
     *p = q + 1;
-    return intern(ids, data, start, q);
+    return intern(ids, start, q);
 }
 
 /* Reads the decimal digits at *p; -1 if there are none or the time is
@@ -212,7 +185,7 @@ static int64_t read_time(const unsigned char **p, const unsigned char *end)
     uint64_t value = 0;
     for (; q < end && *q >= '0' && *q <= '9'; q++) {
         const unsigned digit = *q - '0';
-        if (value > (INT64_MAX - digit) / 10)
+        if (value > ((uint64_t)INT64_MAX - digit) / 10)
             return -1;
         value = value * 10 + digit;
     }
@@ -222,21 +195,12 @@ static int64_t read_time(const unsigned char **p, const unsigned char *end)
     return (int64_t)value;
 }
 
-/* Scans data[0:size] into at most max_cascades cascades of at most
- * max_events events in all: initiator and start per cascade, and cascade
- * i's events at offsets[i]:offsets[i+1] of node_idx and times (offsets
- * holds one more entry than the cascades). Ids go into *ids, which starts
- * zeroed and is released with release_ids whatever this returns.
- *
- * Returns the number of cascades, or -1 to give up: the log is not in the
- * strict form, or it needs more room or memory than there is. */
-int64_t scan_cascades(const char *log, size_t size, int32_t *initiator,
-                      int64_t *start, int64_t *offsets, int64_t max_cascades,
-                      int32_t *node_idx, int64_t *times, int64_t max_events,
-                      struct id_table *ids)
+static int64_t scan(struct ids *ids, size_t size, int32_t *initiator, int64_t *start,
+                    int64_t *offsets, int64_t max_cascades, int32_t *node_idx,
+                    int64_t *times, int64_t max_events)
 {
-    const unsigned char *data = (const unsigned char *)log, *p = data;
-    const unsigned char *const end = data + size;
+    const unsigned char *p = ids->data;
+    const unsigned char *const end = p + size;
     int64_t n = 0, events = 0;
     offsets[0] = 0;
     while (p < end) {
@@ -258,13 +222,13 @@ int64_t scan_cascades(const char *log, size_t size, int32_t *initiator,
             }
             continue;
         }
-        const int64_t u = read_id(ids, data, &p, end);
+        const int64_t u = read_id(ids, &p, end);
         const int64_t t0 = u < 0 ? -1 : read_time(&p, end);
         if (t0 < 0 || p == end || *p++ != '\t' || n == max_cascades)
             return -1;
         int other = 0;
         for (;;) {
-            const int64_t v = read_id(ids, data, &p, end);
+            const int64_t v = read_id(ids, &p, end);
             const int64_t t = v < 0 ? -1 : read_time(&p, end);
             if (t < t0 || events == max_events)
                 return -1;
@@ -289,6 +253,29 @@ int64_t scan_cascades(const char *log, size_t size, int32_t *initiator,
         start[n++] = t0;
         offsets[n] = events;
     }
+    return n;
+}
+
+/* Scans log[0:size] into at most max_cascades cascades of at most
+ * max_events events in all: initiator and start per cascade, and cascade
+ * i's events at offsets[i]:offsets[i+1] of node_idx and times (offsets
+ * holds one more entry than the cascades). The distinct ids go into
+ * id_offset and id_length, at most max_ids of them, and their number into
+ * *n_ids: id k is log[id_offset[k]:id_offset[k] + id_length[k]]. Every id
+ * ends in a ':', so the log's count of ':' is room enough.
+ *
+ * Returns the number of cascades, or -1 to give up: the log is not in the
+ * strict form, or it needs more room or memory than there is. */
+int64_t scan_cascades(const char *log, size_t size, int32_t *initiator, int64_t *start,
+                      int64_t *offsets, int64_t max_cascades, int32_t *node_idx,
+                      int64_t *times, int64_t max_events, int64_t *id_offset,
+                      int32_t *id_length, int64_t max_ids, int64_t *n_ids)
+{
+    struct ids ids = {(const unsigned char *)log, id_offset, id_length, 0, max_ids, NULL, 0};
+    const int64_t n = scan(&ids, size, initiator, start, offsets, max_cascades, node_idx, times,
+                           max_events);
+    free(ids.slot);
+    *n_ids = ids.count;
     return n;
 }
 

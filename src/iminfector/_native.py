@@ -1,8 +1,8 @@
 """The package's native library, built on first use.
 
 ``_native.c`` holds the classify step's T update (``fused_t_update``, with
-``step_isa``), the cascade scanner (``scan_cascades``, ``release_ids``) and
-the cascade writer (``write_cascades``). ``load()`` compiles it with the
+``step_isa``), the cascade scanner (``scan_cascades``) and the cascade
+writer (``write_cascades``). ``load()`` compiles it with the
 system C compiler, ``$CC`` or else ``cc``, into the user's cache directory,
 ``$XDG_CACHE_HOME/iminfector`` (default ``~/.cache/iminfector``), and
 loads it with ctypes, at most once per process. A library's name holds two
@@ -53,20 +53,6 @@ CC = os.environ.get("CC") or "cc"
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 KEEP = 4  # libraries left in the cache directory after a build
-
-
-class IdTable(ctypes.Structure):
-    """``struct id_table`` of _native.c: the distinct ids of a scanned log."""
-
-    _fields_ = [
-        ("count", ctypes.c_int64),
-        ("offset", ctypes.POINTER(ctypes.c_int64)),
-        ("length", ctypes.POINTER(ctypes.c_int32)),
-        ("hash", ctypes.c_void_p),
-        ("capacity", ctypes.c_int64),
-        ("slot", ctypes.c_void_p),
-        ("shift", ctypes.c_int),
-    ]
 
 
 def cache_dir():
@@ -170,10 +156,9 @@ def open_library(path):
                            ctypes.c_size_t, ctypes.c_size_t),
         "step_isa": (ctypes.c_char_p,),
         # log, size, initiator, start, offsets, max_cascades, node_idx,
-        # times, max_events, ids
+        # times, max_events, id_offset, id_length, max_ids, n_ids
         "scan_cascades": (i64, ctypes.c_char_p, ctypes.c_size_t, ptr, ptr, ptr, i64, ptr, ptr,
-                          i64, ctypes.POINTER(IdTable)),
-        "release_ids": (None, ctypes.POINTER(IdTable)),
+                          i64, ptr, ptr, i64, ptr),
         # id_bytes, id_bounds, n_ids, initiator, start, offsets,
         # n_cascades, node_idx, times, n_events, out
         "write_cascades": (i64, ctypes.c_char_p, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64,

@@ -12,7 +12,6 @@ events of cascade i are positions ``offsets[i]:offsets[i+1]`` of
 ``node_idx`` and ``times``.
 """
 
-import ctypes
 import re
 from array import array
 from functools import cached_property
@@ -321,27 +320,25 @@ def _scan(lib, data):
     """The arguments of build_corpus for the log ``data`` (bytes), read by
     the native scanner; None if the log is not in the scanner's strict
     form (see _native.c), which parse_cascades reads the same way."""
-    # every cascade ends a line, and every event holds a ':'
+    # every cascade ends a line, and every event and every id ends in a ':'
     max_cascades, max_events = data.count(b"\n") + 1, data.count(b":")
     initiator = np.empty(max_cascades, dtype=np.int32)
     start = np.empty(max_cascades, dtype=np.int64)
     offsets = np.empty(max_cascades + 1, dtype=np.int64)
     node_idx = np.empty(max_events, dtype=np.int32)
     times = np.empty(max_events, dtype=np.int64)
-    table = _native.IdTable()
-    try:
-        n = lib.scan_cascades(
-            data, len(data), initiator.ctypes.data, start.ctypes.data, offsets.ctypes.data,
-            max_cascades, node_idx.ctypes.data, times.ctypes.data, max_events,
-            ctypes.byref(table),
-        )
-        if n < 0:
-            return None
-        count = table.count
-        spans = zip(table.offset[:count], table.length[:count])
-        ids = [data[at : at + length].decode("ascii") for at, length in spans]
-    finally:
-        lib.release_ids(ctypes.byref(table))
+    id_offset = np.empty(max_events, dtype=np.int64)
+    id_length = np.empty(max_events, dtype=np.int32)
+    n_ids = np.zeros(1, dtype=np.int64)
+    n = lib.scan_cascades(
+        data, len(data), initiator.ctypes.data, start.ctypes.data, offsets.ctypes.data,
+        max_cascades, node_idx.ctypes.data, times.ctypes.data, max_events,
+        id_offset.ctypes.data, id_length.ctypes.data, max_events, n_ids.ctypes.data,
+    )
+    if n < 0:
+        return None
+    spans = zip(id_offset[: n_ids[0]].tolist(), id_length[: n_ids[0]].tolist())
+    ids = [data[at : at + length].decode("ascii") for at, length in spans]
     events = int(offsets[n])
     return ids, initiator[:n], start[:n], offsets[: n + 1], node_idx[:events], times[:events]
 

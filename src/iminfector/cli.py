@@ -7,7 +7,8 @@ two library calls; ``pipeline`` runs them all in order, so its artifacts
 equal those of the chain of subcommands. Every flag is declared and
 checked once, at parse time: an out-of-range value, a missing input file
 or an output target that cannot be replaced exits 2 before any file is
-written.
+written, as does an output that names the same file as an input or as
+another output.
 
 ``main`` times each subcommand and writes its JSON manifest, recording
 parameters, input digests and wall times, so a run can be reproduced from
@@ -76,6 +77,10 @@ def _input_file(path):
 INPUT = dict(type=_input_file, required=True)  # a required input-file flag
 
 
+class OutputPath(str):
+    """The value of an output-file flag."""
+
+
 def _output_file(path):
     """An argparse ``type`` for an output file: exit 2 unless its directory
     exists and the path names a file that is absent or regular, which
@@ -85,7 +90,7 @@ def _output_file(path):
         raise argparse.ArgumentTypeError(f"directory not found: {parent}")
     if not os.path.basename(path) or (os.path.lexists(path) and not os.path.isfile(path)):
         raise argparse.ArgumentTypeError(f"not a regular file: {path}")
-    return path
+    return OutputPath(path)
 
 
 # The files pipeline writes into --outdir, besides its manifest.
@@ -97,11 +102,15 @@ PIPELINE_FILES = (
 
 def _output_dir(path):
     """An argparse ``type`` for pipeline's --outdir, made if missing: exit 2
-    if it exists and is not a directory, or if it holds something other
-    than a regular file at the name of a file pipeline writes."""
-    if not path or (os.path.lexists(path) and not os.path.isdir(path)):
+    unless it is a directory, or is missing and the nearest of its parents
+    that exists is one; and exit 2 if it holds something other than a
+    regular file at the name of a file pipeline writes."""
+    existing = path
+    while existing and not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not path or (existing and not os.path.isdir(existing)):
         raise argparse.ArgumentTypeError(f"not a directory: {path}")
-    if os.path.isdir(path):
+    if existing == path:
         for name in PIPELINE_FILES:
             _output_file(os.path.join(path, name))
     return path
@@ -174,6 +183,34 @@ def _manifest_path(args):
     if os.path.lexists(path) and not os.path.isfile(path):
         raise UsageError(f"manifest path is not a regular file: {path}")
     return path
+
+
+def _same_file(a, b):
+    """Whether paths ``a`` and ``b`` name one file: the same real path or,
+    where both exist, the same file under two links."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
+def _check_distinct_outputs(args, manifest):
+    """A usage error if a file the command writes is one that it reads or
+    that it writes under another name: the write would replace the input,
+    or keep only one of two outputs. Two inputs may be one file."""
+    named = [("--" + k.replace("_", "-"), v) for k, v in vars(args).items() if k != "manifest"]
+    inputs = [(flag, v) for flag, v in named if isinstance(v, InputPath)]
+    outputs = [(flag, v) for flag, v in named if isinstance(v, OutputPath)]
+    if "outdir" in args:
+        outdir = [args.outdir, *(os.path.join(args.outdir, name) for name in PIPELINE_FILES)]
+        outputs += [("--outdir", path) for path in outdir]
+    outputs.append(("manifest", manifest))
+    for i, (flag, path) in enumerate(outputs):
+        for other_flag, other in inputs + outputs[:i]:
+            if _same_file(path, other):
+                raise UsageError(f"{flag} {path} and {other_flag} {other} name the same file")
 
 
 def _write_manifest(args, path, outputs, fields):
@@ -523,6 +560,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         manifest = _manifest_path(args)
+        _check_distinct_outputs(args, manifest)
         wall = {}
         with _timed(wall, args.subcommand):
             outputs, fields = args.func(args)

@@ -70,6 +70,26 @@ def test_each_fallback_trigger(tmp_path, native_library, case):
             load_cascades(path)
 
 
+# Strict logs that grow the scanner's hash table, which starts at 1,024
+# slots and doubles past half full, or probe it with many bytes per id.
+TABLE_LOGS = {
+    "20,000 distinct ids": lambda: "".join(f"u{k}:{k}\tv{k}:{k + 1}\n" for k in range(10_000)),
+    "ids that differ only in their last byte": lambda: "".join(
+        f"{'x' * 40}{chr(c)}:1\t{'x' * 40}{chr(c + 1)}:2\n" for c in range(0x21, 0x7E)
+        if ":" not in (chr(c), chr(c + 1))
+    ),
+    "a 4 KB id": lambda: f"{'i' * 4096}:1\tv:2\nv:3\t{'i' * 4096}:4 {'i' * 4095}:5\n",
+    "one id 100,000 times": lambda: "u:1\t" + " ".join(["v:2"] * 100_000) + "\n",
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_LOGS))
+def test_scanner_hash_table_growth(tmp_path, native_library, case):
+    path = tmp_path / "log.txt"
+    path.write_text(TABLE_LOGS[case](), encoding="ascii")
+    assert assert_readers_agree(path) == ("c" if native_library is not None else "python")
+
+
 def test_without_the_library_every_log_goes_through_the_parser(tmp_path, monkeypatch):
     path = tmp_path / "log.txt"
     path.write_bytes(STRICT)

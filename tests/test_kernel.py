@@ -190,6 +190,19 @@ def test_library_gone_before_it_is_opened_is_no_library(tmp_path, built_kernel, 
     assert not copy.exists()
 
 
+def test_source_compiles_without_warnings(tmp_path):
+    # -Werror only here: in the build FLAGS a newer compiler's new warning
+    # would turn into a failed build, and so into the numpy/Python paths
+    if shutil.which(_native.CC) is None:
+        pytest.skip("no C compiler on PATH")
+    (tmp_path / "native.c").write_bytes(_native.source())
+    proc = subprocess.run(
+        [_native.CC, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", "native.so", "native.c"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=_native.BUILD_TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def cpu_flags():
     """The feature flags of the first CPU in /proc/cpuinfo; empty where there is none."""
     try:
