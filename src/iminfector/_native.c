@@ -1,6 +1,10 @@
-/* The package's native library: the classify step's T update, and a
- * scanner and a writer for the cascade text format. _native.py builds it
- * on first use and loads it with ctypes.
+/* The package's native library: the classify step's epoch loop with its
+ * T update, and a scanner and a writer for the cascade text format.
+ * _native.py builds it on first use against this interpreter's Python.h,
+ * loads the scanner, the writer and step_isa with ctypes, and the loop
+ * (classify_pairs) as a CPython extension module from the same file. The
+ * loop needs no numpy C API: it reads arrays through the buffer protocol
+ * and calls the numpy functions Python passes it.
  *
  * ---- The T and b_t update of one classify step, fused into one pass ----
  *
@@ -26,6 +30,9 @@
  * Returns max|O_u[i]|, or NaN if O_u holds a NaN, as numpy's
  * maximum.reduce of |O_u| does. The four arrays must not overlap.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -74,6 +81,305 @@ const char *step_isa(void)
         return "avx2";
 #endif
     return "baseline";
+}
+
+/* ---- The classify epoch loop ----
+ *
+ * classify_pairs(model, ws, influencer, context, start, lr, losses, calls)
+ * takes the pairs of an epoch's stream from index start on, each as
+ * model.step_classify(model, u, y, lr, ws) takes it, and stops at the
+ * first pair it does not take: a size pair (context < 0), a pair whose u
+ * or y is out of range, or the end of the stream. It returns that pair's
+ * index, or ~k if the step of pair k proved a value non-finite; the loss
+ * of each pair k it took is in losses[k].
+ *
+ * A step makes step_classify's operations in its order. Where the rounding
+ * is numpy's own it calls the four functions of the tuple calls: matmul
+ * for O_u T and T g (BLAS's summation order), exp (numpy's SIMD exp),
+ * add.reduce for the softmax's denominator (pairwise summation) and log
+ * for the loss, each on the workspace's phi or grad with out given
+ * positionally. The rest is element-wise IEEE arithmetic, which rounds
+ * alike in C: + b_t, - max, / sum, g[y] - 1, the fused T and b_t update,
+ * grad * lr and O_u - grad. The max does not depend on the order: a NaN
+ * makes it NaN, and of a tie between +0 and -0 either serves, as
+ * exp(+-0) = 1.
+ *
+ * The finiteness proofs are those of model.py, on the workspace's bound
+ * and bias_bound: read at the start, set to inf while the loop runs (a
+ * Python error leaves them so), written back at the end. O_u is checked
+ * entry by entry, which is what its scaled dot product proves.
+ *
+ * model.O, model.T, model.b_t, ws.phi and ws.grad must be distinct,
+ * aligned, writable, C-contiguous float64 arrays of shapes (I, E), (E, N),
+ * (N), (N) and (E), losses another of the stream's length, and influencer
+ * and context int64 arrays of that length. If they are not, the loop takes
+ * no pair and returns start, so that the caller's step takes it.
+ */
+
+#define BOUND_LIMIT 1e300
+
+/* max|x[k]| of n > 0 entries, NaN if x holds one, as numpy's abs().max() */
+static double max_abs(const double *x, size_t n)
+{
+    double max = 0.0;
+    for (size_t k = 0; k < n; k++) {
+        const double a = fabs(x[k]);
+        if (a > max || isnan(a))
+            max = a;
+    }
+    return max;
+}
+
+/* fn(*argv[:n]); its result as a double into *value unless value is
+ * NULL. -1 with a Python error set, else 0. */
+static int call(PyObject *fn, PyObject *const *argv, size_t n, double *value)
+{
+    PyObject *result = PyObject_Vectorcall(fn, argv, n, NULL);
+    if (!result)
+        return -1;
+    if (value)
+        *value = PyFloat_AsDouble(result);
+    Py_DECREF(result);
+    return value && *value == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+enum { O_, T_, B_T, PHI, GRAD, LOSSES, N_REAL, INFLUENCER = N_REAL, CONTEXT, N_ARRAYS };
+
+struct loop {
+    PyObject *obj[N_ARRAYS], *matmul, *exp, *sum, *log;
+    Py_buffer view[N_ARRAYS];
+    double *o, *t, *b_t, *phi, *grad, lr, bound, bias_bound;
+    size_t E, N;
+};
+
+/* One step on pair (u, y), its loss into *loss: 1 if it proved every
+ * value finite, 0 if not, -1 with a Python error set. */
+static int step(struct loop *s, Py_ssize_t u, Py_ssize_t y, double *loss)
+{
+    const size_t E = s->E, N = s->N;
+    double *const phi = s->phi, *const grad = s->grad, *const o_u = s->o + (size_t)u * E;
+    PyObject *row = PySequence_GetItem(s->obj[O_], u);
+    if (!row)
+        return -1;
+    PyObject *const logits[] = {row, s->obj[T_], s->obj[PHI]};
+    const int failed = call(s->matmul, logits, 3, NULL);
+    Py_DECREF(row);
+    if (failed)
+        return -1;
+    double max = -INFINITY;
+    for (size_t j = 0; j < N; j++) {
+        phi[j] = phi[j] + s->b_t[j];
+        /* once max is NaN no comparison is true, so it stays NaN */
+        if (phi[j] > max || isnan(phi[j]))
+            max = phi[j];
+    }
+    for (size_t j = 0; j < N; j++)
+        phi[j] = phi[j] - max;
+    PyObject *const in_place[] = {s->obj[PHI], s->obj[PHI]};
+    double sum, log_phi_y;
+    if (call(s->exp, in_place, 2, NULL) || call(s->sum, in_place, 1, &sum))
+        return -1;
+    for (size_t j = 0; j < N; j++)
+        phi[j] = phi[j] / sum;
+    PyObject *phi_y = PyFloat_FromDouble(phi[y]);
+    if (!phi_y || call(s->log, &phi_y, 1, &log_phi_y)) {
+        Py_XDECREF(phi_y);
+        return -1;
+    }
+    Py_DECREF(phi_y);
+    *loss = -log_phi_y;
+    phi[y] = phi[y] - 1.0;
+    PyObject *const grad_args[] = {s->obj[T_], s->obj[PHI], s->obj[GRAD]};
+    if (call(s->matmul, grad_args, 3, NULL))
+        return -1;
+    /* once the loss is finite every |g_j| <= 1: an entry of T moves by at
+     * most lr * max|O_u|, one of b_t by at most lr */
+    s->bound = s->bound + s->lr * fused_t_update(s->t, o_u, phi, s->b_t, s->lr, E, N);
+    s->bias_bound = s->bias_bound + s->lr;
+    int finite = 1;
+    for (size_t i = 0; i < E; i++) {
+        grad[i] = grad[i] * s->lr;
+        o_u[i] = o_u[i] - grad[i];
+        finite &= isfinite(o_u[i]) != 0;
+    }
+    if (!(s->bound < BOUND_LIMIT))
+        s->bound = max_abs(s->t, E * N);
+    if (!(s->bias_bound < BOUND_LIMIT))
+        s->bias_bound = max_abs(s->b_t, N);
+    return finite && isfinite(*loss) && isfinite(s->bound) && isfinite(s->bias_bound);
+}
+
+/* Takes s->obj[k] as buffer k of the kind the loop needs; 0, or -1 with no
+ * Python error set. */
+static int take_array(struct loop *s, int k)
+{
+    Py_buffer *const view = &s->view[k];
+    const int real = k < N_REAL;
+    const int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (real ? PyBUF_WRITABLE : 0);
+    if (!s->obj[k])
+        return -1;
+    if (PyObject_GetBuffer(s->obj[k], view, flags) < 0) {
+        PyErr_Clear();
+        return -1;
+    }
+    const char *const format = view->format;
+    const int ndim = k == O_ || k == T_ ? 2 : 1;
+    if (view->ndim != ndim || view->itemsize != 8 || (uintptr_t)view->buf % 8 ||
+        (real ? strcmp(format, "d") : strcmp(format, "l") && strcmp(format, "q")))
+        return -1;
+    return 0;
+}
+
+/* 0 if every array is of the kind, shape and layout the loop needs and no
+ * two float64 arrays overlap; -1 otherwise. */
+static int take_arrays(struct loop *s, Py_ssize_t *n)
+{
+    for (int k = 0; k < N_ARRAYS; k++)
+        if (take_array(s, k))
+            return -1;
+    const Py_ssize_t *const o = s->view[O_].shape, *const t = s->view[T_].shape;
+    *n = s->view[LOSSES].shape[0];
+    if (o[1] != t[0] || s->view[B_T].shape[0] != t[1] || s->view[PHI].shape[0] != t[1] ||
+        s->view[GRAD].shape[0] != t[0] || s->view[INFLUENCER].shape[0] != *n ||
+        s->view[CONTEXT].shape[0] != *n)
+        return -1;
+    for (int a = 0; a < N_REAL; a++)
+        for (int b = a + 1; b < N_REAL; b++) {
+            const char *const pa = s->view[a].buf, *const pb = s->view[b].buf;
+            if (pa < pb + s->view[b].len && pb < pa + s->view[a].len)
+                return -1;
+        }
+    s->o = s->view[O_].buf;
+    s->t = s->view[T_].buf;
+    s->b_t = s->view[B_T].buf;
+    s->phi = s->view[PHI].buf;
+    s->grad = s->view[GRAD].buf;
+    s->E = (size_t)t[0];
+    s->N = (size_t)t[1];
+    return 0;
+}
+
+/* obj.name, or NULL with no Python error set */
+static PyObject *attribute(PyObject *obj, const char *name)
+{
+    PyObject *value = PyObject_GetAttrString(obj, name);
+    if (!value)
+        PyErr_Clear();
+    return value;
+}
+
+/* ws.name = value; -1 with a Python error set, else 0. */
+static int set_float(PyObject *ws, const char *name, double value)
+{
+    PyObject *number = PyFloat_FromDouble(value);
+    const int failed = !number || PyObject_SetAttrString(ws, name, number) < 0;
+    Py_XDECREF(number);
+    return failed ? -1 : 0;
+}
+
+/* ws.name as a double into *value; -1 with a Python error set, else 0. */
+static int get_float(PyObject *ws, const char *name, double *value)
+{
+    PyObject *number = PyObject_GetAttrString(ws, name);
+    if (!number)
+        return -1;
+    *value = PyFloat_AsDouble(number);
+    Py_DECREF(number);
+    return *value == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *run(struct loop *s, PyObject *ws, Py_ssize_t start, Py_ssize_t n)
+{
+    const int64_t *const influencer = s->view[INFLUENCER].buf, *const context = s->view[CONTEXT].buf;
+    double *const losses = s->view[LOSSES].buf;
+    const int64_t I = s->view[O_].shape[0], N = (int64_t)s->N;
+    if (start < 0 || start > n) {
+        PyErr_SetString(PyExc_ValueError, "start is not an index of the stream");
+        return NULL;
+    }
+    if (get_float(ws, "bound", &s->bound) || get_float(ws, "bias_bound", &s->bias_bound) ||
+        set_float(ws, "bound", INFINITY) || set_float(ws, "bias_bound", INFINITY))
+        return NULL;
+    Py_ssize_t k = start;
+    for (; k < n; k++) {
+        const int64_t u = influencer[k], y = context[k];
+        if (u < 0 || u >= I || y < 0 || y >= N)
+            break;
+        const int proved = step(s, (Py_ssize_t)u, (Py_ssize_t)y, &losses[k]);
+        if (proved < 0)
+            return NULL;
+        if (!proved) {
+            s->bound = s->bias_bound = INFINITY;
+            k = ~k;
+            break;
+        }
+    }
+    if (set_float(ws, "bound", s->bound) || set_float(ws, "bias_bound", s->bias_bound))
+        return NULL;
+    return PyLong_FromSsize_t(k);
+}
+
+static PyObject *classify_pairs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 8) {
+        PyErr_SetString(PyExc_TypeError, "classify_pairs takes 8 arguments");
+        return NULL;
+    }
+    PyObject *const model = args[0], *const ws = args[1], *const calls = args[7];
+    const Py_ssize_t start = PyLong_AsSsize_t(args[4]);
+    struct loop s;
+    memset(&s, 0, sizeof s);
+    s.lr = PyFloat_AsDouble(args[5]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (!PyTuple_Check(calls) || PyTuple_GET_SIZE(calls) != 4) {
+        PyErr_SetString(PyExc_TypeError, "calls must be (matmul, exp, add.reduce, log)");
+        return NULL;
+    }
+    s.matmul = PyTuple_GET_ITEM(calls, 0);
+    s.exp = PyTuple_GET_ITEM(calls, 1);
+    s.sum = PyTuple_GET_ITEM(calls, 2);
+    s.log = PyTuple_GET_ITEM(calls, 3);
+    s.obj[O_] = attribute(model, "O");
+    s.obj[T_] = attribute(model, "T");
+    s.obj[B_T] = attribute(model, "b_t");
+    s.obj[PHI] = attribute(ws, "phi");
+    s.obj[GRAD] = attribute(ws, "grad");
+    s.obj[LOSSES] = args[6];
+    s.obj[INFLUENCER] = args[2];
+    s.obj[CONTEXT] = args[3];
+    for (int k = LOSSES; k < N_ARRAYS; k++)
+        Py_INCREF(s.obj[k]);
+    Py_ssize_t n;
+    PyObject *result = take_arrays(&s, &n) ? PyLong_FromSsize_t(start) : run(&s, ws, start, n);
+    for (int k = 0; k < N_ARRAYS; k++) {
+        PyBuffer_Release(&s.view[k]);
+        Py_XDECREF(s.obj[k]);
+    }
+    return result;
+}
+
+static PyMethodDef loop_methods[] = {
+    {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
+     "classify_pairs(model, ws, influencer, context, start, lr, losses, calls)"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyModuleDef_Slot loop_slots[] = {{0, NULL}};
+
+static struct PyModuleDef loop_module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_native_loop",
+    .m_doc = "The classify epoch loop of iminfector's native library.",
+    .m_size = 0,
+    .m_methods = loop_methods,
+    .m_slots = loop_slots,
+};
+
+PyMODINIT_FUNC PyInit__native_loop(void)
+{
+    return PyModuleDef_Init(&loop_module);
 }
 
 /* ---- The cascade scanner ----

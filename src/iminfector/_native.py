@@ -1,17 +1,22 @@
 """The package's native library, built on first use.
 
-``_native.c`` holds the classify step's T update (``fused_t_update``, with
-``step_isa``), the cascade scanner (``scan_cascades``) and the cascade
-writer (``write_cascades``). ``load()`` compiles it with the
-system C compiler, ``$CC`` or else ``cc``, into the user's cache directory,
-``$XDG_CACHE_HOME/iminfector`` (default ``~/.cache/iminfector``), and
-loads it with ctypes, at most once per process. A library's name holds two
-digests: one of the source, the compiler flags and the machine type, so
-that a changed source or flag set builds a new library and a cached one is
-reused only where it was built for; and one of the library's own bytes,
-checked before it is loaded. Loading a cut-short shared library can kill
-the process with SIGBUS, so a file whose bytes do not match its name is
-never loaded; a build replaces it.
+``_native.c`` holds the classify epoch loop (``classify_pairs``) with its
+T update (``fused_t_update``, with ``step_isa``), the cascade scanner
+(``scan_cascades``) and the cascade writer (``write_cascades``). ``load()``
+compiles it with the system C compiler, ``$CC`` or else ``cc``, against
+this interpreter's ``Python.h`` into the user's cache directory,
+``$XDG_CACHE_HOME/iminfector`` (default ``~/.cache/iminfector``), at most
+once per process. It loads the file twice over, which maps it once: with
+ctypes for the scanner, the writer and ``step_isa``, and through
+``importlib.machinery.ExtensionFileLoader`` as the CPython extension
+module that holds ``classify_pairs``. A library's name holds two digests:
+one of the source, the compiler flags, the machine type and the
+interpreter's ABI (``EXT_SUFFIX`` and the include directory), so that a
+changed source, flag set or interpreter builds a new library and a cached
+one is reused only where it was built for; and one of the library's own
+bytes, checked before it is loaded. Loading a cut-short shared library can
+kill the process with SIGBUS, so a file whose bytes do not match its name
+is never loaded; a build replaces it.
 
 On x86-64 with glibc the library holds a clone of the T update for each of
 AVX-512F, AVX2 and baseline x86-64, and glibc's dynamic loader picks the
@@ -26,9 +31,10 @@ libraries of an older source do not pile up, and two versions of the
 package that share a cache do not delete each other's library on every
 switch.
 
-Nothing here runs at import. With no compiler, an unwritable cache or a
-failed build, ``load()`` returns None: the classify step stays in numpy and
-cascade files go through the Python parser and formatter.
+Nothing here runs at import. With no compiler, no Python headers, an
+unwritable cache or a failed build, ``load()`` returns None: training
+takes its numpy step and cascade files go through the Python parser and
+formatter.
 """
 
 import contextlib
@@ -38,8 +44,9 @@ import hashlib
 import os
 import platform
 import subprocess
+import sysconfig
 import tempfile
-from importlib import resources
+from importlib import machinery, resources, util
 
 CC = os.environ.get("CC") or "cc"
 # -O3: gcc 12 vectorizes the loops only from -O3, and at -O2 the kernel is
@@ -53,6 +60,9 @@ CC = os.environ.get("CC") or "cc"
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 KEEP = 4  # libraries left in the cache directory after a build
+# The name the library has as an extension module; its init function is
+# PyInit__native_loop.
+MODULE = "iminfector._native_loop"
 
 
 def cache_dir():
@@ -71,10 +81,23 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()[:24]
 
 
+def python_abi():
+    """This interpreter's extension suffix, which names its ABI, and the
+    directory of its ``Python.h``."""
+    return sysconfig.get_config_var("EXT_SUFFIX") or "", sysconfig.get_paths()["include"]
+
+
 def name_prefix(code):
-    """``native-KEY-``, KEY a digest of the source, the flags and the machine."""
-    key = b"\0".join([code, *(part.encode() for part in (*FLAGS, platform.machine()))])
+    """``native-KEY-``, KEY a digest of the source, the flags, the machine
+    and the interpreter's ABI."""
+    parts = (*FLAGS, platform.machine(), *python_abi())
+    key = b"\0".join([code, *(part.encode() for part in parts)])
     return f"native-{_digest(key)}-"
+
+
+def compile_args():
+    """The compiler's flags: FLAGS and this interpreter's include directory."""
+    return [*FLAGS, f"-I{python_abi()[1]}"]
 
 
 def cached_library(directory, prefix):
@@ -128,7 +151,7 @@ def build(code, directory, prefix, cc=CC):
             fh.write(code)
         # relative names keep the temp directory out of the library's bytes
         subprocess.run(
-            [cc, *FLAGS, "-o", "native.so", "native.c"],
+            [cc, *compile_args(), "-o", "native.so", "native.c"],
             cwd=tmp,
             check=True,
             capture_output=True,
@@ -143,17 +166,13 @@ def build(code, directory, prefix, cc=CC):
 
 
 def open_library(path):
-    """The library at ``path``, with the C signature of each function.
-
-    ``fused_t_update.isa`` names the clone of the T update that runs on
-    this CPU: ``"avx512f"``, ``"avx2"`` or ``"baseline"``.
-    """
+    """The library at ``path``, with the C signature of each function it
+    exports to ctypes, ``isa``, the clone of the T update that runs on this
+    CPU (``"avx512f"``, ``"avx2"`` or ``"baseline"``), and
+    ``classify_pairs`` from its extension module."""
     lib = ctypes.CDLL(path)
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     signatures = {
-        # T (E x N, row-major), O_u (E), g (N), b_t (N), lr, E, N
-        "fused_t_update": (ctypes.c_double, ptr, ptr, ptr, ptr, ctypes.c_double,
-                           ctypes.c_size_t, ctypes.c_size_t),
         "step_isa": (ctypes.c_char_p,),
         # log, size, initiator, start, offsets, max_cascades, node_idx,
         # times, max_events, id_offset, id_length, max_ids, n_ids
@@ -167,7 +186,11 @@ def open_library(path):
     for name, (restype, *argtypes) in signatures.items():
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
-    lib.fused_t_update.isa = lib.step_isa().decode()
+    lib.isa = lib.step_isa().decode()
+    loader = machinery.ExtensionFileLoader(MODULE, path)
+    module = util.module_from_spec(util.spec_from_file_location(MODULE, path, loader=loader))
+    loader.exec_module(module)
+    lib.classify_pairs = module.classify_pairs
     return lib
 
 
@@ -185,11 +208,5 @@ def load():
         # a library pruned by another process after the digest check is
         # gone here: CDLL raises OSError
         return open_library(path)
-    except (OSError, AttributeError, subprocess.SubprocessError):
+    except (OSError, AttributeError, ImportError, subprocess.SubprocessError):
         return None
-
-
-def step_kernel():
-    """The classify step's T update from the library, or None."""
-    lib = load()
-    return None if lib is None else lib.fused_t_update

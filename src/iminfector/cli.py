@@ -55,7 +55,7 @@ from .model import (
     train,
 )
 from .seeding import load_seed_ids, save_seeds, select_seeds_celf
-from .synth import generate_corpus
+from .synth import generate_corpus, size_error
 from ._util import atomic_write
 
 
@@ -361,6 +361,12 @@ def baseline_stage(args, ranking, out):
 
 
 def cmd_synth(args):
+    # a combination of sizes generate_corpus cannot build is a usage error
+    # (exit 2) before any write, not degenerate data
+    error = size_error(args.nodes, args.cascades, args.planted, args.lures)
+    if error:
+        raise UsageError(f"{error} (--nodes {args.nodes}, --cascades {args.cascades}, "
+                         f"--planted {args.planted}, --lures {args.lures})")
     rng = np.random.default_rng(args.rng_seed)
     corpus = generate_corpus(
         rng,

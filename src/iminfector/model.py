@@ -6,28 +6,51 @@ influencer-context pair takes a softmax/NLL step, each influencer-size pair
 takes a sigmoid/squared-loss step through the untrainable all-ones vector C.
 Everything is float64; gradient tolerances depend on it.
 
-train() gives its classification steps one StepWorkspace: an N-vector for
-the logits, softmax and gradient and two E-vectors, so a step allocates no
-array data unless it rescans T or b_t (below). When the C kernel of
-_native.py loads, the workspace updates T and b_t with it in one pass:
-T[i,j] - ((O_u[i] * g[j]) * lr) and b_t[j] - lr * g[j], the same IEEE
-operations in the same order as numpy's outer product, in-place scaling
-and subtraction. Each element is one rounded product, a second rounded
-product and one rounded difference, and neither numpy nor the kernel
-(built with -ffp-contract=off, without -ffast-math) fuses or reorders
-them, so T and b_t come out bitwise the same. That holds for each of the
-kernel's vector clones (AVX-512F, AVX2, baseline x86-64, picked per CPU at
-load time): a lane of a vector multiply or subtract rounds exactly as the
-scalar operation does, nothing sets flush-to-zero or denormals-are-zero,
-and -ffp-contract=off keeps the AVX-512F clone, whose instruction set
-includes FMA, from fusing the multiply and subtract. The kernel also
-returns max|O_u|, NaN if O_u holds one, as numpy's maximum.reduce does.
-The workspace keeps the kernel only after a fixed self-check matches the
-numpy update bit for bit, and only while the model holds the contiguous
-float64 arrays it was checked against; otherwise it takes the numpy update
-through an E x N buffer, made on its first use. The matrix-vector products
-and the softmax stay in numpy, whose BLAS summation order and SIMD exp a C
-loop cannot match bitwise.
+train() takes an epoch's classify steps on one of two paths, with the same
+bits on either:
+
+- step_classify, the numpy step: the oracle, and the path when the C loop
+  is not taken;
+- classify_pairs, the C epoch loop of _native.c, which runs a stretch of
+  classify pairs as step_classify would take them one by one and returns
+  to Python at each size pair, where step_regress runs.
+
+The loop calls numpy only where its order is the contract: np.matmul for
+the logits O_u T and for T g (BLAS's summation order), np.exp (numpy's
+SIMD exp), np.add.reduce for the softmax's denominator (pairwise
+summation) and np.log for the loss, each on the workspace's arrays, from C
+through PyObject_Vectorcall. A C loop cannot match those bitwise. Every
+other operation is element-wise, and an IEEE add, subtract, multiply or
+divide rounds the same in C as in numpy: + b_t, - max, / sum, g[y] - 1,
+the T and b_t update, grad * lr and O_u - grad. The max of the logits does
+not depend on the order (a NaN makes it NaN; a +0/-0 tie does not reach
+exp(z - max), as exp(+-0) = 1). The T and b_t update is one C pass,
+T[i,j] - ((O_u[i] * g[j]) * lr) and b_t[j] - lr * g[j], the operations of
+numpy's outer product, in-place scaling and subtraction in the same order.
+Each element is one rounded product, a second rounded product and one
+rounded difference, and the library is built with -ffp-contract=off and
+without -ffast-math, so nothing fuses or reorders them. That holds for
+each of the update's vector clones (AVX-512F, AVX2, baseline x86-64,
+picked per CPU at load time): a lane of a vector multiply or subtract
+rounds exactly as the scalar operation does, nothing sets flush-to-zero or
+denormals-are-zero, and -ffp-contract=off keeps the AVX-512F clone, whose
+instruction set includes FMA, from fusing the multiply and subtract.
+
+train() takes the loop only when all of these hold:
+
+- the native library loads;
+- the model's O, T and b_t are distinct, aligned, writable, C-contiguous
+  float64 arrays of matching shapes (_fits_kernel);
+- a fixed self-check passes: on the (3, 13) and (5, 79) shapes, with a NaN
+  in O and a +0/-0 tie at the max of b_t, the loop's losses, O, T, b_t and
+  raising step match step_classify without a workspace bit for bit;
+- model.step_classify is still this module's own function. A replaced
+  step_classify, such as a benchmark's timing wrapper or a test's spy, is
+  called for every classify step, on the numpy path.
+
+The loop also stops at any pair outside the model's rows and columns, and
+takes no pair if the model's arrays no longer fit it; step_classify takes
+those.
 
 A step proves the model finite instead of scanning it, and each proof is
 exact:
@@ -36,34 +59,37 @@ exact:
   +-inf logit makes the softmax denominator s NaN, and with it every
   phi_j. Otherwise every exp(z - max z) lies in [0, 1] and s >= 1, so
   every |g_j| <= 1;
-- the workspace keeps upper bounds on max|T| and max|b_t|. With |g_j| <= 1
-  a step moves T by at most lr * max|O_u| and b_t by at most lr, so the
-  bounds grow by that much. T or b_t is scanned only when its bound
-  reaches 1e300 (both start at inf, so the first step scans), and the
-  bound is then reset to the exact maximum;
+- the StepWorkspace keeps upper bounds on max|T| and max|b_t|, which both
+  paths read and update. With |g_j| <= 1 a step moves T by at most
+  lr * max|O_u| and b_t by at most lr, so the bounds grow by that much. T
+  or b_t is scanned only when its bound reaches 1e300 (both start at inf,
+  so the first step scans), and the bound is then reset to the exact
+  maximum;
 - O_u is finite iff its dot product with a vector of 2**-60 is. Scaling
   by a power of two keeps +-inf and NaN, and the scaled entries are below
   2**964, so the sum of E < 2**60 of them cannot overflow. Unlike a plain
   sum of O_u, it needs no fallback scan and cannot warn of an overflow
-  the step did not make.
+  the step did not make. The C loop checks O_u entry by entry, which this
+  proves equivalent.
 
 None of this changes the arithmetic: a step with a workspace, on either
-update, is bitwise-identical to one without, and NonFiniteUpdate fires at
+path, is bitwise-identical to one without, and NonFiniteUpdate fires at
 the same step. train() runs the steps with numpy's overflow, invalid and
 divide warnings off, so that NonFiniteUpdate is the only report of a
 non-finite step.
 
-train() also runs each epoch's steps with numpy's ufunc buffer at its
-minimum, SGD_BUFSIZE elements, and restores the caller's size on every
-exit. The outer product O_u g^T broadcasts O_u and g with stride 0, and
-while three or more rows of the E x N update fit in the default
-8,192-element buffer (N up to about 2,730) the buffered iterator packs
-rows and copies both operands, which makes the outer product about four
-times slower per element. A minimal buffer leaves nothing to pack.
-Buffering only moves elements between memory and the buffer, so every
-value is bitwise the same.
+train() also runs each epoch's steps, the loop's numpy calls among them,
+with numpy's ufunc buffer at its minimum, SGD_BUFSIZE elements, and
+restores the caller's size on every exit. The numpy step's outer product
+O_u g^T broadcasts O_u and g with stride 0, and while three or more rows
+of the E x N update fit in the default 8,192-element buffer (N up to
+about 2,730) the buffered iterator packs rows and copies both operands,
+which makes the outer product about four times slower per element. A
+minimal buffer leaves nothing to pack. Buffering only moves elements
+between memory and the buffer, so every value is bitwise the same.
 """
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -126,8 +152,9 @@ class TrainReport:
     classify_steps: list = field(default_factory=list)
     regress_steps: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
-    classify_kernel: str = "numpy"  # "c" when the C kernel updated T and b_t
-    classify_isa: str = None  # with the C kernel, its clone: "avx512f", "avx2" or "baseline"
+    classify_kernel: str = "numpy"  # "c" when the C epoch loop took the classify steps
+    # with the C loop, the clone of its T update: "avx512f", "avx2" or "baseline"
+    classify_isa: str = None
 
 
 def init_model(config, influencer_ids, node_ids):
@@ -180,24 +207,14 @@ def forward_regress(model, u):
 
 # A bound on max|T| or max|b_t| below this proves the array finite; at or
 # above it, or NaN, the step scans the array and resets the bound to its
-# exact maximum.
+# exact maximum. _native.c's BOUND_LIMIT is the same.
 _BOUND_LIMIT = 1e300
-
-
-def _numpy_update(T, O_u, g, b_t, lr, update, abs_O):
-    """T -= (O_u g^T) * lr and b_t -= lr * g through the E x N buffer
-    ``update``; returns max|O_u|, NaN if O_u holds a NaN."""
-    max_abs = float(np.maximum.reduce(np.abs(O_u, out=abs_O)))
-    np.multiply(O_u[:, None], g, out=update)
-    update *= lr
-    T -= update
-    b_t -= np.multiply(lr, g, out=update[0])
-    return max_abs
+_CLASSIFY_FAILED = "classification step produced a non-finite value"
 
 
 def _fits_kernel(model):
     """True if O, T and b_t are distinct, aligned, writable, C-contiguous
-    float64 arrays of matching shapes, as the C kernel reads them."""
+    float64 arrays of matching shapes, as the C loop reads them."""
     O, T, b_t = model.O, model.T, model.b_t
     arrays = (O, T, b_t)
     return (
@@ -216,90 +233,37 @@ def _fits_kernel(model):
     )
 
 
-# The (E, N) shapes of the self-check. In the second, N = 79 = 9 * 8 + 4 + 3,
-# so each row of T and b_t runs every part of every clone's loop that
-# gcc 12 builds: the 8-wide AVX-512 body, its 4-wide epilogue and a scalar
-# tail; the 4-wide AVX2 body, its 2-wide epilogue and a scalar tail; and
-# baseline x86-64's 2-wide body and scalar tail.
-_SELF_CHECK_SHAPES = ((3, 13), (5, 79))
-
-
-def _matches_numpy(kernel):
-    """True if ``kernel`` updates fixed arrays bitwise as _numpy_update does
-    and returns the same max|O_u|, NaN included."""
-    rng = np.random.default_rng(2019)
-    lr = 0.1
-    for E, N in _SELF_CHECK_SHAPES:
-        for O_u in (rng.normal(size=E), np.resize([0.5, np.nan, -2.0], E)):
-            T, g, b_t = rng.normal(size=(E, N)), rng.normal(size=N), rng.normal(size=N)
-            got_T, got_b_t = T.copy(), b_t.copy()
-            want = _numpy_update(T, O_u, g, b_t, lr, np.empty_like(T), np.empty(E))
-            got = kernel(
-                got_T.ctypes.data, O_u.ctypes.data, g.ctypes.data, got_b_t.ctypes.data, lr, E, N
-            )
-            if not (
-                np.array_equal(got_T, T, equal_nan=True)
-                and np.array_equal(got_b_t, b_t)
-                and (got == want or (math.isnan(got) and math.isnan(want)))
-            ):
-                return False
-    return True
-
-
 class StepWorkspace:
     """Buffers and the max|T|, max|b_t| bounds that consecutive classify steps share.
 
-    Valid only while T and b_t change through step_classify calls given
-    this workspace. Both bounds start at inf, which makes the first step
-    scan T and b_t; a step that raises NonFiniteUpdate sets them back to inf.
-
-    ``kernel`` is the C kernel from ``_native.step_kernel()``, or None. The
-    workspace keeps it only if the model's arrays fit it and it passes a
-    self-check against the numpy update; ``self.kernel`` is then the
-    kernel, else None.
+    Valid only while T and b_t change through step_classify calls, or C
+    loop runs, given this workspace. Both bounds start at inf, which makes
+    the first step scan T and b_t; a step that raises NonFiniteUpdate sets
+    them back to inf.
     """
 
-    def __init__(self, model, kernel=None):
+    def __init__(self, model):
         E, N = model.T.shape
         self.phi = np.empty(N)
         self.grad = np.empty(E)
         self.scale = np.full(E, 2.0**-60)
         self.bound = math.inf
         self.bias_bound = math.inf
-        # the numpy update's buffers, made when it first runs
+        # the T update's buffers, made when a numpy step first runs
         self.update = self.abs_O = None
-        self.kernel = None
-        if kernel is not None and _fits_kernel(model) and _matches_numpy(kernel):
-            self.kernel = kernel
-            # held, so that the arrays outlive every kernel call on their addresses
-            self.O, self.T, self.b_t = model.O, model.T, model.b_t
-            self.T_address, self.O_address = model.T.ctypes.data, model.O.ctypes.data
-            self.g_address, self.b_t_address = self.phi.ctypes.data, model.b_t.ctypes.data
-            self.row_bytes = model.O.strides[0]
 
     def update_t_and_b_t(self, model, u, lr):
         """T -= (O_u g^T) * lr and b_t -= lr * g for the gradient g in
-        ``self.phi``; returns max|O_u|, NaN if O_u holds a NaN.
-
-        The C kernel runs when the model still holds the arrays it was
-        checked against and u is a row of O; otherwise the numpy update.
-        """
-        O, T, b_t = model.O, model.T, model.b_t
-        if (
-            self.kernel is not None
-            and O is self.O
-            and T is self.T
-            and b_t is self.b_t
-            and 0 <= u < len(O)
-        ):
-            E, N = T.shape
-            O_u_address = self.O_address + u * self.row_bytes
-            return self.kernel(
-                self.T_address, O_u_address, self.g_address, self.b_t_address, lr, E, N
-            )
+        ``self.phi``; returns max|O_u|, NaN if O_u holds a NaN."""
+        T, O_u, g = model.T, model.O[u], self.phi
         if self.update is None:
             self.update, self.abs_O = np.empty_like(T), np.empty(T.shape[0])
-        return _numpy_update(T, O[u], self.phi, b_t, lr, self.update, self.abs_O)
+        max_abs = float(np.maximum.reduce(np.abs(O_u, out=self.abs_O)))
+        np.multiply(O_u[:, None], g, out=self.update)
+        self.update *= lr
+        T -= self.update
+        model.b_t -= np.multiply(lr, g, out=self.update[0])
+        return max_abs
 
 
 def step_classify(model, u, y, lr, workspace=None):
@@ -310,11 +274,10 @@ def step_classify(model, u, y, lr, workspace=None):
     O_u (phi - y)^T for T, and phi - y for b_t. Both matrix gradients use the
     pre-update O_u / T values (a single simultaneous step).
 
-    Without a workspace the step allocates its own, takes the numpy update
-    and scans all of T and b_t for non-finite values. With one shared
-    across steps (as train() does), each is scanned only when the
-    workspace's bound on its maximum magnitude reaches 1e300; the module
-    docstring gives the proofs.
+    Without a workspace the step allocates its own and scans all of T and
+    b_t for non-finite values. With one shared across steps (as train()
+    does), each is scanned only when the workspace's bound on its maximum
+    magnitude reaches 1e300; the module docstring gives the proofs.
     """
     ws = StepWorkspace(model) if workspace is None else workspace
     T = model.T
@@ -341,8 +304,94 @@ def step_classify(model, u, y, lr, workspace=None):
         and math.isfinite(ws.bias_bound)
     ):
         ws.bound = ws.bias_bound = math.inf
-        raise NonFiniteUpdate("classification step produced a non-finite value")
+        raise NonFiniteUpdate(_CLASSIFY_FAILED)
     return float(loss)
+
+
+# train() takes the C loop only while model.step_classify is this function.
+_OWN_STEP_CLASSIFY = step_classify
+
+# The numpy functions the C loop calls, whose rounding is numpy's own; see
+# the module docstring.
+LOOP_CALLS = (np.matmul, np.exp, np.add.reduce, np.log)
+
+
+# The (E, N) shapes of the loop's self-check. In the second, N = 79 =
+# 9 * 8 + 4 + 3, so each row of T and b_t runs every part of every clone of
+# the T update that gcc 12 builds: the 8-wide AVX-512 body, its 4-wide
+# epilogue and a scalar tail; the 4-wide AVX2 body, its 2-wide epilogue
+# and a scalar tail; and baseline x86-64's 2-wide body and scalar tail.
+_SELF_CHECK_SHAPES = ((3, 13), (5, 79))
+
+
+def _same_bits(a, b):
+    """True if the float64 arrays are equal bit for bit, any NaN standing
+    for any NaN."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+def _loop_matches_step(loop):
+    """True if the C loop ``loop`` takes fixed pairs bit for bit as
+    step_classify without a workspace does: each loss, O, T and b_t, where
+    the loop stops and which step raises.
+
+    Each shape runs three models: random, one with a NaN in O's second row
+    (whose first step raises), and one whose largest logits, 0, come from
+    the +0 and -0 entries of b_t over zero columns of T, every other logit
+    far below. Five classify pairs run, then a size pair, where the loop
+    must stop.
+    """
+    rng = np.random.default_rng(2019)
+    lr = 0.1
+    for E, N in _SELF_CHECK_SHAPES:
+        for case in ("random", "nan", "zero tie"):
+            O, T, b_t = rng.normal(size=(2, E)), rng.normal(size=(E, N)), rng.normal(size=N)
+            if case == "nan":
+                O[1, E // 2] = np.nan
+            elif case == "zero tie":
+                T[:, :4] = 0.0
+                b_t[:] = -1e3
+                b_t[:4] = (0.0, -0.0, -0.0, 0.0)
+            want = InfectorModel(O, T, b_t, 0.0, np.ones(E), [], [])
+            got = InfectorModel(O.copy(), T.copy(), b_t.copy(), 0.0, np.ones(E), [], [])
+            influencer = np.array([0, 0, 1, 0, 1, 0], dtype=np.int64)
+            context = np.array([1, 0, 3, N - 1, 2, SIZE_PAIR], dtype=np.int64)
+            want_losses, want_stop = np.full(6, np.nan), 5
+            for k, (u, y) in enumerate(zip(influencer[:5].tolist(), context[:5].tolist())):
+                try:
+                    want_losses[k] = _OWN_STEP_CLASSIFY(want, u, y, lr)
+                except NonFiniteUpdate:
+                    want_stop = ~k
+                    break
+            got_losses = np.full(6, np.nan)
+            stop = loop(got, StepWorkspace(got), influencer, context, 0, lr, got_losses,
+                        LOOP_CALLS)
+            n = 5 if stop == 5 else ~stop
+            if not (
+                stop == want_stop
+                and _same_bits(got_losses[:n], want_losses[:n])
+                and all(_same_bits(getattr(got, a), getattr(want, a)) for a in ("O", "T", "b_t"))
+            ):
+                return False
+    return True
+
+
+def _classify_loop(model):
+    """The native library if train() may take its C loop for ``model``,
+    else None: see the module docstring for the rule."""
+    if step_classify is not _OWN_STEP_CLASSIFY or not _fits_kernel(model):
+        return None
+    lib = _native.load()
+    if lib is None:
+        return None
+    with _sgd_numpy():
+        return lib if _loop_matches_step(lib.classify_pairs) else None
 
 
 def step_regress(model, u, y_c, lr):
@@ -367,6 +416,57 @@ def step_regress(model, u, y_c, lr):
 SGD_BUFSIZE = 16
 
 
+@contextlib.contextmanager
+def _sgd_numpy():
+    """numpy's settings for SGD steps: the ufunc buffer at SGD_BUFSIZE, and
+    no overflow, invalid or divide warning, since a step that overflows or
+    whose loss is -log(0) raises NonFiniteUpdate. The caller's settings
+    come back on every exit."""
+    # try/finally, not np.errstate: numpy 1.x errstate does not scope bufsize
+    old_bufsize = np.setbufsize(SGD_BUFSIZE)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    finally:
+        np.setbufsize(old_bufsize)
+
+
+def _run_epoch(model, stream, lr, workspace, lib, epoch):
+    """Take every pair of ``stream`` in order and return each pair's loss.
+
+    With ``lib`` the C loop takes each stretch of classify pairs, and each
+    pair it does not take goes through step_regress or step_classify, as
+    every pair does without it. A non-finite step raises NonFiniteUpdate
+    with ``epoch`` and the pair's index as its step.
+    """
+    n = len(stream)
+    losses = np.empty(n)
+    us, vs, ys = (a.tolist() for a in (stream.influencer, stream.context, stream.size_target))
+    if lib is not None:
+        influencer = np.asarray(stream.influencer, dtype=np.int64)
+        context = np.asarray(stream.context, dtype=np.int64)
+    step = 0
+    while step < n:
+        if lib is not None:
+            step = lib.classify_pairs(
+                model, workspace, influencer, context, step, lr, losses, LOOP_CALLS
+            )
+            if step < 0:
+                raise NonFiniteUpdate(_CLASSIFY_FAILED, epoch=epoch, step=~step)
+            if step == n:
+                break
+        u, v, y_c = us[step], vs[step], ys[step]
+        try:
+            if v == SIZE_PAIR:
+                losses[step] = step_regress(model, u, y_c, lr)
+            else:
+                losses[step] = step_classify(model, u, v, lr, workspace)
+        except NonFiniteUpdate as exc:
+            raise NonFiniteUpdate(str(exc), epoch=epoch, step=step) from None
+        step += 1
+    return losses
+
+
 def train(model, stream_producer, config):
     """Alternating SGD over fresh streams, one per epoch.
 
@@ -377,41 +477,25 @@ def train(model, stream_producer, config):
     """
     report = TrainReport()
     lr = config.learning_rate
-    workspace = StepWorkspace(model, _native.step_kernel())
-    if workspace.kernel is not None:
+    workspace = StepWorkspace(model)
+    lib = _classify_loop(model)
+    if lib is not None:
         report.classify_kernel = "c"
-        report.classify_isa = workspace.kernel.isa
+        report.classify_isa = lib.isa
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         stream = stream_producer(epoch)
         if not stream:
             raise ValueError(f"stream for epoch {epoch} is empty")
-        classify_losses = []
-        regress_losses = []
-        pairs = zip(
-            stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist()
-        )
-        # try/finally, not np.errstate: numpy 1.x errstate does not scope bufsize
-        old_bufsize = np.setbufsize(SGD_BUFSIZE)
-        try:
-            # a step that overflows, or whose loss is -log(0), raises
-            # NonFiniteUpdate, not a warning
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for step, (u, v, y_c) in enumerate(pairs):
-                    try:
-                        if v == SIZE_PAIR:
-                            regress_losses.append(step_regress(model, u, y_c, lr))
-                        else:
-                            classify_losses.append(step_classify(model, u, v, lr, workspace))
-                    except NonFiniteUpdate as exc:
-                        raise NonFiniteUpdate(str(exc), epoch=epoch, step=step) from None
-        finally:
-            np.setbufsize(old_bufsize)
+        with _sgd_numpy():
+            losses = _run_epoch(model, stream, lr, workspace, lib, epoch)
+        is_size = np.asarray(stream.context) == SIZE_PAIR
+        classify_losses, regress_losses = losses[~is_size], losses[is_size]
         report.classify_loss.append(
-            float(np.mean(classify_losses)) if classify_losses else 0.0
+            float(np.mean(classify_losses)) if len(classify_losses) else 0.0
         )
         report.regress_loss.append(
-            float(np.mean(regress_losses)) if regress_losses else 0.0
+            float(np.mean(regress_losses)) if len(regress_losses) else 0.0
         )
         report.classify_steps.append(len(classify_losses))
         report.regress_steps.append(len(regress_losses))

@@ -27,6 +27,15 @@ def lure_ids(n_lures):
     return [f"l{i:02d}" for i in range(n_lures)]
 
 
+def size_error(n_nodes, n_cascades, n_planted, n_lures):
+    """Why generate_corpus cannot build a corpus of these sizes, or None."""
+    if n_nodes - n_planted - n_lures < 20 * n_planted:
+        return "too few nodes for the requested planted/lure counts"
+    if n_cascades - n_planted * max(1, int(0.55 * n_cascades) // n_planted) - n_lures < 1:
+        return "too few cascades for the requested planted/lure counts"
+    return None
+
+
 def generate_corpus(rng, n_nodes=300, n_cascades=500, n_planted=5, n_lures=6):
     """Build a synthetic corpus over a universe of ``n_nodes`` node ids.
 
@@ -34,9 +43,10 @@ def generate_corpus(rng, n_nodes=300, n_cascades=500, n_planted=5, n_lures=6):
     seeds give equal corpora. Nodes are drawn as positions in the id table;
     the draws depend only on pool sizes, so they match drawing the ids.
     """
+    error = size_error(n_nodes, n_cascades, n_planted, n_lures)
+    if error:
+        raise ValueError(error)
     n_ordinary = n_nodes - n_planted - n_lures
-    if n_ordinary < 20 * n_planted:
-        raise ValueError("too few nodes for the requested planted/lure counts")
     ids = planted_ids(n_planted) + lure_ids(n_lures) + [f"n{i:03d}" for i in range(n_ordinary)]
     planted = range(n_planted)
     lures = range(n_planted, n_planted + n_lures)
@@ -56,8 +66,6 @@ def generate_corpus(rng, n_nodes=300, n_cascades=500, n_planted=5, n_lures=6):
 
     per_planted = max(1, int(0.55 * n_cascades) // n_planted)
     n_background = n_cascades - n_planted * per_planted - n_lures
-    if n_background < 1:
-        raise ValueError("too few cascades for the requested planted/lure counts")
 
     initiators, starts, nodes, times = [], [], [], []
 

@@ -28,25 +28,25 @@ def built_library(native_library):
 
 
 @pytest.fixture(scope="session")
-def classify_kernel(native_library):
-    """The C kernel of the classify step, or None with no native library."""
-    return None if native_library is None else native_library.fused_t_update
+def classify_loop(native_library):
+    """The C epoch loop of the classify step, or None with no native library."""
+    return None if native_library is None else native_library.classify_pairs
 
 
 @pytest.fixture(scope="session")
-def step_kernels(classify_kernel):
-    """The classify step paths: numpy (None), then the C kernel where it builds."""
-    return (None,) if classify_kernel is None else (None, classify_kernel)
+def step_paths(classify_loop):
+    """The classify step paths: numpy (None), then the C loop where it builds."""
+    return (None,) if classify_loop is None else (None, classify_loop)
 
 
 @pytest.fixture(scope="session")
-def kernel_name(classify_kernel):
+def kernel_name(native_library):
     """The manifest's ``classify_kernel`` on this host."""
-    return "numpy" if classify_kernel is None else "c"
+    return "numpy" if native_library is None else "c"
 
 
 @pytest.fixture(scope="session")
-def kernel_isa(classify_kernel):
-    """The manifest's ``classify_isa`` on this host: the kernel's clone, or
-    None when the numpy update runs."""
-    return None if classify_kernel is None else classify_kernel.isa
+def kernel_isa(native_library):
+    """The manifest's ``classify_isa`` on this host: the clone of the C
+    loop's T update, or None when the numpy step runs."""
+    return None if native_library is None else native_library.isa

@@ -83,6 +83,26 @@ def test_synth_edges_out(tmp_path):
     assert lines and all(len(ln.split()) == 2 for ln in lines)
 
 
+@pytest.mark.parametrize(
+    "sizes, what",
+    [
+        (["--nodes", "40", "--cascades", "30"], "nodes"),  # 40 - 5 - 6 < 20 * 5
+        (["--nodes", "60", "--planted", "2", "--lures", "19"], "nodes"),  # 39 < 40
+        (["--nodes", "300", "--cascades", "10"], "cascades"),  # no background cascade
+    ],
+)
+def test_synth_sizes_it_cannot_build_are_exit_2(tmp_path, capsys, sizes, what):
+    # a combination of flags generate_corpus cannot build is a usage error
+    # that writes nothing, not degenerate data (exit 5)
+    outs = ["--out", str(tmp_path / "c.txt"), "--edges-out", str(tmp_path / "e.txt")]
+    assert main(["synth", *sizes, *outs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: too few {what} for the requested planted/lure counts (")
+    assert os.listdir(tmp_path) == []
+    # nodes - planted - lures == 20 * planted is enough
+    assert main(["synth", "--nodes", "111", "--cascades", "30", *outs]) == 0
+
+
 def test_split_counts_and_manifest(tmp_path, corpus_file):
     train, test = tmp_path / "train.txt", tmp_path / "test.txt"
     code = main(
@@ -293,20 +313,24 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_i
     assert model.influencer_ids == ["u01", "u02", "u03"]
 
 
-def test_nonfinite_training_is_exit_4(tmp_path, corpus_file, capsys, step_kernels, monkeypatch):
+def test_nonfinite_training_is_exit_4(tmp_path, corpus_file, capsys, step_paths, monkeypatch):
     out = str(tmp_path / "m.infv")
-    for kernel in step_kernels:
-        monkeypatch.setattr(_native, "step_kernel", lambda: kernel)
-        # 1e308 and 1e300 overflow step 1's logits, 1e5 makes its loss -log(0)
-        for lr in ("1e308", "1e300", "1e5"):
-            # the exit-4 error is the only report: no numpy warning
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = main(["train", "--cascades", str(corpus_file), "--out", out, "--lr", lr])
-            assert code == 4
-            assert capsys.readouterr().err == (
-                "error: classification step produced a non-finite value (epoch 0, step 1)\n"
-            )
+    for path in step_paths:
+        with monkeypatch.context() as mp:
+            if path is None:
+                # no native library: the numpy step
+                mp.setattr(_native, "load", lambda: None)
+            # 1e308 and 1e300 overflow step 1's logits, 1e5 makes its loss -log(0)
+            for lr in ("1e308", "1e300", "1e5"):
+                # the exit-4 error is the only report: no numpy warning
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(["train", "--cascades", str(corpus_file), "--out", out, "--lr", lr])
+                assert code == 4
+                assert capsys.readouterr().err == (
+                    "error: classification step produced a non-finite value (epoch 0, step 1)\n"
+                )
+                assert not os.path.exists(out)
 
 
 def test_train_dump_pairs(tmp_path, corpus_file, monkeypatch):

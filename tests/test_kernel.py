@@ -1,5 +1,5 @@
 """The native library: its loader and its cache, and the self-check of the
-classify step's C kernel."""
+classify step's C loop."""
 
 import ctypes
 import os
@@ -15,17 +15,25 @@ import numpy as np
 import pytest
 
 from iminfector import _native
+from iminfector import model as model_module
 from iminfector.cli import main
-from iminfector.model import StepWorkspace, _matches_numpy, step_classify
+from iminfector.context import build_training_stream
+from iminfector.model import LOOP_CALLS, ModelConfig, StepWorkspace, init_model, train
+from iminfector.synth import generate_corpus
 from test_cli import package_env as cli_env
-from test_model import assert_same_model, copy_model, random_model, reference_step_classify
+from test_model import (
+    assert_same_model,
+    copy_model,
+    loop_step,
+    random_model,
+    reference_step_classify,
+    reference_train,
+)
 
 
-@pytest.fixture
-def built_kernel(classify_kernel):
-    if classify_kernel is None:
-        pytest.skip("no C compiler on PATH")
-    return classify_kernel
+def loop_passes_self_check(lib):
+    with model_module._sgd_numpy():
+        return model_module._loop_matches_step(lib.classify_pairs)
 
 
 def library_files(directory):
@@ -36,18 +44,20 @@ def package_env(cache_home):
     return {**cli_env(), "XDG_CACHE_HOME": str(cache_home)}
 
 
-# Loads the kernel in a fresh process and prints the library it loaded and
-# whether the kernel passed the self-check. A load that dies of a signal
+# Loads the library in a fresh process and prints the library it loaded and
+# whether its C loop passed the self-check. A load that dies of a signal
 # shows as a negative return code.
 LOAD_SCRIPT = textwrap.dedent(
     """
     import sys, time
+    import numpy as np
     from iminfector import _native
-    from iminfector.model import _matches_numpy
+    from iminfector.model import _loop_matches_step
     time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
-    kernel = _native.step_kernel()
+    lib = _native.load()
     path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
-    print(path, kernel is not None and _matches_numpy(kernel))
+    with np.errstate(all="ignore"):
+        print(path, lib is not None and _loop_matches_step(lib.classify_pairs))
     """
 )
 
@@ -71,7 +81,7 @@ def test_import_builds_and_writes_nothing(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, built_kernel,
+def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, built_library,
                                                          capsys):
     synth = tmp_path / "synth.txt"
     assert main(
@@ -96,7 +106,7 @@ def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, 
                 assert main([*argv, "--outdir", str(tmp_path / name)]) == 0
             finally:
                 _native.load.cache_clear()
-        # the fallback is quiet: the run prints what the kernel's run did
+        # the fallback is quiet: the run prints what the C loop's run did
         assert capsys.readouterr() == printed
         assert library_files(tmp_path / "cache" / "iminfector") == []
         names = sorted(os.listdir(tmp_path / "c"))
@@ -110,11 +120,39 @@ def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, 
         assert '"cascade_reader": "python"' in manifest
     manifest = (tmp_path / "c" / "manifest.json").read_text()
     assert '"classify_kernel": "c"' in manifest and '"cascade_reader": "c"' in manifest
-    assert f'"classify_isa": "{built_kernel.isa}"' in manifest
+    assert f'"classify_isa": "{built_library.isa}"' in manifest
+
+
+def test_pipeline_is_identical_without_the_library_on_seeds_0_to_9(tmp_path, monkeypatch,
+                                                                   built_library, capsys):
+    # the C loop against the numpy step, through every pipeline artifact
+    for seed in range(10):
+        synth = tmp_path / f"synth{seed}.txt"
+        assert main(
+            ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
+             "--rng-seed", str(seed), "--out", str(synth)]
+        ) == 0
+        argv = ["pipeline", "--cascades", str(synth), "--embed-dim", "12", "--epochs", "2",
+                "--rng-seed", str(seed)]
+        runs = {"c": tmp_path / f"c{seed}", "numpy": tmp_path / f"numpy{seed}"}
+        assert main([*argv, "--outdir", str(runs["c"])]) == 0
+        with monkeypatch.context() as mp:
+            mp.setattr(_native, "load", lambda: None)
+            assert main([*argv, "--outdir", str(runs["numpy"])]) == 0
+        names = sorted(os.listdir(runs["c"]))
+        assert names == sorted(os.listdir(runs["numpy"]))
+        for name in names:
+            if name != "manifest.json":
+                got = (runs["numpy"] / name).read_bytes()
+                assert got == (runs["c"] / name).read_bytes(), (seed, name)
+        for kernel, outdir in runs.items():
+            manifest = (outdir / "manifest.json").read_text()
+            assert f'"classify_kernel": "{kernel}"' in manifest, (seed, kernel)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("damage", ["garbage", "cut-short", "empty"])
-def test_damaged_cached_library_is_rebuilt(tmp_path, built_kernel, damage):
+def test_damaged_cached_library_is_rebuilt(tmp_path, built_library, damage):
     good_path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
     good = pathlib.Path(good_path).read_bytes()
     # the damaged file sits under the good library's name, so only its
@@ -134,7 +172,7 @@ def test_damaged_cached_library_is_rebuilt(tmp_path, built_kernel, damage):
     assert pathlib.Path(path).read_bytes() == good
 
 
-def test_concurrent_builds_end_with_one_library(tmp_path, built_kernel):
+def test_concurrent_builds_end_with_one_library(tmp_path, built_library):
     start = time.time() + 1.0
     procs = [load_in_process(tmp_path, start) for _ in range(2)]
     results = [proc.communicate(timeout=120) for proc in procs]
@@ -145,7 +183,7 @@ def test_concurrent_builds_end_with_one_library(tmp_path, built_kernel):
     assert library_files(tmp_path / "iminfector") == [os.path.basename(lines[0][0])]
 
 
-def test_build_keeps_the_newest_libraries(tmp_path, built_kernel):
+def test_build_keeps_the_newest_libraries(tmp_path, built_library):
     cache = tmp_path / "iminfector"
     cache.mkdir()
     # six stale libraries, oldest first: of another source, or of an older
@@ -164,7 +202,7 @@ def test_build_keeps_the_newest_libraries(tmp_path, built_kernel):
     assert library_files(cache) == sorted([os.path.basename(path), "notes.txt", *stale[-3:]])
 
 
-def test_library_gone_before_it_is_opened_is_no_library(tmp_path, built_kernel, monkeypatch):
+def test_library_gone_before_it_is_opened_is_no_library(tmp_path, built_library, monkeypatch):
     # another process's build may prune the library between the digest
     # check and the dlopen: the package then runs without it
     good = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
@@ -184,7 +222,7 @@ def test_library_gone_before_it_is_opened_is_no_library(tmp_path, built_kernel, 
         mp.setattr(_native, "cached_library", found_then_pruned)
         _native.load.cache_clear()
         try:
-            assert _native.load() is None and _native.step_kernel() is None
+            assert _native.load() is None
         finally:
             _native.load.cache_clear()
     assert not copy.exists()
@@ -195,12 +233,30 @@ def test_source_compiles_without_warnings(tmp_path):
     # would turn into a failed build, and so into the numpy/Python paths
     if shutil.which(_native.CC) is None:
         pytest.skip("no C compiler on PATH")
+    args = _native.compile_args()
+    assert args[: len(_native.FLAGS)] == list(_native.FLAGS)
+    assert args[-1] == "-I" + _native.python_abi()[1]
+    assert os.path.isfile(os.path.join(_native.python_abi()[1], "Python.h"))
     (tmp_path / "native.c").write_bytes(_native.source())
     proc = subprocess.run(
-        [_native.CC, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", "native.so", "native.c"],
+        [_native.CC, *args, "-Wall", "-Wextra", "-Werror", "-o", "native.so", "native.c"],
         cwd=tmp_path, capture_output=True, text=True, timeout=_native.BUILD_TIMEOUT_S,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_name_prefix_digests_the_python_abi(monkeypatch):
+    # a library built for another interpreter's ABI or headers is never loaded
+    code = _native.source()
+    suffix, include = _native.python_abi()
+    prefix = _native.name_prefix(code)
+    seen = {prefix}
+    for abi in ((".cpython-399-x86_64-linux-gnu.so", include), (suffix, include + "-other")):
+        monkeypatch.setattr(_native, "python_abi", lambda abi=abi: abi)
+        seen.add(_native.name_prefix(code))
+    assert len(seen) == 3
+    monkeypatch.setattr(_native, "python_abi", lambda: (suffix, include))
+    assert _native.name_prefix(code) == prefix
 
 
 def cpu_flags():
@@ -226,19 +282,19 @@ MARCH_FLAGS = {
 CLONES = b'#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))'
 
 
-def assert_refused(kernel):
-    """The self-check refuses ``kernel``, and the workspace's steps stay
-    bitwise those of the reference."""
-    rng = np.random.default_rng(41)
-    ref = random_model(rng, 3, 17, 4)
-    new = copy_model(ref)
-    assert not _matches_numpy(kernel)
-    ws = StepWorkspace(new, kernel)
-    assert ws.kernel is None
-    for s in range(10):
-        u, y = s % 3, (5 * s) % 17
-        assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
-    assert_same_model(ref, new, "mutant kernel")
+def assert_refused(lib, monkeypatch):
+    """The self-check refuses the C loop of ``lib``, and train, given that
+    library, takes the numpy step and stays bitwise the reference loop."""
+    assert not loop_passes_self_check(lib)
+    corpus = generate_corpus(np.random.default_rng(41), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=1, rng_seed=2)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed)]
+    ref, want = reference_train(corpus, cfg, streams)
+    monkeypatch.setattr(_native, "load", lambda: lib)
+    model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
+    assert report.classify_kernel == "numpy" and report.classify_isa is None
+    assert list(zip(report.classify_loss, report.regress_loss, report.classify_steps, report.regress_steps)) == want
+    assert_same_model(ref, model, "mutant loop")
 
 
 @pytest.mark.parametrize(
@@ -248,29 +304,30 @@ def assert_refused(kernel):
         b"row[j] = fma(-(o * g[j]), lr, row[j]);",  # a fused multiply-add
     ],
 )
-def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, built_kernel, mutant):
+def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, built_library, mutant,
+                                                        monkeypatch):
     code = _native.source()
     exact = b"row[j] = row[j] - ((o * g[j]) * lr);"
     assert code.count(exact) == 1
     path = _native.build(code.replace(exact, mutant), str(tmp_path), "mutant-")
-    assert_refused(_native.open_library(path).fused_t_update)
+    assert_refused(_native.open_library(path), monkeypatch)
 
 
-def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, built_kernel,
+def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, built_library,
                                                                 monkeypatch):
     # AVX-512F implies FMA: without -ffp-contract=off gcc fuses the update's
     # multiply and subtract in that clone, and the rounding changes
     flags = tuple(flag for flag in _native.FLAGS if flag != "-ffp-contract=off")
     assert len(flags) == len(_native.FLAGS) - 1
     monkeypatch.setattr(_native, "FLAGS", flags)
-    kernel = _native.open_library(_native.build(_native.source(), str(tmp_path), "fma-")).fused_t_update
-    if kernel.isa != "avx512f":
-        pytest.skip(f"the {kernel.isa} clone that runs here has no FMA to contract into")
-    assert_refused(kernel)
+    lib = _native.open_library(_native.build(_native.source(), str(tmp_path), "fma-"))
+    if lib.isa != "avx512f":
+        pytest.skip(f"the {lib.isa} clone that runs here has no FMA to contract into")
+    assert_refused(lib, monkeypatch)
 
 
 @pytest.mark.parametrize("march", sorted(MARCH_FLAGS))
-def test_each_isa_level_is_bitwise_numpy(tmp_path, built_kernel, monkeypatch, march):
+def test_each_isa_level_is_bitwise_numpy(tmp_path, built_library, monkeypatch, march):
     # One copy of the loops, built for one instruction set, must match numpy
     # on the self-check and on steps of the wide-3000 benchmark's shape.
     if platform.machine() != "x86_64" or not MARCH_FLAGS[march] <= cpu_flags():
@@ -279,20 +336,22 @@ def test_each_isa_level_is_bitwise_numpy(tmp_path, built_kernel, monkeypatch, ma
     assert code.count(CLONES) == 1
     monkeypatch.setattr(_native, "FLAGS", (*_native.FLAGS, f"-march={march}"))
     path = _native.build(code.replace(CLONES, b"#define CLONES"), str(tmp_path), "m-")
-    kernel = _native.open_library(path).fused_t_update
-    assert _matches_numpy(kernel)
+    lib = _native.open_library(path)
+    assert loop_passes_self_check(lib)
     rng = np.random.default_rng(53)
     I, N, E = 3, 2930, 50
     ref = random_model(rng, I, N, E)
     ref.O *= 0.2
     ref.T *= 0.2
     new = copy_model(ref)
-    ws = StepWorkspace(new, kernel)
-    assert ws.kernel is kernel
+    ws = StepWorkspace(new)
+    step = loop_step(lib.classify_pairs)
     for s in range(6):
         u, y = s % I, int(rng.integers(0, N))
-        assert step_classify(new, u, y, 0.5, ws) == reference_step_classify(ref, u, y, 0.5)
+        assert step(new, u, y, 0.5, ws) == reference_step_classify(ref, u, y, 0.5)
         assert_same_model(ref, new, f"-march={march} step {s}")
+    # the loop took every step: the numpy step's T update never ran
+    assert ws.update is None
 
 
 class DlInfo(ctypes.Structure):
@@ -304,13 +363,13 @@ class DlInfo(ctypes.Structure):
     ]
 
 
-def test_step_isa_names_the_clone_that_runs(built_kernel):
-    assert built_kernel.isa in ("avx512f", "avx2", "baseline")
+def test_step_isa_names_the_clone_that_runs(built_library):
+    assert built_library.isa in ("avx512f", "avx2", "baseline")
     if platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc":
         # the resolver takes the first clone listed that the CPU supports
         flags = cpu_flags()
         want = "avx512f" if "avx512f" in flags else "avx2" if "avx2" in flags else "baseline"
-        assert built_kernel.isa == want
+        assert built_library.isa == want
     nm = shutil.which("nm")
     if nm is None:
         pytest.skip("no nm to list the library's clones")
@@ -330,30 +389,45 @@ def test_step_isa_names_the_clone_that_runs(built_kernel):
     ]
     assert len(names) == 1, names
     clone = names[0][len("fused_t_update"):].lstrip(".") or "default"
-    assert {"default": "baseline"}.get(clone, clone) == built_kernel.isa
+    assert {"default": "baseline"}.get(clone, clone) == built_library.isa
+
+
+# Each change makes the model's array one the C loop cannot take: a
+# Fortran-order O or T, or a strided b_t.
+MISFIT = {
+    "O": np.asfortranarray,
+    "T": np.asfortranarray,
+    "b_t": lambda b_t: np.repeat(b_t, 2)[::2],
+}
 
 
 @pytest.mark.parametrize("change", ["negative u", "O", "T", "b_t"])
-def test_kernel_workspace_takes_numpy_update_when_arrays_change(built_kernel, change):
-    # The kernel would write to the wrong row of O, or read or write an
-    # array the model no longer holds: the workspace takes the numpy update.
+def test_kernel_workspace_takes_numpy_update_when_arrays_change(built_library, change):
+    # The loop would write to the wrong row of O, or read or write an array
+    # the wrong way: it takes no pair, and step_classify takes it.
     rng = np.random.default_rng(43)
     ref = random_model(rng, 3, 11, 4)
     new = copy_model(ref)
-    ws = StepWorkspace(new, built_kernel)
-    assert ws.kernel is built_kernel and ws.update is None
+    ws = StepWorkspace(new)
+    step = loop_step(built_library.classify_pairs)
     for s in range(6):
         u = s % 3
         if s >= 2 and change == "negative u":
             u -= 3
         elif s == 2:
-            setattr(new, change, getattr(new, change).copy())
-        assert step_classify(new, u, s, 0.1, ws) == reference_step_classify(ref, u, s, 0.1)
+            # the reference takes the same layout, so that numpy's matmul
+            # takes the same BLAS call on both
+            for m in (ref, new):
+                setattr(m, change, MISFIT[change](getattr(m, change)))
+        assert step(new, u, s, 0.1, ws) == reference_step_classify(ref, u, s, 0.1)
         assert_same_model(ref, new, f"step {s}")
-    assert ws.update is not None
+        # steps 0 and 1 are the loop's
+        assert (ws.update is None) == (s < 2)
 
 
-def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(built_kernel):
+def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(built_library):
+    # train does not take the C loop for these arrays, and the loop itself
+    # takes no pair of them and changes nothing
     rng = np.random.default_rng(47)
     base = random_model(rng, 3, 9, 4)
     shared = np.zeros(4 * 9 + 9)
@@ -365,8 +439,17 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(built_kernel):
         "T and b_t overlap": dict(T=shared[:36].reshape(4, 9), b_t=shared[30:39]),
         "b_t too short": dict(b_t=base.b_t[:8].copy()),
     }
+    pairs = np.array([0, 1, 2], dtype=np.int64), np.array([1, 2, 3], dtype=np.int64)
     for what, arrays in misfits.items():
         model = copy_model(base)
         for name, value in arrays.items():
             setattr(model, name, value)
-        assert StepWorkspace(model, built_kernel).kernel is None, what
+        assert model_module._classify_loop(model) is None, what
+        before = copy_model(model)
+        losses = np.full(3, np.nan)
+        ws = StepWorkspace(model)
+        assert built_library.classify_pairs(model, ws, *pairs, 0, 0.1, losses, LOOP_CALLS) == 0, what
+        assert np.isnan(losses).all() and ws.bound == ws.bias_bound == np.inf, what
+        assert_same_model(before, model, what)
+    # the same model with its own arrays takes the loop
+    assert model_module._classify_loop(copy_model(base)) is not None

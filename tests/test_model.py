@@ -12,6 +12,7 @@ from iminfector.cascades import parse_cascades
 from iminfector.context import SIZE_PAIR, build_training_stream
 from iminfector.exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
 from iminfector.model import (
+    LOOP_CALLS,
     SGD_BUFSIZE,
     InfectorModel,
     ModelConfig,
@@ -278,10 +279,10 @@ def copy_model(m):
     return model_with_ids(O=m.O.copy(), T=m.T.copy(), b_t=m.b_t.copy(), b_c=m.b_c, C=m.C.copy())
 
 
-def assert_same_model(a, b, what):
-    assert np.array_equal(a.O, b.O), f"{what}: O differs"
-    assert np.array_equal(a.T, b.T), f"{what}: T differs"
-    assert np.array_equal(a.b_t, b.b_t), f"{what}: b_t differs"
+def assert_same_model(a, b, what, equal_nan=False):
+    assert np.array_equal(a.O, b.O, equal_nan=equal_nan), f"{what}: O differs"
+    assert np.array_equal(a.T, b.T, equal_nan=equal_nan), f"{what}: T differs"
+    assert np.array_equal(a.b_t, b.b_t, equal_nan=equal_nan), f"{what}: b_t differs"
     assert a.b_c == b.b_c, f"{what}: b_c differs"
 
 
@@ -305,20 +306,79 @@ def ufunc_bufsize(size):
         np.setbufsize(old)
 
 
-def new_workspace(model, kernel):
-    """A workspace on the given step path; the C kernel must be kept."""
-    ws = StepWorkspace(model, kernel)
-    assert ws.kernel is kernel
-    return ws
+def loop_step(loop):
+    """step_classify(model, u, y, lr, ws) through the C loop ``loop``: the
+    pair alone in a stream, taken by step_classify if the loop does not
+    take it, as train does."""
+
+    def step(model, u, y, lr, ws):
+        losses = np.full(1, np.nan)
+        pair = np.array([u], dtype=np.int64), np.array([y], dtype=np.int64)
+        stop = loop(model, ws, *pair, 0, lr, losses, LOOP_CALLS)
+        if stop < 0:
+            raise NonFiniteUpdate("classification step produced a non-finite value")
+        return step_classify(model, u, y, lr, ws) if stop == 0 else float(losses[0])
+
+    return step
 
 
-def test_workspace_step_bitwise_equals_reference(step_kernels):
+def loop_until_raise(loop, model, steps):
+    """run_until_raise(step, model, steps) for steps of one rate, all in
+    one call of the C loop ``loop``."""
+    (lr,) = {lr for _, lr in steps}
+    influencer, context = (np.array(c, dtype=np.int64) for c in zip(*(pair for pair, _ in steps)))
+    losses = np.full(len(steps), np.nan)
+    stop = loop(model, StepWorkspace(model), influencer, context, 0, lr, losses, LOOP_CALLS)
+    assert stop < 0 or stop == len(steps)
+    return (losses.tolist(), None) if stop >= 0 else (losses[:~stop].tolist(), ~stop)
+
+
+def workspace_step(path):
+    """The classify step on ``path``: the numpy step (None) or the C loop."""
+    return step_classify if path is None else loop_step(path)
+
+
+def reference_train(corpus, cfg, streams):
+    """The model train() must give, through reference_step_classify, and
+    per epoch its mean losses and step counts. A NonFiniteUpdate carries
+    the epoch and step that raised and the model."""
+    ref = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
+    epochs = []
+    for epoch, stream in enumerate(streams):
+        classify, regress = [], []
+        pairs = zip(stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist())
+        for step, (u, v, y_c) in enumerate(pairs):
+            try:
+                if v != SIZE_PAIR:
+                    classify.append(reference_step_classify(ref, u, v, cfg.learning_rate))
+                else:
+                    regress.append(step_regress(ref, u, y_c, cfg.learning_rate))
+            except NonFiniteUpdate as exc:
+                # where it raised, and the model as the raise left it
+                exc.epoch, exc.step, exc.model = epoch, step, ref
+                raise
+        epochs.append((float(np.mean(classify)), float(np.mean(regress)), len(classify), len(regress)))
+    return ref, epochs
+
+
+@contextlib.contextmanager
+def on_path(path):
+    """Inside, train takes ``path``: the numpy step (None), by loading no
+    native library, or the C loop. Yields the manifest's name of the path."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path is None:
+            mp.setattr(_native, "load", lambda: None)
+        yield "numpy" if path is None else "c"
+
+
+def test_workspace_step_bitwise_equals_reference(step_paths):
     # The reference runs under numpy's default ufunc buffer. Odd trials and
     # the last three take the workspace step under the buffer train() uses;
     # trials 60 and 61 have N just below and just above the largest N
     # (about 2,730) for which the default buffer packs rows of the E x N
     # outer, trial 62 has the shape of the wide-3000 benchmark workload.
-    for kernel in step_kernels:
+    for path in step_paths:
+        step = workspace_step(path)
         rng = np.random.default_rng(17)
         for trial in range(63):
             I = int(rng.integers(1, 5))
@@ -333,7 +393,7 @@ def test_workspace_step_bitwise_equals_reference(step_kernels):
             ref.O *= 0.2
             ref.T *= 0.2
             new = copy_model(ref)
-            ws = new_workspace(new, kernel)
+            ws = StepWorkspace(new)
             for s in range(25):
                 u = int(rng.integers(0, I))
                 logits = ref.O[u] @ ref.T + ref.b_t
@@ -343,51 +403,40 @@ def test_workspace_step_bitwise_equals_reference(step_kernels):
                 want = reference_step_classify(ref, u, y, lr)
                 with ufunc_bufsize(bufsize):
                     assert np.array_equal(forward_classify(new, u), want_phi)
-                    got = step_classify(new, u, y, lr, ws)
-                assert got == want, f"{kernel} trial {trial} step {s}: loss {got} != {want}"
-                assert_same_model(ref, new, f"{kernel} trial {trial} step {s}")
+                    got = step(new, u, y, lr, ws)
+                assert got == want, f"{path} trial {trial} step {s}: loss {got} != {want}"
+                assert_same_model(ref, new, f"{path} trial {trial} step {s}")
             # a step without a workspace takes the same arithmetic
             want = reference_step_classify(ref, 0, N - 1, lr)
             with ufunc_bufsize(bufsize):
                 assert step_classify(new, 0, N - 1, lr) == want
-            assert_same_model(ref, new, f"{kernel} trial {trial} without workspace")
+            assert_same_model(ref, new, f"{path} trial {trial} without workspace")
 
 
-def test_train_bitwise_equals_reference_loop(step_kernels, monkeypatch):
+def test_train_bitwise_equals_reference_loop(step_paths):
     corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
     cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=3, rng_seed=4)
     streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
-
-    ref = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
-    want = []
-    for stream in streams:
-        classify, regress = [], []
-        pairs = zip(stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist())
-        for u, v, y_c in pairs:
-            if v != SIZE_PAIR:
-                classify.append(reference_step_classify(ref, u, v, cfg.learning_rate))
-            else:
-                regress.append(step_regress(ref, u, y_c, cfg.learning_rate))
-        want.append((float(np.mean(classify)), float(np.mean(regress)), len(classify), len(regress)))
-
-    for kernel in step_kernels:
-        monkeypatch.setattr(_native, "step_kernel", lambda: kernel)
-        model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
-        assert report.classify_kernel == ("numpy" if kernel is None else "c")
+    ref, want = reference_train(corpus, cfg, streams)
+    for path in step_paths:
+        with on_path(path) as name:
+            model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
+        assert report.classify_kernel == name
         got = list(zip(report.classify_loss, report.regress_loss, report.classify_steps, report.regress_steps))
         assert got == want
-        assert_same_model(model, ref, f"train, {report.classify_kernel} step")
+        assert_same_model(model, ref, f"train, {name} step")
 
 
 @pytest.mark.parametrize("big, lr", [(1e308, 3.0), (1e10, 3e298)])
-def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_kernels):
+def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_paths):
     # O[0, 0] is big and row 0 of T is zero, so influencer 0's logits stay
     # finite while its step at rate lr pushes T[0, 1] past the largest
     # double. The loss, g, O_u and b_t stay finite: only the scan that the
     # max|T| bound falls back to can see the overflow. First, influencer 1
     # (O[1, 0] = 0, so row 0 of T stays zero) takes steps at rate 1 that
     # leave the bound finite and far below the limit.
-    for kernel in step_kernels:
+    for path in step_paths:
+        step = workspace_step(path)
         ref = model_with_ids(
             O=np.array([[big, 0.0], [0.0, 0.3]]),
             T=np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.4]]),
@@ -399,23 +448,24 @@ def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_kernels):
         steps = [((1, s % 3), 1.0) for s in range(6)] + [((0, 1), lr)] * 3
         with np.errstate(over="ignore", invalid="ignore"):
             want = run_until_raise(reference_step_classify, ref, steps)
-            ws = new_workspace(new, kernel)
-            got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
+            ws = StepWorkspace(new)
+            got = run_until_raise(lambda m, u, y, r: step(m, u, y, r, ws), new, steps)
         assert want[1] == 6
         assert np.isinf(ref.T[0, 1]) and np.isfinite(ref.O).all() and np.isfinite(ref.b_t).all()
         assert got == want
         # the raise leaves the workspace to scan T and b_t again if reused
         assert ws.bound == ws.bias_bound == math.inf
-        assert_same_model(ref, new, f"overflow, kernel {kernel}")
+        assert_same_model(ref, new, f"overflow, path {path}")
 
 
-def test_workspace_step_catches_overflow_of_o_u_alone(step_kernels):
+def test_workspace_step_catches_overflow_of_o_u_alone(step_paths):
     # O[0, 0] is zero, so row 0 of T (+-1e308) adds nothing to the logits
     # and does not move. After four steps at rate 0, which change nothing,
     # the gradient of O[0, 0], 1e308 * (g_0 - g_1) or about -1e308, times
     # the rate 3 pushes O[0, 0] past the largest double. The loss, T and
     # b_t stay finite: only the check of O_u can see it.
-    for kernel in step_kernels:
+    for path in step_paths:
+        step = workspace_step(path)
         ref = model_with_ids(
             O=np.array([[0.0, 0.5]]),
             T=np.array([[1e308, -1e308, 0.0], [0.2, -0.1, 0.4]]),
@@ -427,21 +477,22 @@ def test_workspace_step_catches_overflow_of_o_u_alone(step_kernels):
         steps = [((0, 2), 0.0)] * 4 + [((0, 0), 3.0)]
         with np.errstate(over="ignore"):
             want = run_until_raise(reference_step_classify, ref, steps)
-            ws = new_workspace(new, kernel)
-            got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
+            ws = StepWorkspace(new)
+            got = run_until_raise(lambda m, u, y, r: step(m, u, y, r, ws), new, steps)
         assert want[1] == 4 and all(math.isfinite(loss) for loss in want[0])
         assert np.isinf(ref.O[0, 0]) and np.isfinite(ref.T).all() and np.isfinite(ref.b_t).all()
         assert got == want
-        assert_same_model(ref, new, f"overflow, kernel {kernel}")
+        assert_same_model(ref, new, f"overflow, path {path}")
 
 
-def test_workspace_step_raises_at_reference_step_on_huge_entries(step_kernels):
+def test_workspace_step_raises_at_reference_step_on_huge_entries(step_paths):
     # Entries near 1e308 in O or T and moderate learning rates: whichever
     # check fires, the workspace step must stop at the reference's step.
     # Trials 40-59 put tied entries near 1e308 into b_t and take large
     # rates, so that b_t alone can overflow; trials 60-79 put a NaN or
     # +-inf into O, T or b_t, which makes logits non-finite.
-    for kernel in step_kernels:
+    for path in step_paths:
+        step = workspace_step(path)
         rng = np.random.default_rng(23)
         raised = b_t_alone = nonfinite_raised = 0
         for trial in range(80):
@@ -463,9 +514,15 @@ def test_workspace_step_raises_at_reference_step_on_huge_entries(step_kernels):
             steps = [((int(rng.integers(0, I)), int(rng.integers(0, N))), lr) for _ in range(20)]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 want = run_until_raise(reference_step_classify, ref, steps)
-                ws = new_workspace(new, kernel)
-                got = run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), new, steps)
-            assert got == want, f"kernel {kernel} trial {trial}"
+                ws = StepWorkspace(new)
+                got = run_until_raise(lambda m, u, y, r: step(m, u, y, r, ws), new, steps)
+            assert got == want, f"path {path} trial {trial}"
+            if path is not None:
+                # the same pairs in one stretch of the loop
+                stretch = copy_model(before)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    assert loop_until_raise(path, stretch, steps) == want, f"stretch, trial {trial}"
+                assert_same_model(ref, stretch, f"stretch, trial {trial}", equal_nan=True)
             raised += want[1] is not None
             if 40 <= trial < 60 and want[1] is not None:
                 # the raising step's loss is finite and only b_t overflowed, so
@@ -482,20 +539,21 @@ def test_workspace_step_raises_at_reference_step_on_huge_entries(step_kernels):
         assert raised > 0 and b_t_alone > 0 and nonfinite_raised > 0
 
 
-def test_workspace_step_large_t_without_overflow_does_not_raise(step_kernels):
+def test_workspace_step_large_t_without_overflow_does_not_raise(step_paths):
     # Column 0 of T holds -1.7e308, so its logit is hugely negative, its
     # softmax entry is exactly 0 and no step moves it. max|T| stays above
     # the bound limit and every step scans T, finds it finite and goes on.
-    for kernel in step_kernels:
+    for path in step_paths:
+        step = workspace_step(path)
         rng = np.random.default_rng(29)
         ref = random_model(rng, 2, 6, 3)
         ref.O[:] = np.abs(ref.O) + 0.5
         ref.T[0, 0] = -1.7e308
         new = copy_model(ref)
-        ws = new_workspace(new, kernel)
+        ws = StepWorkspace(new)
         for s in range(20):
             u, y = s % 2, 1 + s % 5
-            assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
+            assert step(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
             assert_same_model(ref, new, f"step {s}")
         assert ws.bound == 1.7e308
         assert new.T[0, 0] == -1.7e308
@@ -506,10 +564,10 @@ def test_workspace_step_large_t_without_overflow_does_not_raise(step_kernels):
         ref.O[:] = np.abs(ref.O) + 0.5
         ref.b_t[0] = -1.7e308
         new = copy_model(ref)
-        ws = new_workspace(new, kernel)
+        ws = StepWorkspace(new)
         for s in range(20):
             u, y = s % 2, 1 + s % 5
-            assert step_classify(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
+            assert step(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
             assert_same_model(ref, new, f"b_t step {s}")
         assert ws.bias_bound == 1.7e308
         assert new.b_t[0] == -1.7e308
@@ -525,44 +583,98 @@ def test_workspace_step_large_t_without_overflow_does_not_raise(step_kernels):
             C=np.ones(3),
         )
         new = copy_model(ref)
-        ws = new_workspace(new, kernel)
+        ws = StepWorkspace(new)
         for s in range(10):
             lr = (0.0, 1e-310)[s % 2]
-            assert step_classify(new, 0, 1, lr, ws) == reference_step_classify(ref, 0, 1, lr)
+            assert step(new, 0, 1, lr, ws) == reference_step_classify(ref, 0, 1, lr)
             assert_same_model(ref, new, f"O_u step {s}")
         assert new.O[0, 0] == 1e308 and (new.T[:2] != 0).any()
 
 
-def test_train_scopes_the_small_ufunc_buffer(monkeypatch, step_kernels):
+def test_train_scopes_the_small_ufunc_buffer(step_paths):
     # Steps run under SGD_BUFSIZE, stream builds and the caller under the
     # caller's size, which train restores on return and on NonFiniteUpdate.
+    # A replaced step_classify sees the numpy steps, replaced LOOP_CALLS
+    # the numpy calls the C loop makes.
     corpus = parse_cascades(["u1:0\ta:1 b:2\n", "u2:5\tb:6 c:7\n"])
-    seen = {"stream": set(), "step": set()}
+    for path in step_paths:
+        seen = {"stream": set(), "step": set()}
 
-    def producer(epoch):
-        seen["stream"].add(np.getbufsize())
-        return build_training_stream(corpus, 1.2, epoch)
+        def producer(epoch):
+            seen["stream"].add(np.getbufsize())
+            return build_training_stream(corpus, 1.2, epoch)
 
-    def recording_step(*args):
-        seen["step"].add(np.getbufsize())
+        def recording(fn):
+            def call(*args):
+                seen["step"].add(np.getbufsize())
+                return fn(*args)
+
+            return call
+
+        with on_path(path) as name, pytest.MonkeyPatch.context() as mp:
+            if path is None:
+                mp.setattr(model_module, "step_classify", recording(step_classify))
+            else:
+                mp.setattr(model_module, "LOOP_CALLS", tuple(map(recording, LOOP_CALLS)))
+            # numpy 2's errstate restores the buffer size on exit, so check inside it
+            with ufunc_bufsize(4096), np.errstate(over="ignore", invalid="ignore"):
+                for lr in (0.1, 1e308):
+                    cfg = ModelConfig(embed_dim=4, learning_rate=lr, epochs=2, rng_seed=0)
+                    m = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
+                    if lr == 0.1:
+                        _, report = train(m, producer, cfg)
+                        assert report.classify_kernel == name
+                    else:
+                        with pytest.raises(NonFiniteUpdate):
+                            train(m, producer, cfg)
+                    assert np.getbufsize() == 4096
+        assert seen == {"stream": {4096}, "step": {SGD_BUFSIZE}}, name
+
+
+def test_replaced_step_classify_sees_every_classify_step(native_library, monkeypatch):
+    # A wrapper on model.step_classify, as a benchmark's timing layer
+    # installs, is called for every classify step of train, library or not.
+    corpus = generate_corpus(np.random.default_rng(6), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=2, rng_seed=1)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
+    ref, want = reference_train(corpus, cfg, streams)
+    calls = []
+
+    def counting_step(*args):
+        calls.append(args[1:3])
         return step_classify(*args)
 
-    monkeypatch.setattr(model_module, "step_classify", recording_step)
-    for kernel in step_kernels:
-        monkeypatch.setattr(_native, "step_kernel", lambda: kernel)
-        # numpy 2's errstate restores the buffer size on exit, so check inside it
-        with ufunc_bufsize(4096), np.errstate(over="ignore", invalid="ignore"):
-            for lr in (0.1, 1e308):
-                cfg = ModelConfig(embed_dim=4, learning_rate=lr, epochs=2, rng_seed=0)
-                m = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
-                if lr == 0.1:
-                    _, report = train(m, producer, cfg)
-                    assert report.classify_kernel == ("numpy" if kernel is None else "c")
-                else:
-                    with pytest.raises(NonFiniteUpdate):
-                        train(m, producer, cfg)
-                assert np.getbufsize() == 4096
-    assert seen == {"stream": {4096}, "step": {SGD_BUFSIZE}}
+    monkeypatch.setattr(model_module, "step_classify", counting_step)
+    model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
+    assert report.classify_kernel == "numpy" and report.classify_isa is None
+    assert len(calls) == sum(report.classify_steps) == sum(steps for *_, steps, _ in want)
+    assert calls == [
+        (u, v) for s in streams for u, v in zip(s.influencer.tolist(), s.context.tolist()) if v != SIZE_PAIR
+    ]
+    assert_same_model(model, ref, "replaced step_classify")
+
+
+@pytest.mark.parametrize("lr", [1e5, 2.0])
+def test_train_raises_where_the_reference_loop_does(step_paths, lr):
+    # 1e5 makes the first classify step's loss -log(0); at 2 the model
+    # overflows at step 15, in the loop's second stretch (the first size
+    # pair is step 10). Both paths raise at the epoch and step where the
+    # reference loop does, and leave the model as it does.
+    corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=8, learning_rate=lr, epochs=2, rng_seed=4)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(NonFiniteUpdate) as raised:
+            reference_train(corpus, cfg, streams)
+    assert (raised.value.epoch, raised.value.step) == (0, 1 if lr == 1e5 else 15)
+    ref = raised.value.model
+    for path in step_paths:
+        model = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
+        with on_path(path) as name, pytest.raises(NonFiniteUpdate) as exc:
+            train(model, streams.__getitem__, cfg)
+        assert (exc.value.epoch, exc.value.step) == (raised.value.epoch, raised.value.step), name
+        assert str(exc.value).startswith(str(raised.value.args[0]))
+        assert_same_model(model, ref, f"{name} after the raise", equal_nan=True)
 
 
 def test_train_raises_with_epoch_and_step():
