@@ -1,10 +1,10 @@
 /* The package's native library: the classify step's epoch loop with its
  * T update, and a scanner and a writer for the cascade text format.
- * _native.py builds it on first use against this interpreter's Python.h,
- * loads the scanner, the writer and step_isa with ctypes, and the loop
- * (classify_pairs) as a CPython extension module from the same file. The
- * loop needs no numpy C API: it reads arrays through the buffer protocol
- * and calls the numpy functions Python passes it.
+ * _native.py builds it on first use against this interpreter's Python.h and
+ * loads it once, as the extension module iminfector._native_lib. Its
+ * functions take no address or capacity: they read arrays through the
+ * buffer protocol, checked by take(), and size their work by the arrays'
+ * lengths. No numpy C API: the loop calls the numpy functions it is given.
  *
  * ---- The T and b_t update of one classify step, fused into one pass ----
  *
@@ -25,7 +25,8 @@
  * Each vector lane does the same rounded multiply, multiply and subtract
  * as the scalar loop, so every copy gives the same bits, and the library
  * does not depend on the host that built it. Other targets build one
- * copy.
+ * copy. The module's isa names the copy picked; fused_t_update stays
+ * exported so that the copy it resolves to can be checked against isa.
  *
  * Returns max|O_u[i]|, or NaN if O_u holds a NaN, as numpy's
  * maximum.reduce of |O_u| does. The four arrays must not overlap.
@@ -64,23 +65,6 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
     for (size_t j = 0; j < N; j++)
         b_t[j] = b_t[j] - lr * g[j];
     return max_abs;
-}
-
-/* The instruction set of the fused_t_update clone that runs: "avx512f",
- * "avx2" or "baseline". It carries the same clones, so the resolver picks
- * the same one for it: the first, in the order listed, that the CPU
- * supports. Each clone tests the CPU in that order, so the one picked
- * returns its own name. */
-CLONES
-const char *step_isa(void)
-{
-#if defined(__x86_64__) && defined(__GLIBC__)
-    if (__builtin_cpu_supports("avx512f"))
-        return "avx512f";
-    if (__builtin_cpu_supports("avx2"))
-        return "avx2";
-#endif
-    return "baseline";
 }
 
 /* ---- The classify epoch loop ----
@@ -209,23 +193,24 @@ static int step(struct loop *s, Py_ssize_t u, Py_ssize_t y, double *loss)
     return finite && isfinite(*loss) && isfinite(s->bound) && isfinite(s->bias_bound);
 }
 
-/* Takes s->obj[k] as buffer k of the kind the loop needs; 0, or -1 with no
- * Python error set. */
-static int take_array(struct loop *s, int k)
+/* The item kinds take() accepts: the struct formats of each, and its size. */
+enum kind { BYTE, I32, I64, F64 };
+static const char *const FORMATS[] = {"B", "i", "lq", "d"};
+static const Py_ssize_t SIZE[] = {1, 4, 8, 8};
+
+/* Takes the buffer of obj into *view if obj is an aligned, C-contiguous
+ * array of ndim dimensions and items of the kind, writable if flags holds
+ * PyBUF_WRITABLE; 0, or -1 with no Python error set. The caller releases
+ * *view either way, once it is done with the array. */
+static int take(PyObject *obj, Py_buffer *view, int ndim, enum kind kind, int flags)
 {
-    Py_buffer *const view = &s->view[k];
-    const int real = k < N_REAL;
-    const int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (real ? PyBUF_WRITABLE : 0);
-    if (!s->obj[k])
-        return -1;
-    if (PyObject_GetBuffer(s->obj[k], view, flags) < 0) {
+    if (!obj || PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | flags) < 0) {
         PyErr_Clear();
         return -1;
     }
     const char *const format = view->format;
-    const int ndim = k == O_ || k == T_ ? 2 : 1;
-    if (view->ndim != ndim || view->itemsize != 8 || (uintptr_t)view->buf % 8 ||
-        (real ? strcmp(format, "d") : strcmp(format, "l") && strcmp(format, "q")))
+    if (view->ndim != ndim || view->itemsize != SIZE[kind] || (uintptr_t)view->buf % SIZE[kind] ||
+        !format[0] || format[1] || !strchr(FORMATS[kind], format[0]))
         return -1;
     return 0;
 }
@@ -234,9 +219,12 @@ static int take_array(struct loop *s, int k)
  * two float64 arrays overlap; -1 otherwise. */
 static int take_arrays(struct loop *s, Py_ssize_t *n)
 {
-    for (int k = 0; k < N_ARRAYS; k++)
-        if (take_array(s, k))
+    for (int k = 0; k < N_ARRAYS; k++) {
+        const int real = k < N_REAL;
+        if (take(s->obj[k], &s->view[k], k == O_ || k == T_ ? 2 : 1, real ? F64 : I64,
+                 real ? PyBUF_WRITABLE : 0))
             return -1;
+    }
     const Py_ssize_t *const o = s->view[O_].shape, *const t = s->view[T_].shape;
     *n = s->view[LOSSES].shape[0];
     if (o[1] != t[0] || s->view[B_T].shape[0] != t[1] || s->view[PHI].shape[0] != t[1] ||
@@ -319,24 +307,18 @@ static PyObject *run(struct loop *s, PyObject *ws, Py_ssize_t start, Py_ssize_t 
     return PyLong_FromSsize_t(k);
 }
 
-static PyObject *classify_pairs(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    (void)module;
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError, "classify_pairs takes 8 arguments");
-        return NULL;
-    }
+    if (nargs != 8)
+        return PyErr_Format(PyExc_TypeError, "classify_pairs takes 8 arguments");
     PyObject *const model = args[0], *const ws = args[1], *const calls = args[7];
     const Py_ssize_t start = PyLong_AsSsize_t(args[4]);
-    struct loop s;
-    memset(&s, 0, sizeof s);
+    struct loop s = {0};
     s.lr = PyFloat_AsDouble(args[5]);
     if (PyErr_Occurred())
         return NULL;
-    if (!PyTuple_Check(calls) || PyTuple_GET_SIZE(calls) != 4) {
-        PyErr_SetString(PyExc_TypeError, "calls must be (matmul, exp, add.reduce, log)");
-        return NULL;
-    }
+    if (!PyTuple_Check(calls) || PyTuple_GET_SIZE(calls) != 4)
+        return PyErr_Format(PyExc_TypeError, "calls must be (matmul, exp, add.reduce, log)");
     s.matmul = PyTuple_GET_ITEM(calls, 0);
     s.exp = PyTuple_GET_ITEM(calls, 1);
     s.sum = PyTuple_GET_ITEM(calls, 2);
@@ -358,28 +340,6 @@ static PyObject *classify_pairs(PyObject *module, PyObject *const *args, Py_ssiz
         Py_XDECREF(s.obj[k]);
     }
     return result;
-}
-
-static PyMethodDef loop_methods[] = {
-    {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
-     "classify_pairs(model, ws, influencer, context, start, lr, losses, calls)"},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyModuleDef_Slot loop_slots[] = {{0, NULL}};
-
-static struct PyModuleDef loop_module = {
-    .m_base = PyModuleDef_HEAD_INIT,
-    .m_name = "_native_loop",
-    .m_doc = "The classify epoch loop of iminfector's native library.",
-    .m_size = 0,
-    .m_methods = loop_methods,
-    .m_slots = loop_slots,
-};
-
-PyMODINIT_FUNC PyInit__native_loop(void)
-{
-    return PyModuleDef_Init(&loop_module);
 }
 
 /* ---- The cascade scanner ----
@@ -501,12 +461,39 @@ static int64_t read_time(const unsigned char **p, const unsigned char *end)
     return (int64_t)value;
 }
 
-static int64_t scan(struct ids *ids, size_t size, int32_t *initiator, int64_t *start,
-                    int64_t *offsets, int64_t max_cascades, int32_t *node_idx,
-                    int64_t *times, int64_t max_events)
+/* The arguments of scan_cascades, and the first seven of write_cascades:
+ * the text, the arrays of a corpus, and where each id starts in the text. */
+enum { TEXT, INITIATOR, START, OFFSETS, NODE_IDX, TIMES, ID_OFFSET, N_WRITE, ID_LENGTH = N_WRITE,
+       N_SCAN };
+static const enum kind KIND_OF[N_SCAN] = {BYTE, I32, I64, I64, I32, I64, I64, I32};
+
+/* Takes args[k] into view[k] as a one-dimensional array of KIND_OF[k] for
+ * each k < n, the text read-only and the rest as flags asks, if the corpus
+ * arrays have the lengths of one corpus: an entry of initiator and start
+ * per cascade, one more of offsets, and one of node_idx per entry of
+ * times. 0, or -1 with no Python error set; the caller releases the views. */
+static int take_text(PyObject *const *args, Py_buffer *view, int n, int flags)
 {
+    for (int k = 0; k < n; k++)
+        if (take(args[k], &view[k], 1, KIND_OF[k], k == TEXT ? 0 : flags))
+            return -1;
+    const Py_ssize_t cascades = view[INITIATOR].shape[0];
+    if (view[START].shape[0] != cascades || view[OFFSETS].shape[0] != cascades + 1 ||
+        view[NODE_IDX].shape[0] != view[TIMES].shape[0])
+        return -1;
+    return 0;
+}
+
+/* Scans view[TEXT] into the arrays of view, with room for as many
+ * cascades and events as they have entries; the number of cascades, or -1. */
+static int64_t scan(struct ids *ids, const Py_buffer *view)
+{
+    int32_t *const initiator = view[INITIATOR].buf, *const node_idx = view[NODE_IDX].buf;
+    int64_t *const start = view[START].buf, *const offsets = view[OFFSETS].buf,
+                  *const times = view[TIMES].buf;
+    const int64_t max_cascades = view[INITIATOR].shape[0], max_events = view[TIMES].shape[0];
     const unsigned char *p = ids->data;
-    const unsigned char *const end = p + size;
+    const unsigned char *const end = p + view[TEXT].len;
     int64_t n = 0, events = 0;
     offsets[0] = 0;
     while (p < end) {
@@ -562,83 +549,84 @@ static int64_t scan(struct ids *ids, size_t size, int32_t *initiator, int64_t *s
     return n;
 }
 
-/* Scans log[0:size] into at most max_cascades cascades of at most
- * max_events events in all: initiator and start per cascade, and cascade
- * i's events at offsets[i]:offsets[i+1] of node_idx and times (offsets
- * holds one more entry than the cascades). The distinct ids go into
- * id_offset and id_length, at most max_ids of them, and their number into
- * *n_ids: id k is log[id_offset[k]:id_offset[k] + id_length[k]]. Every id
- * ends in a ':', so the log's count of ':' is room enough.
+/* scan_cascades(log, initiator, start, offsets, node_idx, times,
+ * id_offset, id_length) scans the bytes of log into the writable arrays
+ * take_text checks, cascade i's events at offsets[i]:offsets[i+1] of
+ * node_idx and times, and the distinct ids into id_offset and id_length,
+ * as long as each other: id k is log[id_offset[k]:id_offset[k] +
+ * id_length[k]]. The arrays' lengths are the room there is.
  *
- * Returns the number of cascades, or -1 to give up: the log is not in the
- * strict form, or it needs more room or memory than there is. */
-int64_t scan_cascades(const char *log, size_t size, int32_t *initiator, int64_t *start,
-                      int64_t *offsets, int64_t max_cascades, int32_t *node_idx,
-                      int64_t *times, int64_t max_events, int64_t *id_offset,
-                      int32_t *id_length, int64_t max_ids, int64_t *n_ids)
+ * Returns (cascades, ids), or (-1, 0) to give up: the log is not in the
+ * strict form, an array is not of its kind or length, or the log needs
+ * more room or memory than there is. */
+static PyObject *scan_cascades(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct ids ids = {(const unsigned char *)log, id_offset, id_length, 0, max_ids, NULL, 0};
-    const int64_t n = scan(&ids, size, initiator, start, offsets, max_cascades, node_idx, times,
-                           max_events);
-    free(ids.slot);
-    *n_ids = ids.count;
-    return n;
+    if (nargs != N_SCAN)
+        return PyErr_Format(PyExc_TypeError, "scan_cascades takes %d arguments", N_SCAN);
+    Py_buffer view[N_SCAN] = {0};
+    int64_t n = -1, count = 0;
+    if (!take_text(args, view, N_SCAN, PyBUF_WRITABLE) &&
+        view[ID_LENGTH].shape[0] == view[ID_OFFSET].shape[0]) {
+        struct ids ids = {view[TEXT].buf, view[ID_OFFSET].buf, view[ID_LENGTH].buf, 0,
+                          view[ID_OFFSET].shape[0], NULL, 0};
+        n = scan(&ids, view);
+        free(ids.slot);
+        count = n < 0 ? 0 : ids.count;
+    }
+    for (int k = 0; k < N_SCAN; k++)
+        PyBuffer_Release(&view[k]);
+    return Py_BuildValue("(LL)", (long long)n, (long long)count);
 }
 
 /* ---- The cascade writer ----
  *
- * write_cascades renders a corpus as serialize_cascades does: per
- * cascade, "INITIATOR:START\t" and its events as "ID:TIME" joined by
- * single spaces, then "\n". Id k is id_bytes[id_bounds[k]:id_bounds[k+1]]
- * (its UTF-8); the cascade arrays are laid out as scan_cascades fills
- * them, with n_events events in all.
+ * write_cascades(id_bytes, initiator, start, offsets, node_idx, times,
+ * id_bounds) renders a corpus as serialize_cascades does: per cascade,
+ * "INITIATOR:START\t" and its events as "ID:TIME" joined by single spaces,
+ * then "\n". Id k is id_bytes[id_bounds[k]:id_bounds[k+1]] (its UTF-8);
+ * the corpus arrays are those take_text checks, read-only or not.
  *
- * Writes to out if it is not NULL, and returns the number of bytes the
- * text takes, or -1 if an index or an offset is out of range. */
+ * Returns the text as bytes, or None if an array is not of its kind or
+ * length, or an index, an offset or an id bound is out of range. */
 
-/* Writes value in decimal to out, if not NULL; returns its length. */
-static size_t put_int(char *out, int64_t value)
-{
-    char digits[20];
-    size_t n = 0;
-    uint64_t u = value < 0 ? -(uint64_t)value : (uint64_t)value;
-    do {
-        digits[n++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    const size_t length = n + (value < 0);
-    if (out) {
-        if (value < 0)
-            *out++ = '-';
-        while (n)
-            *out++ = digits[--n];
-    }
-    return length;
-}
-
-/* Writes "ID:VALUE" followed by sep to out, if not NULL; returns its length. */
+/* Writes "ID:VALUE" followed by sep to out, if not NULL; returns its length.
+ * VALUE, in decimal, is built from its last digit back in tail. */
 static size_t put_pair(char *out, const char *id_bytes, const int64_t *id_bounds,
                        int64_t k, int64_t value, char sep)
 {
     const size_t length = (size_t)(id_bounds[k + 1] - id_bounds[k]);
+    char tail[22], *p = tail + sizeof tail; /* ':', '-', 19 digits, sep */
+    uint64_t u = value < 0 ? -(uint64_t)value : (uint64_t)value;
+    *--p = sep;
+    do
+        *--p = (char)('0' + u % 10);
+    while (u /= 10);
+    if (value < 0)
+        *--p = '-';
+    *--p = ':';
+    const size_t n = (size_t)(tail + sizeof tail - p);
     if (out) {
         memcpy(out, id_bytes + id_bounds[k], length);
-        out[length] = ':';
+        memcpy(out + length, p, n);
     }
-    const size_t digits = put_int(out ? out + length + 1 : NULL, value);
-    if (out)
-        out[length + 1 + digits] = sep;
-    return length + digits + 2;
+    return length + n;
 }
 
-int64_t write_cascades(const char *id_bytes, const int64_t *id_bounds, int64_t n_ids,
-                       const int32_t *initiator, const int64_t *start,
-                       const int64_t *offsets, int64_t n_cascades,
-                       const int32_t *node_idx, const int64_t *times,
-                       int64_t n_events, char *out)
+/* Writes the text of view's corpus to out, if not NULL; its length, or -1. */
+static int64_t render(const Py_buffer *view, char *out)
 {
+    const char *const id_bytes = view[TEXT].buf;
+    const int64_t *const id_bounds = view[ID_OFFSET].buf, *const start = view[START].buf,
+                  *const offsets = view[OFFSETS].buf, *const times = view[TIMES].buf;
+    const int32_t *const initiator = view[INITIATOR].buf, *const node_idx = view[NODE_IDX].buf;
+    const int64_t n_ids = view[ID_OFFSET].shape[0] - 1, n_events = view[TIMES].shape[0];
+    if (n_ids < 0 || id_bounds[0] < 0 || id_bounds[n_ids] > view[TEXT].len)
+        return -1;
+    for (int64_t k = 0; k < n_ids; k++)
+        if (id_bounds[k] > id_bounds[k + 1])
+            return -1;
     size_t size = 0;
-    for (int64_t i = 0; i < n_cascades; i++) {
+    for (int64_t i = 0; i < view[INITIATOR].shape[0]; i++) {
         const int64_t a = offsets[i], b = offsets[i + 1];
         if (initiator[i] < 0 || initiator[i] >= n_ids || a < 0 || a > b || b > n_events)
             return -1;
@@ -655,4 +643,58 @@ int64_t write_cascades(const char *id_bytes, const int64_t *id_bounds, int64_t n
         }
     }
     return (int64_t)size;
+}
+
+static PyObject *write_cascades(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != N_WRITE)
+        return PyErr_Format(PyExc_TypeError, "write_cascades takes %d arguments", N_WRITE);
+    Py_buffer view[N_WRITE] = {0};
+    const int64_t size = take_text(args, view, N_WRITE, 0) ? -1 : render(view, NULL);
+    PyObject *text = size < 0 ? Py_NewRef(Py_None) : PyBytes_FromStringAndSize(NULL, size);
+    if (text && size >= 0)
+        render(view, PyBytes_AS_STRING(text));
+    for (int k = 0; k < N_WRITE; k++)
+        PyBuffer_Release(&view[k]);
+    return text;
+}
+
+/* Sets the module's isa to the fused_t_update copy that runs: "avx512f",
+ * "avx2" or "baseline". The resolver picks the first copy CLONES lists
+ * that the CPU supports, and this tests the CPU in the same order. */
+static int set_isa(PyObject *module)
+{
+    const char *isa = "baseline";
+#if defined(__x86_64__) && defined(__GLIBC__)
+    if (__builtin_cpu_supports("avx512f"))
+        isa = "avx512f";
+    else if (__builtin_cpu_supports("avx2"))
+        isa = "avx2";
+#endif
+    return PyModule_AddStringConstant(module, "isa", isa);
+}
+
+static PyMethodDef methods[] = {
+    {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
+     "classify_pairs(model, ws, influencer, context, start, lr, losses, calls)"},
+    {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,
+     "scan_cascades(log, initiator, start, offsets, node_idx, times, id_offset, id_length)"},
+    {"write_cascades", (PyCFunction)(void (*)(void))write_cascades, METH_FASTCALL,
+     "write_cascades(id_bytes, initiator, start, offsets, node_idx, times, id_bounds)"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyModuleDef_Slot slots[] = {{Py_mod_exec, (void *)set_isa}, {0, NULL}};
+
+static struct PyModuleDef module_def = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "iminfector._native_lib",
+    .m_doc = "iminfector's native library: the classify epoch loop and the cascade text format.",
+    .m_methods = methods,
+    .m_slots = slots,
+};
+
+PyMODINIT_FUNC PyInit__native_lib(void)
+{
+    return PyModuleDef_Init(&module_def);
 }

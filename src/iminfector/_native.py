@@ -1,27 +1,27 @@
 """The package's native library, built on first use.
 
 ``_native.c`` holds the classify epoch loop (``classify_pairs``) with its
-T update (``fused_t_update``, with ``step_isa``), the cascade scanner
-(``scan_cascades``) and the cascade writer (``write_cascades``). ``load()``
-compiles it with the system C compiler, ``$CC`` or else ``cc``, against
-this interpreter's ``Python.h`` into the user's cache directory,
-``$XDG_CACHE_HOME/iminfector`` (default ``~/.cache/iminfector``), at most
-once per process. It loads the file twice over, which maps it once: with
-ctypes for the scanner, the writer and ``step_isa``, and through
-``importlib.machinery.ExtensionFileLoader`` as the CPython extension
-module that holds ``classify_pairs``. A library's name holds two digests:
-one of the source, the compiler flags, the machine type and the
-interpreter's ABI (``EXT_SUFFIX`` and the include directory), so that a
-changed source, flag set or interpreter builds a new library and a cached
-one is reused only where it was built for; and one of the library's own
-bytes, checked before it is loaded. Loading a cut-short shared library can
-kill the process with SIGBUS, so a file whose bytes do not match its name
-is never loaded; a build replaces it.
+T update (``fused_t_update``), the cascade scanner (``scan_cascades``) and
+the cascade writer (``write_cascades``). ``load()`` compiles it with the
+system C compiler, ``$CC`` or else ``cc``, against this interpreter's
+``Python.h`` into the user's cache directory, ``$XDG_CACHE_HOME/iminfector``
+(default ``~/.cache/iminfector``), and loads it through
+``importlib.machinery.ExtensionFileLoader`` as the CPython extension module
+``iminfector._native_lib``, at most once per process. Its functions read
+their arrays through the buffer protocol and check their kind, shape and
+layout themselves. A library's name holds two digests: one of the source,
+the compiler flags, the machine type and the interpreter's ABI
+(``EXT_SUFFIX`` and the include directory), so that a changed source, flag
+set or interpreter builds a new library and a cached one is reused only
+where it was built for; and one of the library's own bytes, checked before
+it is loaded. Loading a cut-short shared library can kill the process with
+SIGBUS, so a file whose bytes do not match its name is never loaded; a
+build replaces it.
 
 On x86-64 with glibc the library holds a clone of the T update for each of
 AVX-512F, AVX2 and baseline x86-64, and glibc's dynamic loader picks the
 widest one the CPU runs, so one cached library serves every CPU of its
-machine type; ``step_isa`` names the clone picked.
+machine type; the module's ``isa`` names the clone picked.
 
 A build writes into a temp directory beside the cache entries and moves
 the library into place with ``os.replace``, so processes building at the
@@ -38,7 +38,6 @@ formatter.
 """
 
 import contextlib
-import ctypes
 import functools
 import hashlib
 import os
@@ -61,8 +60,8 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 KEEP = 4  # libraries left in the cache directory after a build
 # The name the library has as an extension module; its init function is
-# PyInit__native_loop.
-MODULE = "iminfector._native_loop"
+# PyInit__native_lib.
+MODULE = "iminfector._native_lib"
 
 
 def cache_dir():
@@ -166,32 +165,12 @@ def build(code, directory, prefix, cc=CC):
 
 
 def open_library(path):
-    """The library at ``path``, with the C signature of each function it
-    exports to ctypes, ``isa``, the clone of the T update that runs on this
-    CPU (``"avx512f"``, ``"avx2"`` or ``"baseline"``), and
-    ``classify_pairs`` from its extension module."""
-    lib = ctypes.CDLL(path)
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    signatures = {
-        "step_isa": (ctypes.c_char_p,),
-        # log, size, initiator, start, offsets, max_cascades, node_idx,
-        # times, max_events, id_offset, id_length, max_ids, n_ids
-        "scan_cascades": (i64, ctypes.c_char_p, ctypes.c_size_t, ptr, ptr, ptr, i64, ptr, ptr,
-                          i64, ptr, ptr, i64, ptr),
-        # id_bytes, id_bounds, n_ids, initiator, start, offsets,
-        # n_cascades, node_idx, times, n_events, out
-        "write_cascades": (i64, ctypes.c_char_p, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr, i64,
-                           ptr),
-    }
-    for name, (restype, *argtypes) in signatures.items():
-        fn = getattr(lib, name)
-        fn.restype, fn.argtypes = restype, argtypes
-    lib.isa = lib.step_isa().decode()
+    """The extension module at ``path``. Its ``isa`` names the clone of the
+    T update that runs on this CPU: "avx512f", "avx2" or "baseline"."""
     loader = machinery.ExtensionFileLoader(MODULE, path)
     module = util.module_from_spec(util.spec_from_file_location(MODULE, path, loader=loader))
     loader.exec_module(module)
-    lib.classify_pairs = module.classify_pairs
-    return lib
+    return module
 
 
 @functools.cache
@@ -206,7 +185,7 @@ def load():
         if path is None:
             path = build(code, directory, prefix, CC)
         # a library pruned by another process after the digest check is
-        # gone here: CDLL raises OSError
+        # gone here: the extension loader raises ImportError
         return open_library(path)
-    except (OSError, AttributeError, ImportError, subprocess.SubprocessError):
+    except (OSError, ImportError, subprocess.SubprocessError):
         return None

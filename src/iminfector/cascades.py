@@ -329,15 +329,11 @@ def _scan(lib, data):
     times = np.empty(max_events, dtype=np.int64)
     id_offset = np.empty(max_events, dtype=np.int64)
     id_length = np.empty(max_events, dtype=np.int32)
-    n_ids = np.zeros(1, dtype=np.int64)
-    n = lib.scan_cascades(
-        data, len(data), initiator.ctypes.data, start.ctypes.data, offsets.ctypes.data,
-        max_cascades, node_idx.ctypes.data, times.ctypes.data, max_events,
-        id_offset.ctypes.data, id_length.ctypes.data, max_events, n_ids.ctypes.data,
-    )
+    n, n_ids = lib.scan_cascades(data, initiator, start, offsets, node_idx, times, id_offset,
+                                 id_length)
     if n < 0:
         return None
-    spans = zip(id_offset[: n_ids[0]].tolist(), id_length[: n_ids[0]].tolist())
+    spans = zip(id_offset[:n_ids].tolist(), id_length[:n_ids].tolist())
     ids = [data[at : at + length].decode("ascii") for at, length in spans]
     events = int(offsets[n])
     return ids, initiator[:n], start[:n], offsets[: n + 1], node_idx[:events], times[:events]
@@ -367,32 +363,15 @@ def load_cascades(path):
 
 def _render(lib, corpus):
     """serialize_cascades(corpus) as UTF-8 bytes, from the native writer;
-    None if the corpus's arrays are not those of a valid corpus."""
+    None if the corpus's arrays are not of the kinds and layout the writer
+    reads (see _native.c) or not those of a valid corpus."""
     encoded = [nid.encode() for nid in corpus.ids]
     bounds = np.zeros(len(encoded) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=bounds[1:])
-    arrays = [
-        np.ascontiguousarray(a, dtype)
-        for a, dtype in (
-            (corpus.initiator, np.int32), (corpus.start_time, np.int64),
-            (corpus.offsets, np.int64), (corpus.node_idx, np.int32), (corpus.times, np.int64),
-        )
-    ]
-    initiator, start, offsets, node_idx, times = arrays
-    n, events = len(initiator), len(node_idx)
-    if (len(start), len(offsets), len(times)) != (n, n + 1, events):
-        return None
-    args = (
-        b"".join(encoded), bounds.ctypes.data, len(encoded), initiator.ctypes.data,
-        start.ctypes.data, offsets.ctypes.data, n, node_idx.ctypes.data, times.ctypes.data,
-        events,
+    return lib.write_cascades(
+        b"".join(encoded), corpus.initiator, corpus.start_time, corpus.offsets, corpus.node_idx,
+        corpus.times, bounds,
     )
-    size = lib.write_cascades(*args, None)  # no output buffer: only the size
-    if size < 0:
-        return None
-    out = np.empty(size, dtype=np.uint8)
-    lib.write_cascades(*args, out.ctypes.data)
-    return out
 
 
 def save_cascades(corpus, path):

@@ -11,9 +11,9 @@ bits on either:
 
 - step_classify, the numpy step: the oracle, and the path when the C loop
   is not taken;
-- classify_pairs, the C epoch loop of _native.c, which runs a stretch of
-  classify pairs as step_classify would take them one by one and returns
-  to Python at each size pair, where step_regress runs.
+- classify_pairs, the C epoch loop of _native.load()'s module, which runs a
+  stretch of classify pairs as step_classify would take them one by one and
+  returns to Python at each size pair, where step_regress runs.
 
 The loop calls numpy only where its order is the contract: np.matmul for
 the logits O_u T and for T g (BLAS's summation order), np.exp (numpy's

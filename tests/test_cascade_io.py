@@ -21,6 +21,7 @@ from iminfector import _native
 from iminfector.cascades import (
     CascadeCorpus,
     _render,
+    _scan,
     build_corpus,
     load_cascades,
     save_cascades,
@@ -88,6 +89,89 @@ def test_scanner_hash_table_growth(tmp_path, native_library, case):
     path = tmp_path / "log.txt"
     path.write_text(TABLE_LOGS[case](), encoding="ascii")
     assert assert_readers_agree(path) == ("c" if native_library is not None else "python")
+
+
+# The scanner's arguments after the log, with the kind of each, and the
+# room that each one's length gives: cascades, cascades + 1, events or ids.
+SCAN_ARRAYS = {
+    "initiator": (np.int32, "cascades"), "start": (np.int64, "cascades"),
+    "offsets": (np.int64, "offsets"), "node_idx": (np.int32, "events"),
+    "times": (np.int64, "events"), "id_offset": (np.int64, "ids"),
+    "id_length": (np.int32, "ids"),
+}
+
+
+def scan_arrays(room, **change):
+    """The scanner's arrays, with ``room`` entries of each kind of room;
+    ``change`` maps an array's name to a function that replaces it."""
+    arrays = {}
+    for name, (dtype, kind) in SCAN_ARRAYS.items():
+        array = np.zeros(room[kind], dtype)
+        arrays[name] = change[name](array) if name in change else array
+    return list(arrays.values())
+
+
+def exact_room(lib, data):
+    """The room scanning ``data`` takes: its cascades (and offsets), events
+    and ids; None if the scanner does not read ``data``."""
+    raw = _scan(lib, data)
+    if raw is None:
+        return None
+    ids, initiator, _, _, node_idx, _ = raw
+    n = len(initiator)
+    return {"cascades": n, "offsets": n + 1, "events": len(node_idx), "ids": len(ids)}
+
+
+def short_scans(lib, data):
+    """Scanner arguments for ``data`` each one entry short somewhere: every
+    array alone, and each room (cascades, events, ids) across its arrays;
+    none if the scanner does not read ``data``."""
+    room = exact_room(lib, data)
+    if room is None:
+        return []
+    assert lib.scan_cascades(data, *scan_arrays(room)) == (room["cascades"], room["ids"])
+    cases = [scan_arrays(room, **{name: lambda array: array[:-1]})
+             for name, (_, kind) in SCAN_ARRAYS.items() if room[kind]]
+    for kind in ("cascades", "events", "ids"):
+        if room[kind]:
+            short = {**room, kind: room[kind] - 1}
+            short["offsets"] = short["cascades"] + 1
+            cases.append(scan_arrays(short))
+    return cases
+
+
+def scanner_logs():
+    """Every log of CASES and TABLE_LOGS as bytes, by name."""
+    logs = {name: data for name, (data, _) in CASES.items()}
+    return {**logs, **{name: make().encode("ascii") for name, make in TABLE_LOGS.items()}}
+
+
+def read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+# Each makes one array the scanner does not take: another kind, strided, read-only.
+MISFIT_SCANS = {
+    "int64 initiator": {"initiator": lambda a: a.astype(np.int64)},
+    "float times": {"times": lambda a: a.astype(np.float64)},
+    "strided node_idx": {"node_idx": lambda a: np.repeat(a, 2)[::2]},
+    "strided offsets": {"offsets": lambda a: np.repeat(a, 2)[::2]},
+    "read-only start": {"start": read_only},
+    "read-only id_length": {"id_length": read_only},
+}
+
+
+def test_scanner_gives_up_short_of_room(built_library):
+    for name, data in scanner_logs().items():
+        for args in short_scans(built_library, data):
+            assert built_library.scan_cascades(data, *args) == (-1, 0), name
+
+
+def test_scanner_gives_up_on_arrays_it_cannot_take(built_library):
+    room = exact_room(built_library, STRICT)
+    for what, change in MISFIT_SCANS.items():
+        assert built_library.scan_cascades(STRICT, *scan_arrays(room, **change)) == (-1, 0), what
 
 
 def test_without_the_library_every_log_goes_through_the_parser(tmp_path, monkeypatch):
@@ -202,26 +286,53 @@ def test_writer_matches_serialize_on_generated_corpora(native_library, corpus):
         assert bytes(_render(native_library, corpus)) == want
 
 
+WRITER_IDS = ["a", "é", "中"]
+
+
+def writer_corpus(initiator, start, offsets, node_idx, times):
+    """A corpus over WRITER_IDS; a list becomes an array of the corpus's
+    kind for its place, an array stays as it is."""
+    kinds = (np.int32, np.int64, np.int64, np.int32, np.int64)
+    return CascadeCorpus(WRITER_IDS, *(
+        a if isinstance(a, np.ndarray) else np.array(a, dtype)
+        for a, dtype in zip((initiator, start, offsets, node_idx, times), kinds)
+    ))
+
+
+WRITER_EDGE_CASES = [
+    writer_corpus([], [], [0], [], []),  # no cascade: an empty file
+    writer_corpus([0, 1], [5, 0], [0, 0, 2], [2, 0], [7, -(2**63)]),  # no events, negative times
+    writer_corpus([2], [2**63 - 1], [0, 1], [1], [0]),
+]
+# arrays no corpus holds go to serialize_cascades, not past an array's end
+WRITER_BAD_INDICES = [
+    writer_corpus([3], [0], [0, 1], [0], [1]),
+    writer_corpus([0], [0], [0, 1], [-1], [1]),
+    writer_corpus([0], [0], [0, 2], [0], [1]),
+    writer_corpus([0], [0], [1, 0], [0], [1]),
+    writer_corpus([0], [0, 1], [0, 1], [0], [1]),
+    writer_corpus([0], [0], [0, 1], [0, 1], [1]),
+    writer_corpus([0], [0], [0, 1, 1], [0], [1]),
+]
+# valid corpora whose arrays are of a kind or layout the writer does not
+# read: save_cascades formats them in Python
+WRITER_MISFITS = [
+    writer_corpus([0], [0], [0, 1], [1], np.array([1.0])),
+    writer_corpus([0], [0], [0, 2], np.array([1, 0, 2, 0], np.int32)[::2], [1, 2]),
+]
+# write_cascades's arguments for the last edge case, and a copy whose
+# id_bounds end past id_bytes
+ID_BYTES = "".join(WRITER_IDS).encode()
+WRITER_ARGS = (ID_BYTES, np.array([2], np.int32), np.array([2**63 - 1]), np.array([0, 1]),
+               np.array([1], np.int32), np.array([0]), np.array([0, 1, 3, 6]))
+WRITER_BAD_BOUNDS = (*WRITER_ARGS[:-1], np.array([0, 1, 3, 7]))
+
+
 def test_writer_edge_cases(tmp_path, built_library):
-    ids = ["a", "é", "中"]
-
-    def corpus(initiator, start, offsets, node_idx, times):
-        return CascadeCorpus(ids, *(np.array(a, dtype) for a, dtype in (
-            (initiator, np.int32), (start, np.int64), (offsets, np.int64),
-            (node_idx, np.int32), (times, np.int64))))
-
-    for case in (
-        corpus([], [], [0], [], []),  # no cascade: an empty file
-        corpus([0, 1], [5, 0], [0, 0, 2], [2, 0], [7, -(2**63)]),  # no events, negative times
-        corpus([2], [2**63 - 1], [0, 1], [1], [0]),
-    ):
+    for case in WRITER_EDGE_CASES + WRITER_MISFITS:
         assert saved(case, tmp_path / "c.txt") == serialize_cascades(case).encode()
-    # arrays no corpus holds go to serialize_cascades, not past an array's end
-    for bad in (
-        corpus([3], [0], [0, 1], [0], [1]),
-        corpus([0], [0], [0, 1], [-1], [1]),
-        corpus([0], [0], [0, 2], [0], [1]),
-        corpus([0], [0], [1, 0], [0], [1]),
-        corpus([0], [0, 1], [0, 1], [0], [1]),
-    ):
+    assert built_library.write_cascades(*WRITER_ARGS) == serialize_cascades(
+        WRITER_EDGE_CASES[-1]).encode()
+    for bad in WRITER_BAD_INDICES + WRITER_MISFITS:
         assert _render(built_library, bad) is None
+    assert built_library.write_cascades(*WRITER_BAD_BOUNDS) is None

@@ -245,6 +245,54 @@ def test_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# Drives the library at argv[1] over the scanner logs and writer corpora of
+# test_cascade_io.py, the arrays too short or of the wrong kind among them,
+# and over the C loop's self-check. Built with the address and undefined
+# behaviour sanitizers, the library ends the process on a finding.
+SANITIZED_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from iminfector import _native, model
+    from iminfector.cascades import _render, _scan
+    import test_cascade_io as io
+
+    lib = _native.open_library(sys.argv[1])
+    for data in io.scanner_logs().values():
+        _scan(lib, data)
+        for args in io.short_scans(lib, data):
+            assert lib.scan_cascades(data, *args) == (-1, 0)
+    room = io.exact_room(lib, io.STRICT)
+    for change in io.MISFIT_SCANS.values():
+        assert lib.scan_cascades(io.STRICT, *io.scan_arrays(room, **change)) == (-1, 0)
+    for corpus in io.WRITER_EDGE_CASES + io.WRITER_BAD_INDICES + io.WRITER_MISFITS:
+        _render(lib, corpus)
+    assert lib.write_cascades(*io.WRITER_ARGS) is not None
+    assert lib.write_cascades(*io.WRITER_BAD_BOUNDS) is None
+    with model._sgd_numpy():
+        assert model._loop_matches_step(lib.classify_pairs)
+    print("clean")
+    """
+)
+
+
+def test_library_is_clean_under_the_sanitizers(tmp_path, monkeypatch):
+    if shutil.which(_native.CC) is None:
+        pytest.skip("no C compiler on PATH")
+    asan = subprocess.run([_native.CC, "-print-file-name=libasan.so"], capture_output=True,
+                          text=True, timeout=60).stdout.strip()
+    if not os.path.isabs(asan):
+        pytest.skip(f"{_native.CC} has no AddressSanitizer runtime")
+    sanitize = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+    monkeypatch.setattr(_native, "FLAGS", (*_native.FLAGS, *sanitize))
+    path = _native.build(_native.source(), str(tmp_path), "sanitized-")
+    env = package_env(tmp_path)
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
+    env.update(LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0")
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_SCRIPT, path], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "clean\n"), proc.stderr[-4000:]
+
+
 def test_name_prefix_digests_the_python_abi(monkeypatch):
     # a library built for another interpreter's ABI or headers is never loaded
     code = _native.source()
