@@ -1,10 +1,13 @@
 /* The package's native library: the classify step's epoch loop with its
  * T update, and a scanner and a writer for the cascade text format.
- * _native.py builds it on first use against this interpreter's Python.h and
- * loads it once, as the extension module iminfector._native_lib. Its
- * functions take no address or capacity: they read arrays through the
- * buffer protocol, checked by take(), and size their work by the arrays'
- * lengths. No numpy C API: the loop calls the numpy functions it is given.
+ * _native.py builds it on first use against this interpreter's Python.h
+ * and numpy's headers and loads it once, as the extension module
+ * iminfector._native_lib. Its functions take no address or capacity: they
+ * read arrays through the buffer protocol, checked by take(), and size
+ * their work by the arrays' lengths. Of numpy's C API it uses only the
+ * ufunc type and its layout: the loop calls numpy's own float64 inner
+ * loops and its BLAS's dgemv directly where model.py allows, and the numpy
+ * functions it is given through Python otherwise.
  *
  * ---- The T and b_t update of one classify step, fused into one pass ----
  *
@@ -34,6 +37,14 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+/* the ufunc object's layout and NPY_DOUBLE; the module imports only the
+ * ufunc API, and that only to tell a ufunc from another object */
+#define NPY_NO_DEPRECATED_API NPY_API_VERSION
+#define NO_IMPORT_ARRAY
+#include <numpy/ndarraytypes.h>
+#include <numpy/ufuncobject.h>
+
+#include <dlfcn.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -67,6 +78,152 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
     return max_abs;
 }
 
+/* ---- numpy's own functions, called directly ----
+ *
+ * Five calls of the classify step have numpy's rounding: matmul for O_u T
+ * and for T g, exp, add.reduce and log. numpy's matmul multiplies a vector
+ * by a matrix, and a matrix by a vector, with its BLAS's cblas_dgemv, and
+ * its exp, add and log run the float64 inner loop of their ufunc. The
+ * module's exec slot finds these functions. Given no calls tuple, the loop
+ * calls them itself, with the arguments numpy 2 passes them for the step's
+ * contiguous float64 arrays:
+ *
+ *   O_u T   dgemv(RowMajor, Trans, E, N, 1, T, N, O_u, 1, 0, phi, 1)
+ *   T g     dgemv(ColMajor, Trans, N, E, 1, T, N, g, 1, 0, grad, 1), the
+ *           RowMajor NoTrans product of T and g
+ *   exp     exp's loop on (phi, phi): N entries, steps (8, 8)
+ *   sum     add's loop in reduce form on (sum, phi, sum): N entries,
+ *           steps (0, 8, 0), sum starting at -0.0
+ *   log     log's loop on one entry
+ *
+ * So the bits are numpy's, with no Python call, argument parsing or ufunc
+ * dispatch in between. numpy takes dgemv only for some shapes (an E or N
+ * of 1 goes elsewhere), and its own rules pick the loop and the start of
+ * the sum: so model.py decides, from the model's shape and self-checks at
+ * it, whether the loop may make these calls. A direct call sets no
+ * numpy error state and issues no warning; train runs the loop with
+ * numpy's overflow, invalid and divide warnings off anyway.
+ *
+ * dgemv is scipy_cblas_dgemv64_, the ILP64 symbol of the scipy-openblas
+ * library that numpy's wheels link, found through a handle on numpy's
+ * _multiarray_umath. Each loop is the first all-float64 entry of its
+ * ufunc's functions and data, the one numpy's default loop selector picks.
+ * If any of them is missing, the module's direct is False and the loop
+ * calls the numpy functions it is given. The module's blas_core names the
+ * kernel set OpenBLAS picked for this CPU, or is None.
+ */
+
+typedef void dgemv_fn(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
+                      int64_t lda, const double *x, int64_t incx, double beta, double *y,
+                      int64_t incy);
+typedef const char *corename_fn(void);
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 }; /* cblas.h's values */
+
+struct ufunc_loop {
+    PyUFuncGenericFunction fn;
+    void *data;
+};
+
+/* Set by the exec slot; dgemv is NULL unless every function was found. */
+static struct {
+    dgemv_fn *dgemv;
+    struct ufunc_loop exp, add, log;
+} numpy_own;
+
+/* out (N) = x (E) times a (E x N), as np.matmul(x, a, out=out) */
+static void vector_matrix(const double *x, const double *a, double *out, size_t E, size_t N)
+{
+    numpy_own.dgemv(ROW_MAJOR, TRANS, (int64_t)E, (int64_t)N, 1.0, a, (int64_t)N, x, 1, 0.0, out, 1);
+}
+
+/* out (E) = a (E x N) times x (N), as np.matmul(a, x, out=out) */
+static void matrix_vector(const double *a, const double *x, double *out, size_t E, size_t N)
+{
+    numpy_own.dgemv(COL_MAJOR, TRANS, (int64_t)N, (int64_t)E, 1.0, a, (int64_t)N, x, 1, 0.0, out, 1);
+}
+
+/* out = f(x) over n entries, as np.exp(x, out) or np.log(x, out) */
+static void unary(const struct ufunc_loop *f, const double *x, double *out, size_t n)
+{
+    char *args[] = {(char *)x, (char *)out};
+    const npy_intp count = (npy_intp)n, steps[] = {sizeof *x, sizeof *out};
+    f->fn(args, &count, steps, f->data);
+}
+
+/* np.add.reduce of x's n entries */
+static double add_reduce(const double *x, size_t n)
+{
+    double sum = -0.0;
+    char *args[] = {(char *)&sum, (char *)x, (char *)&sum};
+    const npy_intp count = (npy_intp)n, steps[] = {0, sizeof *x, 0};
+    numpy_own.add.fn(args, &count, steps, numpy_own.add.data);
+    return sum;
+}
+
+/* The first loop of numpy.name, a ufunc of nargs operands, whose operands
+ * are all float64; 0, or -1 with no Python error set. */
+static int find_loop(PyObject *numpy, const char *name, int nargs, struct ufunc_loop *loop)
+{
+    PyObject *obj = PyObject_GetAttrString(numpy, name);
+    int found = -1;
+    if (obj && PyObject_TypeCheck(obj, &PyUFunc_Type) && ((PyUFuncObject *)obj)->nargs == nargs) {
+        const PyUFuncObject *ufunc = (const PyUFuncObject *)obj;
+        for (int i = 0; i < ufunc->ntypes && found < 0; i++) {
+            int k = 0;
+            while (k < nargs && ufunc->types[i * nargs + k] == NPY_DOUBLE)
+                k++;
+            if (k == nargs)
+                found = i;
+        }
+        if (found >= 0) {
+            loop->fn = ufunc->functions[found];
+            loop->data = ufunc->data ? ufunc->data[found] : NULL;
+        }
+    }
+    PyErr_Clear();
+    /* numpy keeps its ufuncs, and so their loops, while the process runs */
+    Py_XDECREF(obj);
+    return found >= 0 && loop->fn ? 0 : -1;
+}
+
+/* Finds numpy's dgemv, exp, add and log loops and its BLAS's kernel set,
+ * and sets the module's direct and blas_core; -1 with a Python error set if
+ * it cannot set them, else 0. */
+static int find_numpy_own(PyObject *module)
+{
+    dgemv_fn *dgemv = NULL;
+    const char *core = NULL;
+    PyObject *numpy = PyImport_ImportModule("numpy");
+    PyObject *umath = numpy ? PyImport_ImportModule("numpy._core._multiarray_umath") : NULL;
+    PyObject *file = umath ? PyObject_GetAttrString(umath, "__file__") : NULL;
+    const char *path = file ? PyUnicode_AsUTF8(file) : NULL;
+    void *handle = path ? dlopen(path, RTLD_LAZY | RTLD_NOLOAD) : NULL;
+    if (handle) {
+        dgemv = (dgemv_fn *)dlsym(handle, "scipy_cblas_dgemv64_");
+        corename_fn *corename = (corename_fn *)dlsym(handle, "scipy_openblas_get_corename64_");
+        if (!corename)
+            corename = (corename_fn *)dlsym(handle, "openblas_get_corename");
+        core = corename ? corename() : NULL;
+        /* numpy's import holds the library open, so its functions stay */
+        dlclose(handle);
+    }
+    PyErr_Clear();
+    const int found = dgemv && numpy && _import_umath() == 0 &&
+                      !find_loop(numpy, "exp", 2, &numpy_own.exp) &&
+                      !find_loop(numpy, "add", 3, &numpy_own.add) &&
+                      !find_loop(numpy, "log", 2, &numpy_own.log);
+    PyErr_Clear();
+    numpy_own.dgemv = found ? dgemv : NULL;
+    Py_XDECREF(file);
+    Py_XDECREF(umath);
+    Py_XDECREF(numpy);
+    PyObject *name = core ? PyUnicode_FromString(core) : Py_NewRef(Py_None);
+    const int failed = !name || PyModule_AddObjectRef(module, "blas_core", name) < 0 ||
+                       PyModule_AddObjectRef(module, "direct", found ? Py_True : Py_False) < 0;
+    Py_XDECREF(name);
+    return failed ? -1 : 0;
+}
+
 /* ---- The classify epoch loop ----
  *
  * classify_pairs(model, ws, influencer, context, start, lr, losses, calls)
@@ -78,15 +235,17 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
  * of each pair k it took is in losses[k].
  *
  * A step makes step_classify's operations in its order. Where the rounding
- * is numpy's own it calls the four functions of the tuple calls: matmul
- * for O_u T and T g (BLAS's summation order), exp (numpy's SIMD exp),
- * add.reduce for the softmax's denominator (pairwise summation) and log
- * for the loss, each on the workspace's phi or grad with out given
- * positionally. The rest is element-wise IEEE arithmetic, which rounds
- * alike in C: + b_t, - max, / sum, g[y] - 1, the fused T and b_t update,
- * grad * lr and O_u - grad. The max does not depend on the order: a NaN
- * makes it NaN, and of a tie between +0 and -0 either serves, as
- * exp(+-0) = 1.
+ * is numpy's own it calls numpy: matmul for O_u T and T g (BLAS's
+ * summation order), exp (numpy's SIMD exp), add.reduce for the softmax's
+ * denominator (pairwise summation) and log for the loss. With calls None
+ * it calls numpy's own functions directly, as above, which the module's
+ * direct must allow; otherwise calls is the tuple (matmul, exp,
+ * add.reduce, log), whose functions it calls through Python on the
+ * workspace's phi or grad with out given positionally. The rest is
+ * element-wise IEEE arithmetic, which rounds alike in C: + b_t, - max,
+ * / sum, g[y] - 1, the fused T and b_t update, grad * lr and O_u - grad.
+ * The max does not depend on the order: a NaN makes it NaN, and of a tie
+ * between +0 and -0 either serves, as exp(+-0) = 1.
  *
  * The finiteness proofs are those of model.py, on the workspace's bound
  * and bias_bound: read at the start, set to inf while the loop runs (a
@@ -134,7 +293,62 @@ struct loop {
     Py_buffer view[N_ARRAYS];
     double *o, *t, *b_t, *phi, *grad, lr, bound, bias_bound;
     size_t E, N;
+    int direct; /* numpy's own functions called directly, not the calls */
 };
+
+/* The step's numpy calls, each -1 with a Python error set, else 0. */
+
+/* phi = O_u T */
+static int logits(struct loop *s, Py_ssize_t u)
+{
+    if (s->direct) {
+        vector_matrix(s->o + (size_t)u * s->E, s->t, s->phi, s->E, s->N);
+        return 0;
+    }
+    PyObject *row = PySequence_GetItem(s->obj[O_], u);
+    if (!row)
+        return -1;
+    PyObject *const argv[] = {row, s->obj[T_], s->obj[PHI]};
+    const int failed = call(s->matmul, argv, 3, NULL);
+    Py_DECREF(row);
+    return failed;
+}
+
+/* phi = exp(phi), then *sum = add.reduce(phi) */
+static int exp_and_sum(struct loop *s, double *sum)
+{
+    if (s->direct) {
+        unary(&numpy_own.exp, s->phi, s->phi, s->N);
+        *sum = add_reduce(s->phi, s->N);
+        return 0;
+    }
+    PyObject *const in_place[] = {s->obj[PHI], s->obj[PHI]};
+    return call(s->exp, in_place, 2, NULL) || call(s->sum, in_place, 1, sum) ? -1 : 0;
+}
+
+/* *value = log(x) */
+static int log_of(struct loop *s, double x, double *value)
+{
+    if (s->direct) {
+        unary(&numpy_own.log, &x, value, 1);
+        return 0;
+    }
+    PyObject *number = PyFloat_FromDouble(x);
+    const int failed = !number || call(s->log, &number, 1, value);
+    Py_XDECREF(number);
+    return failed ? -1 : 0;
+}
+
+/* grad = T g, g in phi */
+static int gradient(struct loop *s)
+{
+    if (s->direct) {
+        matrix_vector(s->t, s->phi, s->grad, s->E, s->N);
+        return 0;
+    }
+    PyObject *const argv[] = {s->obj[T_], s->obj[PHI], s->obj[GRAD]};
+    return call(s->matmul, argv, 3, NULL);
+}
 
 /* One step on pair (u, y), its loss into *loss: 1 if it proved every
  * value finite, 0 if not, -1 with a Python error set. */
@@ -142,13 +356,7 @@ static int step(struct loop *s, Py_ssize_t u, Py_ssize_t y, double *loss)
 {
     const size_t E = s->E, N = s->N;
     double *const phi = s->phi, *const grad = s->grad, *const o_u = s->o + (size_t)u * E;
-    PyObject *row = PySequence_GetItem(s->obj[O_], u);
-    if (!row)
-        return -1;
-    PyObject *const logits[] = {row, s->obj[T_], s->obj[PHI]};
-    const int failed = call(s->matmul, logits, 3, NULL);
-    Py_DECREF(row);
-    if (failed)
+    if (logits(s, u))
         return -1;
     double max = -INFINITY;
     for (size_t j = 0; j < N; j++) {
@@ -159,22 +367,16 @@ static int step(struct loop *s, Py_ssize_t u, Py_ssize_t y, double *loss)
     }
     for (size_t j = 0; j < N; j++)
         phi[j] = phi[j] - max;
-    PyObject *const in_place[] = {s->obj[PHI], s->obj[PHI]};
     double sum, log_phi_y;
-    if (call(s->exp, in_place, 2, NULL) || call(s->sum, in_place, 1, &sum))
+    if (exp_and_sum(s, &sum))
         return -1;
     for (size_t j = 0; j < N; j++)
         phi[j] = phi[j] / sum;
-    PyObject *phi_y = PyFloat_FromDouble(phi[y]);
-    if (!phi_y || call(s->log, &phi_y, 1, &log_phi_y)) {
-        Py_XDECREF(phi_y);
+    if (log_of(s, phi[y], &log_phi_y))
         return -1;
-    }
-    Py_DECREF(phi_y);
     *loss = -log_phi_y;
     phi[y] = phi[y] - 1.0;
-    PyObject *const grad_args[] = {s->obj[T_], s->obj[PHI], s->obj[GRAD]};
-    if (call(s->matmul, grad_args, 3, NULL))
+    if (gradient(s))
         return -1;
     /* once the loss is finite every |g_j| <= 1: an entry of T moves by at
      * most lr * max|O_u|, one of b_t by at most lr */
@@ -215,6 +417,13 @@ static int take(PyObject *obj, Py_buffer *view, int ndim, enum kind kind, int fl
     return 0;
 }
 
+/* Whether the memory of two views overlaps. */
+static int overlap(const Py_buffer *a, const Py_buffer *b)
+{
+    const char *const pa = a->buf, *const pb = b->buf;
+    return pa < pb + b->len && pb < pa + a->len;
+}
+
 /* 0 if every array is of the kind, shape and layout the loop needs and no
  * two float64 arrays overlap; -1 otherwise. */
 static int take_arrays(struct loop *s, Py_ssize_t *n)
@@ -232,11 +441,9 @@ static int take_arrays(struct loop *s, Py_ssize_t *n)
         s->view[CONTEXT].shape[0] != *n)
         return -1;
     for (int a = 0; a < N_REAL; a++)
-        for (int b = a + 1; b < N_REAL; b++) {
-            const char *const pa = s->view[a].buf, *const pb = s->view[b].buf;
-            if (pa < pb + s->view[b].len && pb < pa + s->view[a].len)
+        for (int b = a + 1; b < N_REAL; b++)
+            if (overlap(&s->view[a], &s->view[b]))
                 return -1;
-        }
     s->o = s->view[O_].buf;
     s->t = s->view[T_].buf;
     s->b_t = s->view[B_T].buf;
@@ -280,7 +487,7 @@ static PyObject *run(struct loop *s, PyObject *ws, Py_ssize_t start, Py_ssize_t 
 {
     const int64_t *const influencer = s->view[INFLUENCER].buf, *const context = s->view[CONTEXT].buf;
     double *const losses = s->view[LOSSES].buf;
-    const int64_t I = s->view[O_].shape[0], N = (int64_t)s->N;
+    const int64_t rows = s->view[O_].shape[0], N = (int64_t)s->N;
     if (start < 0 || start > n) {
         PyErr_SetString(PyExc_ValueError, "start is not an index of the stream");
         return NULL;
@@ -291,7 +498,7 @@ static PyObject *run(struct loop *s, PyObject *ws, Py_ssize_t start, Py_ssize_t 
     Py_ssize_t k = start;
     for (; k < n; k++) {
         const int64_t u = influencer[k], y = context[k];
-        if (u < 0 || u >= I || y < 0 || y >= N)
+        if (u < 0 || u >= rows || y < 0 || y >= N)
             break;
         const int proved = step(s, (Py_ssize_t)u, (Py_ssize_t)y, &losses[k]);
         if (proved < 0)
@@ -317,12 +524,18 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
     s.lr = PyFloat_AsDouble(args[5]);
     if (PyErr_Occurred())
         return NULL;
-    if (!PyTuple_Check(calls) || PyTuple_GET_SIZE(calls) != 4)
-        return PyErr_Format(PyExc_TypeError, "calls must be (matmul, exp, add.reduce, log)");
-    s.matmul = PyTuple_GET_ITEM(calls, 0);
-    s.exp = PyTuple_GET_ITEM(calls, 1);
-    s.sum = PyTuple_GET_ITEM(calls, 2);
-    s.log = PyTuple_GET_ITEM(calls, 3);
+    if (calls == Py_None) {
+        if (!numpy_own.dgemv)
+            return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
+        s.direct = 1;
+    } else if (!PyTuple_Check(calls) || PyTuple_GET_SIZE(calls) != 4) {
+        return PyErr_Format(PyExc_TypeError, "calls must be None or (matmul, exp, add.reduce, log)");
+    } else {
+        s.matmul = PyTuple_GET_ITEM(calls, 0);
+        s.exp = PyTuple_GET_ITEM(calls, 1);
+        s.sum = PyTuple_GET_ITEM(calls, 2);
+        s.log = PyTuple_GET_ITEM(calls, 3);
+    }
     s.obj[O_] = attribute(model, "O");
     s.obj[T_] = attribute(model, "T");
     s.obj[B_T] = attribute(model, "b_t");
@@ -340,6 +553,67 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
         Py_XDECREF(s.obj[k]);
     }
     return result;
+}
+
+/* direct_call(k, *arrays) makes call k of (matmul, exp, add.reduce, log)
+ * as the loop makes it with calls None, on arrays as numpy's function takes
+ * them: matmul(x, y, out) of a vector x and a matrix y or of a matrix x
+ * and a vector y, exp(x, out), add.reduce(x) and log(x, out). Each is a
+ * float64, C-contiguous, aligned array, out is writable, of the result's
+ * length and x itself or apart from the inputs, and no dimension is 0.
+ * Returns add.reduce's sum as a float, else None, so that each call can be
+ * compared with numpy's own. Raises ValueError for arrays it cannot take,
+ * RuntimeError if the module's direct is False. */
+static PyObject *direct_call(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    static const int ARRAYS[] = {3, 2, 1, 2};
+    const long k = nargs ? PyLong_AsLong(args[0]) : -1;
+    if (k == -1 && PyErr_Occurred())
+        return NULL;
+    if (k < 0 || k > 3 || nargs != 1 + ARRAYS[k])
+        return PyErr_Format(PyExc_TypeError, "direct_call takes k in 0..3 and that call's arrays");
+    if (!numpy_own.dgemv)
+        return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
+    const int n = ARRAYS[k], has_out = k != 2;
+    Py_buffer view[3] = {{0}};
+    int fits = 1;
+    for (int a = 0; a < n && fits; a++) {
+        const int flags = has_out && a == n - 1 ? PyBUF_WRITABLE : 0;
+        if (take(args[1 + a], &view[a], 1, F64, flags)) {
+            /* matmul's x or y may be the matrix */
+            PyBuffer_Release(&view[a]);
+            fits = k == 0 && a < 2 && !take(args[1 + a], &view[a], 2, F64, flags);
+        }
+    }
+    PyObject *result = NULL;
+    if (fits) {
+        const double *const x = view[0].buf;
+        const Py_ssize_t *const xs = view[0].shape, *const ys = view[1].shape;
+        for (int a = 0; a < n; a++)
+            for (int d = 0; d < view[a].ndim; d++)
+                fits &= view[a].shape[d] > 0;
+        if (k == 0) {
+            const Py_ssize_t len = view[2].shape[0];
+            const int vm = view[0].ndim == 1 && view[1].ndim == 2 && xs[0] == ys[0] && len == ys[1];
+            const int mv = view[0].ndim == 2 && view[1].ndim == 1 && xs[1] == ys[0] && len == xs[0];
+            fits &= (vm || mv) && !overlap(&view[2], &view[0]) && !overlap(&view[2], &view[1]);
+            if (fits && vm)
+                vector_matrix(x, view[1].buf, view[2].buf, (size_t)ys[0], (size_t)ys[1]);
+            else if (fits)
+                matrix_vector(x, view[1].buf, view[2].buf, (size_t)xs[0], (size_t)xs[1]);
+        } else if (k == 2) {
+            result = fits ? PyFloat_FromDouble(add_reduce(x, (size_t)xs[0])) : NULL;
+        } else {
+            fits &= xs[0] == ys[0] && (x == view[1].buf || !overlap(&view[0], &view[1]));
+            if (fits)
+                unary(k == 1 ? &numpy_own.exp : &numpy_own.log, x, view[1].buf, (size_t)xs[0]);
+        }
+    }
+    for (int a = 0; a < n; a++)
+        PyBuffer_Release(&view[a]);
+    if (!fits)
+        return PyErr_Format(PyExc_ValueError, "direct_call cannot take these arrays");
+    return k == 2 ? result : Py_NewRef(Py_None);
 }
 
 /* ---- The cascade scanner ----
@@ -661,8 +935,9 @@ static PyObject *write_cascades(PyObject *Py_UNUSED(module), PyObject *const *ar
 
 /* Sets the module's isa to the fused_t_update copy that runs: "avx512f",
  * "avx2" or "baseline". The resolver picks the first copy CLONES lists
- * that the CPU supports, and this tests the CPU in the same order. */
-static int set_isa(PyObject *module)
+ * that the CPU supports, and this tests the CPU in the same order. Then
+ * finds numpy's own functions for the classify loop. */
+static int exec_module(PyObject *module)
 {
     const char *isa = "baseline";
 #if defined(__x86_64__) && defined(__GLIBC__)
@@ -671,12 +946,14 @@ static int set_isa(PyObject *module)
     else if (__builtin_cpu_supports("avx2"))
         isa = "avx2";
 #endif
-    return PyModule_AddStringConstant(module, "isa", isa);
+    return PyModule_AddStringConstant(module, "isa", isa) < 0 ? -1 : find_numpy_own(module);
 }
 
 static PyMethodDef methods[] = {
     {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
      "classify_pairs(model, ws, influencer, context, start, lr, losses, calls)"},
+    {"direct_call", (PyCFunction)(void (*)(void))direct_call, METH_FASTCALL,
+     "direct_call(k, *arrays)"},
     {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,
      "scan_cascades(log, initiator, start, offsets, node_idx, times, id_offset, id_length)"},
     {"write_cascades", (PyCFunction)(void (*)(void))write_cascades, METH_FASTCALL,
@@ -684,7 +961,7 @@ static PyMethodDef methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-static PyModuleDef_Slot slots[] = {{Py_mod_exec, (void *)set_isa}, {0, NULL}};
+static PyModuleDef_Slot slots[] = {{Py_mod_exec, (void *)exec_module}, {0, NULL}};
 
 static struct PyModuleDef module_def = {
     .m_base = PyModuleDef_HEAD_INIT,

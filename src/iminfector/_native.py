@@ -1,19 +1,21 @@
 """The package's native library, built on first use.
 
 ``_native.c`` holds the classify epoch loop (``classify_pairs``) with its
-T update (``fused_t_update``), the cascade scanner (``scan_cascades``) and
-the cascade writer (``write_cascades``). ``load()`` compiles it with the
-system C compiler, ``$CC`` or else ``cc``, against this interpreter's
-``Python.h`` into the user's cache directory, ``$XDG_CACHE_HOME/iminfector``
+T update (``fused_t_update``) and the direct calls of numpy's own loops and
+BLAS that it may make (``direct_call``), the cascade scanner
+(``scan_cascades``) and the cascade writer (``write_cascades``). ``load()``
+compiles it with the system C compiler, ``$CC`` or else ``cc``, against
+this interpreter's ``Python.h`` and numpy's headers (for the layout of a
+ufunc object) into the user's cache directory, ``$XDG_CACHE_HOME/iminfector``
 (default ``~/.cache/iminfector``), and loads it through
 ``importlib.machinery.ExtensionFileLoader`` as the CPython extension module
 ``iminfector._native_lib``, at most once per process. Its functions read
 their arrays through the buffer protocol and check their kind, shape and
 layout themselves. A library's name holds two digests: one of the source,
-the compiler flags, the machine type and the interpreter's ABI
-(``EXT_SUFFIX`` and the include directory), so that a changed source, flag
-set or interpreter builds a new library and a cached one is reused only
-where it was built for; and one of the library's own bytes, checked before
+the compiler flags, the machine type, the interpreter's ABI
+(``EXT_SUFFIX`` and the include directory) and numpy's version and include
+directory, so that a changed source, flag set, interpreter or numpy builds
+a new library and a cached one is reused only where it was built for; and one of the library's own bytes, checked before
 it is loaded. Loading a cut-short shared library can kill the process with
 SIGBUS, so a file whose bytes do not match its name is never loaded; a
 build replaces it.
@@ -31,8 +33,8 @@ libraries of an older source do not pile up, and two versions of the
 package that share a cache do not delete each other's library on every
 switch.
 
-Nothing here runs at import. With no compiler, no Python headers, an
-unwritable cache or a failed build, ``load()`` returns None: training
+Nothing here runs at import. With no compiler, no Python or numpy
+headers, an unwritable cache or a failed build, ``load()`` returns None: training
 takes its numpy step and cascade files go through the Python parser and
 formatter.
 """
@@ -46,6 +48,8 @@ import subprocess
 import sysconfig
 import tempfile
 from importlib import machinery, resources, util
+
+import numpy
 
 CC = os.environ.get("CC") or "cc"
 # -O3: gcc 12 vectorizes the loops only from -O3, and at -O2 the kernel is
@@ -86,17 +90,23 @@ def python_abi():
     return sysconfig.get_config_var("EXT_SUFFIX") or "", sysconfig.get_paths()["include"]
 
 
+def numpy_abi():
+    """numpy's version and the directory of its C headers."""
+    return numpy.__version__, numpy.get_include()
+
+
 def name_prefix(code):
-    """``native-KEY-``, KEY a digest of the source, the flags, the machine
-    and the interpreter's ABI."""
-    parts = (*FLAGS, platform.machine(), *python_abi())
+    """``native-KEY-``, KEY a digest of the source, the flags, the machine,
+    the interpreter's ABI and numpy's."""
+    parts = (*FLAGS, platform.machine(), *python_abi(), *numpy_abi())
     key = b"\0".join([code, *(part.encode() for part in parts)])
     return f"native-{_digest(key)}-"
 
 
 def compile_args():
-    """The compiler's flags: FLAGS and this interpreter's include directory."""
-    return [*FLAGS, f"-I{python_abi()[1]}"]
+    """The compiler's flags: FLAGS, numpy's include directory and this
+    interpreter's."""
+    return [*FLAGS, f"-I{numpy_abi()[1]}", f"-I{python_abi()[1]}"]
 
 
 def cached_library(directory, prefix):
@@ -166,7 +176,11 @@ def build(code, directory, prefix, cc=CC):
 
 def open_library(path):
     """The extension module at ``path``. Its ``isa`` names the clone of the
-    T update that runs on this CPU: "avx512f", "avx2" or "baseline"."""
+    T update that runs on this CPU: "avx512f", "avx2" or "baseline". Its
+    ``direct`` is True if it found numpy's BLAS dgemv and float64 exp, add
+    and log loops, which its classify loop may then call directly, and its
+    ``blas_core`` names the kernel set numpy's OpenBLAS picked for this CPU,
+    or is None."""
     loader = machinery.ExtensionFileLoader(MODULE, path)
     module = util.module_from_spec(util.spec_from_file_location(MODULE, path, loader=loader))
     loader.exec_module(module)

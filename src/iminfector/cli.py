@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from .cascades import (
     derive_edges,
     initiator_stats,
@@ -100,14 +100,23 @@ PIPELINE_FILES = (
 )
 
 
+def _missing_dirs(path):
+    """The missing directories on ``path``, ``path`` first, each spelled as
+    in ``path``: those os.makedirs(path) makes (``0/..`` makes ``0``)."""
+    missing = []
+    while path and not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def _output_dir(path):
     """An argparse ``type`` for pipeline's --outdir, made if missing: exit 2
     unless it is a directory, or is missing and the nearest of its parents
     that exists is one; and exit 2 if it holds something other than a
     regular file at the name of a file pipeline writes."""
-    existing = path
-    while existing and not os.path.lexists(existing):
-        existing = os.path.dirname(existing)
+    missing = _missing_dirs(path)
+    existing = os.path.dirname(missing[-1]) if missing else path
     if not path or (existing and not os.path.isdir(existing)):
         raise argparse.ArgumentTypeError(f"not a directory: {path}")
     if existing == path:
@@ -204,7 +213,11 @@ def _check_distinct_outputs(args, manifest):
     inputs = [(flag, v) for flag, v in named if isinstance(v, InputPath)]
     outputs = [(flag, v) for flag, v in named if isinstance(v, OutputPath)]
     if "outdir" in args:
-        outdir = [args.outdir, *(os.path.join(args.outdir, name) for name in PIPELINE_FILES)]
+        # the directories pipeline makes are outputs too, each once
+        made = {os.path.realpath(path): path for path in reversed(_missing_dirs(args.outdir))}
+        made.pop(os.path.realpath(args.outdir), None)
+        outdir = [args.outdir, *made.values()]
+        outdir += [os.path.join(args.outdir, name) for name in PIPELINE_FILES]
         outputs += [("--outdir", path) for path in outdir]
     outputs.append(("manifest", manifest))
     for i, (flag, path) in enumerate(outputs):
@@ -213,10 +226,26 @@ def _check_distinct_outputs(args, manifest):
                 raise UsageError(f"{flag} {path} and {other_flag} {other} name the same file")
 
 
+def _peak_rss_mb():
+    """This process's peak resident set size in MB: VmHWM from
+    /proc/self/status, which starts afresh at exec, so that a command run
+    from a larger parent reports its own peak; else ru_maxrss, which a
+    child can inherit from its parent."""
+    with contextlib.suppress(OSError, ValueError):
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0  # kB
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1024)  # bytes there, kB elsewhere
+
+
 def _write_manifest(args, path, outputs, fields):
     """Write the run's JSON manifest to ``path``. The parameters are every
     parsed flag; the inputs are the files given to input-file flags, with
-    their digests."""
+    their digests; peak_rss_mb is the process's peak memory so far."""
     parameters = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
     doc = {
         "tool": "iminfector",
@@ -230,6 +259,7 @@ def _write_manifest(args, path, outputs, fields):
         },
         "outputs": outputs,
         **fields,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -244,7 +274,29 @@ def _timed(wall_times, stage):
     wall_times[stage] = time.perf_counter() - t0
 
 
+def _float64_targets():
+    """The SIMD target each float64 loop of numpy's exp, log, add and
+    maximum runs on this CPU, from numpy.lib.introspect; None where numpy
+    does not say."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    found = opt_func_info(func_name="^(exp|log|add|maximum)$", signature="float64")
+    return {
+        name: loops[chars]["current"]
+        for name, loops in sorted(found.items())
+        for chars in loops
+        if set(chars) == {"d"}
+    }
+
+
 def _epoch_fields(report):
+    """The training fields of a manifest, with what decides the model's
+    bits besides the inputs: the classify path, numpy's version, the kernel
+    set of numpy's BLAS (None without the native library) and the SIMD
+    targets of numpy's float64 loops."""
+    lib = _native.load()
     return {
         "epoch_loss_classify": report.classify_loss,
         "epoch_loss_regress": report.regress_loss,
@@ -253,6 +305,10 @@ def _epoch_fields(report):
         "epoch_seconds": report.epoch_seconds,
         "classify_kernel": report.classify_kernel,
         "classify_isa": report.classify_isa,
+        "classify_calls": report.classify_calls,
+        "blas_core": None if lib is None else lib.blas_core,
+        "numpy_version": np.__version__,
+        "numpy_float64_targets": _float64_targets(),
     }
 
 
@@ -329,8 +385,10 @@ def seed_stage(args, matrix, budgets, out):
 
 def evaluate_stage(seed_ids, test_corpus, out):
     """DNI of ``seed_ids`` on the test corpus; writes the cumulative table
-    (one row per seed line) and returns the result."""
+    (one row per seed line) and returns the result and the DNI curve, the
+    table's cumulative DNI after each seed line."""
     result = dni(seed_ids, test_corpus)
+    curve = []
     with atomic_write(out) as fh:
         fh.write("rank\tnode_id\tnew_nodes\tcumulative_dni\n")
         cumulative = 0
@@ -339,8 +397,9 @@ def evaluate_stage(seed_ids, test_corpus, out):
             added = 0 if seed in reported else result.per_seed_contribution[seed]
             reported.add(seed)
             cumulative += added
+            curve.append(cumulative)
             fh.write(f"{rank}\t{seed}\t{added}\t{cumulative}\n")
-    return result
+    return result, curve
 
 
 def baseline_stage(args, ranking, out):
@@ -425,9 +484,9 @@ def cmd_seed(args):
 
 def cmd_evaluate(args):
     test_corpus = load_cascades(args.test)
-    result = evaluate_stage(load_seed_ids(args.seeds), test_corpus, args.out)
+    result, curve = evaluate_stage(load_seed_ids(args.seeds), test_corpus, args.out)
     print(f"dni\t{result.dni}")
-    return [args.out], dict(dni=result.dni, cascade_reader=_reader(test_corpus))
+    return [args.out], dict(dni=result.dni, dni_curve=curve, cascade_reader=_reader(test_corpus))
 
 
 def cmd_baseline(args):
@@ -470,11 +529,11 @@ def cmd_pipeline(args):
     with _timed(wall, "seed"):
         selection = seed_stage(args, matrix, budgets, out("seeds.txt"))
     with _timed(wall, "evaluate"):
-        result = evaluate_stage(selection.seed_ids(), test_corpus, out("result.tsv"))
+        result, curve = evaluate_stage(selection.seed_ids(), test_corpus, out("result.tsv"))
     with _timed(wall, "baseline"):
         ranking = avg_size_ranking(train_corpus)
         baseline_ids = baseline_stage(args, ranking, out("baseline_avgsize_seeds.txt"))
-        baseline_result = evaluate_stage(
+        baseline_result, _ = evaluate_stage(
             baseline_ids, test_corpus, out("baseline_avgsize_result.tsv")
         )
     print(f"dni\timinfector={result.dni}\tavgsize={baseline_result.dni}")
@@ -484,6 +543,7 @@ def cmd_pipeline(args):
         n_candidates=matrix.n_candidates,
         n_selected=len(selection.seeds),
         dni=result.dni,
+        dni_curve=curve,
         dni_avgsize=baseline_result.dni,
         cascade_reader=reader,
     )

@@ -18,9 +18,19 @@ bits on either:
 The loop calls numpy only where its order is the contract: np.matmul for
 the logits O_u T and for T g (BLAS's summation order), np.exp (numpy's
 SIMD exp), np.add.reduce for the softmax's denominator (pairwise
-summation) and np.log for the loss, each on the workspace's arrays, from C
-through PyObject_Vectorcall. A C loop cannot match those bitwise. Every
-other operation is element-wise, and an IEEE add, subtract, multiply or
+summation) and np.log for the loss, each on the workspace's arrays. A C
+loop of its own cannot match those bitwise. It makes these calls one of
+two ways, with the same bits:
+
+- direct: it calls the functions numpy itself calls, with the arguments
+  numpy passes: its BLAS's cblas_dgemv for both products and the float64
+  inner loops of np.exp, np.add (in reduce form) and np.log, found by the
+  library when it loads. No Python runs between them, which saves about a
+  third of a step at N = 300;
+- vectorcall: it calls the functions of LOOP_CALLS from C through
+  PyObject_Vectorcall.
+
+Every other operation is element-wise, and an IEEE add, subtract, multiply or
 divide rounds the same in C as in numpy: + b_t, - max, / sum, g[y] - 1,
 the T and b_t update, grad * lr and O_u - grad. The max of the logits does
 not depend on the order (a NaN makes it NaN; a +0/-0 tie does not reach
@@ -47,6 +57,19 @@ train() takes the loop only when all of these hold:
 - model.step_classify is still this module's own function. A replaced
   step_classify, such as a benchmark's timing wrapper or a test's spy, is
   called for every classify step, on the numpy path.
+
+It takes the direct calls only when, besides, all of these hold:
+
+- the library found numpy's dgemv and loops (its ``direct``);
+- LOOP_CALLS holds numpy's own functions. A replaced LOOP_CALLS, such as
+  a test's spies, sees every call the loop makes;
+- the fixed self-check passes with the direct calls too;
+- E and N are both at least 2, where numpy's matmul takes dgemv for both
+  products; with an E or N of 1 it takes a dot product or a loop of its
+  own, whose bits dgemv gives on some inputs and not on others;
+- each direct call matches its numpy call bit for bit at the model's own
+  (E, N), on the model's T and a row of O (_direct_calls_match), which
+  catches a numpy that picks other functions than those the library found.
 
 The loop also stops at any pair outside the model's rows and columns, and
 takes no pair if the model's arrays no longer fit it; step_classify takes
@@ -155,6 +178,8 @@ class TrainReport:
     classify_kernel: str = "numpy"  # "c" when the C epoch loop took the classify steps
     # with the C loop, the clone of its T update: "avx512f", "avx2" or "baseline"
     classify_isa: str = None
+    # with the C loop, how it called numpy: "direct" or "vectorcall"
+    classify_calls: str = None
 
 
 def init_model(config, influencer_ids, node_ids):
@@ -311,9 +336,13 @@ def step_classify(model, u, y, lr, workspace=None):
 # train() takes the C loop only while model.step_classify is this function.
 _OWN_STEP_CLASSIFY = step_classify
 
-# The numpy functions the C loop calls, whose rounding is numpy's own; see
-# the module docstring.
-LOOP_CALLS = (np.matmul, np.exp, np.add.reduce, np.log)
+# The numpy functions whose rounding is numpy's own, in the order of the C
+# loop's calls tuple and of the library's direct_call; see the module
+# docstring.
+NUMPY_CALLS = (np.matmul, np.exp, np.add.reduce, np.log)
+# The functions the C loop calls through Python, and the direct calls stand
+# for while it holds numpy's own.
+LOOP_CALLS = NUMPY_CALLS
 
 
 # The (E, N) shapes of the loop's self-check. In the second, N = 79 =
@@ -336,10 +365,10 @@ def _same_bits(a, b):
     )
 
 
-def _loop_matches_step(loop):
-    """True if the C loop ``loop`` takes fixed pairs bit for bit as
-    step_classify without a workspace does: each loss, O, T and b_t, where
-    the loop stops and which step raises.
+def _loop_matches_step(loop, calls):
+    """True if the C loop ``loop``, given ``calls``, takes fixed pairs bit
+    for bit as step_classify without a workspace does: each loss, O, T and
+    b_t, where the loop stops and which step raises.
 
     Each shape runs three models: random, one with a NaN in O's second row
     (whose first step raises), and one whose largest logits, 0, come from
@@ -370,8 +399,7 @@ def _loop_matches_step(loop):
                     want_stop = ~k
                     break
             got_losses = np.full(6, np.nan)
-            stop = loop(got, StepWorkspace(got), influencer, context, 0, lr, got_losses,
-                        LOOP_CALLS)
+            stop = loop(got, StepWorkspace(got), influencer, context, 0, lr, got_losses, calls)
             n = 5 if stop == 5 else ~stop
             if not (
                 stop == want_stop
@@ -391,7 +419,61 @@ def _classify_loop(model):
     if lib is None:
         return None
     with _sgd_numpy():
-        return lib if _loop_matches_step(lib.classify_pairs) else None
+        return lib if _loop_matches_step(lib.classify_pairs, LOOP_CALLS) else None
+
+
+def _numpy_and_direct(lib, k, arrays, out):
+    """Call k of NUMPY_CALLS and the direct call k of ``lib`` alike: on
+    copies of the vectors of ``arrays`` and on its matrices, adding an out
+    of ``out`` entries, or the first vector itself for "in place". Returns
+    the two outs, or the two values where ``out`` is None."""
+    results = []
+    for call in (NUMPY_CALLS[k], lambda *a: lib.direct_call(k, *a)):
+        args = [a.copy() if a.ndim == 1 else a for a in arrays]
+        if out == "in place":
+            args.append(args[0])
+        elif out is not None:
+            args.append(np.zeros(out))
+        value = call(*args)
+        results.append(value if out is None else args[-1])
+    return results
+
+
+def _direct_calls_match(lib, model):
+    """True if each call the C loop of ``lib`` makes directly gives the bits
+    of its numpy call, under _sgd_numpy(), at the model's (E, N): O_u T on
+    the model's T and first row of O, T g, exp in place and add.reduce on
+    softmax-like inputs, and log. Reads T without copying it and writes
+    nothing to the model.
+
+    False if E or N is 1 without a check: numpy's matmul then takes a dot
+    product or its own loop, not dgemv, whose bits agree with dgemv's on
+    some inputs and not on others, so no sample could prove them equal.
+    """
+    E, N = model.T.shape
+    if E < 2 or N < 2:
+        return False
+    rng = np.random.default_rng(2019)
+    z = rng.uniform(-40.0, 0.0, N)  # logits less their max
+    cases = (
+        (0, (model.O[0], model.T), N),
+        (0, (model.T, rng.uniform(-1.0, 1.0, N)), E),
+        (1, (z,), "in place"),
+        (2, (np.exp(z),), None),
+        (3, (rng.uniform(0.0, 1.0, N),), N),
+    )
+    return all(_same_bits(*_numpy_and_direct(lib, k, arrays, out)) for k, arrays, out in cases)
+
+
+def _loop_calls(lib, model):
+    """The calls argument of the C loop of ``lib`` for ``model``: None, the
+    direct calls, where the module docstring's rule allows them, else
+    LOOP_CALLS."""
+    if LOOP_CALLS != NUMPY_CALLS or not lib.direct:
+        return LOOP_CALLS
+    with _sgd_numpy():
+        direct = _loop_matches_step(lib.classify_pairs, None) and _direct_calls_match(lib, model)
+    return None if direct else LOOP_CALLS
 
 
 def step_regress(model, u, y_c, lr):
@@ -431,13 +513,13 @@ def _sgd_numpy():
         np.setbufsize(old_bufsize)
 
 
-def _run_epoch(model, stream, lr, workspace, lib, epoch):
+def _run_epoch(model, stream, lr, workspace, lib, calls, epoch):
     """Take every pair of ``stream`` in order and return each pair's loss.
 
-    With ``lib`` the C loop takes each stretch of classify pairs, and each
-    pair it does not take goes through step_regress or step_classify, as
-    every pair does without it. A non-finite step raises NonFiniteUpdate
-    with ``epoch`` and the pair's index as its step.
+    With ``lib`` the C loop, given ``calls``, takes each stretch of classify
+    pairs, and each pair it does not take goes through step_regress or
+    step_classify, as every pair does without it. A non-finite step raises
+    NonFiniteUpdate with ``epoch`` and the pair's index as its step.
     """
     n = len(stream)
     losses = np.empty(n)
@@ -448,9 +530,7 @@ def _run_epoch(model, stream, lr, workspace, lib, epoch):
     step = 0
     while step < n:
         if lib is not None:
-            step = lib.classify_pairs(
-                model, workspace, influencer, context, step, lr, losses, LOOP_CALLS
-            )
+            step = lib.classify_pairs(model, workspace, influencer, context, step, lr, losses, calls)
             if step < 0:
                 raise NonFiniteUpdate(_CLASSIFY_FAILED, epoch=epoch, step=~step)
             if step == n:
@@ -479,16 +559,19 @@ def train(model, stream_producer, config):
     lr = config.learning_rate
     workspace = StepWorkspace(model)
     lib = _classify_loop(model)
+    calls = None
     if lib is not None:
+        calls = _loop_calls(lib, model)
         report.classify_kernel = "c"
         report.classify_isa = lib.isa
+        report.classify_calls = "direct" if calls is None else "vectorcall"
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         stream = stream_producer(epoch)
         if not stream:
             raise ValueError(f"stream for epoch {epoch} is empty")
         with _sgd_numpy():
-            losses = _run_epoch(model, stream, lr, workspace, lib, epoch)
+            losses = _run_epoch(model, stream, lr, workspace, lib, calls, epoch)
         is_size = np.asarray(stream.context) == SIZE_PAIR
         classify_losses, regress_losses = losses[~is_size], losses[is_size]
         report.classify_loss.append(

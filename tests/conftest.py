@@ -28,15 +28,14 @@ def built_library(native_library):
 
 
 @pytest.fixture(scope="session")
-def classify_loop(native_library):
-    """The C epoch loop of the classify step, or None with no native library."""
-    return None if native_library is None else native_library.classify_pairs
-
-
-@pytest.fixture(scope="session")
-def step_paths(classify_loop):
-    """The classify step paths: numpy (None), then the C loop where it builds."""
-    return (None,) if classify_loop is None else (None, classify_loop)
+def step_paths(native_library):
+    """The classify step paths: numpy (None), then, where the native library
+    builds, its C loop calling numpy through Python ("vectorcall") and,
+    where the library found numpy's own functions, calling them directly
+    ("direct")."""
+    if native_library is None:
+        return (None,)
+    return (None, "vectorcall", "direct") if native_library.direct else (None, "vectorcall")
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +49,12 @@ def kernel_isa(native_library):
     """The manifest's ``classify_isa`` on this host: the clone of the C
     loop's T update, or None when the numpy step runs."""
     return None if native_library is None else native_library.isa
+
+
+@pytest.fixture(scope="session")
+def kernel_calls(native_library):
+    """The manifest's ``classify_calls`` on this host for a model whose E
+    and N exceed 1: how the C loop calls numpy, or None on the numpy step."""
+    if native_library is None:
+        return None
+    return "direct" if native_library.direct else "vectorcall"

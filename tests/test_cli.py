@@ -290,7 +290,17 @@ def test_stats_table(tmp_path, corpus_file):
     assert rows["u03"][1] == "2" and rows["u03"][3] == "1"
 
 
-def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_isa):
+def assert_records_what_decides_the_bits(doc, kernel_calls):
+    """The manifest names the classify path and what decides its bits."""
+    assert doc["classify_calls"] == kernel_calls
+    lib = _native.load()
+    assert doc["blas_core"] == (None if lib is None else lib.blas_core)
+    assert doc["numpy_version"] == np.__version__
+    assert sorted(doc["numpy_float64_targets"]) == ["add", "exp", "log", "maximum"]
+    assert all(isinstance(target, str) for target in doc["numpy_float64_targets"].values())
+
+
+def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_isa, kernel_calls):
     out = tmp_path / "model.infv"
     assert main(["train", "--cascades", str(corpus_file), "--out", str(out)]) == 0
     doc = read_manifest(str(out) + ".manifest.json")
@@ -308,6 +318,7 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_i
     assert doc["epoch_classify_steps"] == [len(s) - len(CORPUS) for s in streams]
     assert doc["classify_kernel"] == kernel_name
     assert doc["classify_isa"] == kernel_isa
+    assert_records_what_decides_the_bits(doc, kernel_calls)
     model = load_embeddings(out)
     assert model.embed_dim == 50
     assert model.influencer_ids == ["u01", "u02", "u03"]
@@ -692,7 +703,8 @@ def package_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
-def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kernel_isa):
+def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kernel_isa,
+                                        kernel_calls):
     synth = tmp_path / "synth.txt"
     assert main(
         ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
@@ -725,6 +737,67 @@ def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kern
     assert all(steps > n_train for steps in doc["epoch_classify_steps"])
     assert doc["classify_kernel"] == kernel_name
     assert doc["classify_isa"] == kernel_isa
+    assert_records_what_decides_the_bits(doc, kernel_calls)
+
+
+def cumulative_dni(result_tsv):
+    """The cumulative_dni column of a result table."""
+    lines = result_tsv.read_text().splitlines()
+    assert lines[0].split("\t")[3] == "cumulative_dni"
+    return [int(line.split("\t")[3]) for line in lines[1:]]
+
+
+def test_dni_curve_is_the_result_table_cumulative_dni(tmp_path, corpus_file, capsys):
+    synth = tmp_path / "synth.txt"
+    assert main(["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
+                 "--rng-seed", "4", "--out", str(synth)]) == 0
+    run = tmp_path / "run"
+    assert main(["pipeline", "--cascades", str(synth), "--outdir", str(run), "--embed-dim", "8",
+                 "--epochs", "1", "--size", "6"]) == 0
+    doc = read_manifest(run / "manifest.json")
+    curve = cumulative_dni(run / "result.tsv")
+    assert doc["dni_curve"] == curve and len(curve) == doc["n_selected"]
+    assert curve[-1] == doc["dni"] and curve == sorted(curve)
+    # evaluate, on the pipeline's seeds and on a list that repeats a seed,
+    # which adds nothing the second time
+    seeds = tmp_path / "seeds.txt"
+    rows = (run / "seeds.txt").read_text().splitlines()
+    for name, lines in (("same", rows), ("repeat", [rows[0], *rows])):
+        seeds.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / f"{name}.tsv"
+        assert main(["evaluate", "--seeds", str(seeds), "--test", str(run / "test.txt"),
+                     "--out", str(out)]) == 0
+        doc = read_manifest(str(out) + ".manifest.json")
+        assert doc["dni_curve"] == cumulative_dni(out)
+        assert doc["dni_curve"][-1] == doc["dni"]
+    assert doc["dni_curve"] == [curve[0], *curve]
+    capsys.readouterr()
+
+
+# Touches MB megabytes, then forks and execs a command that writes a
+# manifest: the exec'd process starts from the parent's memory.
+FORKED_SYNTH = """
+import os, sys
+ballast = bytearray(int(sys.argv[1]) << 20)
+ballast[::4096] = b"x" * len(ballast[::4096])
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "iminfector", *sys.argv[2:]])
+_, status = os.waitpid(pid, 0)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_manifest_peak_rss_is_the_process_own(tmp_path):
+    out = tmp_path / "synth.txt"
+    argv = ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
+            "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", FORKED_SYNTH, "256", *argv], env=package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak = read_manifest(str(out) + ".manifest.json")["peak_rss_mb"]
+    # a Python process with numpy loaded, not the parent's 256 MB
+    assert 5 < peak < 200
 
 
 def test_pipeline_equals_stage_chain(tmp_path, capsys):

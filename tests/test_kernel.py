@@ -31,9 +31,9 @@ from test_model import (
 )
 
 
-def loop_passes_self_check(lib):
+def loop_passes_self_check(lib, calls=LOOP_CALLS):
     with model_module._sgd_numpy():
-        return model_module._loop_matches_step(lib.classify_pairs)
+        return model_module._loop_matches_step(lib.classify_pairs, calls)
 
 
 def library_files(directory):
@@ -52,12 +52,12 @@ LOAD_SCRIPT = textwrap.dedent(
     import sys, time
     import numpy as np
     from iminfector import _native
-    from iminfector.model import _loop_matches_step
+    from iminfector.model import LOOP_CALLS, _loop_matches_step
     time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
     lib = _native.load()
     path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
     with np.errstate(all="ignore"):
-        print(path, lib is not None and _loop_matches_step(lib.classify_pairs))
+        print(path, lib is not None and _loop_matches_step(lib.classify_pairs, LOOP_CALLS))
     """
 )
 
@@ -247,7 +247,9 @@ def test_source_compiles_without_warnings(tmp_path):
 
 # Drives the library at argv[1] over the scanner logs and writer corpora of
 # test_cascade_io.py, the arrays too short or of the wrong kind among them,
-# and over the C loop's self-check. Built with the address and undefined
+# over the C loop's self-checks and, where the library finds numpy's own
+# functions (argv[2], as the package's library does), its direct calls and
+# the arrays direct_call refuses. Built with the address and undefined
 # behaviour sanitizers, the library ends the process on a finding.
 SANITIZED_SCRIPT = textwrap.dedent(
     """
@@ -255,8 +257,12 @@ SANITIZED_SCRIPT = textwrap.dedent(
     from iminfector import _native, model
     from iminfector.cascades import _render, _scan
     import test_cascade_io as io
+    import test_direct_calls as direct_calls
+
+    SHAPES = ((2, 2), (3, 13), (50, 300), (7, 2930))
 
     lib = _native.open_library(sys.argv[1])
+    assert lib.direct == (sys.argv[2] == "True")
     for data in io.scanner_logs().values():
         _scan(lib, data)
         for args in io.short_scans(lib, data):
@@ -269,13 +275,23 @@ SANITIZED_SCRIPT = textwrap.dedent(
     assert lib.write_cascades(*io.WRITER_ARGS) is not None
     assert lib.write_cascades(*io.WRITER_BAD_BOUNDS) is None
     with model._sgd_numpy():
-        assert model._loop_matches_step(lib.classify_pairs)
+        assert model._loop_matches_step(lib.classify_pairs, model.LOOP_CALLS)
+        if lib.direct:
+            assert model._loop_matches_step(lib.classify_pairs, None)
+            for shape in SHAPES:
+                assert model._direct_calls_match(lib, direct_calls.shaped_model(*shape))
+    for args in direct_calls.MISFIT_CALLS if lib.direct else ():
+        try:
+            lib.direct_call(*args)
+        except ValueError:
+            continue
+        raise AssertionError(args)
     print("clean")
     """
 )
 
 
-def test_library_is_clean_under_the_sanitizers(tmp_path, monkeypatch):
+def test_library_is_clean_under_the_sanitizers(tmp_path, monkeypatch, native_library):
     if shutil.which(_native.CC) is None:
         pytest.skip("no C compiler on PATH")
     asan = subprocess.run([_native.CC, "-print-file-name=libasan.so"], capture_output=True,
@@ -288,7 +304,8 @@ def test_library_is_clean_under_the_sanitizers(tmp_path, monkeypatch):
     env = package_env(tmp_path)
     env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
     env.update(LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0")
-    proc = subprocess.run([sys.executable, "-c", SANITIZED_SCRIPT, path], env=env,
+    direct = str(native_library is not None and native_library.direct)
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_SCRIPT, path, direct], env=env,
                           capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stdout) == (0, "clean\n"), proc.stderr[-4000:]
 
@@ -331,9 +348,11 @@ CLONES = b'#define CLONES __attribute__((target_clones("avx512f", "avx2", "defau
 
 
 def assert_refused(lib, monkeypatch):
-    """The self-check refuses the C loop of ``lib``, and train, given that
-    library, takes the numpy step and stays bitwise the reference loop."""
+    """The self-check refuses the C loop of ``lib``, calling numpy through
+    Python and directly, and train, given that library, takes the numpy
+    step and stays bitwise the reference loop."""
     assert not loop_passes_self_check(lib)
+    assert not (lib.direct and loop_passes_self_check(lib, None))
     corpus = generate_corpus(np.random.default_rng(41), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
     cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=1, rng_seed=2)
     streams = [build_training_stream(corpus, 1.2, cfg.rng_seed)]
@@ -386,20 +405,24 @@ def test_each_isa_level_is_bitwise_numpy(tmp_path, built_library, monkeypatch, m
     path = _native.build(code.replace(CLONES, b"#define CLONES"), str(tmp_path), "m-")
     lib = _native.open_library(path)
     assert loop_passes_self_check(lib)
-    rng = np.random.default_rng(53)
-    I, N, E = 3, 2930, 50
-    ref = random_model(rng, I, N, E)
-    ref.O *= 0.2
-    ref.T *= 0.2
-    new = copy_model(ref)
-    ws = StepWorkspace(new)
-    step = loop_step(lib.classify_pairs)
-    for s in range(6):
-        u, y = s % I, int(rng.integers(0, N))
-        assert step(new, u, y, 0.5, ws) == reference_step_classify(ref, u, y, 0.5)
-        assert_same_model(ref, new, f"-march={march} step {s}")
-    # the loop took every step: the numpy step's T update never ran
-    assert ws.update is None
+    paths = ("vectorcall", "direct") if lib.direct else ("vectorcall",)
+    if lib.direct:
+        assert loop_passes_self_check(lib, None)
+    for path in paths:
+        rng = np.random.default_rng(53)
+        I, N, E = 3, 2930, 50
+        ref = random_model(rng, I, N, E)
+        ref.O *= 0.2
+        ref.T *= 0.2
+        new = copy_model(ref)
+        ws = StepWorkspace(new)
+        step = loop_step(path, lib)
+        for s in range(6):
+            u, y = s % I, int(rng.integers(0, N))
+            assert step(new, u, y, 0.5, ws) == reference_step_classify(ref, u, y, 0.5)
+            assert_same_model(ref, new, f"-march={march} {path} step {s}")
+        # the loop took every step: the numpy step's T update never ran
+        assert ws.update is None
 
 
 class DlInfo(ctypes.Structure):
@@ -453,24 +476,25 @@ MISFIT = {
 def test_kernel_workspace_takes_numpy_update_when_arrays_change(built_library, change):
     # The loop would write to the wrong row of O, or read or write an array
     # the wrong way: it takes no pair, and step_classify takes it.
-    rng = np.random.default_rng(43)
-    ref = random_model(rng, 3, 11, 4)
-    new = copy_model(ref)
-    ws = StepWorkspace(new)
-    step = loop_step(built_library.classify_pairs)
-    for s in range(6):
-        u = s % 3
-        if s >= 2 and change == "negative u":
-            u -= 3
-        elif s == 2:
-            # the reference takes the same layout, so that numpy's matmul
-            # takes the same BLAS call on both
-            for m in (ref, new):
-                setattr(m, change, MISFIT[change](getattr(m, change)))
-        assert step(new, u, s, 0.1, ws) == reference_step_classify(ref, u, s, 0.1)
-        assert_same_model(ref, new, f"step {s}")
-        # steps 0 and 1 are the loop's
-        assert (ws.update is None) == (s < 2)
+    for path in ("vectorcall", "direct") if built_library.direct else ("vectorcall",):
+        rng = np.random.default_rng(43)
+        ref = random_model(rng, 3, 11, 4)
+        new = copy_model(ref)
+        ws = StepWorkspace(new)
+        step = loop_step(path, built_library)
+        for s in range(6):
+            u = s % 3
+            if s >= 2 and change == "negative u":
+                u -= 3
+            elif s == 2:
+                # the reference takes the same layout, so that numpy's matmul
+                # takes the same BLAS call on both
+                for m in (ref, new):
+                    setattr(m, change, MISFIT[change](getattr(m, change)))
+            assert step(new, u, s, 0.1, ws) == reference_step_classify(ref, u, s, 0.1)
+            assert_same_model(ref, new, f"{path} step {s}")
+            # steps 0 and 1 are the loop's
+            assert (ws.update is None) == (s < 2)
 
 
 def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(built_library):
@@ -494,10 +518,11 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(built_library):
             setattr(model, name, value)
         assert model_module._classify_loop(model) is None, what
         before = copy_model(model)
-        losses = np.full(3, np.nan)
-        ws = StepWorkspace(model)
-        assert built_library.classify_pairs(model, ws, *pairs, 0, 0.1, losses, LOOP_CALLS) == 0, what
-        assert np.isnan(losses).all() and ws.bound == ws.bias_bound == np.inf, what
-        assert_same_model(before, model, what)
+        for calls in (LOOP_CALLS, None) if built_library.direct else (LOOP_CALLS,):
+            losses = np.full(3, np.nan)
+            ws = StepWorkspace(model)
+            assert built_library.classify_pairs(model, ws, *pairs, 0, 0.1, losses, calls) == 0, what
+            assert np.isnan(losses).all() and ws.bound == ws.bias_bound == np.inf, what
+            assert_same_model(before, model, what)
     # the same model with its own arrays takes the loop
     assert model_module._classify_loop(copy_model(base)) is not None

@@ -306,15 +306,27 @@ def ufunc_bufsize(size):
         np.setbufsize(old)
 
 
-def loop_step(loop):
-    """step_classify(model, u, y, lr, ws) through the C loop ``loop``: the
-    pair alone in a stream, taken by step_classify if the loop does not
-    take it, as train does."""
+def loop_calls(path, lib, model):
+    """The C loop's calls argument on ``path`` for ``model``, as train
+    chooses it: LOOP_CALLS on "vectorcall"; on "direct", None, the direct
+    calls, where they match numpy's at the model's shape, else LOOP_CALLS."""
+    if path == "direct" and model_module._fits_kernel(model) and model_module._direct_calls_match(lib, model):
+        return None
+    return model_module.LOOP_CALLS
+
+
+def loop_step(path, lib=None):
+    """step_classify(model, u, y, lr, ws) through the C loop of ``lib``
+    (default: the package's library) on ``path``, "vectorcall" or
+    "direct": the pair alone in a stream, taken by step_classify if the
+    loop does not take it, as train does."""
+    lib = lib or _native.load()
 
     def step(model, u, y, lr, ws):
         losses = np.full(1, np.nan)
         pair = np.array([u], dtype=np.int64), np.array([y], dtype=np.int64)
-        stop = loop(model, ws, *pair, 0, lr, losses, LOOP_CALLS)
+        calls = loop_calls(path, lib, model)
+        stop = lib.classify_pairs(model, ws, *pair, 0, lr, losses, calls)
         if stop < 0:
             raise NonFiniteUpdate("classification step produced a non-finite value")
         return step_classify(model, u, y, lr, ws) if stop == 0 else float(losses[0])
@@ -322,19 +334,22 @@ def loop_step(loop):
     return step
 
 
-def loop_until_raise(loop, model, steps):
+def loop_until_raise(path, model, steps):
     """run_until_raise(step, model, steps) for steps of one rate, all in
-    one call of the C loop ``loop``."""
+    one call of the package's C loop on ``path``."""
+    lib = _native.load()
     (lr,) = {lr for _, lr in steps}
     influencer, context = (np.array(c, dtype=np.int64) for c in zip(*(pair for pair, _ in steps)))
     losses = np.full(len(steps), np.nan)
-    stop = loop(model, StepWorkspace(model), influencer, context, 0, lr, losses, LOOP_CALLS)
+    calls = loop_calls(path, lib, model)
+    stop = lib.classify_pairs(model, StepWorkspace(model), influencer, context, 0, lr, losses, calls)
     assert stop < 0 or stop == len(steps)
     return (losses.tolist(), None) if stop >= 0 else (losses[:~stop].tolist(), ~stop)
 
 
 def workspace_step(path):
-    """The classify step on ``path``: the numpy step (None) or the C loop."""
+    """The classify step on ``path``: the numpy step (None) or the C loop
+    ("vectorcall" or "direct")."""
     return step_classify if path is None else loop_step(path)
 
 
@@ -364,10 +379,14 @@ def reference_train(corpus, cfg, streams):
 @contextlib.contextmanager
 def on_path(path):
     """Inside, train takes ``path``: the numpy step (None), by loading no
-    native library, or the C loop. Yields the manifest's name of the path."""
+    native library, or the C loop, made to call numpy through Python on
+    "vectorcall" and left to choose on "direct". Yields the manifest's
+    classify_kernel of the path."""
     with pytest.MonkeyPatch.context() as mp:
         if path is None:
             mp.setattr(_native, "load", lambda: None)
+        elif path == "vectorcall":
+            mp.setattr(model_module, "_loop_calls", lambda lib, model: model_module.LOOP_CALLS)
         yield "numpy" if path is None else "c"
 
 
@@ -422,6 +441,7 @@ def test_train_bitwise_equals_reference_loop(step_paths):
         with on_path(path) as name:
             model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
         assert report.classify_kernel == name
+        assert report.classify_calls == path
         got = list(zip(report.classify_loss, report.regress_loss, report.classify_steps, report.regress_steps))
         assert got == want
         assert_same_model(model, ref, f"train, {name} step")
@@ -624,6 +644,8 @@ def test_train_scopes_the_small_ufunc_buffer(step_paths):
                     if lr == 0.1:
                         _, report = train(m, producer, cfg)
                         assert report.classify_kernel == name
+                        # replaced LOOP_CALLS are called, not numpy's own
+                        assert report.classify_calls == (None if path is None else "vectorcall")
                     else:
                         with pytest.raises(NonFiniteUpdate):
                             train(m, producer, cfg)

@@ -85,6 +85,8 @@ SAME_FILE = {
         ("pipeline", SMALL, {"--cascades": "train.txt", "--outdir": "."}),
     "pipeline manifest at its outdir":
         ("pipeline", SMALL, {"--cascades": "c.txt", "--outdir": "new", "--manifest": "new"}),
+    "pipeline manifest at a directory it makes":
+        ("pipeline", SMALL, {"--cascades": "c.txt", "--outdir": "new/..", "--manifest": "new"}),
     "train pairs over its model":
         ("train", SMALL, {"--cascades": "train.txt", "--out": "m.infv", "--dump-pairs": "m.infv"}),
     "synth edges over its log":
@@ -108,6 +110,16 @@ def test_output_naming_an_input_or_another_output_is_exit_2(tmp_path, inputs, ca
     assert code == 2
     assert err.startswith("error: ") and err.rstrip().endswith("name the same file")
     assert snapshot(tmp_path) == before
+
+
+def test_outdir_spelled_through_directories_it_makes_runs(tmp_path, inputs):
+    # new/b/../b/c makes new and new/b, each spelled twice, and names new/b/c
+    work = tmp_path / "work"
+    shutil.copytree(inputs, work)
+    files = {"--cascades": "c.txt", "--outdir": "new/b/../b/c", "--manifest": "m.json"}
+    code, err = run(command_line("pipeline", SMALL, files, work))
+    assert code == 0, err
+    assert (work / "new" / "b" / "c" / "seeds.txt").is_file() and (work / "m.json").is_file()
 
 
 def test_inputs_may_name_one_file(tmp_path, inputs):
