@@ -6,8 +6,8 @@
  * read arrays through the buffer protocol, checked by take(), and size
  * their work by the arrays' lengths. Of numpy's C API it uses only the
  * ufunc type and its layout: the loop calls numpy's own float64 inner
- * loops and its BLAS's dgemv directly where model.py allows, and the numpy
- * functions it is given through Python otherwise.
+ * loops and its BLAS's dgemv directly, and model.py sends it only the
+ * models where those calls give numpy's bits.
  *
  * ---- The T and b_t update of one classify step, fused into one pass ----
  *
@@ -84,9 +84,9 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
  * and for T g, exp, add.reduce and log. numpy's matmul multiplies a vector
  * by a matrix, and a matrix by a vector, with its BLAS's cblas_dgemv, and
  * its exp, add and log run the float64 inner loop of their ufunc. The
- * module's exec slot finds these functions. Given no calls tuple, the loop
- * calls them itself, with the arguments numpy 2 passes them for the step's
- * contiguous float64 arrays:
+ * module's exec slot finds these functions, and the loop calls them
+ * itself, with the arguments numpy 2 passes them for the step's contiguous
+ * float64 arrays:
  *
  *   O_u T   dgemv(RowMajor, Trans, E, N, 1, T, N, O_u, 1, 0, phi, 1)
  *   T g     dgemv(ColMajor, Trans, N, E, 1, T, N, g, 1, 0, grad, 1), the
@@ -100,17 +100,19 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
  * dispatch in between. numpy takes dgemv only for some shapes (an E or N
  * of 1 goes elsewhere), and its own rules pick the loop and the start of
  * the sum: so model.py decides, from the model's shape and self-checks at
- * it, whether the loop may make these calls. A direct call sets no
- * numpy error state and issues no warning; train runs the loop with
- * numpy's overflow, invalid and divide warnings off anyway.
+ * it, whether the loop may run, and takes the numpy step where it may not.
+ * A direct call sets no numpy error state and issues no warning; train
+ * runs the loop with numpy's overflow, invalid and divide warnings off
+ * anyway.
  *
  * dgemv is scipy_cblas_dgemv64_, the ILP64 symbol of the scipy-openblas
  * library that numpy's wheels link, found through a handle on numpy's
  * _multiarray_umath. Each loop is the first all-float64 entry of its
  * ufunc's functions and data, the one numpy's default loop selector picks.
- * If any of them is missing, the module's direct is False and the loop
- * calls the numpy functions it is given. The module's blas_core names the
- * kernel set OpenBLAS picked for this CPU, or is None.
+ * If any of them is missing, the module's direct is False, classify_pairs
+ * and direct_call raise RuntimeError, and train takes the numpy step. The
+ * module's blas_core names the kernel set OpenBLAS picked for this CPU, or
+ * is None.
  */
 
 typedef void dgemv_fn(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
@@ -226,8 +228,8 @@ static int find_numpy_own(PyObject *module)
 
 /* ---- The classify epoch loop ----
  *
- * classify_pairs(model, ws, influencer, context, start, lr, losses, calls)
- * takes the pairs of an epoch's stream from index start on, each as
+ * classify_pairs(model, ws, influencer, context, start, lr, losses) takes
+ * the pairs of an epoch's stream from index start on, each as
  * model.step_classify(model, u, y, lr, ws) takes it, and stops at the
  * first pair it does not take: a size pair (context < 0), a pair whose u
  * or y is out of range, or the end of the stream. It returns that pair's
@@ -235,22 +237,19 @@ static int find_numpy_own(PyObject *module)
  * of each pair k it took is in losses[k].
  *
  * A step makes step_classify's operations in its order. Where the rounding
- * is numpy's own it calls numpy: matmul for O_u T and T g (BLAS's
- * summation order), exp (numpy's SIMD exp), add.reduce for the softmax's
- * denominator (pairwise summation) and log for the loss. With calls None
- * it calls numpy's own functions directly, as above, which the module's
- * direct must allow; otherwise calls is the tuple (matmul, exp,
- * add.reduce, log), whose functions it calls through Python on the
- * workspace's phi or grad with out given positionally. The rest is
- * element-wise IEEE arithmetic, which rounds alike in C: + b_t, - max,
- * / sum, g[y] - 1, the fused T and b_t update, grad * lr and O_u - grad.
- * The max does not depend on the order: a NaN makes it NaN, and of a tie
- * between +0 and -0 either serves, as exp(+-0) = 1.
+ * is numpy's own it calls numpy's own functions directly, as above: dgemv
+ * for O_u T and T g (BLAS's summation order), exp's loop (numpy's SIMD
+ * exp), add's loop for the softmax's denominator (pairwise summation) and
+ * log's loop for the loss. The rest is element-wise IEEE arithmetic, which
+ * rounds alike in C: + b_t, - max, / sum, g[y] - 1, the fused T and b_t
+ * update, grad * lr and O_u - grad. The max does not depend on the order:
+ * a NaN makes it NaN, and of a tie between +0 and -0 either serves, as
+ * exp(+-0) = 1. No step calls Python.
  *
  * The finiteness proofs are those of model.py, on the workspace's bound
- * and bias_bound: read at the start, set to inf while the loop runs (a
- * Python error leaves them so), written back at the end. O_u is checked
- * entry by entry, which is what its scaled dot product proves.
+ * and bias_bound: read at the start, set to inf while the loop runs,
+ * written back at the end. O_u is checked entry by entry, which is what
+ * its scaled dot product proves.
  *
  * model.O, model.T, model.b_t, ws.phi and ws.grad must be distinct,
  * aligned, writable, C-contiguous float64 arrays of shapes (I, E), (E, N),
@@ -273,91 +272,22 @@ static double max_abs(const double *x, size_t n)
     return max;
 }
 
-/* fn(*argv[:n]); its result as a double into *value unless value is
- * NULL. -1 with a Python error set, else 0. */
-static int call(PyObject *fn, PyObject *const *argv, size_t n, double *value)
-{
-    PyObject *result = PyObject_Vectorcall(fn, argv, n, NULL);
-    if (!result)
-        return -1;
-    if (value)
-        *value = PyFloat_AsDouble(result);
-    Py_DECREF(result);
-    return value && *value == -1.0 && PyErr_Occurred() ? -1 : 0;
-}
-
 enum { O_, T_, B_T, PHI, GRAD, LOSSES, N_REAL, INFLUENCER = N_REAL, CONTEXT, N_ARRAYS };
 
 struct loop {
-    PyObject *obj[N_ARRAYS], *matmul, *exp, *sum, *log;
+    PyObject *obj[N_ARRAYS];
     Py_buffer view[N_ARRAYS];
     double *o, *t, *b_t, *phi, *grad, lr, bound, bias_bound;
     size_t E, N;
-    int direct; /* numpy's own functions called directly, not the calls */
 };
 
-/* The step's numpy calls, each -1 with a Python error set, else 0. */
-
-/* phi = O_u T */
-static int logits(struct loop *s, Py_ssize_t u)
-{
-    if (s->direct) {
-        vector_matrix(s->o + (size_t)u * s->E, s->t, s->phi, s->E, s->N);
-        return 0;
-    }
-    PyObject *row = PySequence_GetItem(s->obj[O_], u);
-    if (!row)
-        return -1;
-    PyObject *const argv[] = {row, s->obj[T_], s->obj[PHI]};
-    const int failed = call(s->matmul, argv, 3, NULL);
-    Py_DECREF(row);
-    return failed;
-}
-
-/* phi = exp(phi), then *sum = add.reduce(phi) */
-static int exp_and_sum(struct loop *s, double *sum)
-{
-    if (s->direct) {
-        unary(&numpy_own.exp, s->phi, s->phi, s->N);
-        *sum = add_reduce(s->phi, s->N);
-        return 0;
-    }
-    PyObject *const in_place[] = {s->obj[PHI], s->obj[PHI]};
-    return call(s->exp, in_place, 2, NULL) || call(s->sum, in_place, 1, sum) ? -1 : 0;
-}
-
-/* *value = log(x) */
-static int log_of(struct loop *s, double x, double *value)
-{
-    if (s->direct) {
-        unary(&numpy_own.log, &x, value, 1);
-        return 0;
-    }
-    PyObject *number = PyFloat_FromDouble(x);
-    const int failed = !number || call(s->log, &number, 1, value);
-    Py_XDECREF(number);
-    return failed ? -1 : 0;
-}
-
-/* grad = T g, g in phi */
-static int gradient(struct loop *s)
-{
-    if (s->direct) {
-        matrix_vector(s->t, s->phi, s->grad, s->E, s->N);
-        return 0;
-    }
-    PyObject *const argv[] = {s->obj[T_], s->obj[PHI], s->obj[GRAD]};
-    return call(s->matmul, argv, 3, NULL);
-}
-
 /* One step on pair (u, y), its loss into *loss: 1 if it proved every
- * value finite, 0 if not, -1 with a Python error set. */
-static int step(struct loop *s, Py_ssize_t u, Py_ssize_t y, double *loss)
+ * value finite, else 0. */
+static int step(struct loop *s, size_t u, size_t y, double *loss)
 {
     const size_t E = s->E, N = s->N;
-    double *const phi = s->phi, *const grad = s->grad, *const o_u = s->o + (size_t)u * E;
-    if (logits(s, u))
-        return -1;
+    double *const phi = s->phi, *const grad = s->grad, *const o_u = s->o + u * E;
+    vector_matrix(o_u, s->t, phi, E, N);
     double max = -INFINITY;
     for (size_t j = 0; j < N; j++) {
         phi[j] = phi[j] + s->b_t[j];
@@ -367,17 +297,15 @@ static int step(struct loop *s, Py_ssize_t u, Py_ssize_t y, double *loss)
     }
     for (size_t j = 0; j < N; j++)
         phi[j] = phi[j] - max;
-    double sum, log_phi_y;
-    if (exp_and_sum(s, &sum))
-        return -1;
+    unary(&numpy_own.exp, phi, phi, N);
+    const double sum = add_reduce(phi, N);
     for (size_t j = 0; j < N; j++)
         phi[j] = phi[j] / sum;
-    if (log_of(s, phi[y], &log_phi_y))
-        return -1;
+    double log_phi_y;
+    unary(&numpy_own.log, &phi[y], &log_phi_y, 1);
     *loss = -log_phi_y;
     phi[y] = phi[y] - 1.0;
-    if (gradient(s))
-        return -1;
+    matrix_vector(s->t, phi, grad, E, N);
     /* once the loss is finite every |g_j| <= 1: an entry of T moves by at
      * most lr * max|O_u|, one of b_t by at most lr */
     s->bound = s->bound + s->lr * fused_t_update(s->t, o_u, phi, s->b_t, s->lr, E, N);
@@ -500,10 +428,7 @@ static PyObject *run(struct loop *s, PyObject *ws, Py_ssize_t start, Py_ssize_t 
         const int64_t u = influencer[k], y = context[k];
         if (u < 0 || u >= rows || y < 0 || y >= N)
             break;
-        const int proved = step(s, (Py_ssize_t)u, (Py_ssize_t)y, &losses[k]);
-        if (proved < 0)
-            return NULL;
-        if (!proved) {
+        if (!step(s, (size_t)u, (size_t)y, &losses[k])) {
             s->bound = s->bias_bound = INFINITY;
             k = ~k;
             break;
@@ -516,26 +441,18 @@ static PyObject *run(struct loop *s, PyObject *ws, Py_ssize_t start, Py_ssize_t 
 
 static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 8)
-        return PyErr_Format(PyExc_TypeError, "classify_pairs takes 8 arguments");
-    PyObject *const model = args[0], *const ws = args[1], *const calls = args[7];
-    const Py_ssize_t start = PyLong_AsSsize_t(args[4]);
+    if (nargs != 7)
+        return PyErr_Format(PyExc_TypeError, "classify_pairs takes 7 arguments");
+    PyObject *const model = args[0], *const ws = args[1];
     struct loop s = {0};
-    s.lr = PyFloat_AsDouble(args[5]);
-    if (PyErr_Occurred())
+    const Py_ssize_t start = PyLong_AsSsize_t(args[4]);
+    if (start == -1 && PyErr_Occurred())
         return NULL;
-    if (calls == Py_None) {
-        if (!numpy_own.dgemv)
-            return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
-        s.direct = 1;
-    } else if (!PyTuple_Check(calls) || PyTuple_GET_SIZE(calls) != 4) {
-        return PyErr_Format(PyExc_TypeError, "calls must be None or (matmul, exp, add.reduce, log)");
-    } else {
-        s.matmul = PyTuple_GET_ITEM(calls, 0);
-        s.exp = PyTuple_GET_ITEM(calls, 1);
-        s.sum = PyTuple_GET_ITEM(calls, 2);
-        s.log = PyTuple_GET_ITEM(calls, 3);
-    }
+    s.lr = PyFloat_AsDouble(args[5]);
+    if (s.lr == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!numpy_own.dgemv)
+        return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
     s.obj[O_] = attribute(model, "O");
     s.obj[T_] = attribute(model, "T");
     s.obj[B_T] = attribute(model, "b_t");
@@ -556,12 +473,12 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
 }
 
 /* direct_call(k, *arrays) makes call k of (matmul, exp, add.reduce, log)
- * as the loop makes it with calls None, on arrays as numpy's function takes
- * them: matmul(x, y, out) of a vector x and a matrix y or of a matrix x
- * and a vector y, exp(x, out), add.reduce(x) and log(x, out). Each is a
- * float64, C-contiguous, aligned array, out is writable, of the result's
- * length and x itself or apart from the inputs, and no dimension is 0.
- * Returns add.reduce's sum as a float, else None, so that each call can be
+ * as the loop makes it, on arrays as numpy's function takes them:
+ * matmul(x, y, out) of a vector x and a matrix y or of a matrix x and a
+ * vector y, exp(x, out), add.reduce(x) and log(x, out). Each is a float64,
+ * C-contiguous, aligned array, out is writable, of the result's length and
+ * x itself or apart from the inputs, and no dimension is 0. Returns
+ * add.reduce's sum as a float, else None, so that each call can be
  * compared with numpy's own. Raises ValueError for arrays it cannot take,
  * RuntimeError if the module's direct is False. */
 static PyObject *direct_call(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
@@ -951,7 +868,7 @@ static int exec_module(PyObject *module)
 
 static PyMethodDef methods[] = {
     {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
-     "classify_pairs(model, ws, influencer, context, start, lr, losses, calls)"},
+     "classify_pairs(model, ws, influencer, context, start, lr, losses)"},
     {"direct_call", (PyCFunction)(void (*)(void))direct_call, METH_FASTCALL,
      "direct_call(k, *arrays)"},
     {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,

@@ -2,7 +2,7 @@
 
 ``_native.c`` holds the classify epoch loop (``classify_pairs``) with its
 T update (``fused_t_update``) and the direct calls of numpy's own loops and
-BLAS that it may make (``direct_call``), the cascade scanner
+BLAS that it makes (``direct_call``), the cascade scanner
 (``scan_cascades``) and the cascade writer (``write_cascades``). ``load()``
 compiles it with the system C compiler, ``$CC`` or else ``cc``, against
 this interpreter's ``Python.h`` and numpy's headers (for the layout of a
@@ -15,10 +15,10 @@ layout themselves. A library's name holds two digests: one of the source,
 the compiler flags, the machine type, the interpreter's ABI
 (``EXT_SUFFIX`` and the include directory) and numpy's version and include
 directory, so that a changed source, flag set, interpreter or numpy builds
-a new library and a cached one is reused only where it was built for; and one of the library's own bytes, checked before
-it is loaded. Loading a cut-short shared library can kill the process with
-SIGBUS, so a file whose bytes do not match its name is never loaded; a
-build replaces it.
+a new library and a cached one is reused only where it was built for; and
+one of the library's own bytes, checked before it is loaded. Loading a
+cut-short shared library can kill the process with SIGBUS, so a file whose
+bytes do not match its name is never loaded; a build replaces it.
 
 On x86-64 with glibc the library holds a clone of the T update for each of
 AVX-512F, AVX2 and baseline x86-64, and glibc's dynamic loader picks the
@@ -34,9 +34,9 @@ package that share a cache do not delete each other's library on every
 switch.
 
 Nothing here runs at import. With no compiler, no Python or numpy
-headers, an unwritable cache or a failed build, ``load()`` returns None: training
-takes its numpy step and cascade files go through the Python parser and
-formatter.
+headers, an unwritable cache or a failed build, ``load()`` returns None:
+training takes its numpy step and cascade files go through the Python
+parser and formatter.
 """
 
 import contextlib
@@ -178,7 +178,8 @@ def open_library(path):
     """The extension module at ``path``. Its ``isa`` names the clone of the
     T update that runs on this CPU: "avx512f", "avx2" or "baseline". Its
     ``direct`` is True if it found numpy's BLAS dgemv and float64 exp, add
-    and log loops, which its classify loop may then call directly, and its
+    and log loops, which its classify loop calls directly; without them
+    its ``classify_pairs`` and ``direct_call`` raise RuntimeError. Its
     ``blas_core`` names the kernel set numpy's OpenBLAS picked for this CPU,
     or is None."""
     loader = machinery.ExtensionFileLoader(MODULE, path)

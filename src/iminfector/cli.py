@@ -305,7 +305,6 @@ def _epoch_fields(report):
         "epoch_seconds": report.epoch_seconds,
         "classify_kernel": report.classify_kernel,
         "classify_isa": report.classify_isa,
-        "classify_calls": report.classify_calls,
         "blas_core": None if lib is None else lib.blas_core,
         "numpy_version": np.__version__,
         "numpy_float64_targets": _float64_targets(),

@@ -15,20 +15,13 @@ bits on either:
   stretch of classify pairs as step_classify would take them one by one and
   returns to Python at each size pair, where step_regress runs.
 
-The loop calls numpy only where its order is the contract: np.matmul for
-the logits O_u T and for T g (BLAS's summation order), np.exp (numpy's
-SIMD exp), np.add.reduce for the softmax's denominator (pairwise
-summation) and np.log for the loss, each on the workspace's arrays. A C
-loop of its own cannot match those bitwise. It makes these calls one of
-two ways, with the same bits:
-
-- direct: it calls the functions numpy itself calls, with the arguments
-  numpy passes: its BLAS's cblas_dgemv for both products and the float64
-  inner loops of np.exp, np.add (in reduce form) and np.log, found by the
-  library when it loads. No Python runs between them, which saves about a
-  third of a step at N = 300;
-- vectorcall: it calls the functions of LOOP_CALLS from C through
-  PyObject_Vectorcall.
+Where its order is the contract the loop calls the functions numpy itself
+calls, with the arguments numpy passes: its BLAS's cblas_dgemv for the
+logits O_u T and for T g (BLAS's summation order), and the float64 inner
+loops of np.exp (numpy's SIMD exp), np.add in reduce form (the softmax's
+denominator, pairwise summation) and np.log (the loss), found by the
+library when it loads. A C loop of its own cannot match those bitwise. No
+Python runs within a stretch.
 
 Every other operation is element-wise, and an IEEE add, subtract, multiply or
 divide rounds the same in C as in numpy: + b_t, - max, / sum, g[y] - 1,
@@ -48,28 +41,24 @@ instruction set includes FMA, from fusing the multiply and subtract.
 
 train() takes the loop only when all of these hold:
 
-- the native library loads;
-- the model's O, T and b_t are distinct, aligned, writable, C-contiguous
-  float64 arrays of matching shapes (_fits_kernel);
-- a fixed self-check passes: on the (3, 13) and (5, 79) shapes, with a NaN
-  in O and a +0/-0 tie at the max of b_t, the loop's losses, O, T, b_t and
-  raising step match step_classify without a workspace bit for bit;
 - model.step_classify is still this module's own function. A replaced
   step_classify, such as a benchmark's timing wrapper or a test's spy, is
-  called for every classify step, on the numpy path.
-
-It takes the direct calls only when, besides, all of these hold:
-
-- the library found numpy's dgemv and loops (its ``direct``);
-- LOOP_CALLS holds numpy's own functions. A replaced LOOP_CALLS, such as
-  a test's spies, sees every call the loop makes;
-- the fixed self-check passes with the direct calls too;
+  called for every classify step, on the numpy path;
+- the model's O, T and b_t are distinct, aligned, writable, C-contiguous
+  float64 arrays of matching shapes (_fits_kernel);
+- the native library loads and found numpy's dgemv and loops (its
+  ``direct``);
 - E and N are both at least 2, where numpy's matmul takes dgemv for both
   products; with an E or N of 1 it takes a dot product or a loop of its
   own, whose bits dgemv gives on some inputs and not on others;
+- a fixed self-check passes: on the (3, 13) and (5, 79) shapes, with a NaN
+  in O and a +0/-0 tie at the max of b_t, the loop's losses, O, T, b_t and
+  raising step match step_classify without a workspace bit for bit;
 - each direct call matches its numpy call bit for bit at the model's own
   (E, N), on the model's T and a row of O (_direct_calls_match), which
   catches a numpy that picks other functions than those the library found.
+
+Every other model takes the numpy step, with the same bits.
 
 The loop also stops at any pair outside the model's rows and columns, and
 takes no pair if the model's arrays no longer fit it; step_classify takes
@@ -101,15 +90,15 @@ the same step. train() runs the steps with numpy's overflow, invalid and
 divide warnings off, so that NonFiniteUpdate is the only report of a
 non-finite step.
 
-train() also runs each epoch's steps, the loop's numpy calls among them,
-with numpy's ufunc buffer at its minimum, SGD_BUFSIZE elements, and
-restores the caller's size on every exit. The numpy step's outer product
-O_u g^T broadcasts O_u and g with stride 0, and while three or more rows
-of the E x N update fit in the default 8,192-element buffer (N up to
-about 2,730) the buffered iterator packs rows and copies both operands,
-which makes the outer product about four times slower per element. A
-minimal buffer leaves nothing to pack. Buffering only moves elements
-between memory and the buffer, so every value is bitwise the same.
+train() also runs each epoch's steps with numpy's ufunc buffer at its
+minimum, SGD_BUFSIZE elements, and restores the caller's size on every
+exit. The numpy step's outer product O_u g^T broadcasts O_u and g with
+stride 0, and while three or more rows of the E x N update fit in the
+default 8,192-element buffer (N up to about 2,730) the buffered iterator
+packs rows and copies both operands, which makes the outer product about
+four times slower per element. A minimal buffer leaves nothing to pack.
+Buffering only moves elements between memory and the buffer, so every
+value is bitwise the same.
 """
 
 import contextlib
@@ -178,8 +167,6 @@ class TrainReport:
     classify_kernel: str = "numpy"  # "c" when the C epoch loop took the classify steps
     # with the C loop, the clone of its T update: "avx512f", "avx2" or "baseline"
     classify_isa: str = None
-    # with the C loop, how it called numpy: "direct" or "vectorcall"
-    classify_calls: str = None
 
 
 def init_model(config, influencer_ids, node_ids):
@@ -336,13 +323,9 @@ def step_classify(model, u, y, lr, workspace=None):
 # train() takes the C loop only while model.step_classify is this function.
 _OWN_STEP_CLASSIFY = step_classify
 
-# The numpy functions whose rounding is numpy's own, in the order of the C
-# loop's calls tuple and of the library's direct_call; see the module
-# docstring.
+# The numpy functions whose rounding is numpy's own, in the order of the
+# library's direct_call; see the module docstring.
 NUMPY_CALLS = (np.matmul, np.exp, np.add.reduce, np.log)
-# The functions the C loop calls through Python, and the direct calls stand
-# for while it holds numpy's own.
-LOOP_CALLS = NUMPY_CALLS
 
 
 # The (E, N) shapes of the loop's self-check. In the second, N = 79 =
@@ -365,10 +348,10 @@ def _same_bits(a, b):
     )
 
 
-def _loop_matches_step(loop, calls):
-    """True if the C loop ``loop``, given ``calls``, takes fixed pairs bit
-    for bit as step_classify without a workspace does: each loss, O, T and
-    b_t, where the loop stops and which step raises.
+def _loop_matches_step(loop):
+    """True if the C loop ``loop`` takes fixed pairs bit for bit as
+    step_classify without a workspace does: each loss, O, T and b_t, where
+    the loop stops and which step raises.
 
     Each shape runs three models: random, one with a NaN in O's second row
     (whose first step raises), and one whose largest logits, 0, come from
@@ -399,7 +382,7 @@ def _loop_matches_step(loop, calls):
                     want_stop = ~k
                     break
             got_losses = np.full(6, np.nan)
-            stop = loop(got, StepWorkspace(got), influencer, context, 0, lr, got_losses, calls)
+            stop = loop(got, StepWorkspace(got), influencer, context, 0, lr, got_losses)
             n = 5 if stop == 5 else ~stop
             if not (
                 stop == want_stop
@@ -416,10 +399,11 @@ def _classify_loop(model):
     if step_classify is not _OWN_STEP_CLASSIFY or not _fits_kernel(model):
         return None
     lib = _native.load()
-    if lib is None:
+    if lib is None or not lib.direct:
         return None
     with _sgd_numpy():
-        return lib if _loop_matches_step(lib.classify_pairs, LOOP_CALLS) else None
+        ok = _direct_calls_match(lib, model) and _loop_matches_step(lib.classify_pairs)
+    return lib if ok else None
 
 
 def _numpy_and_direct(lib, k, arrays, out):
@@ -465,17 +449,6 @@ def _direct_calls_match(lib, model):
     return all(_same_bits(*_numpy_and_direct(lib, k, arrays, out)) for k, arrays, out in cases)
 
 
-def _loop_calls(lib, model):
-    """The calls argument of the C loop of ``lib`` for ``model``: None, the
-    direct calls, where the module docstring's rule allows them, else
-    LOOP_CALLS."""
-    if LOOP_CALLS != NUMPY_CALLS or not lib.direct:
-        return LOOP_CALLS
-    with _sgd_numpy():
-        direct = _loop_matches_step(lib.classify_pairs, None) and _direct_calls_match(lib, model)
-    return None if direct else LOOP_CALLS
-
-
 def step_regress(model, u, y_c, lr):
     """One SGD step on pair (influencer u, size target y_c); returns the pre-update loss.
 
@@ -513,13 +486,13 @@ def _sgd_numpy():
         np.setbufsize(old_bufsize)
 
 
-def _run_epoch(model, stream, lr, workspace, lib, calls, epoch):
+def _run_epoch(model, stream, lr, workspace, lib, epoch):
     """Take every pair of ``stream`` in order and return each pair's loss.
 
-    With ``lib`` the C loop, given ``calls``, takes each stretch of classify
-    pairs, and each pair it does not take goes through step_regress or
-    step_classify, as every pair does without it. A non-finite step raises
-    NonFiniteUpdate with ``epoch`` and the pair's index as its step.
+    With ``lib`` the C loop takes each stretch of classify pairs, and each
+    pair it does not take goes through step_regress or step_classify, as
+    every pair does without it. A non-finite step raises NonFiniteUpdate
+    with ``epoch`` and the pair's index as its step.
     """
     n = len(stream)
     losses = np.empty(n)
@@ -530,7 +503,7 @@ def _run_epoch(model, stream, lr, workspace, lib, calls, epoch):
     step = 0
     while step < n:
         if lib is not None:
-            step = lib.classify_pairs(model, workspace, influencer, context, step, lr, losses, calls)
+            step = lib.classify_pairs(model, workspace, influencer, context, step, lr, losses)
             if step < 0:
                 raise NonFiniteUpdate(_CLASSIFY_FAILED, epoch=epoch, step=~step)
             if step == n:
@@ -559,19 +532,16 @@ def train(model, stream_producer, config):
     lr = config.learning_rate
     workspace = StepWorkspace(model)
     lib = _classify_loop(model)
-    calls = None
     if lib is not None:
-        calls = _loop_calls(lib, model)
         report.classify_kernel = "c"
         report.classify_isa = lib.isa
-        report.classify_calls = "direct" if calls is None else "vectorcall"
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         stream = stream_producer(epoch)
         if not stream:
             raise ValueError(f"stream for epoch {epoch} is empty")
         with _sgd_numpy():
-            losses = _run_epoch(model, stream, lr, workspace, lib, calls, epoch)
+            losses = _run_epoch(model, stream, lr, workspace, lib, epoch)
         is_size = np.asarray(stream.context) == SIZE_PAIR
         classify_losses, regress_losses = losses[~is_size], losses[is_size]
         report.classify_loss.append(

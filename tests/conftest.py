@@ -28,33 +28,32 @@ def built_library(native_library):
 
 
 @pytest.fixture(scope="session")
+def direct_library(native_library):
+    """The native library; skips the test where it did not find numpy's
+    own functions, or did not build."""
+    if native_library is None or not native_library.direct:
+        pytest.skip("no native library with numpy's own functions")
+    return native_library
+
+
+@pytest.fixture(scope="session")
 def step_paths(native_library):
     """The classify step paths: numpy (None), then, where the native library
-    builds, its C loop calling numpy through Python ("vectorcall") and,
-    where the library found numpy's own functions, calling them directly
-    ("direct")."""
-    if native_library is None:
+    builds and finds numpy's own functions, its C loop ("direct")."""
+    if native_library is None or not native_library.direct:
         return (None,)
-    return (None, "vectorcall", "direct") if native_library.direct else (None, "vectorcall")
+    return (None, "direct")
 
 
 @pytest.fixture(scope="session")
 def kernel_name(native_library):
-    """The manifest's ``classify_kernel`` on this host."""
-    return "numpy" if native_library is None else "c"
+    """The manifest's ``classify_kernel`` on this host for a model whose E
+    and N exceed 1."""
+    return "c" if native_library is not None and native_library.direct else "numpy"
 
 
 @pytest.fixture(scope="session")
-def kernel_isa(native_library):
+def kernel_isa(native_library, kernel_name):
     """The manifest's ``classify_isa`` on this host: the clone of the C
     loop's T update, or None when the numpy step runs."""
-    return None if native_library is None else native_library.isa
-
-
-@pytest.fixture(scope="session")
-def kernel_calls(native_library):
-    """The manifest's ``classify_calls`` on this host for a model whose E
-    and N exceed 1: how the C loop calls numpy, or None on the numpy step."""
-    if native_library is None:
-        return None
-    return "direct" if native_library.direct else "vectorcall"
+    return native_library.isa if kernel_name == "c" else None

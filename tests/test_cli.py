@@ -290,9 +290,8 @@ def test_stats_table(tmp_path, corpus_file):
     assert rows["u03"][1] == "2" and rows["u03"][3] == "1"
 
 
-def assert_records_what_decides_the_bits(doc, kernel_calls):
-    """The manifest names the classify path and what decides its bits."""
-    assert doc["classify_calls"] == kernel_calls
+def assert_records_what_decides_the_bits(doc):
+    """The manifest names what decides the classify path's bits."""
     lib = _native.load()
     assert doc["blas_core"] == (None if lib is None else lib.blas_core)
     assert doc["numpy_version"] == np.__version__
@@ -300,7 +299,7 @@ def assert_records_what_decides_the_bits(doc, kernel_calls):
     assert all(isinstance(target, str) for target in doc["numpy_float64_targets"].values())
 
 
-def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_isa, kernel_calls):
+def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_isa):
     out = tmp_path / "model.infv"
     assert main(["train", "--cascades", str(corpus_file), "--out", str(out)]) == 0
     doc = read_manifest(str(out) + ".manifest.json")
@@ -318,7 +317,7 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_i
     assert doc["epoch_classify_steps"] == [len(s) - len(CORPUS) for s in streams]
     assert doc["classify_kernel"] == kernel_name
     assert doc["classify_isa"] == kernel_isa
-    assert_records_what_decides_the_bits(doc, kernel_calls)
+    assert_records_what_decides_the_bits(doc)
     model = load_embeddings(out)
     assert model.embed_dim == 50
     assert model.influencer_ids == ["u01", "u02", "u03"]
@@ -703,8 +702,7 @@ def package_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
-def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kernel_isa,
-                                        kernel_calls):
+def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kernel_isa):
     synth = tmp_path / "synth.txt"
     assert main(
         ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
@@ -737,7 +735,7 @@ def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kern
     assert all(steps > n_train for steps in doc["epoch_classify_steps"])
     assert doc["classify_kernel"] == kernel_name
     assert doc["classify_isa"] == kernel_isa
-    assert_records_what_decides_the_bits(doc, kernel_calls)
+    assert_records_what_decides_the_bits(doc)
 
 
 def cumulative_dni(result_tsv):

@@ -1,5 +1,5 @@
 """The C loop's direct calls of numpy's own functions: each call against
-numpy's bit for bit, the fallback when one of them is missing, and the
+numpy's bit for bit, the numpy step when one of them is missing, and the
 BLAS kernel set the manifest records."""
 
 import json
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cli import main
-from iminfector.model import InfectorModel, _numpy_and_direct, _same_bits, _sgd_numpy
+from iminfector.model import InfectorModel, StepWorkspace, _numpy_and_direct, _same_bits, _sgd_numpy
 
 
 def shaped_model(E, N, seed=0):
@@ -50,15 +50,6 @@ MISFIT_CALLS = [
     (3, np.arange(6.0)[::2], np.zeros(3)),
     (3, np.zeros(0), np.zeros(0)),
 ]
-
-
-@pytest.fixture(scope="session")
-def direct_library(native_library):
-    """The native library; skips the test where it did not find numpy's
-    own functions, or did not build."""
-    if native_library is None or not native_library.direct:
-        pytest.skip("no native library with numpy's own functions")
-    return native_library
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,25 +128,30 @@ def test_pipeline_is_identical_when_a_direct_function_is_missing(tmp_path, monke
     assert lib.direct is False and lib.blas_core == direct_library.blas_core
     with pytest.raises(RuntimeError):
         lib.direct_call(2, _vector)
+    model = shaped_model(3, 13)
+    stream = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    with pytest.raises(RuntimeError):
+        lib.classify_pairs(model, StepWorkspace(model), *stream, 0, 0.1, np.zeros(1))
     synth = tmp_path / "synth.txt"
     assert main(["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
                  "--rng-seed", "8", "--out", str(synth)]) == 0
     argv = ["pipeline", "--cascades", str(synth), "--embed-dim", "12", "--epochs", "2"]
-    runs = {"direct": tmp_path / "direct", "vectorcall": tmp_path / "vectorcall"}
-    assert main([*argv, "--outdir", str(runs["direct"])]) == 0
+    # the library without its direct calls sends training to the numpy step
+    runs = {"c": tmp_path / "direct", "numpy": tmp_path / "missing"}
+    assert main([*argv, "--outdir", str(runs["c"])]) == 0
     with monkeypatch.context() as mp:
         mp.setattr(_native, "load", lambda: lib)
-        assert main([*argv, "--outdir", str(runs["vectorcall"])]) == 0
+        assert main([*argv, "--outdir", str(runs["numpy"])]) == 0
     capsys.readouterr()
-    names = sorted(os.listdir(runs["direct"]))
-    assert names == sorted(os.listdir(runs["vectorcall"]))
+    names = sorted(os.listdir(runs["c"]))
+    assert names == sorted(os.listdir(runs["numpy"]))
     for name in names:
         if name != "manifest.json":
-            got = (runs["vectorcall"] / name).read_bytes()
-            assert got == (runs["direct"] / name).read_bytes(), name
-    for calls, outdir in runs.items():
+            got = (runs["numpy"] / name).read_bytes()
+            assert got == (runs["c"] / name).read_bytes(), name
+    for kernel, outdir in runs.items():
         doc = json.loads((outdir / "manifest.json").read_text())
-        assert (doc["classify_kernel"], doc["classify_calls"]) == ("c", calls)
+        assert doc["classify_kernel"] == kernel
 
 
 def test_pipeline_records_the_blas_core_it_ran_on(tmp_path, direct_library):

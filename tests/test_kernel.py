@@ -2,6 +2,7 @@
 classify step's C loop."""
 
 import ctypes
+import json
 import os
 import pathlib
 import platform
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cli import main
 from iminfector.context import build_training_stream
-from iminfector.model import LOOP_CALLS, ModelConfig, StepWorkspace, init_model, train
+from iminfector.model import ModelConfig, StepWorkspace, init_model, train
 from iminfector.synth import generate_corpus
 from test_cli import package_env as cli_env
 from test_model import (
@@ -31,9 +33,9 @@ from test_model import (
 )
 
 
-def loop_passes_self_check(lib, calls=LOOP_CALLS):
+def loop_passes_self_check(lib):
     with model_module._sgd_numpy():
-        return model_module._loop_matches_step(lib.classify_pairs, calls)
+        return model_module._loop_matches_step(lib.classify_pairs)
 
 
 def library_files(directory):
@@ -45,19 +47,20 @@ def package_env(cache_home):
 
 
 # Loads the library in a fresh process and prints the library it loaded and
-# whether its C loop passed the self-check. A load that dies of a signal
+# whether it loaded and its C loop passed the self-check, which runs where
+# the library found numpy's own functions. A load that dies of a signal
 # shows as a negative return code.
 LOAD_SCRIPT = textwrap.dedent(
     """
     import sys, time
     import numpy as np
     from iminfector import _native
-    from iminfector.model import LOOP_CALLS, _loop_matches_step
+    from iminfector.model import _loop_matches_step
     time.sleep(max(0.0, float(sys.argv[1]) - time.time()))
     lib = _native.load()
     path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
     with np.errstate(all="ignore"):
-        print(path, lib is not None and _loop_matches_step(lib.classify_pairs, LOOP_CALLS))
+        print(path, lib is not None and (not lib.direct or _loop_matches_step(lib.classify_pairs)))
     """
 )
 
@@ -82,7 +85,7 @@ def test_import_builds_and_writes_nothing(tmp_path):
 
 
 def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, built_library,
-                                                         capsys):
+                                                         kernel_name, kernel_isa, capsys):
     synth = tmp_path / "synth.txt"
     assert main(
         ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
@@ -118,13 +121,13 @@ def test_pipeline_without_compiler_or_cache_is_identical(tmp_path, monkeypatch, 
         manifest = (tmp_path / name / "manifest.json").read_text()
         assert '"classify_kernel": "numpy"' in manifest and '"classify_isa": null' in manifest
         assert '"cascade_reader": "python"' in manifest
-    manifest = (tmp_path / "c" / "manifest.json").read_text()
-    assert '"classify_kernel": "c"' in manifest and '"cascade_reader": "c"' in manifest
-    assert f'"classify_isa": "{built_library.isa}"' in manifest
+    doc = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert (doc["classify_kernel"], doc["classify_isa"]) == (kernel_name, kernel_isa)
+    assert doc["cascade_reader"] == "c"
 
 
 def test_pipeline_is_identical_without_the_library_on_seeds_0_to_9(tmp_path, monkeypatch,
-                                                                   built_library, capsys):
+                                                                   direct_library, capsys):
     # the C loop against the numpy step, through every pipeline artifact
     for seed in range(10):
         synth = tmp_path / f"synth{seed}.txt"
@@ -247,10 +250,11 @@ def test_source_compiles_without_warnings(tmp_path):
 
 # Drives the library at argv[1] over the scanner logs and writer corpora of
 # test_cascade_io.py, the arrays too short or of the wrong kind among them,
-# over the C loop's self-checks and, where the library finds numpy's own
-# functions (argv[2], as the package's library does), its direct calls and
-# the arrays direct_call refuses. Built with the address and undefined
-# behaviour sanitizers, the library ends the process on a finding.
+# and, where the library finds numpy's own functions (argv[2], as the
+# package's library does), over the C loop's self-check and its argument
+# errors, its direct calls and the arrays direct_call refuses. Built with
+# the address and undefined behaviour sanitizers, the library ends the
+# process on a finding.
 SANITIZED_SCRIPT = textwrap.dedent(
     """
     import sys
@@ -258,6 +262,7 @@ SANITIZED_SCRIPT = textwrap.dedent(
     from iminfector.cascades import _render, _scan
     import test_cascade_io as io
     import test_direct_calls as direct_calls
+    import test_kernel as kernel
 
     SHAPES = ((2, 2), (3, 13), (50, 300), (7, 2930))
 
@@ -275,11 +280,12 @@ SANITIZED_SCRIPT = textwrap.dedent(
     assert lib.write_cascades(*io.WRITER_ARGS) is not None
     assert lib.write_cascades(*io.WRITER_BAD_BOUNDS) is None
     with model._sgd_numpy():
-        assert model._loop_matches_step(lib.classify_pairs, model.LOOP_CALLS)
         if lib.direct:
-            assert model._loop_matches_step(lib.classify_pairs, None)
+            assert model._loop_matches_step(lib.classify_pairs)
             for shape in SHAPES:
                 assert model._direct_calls_match(lib, direct_calls.shaped_model(*shape))
+    if lib.direct:
+        kernel.assert_argument_errors(lib)
     for args in direct_calls.MISFIT_CALLS if lib.direct else ():
         try:
             lib.direct_call(*args)
@@ -348,11 +354,9 @@ CLONES = b'#define CLONES __attribute__((target_clones("avx512f", "avx2", "defau
 
 
 def assert_refused(lib, monkeypatch):
-    """The self-check refuses the C loop of ``lib``, calling numpy through
-    Python and directly, and train, given that library, takes the numpy
-    step and stays bitwise the reference loop."""
-    assert not loop_passes_self_check(lib)
-    assert not (lib.direct and loop_passes_self_check(lib, None))
+    """The self-check refuses the C loop of ``lib``, and train, given that
+    library, takes the numpy step and stays bitwise the reference loop."""
+    assert lib.direct and not loop_passes_self_check(lib)
     corpus = generate_corpus(np.random.default_rng(41), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
     cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=1, rng_seed=2)
     streams = [build_training_stream(corpus, 1.2, cfg.rng_seed)]
@@ -371,7 +375,7 @@ def assert_refused(lib, monkeypatch):
         b"row[j] = fma(-(o * g[j]), lr, row[j]);",  # a fused multiply-add
     ],
 )
-def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, built_library, mutant,
+def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, direct_library, mutant,
                                                         monkeypatch):
     code = _native.source()
     exact = b"row[j] = row[j] - ((o * g[j]) * lr);"
@@ -380,7 +384,7 @@ def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, built_library
     assert_refused(_native.open_library(path), monkeypatch)
 
 
-def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, built_library,
+def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, direct_library,
                                                                 monkeypatch):
     # AVX-512F implies FMA: without -ffp-contract=off gcc fuses the update's
     # multiply and subtract in that clone, and the rounding changes
@@ -394,7 +398,7 @@ def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, built_
 
 
 @pytest.mark.parametrize("march", sorted(MARCH_FLAGS))
-def test_each_isa_level_is_bitwise_numpy(tmp_path, built_library, monkeypatch, march):
+def test_each_isa_level_is_bitwise_numpy(tmp_path, direct_library, monkeypatch, march):
     # One copy of the loops, built for one instruction set, must match numpy
     # on the self-check and on steps of the wide-3000 benchmark's shape.
     if platform.machine() != "x86_64" or not MARCH_FLAGS[march] <= cpu_flags():
@@ -405,24 +409,20 @@ def test_each_isa_level_is_bitwise_numpy(tmp_path, built_library, monkeypatch, m
     path = _native.build(code.replace(CLONES, b"#define CLONES"), str(tmp_path), "m-")
     lib = _native.open_library(path)
     assert loop_passes_self_check(lib)
-    paths = ("vectorcall", "direct") if lib.direct else ("vectorcall",)
-    if lib.direct:
-        assert loop_passes_self_check(lib, None)
-    for path in paths:
-        rng = np.random.default_rng(53)
-        I, N, E = 3, 2930, 50
-        ref = random_model(rng, I, N, E)
-        ref.O *= 0.2
-        ref.T *= 0.2
-        new = copy_model(ref)
-        ws = StepWorkspace(new)
-        step = loop_step(path, lib)
-        for s in range(6):
-            u, y = s % I, int(rng.integers(0, N))
-            assert step(new, u, y, 0.5, ws) == reference_step_classify(ref, u, y, 0.5)
-            assert_same_model(ref, new, f"-march={march} {path} step {s}")
-        # the loop took every step: the numpy step's T update never ran
-        assert ws.update is None
+    rng = np.random.default_rng(53)
+    I, N, E = 3, 2930, 50
+    ref = random_model(rng, I, N, E)
+    ref.O *= 0.2
+    ref.T *= 0.2
+    new = copy_model(ref)
+    ws = StepWorkspace(new)
+    step = loop_step(lib)
+    for s in range(6):
+        u, y = s % I, int(rng.integers(0, N))
+        assert step(new, u, y, 0.5, ws) == reference_step_classify(ref, u, y, 0.5)
+        assert_same_model(ref, new, f"-march={march} step {s}")
+    # the loop took every step: the numpy step's T update never ran
+    assert ws.update is None
 
 
 class DlInfo(ctypes.Structure):
@@ -473,31 +473,30 @@ MISFIT = {
 
 
 @pytest.mark.parametrize("change", ["negative u", "O", "T", "b_t"])
-def test_kernel_workspace_takes_numpy_update_when_arrays_change(built_library, change):
+def test_kernel_workspace_takes_numpy_update_when_arrays_change(direct_library, change):
     # The loop would write to the wrong row of O, or read or write an array
     # the wrong way: it takes no pair, and step_classify takes it.
-    for path in ("vectorcall", "direct") if built_library.direct else ("vectorcall",):
-        rng = np.random.default_rng(43)
-        ref = random_model(rng, 3, 11, 4)
-        new = copy_model(ref)
-        ws = StepWorkspace(new)
-        step = loop_step(path, built_library)
-        for s in range(6):
-            u = s % 3
-            if s >= 2 and change == "negative u":
-                u -= 3
-            elif s == 2:
-                # the reference takes the same layout, so that numpy's matmul
-                # takes the same BLAS call on both
-                for m in (ref, new):
-                    setattr(m, change, MISFIT[change](getattr(m, change)))
-            assert step(new, u, s, 0.1, ws) == reference_step_classify(ref, u, s, 0.1)
-            assert_same_model(ref, new, f"{path} step {s}")
-            # steps 0 and 1 are the loop's
-            assert (ws.update is None) == (s < 2)
+    rng = np.random.default_rng(43)
+    ref = random_model(rng, 3, 11, 4)
+    new = copy_model(ref)
+    ws = StepWorkspace(new)
+    step = loop_step(direct_library)
+    for s in range(6):
+        u = s % 3
+        if s >= 2 and change == "negative u":
+            u -= 3
+        elif s == 2:
+            # the reference takes the same layout, so that numpy's matmul
+            # takes the same BLAS call on both
+            for m in (ref, new):
+                setattr(m, change, MISFIT[change](getattr(m, change)))
+        assert step(new, u, s, 0.1, ws) == reference_step_classify(ref, u, s, 0.1)
+        assert_same_model(ref, new, f"step {s}")
+        # steps 0 and 1 are the loop's
+        assert (ws.update is None) == (s < 2)
 
 
-def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(built_library):
+def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library):
     # train does not take the C loop for these arrays, and the loop itself
     # takes no pair of them and changes nothing
     rng = np.random.default_rng(47)
@@ -518,11 +517,47 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(built_library):
             setattr(model, name, value)
         assert model_module._classify_loop(model) is None, what
         before = copy_model(model)
-        for calls in (LOOP_CALLS, None) if built_library.direct else (LOOP_CALLS,):
-            losses = np.full(3, np.nan)
-            ws = StepWorkspace(model)
-            assert built_library.classify_pairs(model, ws, *pairs, 0, 0.1, losses, calls) == 0, what
-            assert np.isnan(losses).all() and ws.bound == ws.bias_bound == np.inf, what
-            assert_same_model(before, model, what)
+        losses = np.full(3, np.nan)
+        ws = StepWorkspace(model)
+        assert direct_library.classify_pairs(model, ws, *pairs, 0, 0.1, losses) == 0, what
+        assert np.isnan(losses).all() and ws.bound == ws.bias_bound == np.inf, what
+        assert_same_model(before, model, what)
     # the same model with its own arrays takes the loop
     assert model_module._classify_loop(copy_model(base)) is not None
+
+
+class Real:
+    """A number whose __float__ is Python code."""
+
+    def __float__(self):
+        return 0.1
+
+
+def assert_argument_errors(lib):
+    """Each call of lib.classify_pairs with a bad argument raises its error
+    and changes nothing: not O, T, b_t, the losses or the workspace's
+    bounds. The start is read and checked before the rate."""
+    model = random_model(np.random.default_rng(59), 3, 11, 4)
+    before = copy_model(model)
+    ws = StepWorkspace(model)
+    ws.bound, ws.bias_bound = 2.0, 3.0
+    prefix = model, ws, np.array([0, 1, 2], dtype=np.int64), np.array([1, 2, 3], dtype=np.int64)
+    losses = np.full(3, 7.0)
+    cases = [
+        (TypeError, (*prefix, 0, 0.1)),
+        (TypeError, (*prefix, 0, 0.1, losses, None)),
+        (ValueError, (*prefix, -1, 0.1, losses)),
+        (ValueError, (*prefix, 4, 0.1, losses)),
+        (TypeError, (*prefix, 0, "x", losses)),
+    ]
+    cases += [(TypeError, (*prefix, start, lr, losses))
+              for start in ("0", 0.5) for lr in (0.1, Real(), Fraction(1, 10))]
+    for error, args in cases:
+        with pytest.raises(error):
+            lib.classify_pairs(*args)
+        assert_same_model(before, model, repr(args[4:6]))
+        assert (losses == 7.0).all() and (ws.bound, ws.bias_bound) == (2.0, 3.0), args[4:6]
+
+
+def test_loop_refuses_bad_arguments_and_changes_nothing(direct_library):
+    assert_argument_errors(direct_library)

@@ -12,7 +12,6 @@ from iminfector.cascades import parse_cascades
 from iminfector.context import SIZE_PAIR, build_training_stream
 from iminfector.exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
 from iminfector.model import (
-    LOOP_CALLS,
     SGD_BUFSIZE,
     InfectorModel,
     ModelConfig,
@@ -306,27 +305,26 @@ def ufunc_bufsize(size):
         np.setbufsize(old)
 
 
-def loop_calls(path, lib, model):
-    """The C loop's calls argument on ``path`` for ``model``, as train
-    chooses it: LOOP_CALLS on "vectorcall"; on "direct", None, the direct
-    calls, where they match numpy's at the model's shape, else LOOP_CALLS."""
-    if path == "direct" and model_module._fits_kernel(model) and model_module._direct_calls_match(lib, model):
-        return None
-    return model_module.LOOP_CALLS
+def loop_takes(lib, model):
+    """Whether the C loop of ``lib`` may take ``model``'s pairs, as train
+    decides from the model's shape: not where the direct calls do not give
+    numpy's bits there (an E or N of 1). Arrays the loop cannot take still
+    go to it, which must then take no pair."""
+    return not model_module._fits_kernel(model) or model_module._direct_calls_match(lib, model)
 
 
-def loop_step(path, lib=None):
+def loop_step(lib=None):
     """step_classify(model, u, y, lr, ws) through the C loop of ``lib``
-    (default: the package's library) on ``path``, "vectorcall" or
-    "direct": the pair alone in a stream, taken by step_classify if the
-    loop does not take it, as train does."""
+    (default: the package's library): the pair alone in a stream, taken by
+    step_classify if the loop does not take it, as train does."""
     lib = lib or _native.load()
 
     def step(model, u, y, lr, ws):
+        if not loop_takes(lib, model):
+            return step_classify(model, u, y, lr, ws)
         losses = np.full(1, np.nan)
         pair = np.array([u], dtype=np.int64), np.array([y], dtype=np.int64)
-        calls = loop_calls(path, lib, model)
-        stop = lib.classify_pairs(model, ws, *pair, 0, lr, losses, calls)
+        stop = lib.classify_pairs(model, ws, *pair, 0, lr, losses)
         if stop < 0:
             raise NonFiniteUpdate("classification step produced a non-finite value")
         return step_classify(model, u, y, lr, ws) if stop == 0 else float(losses[0])
@@ -334,23 +332,26 @@ def loop_step(path, lib=None):
     return step
 
 
-def loop_until_raise(path, model, steps):
+def loop_until_raise(model, steps):
     """run_until_raise(step, model, steps) for steps of one rate, all in
-    one call of the package's C loop on ``path``."""
+    one call of the package's C loop, or by the numpy step where the loop
+    may not take the model."""
     lib = _native.load()
+    ws = StepWorkspace(model)
+    if not loop_takes(lib, model):
+        return run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), model, steps)
     (lr,) = {lr for _, lr in steps}
     influencer, context = (np.array(c, dtype=np.int64) for c in zip(*(pair for pair, _ in steps)))
     losses = np.full(len(steps), np.nan)
-    calls = loop_calls(path, lib, model)
-    stop = lib.classify_pairs(model, StepWorkspace(model), influencer, context, 0, lr, losses, calls)
+    stop = lib.classify_pairs(model, ws, influencer, context, 0, lr, losses)
     assert stop < 0 or stop == len(steps)
     return (losses.tolist(), None) if stop >= 0 else (losses[:~stop].tolist(), ~stop)
 
 
 def workspace_step(path):
     """The classify step on ``path``: the numpy step (None) or the C loop
-    ("vectorcall" or "direct")."""
-    return step_classify if path is None else loop_step(path)
+    ("direct")."""
+    return step_classify if path is None else loop_step()
 
 
 def reference_train(corpus, cfg, streams):
@@ -379,14 +380,11 @@ def reference_train(corpus, cfg, streams):
 @contextlib.contextmanager
 def on_path(path):
     """Inside, train takes ``path``: the numpy step (None), by loading no
-    native library, or the C loop, made to call numpy through Python on
-    "vectorcall" and left to choose on "direct". Yields the manifest's
+    native library, or the C loop ("direct"). Yields the manifest's
     classify_kernel of the path."""
     with pytest.MonkeyPatch.context() as mp:
         if path is None:
             mp.setattr(_native, "load", lambda: None)
-        elif path == "vectorcall":
-            mp.setattr(model_module, "_loop_calls", lambda lib, model: model_module.LOOP_CALLS)
         yield "numpy" if path is None else "c"
 
 
@@ -441,7 +439,6 @@ def test_train_bitwise_equals_reference_loop(step_paths):
         with on_path(path) as name:
             model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
         assert report.classify_kernel == name
-        assert report.classify_calls == path
         got = list(zip(report.classify_loss, report.regress_loss, report.classify_steps, report.regress_steps))
         assert got == want
         assert_same_model(model, ref, f"train, {name} step")
@@ -541,7 +538,7 @@ def test_workspace_step_raises_at_reference_step_on_huge_entries(step_paths):
                 # the same pairs in one stretch of the loop
                 stretch = copy_model(before)
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    assert loop_until_raise(path, stretch, steps) == want, f"stretch, trial {trial}"
+                    assert loop_until_raise(stretch, steps) == want, f"stretch, trial {trial}"
                 assert_same_model(ref, stretch, f"stretch, trial {trial}", equal_nan=True)
             raised += want[1] is not None
             if 40 <= trial < 60 and want[1] is not None:
@@ -614,8 +611,8 @@ def test_workspace_step_large_t_without_overflow_does_not_raise(step_paths):
 def test_train_scopes_the_small_ufunc_buffer(step_paths):
     # Steps run under SGD_BUFSIZE, stream builds and the caller under the
     # caller's size, which train restores on return and on NonFiniteUpdate.
-    # A replaced step_classify sees the numpy steps, replaced LOOP_CALLS
-    # the numpy calls the C loop makes.
+    # A replaced step_classify sees the numpy steps; the C loop makes no
+    # numpy call through Python, so on its path only the restore is seen.
     corpus = parse_cascades(["u1:0\ta:1 b:2\n", "u2:5\tb:6 c:7\n"])
     for path in step_paths:
         seen = {"stream": set(), "step": set()}
@@ -624,18 +621,13 @@ def test_train_scopes_the_small_ufunc_buffer(step_paths):
             seen["stream"].add(np.getbufsize())
             return build_training_stream(corpus, 1.2, epoch)
 
-        def recording(fn):
-            def call(*args):
-                seen["step"].add(np.getbufsize())
-                return fn(*args)
-
-            return call
+        def recording(*args):
+            seen["step"].add(np.getbufsize())
+            return step_classify(*args)
 
         with on_path(path) as name, pytest.MonkeyPatch.context() as mp:
             if path is None:
-                mp.setattr(model_module, "step_classify", recording(step_classify))
-            else:
-                mp.setattr(model_module, "LOOP_CALLS", tuple(map(recording, LOOP_CALLS)))
+                mp.setattr(model_module, "step_classify", recording)
             # numpy 2's errstate restores the buffer size on exit, so check inside it
             with ufunc_bufsize(4096), np.errstate(over="ignore", invalid="ignore"):
                 for lr in (0.1, 1e308):
@@ -644,13 +636,26 @@ def test_train_scopes_the_small_ufunc_buffer(step_paths):
                     if lr == 0.1:
                         _, report = train(m, producer, cfg)
                         assert report.classify_kernel == name
-                        # replaced LOOP_CALLS are called, not numpy's own
-                        assert report.classify_calls == (None if path is None else "vectorcall")
                     else:
                         with pytest.raises(NonFiniteUpdate):
                             train(m, producer, cfg)
                     assert np.getbufsize() == 4096
-        assert seen == {"stream": {4096}, "step": {SGD_BUFSIZE}}, name
+        want = {SGD_BUFSIZE} if path is None else set()
+        assert seen == {"stream": {4096}, "step": want}, name
+
+
+def test_model_of_embed_dim_1_takes_the_numpy_step(native_library):
+    # numpy's matmul takes no dgemv when E is 1, so the direct calls cannot
+    # stand for it: train takes the numpy step, with the reference's bits
+    corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=1, learning_rate=0.1, epochs=2, rng_seed=4)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
+    ref, want = reference_train(corpus, cfg, streams)
+    model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
+    assert report.classify_kernel == "numpy" and report.classify_isa is None
+    got = list(zip(report.classify_loss, report.regress_loss, report.classify_steps, report.regress_steps))
+    assert got == want
+    assert_same_model(model, ref, "E = 1")
 
 
 def test_replaced_step_classify_sees_every_classify_step(native_library, monkeypatch):
