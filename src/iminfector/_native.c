@@ -1,5 +1,6 @@
 /* The package's native library: the classify step's epoch loop with its
- * T update, and a scanner and a writer for the cascade text format.
+ * T update, the context draws of the training stream, and a scanner and a
+ * writer for the cascade text format.
  * _native.py builds it on first use against this interpreter's Python.h
  * and numpy's headers and loads it once, as the extension module
  * iminfector._native_lib. Its functions take no address or capacity: they
@@ -7,7 +8,8 @@
  * their work by the arrays' lengths. Of numpy's C API it uses only the
  * ufunc type and its layout: the loop calls numpy's own float64 inner
  * loops and its BLAS's dgemv directly, and model.py sends it only the
- * models where those calls give numpy's bits.
+ * models where those calls give numpy's bits; the context draws call
+ * add's loop the same way.
  *
  * ---- The T and b_t update of one classify step, fused into one pass ----
  *
@@ -109,8 +111,9 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
  * library that numpy's wheels link, found through a handle on numpy's
  * _multiarray_umath. Each loop is the first all-float64 entry of its
  * ufunc's functions and data, the one numpy's default loop selector picks.
- * If any of them is missing, the module's direct is False, classify_pairs
- * and direct_call raise RuntimeError, and train takes the numpy step. The
+ * If any of them is missing, the module's direct is False, classify_pairs,
+ * direct_call and draw_contexts raise RuntimeError, train takes the numpy
+ * step and the stream draws through rng.choice. The
  * module's blas_core names the kernel set OpenBLAS picked for this CPU, or
  * is None.
  */
@@ -255,7 +258,8 @@ static int find_numpy_own(PyObject *module)
  * aligned, writable, C-contiguous float64 arrays of shapes (I, E), (E, N),
  * (N), (N) and (E), losses another of the stream's length, and influencer
  * and context int64 arrays of that length. If they are not, the loop takes
- * no pair and returns start, so that the caller's step takes it.
+ * no pair and returns start, so that the caller's step takes it. A start
+ * outside 0..len(losses) raises ValueError before any array is taken.
  */
 
 #define BOUND_LIMIT 1e300
@@ -416,10 +420,6 @@ static PyObject *run(struct loop *s, PyObject *ws, Py_ssize_t start, Py_ssize_t 
     const int64_t *const influencer = s->view[INFLUENCER].buf, *const context = s->view[CONTEXT].buf;
     double *const losses = s->view[LOSSES].buf;
     const int64_t rows = s->view[O_].shape[0], N = (int64_t)s->N;
-    if (start < 0 || start > n) {
-        PyErr_SetString(PyExc_ValueError, "start is not an index of the stream");
-        return NULL;
-    }
     if (get_float(ws, "bound", &s->bound) || get_float(ws, "bias_bound", &s->bias_bound) ||
         set_float(ws, "bound", INFINITY) || set_float(ws, "bias_bound", INFINITY))
         return NULL;
@@ -448,6 +448,13 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
     const Py_ssize_t start = PyLong_AsSsize_t(args[4]);
     if (start == -1 && PyErr_Occurred())
         return NULL;
+    /* the stream's length is that of losses, whether or not the loop can
+     * take the arrays: a start it returns is always an index of the stream */
+    const Py_ssize_t length = PyObject_Length(args[6]);
+    if (length < 0)
+        return NULL;
+    if (start < 0 || start > length)
+        return PyErr_Format(PyExc_ValueError, "start is not an index of the stream");
     s.lr = PyFloat_AsDouble(args[5]);
     if (s.lr == -1.0 && PyErr_Occurred())
         return NULL;
@@ -533,6 +540,130 @@ static PyObject *direct_call(PyObject *Py_UNUSED(module), PyObject *const *args,
     return k == 2 ? result : Py_NewRef(Py_None);
 }
 
+/* ---- The training stream's context draws ----
+ *
+ * draw_contexts(weights, offsets, node_idx, draws, uniforms, context) makes
+ * the draws of context.choice_contexts, each cascade's
+ *
+ *     rng.choice(node_idx[a:b], size=draws[i], replace=True, p=w / w.sum())
+ *
+ * with w = weights[a:b], from uniforms, the values rng.random(sum(draws))
+ * gives: choice draws random(draws[i]) of them per cascade, in order. Per
+ * cascade it makes Generator.choice's own arithmetic: sum is add's loop in
+ * reduce form, as np.add.reduce(w) calls it; p_k = w_k / sum; the cdf is
+ * p's sequential sum, as np.cumsum; cdf /= cdf[-1]; and each draw of x
+ * takes node_idx[a + k], k the first index with cdf[k] > x, as
+ * cdf.searchsorted(x, side="right"). So the contexts are choice's, bit for
+ * bit. Cascade i's draws fill context from the row of its first pair on;
+ * the row after them, its size pair's, is left as it is.
+ *
+ * weights and uniforms are float64 arrays, offsets and draws int64 and
+ * node_idx and context int32 (context writable and apart from the rest),
+ * all one-dimensional, C-contiguous and aligned, with one entry of draws
+ * per cascade, one more of offsets, offsets from 0 up to len(weights) =
+ * len(node_idx) with no empty cascade, len(uniforms) = sum(draws) and
+ * len(context) = sum(draws) + cascades. Every weight is in (0, 1], as
+ * context.sampling_weights makes them, so no sum is 0 or overflows, and
+ * every uniform in [0, 1). Returns True once it has filled context, and
+ * False, having written nothing, for arrays it cannot take; raises
+ * RuntimeError if the module's direct is False. */
+
+enum { WEIGHTS, D_OFFSETS, D_NODE_IDX, DRAWS, UNIFORMS, CONTEXT_OUT, N_DRAW };
+static const enum kind DRAW_KIND[N_DRAW] = {F64, I64, I32, I64, F64, I32};
+
+/* Whether the arrays of view are those draw_contexts takes; if so, the
+ * longest cascade in *longest. */
+static int fits_draws(const Py_buffer *view, Py_ssize_t *longest)
+{
+    const double *const weights = view[WEIGHTS].buf, *const uniforms = view[UNIFORMS].buf;
+    const int64_t *const offsets = view[D_OFFSETS].buf, *const draws = view[DRAWS].buf;
+    const Py_ssize_t cascades = view[DRAWS].shape[0], events = view[WEIGHTS].shape[0];
+    if (view[D_OFFSETS].shape[0] != cascades + 1 || view[D_NODE_IDX].shape[0] != events ||
+        offsets[0] != 0 || offsets[cascades] != events)
+        return 0;
+    for (int k = 0; k < CONTEXT_OUT; k++)
+        if (overlap(&view[k], &view[CONTEXT_OUT]))
+            return 0;
+    const Py_ssize_t total = view[UNIFORMS].shape[0];
+    Py_ssize_t drawn = 0;
+    *longest = 0;
+    for (Py_ssize_t i = 0; i < cascades; i++) {
+        /* offsets ascend from 0, so no difference overflows */
+        if (offsets[i + 1] <= offsets[i] || draws[i] < 0 || draws[i] > total - drawn)
+            return 0;
+        const int64_t m = offsets[i + 1] - offsets[i];
+        drawn += (Py_ssize_t)draws[i];
+        if (m > *longest)
+            *longest = (Py_ssize_t)m;
+    }
+    /* no sum overflows: each length is at most that of an array in memory */
+    if (drawn != total || total + cascades != view[CONTEXT_OUT].shape[0])
+        return 0;
+    for (Py_ssize_t k = 0; k < events; k++)
+        if (!(weights[k] > 0.0 && weights[k] <= 1.0))
+            return 0;
+    for (Py_ssize_t k = 0; k < total; k++)
+        if (!(uniforms[k] >= 0.0 && uniforms[k] < 1.0))
+            return 0;
+    return 1;
+}
+
+/* Fills context from view's arrays, fitted, with cdf room for the longest
+ * cascade. */
+static void draw(const Py_buffer *view, double *cdf)
+{
+    const double *const weights = view[WEIGHTS].buf, *uniform = view[UNIFORMS].buf;
+    const int64_t *const offsets = view[D_OFFSETS].buf, *const draws = view[DRAWS].buf;
+    const int32_t *const node_idx = view[D_NODE_IDX].buf;
+    int32_t *row = view[CONTEXT_OUT].buf;
+    for (Py_ssize_t i = 0; i < view[DRAWS].shape[0]; i++) {
+        const int64_t a = offsets[i];
+        const size_t m = (size_t)(offsets[i + 1] - a);
+        const double *const w = weights + a;
+        const double sum = add_reduce(w, m);
+        double cum = 0.0;
+        for (size_t k = 0; k < m; k++)
+            cdf[k] = cum = k ? cum + w[k] / sum : w[k] / sum;
+        for (size_t k = 0; k < m; k++)
+            cdf[k] = cdf[k] / cum;
+        for (int64_t j = 0; j < draws[i]; j++) {
+            /* the first k with cdf[k] > x: every entry before lo is at most
+             * x, and cdf[lo + n - 1] is above it, as cdf[m - 1] = 1 > x */
+            const double x = *uniform++;
+            size_t lo = 0, n = m;
+            while (n > 1) {
+                const size_t half = n / 2;
+                lo = cdf[lo + half - 1] <= x ? lo + half : lo;
+                n -= half;
+            }
+            *row++ = node_idx[a + (int64_t)lo];
+        }
+        row++; /* the size pair */
+    }
+}
+
+static PyObject *draw_contexts(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != N_DRAW)
+        return PyErr_Format(PyExc_TypeError, "draw_contexts takes %d arguments", N_DRAW);
+    if (!numpy_own.dgemv)
+        return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
+    Py_buffer view[N_DRAW] = {{0}};
+    int fits = 1;
+    for (int k = 0; k < N_DRAW && fits; k++)
+        fits = !take(args[k], &view[k], 1, DRAW_KIND[k], k == CONTEXT_OUT ? PyBUF_WRITABLE : 0);
+    Py_ssize_t longest = 0;
+    double *cdf = NULL;
+    fits = fits && fits_draws(view, &longest) &&
+           (cdf = malloc((size_t)(longest ? longest : 1) * sizeof *cdf)) != NULL;
+    if (fits)
+        draw(view, cdf);
+    free(cdf);
+    for (int k = 0; k < N_DRAW; k++)
+        PyBuffer_Release(&view[k]);
+    return Py_NewRef(fits ? Py_True : Py_False);
+}
+
 /* ---- The cascade scanner ----
  *
  * scan_cascades reads a cascade log that is in this strict form and gives
@@ -552,12 +683,22 @@ static PyObject *direct_call(PyObject *Py_UNUSED(module), PyObject *const *args,
  * is the Python parser's. Ids are interned in first-seen order (each
  * line's initiator, then its events) into the caller's id arrays, through
  * an open-addressing hash table that lives only for the call.
+ *
+ * The scanner also says whether the log is canonical, as every log the
+ * package writes is: in each cascade the times do not descend, no
+ * participant repeats and the initiator is not among the events. Then
+ * build_corpus would keep every event in place, and load_cascades skips
+ * it. Each id carries a stamp, the number (plus one) of the last cascade
+ * that saw it: the initiator is stamped first, and an event whose id
+ * already carries its cascade's stamp makes the log not canonical. So the
+ * check costs O(1) per event.
  */
 
 /* The distinct ids of the log being scanned: id k is
  * data[offset[k]:offset[k] + length[k]], in the caller's arrays of max
  * entries. slot is the hash table, of 2^(64 - shift) slots, each 1 + an
- * id's index or 0 when free; scan_cascades frees it before it returns. */
+ * id's index or 0 when free, and stamp[k] is id k's stamp, 0 before any
+ * cascade saw it; scan_cascades frees both before it returns. */
 struct ids {
     const unsigned char *data;
     int64_t *offset;
@@ -565,6 +706,7 @@ struct ids {
     int64_t count, max;
     int32_t *slot;
     int shift;
+    int64_t *stamp;
 };
 
 /* The slot of the id start[0:end - start]: its FNV-1a hash, Fibonacci
@@ -676,8 +818,9 @@ static int take_text(PyObject *const *args, Py_buffer *view, int n, int flags)
 }
 
 /* Scans view[TEXT] into the arrays of view, with room for as many
- * cascades and events as they have entries; the number of cascades, or -1. */
-static int64_t scan(struct ids *ids, const Py_buffer *view)
+ * cascades and events as they have entries; the number of cascades, or -1.
+ * *canonical is cleared if some cascade is not in canonical form. */
+static int64_t scan(struct ids *ids, const Py_buffer *view, int *canonical)
 {
     int32_t *const initiator = view[INITIATOR].buf, *const node_idx = view[NODE_IDX].buf;
     int64_t *const start = view[START].buf, *const offsets = view[OFFSETS].buf,
@@ -710,8 +853,10 @@ static int64_t scan(struct ids *ids, const Py_buffer *view)
         const int64_t t0 = u < 0 ? -1 : read_time(&p, end);
         if (t0 < 0 || p == end || *p++ != '\t' || n == max_cascades)
             return -1;
+        const int64_t stamp = n + 1;
+        ids->stamp[u] = stamp;
         int other = 0;
-        for (;;) {
+        for (int64_t last = t0;;) {
             const int64_t v = read_id(ids, &p, end);
             const int64_t t = v < 0 ? -1 : read_time(&p, end);
             if (t < t0 || events == max_events)
@@ -719,6 +864,9 @@ static int64_t scan(struct ids *ids, const Py_buffer *view)
             node_idx[events] = (int32_t)v;
             times[events++] = t;
             other |= v != u;
+            *canonical &= t >= last && ids->stamp[v] != stamp;
+            ids->stamp[v] = stamp;
+            last = t;
             if (p == end)
                 break;
             if (*p == ' ') {
@@ -747,7 +895,8 @@ static int64_t scan(struct ids *ids, const Py_buffer *view)
  * as long as each other: id k is log[id_offset[k]:id_offset[k] +
  * id_length[k]]. The arrays' lengths are the room there is.
  *
- * Returns (cascades, ids), or (-1, 0) to give up: the log is not in the
+ * Returns (cascades, ids, canonical), canonical True if the log is in
+ * canonical form, or (-1, 0, False) to give up: the log is not in the
  * strict form, an array is not of its kind or length, or the log needs
  * more room or memory than there is. */
 static PyObject *scan_cascades(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
@@ -756,17 +905,22 @@ static PyObject *scan_cascades(PyObject *Py_UNUSED(module), PyObject *const *arg
         return PyErr_Format(PyExc_TypeError, "scan_cascades takes %d arguments", N_SCAN);
     Py_buffer view[N_SCAN] = {0};
     int64_t n = -1, count = 0;
+    int canonical = 1;
     if (!take_text(args, view, N_SCAN, PyBUF_WRITABLE) &&
         view[ID_LENGTH].shape[0] == view[ID_OFFSET].shape[0]) {
-        struct ids ids = {view[TEXT].buf, view[ID_OFFSET].buf, view[ID_LENGTH].buf, 0,
-                          view[ID_OFFSET].shape[0], NULL, 0};
-        n = scan(&ids, view);
+        const int64_t max = view[ID_OFFSET].shape[0];
+        /* pages of stamps no id reaches are never touched */
+        struct ids ids = {view[TEXT].buf, view[ID_OFFSET].buf, view[ID_LENGTH].buf, 0, max, NULL,
+                          0, calloc(max ? (size_t)max : 1, sizeof(int64_t))};
+        n = ids.stamp ? scan(&ids, view, &canonical) : -1;
         free(ids.slot);
+        free(ids.stamp);
         count = n < 0 ? 0 : ids.count;
     }
     for (int k = 0; k < N_SCAN; k++)
         PyBuffer_Release(&view[k]);
-    return Py_BuildValue("(LL)", (long long)n, (long long)count);
+    return Py_BuildValue("(LLO)", (long long)n, (long long)count,
+                         n >= 0 && canonical ? Py_True : Py_False);
 }
 
 /* ---- The cascade writer ----
@@ -871,6 +1025,8 @@ static PyMethodDef methods[] = {
      "classify_pairs(model, ws, influencer, context, start, lr, losses)"},
     {"direct_call", (PyCFunction)(void (*)(void))direct_call, METH_FASTCALL,
      "direct_call(k, *arrays)"},
+    {"draw_contexts", (PyCFunction)(void (*)(void))draw_contexts, METH_FASTCALL,
+     "draw_contexts(weights, offsets, node_idx, draws, uniforms, context)"},
     {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,
      "scan_cascades(log, initiator, start, offsets, node_idx, times, id_offset, id_length)"},
     {"write_cascades", (PyCFunction)(void (*)(void))write_cascades, METH_FASTCALL,
@@ -883,7 +1039,8 @@ static PyModuleDef_Slot slots[] = {{Py_mod_exec, (void *)exec_module}, {0, NULL}
 static struct PyModuleDef module_def = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "iminfector._native_lib",
-    .m_doc = "iminfector's native library: the classify epoch loop and the cascade text format.",
+    .m_doc = "iminfector's native library: the classify epoch loop, the training stream's "
+             "context draws and the cascade text format.",
     .m_methods = methods,
     .m_slots = slots,
 };

@@ -2,8 +2,9 @@
 
 ``_native.c`` holds the classify epoch loop (``classify_pairs``) with its
 T update (``fused_t_update``) and the direct calls of numpy's own loops and
-BLAS that it makes (``direct_call``), the cascade scanner
-(``scan_cascades``) and the cascade writer (``write_cascades``). ``load()``
+BLAS that it makes (``direct_call``), the training stream's context draws
+(``draw_contexts``), the cascade scanner (``scan_cascades``) and the
+cascade writer (``write_cascades``). ``load()``
 compiles it with the system C compiler, ``$CC`` or else ``cc``, against
 this interpreter's ``Python.h`` and numpy's headers (for the layout of a
 ufunc object) into the user's cache directory, ``$XDG_CACHE_HOME/iminfector``
@@ -35,8 +36,8 @@ switch.
 
 Nothing here runs at import. With no compiler, no Python or numpy
 headers, an unwritable cache or a failed build, ``load()`` returns None:
-training takes its numpy step and cascade files go through the Python
-parser and formatter.
+training takes its numpy step, the stream draws through ``rng.choice`` and
+cascade files go through the Python parser and formatter.
 """
 
 import contextlib
@@ -178,8 +179,9 @@ def open_library(path):
     """The extension module at ``path``. Its ``isa`` names the clone of the
     T update that runs on this CPU: "avx512f", "avx2" or "baseline". Its
     ``direct`` is True if it found numpy's BLAS dgemv and float64 exp, add
-    and log loops, which its classify loop calls directly; without them
-    its ``classify_pairs`` and ``direct_call`` raise RuntimeError. Its
+    and log loops, which its classify loop and context draws call
+    directly; without them its ``classify_pairs``, ``direct_call`` and
+    ``draw_contexts`` raise RuntimeError. Its
     ``blas_core`` names the kernel set numpy's OpenBLAS picked for this CPU,
     or is None."""
     loader = machinery.ExtensionFileLoader(MODULE, path)

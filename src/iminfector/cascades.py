@@ -318,10 +318,13 @@ def serialize_cascades(corpus):
 
 def _scan(lib, data):
     """The arguments of build_corpus for the log ``data`` (bytes), read by
-    the native scanner; None if the log is not in the scanner's strict
-    form (see _native.c), which parse_cascades reads the same way."""
-    # every cascade ends a line, and every event and every id ends in a ':'
-    max_cascades, max_events = data.count(b"\n") + 1, data.count(b":")
+    the native scanner, and whether the log is canonical (see _native.c),
+    so that build_corpus would keep every event in place; None if the log
+    is not in the scanner's strict form, which parse_cascades reads the
+    same way."""
+    # every event and every id ends in a ':', and a cascade has two of them
+    max_events = data.count(b":")
+    max_cascades = max_events // 2
     initiator = np.empty(max_cascades, dtype=np.int32)
     start = np.empty(max_cascades, dtype=np.int64)
     offsets = np.empty(max_cascades + 1, dtype=np.int64)
@@ -329,14 +332,16 @@ def _scan(lib, data):
     times = np.empty(max_events, dtype=np.int64)
     id_offset = np.empty(max_events, dtype=np.int64)
     id_length = np.empty(max_events, dtype=np.int32)
-    n, n_ids = lib.scan_cascades(data, initiator, start, offsets, node_idx, times, id_offset,
-                                 id_length)
+    n, n_ids, canonical = lib.scan_cascades(data, initiator, start, offsets, node_idx, times,
+                                            id_offset, id_length)
     if n < 0:
         return None
     spans = zip(id_offset[:n_ids].tolist(), id_length[:n_ids].tolist())
     ids = [data[at : at + length].decode("ascii") for at, length in spans]
     events = int(offsets[n])
-    return ids, initiator[:n], start[:n], offsets[: n + 1], node_idx[:events], times[:events]
+    # the per-cascade arrays are copied, so that the room left over is freed
+    starts, offsets = start[:n].copy(), offsets[: n + 1].copy()
+    return (ids, initiator[:n], starts, offsets, node_idx[:events], times[:events]), canonical
 
 
 def load_cascades(path):
@@ -345,18 +350,20 @@ def load_cascades(path):
     The native scanner reads a log in its strict ASCII form; any other log,
     and every log when the library is missing, goes through
     parse_cascades, which raises every format error. ``corpus.reader``
-    says which one read it.
+    says which one read it. A canonical log, such as every log the package
+    writes, needs only its ids sorted, so it skips build_corpus.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     lib = _native.load()
-    raw = None if lib is None else _scan(lib, data)
-    if raw is None:
+    scanned = None if lib is None else _scan(lib, data)
+    if scanned is None:
         corpus = parse_cascades(text_lines(data))
         corpus.reader = "python"
         return corpus
     del data  # build_corpus needs the memory more
-    corpus = build_corpus(*raw)
+    raw, canonical = scanned
+    corpus = _reindexed(*raw, sort_ids=True) if canonical else build_corpus(*raw)
     corpus.reader = "c"
     return corpus
 

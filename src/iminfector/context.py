@@ -4,12 +4,20 @@ Each cascade contributes ceil(oversample * m) influencer-context pairs,
 drawn with replacement from a distribution inversely proportional to the
 copying time of each participant, followed by one influencer-size pair
 whose target is the min-max normalized cascade length.
+
+The draws are numpy's ``Generator.choice``, one call per cascade on a
+generator seeded with the stream's seed (choice_contexts). The native
+library's draw_contexts makes the same draws from one ``rng.random`` call
+for the whole stream, with choice's own arithmetic, so its contexts are
+choice's bit for bit; tests/test_context.py pins the two together. Without
+the library, or where it refuses the arrays, choice_contexts draws them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from ._util import atomic_write, slack_ceil
 
 # Context value that marks an influencer-size pair in a TrainingStream.
@@ -67,24 +75,38 @@ def build_training_stream(train, oversample=1.2, rng_seed=0):
     """
     if not train.n_cascades:
         raise ValueError("empty train corpus")
-    rng = np.random.default_rng(rng_seed)
     weights = sampling_weights(train)
-    draws = [slack_ceil(oversample * m) for m in train.sizes().tolist()]
-    pairs = np.add(draws, 1)
+    draws = np.array([slack_ceil(oversample * m) for m in train.sizes().tolist()], dtype=np.int64)
+    pairs = draws + 1
     size_rows = np.cumsum(pairs) - 1
     context = np.full(size_rows[-1] + 1, SIZE_PAIR, dtype=np.int32)
     size_target = np.full(len(context), np.nan)
     size_target[size_rows] = size_targets(train)
+    lib = _native.load()
+    if lib is None or not lib.direct or not lib.draw_contexts(
+        weights, train.offsets, train.node_idx, draws,
+        np.random.default_rng(rng_seed).random(int(draws.sum())), context,
+    ):
+        choice_contexts(train, weights, draws, rng_seed, context)
+    influencer = np.repeat(train.cascade_influencers(), pairs)
+    return TrainingStream(influencer, context, size_target)
+
+
+def choice_contexts(train, weights, draws, rng_seed, context):
+    """Fill each cascade's context rows of ``context`` with its draws:
+    ``rng.choice`` over the cascade's events with probabilities ``weights``
+    normalized, ``draws[i]`` of them for cascade i, from a generator seeded
+    with ``rng_seed``. The row after a cascade's draws, its size pair's,
+    is left as it is."""
+    rng = np.random.default_rng(rng_seed)
     offsets = train.offsets.tolist()
     row = 0
-    for a, b, n_draws in zip(offsets, offsets[1:], draws):
+    for a, b, n_draws in zip(offsets, offsets[1:], draws.tolist()):
         w = weights[a:b]
         context[row : row + n_draws] = rng.choice(
             train.node_idx[a:b], size=n_draws, replace=True, p=w / w.sum()
         )
         row += n_draws + 1
-    influencer = np.repeat(train.cascade_influencers(), pairs)
-    return TrainingStream(influencer, context, size_target)
 
 
 def dump_pairs(stream, path):

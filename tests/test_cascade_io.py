@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iminfector import _native
+from iminfector import _native, cascades
 from iminfector.cascades import (
     CascadeCorpus,
     _render,
@@ -113,13 +113,15 @@ def scan_arrays(room, **change):
 
 def exact_room(lib, data):
     """The room scanning ``data`` takes: its cascades (and offsets), events
-    and ids; None if the scanner does not read ``data``."""
-    raw = _scan(lib, data)
-    if raw is None:
+    and ids, and whether it is canonical; None if the scanner does not read
+    ``data``."""
+    scanned = _scan(lib, data)
+    if scanned is None:
         return None
-    ids, initiator, _, _, node_idx, _ = raw
+    (ids, initiator, _, _, node_idx, _), canonical = scanned
     n = len(initiator)
-    return {"cascades": n, "offsets": n + 1, "events": len(node_idx), "ids": len(ids)}
+    return {"cascades": n, "offsets": n + 1, "events": len(node_idx), "ids": len(ids),
+            "canonical": canonical}
 
 
 def short_scans(lib, data):
@@ -129,7 +131,8 @@ def short_scans(lib, data):
     room = exact_room(lib, data)
     if room is None:
         return []
-    assert lib.scan_cascades(data, *scan_arrays(room)) == (room["cascades"], room["ids"])
+    want = room["cascades"], room["ids"], room["canonical"]
+    assert lib.scan_cascades(data, *scan_arrays(room)) == want
     cases = [scan_arrays(room, **{name: lambda array: array[:-1]})
              for name, (_, kind) in SCAN_ARRAYS.items() if room[kind]]
     for kind in ("cascades", "events", "ids"):
@@ -162,16 +165,78 @@ MISFIT_SCANS = {
 }
 
 
+GIVE_UP = (-1, 0, False)
+
+
 def test_scanner_gives_up_short_of_room(built_library):
     for name, data in scanner_logs().items():
         for args in short_scans(built_library, data):
-            assert built_library.scan_cascades(data, *args) == (-1, 0), name
+            assert built_library.scan_cascades(data, *args) == GIVE_UP, name
 
 
 def test_scanner_gives_up_on_arrays_it_cannot_take(built_library):
     room = exact_room(built_library, STRICT)
     for what, change in MISFIT_SCANS.items():
-        assert built_library.scan_cascades(STRICT, *scan_arrays(room, **change)) == (-1, 0), what
+        assert built_library.scan_cascades(STRICT, *scan_arrays(room, **change)) == GIVE_UP, what
+
+
+# A canonical log: in each cascade the times do not descend, no participant
+# repeats and the initiator is not among the events.
+CANONICAL = b"u:1\tv:2 w:2 x:5\r\nv:5\tu:6\n# a comment: u:1\tu:1\n\nw:7\tu:8 v:9 x:9\n"
+# Each replaces one span of CANONICAL to break canonical form once, and
+# keeps the log in the scanner's strict form.
+NOT_CANONICAL = {
+    "a repeated participant": (b"v:9 x:9\n", b"v:9 x:9 u:9\n"),
+    "the initiator among its events": (b"v:5\tu:6\n", b"v:5\tu:6 v:6\n"),
+    "a time one step back": (b"v:9 x:9", b"v:9 x:8"),
+}
+
+
+def canonical_logs():
+    """CANONICAL and each of its NOT_CANONICAL mutations, by name."""
+    logs = {"canonical": CANONICAL}
+    for what, (old, new) in NOT_CANONICAL.items():
+        assert CANONICAL.count(old) == 1, what
+        logs[what] = CANONICAL.replace(old, new)
+    return logs
+
+
+def counting_build_corpus(monkeypatch):
+    """The calls load_cascades makes to build_corpus, as they happen."""
+    calls = []
+
+    def build(*raw):
+        calls.append(raw)
+        return build_corpus(*raw)
+
+    monkeypatch.setattr(cascades, "build_corpus", build)
+    return calls
+
+
+def test_canonical_logs_skip_build_corpus(tmp_path, built_library, monkeypatch):
+    calls = counting_build_corpus(monkeypatch)
+    path = tmp_path / "log.txt"
+    for what, data in canonical_logs().items():
+        canonical = what == "canonical"
+        assert exact_room(built_library, data)["canonical"] == canonical, what
+        path.write_bytes(data)
+        del calls[:]
+        assert assert_readers_agree(path) == "c", what
+        # parse_cascades always builds its corpus; load_cascades only if
+        # the log is not canonical
+        assert len(calls) == 1 + (not canonical), what
+
+
+def test_logs_the_package_writes_are_canonical(tmp_path, built_library):
+    log, train, test = (tmp_path / name for name in ("log.txt", "train.txt", "test.txt"))
+    assert main(["synth", "--nodes", "200", "--cascades", "300", "--rng-seed", "6",
+                 "--out", str(log)]) == 0
+    assert main(["split", "--cascades", str(log), "--train-out", str(train),
+                 "--test-out", str(test)]) == 0
+    logs = {path.name: path.read_bytes() for path in (log, train, test)}
+    logs["saved"] = saved(load_cascades(log), tmp_path / "saved.txt")
+    for name, data in logs.items():
+        assert exact_room(built_library, data)["canonical"], name
 
 
 def test_without_the_library_every_log_goes_through_the_parser(tmp_path, monkeypatch):

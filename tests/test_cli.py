@@ -371,6 +371,30 @@ def test_train_dump_pairs(tmp_path, corpus_file, monkeypatch):
     assert n_context >= sum(len(c.split("\t")[1].split()) for c in CORPUS)
 
 
+def test_dump_pairs_identical_on_every_draw_path(tmp_path, native_library, monkeypatch, capsys):
+    # the library's context draws, and rng.choice's without the library or
+    # without numpy's own functions
+    log = tmp_path / "log.txt"
+    assert main(["synth", "--nodes", "80", "--cascades", "80", "--planted", "2", "--lures", "2",
+                 "--rng-seed", "5", "--out", str(log)]) == 0
+
+    def dump(name):
+        pairs = tmp_path / f"{name}.tsv"
+        assert main(["train", "--cascades", str(log), "--out", str(tmp_path / f"{name}.infv"),
+                     "--embed-dim", "4", "--epochs", "1", "--rng-seed", "9",
+                     "--dump-pairs", str(pairs)]) == 0
+        return pairs.read_bytes()
+
+    want = dump("library")
+    with monkeypatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        assert dump("none") == want
+    if native_library is not None:
+        monkeypatch.setattr(native_library, "direct", False)
+        assert dump("indirect") == want
+    capsys.readouterr()
+
+
 def chain(tmp_path, corpus_file, embed_dim="6"):
     train, test = tmp_path / "train.txt", tmp_path / "test.txt"
     model, dmat = tmp_path / "model.infv", tmp_path / "dmatrix.bin"

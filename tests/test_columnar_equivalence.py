@@ -14,18 +14,22 @@ must give the id table and the five arrays that parse_cascades gives, or
 raise the same exception class with the same message and line number.
 """
 
+import itertools
 import os
 import re
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from iminfector import context
 from iminfector._util import read_lines, slack_ceil
 from iminfector.cascades import (
     _reindexed,
+    _scan,
     build_corpus,
     load_cascades,
     parse_cascades,
@@ -380,6 +384,60 @@ def test_scanner_reads_strict_logs_as_the_parser(native_library, log):
 
 
 @st.composite
+def canonical_line(draw):
+    """A strict line in canonical form: distinct participants other than
+    the initiator, at times that do not descend."""
+    ids = draw(st.permutations(STRICT_IDS))
+    n = draw(st.integers(1, len(ids) - 1))
+    start = draw(st.sampled_from([0, 1, 7, LIMIT - 20]))
+    steps = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    times = itertools.accumulate(steps, initial=start)
+    next(times)
+    events = " ".join(f"{v}:{t}" for v, t in zip(ids[1:], times))
+    return f"{ids[0]}:{start}\t{events}"
+
+
+canonical_strict_logs = st.tuples(
+    st.lists(st.one_of(canonical_line(), canonical_line(), canonical_line(), strict_line(),
+                       st.sampled_from(["", "#"])), max_size=5),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+
+
+def is_canonical(text):
+    """Whether every cascade line of a strict log is in canonical form."""
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        head, body = line.split("\t")
+        initiator, start = head.split(":")
+        seen, last = {initiator}, int(start)
+        for token in body.split(" "):
+            node, time = token.split(":")
+            if node in seen or int(time) < last:
+                return False
+            seen.add(node)
+            last = int(time)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_strict_logs)
+def test_canonical_flag_is_exact_and_its_corpus_is_build_corpus(native_library, log):
+    if native_library is None:
+        return
+    lines, newline, final_newline = log
+    text = newline.join(lines) + (newline if final_newline else "")
+    scanned = _scan(native_library, text.encode("ascii"))
+    assume(scanned is not None)
+    raw, canonical = scanned
+    assert canonical == is_canonical(text)
+    if canonical:
+        assert corpus_state(_reindexed(*raw, sort_ids=True)) == corpus_state(build_corpus(*raw))
+
+
+@st.composite
 def raw_cascades(draw):
     """build_corpus arguments: ids, and events with times in any order or
     in time order within each cascade."""
@@ -439,3 +497,41 @@ def test_stream_matches_reference_on_synthetic_corpora():
         for seed in rng.integers(0, 2**31, size=2).tolist():
             want = reference_build_training_stream(reference, 1.2, seed)
             assert stream_pairs(build_training_stream(corpus, 1.2, seed)) == want, trial
+
+
+@st.composite
+def stream_logs(draw):
+    """Valid logs for the stream's draws: single-event cascades, all-equal
+    delays (all at the start, or all at one later time), narrow and wide
+    delays, events in time order or not, and now and then a cascade of
+    10,000 events."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.sampled_from([1, 1, 2, 3, 8, 40, 10_000]), min_size=1, max_size=4))
+    lines = []
+    for size in sizes:
+        pool = rng.choice(max(2 * size, 30), size + 1, replace=False)
+        start = int(rng.integers(0, 1000))
+        delays = draw(st.sampled_from(["zero", "equal", "narrow", "wide"]))
+        if delays == "zero":
+            times = np.full(size, start)
+        elif delays == "equal":
+            times = np.full(size, start + int(rng.integers(1, 50)))
+        else:
+            times = start + rng.integers(0, 50 if delays == "narrow" else 2**40, size)
+        if draw(st.booleans()):
+            times.sort()
+        events = " ".join(f"n{v}:{t}" for v, t in zip(pool[1:].tolist(), times.tolist()))
+        lines.append(f"n{pool[0]}:{start}\t{events}\n")
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream_logs(), st.integers(0, 2**32 - 1), st.floats(0.3, 2.5))
+def test_native_draws_match_reference(native_library, lines, seed, oversample):
+    want = reference_build_training_stream(reference_parse(lines), oversample, seed)
+    corpus = parse_cascades(lines)
+    with pytest.MonkeyPatch.context() as mp:
+        if native_library is not None and native_library.direct:
+            # the library's draws, never the loop's
+            mp.setattr(context, "choice_contexts", None)
+        assert stream_pairs(build_training_stream(corpus, oversample, seed)) == want

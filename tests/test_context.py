@@ -1,17 +1,23 @@
-"""Context sampling and training-stream construction."""
+"""Context sampling and training-stream construction, and the native
+library's context draws against rng.choice's."""
 
 import math
 
 import numpy as np
 import pytest
 
-from iminfector.cascades import parse_cascades
+from iminfector import _native, context
+from iminfector._util import slack_ceil
+from iminfector.cascades import CascadeCorpus, parse_cascades
 from iminfector.context import (
     SIZE_PAIR,
     build_training_stream,
+    choice_contexts,
     sampling_weights,
     size_targets,
 )
+from iminfector.synth import generate_corpus
+from test_cascade_io import read_only
 
 
 def same_stream(a, b):
@@ -98,3 +104,166 @@ def test_stream_deterministic_per_seed():
 def test_stream_empty_corpus_rejected():
     with pytest.raises(ValueError):
         build_training_stream(parse_cascades([]), 1.2, 0)
+
+
+DRAW_CORPUS = parse_cascades(
+    ["u1:0\ta:1 b:2 c:3 d:9\n", "u2:3\tb:4\n", "u3:5\ta:5 c:5 e:5\n", "u1:9\tb:10 e:30\n"]
+)
+
+
+def draw_args(seed=0):
+    """draw_contexts's arguments for DRAW_CORPUS's stream, every context
+    row at SIZE_PAIR."""
+    weights = sampling_weights(DRAW_CORPUS)
+    draws = np.array([slack_ceil(1.2 * m) for m in DRAW_CORPUS.sizes().tolist()], np.int64)
+    uniforms = np.random.default_rng(seed).random(int(draws.sum()))
+    contexts = np.full(len(uniforms) + len(draws), SIZE_PAIR, dtype=np.int32)
+    return [weights, DRAW_CORPUS.offsets, DRAW_CORPUS.node_idx, draws, uniforms, contexts]
+
+
+def changed(k, change):
+    """A change of draw_args's argument k by ``change``, on a copy."""
+    def apply(args):
+        args = list(args)
+        args[k] = change(args[k].copy())
+        return args
+    return apply
+
+
+def set_entry(k, index, value):
+    def put(array):
+        array[index] = value
+        return array
+    return changed(k, put)
+
+
+def context_over_node_idx(args):
+    """node_idx and context in one buffer, sharing one entry."""
+    node_idx, contexts = args[2], args[5]
+    shared = np.zeros(len(node_idx) + len(contexts) - 1, dtype=np.int32)
+    shared[: len(node_idx)] = node_idx
+    return [*args[:2], shared[: len(node_idx)], *args[3:5], shared[len(node_idx) - 1 :]]
+
+
+def empty_first_cascade(args):
+    weights, offsets, node_idx, draws, uniforms, contexts = args
+    return [weights, np.concatenate([[0], offsets]), node_idx, np.concatenate([[0], draws]),
+            uniforms, np.concatenate([[SIZE_PAIR], contexts]).astype(np.int32)]
+
+
+# Each makes draw_args's arguments ones draw_contexts does not take: of
+# another kind or layout, of lengths that do not fit, or values outside the
+# domain where its draws are choice's.
+MISFIT_DRAWS = {
+    "float32 weights": changed(0, lambda a: a.astype(np.float32)),
+    "a weight of 0": set_entry(0, 0, 0.0),
+    "a weight above 1": set_entry(0, 1, 1.5),
+    "a NaN weight": set_entry(0, 2, np.nan),
+    "int32 offsets": changed(1, lambda a: a.astype(np.int32)),
+    "offsets past the events": set_entry(1, -1, 12),
+    "offsets from 1": set_entry(1, 0, 1),
+    "descending offsets": set_entry(1, 2, 3),
+    "an empty cascade": empty_first_cascade,
+    "int64 node_idx": changed(2, lambda a: a.astype(np.int64)),
+    "strided node_idx": changed(2, lambda a: np.repeat(a, 2)[::2]),
+    "node_idx one short": changed(2, lambda a: a[:-1]),
+    "a negative draw": set_entry(3, 0, -1),
+    "draws one short": changed(3, lambda a: a[:-1]),
+    "a uniform of 1": set_entry(4, 0, 1.0),
+    "a negative uniform": set_entry(4, 1, -1e-300),
+    "a NaN uniform": set_entry(4, 2, np.nan),
+    "uniforms one short": changed(4, lambda a: a[:-1]),
+    "contexts one short": changed(5, lambda a: a[:-1]),
+    "int64 contexts": changed(5, lambda a: a.astype(np.int64)),
+    "read-only contexts": changed(5, read_only),
+    "contexts over node_idx": context_over_node_idx,
+    "2-D contexts": changed(5, lambda a: a.reshape(1, -1)),
+}
+
+
+def assert_misfit_draws_refused(lib):
+    """draw_contexts refuses every MISFIT_DRAWS case and changes none of
+    its arguments."""
+    for what, misfit in MISFIT_DRAWS.items():
+        args = misfit(draw_args())
+        before = [a.copy() for a in args]
+        assert lib.draw_contexts(*args) is False, what
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b, equal_nan=True), what
+
+
+def test_draw_contexts_refuses_arrays_it_cannot_take(direct_library):
+    assert_misfit_draws_refused(direct_library)
+    with pytest.raises(TypeError):
+        direct_library.draw_contexts(*draw_args()[:-1])
+
+
+def counting_choice(monkeypatch):
+    """The calls build_training_stream makes to choice_contexts."""
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return choice_contexts(*args)
+
+    monkeypatch.setattr(context, "choice_contexts", count)
+    return calls
+
+
+def corpus_with(corpus, **arrays):
+    parts = {name: getattr(corpus, name) for name in
+             ("ids", "initiator", "start_time", "offsets", "node_idx", "times")}
+    return CascadeCorpus(**{**parts, **arrays})
+
+
+def test_stream_falls_back_to_choice_with_the_same_stream(native_library, monkeypatch):
+    corpus = generate_corpus(np.random.default_rng(8), n_nodes=80, n_cascades=60,
+                             n_planted=2, n_lures=2)
+    want = build_training_stream(corpus, 1.2, 3)
+    calls = counting_choice(monkeypatch)
+    direct = native_library is not None and native_library.direct
+    assert same_stream(build_training_stream(corpus, 1.2, 3), want)
+    assert len(calls) == (0 if direct else 1)
+    misfits = {
+        "int64 node_idx": corpus_with(corpus, node_idx=corpus.node_idx.astype(np.int64)),
+        "int32 offsets": corpus_with(corpus, offsets=corpus.offsets.astype(np.int32)),
+        "strided offsets": corpus_with(corpus, offsets=np.repeat(corpus.offsets, 2)[::2]),
+    }
+    for what, misfit in misfits.items():
+        del calls[:]
+        assert same_stream(build_training_stream(misfit, 1.2, 3), want), what
+        assert len(calls) == 1, what
+    for what in ("no library", "direct False"):
+        with monkeypatch.context() as mp:
+            if what == "no library":
+                mp.setattr(_native, "load", lambda: None)
+            elif native_library is not None:
+                mp.setattr(native_library, "direct", False)
+            del calls[:]
+            assert same_stream(build_training_stream(corpus, 1.2, 3), want), what
+            assert len(calls) == 1, what
+
+
+def test_draw_contexts_splits_at_choice_s_own_cdf(direct_library):
+    # uniforms at each cdf value numpy's choice computes, and one ulp
+    # below it, fall on either side of that value only if the library's
+    # cdf has the very same bits: its sum, division and cumulative sum
+    rng = np.random.default_rng(61)
+    sizes = [1, 2, 7, 9, 100, 1000, 10_000]
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    weights = 1.0 / rng.integers(1, 10**6, offsets[-1]).astype(np.float64)
+    node_idx = rng.permutation(offsets[-1]).astype(np.int32)
+    uniforms, want = [], []
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        p = weights[a:b] / weights[a:b].sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        x = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0.0)])
+        uniforms.append(x)
+        want.append(node_idx[a:b][cdf.searchsorted(x, side="right")])
+        want.append([SIZE_PAIR])
+    draws = np.array([len(x) for x in uniforms], dtype=np.int64)
+    contexts = np.full(int(draws.sum()) + len(sizes), SIZE_PAIR, dtype=np.int32)
+    args = weights, offsets, node_idx, draws, np.concatenate(uniforms), contexts
+    assert direct_library.draw_contexts(*args) is True
+    assert np.array_equal(contexts, np.concatenate(want))

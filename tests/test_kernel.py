@@ -250,9 +250,11 @@ def test_source_compiles_without_warnings(tmp_path):
 
 # Drives the library at argv[1] over the scanner logs and writer corpora of
 # test_cascade_io.py, the arrays too short or of the wrong kind among them,
-# and, where the library finds numpy's own functions (argv[2], as the
-# package's library does), over the C loop's self-check and its argument
-# errors, its direct calls and the arrays direct_call refuses. Built with
+# and the canonical logs and their mutations, and, where the library finds
+# numpy's own functions (argv[2], as the package's library does), over the
+# C loop's self-check and its argument errors, its direct calls and the
+# arrays direct_call refuses, and the context draws of test_context.py,
+# on arrays that fit and on those draw_contexts refuses. Built with
 # the address and undefined behaviour sanitizers, the library ends the
 # process on a finding.
 SANITIZED_SCRIPT = textwrap.dedent(
@@ -261,6 +263,7 @@ SANITIZED_SCRIPT = textwrap.dedent(
     from iminfector import _native, model
     from iminfector.cascades import _render, _scan
     import test_cascade_io as io
+    import test_context as context
     import test_direct_calls as direct_calls
     import test_kernel as kernel
 
@@ -271,10 +274,12 @@ SANITIZED_SCRIPT = textwrap.dedent(
     for data in io.scanner_logs().values():
         _scan(lib, data)
         for args in io.short_scans(lib, data):
-            assert lib.scan_cascades(data, *args) == (-1, 0)
+            assert lib.scan_cascades(data, *args) == io.GIVE_UP
     room = io.exact_room(lib, io.STRICT)
     for change in io.MISFIT_SCANS.values():
-        assert lib.scan_cascades(io.STRICT, *io.scan_arrays(room, **change)) == (-1, 0)
+        assert lib.scan_cascades(io.STRICT, *io.scan_arrays(room, **change)) == io.GIVE_UP
+    for name, data in io.canonical_logs().items():
+        assert io.exact_room(lib, data)["canonical"] == (name == "canonical")
     for corpus in io.WRITER_EDGE_CASES + io.WRITER_BAD_INDICES + io.WRITER_MISFITS:
         _render(lib, corpus)
     assert lib.write_cascades(*io.WRITER_ARGS) is not None
@@ -292,6 +297,11 @@ SANITIZED_SCRIPT = textwrap.dedent(
         except ValueError:
             continue
         raise AssertionError(args)
+    if lib.direct:
+        for seed in range(3):
+            args = context.draw_args(seed=seed)
+            assert lib.draw_contexts(*args) is True
+        context.assert_misfit_draws_refused(lib)
     print("clean")
     """
 )
@@ -557,6 +567,15 @@ def assert_argument_errors(lib):
             lib.classify_pairs(*args)
         assert_same_model(before, model, repr(args[4:6]))
         assert (losses == 7.0).all() and (ws.bound, ws.bias_bound) == (2.0, 3.0), args[4:6]
+    # a start outside the stream raises even where the loop cannot take the
+    # arrays, which would otherwise hand the start back as it came
+    model.T = np.asfortranarray(model.T)
+    before = copy_model(model)
+    for start in (-1, 4):
+        with pytest.raises(ValueError):
+            lib.classify_pairs(*prefix, start, 0.1, losses)
+        assert_same_model(before, model, f"Fortran-order T, start {start}")
+        assert (losses == 7.0).all() and (ws.bound, ws.bias_bound) == (2.0, 3.0), start
 
 
 def test_loop_refuses_bad_arguments_and_changes_nothing(direct_library):
