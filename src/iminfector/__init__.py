@@ -11,8 +11,10 @@ __version__ = "0.1.0"
 from .cascades import (
     Cascade,
     CascadeCorpus,
+    EdgeList,
     build_corpus,
     derive_edges,
+    edge_list,
     initiator_stats,
     load_cascades,
     load_edges,

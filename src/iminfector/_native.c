@@ -1,6 +1,6 @@
 /* The package's native library: the classify step's epoch loop with its
- * T update, the context draws of the training stream, and a scanner and a
- * writer for the cascade text format.
+ * T update, the context draws of the training stream, a scanner and a
+ * writer for the cascade text format, and a scanner for edge lists.
  * _native.py builds it on first use against this interpreter's Python.h
  * and numpy's headers and loads it once, as the extension module
  * iminfector._native_lib. Its functions take no address or capacity: they
@@ -554,7 +554,9 @@ static PyObject *direct_call(PyObject *Py_UNUSED(module), PyObject *const *args,
  * p's sequential sum, as np.cumsum; cdf /= cdf[-1]; and each draw of x
  * takes node_idx[a + k], k the first index with cdf[k] > x, as
  * cdf.searchsorted(x, side="right"). So the contexts are choice's, bit for
- * bit. Cascade i's draws fill context from the row of its first pair on;
+ * bit. The draws are independent of each other, so their binary searches
+ * run LANES at a time, in lockstep, and the rest one by one, with the same
+ * indices. Cascade i's draws fill context from the row of its first pair on;
  * the row after them, its size pair's, is left as it is.
  *
  * weights and uniforms are float64 arrays, offsets and draws int64 and
@@ -608,6 +610,25 @@ static int fits_draws(const Py_buffer *view, Py_ssize_t *longest)
     return 1;
 }
 
+/* For each of the lanes values x[l], the first k with cdf[k] > x[l], into
+ * lo[l]; cdf holds m entries, the last one 1 > x[l]. Every entry before
+ * lo[l] is at most x[l], and cdf[lo[l] + n - 1] is above it. The number of
+ * halvings depends on m alone, so the searches run in lockstep and their
+ * loads overlap. */
+static inline void search(const double *cdf, size_t m, const double *x, size_t *lo, int lanes)
+{
+    for (int l = 0; l < lanes; l++)
+        lo[l] = 0;
+    for (size_t n = m; n > 1;) {
+        const size_t half = n / 2;
+        for (int l = 0; l < lanes; l++)
+            lo[l] = cdf[lo[l] + half - 1] <= x[l] ? lo[l] + half : lo[l];
+        n -= half;
+    }
+}
+
+enum { LANES = 8 }; /* draws searched in lockstep */
+
 /* Fills context from view's arrays, fitted, with cdf room for the longest
  * cascade. */
 static void draw(const Py_buffer *view, double *cdf)
@@ -626,17 +647,16 @@ static void draw(const Py_buffer *view, double *cdf)
             cdf[k] = cum = k ? cum + w[k] / sum : w[k] / sum;
         for (size_t k = 0; k < m; k++)
             cdf[k] = cdf[k] / cum;
-        for (int64_t j = 0; j < draws[i]; j++) {
-            /* the first k with cdf[k] > x: every entry before lo is at most
-             * x, and cdf[lo + n - 1] is above it, as cdf[m - 1] = 1 > x */
-            const double x = *uniform++;
-            size_t lo = 0, n = m;
-            while (n > 1) {
-                const size_t half = n / 2;
-                lo = cdf[lo + half - 1] <= x ? lo + half : lo;
-                n -= half;
-            }
-            *row++ = node_idx[a + (int64_t)lo];
+        size_t lo[LANES];
+        int64_t j = 0;
+        for (; j + LANES <= draws[i]; j += LANES, uniform += LANES) {
+            search(cdf, m, uniform, lo, LANES);
+            for (int l = 0; l < LANES; l++)
+                *row++ = node_idx[a + (int64_t)lo[l]];
+        }
+        for (; j < draws[i]; j++, uniform++) {
+            search(cdf, m, uniform, lo, 1);
+            *row++ = node_idx[a + (int64_t)lo[0]];
         }
         row++; /* the size pair */
     }
@@ -664,7 +684,7 @@ static PyObject *draw_contexts(PyObject *Py_UNUSED(module), PyObject *const *arg
     return Py_NewRef(fits ? Py_True : Py_False);
 }
 
-/* ---- The cascade scanner ----
+/* ---- The text scanners ----
  *
  * scan_cascades reads a cascade log that is in this strict form and gives
  * up on any other:
@@ -678,14 +698,21 @@ static PyObject *draw_contexts(PyObject *Py_UNUSED(module), PyObject *const *arg
  *   - no event time precedes its line's start time, and some event is not
  *     the initiator.
  *
- * Every log in this form parses alike in the Python parser, which reads
- * every other log: so a give-up costs only the time spent, and every error
- * is the Python parser's. Ids are interned in first-seen order (each
- * line's initiator, then its events) into the caller's id arrays, through
- * an open-addressing hash table that lives only for the call.
+ * scan_edges reads an edge list in the same form, but that each line that
+ * is not blank or a comment is ID TAB ID.
  *
- * The scanner also says whether the log is canonical, as every log the
- * package writes is: in each cascade the times do not descend, no
+ * Every file in this form parses alike in the Python parser, which reads
+ * every other file: so a give-up costs only the time spent, and every
+ * error is the Python parser's. Ids are interned in first-seen order (each
+ * line's ids from left to right) into the caller's id arrays, through an
+ * open-addressing hash table that lives only for the call. Each slot holds
+ * an id's last 8 bytes and its length, so that a lookup compares the id's
+ * other bytes only for an id longer than 8 bytes; its FNV-1a hash and its
+ * last 8 bytes are taken in the same pass over its bytes that finds its
+ * end, which reads no byte past the id.
+ *
+ * The cascade scanner also says whether the log is canonical, as every
+ * log the package writes is: in each cascade the times do not descend, no
  * participant repeats and the initiator is not among the events. Then
  * build_corpus would keep every event in place, and load_cascades skips
  * it. Each id carries a stamp, the number (plus one) of the last cascade
@@ -694,29 +721,49 @@ static PyObject *draw_contexts(PyObject *Py_UNUSED(module), PyObject *const *arg
  * check costs O(1) per event.
  */
 
-/* The distinct ids of the log being scanned: id k is
+/* A slot of the hash table: an id's key, its length and 1 + its index;
+ * index is 0 when the slot is free. */
+struct slot {
+    uint64_t key;
+    int32_t length, index;
+};
+
+/* The distinct ids of the file being scanned: id k is
  * data[offset[k]:offset[k] + length[k]], in the caller's arrays of max
- * entries. slot is the hash table, of 2^(64 - shift) slots, each 1 + an
- * id's index or 0 when free, and stamp[k] is id k's stamp, 0 before any
- * cascade saw it; scan_cascades frees both before it returns. */
+ * entries. slot is the hash table, of 2^(64 - shift) slots, and stamp[k]
+ * is id k's stamp, 0 before any cascade saw it (NULL for an edge list);
+ * the scanners free both before they return. */
 struct ids {
     const unsigned char *data;
     int64_t *offset;
     int32_t *length;
     int64_t count, max;
-    int32_t *slot;
+    struct slot *slot;
     int shift;
     int64_t *stamp;
 };
 
-/* The slot of the id start[0:end - start]: its FNV-1a hash, Fibonacci
- * hashed, so the top bits of the product pick the slot. */
-static size_t slot_of(const unsigned char *start, const unsigned char *end, int shift)
+static const uint64_t FNV_OFFSET = 14695981039346656037ULL;
+
+/* FNV-1a's step for one byte */
+static inline uint64_t fnv_step(uint64_t hash, unsigned char byte)
 {
-    uint64_t hash = 14695981039346656037ULL;
-    for (const unsigned char *p = start; p < end; p++)
-        hash = (hash ^ *p) * 1099511628211ULL;
+    return (hash ^ byte) * 1099511628211ULL;
+}
+
+/* The slot of a hash: Fibonacci hashing, so the top bits of the product
+ * pick the slot. */
+static inline size_t slot_of(uint64_t hash, int shift)
+{
     return (size_t)((hash * 0x9E3779B97F4A7C15ULL) >> shift);
+}
+
+/* An id's key is its last 8 bytes, or all of them, zero-padded: each byte
+ * is shifted in at the top as the id is read. So ids of equal keys and
+ * lengths differ only in bytes before their last 8. */
+static inline uint64_t key_step(uint64_t key, unsigned char byte)
+{
+    return key >> 8 | (uint64_t)byte << 56;
 }
 
 /* Rebuilds the slots at twice their number (at 1024 the first time),
@@ -725,15 +772,20 @@ static int grow_slots(struct ids *ids)
 {
     const int shift = ids->slot ? ids->shift - 1 : 54;
     const size_t n = (size_t)1 << (64 - shift);
-    int32_t *slot = calloc(n, sizeof *slot);
+    struct slot *slot = calloc(n, sizeof *slot);
     if (!slot)
         return -1;
     for (int64_t k = 0; k < ids->count; k++) {
         const unsigned char *id = ids->data + ids->offset[k];
-        size_t s = slot_of(id, id + ids->length[k], shift);
-        while (slot[s])
+        uint64_t hash = FNV_OFFSET, key = 0;
+        for (int32_t b = 0; b < ids->length[k]; b++) {
+            hash = fnv_step(hash, id[b]);
+            key = key_step(key, id[b]);
+        }
+        size_t s = slot_of(hash, shift);
+        while (slot[s].index)
             s = (s + 1) & (n - 1);
-        slot[s] = (int32_t)(k + 1);
+        slot[s] = (struct slot){key, ids->length[k], (int32_t)(k + 1)};
     }
     free(ids->slot);
     ids->slot = slot;
@@ -741,39 +793,47 @@ static int grow_slots(struct ids *ids)
     return 0;
 }
 
-/* The index of the id start[0:end - start], added if new; -1 on failure. */
-static int64_t intern(struct ids *ids, const unsigned char *start, const unsigned char *end)
+/* The index of the id at start of length bytes, of FNV-1a hash and key,
+ * added if new; -1 on failure. */
+static int64_t intern(struct ids *ids, const unsigned char *start, int32_t length, uint64_t hash,
+                      uint64_t key)
 {
     if (!ids->slot || 2 * (ids->count + 1) > ((int64_t)1 << (64 - ids->shift)))
         if (grow_slots(ids))
             return -1;
     const size_t mask = ((size_t)1 << (64 - ids->shift)) - 1;
-    const int32_t length = (int32_t)(end - start);
-    size_t s = slot_of(start, end, ids->shift);
-    for (; ids->slot[s]; s = (s + 1) & mask) {
-        const int64_t k = ids->slot[s] - 1;
-        if (ids->length[k] == length && memcmp(ids->data + ids->offset[k], start, length) == 0)
-            return k;
+    size_t s = slot_of(hash, ids->shift);
+    for (; ids->slot[s].index; s = (s + 1) & mask) {
+        const struct slot *const t = &ids->slot[s];
+        if (t->key == key && t->length == length &&
+            (length <= 8 ||
+             memcmp(ids->data + ids->offset[t->index - 1], start, (size_t)length - 8) == 0))
+            return t->index - 1;
     }
     if (ids->count == ids->max || ids->count == INT32_MAX - 1)
         return -1;
     const int64_t k = ids->count++;
     ids->offset[k] = start - ids->data;
     ids->length[k] = length;
-    ids->slot[s] = (int32_t)(k + 1);
+    ids->slot[s] = (struct slot){key, length, (int32_t)(k + 1)};
     return k;
 }
 
-/* Reads "ID:" at *p and interns the id; -1 if the bytes are not that. */
+/* Reads the id at *p, its bytes up to the first that is not 0x21-0x7E or
+ * is ':', interns it and leaves *p after it; -1 if there is no id. */
 static int64_t read_id(struct ids *ids, const unsigned char **p, const unsigned char *end)
 {
-    const unsigned char *start = *p, *q = start;
-    while (q < end && *q > 0x20 && *q < 0x7f && *q != ':')
-        q++;
-    if (q == start || q == end || *q != ':' || q - start > INT32_MAX)
+    const unsigned char *const start = *p;
+    const unsigned char *q = start;
+    uint64_t hash = FNV_OFFSET, key = 0;
+    for (; q < end && *q > 0x20 && *q < 0x7f && *q != ':'; q++) {
+        hash = fnv_step(hash, *q);
+        key = key_step(key, *q);
+    }
+    if (q == start || q - start > INT32_MAX)
         return -1;
-    *p = q + 1;
-    return intern(ids, start, q);
+    *p = q;
+    return intern(ids, start, (int32_t)(q - start), hash, key);
 }
 
 /* Reads the decimal digits at *p; -1 if there are none or the time is
@@ -781,7 +841,12 @@ static int64_t read_id(struct ids *ids, const unsigned char **p, const unsigned 
 static int64_t read_time(const unsigned char **p, const unsigned char *end)
 {
     const unsigned char *q = *p;
+    /* 18 digits are below 10^18 < 2^63: only the digits after them can
+     * overflow */
+    const unsigned char *const safe = end - q > 18 ? q + 18 : end;
     uint64_t value = 0;
+    for (; q < safe && *q >= '0' && *q <= '9'; q++)
+        value = value * 10 + (unsigned)(*q - '0');
     for (; q < end && *q >= '0' && *q <= '9'; q++) {
         const unsigned digit = *q - '0';
         if (value > ((uint64_t)INT64_MAX - digit) / 10)
@@ -792,6 +857,38 @@ static int64_t read_time(const unsigned char **p, const unsigned char *end)
         return -1;
     *p = q;
     return (int64_t)value;
+}
+
+/* Moves *p past the line break at *p, "\n" or "\r\n": 1 if there is one or
+ * *p is at the end, else 0. */
+static int end_of_line(const unsigned char **p, const unsigned char *end)
+{
+    const unsigned char *q = *p;
+    if (q < end && *q == '\r')
+        q++;
+    if (q < end && *q == '\n')
+        q++;
+    else if (q < end || q != *p)
+        return 0;
+    *p = q;
+    return 1;
+}
+
+/* Moves *p, at the start of a line, past the line if it is blank or a
+ * comment: 1 if it did, 0 if the line is neither, -1 if it is either but
+ * not in the strict form. */
+static int skip_line(const unsigned char **p, const unsigned char *end)
+{
+    const unsigned char *q = *p;
+    if (*q == '#') {
+        for (q++; q < end && *q != '\n' && *q != '\r'; q++)
+            if ((*q < 0x20 && *q != '\t') || *q > 0x7e)
+                return -1;
+    } else if (*q != '\n' && *q != '\r') {
+        return 0;
+    }
+    *p = q;
+    return end_of_line(p, end) ? 1 : -1;
 }
 
 /* The arguments of scan_cascades, and the first seven of write_cascades:
@@ -831,26 +928,13 @@ static int64_t scan(struct ids *ids, const Py_buffer *view, int *canonical)
     int64_t n = 0, events = 0;
     offsets[0] = 0;
     while (p < end) {
-        if (*p == '\n') {
-            p++;
+        const int skipped = skip_line(&p, end);
+        if (skipped < 0)
+            return -1;
+        if (skipped)
             continue;
-        }
-        if (*p == '\r') {
-            if (p + 1 == end || p[1] != '\n')
-                return -1;
-            p += 2;
-            continue;
-        }
-        if (*p == '#') {
-            for (p++; p < end && *p != '\n'; p++) {
-                if (*p == '\r' ? p + 1 == end || p[1] != '\n'
-                               : (*p < 0x20 && *p != '\t') || *p > 0x7e)
-                    return -1;
-            }
-            continue;
-        }
         const int64_t u = read_id(ids, &p, end);
-        const int64_t t0 = u < 0 ? -1 : read_time(&p, end);
+        const int64_t t0 = u < 0 || p == end || *p++ != ':' ? -1 : read_time(&p, end);
         if (t0 < 0 || p == end || *p++ != '\t' || n == max_cascades)
             return -1;
         const int64_t stamp = n + 1;
@@ -858,7 +942,7 @@ static int64_t scan(struct ids *ids, const Py_buffer *view, int *canonical)
         int other = 0;
         for (int64_t last = t0;;) {
             const int64_t v = read_id(ids, &p, end);
-            const int64_t t = v < 0 ? -1 : read_time(&p, end);
+            const int64_t t = v < 0 || p == end || *p++ != ':' ? -1 : read_time(&p, end);
             if (t < t0 || events == max_events)
                 return -1;
             node_idx[events] = (int32_t)v;
@@ -867,15 +951,11 @@ static int64_t scan(struct ids *ids, const Py_buffer *view, int *canonical)
             *canonical &= t >= last && ids->stamp[v] != stamp;
             ids->stamp[v] = stamp;
             last = t;
-            if (p == end)
-                break;
-            if (*p == ' ') {
+            if (p < end && *p == ' ') {
                 p++;
                 continue;
             }
-            if (*p == '\r' && p + 1 < end)
-                p++;
-            if (*p++ != '\n')
+            if (!end_of_line(&p, end))
                 return -1;
             break;
         }
@@ -921,6 +1001,66 @@ static PyObject *scan_cascades(PyObject *Py_UNUSED(module), PyObject *const *arg
         PyBuffer_Release(&view[k]);
     return Py_BuildValue("(LLO)", (long long)n, (long long)count,
                          n >= 0 && canonical ? Py_True : Py_False);
+}
+
+/* scan_edges(text, src, dst, id_offset, id_length) scans the bytes of an
+ * edge list into the writable int32 arrays src and dst, of one length,
+ * edge k from id src[k] to id dst[k] in line order, and the distinct ids
+ * into id_offset (int64) and id_length (int32), of one length, as
+ * scan_cascades does. Every edge is kept: self-loops and repeated pairs
+ * too. The arrays' lengths are the room there is.
+ *
+ * Returns (edges, ids), or (-1, 0) to give up: the text is not in the
+ * strict form, an array is not of its kind or length, or the text needs
+ * more room or memory than there is. */
+enum { E_TEXT, SRC, DST, E_ID_OFFSET, E_ID_LENGTH, N_EDGE_SCAN };
+static const enum kind EDGE_KIND[N_EDGE_SCAN] = {BYTE, I32, I32, I64, I32};
+
+static int64_t scan_edge_lines(struct ids *ids, const Py_buffer *view)
+{
+    int32_t *const src = view[SRC].buf, *const dst = view[DST].buf;
+    const int64_t max_edges = view[SRC].shape[0];
+    const unsigned char *p = ids->data;
+    const unsigned char *const end = p + view[E_TEXT].len;
+    int64_t n = 0;
+    while (p < end) {
+        const int skipped = skip_line(&p, end);
+        if (skipped < 0)
+            return -1;
+        if (skipped)
+            continue;
+        const int64_t u = read_id(ids, &p, end);
+        if (u < 0 || p == end || *p++ != '\t')
+            return -1;
+        const int64_t v = read_id(ids, &p, end);
+        if (v < 0 || !end_of_line(&p, end) || n == max_edges)
+            return -1;
+        src[n] = (int32_t)u;
+        dst[n++] = (int32_t)v;
+    }
+    return n;
+}
+
+static PyObject *scan_edges(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != N_EDGE_SCAN)
+        return PyErr_Format(PyExc_TypeError, "scan_edges takes %d arguments", N_EDGE_SCAN);
+    Py_buffer view[N_EDGE_SCAN] = {0};
+    int fits = 1;
+    for (int k = 0; k < N_EDGE_SCAN && fits; k++)
+        fits = !take(args[k], &view[k], 1, EDGE_KIND[k], k == E_TEXT ? 0 : PyBUF_WRITABLE);
+    int64_t n = -1, count = 0;
+    if (fits && view[DST].shape[0] == view[SRC].shape[0] &&
+        view[E_ID_LENGTH].shape[0] == view[E_ID_OFFSET].shape[0]) {
+        struct ids ids = {view[E_TEXT].buf, view[E_ID_OFFSET].buf, view[E_ID_LENGTH].buf, 0,
+                          view[E_ID_OFFSET].shape[0], NULL, 0, NULL};
+        n = scan_edge_lines(&ids, view);
+        free(ids.slot);
+        count = n < 0 ? 0 : ids.count;
+    }
+    for (int k = 0; k < N_EDGE_SCAN; k++)
+        PyBuffer_Release(&view[k]);
+    return Py_BuildValue("(LL)", (long long)n, (long long)count);
 }
 
 /* ---- The cascade writer ----
@@ -1029,6 +1169,8 @@ static PyMethodDef methods[] = {
      "draw_contexts(weights, offsets, node_idx, draws, uniforms, context)"},
     {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,
      "scan_cascades(log, initiator, start, offsets, node_idx, times, id_offset, id_length)"},
+    {"scan_edges", (PyCFunction)(void (*)(void))scan_edges, METH_FASTCALL,
+     "scan_edges(text, src, dst, id_offset, id_length)"},
     {"write_cascades", (PyCFunction)(void (*)(void))write_cascades, METH_FASTCALL,
      "write_cascades(id_bytes, initiator, start, offsets, node_idx, times, id_bounds)"},
     {NULL, NULL, 0, NULL},
@@ -1040,7 +1182,7 @@ static struct PyModuleDef module_def = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "iminfector._native_lib",
     .m_doc = "iminfector's native library: the classify epoch loop, the training stream's "
-             "context draws and the cascade text format.",
+             "context draws, the cascade text format and the edge list scanner.",
     .m_methods = methods,
     .m_slots = slots,
 };

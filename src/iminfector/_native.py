@@ -3,8 +3,9 @@
 ``_native.c`` holds the classify epoch loop (``classify_pairs``) with its
 T update (``fused_t_update``) and the direct calls of numpy's own loops and
 BLAS that it makes (``direct_call``), the training stream's context draws
-(``draw_contexts``), the cascade scanner (``scan_cascades``) and the
-cascade writer (``write_cascades``). ``load()``
+(``draw_contexts``), the cascade scanner (``scan_cascades``), the
+cascade writer (``write_cascades``) and the edge list scanner
+(``scan_edges``). ``load()``
 compiles it with the system C compiler, ``$CC`` or else ``cc``, against
 this interpreter's ``Python.h`` and numpy's headers (for the layout of a
 ufunc object) into the user's cache directory, ``$XDG_CACHE_HOME/iminfector``
@@ -37,7 +38,7 @@ switch.
 Nothing here runs at import. With no compiler, no Python or numpy
 headers, an unwritable cache or a failed build, ``load()`` returns None:
 training takes its numpy step, the stream draws through ``rng.choice`` and
-cascade files go through the Python parser and formatter.
+cascade files and edge lists go through the Python parsers and formatter.
 """
 
 import contextlib
@@ -45,7 +46,6 @@ import functools
 import hashlib
 import os
 import platform
-import subprocess
 import sysconfig
 import tempfile
 from importlib import machinery, resources, util
@@ -152,21 +152,28 @@ def build(code, directory, prefix, cc=CC):
     """Compile ``code`` into ``directory``, prune the directory, and return
     the library's path.
 
-    Raises OSError when the compiler is missing or the directory is not
-    writable, subprocess.SubprocessError when the compiler fails.
+    Raises OSError when the compiler is missing or fails or the directory
+    is not writable.
     """
+    # imported here, as only a build runs the compiler: subprocess takes
+    # about 6 ms of every process's start
+    import subprocess
+
     os.makedirs(directory, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".build-", dir=directory) as tmp:
         with open(os.path.join(tmp, "native.c"), "wb") as fh:
             fh.write(code)
         # relative names keep the temp directory out of the library's bytes
-        subprocess.run(
-            [cc, *compile_args(), "-o", "native.so", "native.c"],
-            cwd=tmp,
-            check=True,
-            capture_output=True,
-            timeout=BUILD_TIMEOUT_S,
-        )
+        try:
+            subprocess.run(
+                [cc, *compile_args(), "-o", "native.so", "native.c"],
+                cwd=tmp,
+                check=True,
+                capture_output=True,
+                timeout=BUILD_TIMEOUT_S,
+            )
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"{cc} did not build the library: {exc}") from exc
         built = os.path.join(tmp, "native.so")
         with open(built, "rb") as fh:
             path = os.path.join(directory, f"{prefix}{_digest(fh.read())}.so")
@@ -204,5 +211,5 @@ def load():
         # a library pruned by another process after the digest check is
         # gone here: the extension loader raises ImportError
         return open_library(path)
-    except (OSError, ImportError, subprocess.SubprocessError):
+    except (OSError, ImportError):
         return None

@@ -22,6 +22,18 @@ def slack_ceil(value):
     return math.ceil(value - _CEIL_SLACK)
 
 
+def sorted_distinct(values):
+    """np.unique(values) of a 1-D array: its distinct values, sorted, of its
+    dtype. A sort and a mask of the entries that differ from the one
+    before; np.unique itself imports numpy.ma, about 17 ms of a process's
+    start."""
+    values = np.sort(values)
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 @contextlib.contextmanager
 def atomic_write(path, mode="w"):
     """Open a file that replaces ``path`` only once its block completes.

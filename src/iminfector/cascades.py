@@ -5,7 +5,8 @@ A cascade log is UTF-8 text, one cascade per line:
     <initiator>:<start_time> TAB <node>:<time> <node>:<time> ...
 
 Ids match ``[^\\s:]+`` and times are integers in [0, 2**63). Lines starting
-with ``#`` are comments. An edge list file is one ``src TAB dst`` per line.
+with ``#`` are comments. An edge list file is one ``src TAB dst`` per line,
+read into an EdgeList.
 
 A corpus is held as arrays (CSR layout), not as one object per event: the
 events of cascade i are positions ``offsets[i]:offsets[i+1]`` of
@@ -26,7 +27,7 @@ from .exceptions import (
     TimeOrderViolation,
 )
 from . import _native
-from ._util import ID_RE, atomic_write, read_lines, slack_ceil, text_lines
+from ._util import ID_RE, atomic_write, slack_ceil, sorted_distinct, text_lines
 
 _TIME_RE = re.compile(r"[0-9]+\Z")
 # A whole well-formed line. Event tokens are separated by any whitespace
@@ -108,7 +109,7 @@ class CascadeCorpus:
     @cached_property
     def influencers(self):
         """Node index of each influencer, in influencer-index order."""
-        return np.unique(self.initiator)
+        return sorted_distinct(self.initiator)
 
     def cascade_influencers(self):
         """Influencer index of each cascade's initiator."""
@@ -155,6 +156,19 @@ def _reindexed(ids, initiator, start_time, offsets, node_idx, times, sort_ids=Fa
     kept = np.flatnonzero(used).tolist()
     if sort_ids:
         kept.sort(key=ids.__getitem__)
+    return _over(ids, kept, initiator, start_time, offsets, node_idx, times)
+
+
+def _with_sorted_ids(ids, initiator, start_time, offsets, node_idx, times):
+    """Corpus over ``ids`` sorted, every one of which is in use, as
+    _reindexed(..., sort_ids=True) gives it."""
+    return _over(ids, sorted(range(len(ids)), key=ids.__getitem__), initiator, start_time,
+                 offsets, node_idx, times)
+
+
+def _over(ids, kept, initiator, start_time, offsets, node_idx, times):
+    """Corpus over the id table ``[ids[v] for v in kept]``, which holds
+    every id in use."""
     remap = np.empty(len(ids), dtype=np.int32)
     remap[kept] = np.arange(len(kept), dtype=np.int32)
     return CascadeCorpus(
@@ -316,14 +330,29 @@ def serialize_cascades(corpus):
     return "\n".join(out) + "\n" if out else ""
 
 
+def _room(data):
+    """A bound on the lines, ids and events of a text file ``data`` in a
+    scanner's strict form: every cascade initiator, event and edge line
+    takes at least 4 bytes, "u:0" or "u" and "v" with the byte after it,
+    but for the file's last, which may end without a line break. Pages of
+    the room that the scanner never writes are never resident."""
+    return len(data) // 4 + 1
+
+
+def _decoded_ids(data, id_offset, id_length, count):
+    """The first ``count`` ids a scanner found in ``data``, as str."""
+    spans = zip(id_offset[:count].tolist(), id_length[:count].tolist())
+    return [data[at : at + length].decode("ascii") for at, length in spans]
+
+
 def _scan(lib, data):
     """The arguments of build_corpus for the log ``data`` (bytes), read by
     the native scanner, and whether the log is canonical (see _native.c),
     so that build_corpus would keep every event in place; None if the log
     is not in the scanner's strict form, which parse_cascades reads the
     same way."""
-    # every event and every id ends in a ':', and a cascade has two of them
-    max_events = data.count(b":")
+    # events and ids each fit in the room, and every cascade has two of them
+    max_events = _room(data)
     max_cascades = max_events // 2
     initiator = np.empty(max_cascades, dtype=np.int32)
     start = np.empty(max_cascades, dtype=np.int64)
@@ -336,8 +365,7 @@ def _scan(lib, data):
                                             id_offset, id_length)
     if n < 0:
         return None
-    spans = zip(id_offset[:n_ids].tolist(), id_length[:n_ids].tolist())
-    ids = [data[at : at + length].decode("ascii") for at, length in spans]
+    ids = _decoded_ids(data, id_offset, id_length, n_ids)
     events = int(offsets[n])
     # the per-cascade arrays are copied, so that the room left over is freed
     starts, offsets = start[:n].copy(), offsets[: n + 1].copy()
@@ -351,7 +379,8 @@ def load_cascades(path):
     and every log when the library is missing, goes through
     parse_cascades, which raises every format error. ``corpus.reader``
     says which one read it. A canonical log, such as every log the package
-    writes, needs only its ids sorted, so it skips build_corpus.
+    writes, uses every id it holds and needs only its ids sorted, so it
+    skips build_corpus.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -363,7 +392,7 @@ def load_cascades(path):
         return corpus
     del data  # build_corpus needs the memory more
     raw, canonical = scanned
-    corpus = _reindexed(*raw, sort_ids=True) if canonical else build_corpus(*raw)
+    corpus = _with_sorted_ids(*raw) if canonical else build_corpus(*raw)
     corpus.reader = "c"
     return corpus
 
@@ -420,7 +449,7 @@ def reach_pairs(corpus):
     once per initiator.
     """
     owner = np.repeat(corpus.initiator.astype(np.int64), corpus.sizes())
-    pairs = np.unique(owner * corpus.n_nodes + corpus.node_idx)
+    pairs = sorted_distinct(owner * corpus.n_nodes + corpus.node_idx)
     return np.divmod(pairs, corpus.n_nodes)
 
 
@@ -457,6 +486,33 @@ def initiator_stats(train, test):
     return ids, columns
 
 
+class EdgeList(NamedTuple):
+    """Directed edges over an id table: edge k runs from ``ids[src[k]]`` to
+    ``ids[dst[k]]`` (int32 indices), in the order they first appear. No
+    edge is a self-loop and no pair repeats; the table may also hold ids
+    of no edge."""
+
+    ids: list
+    src: np.ndarray
+    dst: np.ndarray
+
+
+def _distinct_edges(ids, src, dst):
+    """EdgeList of the edges ``src[k] -> dst[k]`` over ``ids``, less
+    self-loops and all but the first of each repeated pair."""
+    kept = np.flatnonzero(src != dst)
+    _, first = np.unique(src[kept].astype(np.int64) * len(ids) + dst[kept], return_index=True)
+    kept = kept[np.sort(first)]
+    return EdgeList(ids, src[kept], dst[kept])
+
+
+def edge_list(pairs):
+    """EdgeList of (src id, dst id) pairs, less self-loops and repeats."""
+    index = _Interner()
+    ends = np.array([index[node] for pair in pairs for node in pair], dtype=np.int32)
+    return _distinct_edges(list(index), ends[0::2], ends[1::2])
+
+
 def parse_edges(lines):
     """Parse an edge list; drops self-loops and collapses duplicate pairs."""
     edges = []
@@ -481,7 +537,25 @@ def parse_edges(lines):
 
 
 def load_edges(path):
-    return parse_edges(read_lines(path))
+    """Read an edge list into an EdgeList, as parse_edges reads its lines.
+
+    The native scanner reads a file in its strict ASCII form; any other
+    file, and every file when the library is missing, goes through
+    parse_edges, which raises every format error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lib = _native.load()
+    if lib is not None:
+        max_edges = _room(data)  # and two ids per edge
+        src, dst = np.empty(max_edges, dtype=np.int32), np.empty(max_edges, dtype=np.int32)
+        id_offset = np.empty(2 * max_edges, dtype=np.int64)
+        id_length = np.empty(2 * max_edges, dtype=np.int32)
+        n, n_ids = lib.scan_edges(data, src, dst, id_offset, id_length)
+        if n >= 0:
+            ids = _decoded_ids(data, id_offset, id_length, n_ids)
+            return _distinct_edges(ids, src[:n], dst[:n])
+    return edge_list(parse_edges(text_lines(data)))
 
 
 def save_edges(edges, path):

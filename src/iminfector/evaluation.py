@@ -8,11 +8,11 @@ with the same metric.
 """
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
-from .cascades import reach_pairs
+from ._util import sorted_distinct
+from .cascades import EdgeList, edge_list, reach_pairs
 
 
 @dataclass
@@ -47,16 +47,9 @@ def dni(seeds, test):
     return EvaluationResult(dni=int(np.count_nonzero(claimed)), per_seed_contribution=contributions)
 
 
-def _adjacency(edges):
-    adj = {}
-    for src, dst in edges:
-        adj.setdefault(src, set()).add(dst)
-        adj.setdefault(dst, set()).add(src)
-    return adj
-
-
-def core_numbers(edges):
-    """Core number of every node of the undirected simple graph.
+def _peeled(edges):
+    """Core number of each id of an EdgeList in its undirected simple
+    graph, as an int64 array; -1 for an id on no edge.
 
     Bucket peeling (Batagelj & Zaversnik 2003, "An O(m) Algorithm for Cores
     Decomposition of Networks"): ``vert`` holds the nodes sorted by current
@@ -66,23 +59,29 @@ def core_numbers(edges):
     to the front of its bucket and down one degree. O(V + E). Core numbers
     do not depend on the peeling order.
     """
-    adj = _adjacency(edges)
-    nodes = list(adj)
-    index = {v: i for i, v in enumerate(nodes)}
-    nbrs = [[index[w] for w in adj[v]] for v in nodes]
-    degree = [len(ns) for ns in nbrs]
-    vert = sorted(range(len(nodes)), key=degree.__getitem__)
-    pos = [0] * len(nodes)
-    for i, v in enumerate(vert):
-        pos[v] = i
-    counts = [0] * (max(degree, default=0) + 2)
-    for d in degree:
-        counts[d + 1] += 1
-    start = list(accumulate(counts))  # nodes of degree below d, empty buckets too
+    n = len(edges.ids)
+    ends = np.concatenate([edges.src, edges.dst]).astype(np.int64)
+    # each edge both ways, and each of those once: node v's neighbours are
+    # nbrs[first[v]:first[v + 1]]
+    key = sorted_distinct(ends * n + np.concatenate([edges.dst, edges.src]))
+    owner, nbrs = np.divmod(key, n)
+    degree = np.bincount(owner, minlength=n)
+    first = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=first[1:])
+    vert = np.argsort(degree, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[vert] = np.arange(n)
+    start = np.zeros(int(degree.max(initial=0)) + 2, dtype=np.int64)
+    # nodes of degree below d, empty buckets too
+    np.cumsum(np.bincount(degree, minlength=len(start) - 1), out=start[1:])
+    isolated = degree == 0
+    vert, pos, start, first, nbrs, degree = (
+        a.tolist() for a in (vert, pos, start, first, nbrs, degree))
     for v in vert:
-        for u in nbrs[v]:
+        dv = degree[v]
+        for u in nbrs[first[v] : first[v + 1]]:
             du = degree[u]
-            if du > degree[v]:
+            if du > dv:
                 # swap u with the first node of its bucket, then shrink the bucket
                 pu, pw = pos[u], start[du]
                 w = vert[pw]
@@ -90,15 +89,35 @@ def core_numbers(edges):
                 pos[u], pos[w] = pw, pu
                 start[du] += 1
                 degree[u] = du - 1
-    return {nodes[v]: d for v, d in enumerate(degree)}
+    cores = np.array(degree, dtype=np.int64)
+    cores[isolated] = -1
+    return cores
+
+
+def _as_edge_list(edges):
+    return edges if isinstance(edges, EdgeList) else edge_list(edges)
+
+
+def core_numbers(edges):
+    """Core number of every node of the undirected simple graph of
+    ``edges``, an EdgeList or (src, dst) id pairs, by id."""
+    edges = _as_edge_list(edges)
+    cores = _peeled(edges).tolist()
+    return {nid: d for nid, d in zip(edges.ids, cores) if d >= 0}
 
 
 def kcore_ranking(edges):
-    """(node id, core number) pairs, core number descending, ties by id ascending."""
-    if not edges:
+    """(node id, core number) pairs of ``edges``, an EdgeList or (src, dst)
+    id pairs, core number descending, ties by id ascending."""
+    edges = _as_edge_list(edges)
+    if not len(edges.src):
         raise ValueError("empty edge list")
-    cores = core_numbers(edges)
-    return sorted(cores.items(), key=lambda kv: (-kv[1], kv[0]))
+    cores = _peeled(edges)
+    ids = edges.ids
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    ranked = by_id[np.argsort(-cores[by_id], kind="stable")]
+    ranked = ranked[cores[ranked] >= 0]
+    return list(zip([ids[v] for v in ranked.tolist()], cores[ranked].tolist()))
 
 
 def avg_size_ranking(train):

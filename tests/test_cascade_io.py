@@ -48,6 +48,8 @@ CASES = {
     "blank line of spaces": (b"u:1\tv:2\n   \n", "python"),
     "time of 2**63": (b"u:1\tv:9223372036854775808\n", MalformedLine),
     "time of 2**63 - 1": (b"u:1\tv:9223372036854775807\n", "c"),
+    "time of 2**64 + 5, 5 in 64 bits": (b"u:1\tv:18446744073709551621\n", MalformedLine),
+    "20-digit time of 2**63 - 1": (b"u:1\tv:09223372036854775807\n", "c"),
     "leading-zero times": (b"u:007\tv:0010 w:00007\n", "c"),
     "event before its start": (b"u:5\tv:6 w:4\n", TimeOrderViolation),
     "initiator-only cascade": (b"u:1\tv:2\nu:1\tu:2 u:3\n", EmptyCascade),
@@ -81,6 +83,12 @@ TABLE_LOGS = {
     ),
     "a 4 KB id": lambda: f"{'i' * 4096}:1\tv:2\nv:3\t{'i' * 4096}:4 {'i' * 4095}:5\n",
     "one id 100,000 times": lambda: "u:1\t" + " ".join(["v:2"] * 100_000) + "\n",
+    # slots compare an id's last 8 bytes and its length before its bytes,
+    # and times are checked for overflow only after 18 digits
+    "ids sharing their first and last 8 bytes, at 19- and 20-digit times": lambda: "".join(
+        f"prefix08{k}suffix08:{2**63 - 2 - k:019d}\tprefix08{k + 1}suffix08:{2**63 - 1:020d}\n"
+        for k in range(2_000)
+    ),
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import iminfector
 from iminfector import _native
-from iminfector import cli
+from iminfector import cli, context
 from iminfector.cascades import load_cascades
 from iminfector.cli import main
 from iminfector.context import build_training_stream, dump_pairs
@@ -371,7 +371,7 @@ def test_train_dump_pairs(tmp_path, corpus_file, monkeypatch):
     assert n_context >= sum(len(c.split("\t")[1].split()) for c in CORPUS)
 
 
-def test_dump_pairs_identical_on_every_draw_path(tmp_path, native_library, monkeypatch, capsys):
+def test_dump_pairs_identical_on_every_draw_path(tmp_path, monkeypatch, capsys):
     # the library's context draws, and rng.choice's without the library or
     # without numpy's own functions
     log = tmp_path / "log.txt"
@@ -386,12 +386,21 @@ def test_dump_pairs_identical_on_every_draw_path(tmp_path, native_library, monke
         return pairs.read_bytes()
 
     want = dump("library")
+    choices = []
+    choice_contexts = context.choice_contexts
+    monkeypatch.setattr(context, "choice_contexts",
+                        lambda *args: choices.append(args) or choice_contexts(*args))
     with monkeypatch.context() as mp:
         mp.setattr(_native, "load", lambda: None)
         assert dump("none") == want
-    if native_library is not None:
-        monkeypatch.setattr(native_library, "direct", False)
+    assert len(choices) == 1
+    # the library train loads now: a test that cleared load's cache made
+    # it another module than the session fixture's
+    lib = _native.load()
+    if lib is not None:
+        monkeypatch.setattr(lib, "direct", False)
         assert dump("indirect") == want
+        assert len(choices) == 2
     capsys.readouterr()
 
 
@@ -724,6 +733,42 @@ def package_env():
     src = os.path.dirname(os.path.dirname(iminfector.__file__))
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+# Runs the commands of argv[1], a JSON list of argument lists, through
+# cli.main in this one process, then prints which of numpy.ma and
+# subprocess it imported.
+IMPORTS_SCRIPT = """
+import json, sys
+from iminfector.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print([name for name in ("numpy.ma", "subprocess") if name in sys.modules])
+"""
+
+
+def test_commands_import_neither_numpy_ma_nor_subprocess(tmp_path, built_library):
+    # each is several ms of every job's start: np.unique imports numpy.ma,
+    # and only a build of the library, done here already, runs a compiler
+    def out(name):
+        return str(tmp_path / name)
+
+    assert main(["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
+                 "--out", out("log.txt"), "--edges-out", out("edges.txt")]) == 0
+    commands = [
+        ["split", "--cascades", out("log.txt"), "--train-out", out("train.txt"),
+         "--test-out", out("test.txt")],
+        ["stats", "--train", out("train.txt"), "--test", out("test.txt"), "--out", out("s.tsv")],
+        ["baseline", "--method", "avgsize", "--train", out("train.txt"), "--out", out("a.txt")],
+        ["baseline", "--method", "kcore", "--edges", out("edges.txt"), "--out", out("k.txt")],
+        ["evaluate", "--seeds", out("a.txt"), "--test", out("test.txt"), "--out", out("r.tsv")],
+        ["pipeline", "--cascades", out("log.txt"), "--outdir", out("run"), "--embed-dim", "4",
+         "--epochs", "1"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_SCRIPT, json.dumps(commands)],
+                          env=package_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kernel_isa):

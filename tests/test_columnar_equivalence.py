@@ -30,6 +30,7 @@ from iminfector._util import read_lines, slack_ceil
 from iminfector.cascades import (
     _reindexed,
     _scan,
+    _with_sorted_ids,
     build_corpus,
     load_cascades,
     parse_cascades,
@@ -366,9 +367,7 @@ strict_logs = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(strict_logs)
-def test_scanner_reads_strict_logs_as_the_parser(native_library, log):
+def assert_strict_log_read_alike(native_library, log):
     lines, newline, final_newline = log
     text = newline.join(lines) + (newline if final_newline else "")
     fd, path = tempfile.mkstemp(suffix=".txt")
@@ -381,6 +380,61 @@ def test_scanner_reads_strict_logs_as_the_parser(native_library, log):
     # every strict log the parser takes, the scanner takes too
     if native_library is not None:
         assert reader in ("c", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strict_logs)
+def test_scanner_reads_strict_logs_as_the_parser(native_library, log):
+    assert_strict_log_read_alike(native_library, log)
+
+
+# Ids of 1-40 bytes, many of one length that share their first or their
+# last 8 bytes and differ in one byte, and times of 17-20 digits, leading
+# zeros included, around 2**63 - 1. The scanner's hash slots compare an
+# id's last 8 bytes and its length before its other bytes, which matters
+# when the probes of two such ids meet, so a log holds a few of them or up
+# to 300; and it checks a time for overflow only after 18 digits.
+ID_BYTES = "ab#~9_"
+
+
+@st.composite
+def long_ids(draw):
+    core = draw(st.text(st.sampled_from(ID_BYTES), min_size=1, max_size=32))
+    flips = [core[:k] + b + core[k + 1 :] for k, c in enumerate(core) for b in ID_BYTES if b != c]
+    pool = [core[:1], core, *(f"prefix08{c}" for c in [core, *flips]),
+            *(f"{c}suffix08" for c in [core, *flips])]
+    few = st.lists(st.sampled_from(pool), min_size=2, max_size=6, unique=True)
+    return draw(st.one_of(few, st.permutations(pool)))
+
+
+LONG_TIMES = [0, 7, 10**16, 10**17 - 1, 10**18 - 1, 10**18, LIMIT - 2, LIMIT - 1, LIMIT,
+              LIMIT + 1, 10**19, 2**64 + 5, 10**20 - 1]
+
+
+@st.composite
+def long_id_line(draw, ids):
+    def stamp(value):
+        return str(value).zfill(draw(st.integers(17, 20)))
+
+    # half the lines hold only times the parser takes, so long lines parse too
+    valid = draw(st.booleans())
+    start = 0 if valid else draw(st.sampled_from([7, 10**16, LIMIT - 2]))
+    times = [t for t in LONG_TIMES if t < LIMIT] if valid else LONG_TIMES
+    events = draw(st.permutations(ids))[: draw(st.sampled_from([1, 2, 4, len(ids)]))]
+    tokens = " ".join(f"{v}:{stamp(draw(st.sampled_from(times)))}" for v in events)
+    return f"{draw(st.sampled_from(ids))}:{stamp(start)}\t{tokens}"
+
+
+long_id_logs = long_ids().flatmap(
+    lambda ids: st.tuples(st.lists(st.one_of(long_id_line(ids), st.just("#")), max_size=5),
+                          st.sampled_from(["\n", "\r\n"]), st.booleans())
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_id_logs)
+def test_scanner_reads_long_ids_and_long_times_as_the_parser(native_library, log):
+    assert_strict_log_read_alike(native_library, log)
 
 
 @st.composite
@@ -434,7 +488,7 @@ def test_canonical_flag_is_exact_and_its_corpus_is_build_corpus(native_library, 
     raw, canonical = scanned
     assert canonical == is_canonical(text)
     if canonical:
-        assert corpus_state(_reindexed(*raw, sort_ids=True)) == corpus_state(build_corpus(*raw))
+        assert corpus_state(_with_sorted_ids(*raw)) == corpus_state(build_corpus(*raw))
 
 
 @st.composite
@@ -535,3 +589,19 @@ def test_native_draws_match_reference(native_library, lines, seed, oversample):
             # the library's draws, never the loop's
             mp.setattr(context, "choice_contexts", None)
         assert stream_pairs(build_training_stream(corpus, oversample, seed)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 13), min_size=1, max_size=8),
+       st.sampled_from([1e-10, 0.05, 0.5, 1.0, 1.2, 1.25]), st.integers(0, 2**32 - 1))
+def test_native_draw_counts_0_to_17_match_reference(native_library, sizes, oversample, seed):
+    # 0 to 17 draws per cascade: the library searches 8 at a time, then
+    # one at a time, so every remainder
+    lines = [f"u{i}:5\t" + " ".join(f"n{k}:{5 + (3 * k + i) % 11}" for k in range(m)) + "\n"
+             for i, m in enumerate(sizes)]
+    assert all(0 <= slack_ceil(oversample * m) <= 17 for m in sizes)
+    want = reference_build_training_stream(reference_parse(lines), oversample, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if native_library is not None and native_library.direct:
+            mp.setattr(context, "choice_contexts", None)
+        assert stream_pairs(build_training_stream(parse_cascades(lines), oversample, seed)) == want

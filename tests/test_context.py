@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iminfector import _native, context
 from iminfector._util import slack_ceil
@@ -111,11 +113,13 @@ DRAW_CORPUS = parse_cascades(
 )
 
 
-def draw_args(seed=0):
-    """draw_contexts's arguments for DRAW_CORPUS's stream, every context
-    row at SIZE_PAIR."""
+def draw_args(seed=0, draws=None):
+    """draw_contexts's arguments for DRAW_CORPUS's stream, or for ``draws``
+    draws per cascade, every context row at SIZE_PAIR."""
     weights = sampling_weights(DRAW_CORPUS)
-    draws = np.array([slack_ceil(1.2 * m) for m in DRAW_CORPUS.sizes().tolist()], np.int64)
+    if draws is None:
+        draws = [slack_ceil(1.2 * m) for m in DRAW_CORPUS.sizes().tolist()]
+    draws = np.array(draws, np.int64)
     uniforms = np.random.default_rng(seed).random(int(draws.sum()))
     contexts = np.full(len(uniforms) + len(draws), SIZE_PAIR, dtype=np.int32)
     return [weights, DRAW_CORPUS.offsets, DRAW_CORPUS.node_idx, draws, uniforms, contexts]
@@ -238,7 +242,9 @@ def test_stream_falls_back_to_choice_with_the_same_stream(native_library, monkey
             if what == "no library":
                 mp.setattr(_native, "load", lambda: None)
             elif native_library is not None:
-                mp.setattr(native_library, "direct", False)
+                # the library build_training_stream loads now: a test that
+                # cleared load's cache made it another module than this one
+                mp.setattr(_native.load(), "direct", False)
             del calls[:]
             assert same_stream(build_training_stream(corpus, 1.2, 3), want), what
             assert len(calls) == 1, what
@@ -267,3 +273,23 @@ def test_draw_contexts_splits_at_choice_s_own_cdf(direct_library):
     args = weights, offsets, node_idx, draws, np.concatenate(uniforms), contexts
     assert direct_library.draw_contexts(*args) is True
     assert np.array_equal(contexts, np.concatenate(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 13), st.integers(0, 17)), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_draw_contexts_takes_any_count_of_draws_as_choice(direct_library, cascades, seed):
+    # the library searches 8 draws at a time, then one at a time: every
+    # count from 0 to 17 per cascade, so every remainder, in one stream
+    lines = [f"u{i}:5\t" + " ".join(f"n{k}:{5 + (3 * k + i) % 11}" for k in range(m))
+             for i, (m, _) in enumerate(cascades)]
+    corpus = parse_cascades(lines)
+    weights = sampling_weights(corpus)
+    draws = np.array([n for _, n in cascades], dtype=np.int64)
+    want = np.full(int(draws.sum()) + len(draws), SIZE_PAIR, dtype=np.int32)
+    choice_contexts(corpus, weights, draws, seed, want)
+    got = np.full_like(want, SIZE_PAIR)
+    uniforms = np.random.default_rng(seed).random(int(draws.sum()))
+    assert direct_library.draw_contexts(weights, corpus.offsets, corpus.node_idx, draws,
+                                        uniforms, got) is True
+    assert np.array_equal(got, want)

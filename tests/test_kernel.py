@@ -248,15 +248,17 @@ def test_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# Drives the library at argv[1] over the scanner logs and writer corpora of
-# test_cascade_io.py, the arrays too short or of the wrong kind among them,
-# and the canonical logs and their mutations, and, where the library finds
-# numpy's own functions (argv[2], as the package's library does), over the
-# C loop's self-check and its argument errors, its direct calls and the
-# arrays direct_call refuses, and the context draws of test_context.py,
-# on arrays that fit and on those draw_contexts refuses. Built with
-# the address and undefined behaviour sanitizers, the library ends the
-# process on a finding.
+# Drives the library at argv[1] over the scanner logs (long ids and 19- and
+# 20-digit times among them) and writer corpora of test_cascade_io.py and
+# the edge lists of test_edge_io.py, the arrays too short or of the wrong
+# kind among them, and the canonical logs and their mutations, and, where
+# the library finds numpy's own functions (argv[2], as the package's
+# library does), over the C loop's self-check and its argument errors, its
+# direct calls and the arrays direct_call refuses, and the context draws of
+# test_context.py, counts of draws that are not multiples of 8 among them,
+# on arrays that fit and on those draw_contexts refuses. Built with the
+# address and undefined behaviour sanitizers, the library ends the process
+# on a finding.
 SANITIZED_SCRIPT = textwrap.dedent(
     """
     import sys
@@ -265,6 +267,7 @@ SANITIZED_SCRIPT = textwrap.dedent(
     import test_cascade_io as io
     import test_context as context
     import test_direct_calls as direct_calls
+    import test_edge_io as edge_io
     import test_kernel as kernel
 
     SHAPES = ((2, 2), (3, 13), (50, 300), (7, 2930))
@@ -280,6 +283,11 @@ SANITIZED_SCRIPT = textwrap.dedent(
         assert lib.scan_cascades(io.STRICT, *io.scan_arrays(room, **change)) == io.GIVE_UP
     for name, data in io.canonical_logs().items():
         assert io.exact_room(lib, data)["canonical"] == (name == "canonical")
+    for data in edge_io.edge_logs().values():
+        lib.scan_edges(data, *edge_io.scan_edges_room(data))
+        for args in edge_io.short_edge_scans(lib, data):
+            assert lib.scan_edges(data, *args) == (-1, 0)
+    edge_io.assert_misfit_edge_scans_refused(lib)
     for corpus in io.WRITER_EDGE_CASES + io.WRITER_BAD_INDICES + io.WRITER_MISFITS:
         _render(lib, corpus)
     assert lib.write_cascades(*io.WRITER_ARGS) is not None
@@ -298,8 +306,8 @@ SANITIZED_SCRIPT = textwrap.dedent(
             continue
         raise AssertionError(args)
     if lib.direct:
-        for seed in range(3):
-            args = context.draw_args(seed=seed)
+        for seed, draws in enumerate((None, [17, 8, 0, 9], [7, 16, 1, 15])):
+            args = context.draw_args(seed, draws)
             assert lib.draw_contexts(*args) is True
         context.assert_misfit_draws_refused(lib)
     print("clean")
