@@ -3,9 +3,10 @@
  * writer for the cascade text format, and a scanner for edge lists.
  * _native.py builds it on first use against this interpreter's Python.h
  * and numpy's headers and loads it once, as the extension module
- * iminfector._native_lib. Its functions take no address or capacity: they
- * read arrays through the buffer protocol, checked by take(), and size
- * their work by the arrays' lengths. Of numpy's C API it uses only the
+ * iminfector._native_lib. Its functions take arrays and numbers only, no
+ * address, capacity or other Python object: each reads its arrays through
+ * the buffer protocol, as its table of params says (take_all), and sizes
+ * its work by the arrays' lengths. Of numpy's C API it uses only the
  * ufunc type and its layout: the loop calls numpy's own float64 inner
  * loops and its BLAS's dgemv directly, and model.py sends it only the
  * models where those calls give numpy's bits; the context draws call
@@ -229,15 +230,84 @@ static int find_numpy_own(PyObject *module)
     return failed ? -1 : 0;
 }
 
+/* ---- Array arguments ----
+ *
+ * Each function lists its array arguments in a table of params. take_all
+ * takes the arrays as the table says; the function then checks the lengths
+ * and overlaps it needs, and releases the views either way.
+ */
+
+/* The kinds of item an array may hold: the struct formats of each, and its
+ * size. */
+enum kind { BYTE, I32, I64, F64 };
+static const char *const FORMATS[] = {"B", "i", "lq", "d"};
+static const Py_ssize_t SIZE[] = {1, 4, 8, 8};
+
+/* An array argument: its items' kind, its number of dimensions (0 for a
+ * vector or a matrix) and whether the function writes it. */
+struct param {
+    enum kind kind;
+    int ndim, writable;
+};
+
+/* A TypeError unless the function name is given its n arguments; -1 with
+ * the error set, else 0. */
+static int check_count(const char *name, Py_ssize_t nargs, Py_ssize_t n)
+{
+    if (nargs != n)
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments", name, n);
+    return nargs == n ? 0 : -1;
+}
+
+/* Takes the buffer of args[k] into view[k], for each k < n, if it is an
+ * aligned, C-contiguous array as param[k] says; 0, or -1 with no Python
+ * error set at the first that is not. The caller releases the views either
+ * way. */
+static int take_all(PyObject *const *args, const struct param *param, int n, Py_buffer *view)
+{
+    for (int k = 0; k < n; k++) {
+        const struct param *const p = &param[k];
+        Py_buffer *const v = &view[k];
+        const int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (p->writable ? PyBUF_WRITABLE : 0);
+        if (PyObject_GetBuffer(args[k], v, flags) < 0) {
+            PyErr_Clear();
+            return -1;
+        }
+        const char *const format = v->format;
+        const int ndim = p->ndim ? v->ndim == p->ndim : v->ndim == 1 || v->ndim == 2;
+        if (!ndim || v->itemsize != SIZE[p->kind] || (uintptr_t)v->buf % SIZE[p->kind] ||
+            !format[0] || format[1] || !strchr(FORMATS[p->kind], format[0]))
+            return -1;
+    }
+    return 0;
+}
+
+/* Releases the n views of a take_all, taken or left zeroed. */
+static void release(Py_buffer *view, int n)
+{
+    for (int k = 0; k < n; k++)
+        PyBuffer_Release(&view[k]);
+}
+
+/* Whether the memory of two views overlaps. */
+static int overlap(const Py_buffer *a, const Py_buffer *b)
+{
+    const char *const pa = a->buf, *const pb = b->buf;
+    return pa < pb + b->len && pb < pa + a->len;
+}
+
 /* ---- The classify epoch loop ----
  *
- * classify_pairs(model, ws, influencer, context, start, lr, losses) takes
- * the pairs of an epoch's stream from index start on, each as
- * model.step_classify(model, u, y, lr, ws) takes it, and stops at the
- * first pair it does not take: a size pair (context < 0), a pair whose u
- * or y is out of range, or the end of the stream. It returns that pair's
- * index, or ~k if the step of pair k proved a value non-finite; the loss
- * of each pair k it took is in losses[k].
+ * classify_pairs(O, T, b_t, phi, grad, losses, influencer, context, start,
+ * lr, bound, bias_bound) takes the pairs of an epoch's stream from index
+ * start on, each pair k as model.step_classify takes (influencer[k],
+ * context[k]) at rate lr with a workspace of these phi, grad, bound and
+ * bias_bound, and stops at the first pair it does not take: a size pair
+ * (context < 0), a pair whose u or y is out of range, or the end of the
+ * stream. It returns (stop, bound, bias_bound): stop is that pair's index,
+ * or ~k if the step of pair k proved a value non-finite, and the bounds
+ * are those its steps leave, inf after a non-finite step. The loss of each
+ * pair k it took is in losses[k].
  *
  * A step makes step_classify's operations in its order. Where the rounding
  * is numpy's own it calls numpy's own functions directly, as above: dgemv
@@ -249,17 +319,17 @@ static int find_numpy_own(PyObject *module)
  * a NaN makes it NaN, and of a tie between +0 and -0 either serves, as
  * exp(+-0) = 1. No step calls Python.
  *
- * The finiteness proofs are those of model.py, on the workspace's bound
- * and bias_bound: read at the start, set to inf while the loop runs,
- * written back at the end. O_u is checked entry by entry, which is what
- * its scaled dot product proves.
+ * The finiteness proofs are those of model.py, on the bounds given. O_u is
+ * checked entry by entry, which is what its scaled dot product proves.
  *
- * model.O, model.T, model.b_t, ws.phi and ws.grad must be distinct,
- * aligned, writable, C-contiguous float64 arrays of shapes (I, E), (E, N),
- * (N), (N) and (E), losses another of the stream's length, and influencer
- * and context int64 arrays of that length. If they are not, the loop takes
- * no pair and returns start, so that the caller's step takes it. A start
- * outside 0..len(losses) raises ValueError before any array is taken.
+ * LOOP_ARGS lists the arrays: O, T, b_t, phi, grad and losses are
+ * distinct, aligned, writable, C-contiguous float64 arrays of shapes
+ * (I, E), (E, N), (N), (N), (E) and (n), and influencer and context are
+ * int64 and int32 arrays of n entries, as build_training_stream makes
+ * them. For any other arrays the loop takes no pair and returns None, so
+ * that the caller's step takes the pair; a call on an empty stream tells
+ * whether it takes the arrays at all. A start outside 0..len(losses)
+ * raises ValueError before any array is taken.
  */
 
 #define BOUND_LIMIT 1e300
@@ -276,25 +346,29 @@ static double max_abs(const double *x, size_t n)
     return max;
 }
 
-enum { O_, T_, B_T, PHI, GRAD, LOSSES, N_REAL, INFLUENCER = N_REAL, CONTEXT, N_ARRAYS };
+/* classify_pairs' arguments: its arrays, then its numbers */
+enum { O_, T_, B_T, PHI, GRAD, LOSSES, N_REAL, INFLUENCER = N_REAL, CONTEXT, N_LOOP,
+       FROM = N_LOOP, LR, BOUND, BIAS_BOUND, N_LOOP_ARGS };
+static const struct param LOOP_ARGS[N_LOOP] = {{F64, 2, 1}, {F64, 2, 1}, {F64, 1, 1}, {F64, 1, 1},
+                                               {F64, 1, 1}, {F64, 1, 1}, {I64, 1, 0}, {I32, 1, 0}};
 
 struct loop {
-    PyObject *obj[N_ARRAYS];
-    Py_buffer view[N_ARRAYS];
-    double *o, *t, *b_t, *phi, *grad, lr, bound, bias_bound;
-    size_t E, N;
+    const Py_buffer *view; /* classify_pairs' arrays, taken */
+    double lr, bound, bias_bound;
 };
 
 /* One step on pair (u, y), its loss into *loss: 1 if it proved every
  * value finite, else 0. */
 static int step(struct loop *s, size_t u, size_t y, double *loss)
 {
-    const size_t E = s->E, N = s->N;
-    double *const phi = s->phi, *const grad = s->grad, *const o_u = s->o + u * E;
-    vector_matrix(o_u, s->t, phi, E, N);
+    const Py_buffer *const view = s->view;
+    const size_t E = (size_t)view[T_].shape[0], N = (size_t)view[T_].shape[1];
+    double *const t = view[T_].buf, *const b_t = view[B_T].buf, *const phi = view[PHI].buf,
+                  *const grad = view[GRAD].buf, *const o_u = (double *)view[O_].buf + u * E;
+    vector_matrix(o_u, t, phi, E, N);
     double max = -INFINITY;
     for (size_t j = 0; j < N; j++) {
-        phi[j] = phi[j] + s->b_t[j];
+        phi[j] = phi[j] + b_t[j];
         /* once max is NaN no comparison is true, so it stays NaN */
         if (phi[j] > max || isnan(phi[j]))
             max = phi[j];
@@ -309,10 +383,10 @@ static int step(struct loop *s, size_t u, size_t y, double *loss)
     unary(&numpy_own.log, &phi[y], &log_phi_y, 1);
     *loss = -log_phi_y;
     phi[y] = phi[y] - 1.0;
-    matrix_vector(s->t, phi, grad, E, N);
+    matrix_vector(t, phi, grad, E, N);
     /* once the loss is finite every |g_j| <= 1: an entry of T moves by at
      * most lr * max|O_u|, one of b_t by at most lr */
-    s->bound = s->bound + s->lr * fused_t_update(s->t, o_u, phi, s->b_t, s->lr, E, N);
+    s->bound = s->bound + s->lr * fused_t_update(t, o_u, phi, b_t, s->lr, E, N);
     s->bias_bound = s->bias_bound + s->lr;
     int finite = 1;
     for (size_t i = 0; i < E; i++) {
@@ -321,161 +395,84 @@ static int step(struct loop *s, size_t u, size_t y, double *loss)
         finite &= isfinite(o_u[i]) != 0;
     }
     if (!(s->bound < BOUND_LIMIT))
-        s->bound = max_abs(s->t, E * N);
+        s->bound = max_abs(t, E * N);
     if (!(s->bias_bound < BOUND_LIMIT))
-        s->bias_bound = max_abs(s->b_t, N);
+        s->bias_bound = max_abs(b_t, N);
     return finite && isfinite(*loss) && isfinite(s->bound) && isfinite(s->bias_bound);
 }
 
-/* The item kinds take() accepts: the struct formats of each, and its size. */
-enum kind { BYTE, I32, I64, F64 };
-static const char *const FORMATS[] = {"B", "i", "lq", "d"};
-static const Py_ssize_t SIZE[] = {1, 4, 8, 8};
-
-/* Takes the buffer of obj into *view if obj is an aligned, C-contiguous
- * array of ndim dimensions and items of the kind, writable if flags holds
- * PyBUF_WRITABLE; 0, or -1 with no Python error set. The caller releases
- * *view either way, once it is done with the array. */
-static int take(PyObject *obj, Py_buffer *view, int ndim, enum kind kind, int flags)
+/* Whether the arrays of view have matching shapes and no two float64
+ * arrays overlap. */
+static int fits_loop(const Py_buffer *view)
 {
-    if (!obj || PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | flags) < 0) {
-        PyErr_Clear();
-        return -1;
-    }
-    const char *const format = view->format;
-    if (view->ndim != ndim || view->itemsize != SIZE[kind] || (uintptr_t)view->buf % SIZE[kind] ||
-        !format[0] || format[1] || !strchr(FORMATS[kind], format[0]))
-        return -1;
-    return 0;
-}
-
-/* Whether the memory of two views overlaps. */
-static int overlap(const Py_buffer *a, const Py_buffer *b)
-{
-    const char *const pa = a->buf, *const pb = b->buf;
-    return pa < pb + b->len && pb < pa + a->len;
-}
-
-/* 0 if every array is of the kind, shape and layout the loop needs and no
- * two float64 arrays overlap; -1 otherwise. */
-static int take_arrays(struct loop *s, Py_ssize_t *n)
-{
-    for (int k = 0; k < N_ARRAYS; k++) {
-        const int real = k < N_REAL;
-        if (take(s->obj[k], &s->view[k], k == O_ || k == T_ ? 2 : 1, real ? F64 : I64,
-                 real ? PyBUF_WRITABLE : 0))
-            return -1;
-    }
-    const Py_ssize_t *const o = s->view[O_].shape, *const t = s->view[T_].shape;
-    *n = s->view[LOSSES].shape[0];
-    if (o[1] != t[0] || s->view[B_T].shape[0] != t[1] || s->view[PHI].shape[0] != t[1] ||
-        s->view[GRAD].shape[0] != t[0] || s->view[INFLUENCER].shape[0] != *n ||
-        s->view[CONTEXT].shape[0] != *n)
-        return -1;
+    const Py_ssize_t *const o = view[O_].shape, *const t = view[T_].shape;
+    const Py_ssize_t n = view[LOSSES].shape[0];
+    if (o[1] != t[0] || view[B_T].shape[0] != t[1] || view[PHI].shape[0] != t[1] ||
+        view[GRAD].shape[0] != t[0] || view[INFLUENCER].shape[0] != n || view[CONTEXT].shape[0] != n)
+        return 0;
     for (int a = 0; a < N_REAL; a++)
         for (int b = a + 1; b < N_REAL; b++)
-            if (overlap(&s->view[a], &s->view[b]))
-                return -1;
-    s->o = s->view[O_].buf;
-    s->t = s->view[T_].buf;
-    s->b_t = s->view[B_T].buf;
-    s->phi = s->view[PHI].buf;
-    s->grad = s->view[GRAD].buf;
-    s->E = (size_t)t[0];
-    s->N = (size_t)t[1];
-    return 0;
+            if (overlap(&view[a], &view[b]))
+                return 0;
+    return 1;
 }
 
-/* obj.name, or NULL with no Python error set */
-static PyObject *attribute(PyObject *obj, const char *name)
+/* Takes the pairs of the stream from start on; where it stopped, as
+ * classify_pairs returns it. */
+static Py_ssize_t run(struct loop *s, Py_ssize_t start)
 {
-    PyObject *value = PyObject_GetAttrString(obj, name);
-    if (!value)
-        PyErr_Clear();
-    return value;
-}
-
-/* ws.name = value; -1 with a Python error set, else 0. */
-static int set_float(PyObject *ws, const char *name, double value)
-{
-    PyObject *number = PyFloat_FromDouble(value);
-    const int failed = !number || PyObject_SetAttrString(ws, name, number) < 0;
-    Py_XDECREF(number);
-    return failed ? -1 : 0;
-}
-
-/* ws.name as a double into *value; -1 with a Python error set, else 0. */
-static int get_float(PyObject *ws, const char *name, double *value)
-{
-    PyObject *number = PyObject_GetAttrString(ws, name);
-    if (!number)
-        return -1;
-    *value = PyFloat_AsDouble(number);
-    Py_DECREF(number);
-    return *value == -1.0 && PyErr_Occurred() ? -1 : 0;
-}
-
-static PyObject *run(struct loop *s, PyObject *ws, Py_ssize_t start, Py_ssize_t n)
-{
-    const int64_t *const influencer = s->view[INFLUENCER].buf, *const context = s->view[CONTEXT].buf;
-    double *const losses = s->view[LOSSES].buf;
-    const int64_t rows = s->view[O_].shape[0], N = (int64_t)s->N;
-    if (get_float(ws, "bound", &s->bound) || get_float(ws, "bias_bound", &s->bias_bound) ||
-        set_float(ws, "bound", INFINITY) || set_float(ws, "bias_bound", INFINITY))
-        return NULL;
-    Py_ssize_t k = start;
-    for (; k < n; k++) {
+    const Py_buffer *const view = s->view;
+    const int64_t *const influencer = view[INFLUENCER].buf;
+    const int32_t *const context = view[CONTEXT].buf;
+    double *const losses = view[LOSSES].buf;
+    const Py_ssize_t n = view[LOSSES].shape[0];
+    const int64_t rows = view[O_].shape[0], N = view[T_].shape[1];
+    for (Py_ssize_t k = start; k < n; k++) {
         const int64_t u = influencer[k], y = context[k];
         if (u < 0 || u >= rows || y < 0 || y >= N)
-            break;
+            return k;
         if (!step(s, (size_t)u, (size_t)y, &losses[k])) {
             s->bound = s->bias_bound = INFINITY;
-            k = ~k;
-            break;
+            return ~k;
         }
     }
-    if (set_float(ws, "bound", s->bound) || set_float(ws, "bias_bound", s->bias_bound))
-        return NULL;
-    return PyLong_FromSsize_t(k);
+    return n;
 }
 
 static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 7)
-        return PyErr_Format(PyExc_TypeError, "classify_pairs takes 7 arguments");
-    PyObject *const model = args[0], *const ws = args[1];
-    struct loop s = {0};
-    const Py_ssize_t start = PyLong_AsSsize_t(args[4]);
+    if (check_count("classify_pairs", nargs, N_LOOP_ARGS))
+        return NULL;
+    const Py_ssize_t start = PyLong_AsSsize_t(args[FROM]);
     if (start == -1 && PyErr_Occurred())
         return NULL;
-    /* the stream's length is that of losses, whether or not the loop can
-     * take the arrays: a start it returns is always an index of the stream */
-    const Py_ssize_t length = PyObject_Length(args[6]);
+    /* the stream's length is that of losses: a start outside the stream
+     * raises whether or not the loop can take the arrays */
+    const Py_ssize_t length = PyObject_Length(args[LOSSES]);
     if (length < 0)
         return NULL;
     if (start < 0 || start > length)
         return PyErr_Format(PyExc_ValueError, "start is not an index of the stream");
-    s.lr = PyFloat_AsDouble(args[5]);
-    if (s.lr == -1.0 && PyErr_Occurred())
-        return NULL;
+    Py_buffer view[N_LOOP] = {{0}};
+    struct loop s = {view, 0.0, 0.0, 0.0};
+    double *const number[] = {&s.lr, &s.bound, &s.bias_bound};
+    for (int k = 0; k < 3; k++) {
+        *number[k] = PyFloat_AsDouble(args[LR + k]);
+        if (*number[k] == -1.0 && PyErr_Occurred())
+            return NULL;
+    }
     if (!numpy_own.dgemv)
         return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
-    s.obj[O_] = attribute(model, "O");
-    s.obj[T_] = attribute(model, "T");
-    s.obj[B_T] = attribute(model, "b_t");
-    s.obj[PHI] = attribute(ws, "phi");
-    s.obj[GRAD] = attribute(ws, "grad");
-    s.obj[LOSSES] = args[6];
-    s.obj[INFLUENCER] = args[2];
-    s.obj[CONTEXT] = args[3];
-    for (int k = LOSSES; k < N_ARRAYS; k++)
-        Py_INCREF(s.obj[k]);
-    Py_ssize_t n;
-    PyObject *result = take_arrays(&s, &n) ? PyLong_FromSsize_t(start) : run(&s, ws, start, n);
-    for (int k = 0; k < N_ARRAYS; k++) {
-        PyBuffer_Release(&s.view[k]);
-        Py_XDECREF(s.obj[k]);
+    PyObject *result;
+    if (take_all(args, LOOP_ARGS, N_LOOP, view) || !fits_loop(view)) {
+        result = Py_NewRef(Py_None);
+    } else {
+        /* the stop first: C leaves the order of a call's arguments open,
+         * and the bounds to return are those the steps leave */
+        const Py_ssize_t stop = run(&s, start);
+        result = Py_BuildValue("(ndd)", stop, s.bound, s.bias_bound);
     }
+    release(view, N_LOOP);
     return result;
 }
 
@@ -490,25 +487,23 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
  * RuntimeError if the module's direct is False. */
 static PyObject *direct_call(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
+    /* each call's arrays; matmul's x or y may be the matrix */
+    static const struct param ARGS[4][3] = {{{F64, 0, 0}, {F64, 0, 0}, {F64, 1, 1}},
+                                            {{F64, 1, 0}, {F64, 1, 1}}, {{F64, 1, 0}},
+                                            {{F64, 1, 0}, {F64, 1, 1}}};
     static const int ARRAYS[] = {3, 2, 1, 2};
     const long k = nargs ? PyLong_AsLong(args[0]) : -1;
     if (k == -1 && PyErr_Occurred())
         return NULL;
-    if (k < 0 || k > 3 || nargs != 1 + ARRAYS[k])
+    if (k < 0 || k > 3)
         return PyErr_Format(PyExc_TypeError, "direct_call takes k in 0..3 and that call's arrays");
+    if (check_count("direct_call", nargs, 1 + ARRAYS[k]))
+        return NULL;
     if (!numpy_own.dgemv)
         return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
-    const int n = ARRAYS[k], has_out = k != 2;
+    const int n = ARRAYS[k];
     Py_buffer view[3] = {{0}};
-    int fits = 1;
-    for (int a = 0; a < n && fits; a++) {
-        const int flags = has_out && a == n - 1 ? PyBUF_WRITABLE : 0;
-        if (take(args[1 + a], &view[a], 1, F64, flags)) {
-            /* matmul's x or y may be the matrix */
-            PyBuffer_Release(&view[a]);
-            fits = k == 0 && a < 2 && !take(args[1 + a], &view[a], 2, F64, flags);
-        }
-    }
+    int fits = !take_all(args + 1, ARGS[k], n, view);
     PyObject *result = NULL;
     if (fits) {
         const double *const x = view[0].buf;
@@ -533,8 +528,7 @@ static PyObject *direct_call(PyObject *Py_UNUSED(module), PyObject *const *args,
                 unary(k == 1 ? &numpy_own.exp : &numpy_own.log, x, view[1].buf, (size_t)xs[0]);
         }
     }
-    for (int a = 0; a < n; a++)
-        PyBuffer_Release(&view[a]);
+    release(view, n);
     if (!fits)
         return PyErr_Format(PyExc_ValueError, "direct_call cannot take these arrays");
     return k == 2 ? result : Py_NewRef(Py_None);
@@ -571,7 +565,8 @@ static PyObject *direct_call(PyObject *Py_UNUSED(module), PyObject *const *args,
  * RuntimeError if the module's direct is False. */
 
 enum { WEIGHTS, D_OFFSETS, D_NODE_IDX, DRAWS, UNIFORMS, CONTEXT_OUT, N_DRAW };
-static const enum kind DRAW_KIND[N_DRAW] = {F64, I64, I32, I64, F64, I32};
+static const struct param DRAW_ARGS[N_DRAW] = {{F64, 1, 0}, {I64, 1, 0}, {I32, 1, 0},
+                                               {I64, 1, 0}, {F64, 1, 0}, {I32, 1, 1}};
 
 /* Whether the arrays of view are those draw_contexts takes; if so, the
  * longest cascade in *longest. */
@@ -664,23 +659,19 @@ static void draw(const Py_buffer *view, double *cdf)
 
 static PyObject *draw_contexts(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != N_DRAW)
-        return PyErr_Format(PyExc_TypeError, "draw_contexts takes %d arguments", N_DRAW);
+    if (check_count("draw_contexts", nargs, N_DRAW))
+        return NULL;
     if (!numpy_own.dgemv)
         return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
     Py_buffer view[N_DRAW] = {{0}};
-    int fits = 1;
-    for (int k = 0; k < N_DRAW && fits; k++)
-        fits = !take(args[k], &view[k], 1, DRAW_KIND[k], k == CONTEXT_OUT ? PyBUF_WRITABLE : 0);
     Py_ssize_t longest = 0;
     double *cdf = NULL;
-    fits = fits && fits_draws(view, &longest) &&
-           (cdf = malloc((size_t)(longest ? longest : 1) * sizeof *cdf)) != NULL;
+    const int fits = !take_all(args, DRAW_ARGS, N_DRAW, view) && fits_draws(view, &longest) &&
+                     (cdf = malloc((size_t)(longest ? longest : 1) * sizeof *cdf)) != NULL;
     if (fits)
         draw(view, cdf);
     free(cdf);
-    for (int k = 0; k < N_DRAW; k++)
-        PyBuffer_Release(&view[k]);
+    release(view, N_DRAW);
     return Py_NewRef(fits ? Py_True : Py_False);
 }
 
@@ -892,26 +883,23 @@ static int skip_line(const unsigned char **p, const unsigned char *end)
 }
 
 /* The arguments of scan_cascades, and the first seven of write_cascades:
- * the text, the arrays of a corpus, and where each id starts in the text. */
+ * the text, the arrays of a corpus, and where each id starts in the text.
+ * The scanner writes all but the text; the writer only reads them. */
 enum { TEXT, INITIATOR, START, OFFSETS, NODE_IDX, TIMES, ID_OFFSET, N_WRITE, ID_LENGTH = N_WRITE,
        N_SCAN };
-static const enum kind KIND_OF[N_SCAN] = {BYTE, I32, I64, I64, I32, I64, I64, I32};
+static const struct param SCAN_ARGS[N_SCAN] = {{BYTE, 1, 0}, {I32, 1, 1}, {I64, 1, 1}, {I64, 1, 1},
+                                               {I32, 1, 1}, {I64, 1, 1}, {I64, 1, 1}, {I32, 1, 1}};
+static const struct param WRITE_ARGS[N_WRITE] = {{BYTE, 1, 0}, {I32, 1, 0}, {I64, 1, 0}, {I64, 1, 0},
+                                                 {I32, 1, 0}, {I64, 1, 0}, {I64, 1, 0}};
 
-/* Takes args[k] into view[k] as a one-dimensional array of KIND_OF[k] for
- * each k < n, the text read-only and the rest as flags asks, if the corpus
- * arrays have the lengths of one corpus: an entry of initiator and start
- * per cascade, one more of offsets, and one of node_idx per entry of
- * times. 0, or -1 with no Python error set; the caller releases the views. */
-static int take_text(PyObject *const *args, Py_buffer *view, int n, int flags)
+/* Whether the corpus arrays of view have the lengths of one corpus: an
+ * entry of initiator and start per cascade, one more of offsets, and one
+ * of node_idx per entry of times. */
+static int one_corpus(const Py_buffer *view)
 {
-    for (int k = 0; k < n; k++)
-        if (take(args[k], &view[k], 1, KIND_OF[k], k == TEXT ? 0 : flags))
-            return -1;
     const Py_ssize_t cascades = view[INITIATOR].shape[0];
-    if (view[START].shape[0] != cascades || view[OFFSETS].shape[0] != cascades + 1 ||
-        view[NODE_IDX].shape[0] != view[TIMES].shape[0])
-        return -1;
-    return 0;
+    return view[START].shape[0] == cascades && view[OFFSETS].shape[0] == cascades + 1 &&
+           view[NODE_IDX].shape[0] == view[TIMES].shape[0];
 }
 
 /* Scans view[TEXT] into the arrays of view, with room for as many
@@ -969,8 +957,8 @@ static int64_t scan(struct ids *ids, const Py_buffer *view, int *canonical)
 }
 
 /* scan_cascades(log, initiator, start, offsets, node_idx, times,
- * id_offset, id_length) scans the bytes of log into the writable arrays
- * take_text checks, cascade i's events at offsets[i]:offsets[i+1] of
+ * id_offset, id_length) scans the bytes of log into the writable arrays of
+ * SCAN_ARGS, of one corpus's lengths, cascade i's events at offsets[i]:offsets[i+1] of
  * node_idx and times, and the distinct ids into id_offset and id_length,
  * as long as each other: id k is log[id_offset[k]:id_offset[k] +
  * id_length[k]]. The arrays' lengths are the room there is.
@@ -981,12 +969,12 @@ static int64_t scan(struct ids *ids, const Py_buffer *view, int *canonical)
  * more room or memory than there is. */
 static PyObject *scan_cascades(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != N_SCAN)
-        return PyErr_Format(PyExc_TypeError, "scan_cascades takes %d arguments", N_SCAN);
+    if (check_count("scan_cascades", nargs, N_SCAN))
+        return NULL;
     Py_buffer view[N_SCAN] = {0};
     int64_t n = -1, count = 0;
     int canonical = 1;
-    if (!take_text(args, view, N_SCAN, PyBUF_WRITABLE) &&
+    if (!take_all(args, SCAN_ARGS, N_SCAN, view) && one_corpus(view) &&
         view[ID_LENGTH].shape[0] == view[ID_OFFSET].shape[0]) {
         const int64_t max = view[ID_OFFSET].shape[0];
         /* pages of stamps no id reaches are never touched */
@@ -997,8 +985,7 @@ static PyObject *scan_cascades(PyObject *Py_UNUSED(module), PyObject *const *arg
         free(ids.stamp);
         count = n < 0 ? 0 : ids.count;
     }
-    for (int k = 0; k < N_SCAN; k++)
-        PyBuffer_Release(&view[k]);
+    release(view, N_SCAN);
     return Py_BuildValue("(LLO)", (long long)n, (long long)count,
                          n >= 0 && canonical ? Py_True : Py_False);
 }
@@ -1014,7 +1001,8 @@ static PyObject *scan_cascades(PyObject *Py_UNUSED(module), PyObject *const *arg
  * strict form, an array is not of its kind or length, or the text needs
  * more room or memory than there is. */
 enum { E_TEXT, SRC, DST, E_ID_OFFSET, E_ID_LENGTH, N_EDGE_SCAN };
-static const enum kind EDGE_KIND[N_EDGE_SCAN] = {BYTE, I32, I32, I64, I32};
+static const struct param EDGE_ARGS[N_EDGE_SCAN] = {{BYTE, 1, 0}, {I32, 1, 1}, {I32, 1, 1},
+                                                    {I64, 1, 1}, {I32, 1, 1}};
 
 static int64_t scan_edge_lines(struct ids *ids, const Py_buffer *view)
 {
@@ -1043,14 +1031,11 @@ static int64_t scan_edge_lines(struct ids *ids, const Py_buffer *view)
 
 static PyObject *scan_edges(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != N_EDGE_SCAN)
-        return PyErr_Format(PyExc_TypeError, "scan_edges takes %d arguments", N_EDGE_SCAN);
+    if (check_count("scan_edges", nargs, N_EDGE_SCAN))
+        return NULL;
     Py_buffer view[N_EDGE_SCAN] = {0};
-    int fits = 1;
-    for (int k = 0; k < N_EDGE_SCAN && fits; k++)
-        fits = !take(args[k], &view[k], 1, EDGE_KIND[k], k == E_TEXT ? 0 : PyBUF_WRITABLE);
     int64_t n = -1, count = 0;
-    if (fits && view[DST].shape[0] == view[SRC].shape[0] &&
+    if (!take_all(args, EDGE_ARGS, N_EDGE_SCAN, view) && view[DST].shape[0] == view[SRC].shape[0] &&
         view[E_ID_LENGTH].shape[0] == view[E_ID_OFFSET].shape[0]) {
         struct ids ids = {view[E_TEXT].buf, view[E_ID_OFFSET].buf, view[E_ID_LENGTH].buf, 0,
                           view[E_ID_OFFSET].shape[0], NULL, 0, NULL};
@@ -1058,8 +1043,7 @@ static PyObject *scan_edges(PyObject *Py_UNUSED(module), PyObject *const *args, 
         free(ids.slot);
         count = n < 0 ? 0 : ids.count;
     }
-    for (int k = 0; k < N_EDGE_SCAN; k++)
-        PyBuffer_Release(&view[k]);
+    release(view, N_EDGE_SCAN);
     return Py_BuildValue("(LL)", (long long)n, (long long)count);
 }
 
@@ -1069,7 +1053,8 @@ static PyObject *scan_edges(PyObject *Py_UNUSED(module), PyObject *const *args, 
  * id_bounds) renders a corpus as serialize_cascades does: per cascade,
  * "INITIATOR:START\t" and its events as "ID:TIME" joined by single spaces,
  * then "\n". Id k is id_bytes[id_bounds[k]:id_bounds[k+1]] (its UTF-8);
- * the corpus arrays are those take_text checks, read-only or not.
+ * the corpus arrays are those of WRITE_ARGS, of the lengths of one corpus,
+ * read-only or not.
  *
  * Returns the text as bytes, or None if an array is not of its kind or
  * length, or an index, an offset or an id bound is out of range. */
@@ -1132,15 +1117,15 @@ static int64_t render(const Py_buffer *view, char *out)
 
 static PyObject *write_cascades(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != N_WRITE)
-        return PyErr_Format(PyExc_TypeError, "write_cascades takes %d arguments", N_WRITE);
+    if (check_count("write_cascades", nargs, N_WRITE))
+        return NULL;
     Py_buffer view[N_WRITE] = {0};
-    const int64_t size = take_text(args, view, N_WRITE, 0) ? -1 : render(view, NULL);
+    const int64_t size =
+        take_all(args, WRITE_ARGS, N_WRITE, view) || !one_corpus(view) ? -1 : render(view, NULL);
     PyObject *text = size < 0 ? Py_NewRef(Py_None) : PyBytes_FromStringAndSize(NULL, size);
     if (text && size >= 0)
         render(view, PyBytes_AS_STRING(text));
-    for (int k = 0; k < N_WRITE; k++)
-        PyBuffer_Release(&view[k]);
+    release(view, N_WRITE);
     return text;
 }
 
@@ -1162,7 +1147,8 @@ static int exec_module(PyObject *module)
 
 static PyMethodDef methods[] = {
     {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
-     "classify_pairs(model, ws, influencer, context, start, lr, losses)"},
+     "classify_pairs(O, T, b_t, phi, grad, losses, influencer, context, start, lr, bound, "
+     "bias_bound)"},
     {"direct_call", (PyCFunction)(void (*)(void))direct_call, METH_FASTCALL,
      "direct_call(k, *arrays)"},
     {"draw_contexts", (PyCFunction)(void (*)(void))draw_contexts, METH_FASTCALL,

@@ -38,7 +38,7 @@ from .cascades import (
     save_edges,
     temporal_split,
 )
-from .context import build_training_stream, dump_pairs
+from .context import build_training_stream, context_draws, dump_pairs
 from .diffusion import build_matrix, compute_budgets, load_matrix, save_matrix
 from .evaluation import avg_size_ranking, dni, kcore_ranking
 from .exceptions import (
@@ -344,12 +344,18 @@ def train_stage(args, corpus, model, out, pairs_out=None):
     """Train ``model`` on ``corpus`` and write it; returns the TrainReport.
 
     With ``pairs_out``, the stream epoch 0 trained on is written there too.
+    A stream too large to allocate is a usage error, and writes nothing.
     """
     first_stream = None
 
     def stream_producer(epoch):
         nonlocal first_stream
-        stream = build_training_stream(corpus, args.oversample, args.rng_seed + epoch)
+        try:
+            stream = build_training_stream(corpus, args.oversample, args.rng_seed + epoch)
+        except MemoryError:
+            pairs = context_draws(corpus, args.oversample)[1]
+            raise UsageError(f"--oversample {args.oversample!r}: a stream of {pairs} pairs is "
+                             "more than could be allocated") from None
         if epoch == 0 and pairs_out:
             first_stream = stream
         return stream

@@ -1,9 +1,9 @@
 """Turn train cascades into the interleaved multi-task training stream.
 
-Each cascade contributes ceil(oversample * m) influencer-context pairs,
-drawn with replacement from a distribution inversely proportional to the
-copying time of each participant, followed by one influencer-size pair
-whose target is the min-max normalized cascade length.
+Each cascade contributes ceil(oversample * m) influencer-context pairs, at
+least one, drawn with replacement from a distribution inversely
+proportional to the copying time of each participant, followed by one
+influencer-size pair whose target is the min-max normalized cascade length.
 
 The draws are numpy's ``Generator.choice``, one call per cascade on a
 generator seeded with the stream's seed (choice_contexts). The native
@@ -66,21 +66,32 @@ def size_targets(train):
     return (sizes - m_min) / (m_max - m_min)
 
 
+def context_draws(train, oversample):
+    """Each cascade's number of context pairs, ceil(oversample * m) for m
+    events and at least 1, and the stream's number of pairs: Python ints."""
+    draws = [max(1, slack_ceil(oversample * m)) for m in train.sizes().tolist()]
+    return draws, sum(draws) + len(draws)
+
+
 def build_training_stream(train, oversample=1.2, rng_seed=0):
     """Materialize one epoch's training stream.
 
     Stream order follows cascade input order; within a cascade all context
     pairs precede the single size pair. Identical rng_seed values reproduce
-    the identical stream.
+    the identical stream. A stream whose arrays numpy cannot index or
+    allocate raises MemoryError.
     """
     if not train.n_cascades:
         raise ValueError("empty train corpus")
     weights = sampling_weights(train)
-    draws = np.array([slack_ceil(oversample * m) for m in train.sizes().tolist()], dtype=np.int64)
+    draws, n_pairs = context_draws(train, oversample)
+    if n_pairs > np.iinfo(np.intp).max // 8:  # the bytes of an int64 or float64 array
+        raise MemoryError(f"a stream of {n_pairs} pairs cannot be indexed")
+    draws = np.array(draws, dtype=np.int64)
     pairs = draws + 1
     size_rows = np.cumsum(pairs) - 1
-    context = np.full(size_rows[-1] + 1, SIZE_PAIR, dtype=np.int32)
-    size_target = np.full(len(context), np.nan)
+    context = np.full(n_pairs, SIZE_PAIR, dtype=np.int32)
+    size_target = np.full(n_pairs, np.nan)
     size_target[size_rows] = size_targets(train)
     lib = _native.load()
     if lib is None or not lib.direct or not lib.draw_contexts(

@@ -39,7 +39,7 @@ class SpreadBudget:
 
 
 def build_matrix(model, prune_percent):
-    """Keep the top ceil(P * I / 100) influencers by embedding norm.
+    """Keep the top ceil(P * I / 100) influencers by embedding norm, at least one.
 
     Order is norm descending, ties by id ascending. Rows are
     forward_classify outputs, so they match the training-time softmax bit
@@ -53,7 +53,7 @@ def build_matrix(model, prune_percent):
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(model.O, axis=1)
     order = sorted(range(I), key=lambda u: (-norms[u], model.influencer_ids[u]))
-    kept = order[: slack_ceil(prune_percent * I / 100.0)]
+    kept = order[: max(1, slack_ceil(prune_percent * I / 100.0))]
     ids = [model.influencer_ids[u] for u in kept]
     with np.errstate(over="ignore", invalid="ignore"):
         probs = np.stack([forward_classify(model, u) for u in kept])

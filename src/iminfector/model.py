@@ -44,10 +44,11 @@ train() takes the loop only when all of these hold:
 - model.step_classify is still this module's own function. A replaced
   step_classify, such as a benchmark's timing wrapper or a test's spy, is
   called for every classify step, on the numpy path;
-- the model's O, T and b_t are distinct, aligned, writable, C-contiguous
-  float64 arrays of matching shapes (_fits_kernel);
 - the native library loads and found numpy's dgemv and loops (its
   ``direct``);
+- the library takes the arrays of the model and its workspace: it alone
+  judges them (LOOP_ARGS in _native.c), and its call on an empty stream
+  returns None where it does not (_takes_arrays);
 - E and N are both at least 2, where numpy's matmul takes dgemv for both
   products; with an E or N of 1 it takes a dot product or a loop of its
   own, whose bits dgemv gives on some inputs and not on others;
@@ -61,8 +62,8 @@ train() takes the loop only when all of these hold:
 Every other model takes the numpy step, with the same bits.
 
 The loop also stops at any pair outside the model's rows and columns, and
-takes no pair if the model's arrays no longer fit it; step_classify takes
-those.
+returns None, having taken no pair, if the arrays no longer fit it;
+step_classify takes those.
 
 A step proves the model finite instead of scanning it, and each proof is
 exact:
@@ -72,11 +73,11 @@ exact:
   phi_j. Otherwise every exp(z - max z) lies in [0, 1] and s >= 1, so
   every |g_j| <= 1;
 - the StepWorkspace keeps upper bounds on max|T| and max|b_t|, which both
-  paths read and update. With |g_j| <= 1 a step moves T by at most
-  lr * max|O_u| and b_t by at most lr, so the bounds grow by that much. T
-  or b_t is scanned only when its bound reaches 1e300 (both start at inf,
-  so the first step scans), and the bound is then reset to the exact
-  maximum;
+  paths read and update (the C loop is given them and returns them).
+  With |g_j| <= 1 a step moves T by at most lr * max|O_u| and b_t by at
+  most lr, so the bounds grow by that much. T or b_t is scanned only when
+  its bound reaches 1e300 (both start at inf, so the first step scans),
+  and the bound is then reset to the exact maximum;
 - O_u is finite iff its dot product with a vector of 2**-60 is. Scaling
   by a power of two keeps +-inf and NaN, and the scaled entries are below
   2**964, so the sum of E < 2**60 of them cannot overflow. Unlike a plain
@@ -224,27 +225,6 @@ _BOUND_LIMIT = 1e300
 _CLASSIFY_FAILED = "classification step produced a non-finite value"
 
 
-def _fits_kernel(model):
-    """True if O, T and b_t are distinct, aligned, writable, C-contiguous
-    float64 arrays of matching shapes, as the C loop reads them."""
-    O, T, b_t = model.O, model.T, model.b_t
-    arrays = (O, T, b_t)
-    return (
-        all(
-            isinstance(a, np.ndarray)
-            and a.dtype == np.float64
-            and a.flags.c_contiguous
-            and a.flags.aligned
-            and a.flags.writeable
-            for a in arrays
-        )
-        and O.ndim == T.ndim == 2
-        and O.shape[1] == T.shape[0]
-        and b_t.shape == T.shape[1:]
-        and not any(np.may_share_memory(a, b) for a, b in ((O, T), (O, b_t), (T, b_t)))
-    )
-
-
 class StepWorkspace:
     """Buffers and the max|T|, max|b_t| bounds that consecutive classify steps share.
 
@@ -263,19 +243,6 @@ class StepWorkspace:
         self.bias_bound = math.inf
         # the T update's buffers, made when a numpy step first runs
         self.update = self.abs_O = None
-
-    def update_t_and_b_t(self, model, u, lr):
-        """T -= (O_u g^T) * lr and b_t -= lr * g for the gradient g in
-        ``self.phi``; returns max|O_u|, NaN if O_u holds a NaN."""
-        T, O_u, g = model.T, model.O[u], self.phi
-        if self.update is None:
-            self.update, self.abs_O = np.empty_like(T), np.empty(T.shape[0])
-        max_abs = float(np.maximum.reduce(np.abs(O_u, out=self.abs_O)))
-        np.multiply(O_u[:, None], g, out=self.update)
-        self.update *= lr
-        T -= self.update
-        model.b_t -= np.multiply(lr, g, out=self.update[0])
-        return max_abs
 
 
 def step_classify(model, u, y, lr, workspace=None):
@@ -298,9 +265,17 @@ def step_classify(model, u, y, lr, workspace=None):
     loss = -np.log(g[y])
     g[y] -= 1.0
     grad = np.matmul(T, g, out=ws.grad)
+    # T -= (O_u g^T) * lr and b_t -= lr * g
+    if ws.update is None:
+        ws.update, ws.abs_O = np.empty_like(T), np.empty(T.shape[0])
+    max_abs = float(np.maximum.reduce(np.abs(O_u, out=ws.abs_O)))  # NaN if O_u holds one
+    np.multiply(O_u[:, None], g, out=ws.update)
+    ws.update *= lr
+    T -= ws.update
+    model.b_t -= np.multiply(lr, g, out=ws.update[0])
     # once the loss is finite every |g_j| <= 1: an entry of T moves by at
     # most lr * max|O_u|, one of b_t by at most lr
-    ws.bound += lr * ws.update_t_and_b_t(model, u, lr)
+    ws.bound += lr * max_abs
     ws.bias_bound += lr
     grad *= lr
     O_u -= grad
@@ -348,8 +323,28 @@ def _same_bits(a, b):
     )
 
 
-def _loop_matches_step(loop):
-    """True if the C loop ``loop`` takes fixed pairs bit for bit as
+def _take_pairs(lib, model, ws, influencer, context, start, lr, losses):
+    """The C loop of ``lib`` on the stream's pairs from ``start`` on, with
+    the arrays of ``model`` and ``ws``: where it stopped, ~k if step k
+    proved a value non-finite, with the workspace's bounds set to those its
+    steps leave; None if the loop cannot take the arrays."""
+    taken = lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, influencer,
+                               context, start, lr, ws.bound, ws.bias_bound)
+    if taken is None:
+        return None
+    stop, ws.bound, ws.bias_bound = taken
+    return stop
+
+
+def _takes_arrays(lib, model, ws):
+    """Whether the C loop of ``lib`` takes the arrays of ``model`` and ``ws``:
+    its call on a stream of no pairs returns None where it does not."""
+    no_pairs = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+    return _take_pairs(lib, model, ws, *no_pairs, 0, 0.0, np.empty(0)) is not None
+
+
+def _loop_matches_step(lib):
+    """True if the C loop of ``lib`` takes fixed pairs bit for bit as
     step_classify without a workspace does: each loss, O, T and b_t, where
     the loop stops and which step raises.
 
@@ -373,7 +368,7 @@ def _loop_matches_step(loop):
             want = InfectorModel(O, T, b_t, 0.0, np.ones(E), [], [])
             got = InfectorModel(O.copy(), T.copy(), b_t.copy(), 0.0, np.ones(E), [], [])
             influencer = np.array([0, 0, 1, 0, 1, 0], dtype=np.int64)
-            context = np.array([1, 0, 3, N - 1, 2, SIZE_PAIR], dtype=np.int64)
+            context = np.array([1, 0, 3, N - 1, 2, SIZE_PAIR], dtype=np.int32)
             want_losses, want_stop = np.full(6, np.nan), 5
             for k, (u, y) in enumerate(zip(influencer[:5].tolist(), context[:5].tolist())):
                 try:
@@ -382,27 +377,28 @@ def _loop_matches_step(loop):
                     want_stop = ~k
                     break
             got_losses = np.full(6, np.nan)
-            stop = loop(got, StepWorkspace(got), influencer, context, 0, lr, got_losses)
+            stop = _take_pairs(lib, got, StepWorkspace(got), influencer, context, 0, lr, got_losses)
+            if stop != want_stop:  # None too, where the loop refuses the arrays
+                return False
             n = 5 if stop == 5 else ~stop
             if not (
-                stop == want_stop
-                and _same_bits(got_losses[:n], want_losses[:n])
+                _same_bits(got_losses[:n], want_losses[:n])
                 and all(_same_bits(getattr(got, a), getattr(want, a)) for a in ("O", "T", "b_t"))
             ):
                 return False
     return True
 
 
-def _classify_loop(model):
-    """The native library if train() may take its C loop for ``model``,
-    else None: see the module docstring for the rule."""
-    if step_classify is not _OWN_STEP_CLASSIFY or not _fits_kernel(model):
+def _classify_loop(model, ws):
+    """The native library if train() may take its C loop for ``model`` and
+    its workspace ``ws``, else None: see the module docstring for the rule."""
+    if step_classify is not _OWN_STEP_CLASSIFY:
         return None
     lib = _native.load()
-    if lib is None or not lib.direct:
+    if lib is None or not lib.direct or not _takes_arrays(lib, model, ws):
         return None
     with _sgd_numpy():
-        ok = _direct_calls_match(lib, model) and _loop_matches_step(lib.classify_pairs)
+        ok = _direct_calls_match(lib, model) and _loop_matches_step(lib)
     return lib if ok else None
 
 
@@ -490,28 +486,28 @@ def _run_epoch(model, stream, lr, workspace, lib, epoch):
     """Take every pair of ``stream`` in order and return each pair's loss.
 
     With ``lib`` the C loop takes each stretch of classify pairs, and each
-    pair it does not take goes through step_regress or step_classify, as
-    every pair does without it. A non-finite step raises NonFiniteUpdate
-    with ``epoch`` and the pair's index as its step.
+    pair it does not take, or whose arrays it refuses, goes through
+    step_regress or step_classify, as every pair does without it. Only
+    those pairs are read into Python. A non-finite step raises
+    NonFiniteUpdate with ``epoch`` and the pair's index as its step.
     """
     n = len(stream)
     losses = np.empty(n)
-    us, vs, ys = (a.tolist() for a in (stream.influencer, stream.context, stream.size_target))
-    if lib is not None:
-        influencer = np.asarray(stream.influencer, dtype=np.int64)
-        context = np.asarray(stream.context, dtype=np.int64)
+    influencer, context = stream.influencer, stream.context
     step = 0
     while step < n:
         if lib is not None:
-            step = lib.classify_pairs(model, workspace, influencer, context, step, lr, losses)
-            if step < 0:
-                raise NonFiniteUpdate(_CLASSIFY_FAILED, epoch=epoch, step=~step)
-            if step == n:
-                break
-        u, v, y_c = us[step], vs[step], ys[step]
+            stop = _take_pairs(lib, model, workspace, influencer, context, step, lr, losses)
+            if stop is not None:
+                if stop < 0:
+                    raise NonFiniteUpdate(_CLASSIFY_FAILED, epoch=epoch, step=~stop)
+                if stop == n:
+                    break
+                step = stop
+        u, v = int(influencer[step]), int(context[step])
         try:
             if v == SIZE_PAIR:
-                losses[step] = step_regress(model, u, y_c, lr)
+                losses[step] = step_regress(model, u, float(stream.size_target[step]), lr)
             else:
                 losses[step] = step_classify(model, u, v, lr, workspace)
         except NonFiniteUpdate as exc:
@@ -531,7 +527,7 @@ def train(model, stream_producer, config):
     report = TrainReport()
     lr = config.learning_rate
     workspace = StepWorkspace(model)
-    lib = _classify_loop(model)
+    lib = _classify_loop(model, workspace)
     if lib is not None:
         report.classify_kernel = "c"
         report.classify_isa = lib.isa

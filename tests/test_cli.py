@@ -14,7 +14,7 @@ import pytest
 import iminfector
 from iminfector import _native
 from iminfector import cli, context
-from iminfector.cascades import load_cascades
+from iminfector.cascades import load_cascades, temporal_split
 from iminfector.cli import main
 from iminfector.context import build_training_stream, dump_pairs
 from iminfector.diffusion import load_matrix, save_matrix
@@ -967,6 +967,62 @@ def test_model_too_large_to_allocate_is_exit_2_before_model_write(tmp_path, corp
     assert err.startswith("error: --embed-dim") and err.count("\n") == 1
     # the model is allocated before the split is written
     assert os.listdir(tmp_path) == ["cascades.txt"]
+
+
+@pytest.fixture
+def synth_60(tmp_path):
+    """A 60-node, 60-cascade synthetic log, in tmp_path's directory "in"."""
+    path = tmp_path / "in" / "synth.txt"
+    path.parent.mkdir()
+    assert main(["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
+                 "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("oversample", ["1e15", "1e30"])
+def test_stream_too_large_is_exit_2_before_model_write(tmp_path, synth_60, capsys, oversample):
+    # At 1e15 the stream's arrays cannot be allocated (exabytes); at 1e30
+    # its pairs overflow int64 and cannot be indexed. Neither allocates
+    # anything: each fails at once.
+    corpus = load_cascades(synth_60)
+    train_corpus, _ = temporal_split(corpus, 0.8)
+    small = ["--embed-dim", "4", "--epochs", "1", "--oversample", oversample]
+    runs = {
+        "train": (["train", "--cascades", str(synth_60), "--out", str(tmp_path / "m.infv")], corpus),
+        "pipeline": (["pipeline", "--cascades", str(synth_60), "--outdir", str(tmp_path / "run")],
+                     train_corpus),
+    }
+    for command, (argv, trained) in runs.items():
+        _, pairs = context.context_draws(trained, float(oversample))
+        # 1e15 gets as far as the allocation, 1e30 not
+        assert (8 * pairs < 2**63) == (oversample == "1e15")
+        assert main([*argv, *small]) == 2, command
+        err = capsys.readouterr().err
+        assert err == (f"error: --oversample {float(oversample)!r}: a stream of {pairs} pairs "
+                       "is more than could be allocated\n"), command
+    # no model or manifest: pipeline leaves only the split it wrote first
+    assert sorted(os.listdir(tmp_path)) == ["in", "run"]
+    assert sorted(os.listdir(tmp_path / "run")) == ["test.txt", "train.txt"]
+
+
+def test_tiny_oversample_keeps_one_draw_per_cascade(tmp_path, synth_60, capsys):
+    # 1e-12 * m rounds to 0 through slack_ceil; every cascade keeps one draw
+    out = tmp_path / "m.infv"
+    assert main(["train", "--cascades", str(synth_60), "--out", str(out), "--embed-dim", "4",
+                 "--epochs", "1", "--oversample", "1e-12"]) == 0
+    doc = read_manifest(str(out) + ".manifest.json")
+    n_cascades = load_cascades(synth_60).n_cascades
+    assert doc["epoch_classify_steps"] == doc["epoch_regress_steps"] == [n_cascades]
+    capsys.readouterr()
+
+
+def test_tiny_prune_percent_keeps_one_candidate(tmp_path, synth_60, capsys):
+    run = tmp_path / "run"
+    assert main(["pipeline", "--cascades", str(synth_60), "--outdir", str(run), "--embed-dim", "4",
+                 "--epochs", "1", "--prune-percent", "1e-12"]) == 0
+    assert read_manifest(run / "manifest.json")["n_candidates"] == 1
+    assert load_matrix(run / "dmatrix.bin")[0].n_candidates == 1
+    capsys.readouterr()
 
 
 def readme_invocations():

@@ -182,7 +182,7 @@ def reference_build_training_stream(train, oversample, rng_seed):
         node_idx = np.array(
             [train.node_index[e.node] for e in cascade.events], dtype=np.int64
         )
-        n_draws = slack_ceil(oversample * cascade.size)
+        n_draws = max(1, slack_ceil(oversample * cascade.size))
         draws = rng.choice(node_idx, size=n_draws, replace=True, p=probs)
         stream.extend(("C", x, int(ctx)) for ctx in draws)
         stream.append(("S", x, float(y_c)))
@@ -594,8 +594,9 @@ def test_native_draws_match_reference(native_library, lines, seed, oversample):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 13), min_size=1, max_size=8),
        st.sampled_from([1e-10, 0.05, 0.5, 1.0, 1.2, 1.25]), st.integers(0, 2**32 - 1))
-def test_native_draw_counts_0_to_17_match_reference(native_library, sizes, oversample, seed):
-    # 0 to 17 draws per cascade: the library searches 8 at a time, then
+def test_native_draw_counts_1_to_17_match_reference(native_library, sizes, oversample, seed):
+    # 1 to 17 draws per cascade, where a product of at most 1e-9 takes the
+    # one draw every cascade keeps: the library searches 8 at a time, then
     # one at a time, so every remainder
     lines = [f"u{i}:5\t" + " ".join(f"n{k}:{5 + (3 * k + i) % 11}" for k in range(m)) + "\n"
              for i, m in enumerate(sizes)]

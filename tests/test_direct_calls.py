@@ -129,9 +129,11 @@ def test_pipeline_is_identical_when_a_direct_function_is_missing(tmp_path, monke
     with pytest.raises(RuntimeError):
         lib.direct_call(2, _vector)
     model = shaped_model(3, 13)
-    stream = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    ws = StepWorkspace(model)
+    stream = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int32)
     with pytest.raises(RuntimeError):
-        lib.classify_pairs(model, StepWorkspace(model), *stream, 0, 0.1, np.zeros(1))
+        lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, np.zeros(1), *stream, 0,
+                           0.1, ws.bound, ws.bias_bound)
     synth = tmp_path / "synth.txt"
     assert main(["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
                  "--rng-seed", "8", "--out", str(synth)]) == 0

@@ -3,6 +3,7 @@ classify step's C loop."""
 
 import ctypes
 import json
+import math
 import os
 import pathlib
 import platform
@@ -20,7 +21,7 @@ from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cli import main
 from iminfector.context import build_training_stream
-from iminfector.model import ModelConfig, StepWorkspace, init_model, train
+from iminfector.model import ModelConfig, StepWorkspace, init_model, step_classify, train
 from iminfector.synth import generate_corpus
 from test_cli import package_env as cli_env
 from test_model import (
@@ -35,7 +36,7 @@ from test_model import (
 
 def loop_passes_self_check(lib):
     with model_module._sgd_numpy():
-        return model_module._loop_matches_step(lib.classify_pairs)
+        return model_module._loop_matches_step(lib)
 
 
 def library_files(directory):
@@ -60,7 +61,7 @@ LOAD_SCRIPT = textwrap.dedent(
     lib = _native.load()
     path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
     with np.errstate(all="ignore"):
-        print(path, lib is not None and (not lib.direct or _loop_matches_step(lib.classify_pairs)))
+        print(path, lib is not None and (not lib.direct or _loop_matches_step(lib)))
     """
 )
 
@@ -253,12 +254,13 @@ def test_source_compiles_without_warnings(tmp_path):
 # the edge lists of test_edge_io.py, the arrays too short or of the wrong
 # kind among them, and the canonical logs and their mutations, and, where
 # the library finds numpy's own functions (argv[2], as the package's
-# library does), over the C loop's self-check and its argument errors, its
-# direct calls and the arrays direct_call refuses, and the context draws of
-# test_context.py, counts of draws that are not multiples of 8 among them,
-# on arrays that fit and on those draw_contexts refuses. Built with the
-# address and undefined behaviour sanitizers, the library ends the process
-# on a finding.
+# library does), over the C loop's self-check, the bounds it returns, the
+# arrays it refuses (None) and takes (the empty stream's call), and its
+# argument errors, its direct calls and the arrays direct_call refuses,
+# and the context draws of test_context.py, counts of draws that are not
+# multiples of 8 among them, on arrays that fit and on those draw_contexts
+# refuses. Built with the address and undefined behaviour sanitizers, the
+# library ends the process on a finding.
 SANITIZED_SCRIPT = textwrap.dedent(
     """
     import sys
@@ -294,10 +296,12 @@ SANITIZED_SCRIPT = textwrap.dedent(
     assert lib.write_cascades(*io.WRITER_BAD_BOUNDS) is None
     with model._sgd_numpy():
         if lib.direct:
-            assert model._loop_matches_step(lib.classify_pairs)
+            assert model._loop_matches_step(lib)
             for shape in SHAPES:
                 assert model._direct_calls_match(lib, direct_calls.shaped_model(*shape))
+            kernel.assert_bounds_returned(lib)
     if lib.direct:
+        kernel.assert_misfits_refused(lib)
         kernel.assert_argument_errors(lib)
     for args in direct_calls.MISFIT_CALLS if lib.direct else ():
         try:
@@ -514,12 +518,25 @@ def test_kernel_workspace_takes_numpy_update_when_arrays_change(direct_library, 
         assert (ws.update is None) == (s < 2)
 
 
-def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library):
-    # train does not take the C loop for these arrays, and the loop itself
-    # takes no pair of them and changes nothing
+def loop_args(model, ws, influencer, context, losses, start=0, lr=0.1):
+    """classify_pairs' arguments on the arrays of ``model`` and ``ws``."""
+    return (model.O, model.T, model.b_t, ws.phi, ws.grad, losses, influencer, context, start, lr,
+            ws.bound, ws.bias_bound)
+
+
+# The misfits of the stream's arrays: the loop refuses them, but takes the
+# model's and the workspace's.
+STREAM_MISFITS = ("int64 context", "int32 influencer")
+
+
+def loop_misfits():
+    """(what, model, ws, influencer, context) for each set of arrays the C
+    loop cannot take: the model's, the workspace's or the stream's."""
     rng = np.random.default_rng(47)
     base = random_model(rng, 3, 9, 4)
     shared = np.zeros(4 * 9 + 9)
+    stream = dict(influencer=np.array([0, 1, 2], dtype=np.int64),
+                  context=np.array([1, 2, 3], dtype=np.int32))
     misfits = {
         "T in Fortran order": dict(T=np.asfortranarray(base.T)),
         "float32 b_t": dict(b_t=base.b_t.astype(np.float32)),
@@ -527,21 +544,70 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library):
         "read-only T": dict(T=np.frombuffer(base.T.tobytes()).reshape(4, 9)),
         "T and b_t overlap": dict(T=shared[:36].reshape(4, 9), b_t=shared[30:39]),
         "b_t too short": dict(b_t=base.b_t[:8].copy()),
+        "phi and grad overlap": dict(phi=shared[:9], grad=shared[5:9]),
+        "int64 context": dict(context=stream["context"].astype(np.int64)),
+        "int32 influencer": dict(influencer=stream["influencer"].astype(np.int32)),
     }
-    pairs = np.array([0, 1, 2], dtype=np.int64), np.array([1, 2, 3], dtype=np.int64)
     for what, arrays in misfits.items():
         model = copy_model(base)
+        ws = StepWorkspace(model)
+        pairs = dict(stream)
         for name, value in arrays.items():
-            setattr(model, name, value)
-        assert model_module._classify_loop(model) is None, what
+            if name in pairs:
+                pairs[name] = value
+            else:
+                setattr(ws if name in ("phi", "grad") else model, name, value)
+        yield what, model, ws, pairs["influencer"], pairs["context"]
+    yield "fits", base, StepWorkspace(base), stream["influencer"], stream["context"]
+
+
+def assert_misfits_refused(lib):
+    """classify_pairs takes the pairs of arrays that fit, and returns None for
+    each misfit, having taken no pair and changed nothing; its call on an
+    empty stream tells the two apart for the model's and workspace's arrays."""
+    for what, model, ws, influencer, context in loop_misfits():
         before = copy_model(model)
         losses = np.full(3, np.nan)
-        ws = StepWorkspace(model)
-        assert direct_library.classify_pairs(model, ws, *pairs, 0, 0.1, losses) == 0, what
-        assert np.isnan(losses).all() and ws.bound == ws.bias_bound == np.inf, what
-        assert_same_model(before, model, what)
-    # the same model with its own arrays takes the loop
-    assert model_module._classify_loop(copy_model(base)) is not None
+        taken = lib.classify_pairs(*loop_args(model, ws, influencer, context, losses))
+        if what == "fits":
+            assert taken[0] == 3 and not np.isnan(losses).any()
+        else:
+            assert taken is None and np.isnan(losses).all(), what
+            assert_same_model(before, model, what)
+        assert model_module._takes_arrays(lib, model, ws) == (what == "fits" or what in STREAM_MISFITS)
+
+
+def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library):
+    assert_misfits_refused(direct_library)
+    for what, model, ws, *_ in loop_misfits():
+        # train takes the loop for the model and workspace that fit, and for no other
+        takes = what == "fits" or what in STREAM_MISFITS
+        assert (model_module._classify_loop(model, ws) is not None) == takes, what
+
+
+def assert_bounds_returned(lib):
+    """A stretch of the loop from inf bounds returns the finite bounds that
+    the same steps leave in a workspace of step_classify, bit for bit."""
+    rng = np.random.default_rng(61)
+    ref = random_model(rng, 3, 13, 4)
+    new = copy_model(ref)
+    influencer = np.array([0, 1, 2, 0, 1], dtype=np.int64)
+    context = np.array([1, 5, 12, 0, 7], dtype=np.int32)
+    ws_ref, ws = StepWorkspace(ref), StepWorkspace(new)
+    losses = np.full(5, np.nan)
+    with model_module._sgd_numpy():
+        want = [step_classify(ref, u, y, 0.1, ws_ref)
+                for u, y in zip(influencer.tolist(), context.tolist())]
+        stop, bound, bias_bound = lib.classify_pairs(*loop_args(new, ws, influencer, context, losses))
+    assert (ws.bound, ws.bias_bound) == (math.inf, math.inf)
+    assert stop == 5 and losses.tolist() == want
+    assert math.isfinite(bound) and math.isfinite(bias_bound)
+    assert (bound.hex(), bias_bound.hex()) == (ws_ref.bound.hex(), ws_ref.bias_bound.hex())
+    assert_same_model(ref, new, "stretch")
+
+
+def test_loop_returns_the_bounds_its_steps_leave(direct_library):
+    assert_bounds_returned(direct_library)
 
 
 class Real:
@@ -553,37 +619,39 @@ class Real:
 
 def assert_argument_errors(lib):
     """Each call of lib.classify_pairs with a bad argument raises its error
-    and changes nothing: not O, T, b_t, the losses or the workspace's
-    bounds. The start is read and checked before the rate."""
+    and changes nothing: not O, T, b_t or the losses. The start is read and
+    checked before the rate and the bounds."""
     model = random_model(np.random.default_rng(59), 3, 11, 4)
     before = copy_model(model)
     ws = StepWorkspace(model)
-    ws.bound, ws.bias_bound = 2.0, 3.0
-    prefix = model, ws, np.array([0, 1, 2], dtype=np.int64), np.array([1, 2, 3], dtype=np.int64)
     losses = np.full(3, 7.0)
+    pairs = np.array([0, 1, 2], dtype=np.int64), np.array([1, 2, 3], dtype=np.int32)
+    arrays = loop_args(model, ws, *pairs, losses)[:8]
     cases = [
-        (TypeError, (*prefix, 0, 0.1)),
-        (TypeError, (*prefix, 0, 0.1, losses, None)),
-        (ValueError, (*prefix, -1, 0.1, losses)),
-        (ValueError, (*prefix, 4, 0.1, losses)),
-        (TypeError, (*prefix, 0, "x", losses)),
+        (TypeError, (*arrays, 0, 0.1, 2.0)),
+        (TypeError, (*arrays, 0, 0.1, 2.0, 3.0, None)),
+        (TypeError, (*arrays[:5], None, *arrays[6:], 0, 0.1, 2.0, 3.0)),
+        (ValueError, (*arrays, -1, 0.1, 2.0, 3.0)),
+        (ValueError, (*arrays, 4, 0.1, 2.0, 3.0)),
+        (TypeError, (*arrays, 0, "x", 2.0, 3.0)),
+        (TypeError, (*arrays, 0, 0.1, None, 3.0)),
+        (TypeError, (*arrays, 0, 0.1, 2.0, "x")),
     ]
-    cases += [(TypeError, (*prefix, start, lr, losses))
+    cases += [(TypeError, (*arrays, start, lr, 2.0, 3.0))
               for start in ("0", 0.5) for lr in (0.1, Real(), Fraction(1, 10))]
     for error, args in cases:
         with pytest.raises(error):
             lib.classify_pairs(*args)
-        assert_same_model(before, model, repr(args[4:6]))
-        assert (losses == 7.0).all() and (ws.bound, ws.bias_bound) == (2.0, 3.0), args[4:6]
+        assert_same_model(before, model, repr(args[8:]))
+        assert (losses == 7.0).all(), args[8:]
     # a start outside the stream raises even where the loop cannot take the
-    # arrays, which would otherwise hand the start back as it came
-    model.T = np.asfortranarray(model.T)
-    before = copy_model(model)
+    # arrays, which would otherwise return None
+    fortran = (arrays[0], np.asfortranarray(model.T), *arrays[2:])
     for start in (-1, 4):
         with pytest.raises(ValueError):
-            lib.classify_pairs(*prefix, start, 0.1, losses)
+            lib.classify_pairs(*fortran, start, 0.1, 2.0, 3.0)
         assert_same_model(before, model, f"Fortran-order T, start {start}")
-        assert (losses == 7.0).all() and (ws.bound, ws.bias_bound) == (2.0, 3.0), start
+        assert (losses == 7.0).all(), start
 
 
 def test_loop_refuses_bad_arguments_and_changes_nothing(direct_library):

@@ -305,29 +305,34 @@ def ufunc_bufsize(size):
         np.setbufsize(old)
 
 
-def loop_takes(lib, model):
+def loop_takes(lib, model, ws):
     """Whether the C loop of ``lib`` may take ``model``'s pairs, as train
     decides from the model's shape: not where the direct calls do not give
     numpy's bits there (an E or N of 1). Arrays the loop cannot take still
     go to it, which must then take no pair."""
-    return not model_module._fits_kernel(model) or model_module._direct_calls_match(lib, model)
+    return not model_module._takes_arrays(lib, model, ws) or model_module._direct_calls_match(lib, model)
 
 
 def loop_step(lib=None):
     """step_classify(model, u, y, lr, ws) through the C loop of ``lib``
     (default: the package's library): the pair alone in a stream, taken by
-    step_classify if the loop does not take it, as train does."""
+    step_classify if the loop does not take it, as train does. The loop must
+    take the pair unless it refuses the arrays or the pair is out of range."""
     lib = lib or _native.load()
 
     def step(model, u, y, lr, ws):
-        if not loop_takes(lib, model):
+        takes = model_module._takes_arrays(lib, model, ws)
+        if takes and not model_module._direct_calls_match(lib, model):
             return step_classify(model, u, y, lr, ws)
+        in_range = 0 <= u < model.O.shape[0] and 0 <= y < model.T.shape[1]
+        want = None if not takes else 1 if in_range else 0
         losses = np.full(1, np.nan)
-        pair = np.array([u], dtype=np.int64), np.array([y], dtype=np.int64)
-        stop = lib.classify_pairs(model, ws, *pair, 0, lr, losses)
-        if stop < 0:
+        pair = np.array([u], dtype=np.int64), np.array([y], dtype=np.int32)
+        stop = model_module._take_pairs(lib, model, ws, *pair, 0, lr, losses)
+        if stop == ~0:
             raise NonFiniteUpdate("classification step produced a non-finite value")
-        return step_classify(model, u, y, lr, ws) if stop == 0 else float(losses[0])
+        assert stop == want, (stop, want)
+        return float(losses[0]) if stop == 1 else step_classify(model, u, y, lr, ws)
 
     return step
 
@@ -338,13 +343,15 @@ def loop_until_raise(model, steps):
     may not take the model."""
     lib = _native.load()
     ws = StepWorkspace(model)
-    if not loop_takes(lib, model):
+    if not loop_takes(lib, model, ws):
         return run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), model, steps)
     (lr,) = {lr for _, lr in steps}
-    influencer, context = (np.array(c, dtype=np.int64) for c in zip(*(pair for pair, _ in steps)))
+    pairs = list(zip(*(pair for pair, _ in steps)))
+    influencer, context = np.array(pairs[0], dtype=np.int64), np.array(pairs[1], dtype=np.int32)
     losses = np.full(len(steps), np.nan)
-    stop = lib.classify_pairs(model, ws, influencer, context, 0, lr, losses)
-    assert stop < 0 or stop == len(steps)
+    stop = model_module._take_pairs(lib, model, ws, influencer, context, 0, lr, losses)
+    # the loop took the pairs: it stopped at the end or at a raise
+    assert stop is not None and (stop < 0 or stop == len(steps)), stop
     return (losses.tolist(), None) if stop >= 0 else (losses[:~stop].tolist(), ~stop)
 
 
