@@ -9,8 +9,8 @@
  * its work by the arrays' lengths. Of numpy's C API it uses only the
  * ufunc type and its layout: the loop calls numpy's own float64 inner
  * loops and its BLAS's dgemv directly, and model.py sends it only the
- * models where those calls give numpy's bits; the context draws call
- * add's loop the same way.
+ * models of a shape where a self-check of the loop gives the numpy step's
+ * bits; the context draws call add's loop the same way.
  *
  * ---- The T and b_t update of one classify step, fused into one pass ----
  *
@@ -102,8 +102,9 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
  * So the bits are numpy's, with no Python call, argument parsing or ufunc
  * dispatch in between. numpy takes dgemv only for some shapes (an E or N
  * of 1 goes elsewhere), and its own rules pick the loop and the start of
- * the sum: so model.py decides, from the model's shape and self-checks at
- * it, whether the loop may run, and takes the numpy step where it may not.
+ * the sum: so model.py decides, from the model's shape and a self-check
+ * of the loop at its E and its N, whether the loop may run, and takes the
+ * numpy step where it may not.
  * A direct call sets no numpy error state and issues no warning; train
  * runs the loop with numpy's overflow, invalid and divide warnings off
  * anyway.
@@ -112,11 +113,10 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
  * library that numpy's wheels link, found through a handle on numpy's
  * _multiarray_umath. Each loop is the first all-float64 entry of its
  * ufunc's functions and data, the one numpy's default loop selector picks.
- * If any of them is missing, the module's direct is False, classify_pairs,
- * direct_call and draw_contexts raise RuntimeError, train takes the numpy
- * step and the stream draws through rng.choice. The
- * module's blas_core names the kernel set OpenBLAS picked for this CPU, or
- * is None.
+ * If any of them is missing, the module's direct is False, classify_pairs
+ * and draw_contexts raise RuntimeError, train takes the numpy step and the
+ * stream draws through rng.choice. The module's blas_core names the kernel
+ * set OpenBLAS picked for this CPU, or is None.
  */
 
 typedef void dgemv_fn(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
@@ -243,8 +243,8 @@ enum kind { BYTE, I32, I64, F64 };
 static const char *const FORMATS[] = {"B", "i", "lq", "d"};
 static const Py_ssize_t SIZE[] = {1, 4, 8, 8};
 
-/* An array argument: its items' kind, its number of dimensions (0 for a
- * vector or a matrix) and whether the function writes it. */
+/* An array argument: its items' kind, its number of dimensions and
+ * whether the function writes it. */
 struct param {
     enum kind kind;
     int ndim, writable;
@@ -274,9 +274,9 @@ static int take_all(PyObject *const *args, const struct param *param, int n, Py_
             return -1;
         }
         const char *const format = v->format;
-        const int ndim = p->ndim ? v->ndim == p->ndim : v->ndim == 1 || v->ndim == 2;
-        if (!ndim || v->itemsize != SIZE[p->kind] || (uintptr_t)v->buf % SIZE[p->kind] ||
-            !format[0] || format[1] || !strchr(FORMATS[p->kind], format[0]))
+        if (v->ndim != p->ndim || v->itemsize != SIZE[p->kind] ||
+            (uintptr_t)v->buf % SIZE[p->kind] || !format[0] || format[1] ||
+            !strchr(FORMATS[p->kind], format[0]))
             return -1;
     }
     return 0;
@@ -474,64 +474,6 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
     }
     release(view, N_LOOP);
     return result;
-}
-
-/* direct_call(k, *arrays) makes call k of (matmul, exp, add.reduce, log)
- * as the loop makes it, on arrays as numpy's function takes them:
- * matmul(x, y, out) of a vector x and a matrix y or of a matrix x and a
- * vector y, exp(x, out), add.reduce(x) and log(x, out). Each is a float64,
- * C-contiguous, aligned array, out is writable, of the result's length and
- * x itself or apart from the inputs, and no dimension is 0. Returns
- * add.reduce's sum as a float, else None, so that each call can be
- * compared with numpy's own. Raises ValueError for arrays it cannot take,
- * RuntimeError if the module's direct is False. */
-static PyObject *direct_call(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    /* each call's arrays; matmul's x or y may be the matrix */
-    static const struct param ARGS[4][3] = {{{F64, 0, 0}, {F64, 0, 0}, {F64, 1, 1}},
-                                            {{F64, 1, 0}, {F64, 1, 1}}, {{F64, 1, 0}},
-                                            {{F64, 1, 0}, {F64, 1, 1}}};
-    static const int ARRAYS[] = {3, 2, 1, 2};
-    const long k = nargs ? PyLong_AsLong(args[0]) : -1;
-    if (k == -1 && PyErr_Occurred())
-        return NULL;
-    if (k < 0 || k > 3)
-        return PyErr_Format(PyExc_TypeError, "direct_call takes k in 0..3 and that call's arrays");
-    if (check_count("direct_call", nargs, 1 + ARRAYS[k]))
-        return NULL;
-    if (!numpy_own.dgemv)
-        return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
-    const int n = ARRAYS[k];
-    Py_buffer view[3] = {{0}};
-    int fits = !take_all(args + 1, ARGS[k], n, view);
-    PyObject *result = NULL;
-    if (fits) {
-        const double *const x = view[0].buf;
-        const Py_ssize_t *const xs = view[0].shape, *const ys = view[1].shape;
-        for (int a = 0; a < n; a++)
-            for (int d = 0; d < view[a].ndim; d++)
-                fits &= view[a].shape[d] > 0;
-        if (k == 0) {
-            const Py_ssize_t len = view[2].shape[0];
-            const int vm = view[0].ndim == 1 && view[1].ndim == 2 && xs[0] == ys[0] && len == ys[1];
-            const int mv = view[0].ndim == 2 && view[1].ndim == 1 && xs[1] == ys[0] && len == xs[0];
-            fits &= (vm || mv) && !overlap(&view[2], &view[0]) && !overlap(&view[2], &view[1]);
-            if (fits && vm)
-                vector_matrix(x, view[1].buf, view[2].buf, (size_t)ys[0], (size_t)ys[1]);
-            else if (fits)
-                matrix_vector(x, view[1].buf, view[2].buf, (size_t)xs[0], (size_t)xs[1]);
-        } else if (k == 2) {
-            result = fits ? PyFloat_FromDouble(add_reduce(x, (size_t)xs[0])) : NULL;
-        } else {
-            fits &= xs[0] == ys[0] && (x == view[1].buf || !overlap(&view[0], &view[1]));
-            if (fits)
-                unary(k == 1 ? &numpy_own.exp : &numpy_own.log, x, view[1].buf, (size_t)xs[0]);
-        }
-    }
-    release(view, n);
-    if (!fits)
-        return PyErr_Format(PyExc_ValueError, "direct_call cannot take these arrays");
-    return k == 2 ? result : Py_NewRef(Py_None);
 }
 
 /* ---- The training stream's context draws ----
@@ -1149,8 +1091,6 @@ static PyMethodDef methods[] = {
     {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
      "classify_pairs(O, T, b_t, phi, grad, losses, influencer, context, start, lr, bound, "
      "bias_bound)"},
-    {"direct_call", (PyCFunction)(void (*)(void))direct_call, METH_FASTCALL,
-     "direct_call(k, *arrays)"},
     {"draw_contexts", (PyCFunction)(void (*)(void))draw_contexts, METH_FASTCALL,
      "draw_contexts(weights, offsets, node_idx, draws, uniforms, context)"},
     {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,

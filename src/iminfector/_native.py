@@ -1,15 +1,14 @@
 """The package's native library, built on first use.
 
 ``_native.c`` holds the classify epoch loop (``classify_pairs``) with its
-T update (``fused_t_update``) and the direct calls of numpy's own loops and
-BLAS that it makes (``direct_call``), the training stream's context draws
-(``draw_contexts``), the cascade scanner (``scan_cascades``), the
-cascade writer (``write_cascades``) and the edge list scanner
-(``scan_edges``). ``load()``
-compiles it with the system C compiler, ``$CC`` or else ``cc``, against
-this interpreter's ``Python.h`` and numpy's headers (for the layout of a
-ufunc object) into the user's cache directory, ``$XDG_CACHE_HOME/iminfector``
-(default ``~/.cache/iminfector``), and loads it through
+T update (``fused_t_update``) and its direct calls of numpy's own loops and
+BLAS, the training stream's context draws (``draw_contexts``), the cascade
+scanner (``scan_cascades``), the cascade writer (``write_cascades``) and
+the edge list scanner (``scan_edges``). ``load()`` compiles it with the
+system C compiler, ``$CC`` or else ``cc``, against this interpreter's
+``Python.h`` and numpy's headers (for the layout of a ufunc object) into
+the user's cache directory, ``$XDG_CACHE_HOME/iminfector`` (default
+``~/.cache/iminfector``), and loads it through
 ``importlib.machinery.ExtensionFileLoader`` as the CPython extension module
 ``iminfector._native_lib``, at most once per process. Its functions read
 their arrays through the buffer protocol and check their kind, shape and
@@ -187,10 +186,9 @@ def open_library(path):
     T update that runs on this CPU: "avx512f", "avx2" or "baseline". Its
     ``direct`` is True if it found numpy's BLAS dgemv and float64 exp, add
     and log loops, which its classify loop and context draws call
-    directly; without them its ``classify_pairs``, ``direct_call`` and
-    ``draw_contexts`` raise RuntimeError. Its
-    ``blas_core`` names the kernel set numpy's OpenBLAS picked for this CPU,
-    or is None."""
+    directly; without them its ``classify_pairs`` and ``draw_contexts``
+    raise RuntimeError. Its ``blas_core`` names the kernel set numpy's
+    OpenBLAS picked for this CPU, or is None."""
     loader = machinery.ExtensionFileLoader(MODULE, path)
     module = util.module_from_spec(util.spec_from_file_location(MODULE, path, loader=loader))
     loader.exec_module(module)

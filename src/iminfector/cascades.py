@@ -432,7 +432,7 @@ def temporal_split(corpus, train_fraction):
     if not count:
         raise DegenerateSplit("empty corpus")
     order = np.argsort(corpus.start_time, kind="stable")
-    n_train = slack_ceil(train_fraction * count)
+    n_train = max(1, slack_ceil(train_fraction * count))
     if n_train == 0 or n_train == count:
         raise DegenerateSplit(
             f"{count} cascades at fraction {train_fraction} would leave "

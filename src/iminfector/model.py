@@ -49,15 +49,19 @@ train() takes the loop only when all of these hold:
 - the library takes the arrays of the model and its workspace: it alone
   judges them (LOOP_ARGS in _native.c), and its call on an empty stream
   returns None where it does not (_takes_arrays);
-- E and N are both at least 2, where numpy's matmul takes dgemv for both
-  products; with an E or N of 1 it takes a dot product or a loop of its
-  own, whose bits dgemv gives on some inputs and not on others;
-- a fixed self-check passes: on the (3, 13) and (5, 79) shapes, with a NaN
-  in O and a +0/-0 tie at the max of b_t, the loop's losses, O, T, b_t and
-  raising step match step_classify without a workspace bit for bit;
-- each direct call matches its numpy call bit for bit at the model's own
-  (E, N), on the model's T and a row of O (_direct_calls_match), which
-  catches a numpy that picks other functions than those the library found.
+- the loop's self-check passes at the model's E and N (_loop_matches_at):
+  - E and N are both at least 2, where numpy's matmul takes dgemv for
+    both products; with an E or N of 1 it takes a dot product or a loop
+    of its own, whose bits dgemv gives on some inputs and not on others;
+  - on the fixed (3, 13) and (5, 79) shapes and on (2, N) and (E, 2),
+    which take the model's N and E one at a time, with a NaN in O and a
+    +0/-0 tie at the max of b_t, the loop's losses, O, T, b_t and raising
+    step match step_classify without a workspace bit for bit. So a numpy
+    whose functions round otherwise at the model's N or E than those the
+    library found (a sum split past some length, say) gets the numpy
+    step. The check does not run at the full (E, N): it would copy T and
+    make the numpy step's E x N temporaries, about an eighth more peak
+    memory for a 3,000-node model.
 
 Every other model takes the numpy step, with the same bits.
 
@@ -298,12 +302,7 @@ def step_classify(model, u, y, lr, workspace=None):
 # train() takes the C loop only while model.step_classify is this function.
 _OWN_STEP_CLASSIFY = step_classify
 
-# The numpy functions whose rounding is numpy's own, in the order of the
-# library's direct_call; see the module docstring.
-NUMPY_CALLS = (np.matmul, np.exp, np.add.reduce, np.log)
-
-
-# The (E, N) shapes of the loop's self-check. In the second, N = 79 =
+# The fixed (E, N) shapes of the loop's self-check. In the second, N = 79 =
 # 9 * 8 + 4 + 3, so each row of T and b_t runs every part of every clone of
 # the T update that gcc 12 builds: the 8-wide AVX-512 body, its 4-wide
 # epilogue and a scalar tail; the 4-wide AVX2 body, its 2-wide epilogue
@@ -343,20 +342,21 @@ def _takes_arrays(lib, model, ws):
     return _take_pairs(lib, model, ws, *no_pairs, 0, 0.0, np.empty(0)) is not None
 
 
-def _loop_matches_step(lib):
+def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
     """True if the C loop of ``lib`` takes fixed pairs bit for bit as
     step_classify without a workspace does: each loss, O, T and b_t, where
     the loop stops and which step raises.
 
-    Each shape runs three models: random, one with a NaN in O's second row
-    (whose first step raises), and one whose largest logits, 0, come from
-    the +0 and -0 entries of b_t over zero columns of T, every other logit
-    far below. Five classify pairs run, then a size pair, where the loop
-    must stop.
+    Each (E, N) of ``shapes``, N at least 2, runs three models: random,
+    one with a NaN in O's second row (whose first step raises), and one
+    whose largest logits, 0, come from the +0 and -0 entries of b_t over
+    zero columns of T, every other logit far below. Five classify pairs
+    run, then a size pair, where the loop must stop. Their contexts are
+    taken mod N.
     """
     rng = np.random.default_rng(2019)
     lr = 0.1
-    for E, N in _SELF_CHECK_SHAPES:
+    for E, N in shapes:
         for case in ("random", "nan", "zero tie"):
             O, T, b_t = rng.normal(size=(2, E)), rng.normal(size=(E, N)), rng.normal(size=N)
             if case == "nan":
@@ -364,11 +364,11 @@ def _loop_matches_step(lib):
             elif case == "zero tie":
                 T[:, :4] = 0.0
                 b_t[:] = -1e3
-                b_t[:4] = (0.0, -0.0, -0.0, 0.0)
+                b_t[:4] = (0.0, -0.0, -0.0, 0.0)[:N]
             want = InfectorModel(O, T, b_t, 0.0, np.ones(E), [], [])
             got = InfectorModel(O.copy(), T.copy(), b_t.copy(), 0.0, np.ones(E), [], [])
             influencer = np.array([0, 0, 1, 0, 1, 0], dtype=np.int64)
-            context = np.array([1, 0, 3, N - 1, 2, SIZE_PAIR], dtype=np.int32)
+            context = np.array([1, 0, 3 % N, N - 1, 2 % N, SIZE_PAIR], dtype=np.int32)
             want_losses, want_stop = np.full(6, np.nan), 5
             for k, (u, y) in enumerate(zip(influencer[:5].tolist(), context[:5].tolist())):
                 try:
@@ -389,6 +389,16 @@ def _loop_matches_step(lib):
     return True
 
 
+def _loop_matches_at(lib, E, N):
+    """True if train() may take the C loop of ``lib`` for a model whose T
+    is E x N: E and N are at least 2 and the loop's self-check passes on
+    its fixed shapes and on (2, N) and (E, 2). Run under _sgd_numpy()."""
+    if min(E, N) < 2:
+        # numpy's matmul takes no dgemv there: no sample proves the bits
+        return False
+    return _loop_matches_step(lib, (*_SELF_CHECK_SHAPES, (2, N), (E, 2)))
+
+
 def _classify_loop(model, ws):
     """The native library if train() may take its C loop for ``model`` and
     its workspace ``ws``, else None: see the module docstring for the rule."""
@@ -398,51 +408,8 @@ def _classify_loop(model, ws):
     if lib is None or not lib.direct or not _takes_arrays(lib, model, ws):
         return None
     with _sgd_numpy():
-        ok = _direct_calls_match(lib, model) and _loop_matches_step(lib)
+        ok = _loop_matches_at(lib, *model.T.shape)
     return lib if ok else None
-
-
-def _numpy_and_direct(lib, k, arrays, out):
-    """Call k of NUMPY_CALLS and the direct call k of ``lib`` alike: on
-    copies of the vectors of ``arrays`` and on its matrices, adding an out
-    of ``out`` entries, or the first vector itself for "in place". Returns
-    the two outs, or the two values where ``out`` is None."""
-    results = []
-    for call in (NUMPY_CALLS[k], lambda *a: lib.direct_call(k, *a)):
-        args = [a.copy() if a.ndim == 1 else a for a in arrays]
-        if out == "in place":
-            args.append(args[0])
-        elif out is not None:
-            args.append(np.zeros(out))
-        value = call(*args)
-        results.append(value if out is None else args[-1])
-    return results
-
-
-def _direct_calls_match(lib, model):
-    """True if each call the C loop of ``lib`` makes directly gives the bits
-    of its numpy call, under _sgd_numpy(), at the model's (E, N): O_u T on
-    the model's T and first row of O, T g, exp in place and add.reduce on
-    softmax-like inputs, and log. Reads T without copying it and writes
-    nothing to the model.
-
-    False if E or N is 1 without a check: numpy's matmul then takes a dot
-    product or its own loop, not dgemv, whose bits agree with dgemv's on
-    some inputs and not on others, so no sample could prove them equal.
-    """
-    E, N = model.T.shape
-    if E < 2 or N < 2:
-        return False
-    rng = np.random.default_rng(2019)
-    z = rng.uniform(-40.0, 0.0, N)  # logits less their max
-    cases = (
-        (0, (model.O[0], model.T), N),
-        (0, (model.T, rng.uniform(-1.0, 1.0, N)), E),
-        (1, (z,), "in place"),
-        (2, (np.exp(z),), None),
-        (3, (rng.uniform(0.0, 1.0, N),), N),
-    )
-    return all(_same_bits(*_numpy_and_direct(lib, k, arrays, out)) for k, arrays, out in cases)
 
 
 def step_regress(model, u, y_c, lr):

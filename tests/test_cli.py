@@ -1025,6 +1025,17 @@ def test_tiny_prune_percent_keeps_one_candidate(tmp_path, synth_60, capsys):
     capsys.readouterr()
 
 
+def test_tiny_train_frac_keeps_one_train_cascade(tmp_path, synth_60, capsys):
+    # 1e-12 * 60 rounds to 0 through slack_ceil; ceil of it is 1
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    assert main(["split", "--cascades", str(synth_60), "--train-frac", "1e-12",
+                 "--train-out", str(train), "--test-out", str(test)]) == 0
+    doc = read_manifest(str(train) + ".manifest.json")
+    assert (doc["n_train"], doc["n_test"]) == (1, load_cascades(synth_60).n_cascades - 1)
+    assert load_cascades(train).n_cascades == 1
+    capsys.readouterr()
+
+
 def readme_invocations():
     """The README's ``iminfector`` command lines, in order, as argv lists."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

@@ -1,6 +1,7 @@
-"""The C loop's direct calls of numpy's own functions: each call against
-numpy's bit for bit, the numpy step when one of them is missing, and the
-BLAS kernel set the manifest records."""
+"""The C loop's direct calls of numpy's own functions: the loop against
+the numpy step bit for bit at drawn shapes, train's self-check at the
+model's shape, the numpy step when one of them is missing, and the BLAS
+kernel set the manifest records."""
 
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cli import main
-from iminfector.model import InfectorModel, StepWorkspace, _numpy_and_direct, _same_bits, _sgd_numpy
+from iminfector.model import InfectorModel, StepWorkspace, _sgd_numpy
 
 
 def shaped_model(E, N, seed=0):
@@ -26,88 +27,23 @@ def shaped_model(E, N, seed=0):
     )
 
 
-_vector, _matrix = np.arange(3.0), np.arange(12.0).reshape(3, 4)
-_shared = np.zeros(8)
-# Arguments of direct_call it must refuse with ValueError: arrays of
-# another kind, layout or length, an out that overlaps an input, a
-# read-only out, and empty arrays.
-MISFIT_CALLS = [
-    (0, _vector.astype(np.float32), _matrix, np.zeros(4)),
-    (0, _vector, np.asfortranarray(_matrix), np.zeros(4)),
-    (0, _vector, _matrix, np.zeros(3)),
-    (0, np.arange(4.0), _matrix, np.zeros(4)),
-    (0, _matrix, np.arange(3.0), np.zeros(3)),
-    (0, _matrix, _matrix, np.zeros(4)),
-    (0, _vector, _vector, np.zeros(3)),
-    (0, _shared[:3], _matrix, _shared[2:6]),
-    (0, np.zeros(0), np.zeros((0, 4)), np.zeros(4)),
-    (1, _vector, np.zeros(2)),
-    (1, _shared[:4], _shared[1:5]),
-    (1, _vector, np.frombuffer(np.zeros(3).tobytes())),
-    (1, np.arange(6.0)[::2], np.zeros(3)),
-    (2, np.zeros(0)),
-    (2, _matrix),
-    (3, np.arange(6.0)[::2], np.zeros(3)),
-    (3, np.zeros(0), np.zeros(0)),
-]
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    E=st.integers(2, 64),
-    N=st.integers(2, 12_000),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from([1e-3, 1.0, 30.0]),
-)
-def test_each_direct_call_is_bitwise_numpy(direct_library, E, N, seed, scale):
+@given(E=st.integers(2, 64), N=st.integers(2, 12_000))
+def test_loop_is_bitwise_numpy_at_drawn_shapes(direct_library, E, N):
     # numpy takes dgemv for a vector times a matrix and a matrix times a
-    # vector once E and N exceed 1; every other call is one ufunc loop
-    rng = np.random.default_rng(seed)
-    T = rng.normal(size=(E, N)) * scale
-    o_u = rng.normal(size=E)
-    g = rng.uniform(-1.0, 1.0, N)
-    # softmax inputs: logits less their max, zeros of both signs and, in
-    # some draws, a NaN from a NaN logit
-    z = -np.abs(rng.standard_cauchy(N)) * scale
-    z[rng.integers(0, N, 2)] = 0.0, -0.0
-    if seed % 5 == 0:
-        z[rng.integers(0, N)] = np.nan
+    # vector once E and N exceed 1; every other call is one ufunc loop. The
+    # self-check's models hold a NaN and a +0/-0 tie at the max of the logits.
     with _sgd_numpy():
-        cases = {
-            "O_u T": _numpy_and_direct(direct_library, 0, (o_u, T), N),
-            "T g": _numpy_and_direct(direct_library, 0, (T, g), E),
-            "exp": _numpy_and_direct(direct_library, 1, (z,), "in place"),
-        }
-        e = cases["exp"][0]
-        cases["add.reduce"] = _numpy_and_direct(direct_library, 2, (e,), None)
-        p = e / cases["add.reduce"][0]
-        cases["log"] = _numpy_and_direct(direct_library, 3, (p,), N)
-        # the loop takes the log of one entry, which numpy is given as a float
-        for j in rng.integers(0, N, 4).tolist():
-            one = np.zeros(1)
-            direct_library.direct_call(3, p[j : j + 1], one)
-            cases[f"log of p[{j}]"] = [np.log(float(p[j])), one[0]]
-    for name, (want, got) in cases.items():
-        assert _same_bits(got, want), (name, E, N)
+        assert model_module._loop_matches_step(direct_library, ((E, N),))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 13), (50, 300), (50, 2930)])
-def test_direct_calls_match_at_the_model_shape(direct_library, shape):
+def test_loop_gate_passes_at_the_model_shape(direct_library, shape):
     model = shaped_model(*shape)
     before = [a.copy() for a in (model.O, model.T, model.b_t)]
-    with _sgd_numpy():
-        assert model_module._direct_calls_match(direct_library, model)
-    # the check reads the model and writes nothing to it
+    assert model_module._classify_loop(model, StepWorkspace(model)) is direct_library
+    # the gate reads the model's shape and writes nothing to it
     assert all(np.array_equal(a, b) for a, b in zip(before, (model.O, model.T, model.b_t)))
-
-
-def test_direct_call_refuses_what_it_cannot_take(direct_library):
-    for args in MISFIT_CALLS:
-        with pytest.raises(ValueError):
-            direct_library.direct_call(*args)
-    for args in [(), (4, _vector), (-1, _vector), (2, _vector, _vector), (0, _vector, _matrix)]:
-        with pytest.raises(TypeError):
-            direct_library.direct_call(*args)
 
 
 # Source changes under which the library does not find one of numpy's own
@@ -126,8 +62,6 @@ def test_pipeline_is_identical_when_a_direct_function_is_missing(tmp_path, monke
     assert code.count(old) == 1
     lib = _native.open_library(_native.build(code.replace(old, new), str(tmp_path), "missing-"))
     assert lib.direct is False and lib.blas_core == direct_library.blas_core
-    with pytest.raises(RuntimeError):
-        lib.direct_call(2, _vector)
     model = shaped_model(3, 13)
     ws = StepWorkspace(model)
     stream = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int32)

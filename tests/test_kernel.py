@@ -254,12 +254,11 @@ def test_source_compiles_without_warnings(tmp_path):
 # the edge lists of test_edge_io.py, the arrays too short or of the wrong
 # kind among them, and the canonical logs and their mutations, and, where
 # the library finds numpy's own functions (argv[2], as the package's
-# library does), over the C loop's self-check, the bounds it returns, the
-# arrays it refuses (None) and takes (the empty stream's call), and its
-# argument errors, its direct calls and the arrays direct_call refuses,
-# and the context draws of test_context.py, counts of draws that are not
-# multiples of 8 among them, on arrays that fit and on those draw_contexts
-# refuses. Built with the address and undefined behaviour sanitizers, the
+# library does), over the C loop's self-check at the model shapes SHAPES,
+# the bounds it returns, the arrays it refuses (None) and takes (the empty
+# stream's call), and its argument errors, and the context draws of
+# test_context.py, counts of draws that are not multiples of 8 among them,
+# on arrays that fit and on those draw_contexts refuses. Built with the address and undefined behaviour sanitizers, the
 # library ends the process on a finding.
 SANITIZED_SCRIPT = textwrap.dedent(
     """
@@ -268,7 +267,6 @@ SANITIZED_SCRIPT = textwrap.dedent(
     from iminfector.cascades import _render, _scan
     import test_cascade_io as io
     import test_context as context
-    import test_direct_calls as direct_calls
     import test_edge_io as edge_io
     import test_kernel as kernel
 
@@ -296,20 +294,12 @@ SANITIZED_SCRIPT = textwrap.dedent(
     assert lib.write_cascades(*io.WRITER_BAD_BOUNDS) is None
     with model._sgd_numpy():
         if lib.direct:
-            assert model._loop_matches_step(lib)
             for shape in SHAPES:
-                assert model._direct_calls_match(lib, direct_calls.shaped_model(*shape))
+                assert model._loop_matches_at(lib, *shape)
             kernel.assert_bounds_returned(lib)
     if lib.direct:
         kernel.assert_misfits_refused(lib)
         kernel.assert_argument_errors(lib)
-    for args in direct_calls.MISFIT_CALLS if lib.direct else ():
-        try:
-            lib.direct_call(*args)
-        except ValueError:
-            continue
-        raise AssertionError(args)
-    if lib.direct:
         for seed, draws in enumerate((None, [17, 8, 0, 9], [7, 16, 1, 15])):
             args = context.draw_args(seed, draws)
             assert lib.draw_contexts(*args) is True
@@ -379,8 +369,16 @@ def assert_refused(lib, monkeypatch):
     """The self-check refuses the C loop of ``lib``, and train, given that
     library, takes the numpy step and stays bitwise the reference loop."""
     assert lib.direct and not loop_passes_self_check(lib)
-    corpus = generate_corpus(np.random.default_rng(41), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
-    cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=1, rng_seed=2)
+    assert_train_takes_numpy_step(lib, monkeypatch)
+
+
+def assert_train_takes_numpy_step(lib, monkeypatch, n_nodes=60, n_cascades=60, embed_dim=8):
+    """train, given the library ``lib``, takes the numpy step on a synthetic
+    corpus of ``n_nodes`` and ``n_cascades`` and stays bitwise the reference
+    loop."""
+    corpus = generate_corpus(np.random.default_rng(41), n_nodes=n_nodes, n_cascades=n_cascades,
+                             n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=embed_dim, learning_rate=0.1, epochs=1, rng_seed=2)
     streams = [build_training_stream(corpus, 1.2, cfg.rng_seed)]
     ref, want = reference_train(corpus, cfg, streams)
     monkeypatch.setattr(_native, "load", lambda: lib)
@@ -404,6 +402,43 @@ def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, direct_librar
     assert code.count(exact) == 1
     path = _native.build(code.replace(exact, mutant), str(tmp_path), "mutant-")
     assert_refused(_native.open_library(path), monkeypatch)
+
+
+# Mutants of numpy's own calls whose bits differ only past the fixed
+# shapes of the self-check, each with the corpus size and E of a train run
+# whose model they differ at: the softmax's sum split at 1,000 entries when
+# it has more than 2,048, and the logits' sum over E split at 16 when E is
+# more than 32. Each source change adds a first statement to the function.
+WIDE_MUTANTS = {
+    "sum split past 2,048 entries": (
+        b"static double add_reduce(const double *x, size_t n)\n{\n",
+        b"    if (n > 2048)\n        return add_reduce(x, 1000) + add_reduce(x + 1000, n - 1000);\n",
+        dict(n_nodes=2400, n_cascades=20, embed_dim=8),
+    ),
+    "E-sum split past 32": (
+        b"static void vector_matrix(const double *x, const double *a, double *out, size_t E, size_t N)\n{\n",
+        b"    if (E > 32) {\n"
+        b"        vector_matrix(x, a, out, 16, N);\n"
+        b"        numpy_own.dgemv(ROW_MAJOR, TRANS, (int64_t)E - 16, (int64_t)N, 1.0, a + 16 * N,\n"
+        b"                        (int64_t)N, x + 16, 1, 1.0, out, 1);\n"
+        b"        return;\n"
+        b"    }\n",
+        dict(n_nodes=60, n_cascades=60, embed_dim=50),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(WIDE_MUTANTS))
+def test_self_check_at_the_model_shape_refuses_a_wide_mutant(tmp_path, direct_library, mutant,
+                                                             monkeypatch):
+    head, first, train_shape = WIDE_MUTANTS[mutant]
+    code = _native.source()
+    assert code.count(head) == 1
+    lib = _native.open_library(_native.build(code.replace(head, head + first), str(tmp_path), "wide-"))
+    assert lib.direct and loop_passes_self_check(lib)
+    with model_module._sgd_numpy():
+        assert not model_module._loop_matches_at(lib, 50, 2930)
+    assert_train_takes_numpy_step(lib, monkeypatch, **train_shape)
 
 
 def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, direct_library,

@@ -1,6 +1,7 @@
 """Model training: gradients, closed forms, persistence."""
 
 import contextlib
+import functools
 import math
 
 import numpy as np
@@ -305,12 +306,20 @@ def ufunc_bufsize(size):
         np.setbufsize(old)
 
 
+@functools.cache
+def loop_matches_at(lib, E, N):
+    """train's rule for the C loop of ``lib`` at a model of E x N
+    (_loop_matches_at), run once per library and shape."""
+    with model_module._sgd_numpy():
+        return model_module._loop_matches_at(lib, E, N)
+
+
 def loop_takes(lib, model, ws):
     """Whether the C loop of ``lib`` may take ``model``'s pairs, as train
-    decides from the model's shape: not where the direct calls do not give
-    numpy's bits there (an E or N of 1). Arrays the loop cannot take still
-    go to it, which must then take no pair."""
-    return not model_module._takes_arrays(lib, model, ws) or model_module._direct_calls_match(lib, model)
+    decides from the model's shape: not where its self-check fails there
+    (an E or N of 1, say). Arrays the loop cannot take still go to it,
+    which must then take no pair."""
+    return not model_module._takes_arrays(lib, model, ws) or loop_matches_at(lib, *model.T.shape)
 
 
 def loop_step(lib=None):
@@ -322,7 +331,7 @@ def loop_step(lib=None):
 
     def step(model, u, y, lr, ws):
         takes = model_module._takes_arrays(lib, model, ws)
-        if takes and not model_module._direct_calls_match(lib, model):
+        if takes and not loop_matches_at(lib, *model.T.shape):
             return step_classify(model, u, y, lr, ws)
         in_range = 0 <= u < model.O.shape[0] and 0 <= y < model.T.shape[1]
         want = None if not takes else 1 if in_range else 0

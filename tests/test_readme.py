@@ -1,4 +1,5 @@
-"""The README's "Library" example runs against the current API."""
+"""The README's "Library" example runs against the current API, and the
+README names the native library's functions."""
 
 import re
 from pathlib import Path
@@ -13,6 +14,24 @@ def library_example():
     text = README.read_text(encoding="utf-8")
     section = text[text.index("\n## Library\n") :]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def native_library_names():
+    """The function names and the other names the README lists for the
+    module ``iminfector._native_lib``, remarks in parentheses left out."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("`iminfector._native_lib`,")
+    sentence = re.sub(r"\([^()]*\)", "", text[start : text.index(". Its functions", start)])
+    functions, others = sentence.split("whose other names are")
+    return re.findall(r"`(\w+)`", functions), re.findall(r"`(\w+)`", others)
+
+
+def test_readme_names_the_native_library_functions(built_library):
+    # a function deleted from the library cannot stay documented
+    functions, others = native_library_names()
+    public = [name for name in dir(built_library) if not name.startswith("_")]
+    assert sorted(functions) == [name for name in public if callable(getattr(built_library, name))]
+    assert sorted(others) == [name for name in public if not callable(getattr(built_library, name))]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
