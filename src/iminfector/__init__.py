@@ -42,7 +42,6 @@ from .diffusion import (
 from .evaluation import (
     EvaluationResult,
     avg_size_ranking,
-    core_numbers,
     dni,
     kcore_ranking,
 )

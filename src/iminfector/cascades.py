@@ -433,7 +433,7 @@ def temporal_split(corpus, train_fraction):
         raise DegenerateSplit("empty corpus")
     order = np.argsort(corpus.start_time, kind="stable")
     n_train = max(1, slack_ceil(train_fraction * count))
-    if n_train == 0 or n_train == count:
+    if n_train == count:
         raise DegenerateSplit(
             f"{count} cascades at fraction {train_fraction} would leave "
             "an empty train or test side"
@@ -559,22 +559,19 @@ def load_edges(path):
 
 
 def save_edges(edges, path):
+    """Write an EdgeList as one ``src TAB dst`` line per edge, in its order."""
+    ids = edges.ids
     with atomic_write(path) as fh:
-        for src, dst in edges:
-            fh.write(f"{src}\t{dst}\n")
+        for u, v in zip(edges.src.tolist(), edges.dst.tolist()):
+            fh.write(f"{ids[u]}\t{ids[v]}\n")
 
 
 def derive_edges(corpus):
-    """Initiator-to-participant edges implied by a corpus, deduplicated.
+    """EdgeList of the initiator-to-participant edges of a corpus, over
+    its id table, each pair once, in order of first appearance.
 
-    Edges come in order of first appearance. Gives cascade-only datasets
-    something to feed graph baselines.
+    A corpus holds no self-loop, since no cascade lists its initiator.
+    Gives cascade-only datasets something to feed graph baselines.
     """
-    owner = np.repeat(corpus.initiator.astype(np.int64), corpus.sizes())
-    _, first = np.unique(owner * corpus.n_nodes + corpus.node_idx, return_index=True)
-    first.sort()
-    ids = corpus.ids
-    return [
-        (ids[u], ids[v])
-        for u, v in zip(owner[first].tolist(), corpus.node_idx[first].tolist())
-    ]
+    return _distinct_edges(corpus.ids, np.repeat(corpus.initiator, corpus.sizes()),
+                           corpus.node_idx)

@@ -328,11 +328,14 @@ def _model_config(args):
 
 
 def new_model(args, corpus):
-    """A fresh model for ``corpus``; one too large to allocate is a usage error."""
+    """A fresh model for ``corpus``; one too large to index or allocate is a
+    usage error."""
+    E, I, N = args.embed_dim, corpus.n_influencers, corpus.n_nodes
     try:
+        if max(I, N) * E > np.iinfo(np.intp).max // 8:  # the bytes of O or T
+            raise MemoryError
         return init_model(_model_config(args), corpus.influencer_ids(), corpus.node_ids())
     except MemoryError:
-        E, I, N = args.embed_dim, corpus.n_influencers, corpus.n_nodes
         need = 8 * (I * E + E * N + N + E)  # O, T, b_t and C, float64
         raise UsageError(
             f"--embed-dim {E}: a model of E={E}, I={I}, N={N} needs {need} bytes, "

@@ -13,6 +13,7 @@ choice's bit for bit; tests/test_context.py pins the two together. Without
 the library, or where it refuses the arrays, choice_contexts draws them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,14 @@ def size_targets(train):
 
 def context_draws(train, oversample):
     """Each cascade's number of context pairs, ceil(oversample * m) for m
-    events and at least 1, and the stream's number of pairs: Python ints."""
-    draws = [max(1, slack_ceil(oversample * m)) for m in train.sizes().tolist()]
+    events and at least 1, and the stream's number of pairs: Python ints.
+
+    Where oversample * m overflows a float, the count is the exact
+    int(oversample) * m: a float that large is an integer."""
+    draws = [
+        max(1, slack_ceil(oversample * m)) if oversample * m < math.inf else int(oversample) * m
+        for m in train.sizes().tolist()
+    ]
     return draws, sum(draws) + len(draws)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import sorted_distinct
-from .cascades import EdgeList, edge_list, reach_pairs
+from .cascades import reach_pairs
 
 
 @dataclass
@@ -94,22 +94,10 @@ def _peeled(edges):
     return cores
 
 
-def _as_edge_list(edges):
-    return edges if isinstance(edges, EdgeList) else edge_list(edges)
-
-
-def core_numbers(edges):
-    """Core number of every node of the undirected simple graph of
-    ``edges``, an EdgeList or (src, dst) id pairs, by id."""
-    edges = _as_edge_list(edges)
-    cores = _peeled(edges).tolist()
-    return {nid: d for nid, d in zip(edges.ids, cores) if d >= 0}
-
-
 def kcore_ranking(edges):
-    """(node id, core number) pairs of ``edges``, an EdgeList or (src, dst)
-    id pairs, core number descending, ties by id ascending."""
-    edges = _as_edge_list(edges)
+    """(node id, core number) pairs of the EdgeList ``edges``, core number
+    descending, ties by id ascending. ``dict`` of it gives each id's core
+    number; ``edge_list(pairs)`` makes an EdgeList of (src, dst) id pairs."""
     if not len(edges.src):
         raise ValueError("empty edge list")
     cores = _peeled(edges)

@@ -11,6 +11,7 @@ from iminfector.cascades import (
     parse_cascades,
     parse_edges,
     save_cascades,
+    save_edges,
     serialize_cascades,
     temporal_split,
 )
@@ -20,6 +21,7 @@ from iminfector.exceptions import (
     MalformedLine,
     TimeOrderViolation,
 )
+from iminfector.synth import generate_corpus
 
 GOOD = "u1:10\tv1:12 v2:11 v3:20\n"
 
@@ -208,13 +210,39 @@ def test_initiator_stats_match_cascade_views():
             assert columns[name].tolist() == [want[nid][name] for nid in ids], name
 
 
-def test_edges_parse_and_derive():
+def edge_pairs(edges):
+    """An EdgeList's edges as (src id, dst id) pairs, in its order."""
+    return [(edges.ids[u], edges.ids[v]) for u, v in zip(edges.src.tolist(), edges.dst.tolist())]
+
+
+def first_reach_pairs(corpus):
+    """Each (initiator id, participant id) pair of a corpus at its first
+    appearance, cascades and events in log order."""
+    ids, offsets = corpus.ids, corpus.offsets.tolist()
+    pairs = (
+        (ids[u], ids[v])
+        for u, a, b in zip(corpus.initiator.tolist(), offsets, offsets[1:])
+        for v in corpus.node_idx[a:b].tolist()
+    )
+    return list(dict.fromkeys(pairs))
+
+
+def test_edges_parse_and_derive(tmp_path):
     edges = parse_edges(["a\tb\n", "b\ta\n", "a\ta\n", "# x\n", "a\tc\n"])
     assert ("a", "b") in edges and ("b", "a") in edges
     assert ("a", "a") not in edges
     corpus = parse_cascades(["a:0\tb:1 c:2\n", "b:0\tc:1\n"])
     derived = derive_edges(corpus)
-    assert set(derived) == {("a", "b"), ("a", "c"), ("b", "c")}
+    assert set(edge_pairs(derived)) == {("a", "b"), ("a", "c"), ("b", "c")}
+    # the order is the bytes of synth --edges-out
+    path = tmp_path / "edges.txt"
+    for seed in range(10):
+        corpus = generate_corpus(np.random.default_rng(seed))
+        want = first_reach_pairs(corpus)
+        derived = derive_edges(corpus)
+        assert edge_pairs(derived) == want, seed
+        save_edges(derived, path)
+        assert path.read_text() == "".join(f"{u}\t{v}\n" for u, v in want), seed
 
 
 def test_cascade_is_frozen():

@@ -949,24 +949,26 @@ def test_out_of_range_flag_is_exit_2_before_any_write(tmp_path, corpus_file, cap
 
 
 def test_model_too_large_to_allocate_is_exit_2_before_model_write(tmp_path, corpus_file, capsys):
-    # 10**15 is far beyond any machine: the allocation fails at once
-    E = 10**15
-    # the corpus has I = 3 influencers and N = 10 nodes
-    need = 8 * (3 * E + E * 10 + 10 + E)
-    out = tmp_path / "m.infv"
-    assert main(["train", "--cascades", str(corpus_file), "--out", str(out),
-                 "--embed-dim", str(E)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --embed-dim") and err.count("\n") == 1
-    assert f"E={E}, I=3, N=10" in err and f"{need} bytes" in err
-    assert os.listdir(tmp_path) == ["cascades.txt"]
-    outdir = tmp_path / "run"
-    assert main(["pipeline", "--cascades", str(corpus_file), "--outdir", str(outdir),
-                 "--embed-dim", str(E)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --embed-dim") and err.count("\n") == 1
-    # the model is allocated before the split is written
-    assert os.listdir(tmp_path) == ["cascades.txt"]
+    # 10**15 is far beyond any machine: the allocation fails at once. At
+    # 2**62 and 10**23 the arrays' bytes overflow int64, so numpy could not
+    # even index them.
+    for E in (10**15, 2**62, 10**23):
+        # the corpus has I = 3 influencers and N = 10 nodes
+        need = 8 * (3 * E + E * 10 + 10 + E)
+        out = tmp_path / "m.infv"
+        assert main(["train", "--cascades", str(corpus_file), "--out", str(out),
+                     "--embed-dim", str(E)]) == 2, E
+        err = capsys.readouterr().err
+        assert err.startswith("error: --embed-dim") and err.count("\n") == 1, E
+        assert f"E={E}, I=3, N=10" in err and f"{need} bytes" in err, E
+        assert os.listdir(tmp_path) == ["cascades.txt"], E
+        outdir = tmp_path / "run"
+        assert main(["pipeline", "--cascades", str(corpus_file), "--outdir", str(outdir),
+                     "--embed-dim", str(E)]) == 2, E
+        err = capsys.readouterr().err
+        assert err.startswith("error: --embed-dim") and err.count("\n") == 1, E
+        # the model is allocated before the split is written
+        assert os.listdir(tmp_path) == ["cascades.txt"], E
 
 
 @pytest.fixture
@@ -979,11 +981,12 @@ def synth_60(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("oversample", ["1e15", "1e30"])
+@pytest.mark.parametrize("oversample", ["1e15", "1e30", "1e308", repr(sys.float_info.max)])
 def test_stream_too_large_is_exit_2_before_model_write(tmp_path, synth_60, capsys, oversample):
-    # At 1e15 the stream's arrays cannot be allocated (exabytes); at 1e30
-    # its pairs overflow int64 and cannot be indexed. Neither allocates
-    # anything: each fails at once.
+    # At 1e15 the stream's arrays cannot be allocated (exabytes); from 1e30
+    # on its pairs overflow int64 and cannot be indexed, and from 1e308 on
+    # oversample * m overflows float64 too. None allocates anything: each
+    # fails at once.
     corpus = load_cascades(synth_60)
     train_corpus, _ = temporal_split(corpus, 0.8)
     small = ["--embed-dim", "4", "--epochs", "1", "--oversample", oversample]

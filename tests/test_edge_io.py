@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from iminfector import cascades
 from iminfector._util import read_lines
 from iminfector.cascades import _room, edge_list, load_edges, parse_edges
-from iminfector.evaluation import core_numbers, kcore_ranking
+from iminfector.evaluation import kcore_ranking
 from iminfector.exceptions import CascadeFormatError
 
 STRICT_EDGES = b"a\tb\r\nb\ta\n# a comment\tx\n\na\ta\na\tb\nc#\t~!\nb\tc"
@@ -201,5 +201,4 @@ def test_kcore_of_loaded_edges_matches_networkx(native_library):
             continue
         want = networkx_ranking(pairs)
         assert kcore_ranking(edges) == want, trial
-        assert core_numbers(edges) == dict(want)
         assert kcore_ranking(edge_list(pairs)) == want

@@ -4,10 +4,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from iminfector.cascades import parse_cascades
+from iminfector.cascades import edge_list, parse_cascades
 from iminfector.evaluation import (
     avg_size_ranking,
-    core_numbers,
     dni,
     kcore_ranking,
 )
@@ -90,7 +89,7 @@ def test_dni_contribution_order_is_seed_order():
 def test_core_numbers_clique_with_pendant():
     clique = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
     edges = clique + [("d", "e")]
-    cores = core_numbers(edges)
+    cores = dict(kcore_ranking(edge_list(edges)))
     assert cores == {"a": 3, "b": 3, "c": 3, "d": 3, "e": 1}
 
 
@@ -108,7 +107,7 @@ def test_core_numbers_match_networkx():
             continue
         g = nx.Graph()
         g.add_edges_from(edges)
-        assert core_numbers(sorted(edges)) == nx.core_number(g)
+        assert dict(kcore_ranking(edge_list(sorted(edges)))) == nx.core_number(g)
 
 
 def test_core_numbers_match_networkx_on_skewed_degrees():
@@ -119,15 +118,15 @@ def test_core_numbers_match_networkx_on_skewed_degrees():
         g.add_edges_from((0, 1000 + k) for k in range(3 * seed + 1))  # a pendant star
         edges = [(f"n{u}", f"n{v}") for u, v in g.edges()]
         expected = {f"n{v}": k for v, k in nx.core_number(g).items()}
-        assert core_numbers(edges) == expected
+        assert dict(kcore_ranking(edge_list(edges))) == expected
 
 
 def test_kcore_ranking_order_and_empty():
     edges = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]
-    ranking = kcore_ranking(edges)
+    ranking = kcore_ranking(edge_list(edges))
     assert ranking == [("a", 2), ("b", 2), ("c", 2), ("d", 1)]
     with pytest.raises(ValueError):
-        kcore_ranking([])
+        kcore_ranking(edge_list([]))
 
 
 def test_avg_size_ranking():

@@ -1,9 +1,14 @@
-"""The README's "Library" example runs against the current API, and the
-README names the native library's functions."""
+"""The README's "Library" example runs against the current API, the
+README names the native library's functions, and the public names it
+lists as removed are gone."""
 
+import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import iminfector
 from iminfector.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -24,6 +29,40 @@ def native_library_names():
     sentence = re.sub(r"\([^()]*\)", "", text[start : text.index(". Its functions", start)])
     functions, others = sentence.split("whose other names are")
     return re.findall(r"`(\w+)`", functions), re.findall(r"`(\w+)`", others)
+
+
+def removed_public_names():
+    """The names the README lists under "Removed public names", remarks in
+    parentheses left out."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("Removed public names:")
+    paragraph = text[start : text.index("\n\n", start)]
+    while True:  # innermost remarks first, so nested ones go too
+        shorter = re.sub(r"\([^()]*\)", "", paragraph)
+        if shorter == paragraph:
+            break
+        paragraph = shorter
+    return re.findall(r"`([A-Za-z_][\w.]*)`", paragraph)
+
+
+def test_readme_removed_public_names_are_gone():
+    # the list cannot drift from the API: a name listed as removed is in no
+    # module of the package, and a dotted one is not on its class
+    names = removed_public_names()
+    assert "core_numbers" in names and "Cascade.event_nodes" in names
+    modules = [iminfector] + [
+        importlib.import_module(f"iminfector.{info.name}")
+        for info in pkgutil.iter_modules(iminfector.__path__)
+        if info.name != "__main__"
+    ]
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        if owner:
+            cls = getattr(iminfector, owner)
+            fields = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+            assert not hasattr(cls, attr) and attr not in fields, name
+        else:
+            assert not any(hasattr(module, attr) for module in modules), name
 
 
 def test_readme_names_the_native_library_functions(built_library):
