@@ -101,10 +101,9 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
  *
  * So the bits are numpy's, with no Python call, argument parsing or ufunc
  * dispatch in between. numpy takes dgemv only for some shapes (an E or N
- * of 1 goes elsewhere), and its own rules pick the loop and the start of
- * the sum: so model.py decides, from the model's shape and a self-check
- * of the loop at its E and its N, whether the loop may run, and takes the
- * numpy step where it may not.
+ * of 1 goes elsewhere, and the loop refuses it), and its own rules pick
+ * the loop and the start of the sum: so model.py takes the numpy step
+ * where a self-check of the loop at the model's E and N fails.
  * A direct call sets no numpy error state and issues no warning; train
  * runs the loop with numpy's overflow, invalid and divide warnings off
  * anyway.
@@ -113,10 +112,10 @@ double fused_t_update(double *restrict T, const double *restrict o_u,
  * library that numpy's wheels link, found through a handle on numpy's
  * _multiarray_umath. Each loop is the first all-float64 entry of its
  * ufunc's functions and data, the one numpy's default loop selector picks.
- * If any of them is missing, the module's direct is False, classify_pairs
- * and draw_contexts raise RuntimeError, train takes the numpy step and the
- * stream draws through rng.choice. The module's blas_core names the kernel
- * set OpenBLAS picked for this CPU, or is None.
+ * If any of them is missing, classify_pairs and draw_contexts refuse every
+ * call, as they refuse arrays they cannot take: train takes the numpy step
+ * and the stream draws through rng.choice. The module's blas_core names
+ * the kernel set OpenBLAS picked for this CPU, or is None.
  */
 
 typedef void dgemv_fn(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
@@ -193,8 +192,8 @@ static int find_loop(PyObject *numpy, const char *name, int nargs, struct ufunc_
 }
 
 /* Finds numpy's dgemv, exp, add and log loops and its BLAS's kernel set,
- * and sets the module's direct and blas_core; -1 with a Python error set if
- * it cannot set them, else 0. */
+ * and sets the module's blas_core; -1 with a Python error set if it cannot
+ * set it, else 0. */
 static int find_numpy_own(PyObject *module)
 {
     dgemv_fn *dgemv = NULL;
@@ -224,8 +223,7 @@ static int find_numpy_own(PyObject *module)
     Py_XDECREF(umath);
     Py_XDECREF(numpy);
     PyObject *name = core ? PyUnicode_FromString(core) : Py_NewRef(Py_None);
-    const int failed = !name || PyModule_AddObjectRef(module, "blas_core", name) < 0 ||
-                       PyModule_AddObjectRef(module, "direct", found ? Py_True : Py_False) < 0;
+    const int failed = !name || PyModule_AddObjectRef(module, "blas_core", name) < 0;
     Py_XDECREF(name);
     return failed ? -1 : 0;
 }
@@ -324,12 +322,13 @@ static int overlap(const Py_buffer *a, const Py_buffer *b)
  *
  * LOOP_ARGS lists the arrays: O, T, b_t, phi, grad and losses are
  * distinct, aligned, writable, C-contiguous float64 arrays of shapes
- * (I, E), (E, N), (N), (N), (E) and (n), and influencer and context are
- * int64 and int32 arrays of n entries, as build_training_stream makes
- * them. For any other arrays the loop takes no pair and returns None, so
- * that the caller's step takes the pair; a call on an empty stream tells
- * whether it takes the arrays at all. A start outside 0..len(losses)
- * raises ValueError before any array is taken.
+ * (I, E), (E, N), (N), (N), (E) and (n), E and N at least 2, and
+ * influencer and context are int64 and int32 arrays of n entries, as
+ * build_training_stream makes them. For any other arrays the loop takes
+ * no pair and returns None, so that the caller's step takes the pair; a
+ * call on an empty stream tells whether it takes the arrays at all. A
+ * start outside 0..len(losses) raises ValueError before any array is
+ * taken.
  */
 
 #define BOUND_LIMIT 1e300
@@ -401,14 +400,16 @@ static int step(struct loop *s, size_t u, size_t y, double *loss)
     return finite && isfinite(*loss) && isfinite(s->bound) && isfinite(s->bias_bound);
 }
 
-/* Whether the arrays of view have matching shapes and no two float64
- * arrays overlap. */
+/* Whether the arrays of view have matching shapes, E and N at least 2
+ * (below that numpy's matmul takes no dgemv), and no two float64 arrays
+ * overlap. */
 static int fits_loop(const Py_buffer *view)
 {
     const Py_ssize_t *const o = view[O_].shape, *const t = view[T_].shape;
     const Py_ssize_t n = view[LOSSES].shape[0];
-    if (o[1] != t[0] || view[B_T].shape[0] != t[1] || view[PHI].shape[0] != t[1] ||
-        view[GRAD].shape[0] != t[0] || view[INFLUENCER].shape[0] != n || view[CONTEXT].shape[0] != n)
+    if (t[0] < 2 || t[1] < 2 || o[1] != t[0] || view[B_T].shape[0] != t[1] ||
+        view[PHI].shape[0] != t[1] || view[GRAD].shape[0] != t[0] ||
+        view[INFLUENCER].shape[0] != n || view[CONTEXT].shape[0] != n)
         return 0;
     for (int a = 0; a < N_REAL; a++)
         for (int b = a + 1; b < N_REAL; b++)
@@ -461,10 +462,8 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
         if (*number[k] == -1.0 && PyErr_Occurred())
             return NULL;
     }
-    if (!numpy_own.dgemv)
-        return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
     PyObject *result;
-    if (take_all(args, LOOP_ARGS, N_LOOP, view) || !fits_loop(view)) {
+    if (!numpy_own.dgemv || take_all(args, LOOP_ARGS, N_LOOP, view) || !fits_loop(view)) {
         result = Py_NewRef(Py_None);
     } else {
         /* the stop first: C leaves the order of a call's arguments open,
@@ -503,8 +502,8 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
  * len(context) = sum(draws) + cascades. Every weight is in (0, 1], as
  * context.sampling_weights makes them, so no sum is 0 or overflows, and
  * every uniform in [0, 1). Returns True once it has filled context, and
- * False, having written nothing, for arrays it cannot take; raises
- * RuntimeError if the module's direct is False. */
+ * False, having written nothing, for arrays it cannot take and for every
+ * call where numpy's own functions were not found. */
 
 enum { WEIGHTS, D_OFFSETS, D_NODE_IDX, DRAWS, UNIFORMS, CONTEXT_OUT, N_DRAW };
 static const struct param DRAW_ARGS[N_DRAW] = {{F64, 1, 0}, {I64, 1, 0}, {I32, 1, 0},
@@ -603,12 +602,11 @@ static PyObject *draw_contexts(PyObject *Py_UNUSED(module), PyObject *const *arg
 {
     if (check_count("draw_contexts", nargs, N_DRAW))
         return NULL;
-    if (!numpy_own.dgemv)
-        return PyErr_Format(PyExc_RuntimeError, "numpy's own functions were not found");
     Py_buffer view[N_DRAW] = {{0}};
     Py_ssize_t longest = 0;
     double *cdf = NULL;
-    const int fits = !take_all(args, DRAW_ARGS, N_DRAW, view) && fits_draws(view, &longest) &&
+    const int fits = numpy_own.dgemv && !take_all(args, DRAW_ARGS, N_DRAW, view) &&
+                     fits_draws(view, &longest) &&
                      (cdf = malloc((size_t)(longest ? longest : 1) * sizeof *cdf)) != NULL;
     if (fits)
         draw(view, cdf);

@@ -184,11 +184,11 @@ def build(code, directory, prefix, cc=CC):
 def open_library(path):
     """The extension module at ``path``. Its ``isa`` names the clone of the
     T update that runs on this CPU: "avx512f", "avx2" or "baseline". Its
-    ``direct`` is True if it found numpy's BLAS dgemv and float64 exp, add
-    and log loops, which its classify loop and context draws call
-    directly; without them its ``classify_pairs`` and ``draw_contexts``
-    raise RuntimeError. Its ``blas_core`` names the kernel set numpy's
-    OpenBLAS picked for this CPU, or is None."""
+    classify loop and context draws call numpy's BLAS dgemv and float64
+    exp, add and log loops directly, found when it loads; where one is
+    missing, ``classify_pairs`` returns None and ``draw_contexts`` False on
+    every call, as each does for arrays it cannot take. Its ``blas_core``
+    names the kernel set numpy's OpenBLAS picked for this CPU, or is None."""
     loader = machinery.ExtensionFileLoader(MODULE, path)
     module = util.module_from_spec(util.spec_from_file_location(MODULE, path, loader=loader))
     loader.exec_module(module)

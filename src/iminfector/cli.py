@@ -5,10 +5,10 @@ baseline ranking. Each computes its artifacts, writes them and returns
 them. Each subcommand loads its inputs and runs one stage, or for split
 two library calls; ``pipeline`` runs them all in order, so its artifacts
 equal those of the chain of subcommands. Every flag is declared and
-checked once, at parse time: an out-of-range value, a missing input file
-or an output target that cannot be replaced exits 2 before any file is
-written, as does an output that names the same file as an input or as
-another output.
+checked once, at parse time: an out-of-range value, a missing or
+unreadable input file or an output target that cannot be replaced (its
+directory not writable, say) exits 2 before any file is written, as does
+an output that names the same file as an input or as another output.
 
 ``main`` times each subcommand and writes its JSON manifest, recording
 parameters, input digests and wall times, so a run can be reproduced from
@@ -68,9 +68,12 @@ class InputPath(str):
 
 
 def _input_file(path):
-    """An argparse ``type`` for an input file: exit 2 unless it exists."""
+    """An argparse ``type`` for an input file: exit 2 unless it exists and
+    is readable."""
     if not os.path.isfile(path):
         raise argparse.ArgumentTypeError(f"file not found: {path}")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file not readable: {path}")
     return InputPath(path)
 
 
@@ -81,13 +84,22 @@ class OutputPath(str):
     """The value of an output-file flag."""
 
 
+def _check_writable_dir(path):
+    """Exit 2 unless the directory ``path`` lets this process make and
+    replace files in it: atomic_write makes a temp file there and renames
+    it over its target."""
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"directory not writable: {path}")
+
+
 def _output_file(path):
     """An argparse ``type`` for an output file: exit 2 unless its directory
-    exists and the path names a file that is absent or regular, which
-    atomic_write replaces."""
+    exists and is writable and the path names a file that is absent or
+    regular, which atomic_write replaces."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"directory not found: {parent}")
+    _check_writable_dir(parent)
     if not os.path.basename(path) or (os.path.lexists(path) and not os.path.isfile(path)):
         raise argparse.ArgumentTypeError(f"not a regular file: {path}")
     return OutputPath(path)
@@ -112,13 +124,14 @@ def _missing_dirs(path):
 
 def _output_dir(path):
     """An argparse ``type`` for pipeline's --outdir, made if missing: exit 2
-    unless it is a directory, or is missing and the nearest of its parents
-    that exists is one; and exit 2 if it holds something other than a
-    regular file at the name of a file pipeline writes."""
+    unless it is a writable directory, or is missing and the nearest of its
+    parents that exists is one; and exit 2 if it holds something other than
+    a regular file at the name of a file pipeline writes."""
     missing = _missing_dirs(path)
     existing = os.path.dirname(missing[-1]) if missing else path
     if not path or (existing and not os.path.isdir(existing)):
         raise argparse.ArgumentTypeError(f"not a directory: {path}")
+    _check_writable_dir(existing or ".")
     if existing == path:
         for name in PIPELINE_FILES:
             _output_file(os.path.join(path, name))
@@ -295,7 +308,7 @@ def _epoch_fields(report):
     """The training fields of a manifest, with what decides the model's
     bits besides the inputs: the classify path, numpy's version, the kernel
     set of numpy's BLAS (None without the native library) and the SIMD
-    targets of numpy's float64 loops."""
+    targets of numpy's float64 loops; and what drew epoch 0's contexts."""
     lib = _native.load()
     return {
         "epoch_loss_classify": report.classify_loss,
@@ -305,6 +318,7 @@ def _epoch_fields(report):
         "epoch_seconds": report.epoch_seconds,
         "classify_kernel": report.classify_kernel,
         "classify_isa": report.classify_isa,
+        "stream_draws": report.stream_draws,
         "blas_core": None if lib is None else lib.blas_core,
         "numpy_version": np.__version__,
         "numpy_float64_targets": _float64_targets(),

@@ -10,7 +10,8 @@ generator seeded with the stream's seed (choice_contexts). The native
 library's draw_contexts makes the same draws from one ``rng.random`` call
 for the whole stream, with choice's own arithmetic, so its contexts are
 choice's bit for bit; tests/test_context.py pins the two together. Without
-the library, or where it refuses the arrays, choice_contexts draws them.
+the library, or where it refuses the call, choice_contexts draws them; the
+stream's ``draws`` names which did.
 """
 
 import math
@@ -33,11 +34,17 @@ class TrainingStream:
     dense context node index of a classification pair, or SIZE_PAIR for a
     regression pair, whose normalized size in [0, 1] is in ``size_target``
     (NaN on classification pairs).
+
+    ``draws`` says what drew the contexts of a stream that
+    build_training_stream returns: ``"c"`` for the native library's
+    draw_contexts, ``"choice"`` for choice_contexts. It is None for any
+    other stream.
     """
 
     influencer: np.ndarray
     context: np.ndarray
     size_target: np.ndarray
+    draws: str = None
 
     def __len__(self):
         return len(self.influencer)
@@ -101,13 +108,15 @@ def build_training_stream(train, oversample=1.2, rng_seed=0):
     size_target = np.full(n_pairs, np.nan)
     size_target[size_rows] = size_targets(train)
     lib = _native.load()
-    if lib is None or not lib.direct or not lib.draw_contexts(
+    drawn = "c"
+    if lib is None or not lib.draw_contexts(
         weights, train.offsets, train.node_idx, draws,
         np.random.default_rng(rng_seed).random(int(draws.sum())), context,
     ):
         choice_contexts(train, weights, draws, rng_seed, context)
+        drawn = "choice"
     influencer = np.repeat(train.cascade_influencers(), pairs)
-    return TrainingStream(influencer, context, size_target)
+    return TrainingStream(influencer, context, size_target, drawn)
 
 
 def choice_contexts(train, weights, draws, rng_seed, context):

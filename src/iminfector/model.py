@@ -44,30 +44,29 @@ train() takes the loop only when all of these hold:
 - model.step_classify is still this module's own function. A replaced
   step_classify, such as a benchmark's timing wrapper or a test's spy, is
   called for every classify step, on the numpy path;
-- the native library loads and found numpy's dgemv and loops (its
-  ``direct``);
-- the library takes the arrays of the model and its workspace: it alone
-  judges them (LOOP_ARGS in _native.c), and its call on an empty stream
-  returns None where it does not (_takes_arrays);
+- the native library loads and takes the arrays of the model and its
+  workspace: it alone judges them, and its call on an empty stream
+  returns None where it does not (_takes_arrays). It refuses every call
+  where it did not find numpy's dgemv and loops, and every model whose E
+  or N is 1, where numpy's matmul takes a dot product or a loop of its
+  own instead of dgemv (LOOP_ARGS and fits_loop in _native.c);
 - the loop's self-check passes at the model's E and N (_loop_matches_at):
-  - E and N are both at least 2, where numpy's matmul takes dgemv for
-    both products; with an E or N of 1 it takes a dot product or a loop
-    of its own, whose bits dgemv gives on some inputs and not on others;
-  - on the fixed (3, 13) and (5, 79) shapes and on (2, N) and (E, 2),
-    which take the model's N and E one at a time, with a NaN in O and a
-    +0/-0 tie at the max of b_t, the loop's losses, O, T, b_t and raising
-    step match step_classify without a workspace bit for bit. So a numpy
-    whose functions round otherwise at the model's N or E than those the
-    library found (a sum split past some length, say) gets the numpy
-    step. The check does not run at the full (E, N): it would copy T and
-    make the numpy step's E x N temporaries, about an eighth more peak
-    memory for a 3,000-node model.
+  on the fixed (3, 13) and (5, 79) shapes and on (2, N) and (E, 2), which
+  take the model's N and E one at a time, with a NaN in O and a +0/-0 tie
+  at the max of b_t, the loop's losses, O, T, b_t and raising step match
+  step_classify without a workspace bit for bit. So a numpy whose
+  functions round otherwise at the model's N or E than those the library
+  found (a sum split past some length, say) gets the numpy step. The
+  check does not run at the full (E, N): it would copy T and make the
+  numpy step's E x N temporaries, about an eighth more peak memory for a
+  3,000-node model.
 
 Every other model takes the numpy step, with the same bits.
 
-The loop also stops at any pair outside the model's rows and columns, and
-returns None, having taken no pair, if the arrays no longer fit it;
-step_classify takes those.
+train() refuses a stream with a pair outside the model's rows and
+columns before its epoch takes a step (_check_stream). The loop also
+stops at such a pair, and returns None, having taken no pair, if the
+arrays no longer fit it; step_classify takes those.
 
 A step proves the model finite instead of scanning it, and each proof is
 exact:
@@ -172,6 +171,7 @@ class TrainReport:
     classify_kernel: str = "numpy"  # "c" when the C epoch loop took the classify steps
     # with the C loop, the clone of its T update: "avx512f", "avx2" or "baseline"
     classify_isa: str = None
+    stream_draws: str = None  # the draws of epoch 0's stream: TrainingStream.draws
 
 
 def init_model(config, influencer_ids, node_ids):
@@ -390,12 +390,9 @@ def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
 
 
 def _loop_matches_at(lib, E, N):
-    """True if train() may take the C loop of ``lib`` for a model whose T
-    is E x N: E and N are at least 2 and the loop's self-check passes on
-    its fixed shapes and on (2, N) and (E, 2). Run under _sgd_numpy()."""
-    if min(E, N) < 2:
-        # numpy's matmul takes no dgemv there: no sample proves the bits
-        return False
+    """True if the loop's self-check passes on its fixed shapes and on
+    (2, N) and (E, 2), for a model whose T is E x N. Run under
+    _sgd_numpy()."""
     return _loop_matches_step(lib, (*_SELF_CHECK_SHAPES, (2, N), (E, 2)))
 
 
@@ -405,7 +402,7 @@ def _classify_loop(model, ws):
     if step_classify is not _OWN_STEP_CLASSIFY:
         return None
     lib = _native.load()
-    if lib is None or not lib.direct or not _takes_arrays(lib, model, ws):
+    if lib is None or not _takes_arrays(lib, model, ws):
         return None
     with _sgd_numpy():
         ok = _loop_matches_at(lib, *model.T.shape)
@@ -483,13 +480,36 @@ def _run_epoch(model, stream, lr, workspace, lib, epoch):
     return losses
 
 
+def _check_stream(model, stream, epoch):
+    """The stream's size pairs, as a mask; a ValueError naming ``epoch``
+    and the first bad pair unless the stream's three arrays have one
+    length, every influencer is a row of O and every context is SIZE_PAIR
+    or a column of T. The C loop stops at a pair outside the model, but
+    the numpy steps would index it from the end."""
+    influencer, context = np.asarray(stream.influencer), np.asarray(stream.context)
+    lengths = len(influencer), len(context), len(stream.size_target)
+    if len(set(lengths)) > 1:
+        raise ValueError(f"stream for epoch {epoch}: influencer, context and size_target "
+                         f"hold {lengths[0]}, {lengths[1]} and {lengths[2]} entries")
+    is_size = context == SIZE_PAIR
+    bad = ((influencer < 0) | (influencer >= model.n_influencers)
+           | (~is_size & ((context < 0) | (context >= model.n_nodes))))
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"stream for epoch {epoch}: pair {k} (influencer {influencer[k]}, "
+                         f"context {context[k]}) is outside a model of {model.n_influencers} "
+                         f"influencers and {model.n_nodes} nodes")
+    return is_size
+
+
 def train(model, stream_producer, config):
     """Alternating SGD over fresh streams, one per epoch.
 
     ``stream_producer(epoch)`` must return that epoch's TrainingStream
-    (epoch counts from 0). The model is updated in place; the report
-    carries mean losses and step counts per head and wall time for each
-    epoch.
+    (epoch counts from 0), whose pairs lie within the model: a stream
+    that does not raises ValueError before its epoch takes a step. The
+    model is updated in place; the report carries mean losses and step
+    counts per head and wall time for each epoch.
     """
     report = TrainReport()
     lr = config.learning_rate
@@ -503,9 +523,11 @@ def train(model, stream_producer, config):
         stream = stream_producer(epoch)
         if not stream:
             raise ValueError(f"stream for epoch {epoch} is empty")
+        is_size = _check_stream(model, stream, epoch)
+        if epoch == 0:
+            report.stream_draws = stream.draws
         with _sgd_numpy():
             losses = _run_epoch(model, stream, lr, workspace, lib, epoch)
-        is_size = np.asarray(stream.context) == SIZE_PAIR
         classify_losses, regress_losses = losses[~is_size], losses[is_size]
         report.classify_loss.append(
             float(np.mean(classify_losses)) if len(classify_losses) else 0.0

@@ -4,9 +4,12 @@ repository root's conftest.py."""
 
 import shutil
 
+import numpy as np
 import pytest
 
 from iminfector import _native
+from iminfector import model as model_module
+from iminfector.model import InfectorModel, StepWorkspace
 
 
 @pytest.fixture(scope="session")
@@ -27,29 +30,55 @@ def built_library(native_library):
     return native_library
 
 
+def _runs_numpy_calls(lib):
+    """Whether the native library ``lib`` runs its C loop and its context
+    draws, which call numpy's own functions: each refuses every call where
+    the library did not find them. Asked through an empty call of each,
+    the loop's on a 2 x 2 model."""
+    if lib is None:
+        return False
+    model = InfectorModel(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros(2), 0.0, np.ones(2), [], [])
+    i64, i32, f64 = (np.empty(0, dtype=t) for t in (np.int64, np.int32, np.float64))
+    return (model_module._takes_arrays(lib, model, StepWorkspace(model))
+            and lib.draw_contexts(f64, np.zeros(1, dtype=np.int64), i32, i64, f64, i32.copy()))
+
+
 @pytest.fixture(scope="session")
-def direct_library(native_library):
+def runs_numpy_calls():
+    """The probe of a native library: ``runs_numpy_calls(lib)`` is whether
+    ``lib`` runs its C loop and context draws. Every test that asks whether
+    a library found numpy's own functions asks it through this probe."""
+    return _runs_numpy_calls
+
+
+@pytest.fixture(scope="session")
+def numpy_calls(native_library):
+    """Whether the session's native library runs its C loop and context
+    draws: the probe's answer for it, False without a library."""
+    return _runs_numpy_calls(native_library)
+
+
+@pytest.fixture(scope="session")
+def direct_library(native_library, numpy_calls):
     """The native library; skips the test where it did not find numpy's
     own functions, or did not build."""
-    if native_library is None or not native_library.direct:
+    if not numpy_calls:
         pytest.skip("no native library with numpy's own functions")
     return native_library
 
 
 @pytest.fixture(scope="session")
-def step_paths(native_library):
+def step_paths(numpy_calls):
     """The classify step paths: numpy (None), then, where the native library
-    builds and finds numpy's own functions, its C loop ("direct")."""
-    if native_library is None or not native_library.direct:
-        return (None,)
-    return (None, "direct")
+    builds and finds numpy's own functions, its C loop ("c")."""
+    return (None, "c") if numpy_calls else (None,)
 
 
 @pytest.fixture(scope="session")
-def kernel_name(native_library):
+def kernel_name(numpy_calls):
     """The manifest's ``classify_kernel`` on this host for a model whose E
     and N exceed 1."""
-    return "c" if native_library is not None and native_library.direct else "numpy"
+    return "c" if numpy_calls else "numpy"
 
 
 @pytest.fixture(scope="session")

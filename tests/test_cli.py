@@ -299,7 +299,7 @@ def assert_records_what_decides_the_bits(doc):
     assert all(isinstance(target, str) for target in doc["numpy_float64_targets"].values())
 
 
-def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_isa):
+def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_isa, numpy_calls):
     out = tmp_path / "model.infv"
     assert main(["train", "--cascades", str(corpus_file), "--out", str(out)]) == 0
     doc = read_manifest(str(out) + ".manifest.json")
@@ -317,6 +317,7 @@ def test_train_defaults_in_manifest(tmp_path, corpus_file, kernel_name, kernel_i
     assert doc["epoch_classify_steps"] == [len(s) - len(CORPUS) for s in streams]
     assert doc["classify_kernel"] == kernel_name
     assert doc["classify_isa"] == kernel_isa
+    assert doc["stream_draws"] == streams[0].draws == ("c" if numpy_calls else "choice")
     assert_records_what_decides_the_bits(doc)
     model = load_embeddings(out)
     assert model.embed_dim == 50
@@ -373,7 +374,7 @@ def test_train_dump_pairs(tmp_path, corpus_file, monkeypatch):
 
 def test_dump_pairs_identical_on_every_draw_path(tmp_path, monkeypatch, capsys):
     # the library's context draws, and rng.choice's without the library or
-    # without numpy's own functions
+    # where it refuses the draws
     log = tmp_path / "log.txt"
     assert main(["synth", "--nodes", "80", "--cascades", "80", "--planted", "2", "--lures", "2",
                  "--rng-seed", "5", "--out", str(log)]) == 0
@@ -398,8 +399,8 @@ def test_dump_pairs_identical_on_every_draw_path(tmp_path, monkeypatch, capsys):
     # it another module than the session fixture's
     lib = _native.load()
     if lib is not None:
-        monkeypatch.setattr(lib, "direct", False)
-        assert dump("indirect") == want
+        monkeypatch.setattr(lib, "draw_contexts", lambda *args: False)
+        assert dump("refused") == want
         assert len(choices) == 2
     capsys.readouterr()
 
@@ -771,7 +772,8 @@ def test_commands_import_neither_numpy_ma_nor_subprocess(tmp_path, built_library
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kernel_isa):
+def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kernel_isa,
+                                        numpy_calls):
     synth = tmp_path / "synth.txt"
     assert main(
         ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
@@ -804,6 +806,7 @@ def test_pipeline_reruns_byte_identical(tmp_path, corpus_file, kernel_name, kern
     assert all(steps > n_train for steps in doc["epoch_classify_steps"])
     assert doc["classify_kernel"] == kernel_name
     assert doc["classify_isa"] == kernel_isa
+    assert doc["stream_draws"] == ("c" if numpy_calls else "choice")
     assert_records_what_decides_the_bits(doc)
 
 

@@ -581,11 +581,11 @@ def stream_logs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(stream_logs(), st.integers(0, 2**32 - 1), st.floats(0.3, 2.5))
-def test_native_draws_match_reference(native_library, lines, seed, oversample):
+def test_native_draws_match_reference(numpy_calls, lines, seed, oversample):
     want = reference_build_training_stream(reference_parse(lines), oversample, seed)
     corpus = parse_cascades(lines)
     with pytest.MonkeyPatch.context() as mp:
-        if native_library is not None and native_library.direct:
+        if numpy_calls:
             # the library's draws, never the loop's
             mp.setattr(context, "choice_contexts", None)
         assert stream_pairs(build_training_stream(corpus, oversample, seed)) == want
@@ -594,7 +594,7 @@ def test_native_draws_match_reference(native_library, lines, seed, oversample):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 13), min_size=1, max_size=8),
        st.sampled_from([1e-10, 0.05, 0.5, 1.0, 1.2, 1.25]), st.integers(0, 2**32 - 1))
-def test_native_draw_counts_1_to_17_match_reference(native_library, sizes, oversample, seed):
+def test_native_draw_counts_1_to_17_match_reference(numpy_calls, sizes, oversample, seed):
     # 1 to 17 draws per cascade, where a product of at most 1e-9 takes the
     # one draw every cascade keeps: the library searches 8 at a time, then
     # one at a time, so every remainder
@@ -603,6 +603,6 @@ def test_native_draw_counts_1_to_17_match_reference(native_library, sizes, overs
     assert all(0 <= slack_ceil(oversample * m) <= 17 for m in sizes)
     want = reference_build_training_stream(reference_parse(lines), oversample, seed)
     with pytest.MonkeyPatch.context() as mp:
-        if native_library is not None and native_library.direct:
+        if numpy_calls:
             mp.setattr(context, "choice_contexts", None)
         assert stream_pairs(build_training_stream(parse_cascades(lines), oversample, seed)) == want

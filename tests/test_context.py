@@ -220,14 +220,15 @@ def corpus_with(corpus, **arrays):
     return CascadeCorpus(**{**parts, **arrays})
 
 
-def test_stream_falls_back_to_choice_with_the_same_stream(native_library, monkeypatch):
+def test_stream_falls_back_to_choice_with_the_same_stream(native_library, numpy_calls,
+                                                          monkeypatch):
     corpus = generate_corpus(np.random.default_rng(8), n_nodes=80, n_cascades=60,
                              n_planted=2, n_lures=2)
     want = build_training_stream(corpus, 1.2, 3)
+    assert want.draws == ("c" if numpy_calls else "choice")
     calls = counting_choice(monkeypatch)
-    direct = native_library is not None and native_library.direct
     assert same_stream(build_training_stream(corpus, 1.2, 3), want)
-    assert len(calls) == (0 if direct else 1)
+    assert len(calls) == (0 if numpy_calls else 1)
     misfits = {
         "int64 node_idx": corpus_with(corpus, node_idx=corpus.node_idx.astype(np.int64)),
         "int32 offsets": corpus_with(corpus, offsets=corpus.offsets.astype(np.int32)),
@@ -235,18 +236,20 @@ def test_stream_falls_back_to_choice_with_the_same_stream(native_library, monkey
     }
     for what, misfit in misfits.items():
         del calls[:]
-        assert same_stream(build_training_stream(misfit, 1.2, 3), want), what
+        stream = build_training_stream(misfit, 1.2, 3)
+        assert same_stream(stream, want) and stream.draws == "choice", what
         assert len(calls) == 1, what
-    for what in ("no library", "direct False"):
+    for what in ("no library", "draws refused"):
         with monkeypatch.context() as mp:
             if what == "no library":
                 mp.setattr(_native, "load", lambda: None)
             elif native_library is not None:
                 # the library build_training_stream loads now: a test that
                 # cleared load's cache made it another module than this one
-                mp.setattr(_native.load(), "direct", False)
+                mp.setattr(_native.load(), "draw_contexts", lambda *args: False)
             del calls[:]
-            assert same_stream(build_training_stream(corpus, 1.2, 3), want), what
+            stream = build_training_stream(corpus, 1.2, 3)
+            assert same_stream(stream, want) and stream.draws == "choice", what
             assert len(calls) == 1, what
 
 

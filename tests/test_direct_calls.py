@@ -17,6 +17,7 @@ from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cli import main
 from iminfector.model import InfectorModel, StepWorkspace, _sgd_numpy
+from test_context import draw_args
 
 
 def shaped_model(E, N, seed=0):
@@ -56,18 +57,25 @@ MISSING = {
 
 @pytest.mark.parametrize("missing", sorted(MISSING))
 def test_pipeline_is_identical_when_a_direct_function_is_missing(tmp_path, monkeypatch, capsys,
-                                                                 direct_library, missing):
+                                                                 direct_library, runs_numpy_calls,
+                                                                 missing):
     old, new = MISSING[missing]
     code = _native.source()
     assert code.count(old) == 1
     lib = _native.open_library(_native.build(code.replace(old, new), str(tmp_path), "missing-"))
-    assert lib.direct is False and lib.blas_core == direct_library.blas_core
+    assert not runs_numpy_calls(lib) and lib.blas_core == direct_library.blas_core
+    # both calls refuse arrays they would take with every function found
     model = shaped_model(3, 13)
     ws = StepWorkspace(model)
     stream = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int32)
-    with pytest.raises(RuntimeError):
-        lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, np.zeros(1), *stream, 0,
-                           0.1, ws.bound, ws.bias_bound)
+    losses = np.full(1, np.nan)
+    assert lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, *stream, 0,
+                              0.1, ws.bound, ws.bias_bound) is None
+    assert np.isnan(losses).all()
+    args = draw_args()
+    assert direct_library.draw_contexts(*draw_args()) is True
+    assert lib.draw_contexts(*args) is False
+    assert np.array_equal(args[-1], draw_args()[-1])
     synth = tmp_path / "synth.txt"
     assert main(["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
                  "--rng-seed", "8", "--out", str(synth)]) == 0
@@ -88,6 +96,7 @@ def test_pipeline_is_identical_when_a_direct_function_is_missing(tmp_path, monke
     for kernel, outdir in runs.items():
         doc = json.loads((outdir / "manifest.json").read_text())
         assert doc["classify_kernel"] == kernel
+        assert doc["stream_draws"] == {"c": "c", "numpy": "choice"}[kernel]
 
 
 def test_pipeline_records_the_blas_core_it_ran_on(tmp_path, direct_library):

@@ -1,7 +1,9 @@
 """The native library: its loader and its cache, and the self-check of the
 classify step's C loop."""
 
+import contextlib
 import ctypes
+import io
 import json
 import math
 import os
@@ -10,20 +12,26 @@ import platform
 import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iminfector import _native
 from iminfector import model as model_module
+from iminfector.cascades import load_cascades
 from iminfector.cli import main
 from iminfector.context import build_training_stream
 from iminfector.model import ModelConfig, StepWorkspace, init_model, step_classify, train
 from iminfector.synth import generate_corpus
 from test_cli import package_env as cli_env
+from test_columnar_equivalence import mutated_logs
+from test_text_fuzz import CORPUS, mutated
 from test_model import (
     assert_same_model,
     copy_model,
@@ -48,9 +56,9 @@ def package_env(cache_home):
 
 
 # Loads the library in a fresh process and prints the library it loaded and
-# whether it loaded and its C loop passed the self-check, which runs where
-# the library found numpy's own functions. A load that dies of a signal
-# shows as a negative return code.
+# whether it loaded and its C loop passed the self-check where the session's
+# library runs numpy's own functions (argv[2]) and refused it elsewhere. A
+# load that dies of a signal shows as a negative return code.
 LOAD_SCRIPT = textwrap.dedent(
     """
     import sys, time
@@ -61,14 +69,14 @@ LOAD_SCRIPT = textwrap.dedent(
     lib = _native.load()
     path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
     with np.errstate(all="ignore"):
-        print(path, lib is not None and (not lib.direct or _loop_matches_step(lib)))
+        print(path, lib is not None and _loop_matches_step(lib) == (sys.argv[2] == "True"))
     """
 )
 
 
-def load_in_process(cache_home, start=0.0):
+def load_in_process(cache_home, numpy_calls, start=0.0):
     return subprocess.Popen(
-        [sys.executable, "-c", LOAD_SCRIPT, str(start)],
+        [sys.executable, "-c", LOAD_SCRIPT, str(start), str(numpy_calls)],
         env=package_env(cache_home),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -155,8 +163,59 @@ def test_pipeline_is_identical_without_the_library_on_seeds_0_to_9(tmp_path, mon
     capsys.readouterr()
 
 
+def run_pipeline(argv, outdir):
+    """main(argv + --outdir) with its output captured: (exit code, its
+    "error:" lines, {artifact: bytes} but the manifest)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, "--outdir", str(outdir)])
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    files = {name: (outdir / name).read_bytes() for name in sorted(os.listdir(outdir))
+             if name != "manifest.json"} if outdir.is_dir() else {}
+    return code, errors, files
+
+
+def fraction(limit, inclusive):
+    """A flag's value from 1e-12 up to ``limit``, at either end too."""
+    ends = [1e-12, limit if inclusive else math.nextafter(limit, 0.0)]
+    return st.one_of(st.sampled_from(ends), st.floats(1e-12, limit, exclude_max=not inclusive))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(blob=st.one_of(st.just(CORPUS), mutated(CORPUS),
+                     mutated_logs().map(lambda lines: "\n".join(lines).encode())),
+       embed_dim=st.integers(1, 3), epochs=st.integers(1, 2), train_frac=fraction(1.0, False),
+       prune=fraction(100.0, True),
+       oversample=st.one_of(fraction(3.0, True), st.just(sys.float_info.max)))
+def test_pipeline_is_identical_without_the_library_on_drawn_corpora(
+        tmp_path, monkeypatch, built_library, blob, embed_dim, epochs, train_frac, prune, oversample):
+    # the library's scanner, context draws and C loop (at an E of 2 or 3)
+    # against the Python parser, rng.choice and the numpy step, on the text
+    # fuzz's byte mutations and the parser tests' generated logs (other id
+    # shapes, repeated participants, times out of order): one exit code,
+    # one error line and the same artifacts. An oversample of the largest
+    # float makes a stream too large to allocate: exit 2 on both.
+    work = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    corpus = work / "corpus.txt"
+    corpus.write_bytes(blob)
+    argv = ["pipeline", "--cascades", str(corpus), "--embed-dim", str(embed_dim), "--epochs",
+            str(epochs), "--train-frac", repr(train_frac), "--prune-percent", repr(prune),
+            "--oversample", repr(oversample)]
+    want = run_pipeline(argv, work / "library")
+    with monkeypatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        assert run_pipeline(argv, work / "python") == want
+    if want[0] == 0:
+        # temporal_split's promise: the earliest ceil(train_frac * count)
+        # cascades, at least one, less float noise just above an integer
+        count = load_cascades(str(corpus)).n_cascades
+        n_train = load_cascades(str(work / "library" / "train.txt")).n_cascades
+        assert n_train == max(1, math.ceil(train_frac * count - 1e-9)), (n_train, count)
+    shutil.rmtree(work)
+
+
 @pytest.mark.parametrize("damage", ["garbage", "cut-short", "empty"])
-def test_damaged_cached_library_is_rebuilt(tmp_path, built_library, damage):
+def test_damaged_cached_library_is_rebuilt(tmp_path, built_library, numpy_calls, damage):
     good_path = _native.cached_library(_native.cache_dir(), _native.name_prefix(_native.source()))
     good = pathlib.Path(good_path).read_bytes()
     # the damaged file sits under the good library's name, so only its
@@ -166,7 +225,7 @@ def test_damaged_cached_library_is_rebuilt(tmp_path, built_library, damage):
     damaged_dir = tmp_path / "damaged" / "iminfector"
     os.makedirs(damaged_dir)
     (damaged_dir / os.path.basename(good_path)).write_bytes(bad[damage])
-    proc = load_in_process(tmp_path / "damaged")
+    proc = load_in_process(tmp_path / "damaged", numpy_calls)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, (proc.returncode, err)
     path, ok = out.split()
@@ -176,9 +235,9 @@ def test_damaged_cached_library_is_rebuilt(tmp_path, built_library, damage):
     assert pathlib.Path(path).read_bytes() == good
 
 
-def test_concurrent_builds_end_with_one_library(tmp_path, built_library):
+def test_concurrent_builds_end_with_one_library(tmp_path, built_library, numpy_calls):
     start = time.time() + 1.0
-    procs = [load_in_process(tmp_path, start) for _ in range(2)]
+    procs = [load_in_process(tmp_path, numpy_calls, start) for _ in range(2)]
     results = [proc.communicate(timeout=120) for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in results]
     lines = [out.split() for out, _ in results]
@@ -187,7 +246,7 @@ def test_concurrent_builds_end_with_one_library(tmp_path, built_library):
     assert library_files(tmp_path / "iminfector") == [os.path.basename(lines[0][0])]
 
 
-def test_build_keeps_the_newest_libraries(tmp_path, built_library):
+def test_build_keeps_the_newest_libraries(tmp_path, built_library, numpy_calls):
     cache = tmp_path / "iminfector"
     cache.mkdir()
     # six stale libraries, oldest first: of another source, or of an older
@@ -197,7 +256,7 @@ def test_build_keeps_the_newest_libraries(tmp_path, built_library):
         (cache / name).write_bytes(b"stale")
         os.utime(cache / name, (time.time() - 3600 * age,) * 2)
     (cache / "notes.txt").write_text("not a library")
-    proc = load_in_process(tmp_path)
+    proc = load_in_process(tmp_path, numpy_calls)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     path, ok = out.split()
@@ -252,14 +311,15 @@ def test_source_compiles_without_warnings(tmp_path):
 # Drives the library at argv[1] over the scanner logs (long ids and 19- and
 # 20-digit times among them) and writer corpora of test_cascade_io.py and
 # the edge lists of test_edge_io.py, the arrays too short or of the wrong
-# kind among them, and the canonical logs and their mutations, and, where
-# the library finds numpy's own functions (argv[2], as the package's
-# library does), over the C loop's self-check at the model shapes SHAPES,
-# the bounds it returns, the arrays it refuses (None) and takes (the empty
-# stream's call), and its argument errors, and the context draws of
-# test_context.py, counts of draws that are not multiples of 8 among them,
-# on arrays that fit and on those draw_contexts refuses. Built with the address and undefined behaviour sanitizers, the
-# library ends the process on a finding.
+# kind among them, and the canonical logs and their mutations; over the C
+# loop's self-check at the model shapes SHAPES, its argument errors and the
+# context draws of test_context.py, counts of draws that are not multiples
+# of 8 among them, on arrays that fit and on those draw_contexts refuses,
+# each taken where the session's library runs numpy's own functions
+# (argv[2]) and refused elsewhere; and, where it runs them, over the bounds
+# the loop returns and the arrays it refuses (None) and takes (the empty
+# stream's call). Built with the address and undefined behaviour
+# sanitizers, the library ends the process on a finding.
 SANITIZED_SCRIPT = textwrap.dedent(
     """
     import sys
@@ -273,7 +333,7 @@ SANITIZED_SCRIPT = textwrap.dedent(
     SHAPES = ((2, 2), (3, 13), (50, 300), (7, 2930))
 
     lib = _native.open_library(sys.argv[1])
-    assert lib.direct == (sys.argv[2] == "True")
+    runs = sys.argv[2] == "True"
     for data in io.scanner_logs().values():
         _scan(lib, data)
         for args in io.short_scans(lib, data):
@@ -293,23 +353,23 @@ SANITIZED_SCRIPT = textwrap.dedent(
     assert lib.write_cascades(*io.WRITER_ARGS) is not None
     assert lib.write_cascades(*io.WRITER_BAD_BOUNDS) is None
     with model._sgd_numpy():
-        if lib.direct:
-            for shape in SHAPES:
-                assert model._loop_matches_at(lib, *shape)
+        for shape in SHAPES:
+            assert model._loop_matches_at(lib, *shape) == runs
+        if runs:
             kernel.assert_bounds_returned(lib)
-    if lib.direct:
+    if runs:
         kernel.assert_misfits_refused(lib)
-        kernel.assert_argument_errors(lib)
-        for seed, draws in enumerate((None, [17, 8, 0, 9], [7, 16, 1, 15])):
-            args = context.draw_args(seed, draws)
-            assert lib.draw_contexts(*args) is True
-        context.assert_misfit_draws_refused(lib)
+    kernel.assert_argument_errors(lib)
+    for seed, draws in enumerate((None, [17, 8, 0, 9], [7, 16, 1, 15])):
+        args = context.draw_args(seed, draws)
+        assert lib.draw_contexts(*args) is runs
+    context.assert_misfit_draws_refused(lib)
     print("clean")
     """
 )
 
 
-def test_library_is_clean_under_the_sanitizers(tmp_path, monkeypatch, native_library):
+def test_library_is_clean_under_the_sanitizers(tmp_path, monkeypatch, numpy_calls):
     if shutil.which(_native.CC) is None:
         pytest.skip("no C compiler on PATH")
     asan = subprocess.run([_native.CC, "-print-file-name=libasan.so"], capture_output=True,
@@ -322,8 +382,7 @@ def test_library_is_clean_under_the_sanitizers(tmp_path, monkeypatch, native_lib
     env = package_env(tmp_path)
     env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
     env.update(LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0")
-    direct = str(native_library is not None and native_library.direct)
-    proc = subprocess.run([sys.executable, "-c", SANITIZED_SCRIPT, path, direct], env=env,
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_SCRIPT, path, str(numpy_calls)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stdout) == (0, "clean\n"), proc.stderr[-4000:]
 
@@ -365,10 +424,11 @@ MARCH_FLAGS = {
 CLONES = b'#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))'
 
 
-def assert_refused(lib, monkeypatch):
-    """The self-check refuses the C loop of ``lib``, and train, given that
-    library, takes the numpy step and stays bitwise the reference loop."""
-    assert lib.direct and not loop_passes_self_check(lib)
+def assert_refused(lib, monkeypatch, runs_numpy_calls):
+    """The self-check refuses the C loop of ``lib``, which runs numpy's own
+    functions, and train, given that library, takes the numpy step and
+    stays bitwise the reference loop."""
+    assert runs_numpy_calls(lib) and not loop_passes_self_check(lib)
     assert_train_takes_numpy_step(lib, monkeypatch)
 
 
@@ -396,12 +456,12 @@ def assert_train_takes_numpy_step(lib, monkeypatch, n_nodes=60, n_cascades=60, e
     ],
 )
 def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, direct_library, mutant,
-                                                        monkeypatch):
+                                                        monkeypatch, runs_numpy_calls):
     code = _native.source()
     exact = b"row[j] = row[j] - ((o * g[j]) * lr);"
     assert code.count(exact) == 1
     path = _native.build(code.replace(exact, mutant), str(tmp_path), "mutant-")
-    assert_refused(_native.open_library(path), monkeypatch)
+    assert_refused(_native.open_library(path), monkeypatch, runs_numpy_calls)
 
 
 # Mutants of numpy's own calls whose bits differ only past the fixed
@@ -430,19 +490,19 @@ WIDE_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", sorted(WIDE_MUTANTS))
 def test_self_check_at_the_model_shape_refuses_a_wide_mutant(tmp_path, direct_library, mutant,
-                                                             monkeypatch):
+                                                             monkeypatch, runs_numpy_calls):
     head, first, train_shape = WIDE_MUTANTS[mutant]
     code = _native.source()
     assert code.count(head) == 1
     lib = _native.open_library(_native.build(code.replace(head, head + first), str(tmp_path), "wide-"))
-    assert lib.direct and loop_passes_self_check(lib)
+    assert runs_numpy_calls(lib) and loop_passes_self_check(lib)
     with model_module._sgd_numpy():
         assert not model_module._loop_matches_at(lib, 50, 2930)
     assert_train_takes_numpy_step(lib, monkeypatch, **train_shape)
 
 
 def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, direct_library,
-                                                                monkeypatch):
+                                                                monkeypatch, runs_numpy_calls):
     # AVX-512F implies FMA: without -ffp-contract=off gcc fuses the update's
     # multiply and subtract in that clone, and the rounding changes
     flags = tuple(flag for flag in _native.FLAGS if flag != "-ffp-contract=off")
@@ -451,7 +511,7 @@ def test_self_check_refuses_a_kernel_built_with_fma_contraction(tmp_path, direct
     lib = _native.open_library(_native.build(_native.source(), str(tmp_path), "fma-"))
     if lib.isa != "avx512f":
         pytest.skip(f"the {lib.isa} clone that runs here has no FMA to contract into")
-    assert_refused(lib, monkeypatch)
+    assert_refused(lib, monkeypatch, runs_numpy_calls)
 
 
 @pytest.mark.parametrize("march", sorted(MARCH_FLAGS))

@@ -10,7 +10,7 @@ import pytest
 from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cascades import parse_cascades
-from iminfector.context import SIZE_PAIR, build_training_stream
+from iminfector.context import SIZE_PAIR, TrainingStream, build_training_stream
 from iminfector.exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
 from iminfector.model import (
     SGD_BUFSIZE,
@@ -316,10 +316,9 @@ def loop_matches_at(lib, E, N):
 
 def loop_takes(lib, model, ws):
     """Whether the C loop of ``lib`` may take ``model``'s pairs, as train
-    decides from the model's shape: not where its self-check fails there
-    (an E or N of 1, say). Arrays the loop cannot take still go to it,
-    which must then take no pair."""
-    return not model_module._takes_arrays(lib, model, ws) or loop_matches_at(lib, *model.T.shape)
+    decides: the loop takes the arrays (not with an E or N of 1, say) and
+    its self-check passes at the model's shape."""
+    return model_module._takes_arrays(lib, model, ws) and loop_matches_at(lib, *model.T.shape)
 
 
 def loop_step(lib=None):
@@ -366,7 +365,7 @@ def loop_until_raise(model, steps):
 
 def workspace_step(path):
     """The classify step on ``path``: the numpy step (None) or the C loop
-    ("direct")."""
+    ("c")."""
     return step_classify if path is None else loop_step()
 
 
@@ -396,7 +395,7 @@ def reference_train(corpus, cfg, streams):
 @contextlib.contextmanager
 def on_path(path):
     """Inside, train takes ``path``: the numpy step (None), by loading no
-    native library, or the C loop ("direct"). Yields the manifest's
+    native library, or the C loop ("c"). Yields the manifest's
     classify_kernel of the path."""
     with pytest.MonkeyPatch.context() as mp:
         if path is None:
@@ -658,6 +657,43 @@ def test_train_scopes_the_small_ufunc_buffer(step_paths):
                     assert np.getbufsize() == 4096
         want = {SGD_BUFSIZE} if path is None else set()
         assert seen == {"stream": {4096}, "step": want}, name
+
+
+# Streams of a model of 3 influencers and 4 nodes, each with its first
+# bad pair: an influencer outside [0, 3), a context neither SIZE_PAIR nor
+# in [0, 4), or arrays of different lengths (None).
+BAD_STREAMS = {
+    "negative influencers and context": ([-1, 0, -3], [1, -2, SIZE_PAIR], 0),
+    "influencer past the rows of O": ([0, 3, 1], [1, 2, SIZE_PAIR], 1),
+    "context past the columns of T": ([0, 1, 2], [3, 4, SIZE_PAIR], 1),
+    "context below SIZE_PAIR": ([0, 1, 2], [1, 2, -2], 2),
+    "context one short": ([0, 1, 2], [1, 2], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STREAMS))
+@pytest.mark.parametrize("epoch", [0, 1])
+def test_train_refuses_a_stream_outside_the_model(step_paths, case, epoch):
+    # The numpy steps would index a negative influencer or context from the
+    # end: train raises before the epoch takes a step, on either path.
+    influencer, context, bad = BAD_STREAMS[case]
+    size_target = np.array([np.nan, np.nan, 0.5])
+    good = TrainingStream(np.array([0, 1, 2], dtype=np.int64),
+                          np.array([1, 3, SIZE_PAIR], dtype=np.int32), size_target)
+    streams = [good, good]
+    streams[epoch] = TrainingStream(np.array(influencer, dtype=np.int64),
+                                    np.array(context, dtype=np.int32), size_target)
+    cfg = ModelConfig(embed_dim=2, learning_rate=0.1, epochs=2)
+    first = "influencer, context and size_target hold" if bad is None else rf"pair {bad} \("
+    for path in step_paths:
+        model = random_model(np.random.default_rng(71), 3, 4, 2)
+        want = copy_model(model)
+        with on_path(path) as name:
+            if epoch == 1:
+                train(want, streams.__getitem__, ModelConfig(embed_dim=2, learning_rate=0.1, epochs=1))
+            with pytest.raises(ValueError, match=rf"stream for epoch {epoch}: {first}"):
+                train(model, streams.__getitem__, cfg)
+        assert_same_model(want, model, name)
 
 
 def test_model_of_embed_dim_1_takes_the_numpy_step(native_library):

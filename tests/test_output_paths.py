@@ -1,13 +1,17 @@
 """Output paths on the command line: a command that would write over one of
-its inputs, or write two outputs to one file, exits 2 before any write;
-and on any output names drawn under a temp directory, every run ends 0 or
-2, with nothing changed on 2 and a regular file at each target on 0."""
+its inputs, or write two outputs to one file, exits 2 before any write, as
+does one run by an unprivileged user on an input it cannot read or an
+output in a directory it cannot write; and on any output names drawn under
+a temp directory, every run ends 0 or 2, with nothing changed on 2 and a
+regular file at each target on 0."""
 
 import contextlib
 import io
 import os
 import shutil
 import stat
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -209,3 +213,101 @@ def test_random_output_paths_end_0_or_2(tmp_path, inputs, command):
                 assert stat.S_ISREG(os.lstat(path).st_mode), path
     finally:
         shutil.rmtree(root)
+
+
+# The uid and gid an unprivileged run takes where the suite runs as root.
+NOBODY = "65534"
+
+
+@pytest.fixture(scope="module")
+def unprivileged(inputs):
+    """(argv prefix, directory): the prefix runs a command as a user whom
+    file modes bind, setpriv's as NOBODY where this process is root, who
+    reads and writes past them, and none elsewhere. The directory, which
+    that user can reach, holds c.txt (mode 644), secret.txt (mode 000), ro/
+    (mode 555) and rw/ (mode 777)."""
+    from test_cli import package_env
+
+    prefix = []
+    if os.geteuid() == 0:
+        if shutil.which("setpriv") is None:
+            pytest.skip("the suite runs as root, with no setpriv to drop its privileges")
+        prefix = ["setpriv", "--reuid", NOBODY, "--regid", NOBODY, "--clear-groups"]
+    root = tempfile.mkdtemp()
+    try:
+        os.chmod(root, 0o755)
+        for name, mode in (("c.txt", 0o644), ("secret.txt", 0o000)):
+            shutil.copyfile(inputs / "c.txt", os.path.join(root, name))
+            os.chmod(os.path.join(root, name), mode)
+        for name, mode in (("ro", 0o555), ("rw", 0o777)):
+            os.mkdir(os.path.join(root, name))
+            os.chmod(os.path.join(root, name), mode)
+        proc = subprocess.run([*prefix, sys.executable, "-c", "import iminfector.cli"],
+                              env=package_env(), cwd=root, capture_output=True, timeout=120)
+        if proc.returncode:
+            pytest.skip(f"an unprivileged user cannot import the package: {proc.stderr[-200:]}")
+        yield prefix, root
+    finally:
+        shutil.rmtree(root)
+
+
+def run_as(unprivileged, argv):
+    """``iminfector argv`` in the unprivileged user's directory, as that
+    user, with a native library cache it cannot make: (exit code, stderr)."""
+    from test_cli import package_env
+
+    prefix, root = unprivileged
+    env = {**package_env(), "XDG_CACHE_HOME": os.path.join(root, "ro", "cache")}
+    proc = subprocess.run([*prefix, sys.executable, "-m", "iminfector", *argv], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+def listing(root):
+    """Every path under ``root``."""
+    return sorted(os.path.join(d, name) for d, dirs, files in os.walk(root) for name in dirs + files)
+
+
+SPLIT = ["split", "--cascades", "c.txt", "--train-out", "rw/tr.txt", "--test-out", "rw/te.txt"]
+
+# Commands that cannot read an input or write an output as an unprivileged
+# user, and the argparse error each ends with.
+UNREACHABLE = {
+    "unreadable input": (
+        ["split", "--cascades", "secret.txt", "--train-out", "rw/tr.txt", "--test-out", "rw/te.txt"],
+        "argument --cascades: file not readable: secret.txt"),
+    "output in a read-only directory": (
+        ["split", "--cascades", "c.txt", "--train-out", "ro/tr.txt", "--test-out", "rw/te.txt"],
+        "argument --train-out: directory not writable: ro"),
+    "manifest in a read-only directory": (
+        [*SPLIT, "--manifest", "ro/m.json"], "argument --manifest: directory not writable: ro"),
+    "read-only outdir": (
+        ["pipeline", "--cascades", "c.txt", "--outdir", "ro", *SMALL],
+        "argument --outdir: directory not writable: ro"),
+    "outdir missing under a read-only directory": (
+        ["pipeline", "--cascades", "c.txt", "--outdir", "ro/new/run", *SMALL],
+        "argument --outdir: directory not writable: ro"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREACHABLE))
+def test_unreadable_input_or_unwritable_output_is_exit_2(unprivileged, case):
+    # file modes bind the unprivileged user only: as root the check proves
+    # nothing
+    argv, error = UNREACHABLE[case]
+    before = listing(unprivileged[1])
+    code, err = run_as(unprivileged, argv)
+    assert (code, err.splitlines()[-1]) == (2, f"iminfector {argv[0]}: error: {error}"), err
+    assert listing(unprivileged[1]) == before
+
+
+def test_unprivileged_user_writes_where_it_may(unprivileged):
+    # the same user reads c.txt and writes into rw/, and a missing --outdir
+    # under it is made
+    root = unprivileged[1]
+    assert run_as(unprivileged, SPLIT) == (0, "")
+    code, err = run_as(unprivileged, ["pipeline", "--cascades", "c.txt", "--outdir", "rw/new/run",
+                                      *SMALL])
+    assert code == 0, err
+    assert sorted(os.listdir(os.path.join(root, "rw", "new", "run"))) == sorted(
+        [*PIPELINE_FILES, "manifest.json"])
