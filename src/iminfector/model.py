@@ -44,29 +44,27 @@ train() takes the loop only when all of these hold:
 - model.step_classify is still this module's own function. A replaced
   step_classify, such as a benchmark's timing wrapper or a test's spy, is
   called for every classify step, on the numpy path;
-- the native library loads and takes the arrays of the model and its
-  workspace: it alone judges them, and its call on an empty stream
-  returns None where it does not (_takes_arrays). It refuses every call
-  where it did not find numpy's dgemv and loops, and every model whose E
-  or N is 1, where numpy's matmul takes a dot product or a loop of its
-  own instead of dgemv (LOOP_ARGS and fits_loop in _native.c);
+- the native library loads;
 - the loop's self-check passes at the model's E and N (_loop_matches_at):
   on the fixed (3, 13) and (5, 79) shapes and on (2, N) and (E, 2), which
   take the model's N and E one at a time, with a NaN in O and a +0/-0 tie
   at the max of b_t, the loop's losses, O, T, b_t and raising step match
   step_classify without a workspace bit for bit. So a numpy whose
   functions round otherwise at the model's N or E than those the library
-  found (a sum split past some length, say) gets the numpy step. The
-  check does not run at the full (E, N): it would copy T and make the
-  numpy step's E x N temporaries, about an eighth more peak memory for a
-  3,000-node model.
+  found (a sum split past some length, say) gets the numpy step. It
+  fails too where the library did not find numpy's dgemv and loops, or E
+  or N is 1 (numpy's matmul takes no dgemv there): the library refuses
+  those calls (fits_loop in _native.c). The check does not run at the
+  full (E, N): it would copy T and make the numpy step's E x N
+  temporaries, about an eighth more peak memory for a 3,000-node model.
 
 Every other model takes the numpy step, with the same bits.
 
-train() refuses a stream with a pair outside the model's rows and
-columns before its epoch takes a step (_check_stream). The loop also
-stops at such a pair, and returns None, having taken no pair, if the
-arrays no longer fit it; step_classify takes those.
+The loop refuses arrays it cannot take (a Fortran-order T, say) call by
+call, taking no pair, and step_classify takes that pair. train() refuses a
+stream with a pair outside the model before its epoch takes a step, and
+hands the loop its influencer and context as int64 and int32
+(_check_stream).
 
 A step proves the model finite instead of scanning it, and each proof is
 exact:
@@ -335,13 +333,6 @@ def _take_pairs(lib, model, ws, influencer, context, start, lr, losses):
     return stop
 
 
-def _takes_arrays(lib, model, ws):
-    """Whether the C loop of ``lib`` takes the arrays of ``model`` and ``ws``:
-    its call on a stream of no pairs returns None where it does not."""
-    no_pairs = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-    return _take_pairs(lib, model, ws, *no_pairs, 0, 0.0, np.empty(0)) is not None
-
-
 def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
     """True if the C loop of ``lib`` takes fixed pairs bit for bit as
     step_classify without a workspace does: each loss, O, T and b_t, where
@@ -396,13 +387,13 @@ def _loop_matches_at(lib, E, N):
     return _loop_matches_step(lib, (*_SELF_CHECK_SHAPES, (2, N), (E, 2)))
 
 
-def _classify_loop(model, ws):
-    """The native library if train() may take its C loop for ``model`` and
-    its workspace ``ws``, else None: see the module docstring for the rule."""
+def _classify_loop(model):
+    """The native library if train() may take its C loop for ``model``,
+    else None: see the module docstring for the rule."""
     if step_classify is not _OWN_STEP_CLASSIFY:
         return None
     lib = _native.load()
-    if lib is None or not _takes_arrays(lib, model, ws):
+    if lib is None:
         return None
     with _sgd_numpy():
         ok = _loop_matches_at(lib, *model.T.shape)
@@ -514,10 +505,7 @@ def train(model, stream_producer, config):
     report = TrainReport()
     lr = config.learning_rate
     workspace = StepWorkspace(model)
-    lib = _classify_loop(model, workspace)
-    if lib is not None:
-        report.classify_kernel = "c"
-        report.classify_isa = lib.isa
+    lib = _classify_loop(model)
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         stream = stream_producer(epoch)
@@ -538,6 +526,9 @@ def train(model, stream_producer, config):
         report.classify_steps.append(len(classify_losses))
         report.regress_steps.append(len(regress_losses))
         report.epoch_seconds.append(time.perf_counter() - t0)
+    # the numpy step makes workspace.update on its first step: None means the loop took them all
+    if lib is not None and workspace.update is None:
+        report.classify_kernel, report.classify_isa = "c", lib.isa
     return model, report
 
 

@@ -42,7 +42,7 @@ def test_loop_is_bitwise_numpy_at_drawn_shapes(direct_library, E, N):
 def test_loop_gate_passes_at_the_model_shape(direct_library, shape):
     model = shaped_model(*shape)
     before = [a.copy() for a in (model.O, model.T, model.b_t)]
-    assert model_module._classify_loop(model, StepWorkspace(model)) is direct_library
+    assert model_module._classify_loop(model) is direct_library
     # the gate reads the model's shape and writes nothing to it
     assert all(np.array_equal(a, b) for a, b in zip(before, (model.O, model.T, model.b_t)))
 

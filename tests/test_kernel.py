@@ -26,7 +26,7 @@ from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cascades import load_cascades
 from iminfector.cli import main
-from iminfector.context import build_training_stream
+from iminfector.context import SIZE_PAIR, TrainingStream, build_training_stream
 from iminfector.model import ModelConfig, StepWorkspace, init_model, step_classify, train
 from iminfector.synth import generate_corpus
 from test_cli import package_env as cli_env
@@ -39,6 +39,7 @@ from test_model import (
     random_model,
     reference_step_classify,
     reference_train,
+    takes_arrays,
 )
 
 
@@ -669,15 +670,36 @@ def assert_misfits_refused(lib):
         else:
             assert taken is None and np.isnan(losses).all(), what
             assert_same_model(before, model, what)
-        assert model_module._takes_arrays(lib, model, ws) == (what == "fits" or what in STREAM_MISFITS)
+        assert takes_arrays(lib, model, ws) == (what == "fits" or what in STREAM_MISFITS)
 
 
-def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library):
+# The misfits of the model's arrays that the numpy step trains.
+NUMPY_MISFITS = ("T in Fortran order", "float32 b_t", "strided O")
+
+
+def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library, monkeypatch):
+    # The self-check reads only the model's shape, so train takes the loop
+    # for every model: the loop refuses each call on a model it cannot
+    # take, and step_classify takes the pair. The report names the step
+    # that ran, with its bits.
     assert_misfits_refused(direct_library)
-    for what, model, ws, *_ in loop_misfits():
-        # train takes the loop for the model and workspace that fit, and for no other
-        takes = what == "fits" or what in STREAM_MISFITS
-        assert (model_module._classify_loop(model, ws) is not None) == takes, what
+    rng = np.random.default_rng(67)
+    context = np.where(np.arange(40) % 5 == 4, SIZE_PAIR, rng.integers(0, 9, 40)).astype(np.int32)
+    stream = TrainingStream(rng.integers(0, 3, 40), context,
+                            np.where(context == SIZE_PAIR, rng.uniform(size=40), np.nan))
+    cfg = ModelConfig(embed_dim=4, learning_rate=0.1, epochs=2)
+    for (what, model, *_), (_, want, *_) in zip(loop_misfits(), loop_misfits()):
+        if what not in (*NUMPY_MISFITS, "fits"):
+            continue
+        with monkeypatch.context() as mp:
+            mp.setattr(_native, "load", lambda: None)
+            _, want_report = train(want, lambda epoch: stream, cfg)
+        _, report = train(model, lambda epoch: stream, cfg)
+        assert (report.classify_loss, report.regress_loss) == (want_report.classify_loss,
+                                                               want_report.regress_loss), what
+        assert_same_model(want, model, what)
+        ran = ("c", direct_library.isa) if what == "fits" else ("numpy", None)
+        assert (report.classify_kernel, report.classify_isa) == ran, what
 
 
 def assert_bounds_returned(lib):

@@ -314,11 +314,18 @@ def loop_matches_at(lib, E, N):
         return model_module._loop_matches_at(lib, E, N)
 
 
+def takes_arrays(lib, model, ws):
+    """Whether the C loop of ``lib`` takes the arrays of ``model`` and
+    ``ws``: its call on a stream of no pairs returns None where it does not."""
+    no_pairs = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+    return model_module._take_pairs(lib, model, ws, *no_pairs, 0, 0.0, np.empty(0)) is not None
+
+
 def loop_takes(lib, model, ws):
-    """Whether the C loop of ``lib`` may take ``model``'s pairs, as train
-    decides: the loop takes the arrays (not with an E or N of 1, say) and
-    its self-check passes at the model's shape."""
-    return model_module._takes_arrays(lib, model, ws) and loop_matches_at(lib, *model.T.shape)
+    """Whether the C loop of ``lib`` takes ``model``'s pairs in train: its
+    self-check passes at the model's shape, and the loop takes the arrays
+    (not with an E or N of 1, say)."""
+    return takes_arrays(lib, model, ws) and loop_matches_at(lib, *model.T.shape)
 
 
 def loop_step(lib=None):
@@ -329,7 +336,7 @@ def loop_step(lib=None):
     lib = lib or _native.load()
 
     def step(model, u, y, lr, ws):
-        takes = model_module._takes_arrays(lib, model, ws)
+        takes = takes_arrays(lib, model, ws)
         if takes and not loop_matches_at(lib, *model.T.shape):
             return step_classify(model, u, y, lr, ws)
         in_range = 0 <= u < model.O.shape[0] and 0 <= y < model.T.shape[1]
