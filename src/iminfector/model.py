@@ -106,7 +106,7 @@ value is bitwise the same.
 import contextlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -472,16 +472,26 @@ def _run_epoch(model, stream, lr, workspace, lib, epoch):
 
 
 def _check_stream(model, stream, epoch):
-    """The stream's size pairs, as a mask; a ValueError naming ``epoch``
-    and the first bad pair unless the stream's three arrays have one
-    length, every influencer is a row of O and every context is SIZE_PAIR
-    or a column of T. The C loop stops at a pair outside the model, but
-    the numpy steps would index it from the end."""
+    """The stream with its influencer and context as the C loop takes them,
+    C-contiguous int64 and int32, and its size pairs as a mask.
+
+    A ValueError naming ``epoch`` unless the three arrays have one length
+    and influencer and context hold integers, and one naming the first bad
+    pair unless every influencer is a row of O and every context is
+    SIZE_PAIR or a column of T. The C loop stops at a pair outside the
+    model, but the numpy steps would index it from the end. The check
+    reads the arrays as given, so a context past int32 is refused, not
+    wrapped.
+    """
     influencer, context = np.asarray(stream.influencer), np.asarray(stream.context)
     lengths = len(influencer), len(context), len(stream.size_target)
     if len(set(lengths)) > 1:
         raise ValueError(f"stream for epoch {epoch}: influencer, context and size_target "
                          f"hold {lengths[0]}, {lengths[1]} and {lengths[2]} entries")
+    for name, values in (("influencer", influencer), ("context", context)):
+        if not np.issubdtype(values.dtype, np.integer):
+            raise ValueError(f"stream for epoch {epoch}: {name} holds {values.dtype} values, "
+                             "not integers")
     is_size = context == SIZE_PAIR
     bad = ((influencer < 0) | (influencer >= model.n_influencers)
            | (~is_size & ((context < 0) | (context >= model.n_nodes))))
@@ -490,7 +500,9 @@ def _check_stream(model, stream, epoch):
         raise ValueError(f"stream for epoch {epoch}: pair {k} (influencer {influencer[k]}, "
                          f"context {context[k]}) is outside a model of {model.n_influencers} "
                          f"influencers and {model.n_nodes} nodes")
-    return is_size
+    arrays = dict(influencer=np.ascontiguousarray(influencer, np.int64),
+                  context=np.ascontiguousarray(context, np.int32))
+    return replace(stream, **arrays), is_size
 
 
 def train(model, stream_producer, config):
@@ -511,7 +523,7 @@ def train(model, stream_producer, config):
         stream = stream_producer(epoch)
         if not stream:
             raise ValueError(f"stream for epoch {epoch} is empty")
-        is_size = _check_stream(model, stream, epoch)
+        stream, is_size = _check_stream(model, stream, epoch)
         if epoch == 0:
             report.stream_draws = stream.draws
         with _sgd_numpy():

@@ -666,15 +666,21 @@ def test_train_scopes_the_small_ufunc_buffer(step_paths):
         assert seen == {"stream": {4096}, "step": want}, name
 
 
-# Streams of a model of 3 influencers and 4 nodes, each with its first
-# bad pair: an influencer outside [0, 3), a context neither SIZE_PAIR nor
-# in [0, 4), or arrays of different lengths (None).
+# Streams of a model of 3 influencers and 4 nodes, each with the start of
+# its error after "stream for epoch k: ": its first bad pair (an
+# influencer outside [0, 3), a context neither SIZE_PAIR nor in [0, 4)),
+# arrays of different lengths, or an array of non-integers. A list is
+# made an int64 influencer or an int32 context.
 BAD_STREAMS = {
-    "negative influencers and context": ([-1, 0, -3], [1, -2, SIZE_PAIR], 0),
-    "influencer past the rows of O": ([0, 3, 1], [1, 2, SIZE_PAIR], 1),
-    "context past the columns of T": ([0, 1, 2], [3, 4, SIZE_PAIR], 1),
-    "context below SIZE_PAIR": ([0, 1, 2], [1, 2, -2], 2),
-    "context one short": ([0, 1, 2], [1, 2], None),
+    "negative influencers and context": ([-1, 0, -3], [1, -2, SIZE_PAIR], r"pair 0 \("),
+    "influencer past the rows of O": ([0, 3, 1], [1, 2, SIZE_PAIR], r"pair 1 \("),
+    "context past the columns of T": ([0, 1, 2], [3, 4, SIZE_PAIR], r"pair 1 \("),
+    "context below SIZE_PAIR": ([0, 1, 2], [1, 2, -2], r"pair 2 \("),
+    "context one short": ([0, 1, 2], [1, 2], "influencer, context and size_target hold"),
+    # int32 would wrap it to 1, a column of T
+    "int64 context past int32": ([0, 1, 2], np.array([1, 2**32 + 1, SIZE_PAIR]), r"pair 1 \("),
+    "NaN influencer": (np.array([0, np.nan, 2]), [1, 2, SIZE_PAIR], "influencer holds float64"),
+    "half a context": ([0, 1, 2], np.array([1, 0.5, SIZE_PAIR]), "context holds float64"),
 }
 
 
@@ -682,25 +688,47 @@ BAD_STREAMS = {
 @pytest.mark.parametrize("epoch", [0, 1])
 def test_train_refuses_a_stream_outside_the_model(step_paths, case, epoch):
     # The numpy steps would index a negative influencer or context from the
-    # end: train raises before the epoch takes a step, on either path.
-    influencer, context, bad = BAD_STREAMS[case]
+    # end, or a float one rounded down: train raises before the epoch takes
+    # a step, on either path.
+    influencer, context, error = BAD_STREAMS[case]
     size_target = np.array([np.nan, np.nan, 0.5])
     good = TrainingStream(np.array([0, 1, 2], dtype=np.int64),
                           np.array([1, 3, SIZE_PAIR], dtype=np.int32), size_target)
     streams = [good, good]
-    streams[epoch] = TrainingStream(np.array(influencer, dtype=np.int64),
-                                    np.array(context, dtype=np.int32), size_target)
+    streams[epoch] = TrainingStream(np.asarray(influencer, dtype=getattr(influencer, "dtype", np.int64)),
+                                    np.asarray(context, dtype=getattr(context, "dtype", np.int32)),
+                                    size_target)
     cfg = ModelConfig(embed_dim=2, learning_rate=0.1, epochs=2)
-    first = "influencer, context and size_target hold" if bad is None else rf"pair {bad} \("
     for path in step_paths:
         model = random_model(np.random.default_rng(71), 3, 4, 2)
         want = copy_model(model)
         with on_path(path) as name:
             if epoch == 1:
                 train(want, streams.__getitem__, ModelConfig(embed_dim=2, learning_rate=0.1, epochs=1))
-            with pytest.raises(ValueError, match=rf"stream for epoch {epoch}: {first}"):
+            with pytest.raises(ValueError, match=rf"stream for epoch {epoch}: {error}"):
                 train(model, streams.__getitem__, cfg)
         assert_same_model(want, model, name)
+
+
+@pytest.mark.parametrize("widths", [(np.int32, np.int32), (np.int64, np.int64)],
+                         ids=["int32 influencer", "int64 context"])
+def test_train_takes_a_stream_of_other_integer_widths(widths, kernel_name, kernel_isa):
+    # train hands the C loop the int64 influencer and int32 context it
+    # takes, whatever the widths of the stream: the bits of the stream as
+    # build_training_stream makes it, on the same path
+    corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=2, rng_seed=4)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
+    want, want_report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()),
+                              streams.__getitem__, cfg)
+    other = [TrainingStream(s.influencer.astype(widths[0]), s.context.astype(widths[1]),
+                            s.size_target, s.draws) for s in streams]
+    model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()),
+                          other.__getitem__, cfg)
+    assert (report.classify_kernel, report.classify_isa) == (kernel_name, kernel_isa)
+    assert (report.classify_loss, report.regress_loss) == (want_report.classify_loss,
+                                                           want_report.regress_loss)
+    assert_same_model(want, model, f"influencer {widths[0]}, context {widths[1]}")
 
 
 def test_model_of_embed_dim_1_takes_the_numpy_step(native_library):
