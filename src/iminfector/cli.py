@@ -357,22 +357,31 @@ def new_model(args, corpus):
         ) from None
 
 
-def train_stage(args, corpus, model, out, pairs_out=None):
+def epoch_stream(args, corpus, epoch):
+    """The training stream of ``corpus`` for ``epoch``; one too large to
+    allocate is a usage error."""
+    try:
+        return build_training_stream(corpus, args.oversample, args.rng_seed + epoch)
+    except MemoryError:
+        pairs = context_draws(corpus, args.oversample)[1]
+        raise UsageError(f"--oversample {args.oversample!r}: a stream of {pairs} pairs is "
+                         "more than could be allocated") from None
+
+
+def train_stage(args, corpus, model, out, pairs_out=None, built=None):
     """Train ``model`` on ``corpus`` and write it; returns the TrainReport.
 
-    With ``pairs_out``, the stream epoch 0 trained on is written there too.
-    A stream too large to allocate is a usage error, and writes nothing.
+    ``built`` maps epochs to streams made beforehand by epoch_stream; each
+    is taken out of it when its epoch starts. With ``pairs_out``, the
+    stream epoch 0 trained on is written there too. A stream too large to
+    allocate is a usage error, and writes nothing.
     """
+    built = {} if built is None else built
     first_stream = None
 
     def stream_producer(epoch):
         nonlocal first_stream
-        try:
-            stream = build_training_stream(corpus, args.oversample, args.rng_seed + epoch)
-        except MemoryError:
-            pairs = context_draws(corpus, args.oversample)[1]
-            raise UsageError(f"--oversample {args.oversample!r}: a stream of {pairs} pairs is "
-                             "more than could be allocated") from None
+        stream = built.pop(epoch) if epoch in built else epoch_stream(args, corpus, epoch)
         if epoch == 0 and pairs_out:
             first_stream = stream
         return stream
@@ -539,13 +548,15 @@ def cmd_pipeline(args):
         reader = _reader(corpus)
         train_corpus, test_corpus = temporal_split(corpus, args.train_frac)
         del corpus  # freed before training, which keeps only the two sides
-        # made before the first write, so a model too large to allocate leaves no file
+        # made before the first write, so that a model or stream too large
+        # to allocate leaves no file
         model = new_model(args, train_corpus)
+        built = {0: epoch_stream(args, train_corpus, 0)}
         os.makedirs(args.outdir, exist_ok=True)
         save_cascades(train_corpus, out("train.txt"))
         save_cascades(test_corpus, out("test.txt"))
     with _timed(wall, "train"):
-        report = train_stage(args, train_corpus, model, out("model.infv"))
+        report = train_stage(args, train_corpus, model, out("model.infv"), built=built)
     with _timed(wall, "rank"):
         matrix, budgets = rank_stage(args, model, out("dmatrix.bin"))
     with _timed(wall, "seed"):
