@@ -27,6 +27,7 @@ from iminfector import model as model_module
 from iminfector.cascades import load_cascades
 from iminfector.cli import main
 from iminfector.context import SIZE_PAIR, TrainingStream, build_training_stream
+from iminfector.diffusion import load_matrix
 from iminfector.model import ModelConfig, StepWorkspace, init_model, step_classify, train
 from iminfector.synth import generate_corpus
 from test_cli import package_env as cli_env
@@ -206,12 +207,29 @@ def test_pipeline_is_identical_without_the_library_on_drawn_corpora(
     with monkeypatch.context() as mp:
         mp.setattr(_native, "load", lambda: None)
         assert run_pipeline(argv, work / "python") == want
+    if want[0] == 2:
+        # a usage error is refused before pipeline makes --outdir
+        assert not (work / "library").exists() and not (work / "python").exists()
     if want[0] == 0:
-        # temporal_split's promise: the earliest ceil(train_frac * count)
-        # cascades, at least one, less float noise just above an integer
+        # the rounding promises, each product in the package's order, less
+        # float noise just above an integer, at least 1. temporal_split: the
+        # earliest ceil(train_frac * count) cascades
         count = load_cascades(str(corpus)).n_cascades
-        n_train = load_cascades(str(work / "library" / "train.txt")).n_cascades
+        train_corpus = load_cascades(str(work / "library" / "train.txt"))
+        n_train = train_corpus.n_cascades
         assert n_train == max(1, math.ceil(train_frac * count - 1e-9)), (n_train, count)
+        # build_matrix: ceil(prune * I / 100) candidates of the I influencers
+        doc = json.loads((work / "library" / "manifest.json").read_text())
+        I = train_corpus.n_influencers
+        assert doc["n_candidates"] == max(1, math.ceil(prune * I / 100 - 1e-9)), (prune, I)
+        # build_training_stream: ceil(oversample * m) classify pairs per cascade of m events
+        pairs = sum(max(1, math.ceil(oversample * m - 1e-9)) for m in train_corpus.sizes().tolist())
+        assert doc["epoch_classify_steps"] == [pairs] * epochs
+        # compute_budgets: ceil(N * norm / sum of norms) for each candidate
+        matrix, budgets = load_matrix(work / "library" / "dmatrix.bin")
+        N, total = matrix.probs.shape[1], math.fsum(matrix.norms)
+        assert budgets.lambdas.tolist() == [max(1, math.ceil(N * norm / total - 1e-9))
+                                            for norm in matrix.norms.tolist()]
     shutil.rmtree(work)
 
 
