@@ -372,9 +372,10 @@ def train_stage(args, corpus, model, out, pairs_out=None, built=None):
     """Train ``model`` on ``corpus`` and write it; returns the TrainReport.
 
     ``built`` maps epochs to streams made beforehand by epoch_stream; each
-    is taken out of it when its epoch starts. With ``pairs_out``, the
-    stream epoch 0 trained on is written there too. A stream too large to
-    allocate is a usage error, and writes nothing.
+    is taken out of it when its epoch starts, so that it is freed with the
+    epoch. With ``pairs_out``, the stream epoch 0 trained on is written
+    there too. A stream too large to allocate is a usage error, and writes
+    nothing.
     """
     built = {} if built is None else built
     first_stream = None

@@ -166,7 +166,7 @@ class TrainReport:
     classify_steps: list = field(default_factory=list)
     regress_steps: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
-    classify_kernel: str = "numpy"  # "c" when the C epoch loop took the classify steps
+    classify_kernel: str = "numpy"  # "c" when the C epoch loop took every classify step
     # with the C loop, the clone of its T update: "avx512f", "avx2" or "baseline"
     classify_isa: str = None
     stream_draws: str = None  # the draws of epoch 0's stream: TrainingStream.draws
