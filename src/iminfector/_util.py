@@ -22,16 +22,35 @@ def slack_ceil(value):
     return math.ceil(value - _CEIL_SLACK)
 
 
+def _run_starts(ordered):
+    """Mask of the entries of the sorted 1-D array ``ordered`` that differ
+    from the one before: the first entry of each run of equal values."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
 def sorted_distinct(values):
     """np.unique(values) of a 1-D array: its distinct values, sorted, of its
     dtype. A sort and a mask of the entries that differ from the one
     before; np.unique itself imports numpy.ma, about 17 ms of a process's
     start."""
     values = np.sort(values)
-    first = np.empty(len(values), dtype=bool)
-    first[:1] = True
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return values[first]
+    return values[_run_starts(values)]
+
+
+def first_occurrences(keys):
+    """np.sort(np.unique(keys, return_index=True)[1]) of a 1-D array: the
+    position of each distinct key's first occurrence, ascending.
+
+    Any sort groups equal keys, and the least position in a group is that
+    key's first occurrence, so the default sort serves; np.unique needs a
+    stable one for its indices, about 3x slower on 600k int64 keys.
+    """
+    order = np.argsort(keys)
+    starts = np.flatnonzero(_run_starts(keys[order]))
+    return np.sort(np.minimum.reduceat(order, starts))
 
 
 @contextlib.contextmanager

@@ -27,7 +27,9 @@ from .exceptions import (
     TimeOrderViolation,
 )
 from . import _native
-from ._util import ID_RE, atomic_write, slack_ceil, sorted_distinct, text_lines
+from ._util import (
+    ID_RE, atomic_write, first_occurrences, slack_ceil, sorted_distinct, text_lines,
+)
 
 _TIME_RE = re.compile(r"[0-9]+\Z")
 # A whole well-formed line. Event tokens are separated by any whitespace
@@ -202,9 +204,8 @@ def build_corpus(ids, initiator, start_time, offsets, node_idx, times):
     if np.any((times[1:] < times[:-1]) & (owner[1:] == owner[:-1])):
         order = np.lexsort((times, owner))  # stable: equal times keep input order
         owner, node_idx, times = owner[order], node_idx[order], times[order]
-    _, first = np.unique(owner * len(ids) + node_idx, return_index=True)
     keep = np.zeros(len(owner), dtype=bool)
-    keep[first] = True
+    keep[first_occurrences(owner * len(ids) + node_idx)] = True
     keep &= node_idx != initiator[owner]
     new_offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner[keep], minlength=len(sizes)), out=new_offsets[1:])
@@ -501,8 +502,7 @@ def _distinct_edges(ids, src, dst):
     """EdgeList of the edges ``src[k] -> dst[k]`` over ``ids``, less
     self-loops and all but the first of each repeated pair."""
     kept = np.flatnonzero(src != dst)
-    _, first = np.unique(src[kept].astype(np.int64) * len(ids) + dst[kept], return_index=True)
-    kept = kept[np.sort(first)]
+    kept = kept[first_occurrences(src[kept].astype(np.int64) * len(ids) + dst[kept])]
     return EdgeList(ids, src[kept], dst[kept])
 
 

@@ -364,7 +364,12 @@ def epoch_stream(args, corpus, epoch):
         return build_training_stream(corpus, args.oversample, args.rng_seed + epoch)
     except MemoryError:
         pairs = context_draws(corpus, args.oversample)[1]
-        raise UsageError(f"--oversample {args.oversample!r}: a stream of {pairs} pairs is "
+        # Past int64 the exact count runs to hundreds of digits, so it is
+        # given to 3 figures; Decimal, as the count can pass the largest float.
+        from decimal import Decimal
+
+        count = pairs if pairs < 2**63 else f"{Decimal(pairs):.3g}"
+        raise UsageError(f"--oversample {args.oversample!r}: a stream of {count} pairs is "
                          "more than could be allocated") from None
 
 

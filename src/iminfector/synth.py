@@ -42,6 +42,9 @@ def generate_corpus(rng, n_nodes=300, n_cascades=500, n_planted=5, n_lures=6):
     ``rng`` is a numpy Generator; every draw flows through it, so equal
     seeds give equal corpora. Nodes are drawn as positions in the id table;
     the draws depend only on pool sizes, so they match drawing the ids.
+    Every pool is an int64 array, made once, so the time is linear in the
+    events: ``rng.choice`` turns a list pool into an array on every call.
+    An array draws and shuffles as the equal list does.
     """
     error = size_error(n_nodes, n_cascades, n_planted, n_lures)
     if error:
@@ -50,9 +53,9 @@ def generate_corpus(rng, n_nodes=300, n_cascades=500, n_planted=5, n_lures=6):
     ids = planted_ids(n_planted) + lure_ids(n_lures) + [f"n{i:03d}" for i in range(n_ordinary)]
     planted = range(n_planted)
     lures = range(n_planted, n_planted + n_lures)
-    ordinary = list(range(n_planted + n_lures, len(ids)))
+    ordinary = np.arange(n_planted + n_lures, len(ids), dtype=np.int64)
 
-    shuffled = list(ordinary)
+    shuffled = ordinary.copy()
     rng.shuffle(shuffled)
     # wide audiences: the more distinct targets a planted row must lift
     # above the bias baseline, the larger its embedding norm settles

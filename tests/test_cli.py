@@ -1004,7 +1004,15 @@ def test_stream_too_large_is_exit_2_before_model_write(tmp_path, synth_60, capsy
         assert (8 * pairs < 2**63) == (oversample == "1e15")
         assert main([*argv, *small]) == 2, command
         err = capsys.readouterr().err
-        assert err == (f"error: --oversample {float(oversample)!r}: a stream of {pairs} pairs "
+        # exact below 2**63, to 3 figures from there on: at 1e308 the exact
+        # count has 311 digits
+        count = {
+            "1e15": str(pairs),
+            "1e30": {"train": "3.91e+32", "pipeline": "3.22e+32"}[command],
+            "1e308": {"train": "3.91e+310", "pipeline": "3.22e+310"}[command],
+            repr(sys.float_info.max): {"train": "7.03e+310", "pipeline": "5.79e+310"}[command],
+        }[oversample]
+        assert err == (f"error: --oversample {float(oversample)!r}: a stream of {count} pairs "
                        "is more than could be allocated\n"), command
     # no model or manifest, and no split: pipeline builds epoch 0's stream
     # before it makes --outdir

@@ -6,7 +6,8 @@ implementations, kept here as oracles: they build one frozen object per
 event and one object per training pair. On any input, the array code must
 give the same ids, cascades and pairs, or raise the same exception class
 with the same message. reference_build_corpus is build_corpus before it
-skipped the sort of events already in time order.
+skipped the sort of events already in time order and found each event's
+first occurrence with first_occurrences instead of np.unique.
 
 load_cascades reads a log with the native scanner when it is in the
 scanner's strict form, and with parse_cascades otherwise. On any file it
@@ -26,7 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iminfector import context
-from iminfector._util import read_lines, slack_ceil
+from iminfector._util import first_occurrences, read_lines, slack_ceil
 from iminfector.cascades import (
     _reindexed,
     _scan,
@@ -526,6 +527,46 @@ def test_build_corpus_skips_the_sort_of_events_in_time_order(monkeypatch):
         mp.setattr(np, "lexsort", no_sort)
         got = build_corpus(*raw)
     assert corpus_state(got) == corpus_state(reference_build_corpus(*raw))
+
+
+def reference_first_occurrences(keys):
+    return np.sort(np.unique(keys, return_index=True)[1])
+
+
+@st.composite
+def int_keys(draw):
+    """A 1-D int32 or int64 array: empty, one key, all equal, or up to 400
+    keys from a few values (many repeats) or from the dtype's whole range,
+    negative keys included. Past 16 keys numpy's default sort is not stable."""
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    info = np.iinfo(dtype)
+    values = draw(st.sampled_from([
+        st.integers(-3, 3),
+        st.integers(-1000, 1000),
+        st.integers(int(info.min), int(info.max)),
+    ]))
+    n = draw(st.sampled_from([0, 1, draw(st.integers(2, 400))]))
+    if draw(st.booleans()):
+        return np.full(n, draw(values), dtype=dtype)
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_keys())
+def test_first_occurrences_matches_unique(keys):
+    got = first_occurrences(keys)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, reference_first_occurrences(keys))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_first_occurrences_matches_unique_on_long_runs(dtype):
+    # 50,000 keys in runs of ~500, then of ~1: the sort reorders equal
+    # keys, and each run's least position must still win
+    rng = np.random.default_rng(5)
+    for size, distinct in [(50_000, 50), (50_000, 40_000), (3, 1)]:
+        keys = rng.integers(-distinct, distinct, size=size).astype(dtype)
+        np.testing.assert_array_equal(first_occurrences(keys), reference_first_occurrences(keys))
 
 
 @settings(max_examples=150, deadline=None)
