@@ -25,7 +25,6 @@ from .cascades import (
     temporal_split,
 )
 from .context import (
-    SIZE_PAIR,
     TrainingStream,
     build_training_stream,
     sampling_weights,

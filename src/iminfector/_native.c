@@ -1,4 +1,4 @@
-/* The package's native library: the classify step's epoch loop with its
+/* The package's native library: the classify step's loop with its
  * T update, the context draws of the training stream, a scanner and a
  * writer for the cascade text format, and a scanner for edge lists.
  * _native.py builds it on first use against this interpreter's Python.h
@@ -294,18 +294,17 @@ static int overlap(const Py_buffer *a, const Py_buffer *b)
     return pa < pb + b->len && pb < pa + a->len;
 }
 
-/* ---- The classify epoch loop ----
+/* ---- The classify loop ----
  *
- * classify_pairs(O, T, b_t, phi, grad, losses, influencer, context, start,
- * lr, bound, bias_bound) takes the pairs of an epoch's stream from index
- * start on, each pair k as model.step_classify takes (influencer[k],
- * context[k]) at rate lr with a workspace of these phi, grad, bound and
- * bias_bound, and stops at the first pair it does not take: a size pair
- * (context < 0), a pair whose u or y is out of range, or the end of the
- * stream. It returns (stop, bound, bias_bound): stop is that pair's index,
- * or ~k if the step of pair k proved a value non-finite, and the bounds
- * are those its steps leave, inf after a non-finite step. The loss of each
- * pair k it took is in losses[k].
+ * classify_pairs(O, T, b_t, phi, grad, losses, u, context, lr, bound,
+ * bias_bound) takes the context pairs of one cascade of influencer u, each
+ * pair k as model.step_classify takes (u, context[k]) at rate lr with a
+ * workspace of these phi, grad, bound and bias_bound, and stops at the
+ * first pair whose context is out of range or at the end of context. It
+ * returns (stop, bound, bias_bound): stop is that pair's index, or ~k if
+ * the step of pair k proved a value non-finite, and the bounds are those
+ * its steps leave, inf after a non-finite step. The loss of each pair k it
+ * took is in losses[k].
  *
  * A step makes step_classify's operations in its order. Where the rounding
  * is numpy's own it calls numpy's own functions directly, as above: dgemv
@@ -320,15 +319,13 @@ static int overlap(const Py_buffer *a, const Py_buffer *b)
  * The finiteness proofs are those of model.py, on the bounds given. O_u is
  * checked entry by entry, which is what its scaled dot product proves.
  *
- * LOOP_ARGS lists the arrays: O, T, b_t, phi, grad and losses are
- * distinct, aligned, writable, C-contiguous float64 arrays of shapes
- * (I, E), (E, N), (N), (N), (E) and (n), E and N at least 2, and
- * influencer and context are int64 and int32 arrays of n entries, as
- * build_training_stream makes them. For any other arrays the loop takes
- * no pair and returns None, so that the caller's step takes the pair; a
- * call on an empty stream tells whether it takes the arrays at all. A
- * start outside 0..len(losses) raises ValueError before any array is
- * taken.
+ * LOOP_ARGS and CONTEXT_ARG list the arrays: O, T, b_t, phi, grad and
+ * losses are distinct, aligned, writable, C-contiguous float64 arrays of
+ * shapes (I, E), (E, N), (N), (N), (E) and (n), E and N at least 2, and
+ * context is an int32 array of n entries, as build_training_stream makes
+ * it. For any other arrays, or a u that is not a row of O, the loop takes
+ * no pair and returns None, so that the caller's step takes the pairs; a
+ * call on an empty context tells whether it takes the arrays at all.
  */
 
 #define BOUND_LIMIT 1e300
@@ -345,11 +342,13 @@ static double max_abs(const double *x, size_t n)
     return max;
 }
 
-/* classify_pairs' arguments: its arrays, then its numbers */
-enum { O_, T_, B_T, PHI, GRAD, LOSSES, N_REAL, INFLUENCER = N_REAL, CONTEXT, N_LOOP,
-       FROM = N_LOOP, LR, BOUND, BIAS_BOUND, N_LOOP_ARGS };
-static const struct param LOOP_ARGS[N_LOOP] = {{F64, 2, 1}, {F64, 2, 1}, {F64, 1, 1}, {F64, 1, 1},
-                                               {F64, 1, 1}, {F64, 1, 1}, {I64, 1, 0}, {I32, 1, 0}};
+/* classify_pairs' arguments: its float64 arrays, u, context, then its
+ * numbers */
+enum { O_, T_, B_T, PHI, GRAD, LOSSES, N_REAL, U = N_REAL, CONTEXT, LR, BOUND, BIAS_BOUND,
+       N_LOOP_ARGS };
+static const struct param LOOP_ARGS[N_REAL] = {{F64, 2, 1}, {F64, 2, 1}, {F64, 1, 1},
+                                               {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}};
+static const struct param CONTEXT_ARG = {I32, 1, 0};
 
 struct loop {
     const Py_buffer *view; /* classify_pairs' arrays, taken */
@@ -408,8 +407,7 @@ static int fits_loop(const Py_buffer *view)
     const Py_ssize_t *const o = view[O_].shape, *const t = view[T_].shape;
     const Py_ssize_t n = view[LOSSES].shape[0];
     if (t[0] < 2 || t[1] < 2 || o[1] != t[0] || view[B_T].shape[0] != t[1] ||
-        view[PHI].shape[0] != t[1] || view[GRAD].shape[0] != t[0] ||
-        view[INFLUENCER].shape[0] != n || view[CONTEXT].shape[0] != n)
+        view[PHI].shape[0] != t[1] || view[GRAD].shape[0] != t[0] || view[CONTEXT].shape[0] != n)
         return 0;
     for (int a = 0; a < N_REAL; a++)
         for (int b = a + 1; b < N_REAL; b++)
@@ -418,21 +416,20 @@ static int fits_loop(const Py_buffer *view)
     return 1;
 }
 
-/* Takes the pairs of the stream from start on; where it stopped, as
+/* Takes the pairs of influencer u, a row of O; where it stopped, as
  * classify_pairs returns it. */
-static Py_ssize_t run(struct loop *s, Py_ssize_t start)
+static Py_ssize_t run(struct loop *s, size_t u)
 {
     const Py_buffer *const view = s->view;
-    const int64_t *const influencer = view[INFLUENCER].buf;
     const int32_t *const context = view[CONTEXT].buf;
     double *const losses = view[LOSSES].buf;
     const Py_ssize_t n = view[LOSSES].shape[0];
-    const int64_t rows = view[O_].shape[0], N = view[T_].shape[1];
-    for (Py_ssize_t k = start; k < n; k++) {
-        const int64_t u = influencer[k], y = context[k];
-        if (u < 0 || u >= rows || y < 0 || y >= N)
+    const int64_t N = view[T_].shape[1];
+    for (Py_ssize_t k = 0; k < n; k++) {
+        const int64_t y = context[k];
+        if (y < 0 || y >= N)
             return k;
-        if (!step(s, (size_t)u, (size_t)y, &losses[k])) {
+        if (!step(s, u, (size_t)y, &losses[k])) {
             s->bound = s->bias_bound = INFINITY;
             return ~k;
         }
@@ -444,17 +441,12 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
 {
     if (check_count("classify_pairs", nargs, N_LOOP_ARGS))
         return NULL;
-    const Py_ssize_t start = PyLong_AsSsize_t(args[FROM]);
-    if (start == -1 && PyErr_Occurred())
+    /* a u past long long reads as -1, no row of O either */
+    int overflow;
+    const long long u = PyLong_AsLongLongAndOverflow(args[U], &overflow);
+    if (u == -1 && PyErr_Occurred())
         return NULL;
-    /* the stream's length is that of losses: a start outside the stream
-     * raises whether or not the loop can take the arrays */
-    const Py_ssize_t length = PyObject_Length(args[LOSSES]);
-    if (length < 0)
-        return NULL;
-    if (start < 0 || start > length)
-        return PyErr_Format(PyExc_ValueError, "start is not an index of the stream");
-    Py_buffer view[N_LOOP] = {{0}};
+    Py_buffer view[CONTEXT + 1] = {{0}};
     struct loop s = {view, 0.0, 0.0, 0.0};
     double *const number[] = {&s.lr, &s.bound, &s.bias_bound};
     for (int k = 0; k < 3; k++) {
@@ -463,15 +455,17 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
             return NULL;
     }
     PyObject *result;
-    if (!numpy_own.dgemv || take_all(args, LOOP_ARGS, N_LOOP, view) || !fits_loop(view)) {
+    if (!numpy_own.dgemv || take_all(args, LOOP_ARGS, N_REAL, view) ||
+        take_all(&args[CONTEXT], &CONTEXT_ARG, 1, &view[CONTEXT]) || !fits_loop(view) || u < 0 ||
+        u >= view[O_].shape[0]) {
         result = Py_NewRef(Py_None);
     } else {
         /* the stop first: C leaves the order of a call's arguments open,
          * and the bounds to return are those the steps leave */
-        const Py_ssize_t stop = run(&s, start);
+        const Py_ssize_t stop = run(&s, (size_t)u);
         result = Py_BuildValue("(ndd)", stop, s.bound, s.bias_bound);
     }
-    release(view, N_LOOP);
+    release(view, CONTEXT + 1);
     return result;
 }
 
@@ -491,15 +485,14 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
  * cdf.searchsorted(x, side="right"). So the contexts are choice's, bit for
  * bit. The draws are independent of each other, so their binary searches
  * run LANES at a time, in lockstep, and the rest one by one, with the same
- * indices. Cascade i's draws fill context from the row of its first pair on;
- * the row after them, its size pair's, is left as it is.
+ * indices. The cascades' draws fill context in cascade order.
  *
  * weights and uniforms are float64 arrays, offsets and draws int64 and
  * node_idx and context int32 (context writable and apart from the rest),
  * all one-dimensional, C-contiguous and aligned, with one entry of draws
  * per cascade, one more of offsets, offsets from 0 up to len(weights) =
- * len(node_idx) with no empty cascade, len(uniforms) = sum(draws) and
- * len(context) = sum(draws) + cascades. Every weight is in (0, 1], as
+ * len(node_idx) with no empty cascade, and len(uniforms) = len(context) =
+ * sum(draws). Every weight is in (0, 1], as
  * context.sampling_weights makes them, so no sum is 0 or overflows, and
  * every uniform in [0, 1). Returns True once it has filled context, and
  * False, having written nothing, for arrays it cannot take and for every
@@ -535,7 +528,7 @@ static int fits_draws(const Py_buffer *view, Py_ssize_t *longest)
             *longest = (Py_ssize_t)m;
     }
     /* no sum overflows: each length is at most that of an array in memory */
-    if (drawn != total || total + cascades != view[CONTEXT_OUT].shape[0])
+    if (drawn != total || total != view[CONTEXT_OUT].shape[0])
         return 0;
     for (Py_ssize_t k = 0; k < events; k++)
         if (!(weights[k] > 0.0 && weights[k] <= 1.0))
@@ -594,7 +587,6 @@ static void draw(const Py_buffer *view, double *cdf)
             search(cdf, m, uniform, lo, 1);
             *row++ = node_idx[a + (int64_t)lo[0]];
         }
-        row++; /* the size pair */
     }
 }
 
@@ -1087,8 +1079,7 @@ static int exec_module(PyObject *module)
 
 static PyMethodDef methods[] = {
     {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
-     "classify_pairs(O, T, b_t, phi, grad, losses, influencer, context, start, lr, bound, "
-     "bias_bound)"},
+     "classify_pairs(O, T, b_t, phi, grad, losses, u, context, lr, bound, bias_bound)"},
     {"draw_contexts", (PyCFunction)(void (*)(void))draw_contexts, METH_FASTCALL,
      "draw_contexts(weights, offsets, node_idx, draws, uniforms, context)"},
     {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,
@@ -1105,7 +1096,7 @@ static PyModuleDef_Slot slots[] = {{Py_mod_exec, (void *)exec_module}, {0, NULL}
 static struct PyModuleDef module_def = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "iminfector._native_lib",
-    .m_doc = "iminfector's native library: the classify epoch loop, the training stream's "
+    .m_doc = "iminfector's native library: the classify loop, the training stream's "
              "context draws, the cascade text format and the edge list scanner.",
     .m_methods = methods,
     .m_slots = slots,

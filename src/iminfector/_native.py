@@ -1,6 +1,6 @@
 """The package's native library, built on first use.
 
-``_native.c`` holds the classify epoch loop (``classify_pairs``) with its
+``_native.c`` holds the classify loop (``classify_pairs``) with its
 T update (``fused_t_update``) and its direct calls of numpy's own loops and
 BLAS, the training stream's context draws (``draw_contexts``), the cascade
 scanner (``scan_cascades``), the cascade writer (``write_cascades``) and

@@ -22,18 +22,17 @@ import numpy as np
 from . import _native
 from ._util import atomic_write, slack_ceil
 
-# Context value that marks an influencer-size pair in a TrainingStream.
-SIZE_PAIR = -1
-
-
 @dataclass(frozen=True, eq=False)
 class TrainingStream:
-    """One epoch's pairs as three aligned arrays, one entry per pair.
+    """One epoch's pairs, cascade by cascade.
 
-    ``influencer`` holds dense influencer indices. ``context`` holds the
-    dense context node index of a classification pair, or SIZE_PAIR for a
-    regression pair, whose normalized size in [0, 1] is in ``size_target``
-    (NaN on classification pairs).
+    Cascade i contributes the context pairs (influencer[i], context[k]) for
+    k in offsets[i]:offsets[i+1], in that order, then one size pair of
+    influencer[i] whose normalized size in [0, 1] is size_target[i].
+    ``influencer`` (dense influencer indices) and ``size_target`` hold one
+    entry per cascade and ``offsets`` one more, from 0 up to len(context);
+    ``context`` holds dense context node indices. The length of a stream is
+    its number of pairs, context and size pairs together.
 
     ``draws`` says what drew the contexts of a stream that
     build_training_stream returns: ``"c"`` for the native library's
@@ -42,12 +41,13 @@ class TrainingStream:
     """
 
     influencer: np.ndarray
-    context: np.ndarray
     size_target: np.ndarray
+    offsets: np.ndarray
+    context: np.ndarray
     draws: str = None
 
     def __len__(self):
-        return len(self.influencer)
+        return len(self.context) + len(self.influencer)
 
 
 def sampling_weights(corpus):
@@ -102,29 +102,24 @@ def build_training_stream(train, oversample=1.2, rng_seed=0):
     if n_pairs > np.iinfo(np.intp).max // 8:  # the bytes of an int64 or float64 array
         raise MemoryError(f"a stream of {n_pairs} pairs cannot be indexed")
     draws = np.array(draws, dtype=np.int64)
-    pairs = draws + 1
-    size_rows = np.cumsum(pairs) - 1
-    context = np.full(n_pairs, SIZE_PAIR, dtype=np.int32)
-    size_target = np.full(n_pairs, np.nan)
-    size_target[size_rows] = size_targets(train)
+    offsets = np.concatenate(([0], np.cumsum(draws)))
+    context = np.empty(offsets[-1], dtype=np.int32)
     lib = _native.load()
     drawn = "c"
     if lib is None or not lib.draw_contexts(
         weights, train.offsets, train.node_idx, draws,
-        np.random.default_rng(rng_seed).random(int(draws.sum())), context,
+        np.random.default_rng(rng_seed).random(len(context)), context,
     ):
         choice_contexts(train, weights, draws, rng_seed, context)
         drawn = "choice"
-    influencer = np.repeat(train.cascade_influencers(), pairs)
-    return TrainingStream(influencer, context, size_target, drawn)
+    return TrainingStream(train.cascade_influencers(), size_targets(train), offsets, context, drawn)
 
 
 def choice_contexts(train, weights, draws, rng_seed, context):
-    """Fill each cascade's context rows of ``context`` with its draws:
+    """Fill ``context`` with the cascades' draws, in cascade order:
     ``rng.choice`` over the cascade's events with probabilities ``weights``
     normalized, ``draws[i]`` of them for cascade i, from a generator seeded
-    with ``rng_seed``. The row after a cascade's draws, its size pair's,
-    is left as it is."""
+    with ``rng_seed``."""
     rng = np.random.default_rng(rng_seed)
     offsets = train.offsets.tolist()
     row = 0
@@ -133,17 +128,17 @@ def choice_contexts(train, weights, draws, rng_seed, context):
         context[row : row + n_draws] = rng.choice(
             train.node_idx[a:b], size=n_draws, replace=True, p=w / w.sum()
         )
-        row += n_draws + 1
+        row += n_draws
 
 
 def dump_pairs(stream, path):
-    """Write a stream as TSV: influencer, target, kind (C|S), value."""
+    """Write a stream as TSV, a row per pair in stream order: influencer,
+    target, kind (C|S), value."""
+    context, offsets = stream.context.tolist(), stream.offsets.tolist()
     with atomic_write(path) as fh:
         fh.write("influencer\ttarget\tkind\tvalue\n")
-        for u, v, y in zip(
-            stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist()
+        for u, y, a, b in zip(
+            stream.influencer.tolist(), stream.size_target.tolist(), offsets, offsets[1:]
         ):
-            if v == SIZE_PAIR:
-                fh.write(f"{u}\t-\tS\t{y!r}\n")
-            else:
-                fh.write(f"{u}\t{v}\tC\t1\n")
+            fh.writelines(f"{u}\t{v}\tC\t1\n" for v in context[a:b])
+            fh.write(f"{u}\t-\tS\t{y!r}\n")

@@ -11,9 +11,9 @@ bits on either:
 
 - step_classify, the numpy step: the oracle, and the path when the C loop
   is not taken;
-- classify_pairs, the C epoch loop of _native.load()'s module, which runs a
-  stretch of classify pairs as step_classify would take them one by one and
-  returns to Python at each size pair, where step_regress runs.
+- classify_pairs, the C loop of _native.load()'s module, which takes one
+  cascade's context pairs as step_classify would take them one by one;
+  step_regress then takes the cascade's size pair.
 
 Where its order is the contract the loop calls the functions numpy itself
 calls, with the arguments numpy passes: its BLAS's cblas_dgemv for the
@@ -21,7 +21,7 @@ logits O_u T and for T g (BLAS's summation order), and the float64 inner
 loops of np.exp (numpy's SIMD exp), np.add in reduce form (the softmax's
 denominator, pairwise summation) and np.log (the loss), found by the
 library when it loads. A C loop of its own cannot match those bitwise. No
-Python runs within a stretch.
+Python runs within a call.
 
 Every other operation is element-wise, and an IEEE add, subtract, multiply or
 divide rounds the same in C as in numpy: + b_t, - max, / sum, g[y] - 1,
@@ -61,10 +61,9 @@ train() takes the loop only when all of these hold:
 Every other model takes the numpy step, with the same bits.
 
 The loop refuses arrays it cannot take (a Fortran-order T, say) call by
-call, taking no pair, and step_classify takes that pair. train() refuses a
-stream with a pair outside the model before its epoch takes a step, and
-hands the loop its influencer and context as int64 and int32
-(_check_stream).
+call, taking no pair, and step_classify takes the cascade's pairs. train()
+refuses a stream with a pair outside the model before its epoch takes a
+step, and hands the loop its context as int32 (_check_stream).
 
 A step proves the model finite instead of scanning it, and each proof is
 exact:
@@ -111,7 +110,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _native
-from .context import SIZE_PAIR
 from .exceptions import CorruptFile, NonFiniteUpdate
 from ._util import BinaryReader, write_binary
 
@@ -166,7 +164,7 @@ class TrainReport:
     classify_steps: list = field(default_factory=list)
     regress_steps: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
-    classify_kernel: str = "numpy"  # "c" when the C epoch loop took every classify step
+    classify_kernel: str = "numpy"  # "c" when the C loop took every classify step
     # with the C loop, the clone of its T update: "avx512f", "avx2" or "baseline"
     classify_isa: str = None
     stream_draws: str = None  # the draws of epoch 0's stream: TrainingStream.draws
@@ -320,13 +318,13 @@ def _same_bits(a, b):
     )
 
 
-def _take_pairs(lib, model, ws, influencer, context, start, lr, losses):
-    """The C loop of ``lib`` on the stream's pairs from ``start`` on, with
-    the arrays of ``model`` and ``ws``: where it stopped, ~k if step k
-    proved a value non-finite, with the workspace's bounds set to those its
-    steps leave; None if the loop cannot take the arrays."""
-    taken = lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, influencer,
-                               context, start, lr, ws.bound, ws.bias_bound)
+def _take_pairs(lib, model, ws, u, context, lr, losses):
+    """The C loop of ``lib`` on the pairs of influencer ``u`` and each of
+    ``context``, with the arrays of ``model`` and ``ws``: where it stopped,
+    ~k if step k proved a value non-finite, with the workspace's bounds set
+    to those its steps leave; None if the loop cannot take the arrays or u."""
+    taken = lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, u, context,
+                               lr, ws.bound, ws.bias_bound)
     if taken is None:
         return None
     stop, ws.bound, ws.bias_bound = taken
@@ -342,8 +340,8 @@ def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
     one with a NaN in O's second row (whose first step raises), and one
     whose largest logits, 0, come from the +0 and -0 entries of b_t over
     zero columns of T, every other logit far below. Five classify pairs
-    run, then a size pair, where the loop must stop. Their contexts are
-    taken mod N.
+    run as four cascades, of influencers 0, 1, 0 and 1, one call each.
+    Their contexts are taken mod N.
     """
     rng = np.random.default_rng(2019)
     lr = 0.1
@@ -358,25 +356,26 @@ def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
                 b_t[:4] = (0.0, -0.0, -0.0, 0.0)[:N]
             want = InfectorModel(O, T, b_t, 0.0, np.ones(E), [], [])
             got = InfectorModel(O.copy(), T.copy(), b_t.copy(), 0.0, np.ones(E), [], [])
-            influencer = np.array([0, 0, 1, 0, 1, 0], dtype=np.int64)
-            context = np.array([1, 0, 3 % N, N - 1, 2 % N, SIZE_PAIR], dtype=np.int32)
-            want_losses, want_stop = np.full(6, np.nan), 5
-            for k, (u, y) in enumerate(zip(influencer[:5].tolist(), context[:5].tolist())):
+            ws = StepWorkspace(got)
+            for u, context in ((0, [1, 0]), (1, [3 % N]), (0, [N - 1]), (1, [2 % N])):
+                want_losses = []
                 try:
-                    want_losses[k] = _OWN_STEP_CLASSIFY(want, u, y, lr)
+                    for y in context:
+                        want_losses.append(_OWN_STEP_CLASSIFY(want, u, y, lr))
+                    want_stop = len(context)
                 except NonFiniteUpdate:
-                    want_stop = ~k
+                    want_stop = ~len(want_losses)
+                got_losses = np.full(len(context), np.nan)
+                stop = _take_pairs(lib, got, ws, u, np.array(context, dtype=np.int32), lr,
+                                   got_losses)
+                if not (
+                    stop == want_stop  # not None, where the loop refuses the arrays
+                    and _same_bits(got_losses[: len(want_losses)], want_losses)
+                    and all(_same_bits(getattr(got, a), getattr(want, a)) for a in ("O", "T", "b_t"))
+                ):
+                    return False
+                if stop < 0:
                     break
-            got_losses = np.full(6, np.nan)
-            stop = _take_pairs(lib, got, StepWorkspace(got), influencer, context, 0, lr, got_losses)
-            if stop != want_stop:  # None too, where the loop refuses the arrays
-                return False
-            n = 5 if stop == 5 else ~stop
-            if not (
-                _same_bits(got_losses[:n], want_losses[:n])
-                and all(_same_bits(getattr(got, a), getattr(want, a)) for a in ("O", "T", "b_t"))
-            ):
-                return False
     return True
 
 
@@ -438,71 +437,75 @@ def _sgd_numpy():
 
 
 def _run_epoch(model, stream, lr, workspace, lib, epoch):
-    """Take every pair of ``stream`` in order and return each pair's loss.
+    """Take every pair of ``stream`` in order; return the losses of its
+    classify pairs and of its size pairs, each in stream order.
 
-    With ``lib`` the C loop takes each stretch of classify pairs, and each
+    With ``lib`` the C loop takes each cascade's context pairs, and each
     pair it does not take, or whose arrays it refuses, goes through
-    step_regress or step_classify, as every pair does without it. Only
-    those pairs are read into Python. A non-finite step raises
-    NonFiniteUpdate with ``epoch`` and the pair's index as its step.
+    step_classify, as every context pair does without it; step_regress
+    takes each size pair. A non-finite step raises NonFiniteUpdate with
+    ``epoch`` and the pair's index in the stream as its step.
     """
-    n = len(stream)
-    losses = np.empty(n)
-    influencer, context = stream.influencer, stream.context
-    step = 0
-    while step < n:
+    context = stream.context
+    classify, regress = np.empty(len(context)), np.empty(len(stream.influencer))
+    offsets = stream.offsets.tolist()
+    cascades = zip(stream.influencer.tolist(), stream.size_target.tolist(), offsets, offsets[1:])
+    for i, (u, y_c, a, b) in enumerate(cascades):
+        k = a
         if lib is not None:
-            stop = _take_pairs(lib, model, workspace, influencer, context, step, lr, losses)
+            stop = _take_pairs(lib, model, workspace, u, context[a:b], lr, classify[a:b])
             if stop is not None:
                 if stop < 0:
-                    raise NonFiniteUpdate(_CLASSIFY_FAILED, epoch=epoch, step=~stop)
-                if stop == n:
-                    break
-                step = stop
-        u, v = int(influencer[step]), int(context[step])
+                    raise NonFiniteUpdate(_CLASSIFY_FAILED, epoch=epoch, step=a + i + ~stop)
+                k += stop
         try:
-            if v == SIZE_PAIR:
-                losses[step] = step_regress(model, u, float(stream.size_target[step]), lr)
-            else:
-                losses[step] = step_classify(model, u, v, lr, workspace)
+            for k in range(k, b):
+                classify[k] = step_classify(model, u, int(context[k]), lr, workspace)
+            k = b
+            regress[i] = step_regress(model, u, y_c, lr)
         except NonFiniteUpdate as exc:
-            raise NonFiniteUpdate(str(exc), epoch=epoch, step=step) from None
-        step += 1
-    return losses
+            raise NonFiniteUpdate(str(exc), epoch=epoch, step=k + i) from None
+    return classify, regress
 
 
 def _check_stream(model, stream, epoch):
-    """The stream with its influencer and context as the C loop takes them,
-    C-contiguous int64 and int32, and its size pairs as a mask.
+    """The stream with its context as the C loop takes it, C-contiguous
+    int32.
 
-    A ValueError naming ``epoch`` unless the three arrays have one length
-    and influencer and context hold integers, and one naming the first bad
-    pair unless every influencer is a row of O and every context is
-    SIZE_PAIR or a column of T. The C loop stops at a pair outside the
-    model, but the numpy steps would index it from the end. The check
+    A ValueError naming ``epoch`` unless influencer, offsets and context
+    hold integers, influencer and size_target hold one entry per cascade
+    and offsets one more, and offsets run from 0, non-decreasing, to
+    len(context); and one naming the first bad cascade or context unless
+    every influencer is a row of O and every context a column of T. The C
+    loop refuses an influencer outside the model and stops at such a
+    context, but the numpy steps would index it from the end. The check
     reads the arrays as given, so a context past int32 is refused, not
     wrapped.
     """
-    influencer, context = np.asarray(stream.influencer), np.asarray(stream.context)
-    lengths = len(influencer), len(context), len(stream.size_target)
-    if len(set(lengths)) > 1:
-        raise ValueError(f"stream for epoch {epoch}: influencer, context and size_target "
-                         f"hold {lengths[0]}, {lengths[1]} and {lengths[2]} entries")
-    for name, values in (("influencer", influencer), ("context", context)):
+    arrays = dict(influencer=np.asarray(stream.influencer), offsets=np.asarray(stream.offsets),
+                  context=np.asarray(stream.context))
+    for name, values in arrays.items():
         if not np.issubdtype(values.dtype, np.integer):
             raise ValueError(f"stream for epoch {epoch}: {name} holds {values.dtype} values, "
                              "not integers")
-    is_size = context == SIZE_PAIR
-    bad = ((influencer < 0) | (influencer >= model.n_influencers)
-           | (~is_size & ((context < 0) | (context >= model.n_nodes))))
-    if bad.any():
-        k = int(bad.argmax())
-        raise ValueError(f"stream for epoch {epoch}: pair {k} (influencer {influencer[k]}, "
-                         f"context {context[k]}) is outside a model of {model.n_influencers} "
-                         f"influencers and {model.n_nodes} nodes")
-    arrays = dict(influencer=np.ascontiguousarray(influencer, np.int64),
-                  context=np.ascontiguousarray(context, np.int32))
-    return replace(stream, **arrays), is_size
+    influencer, offsets, context = arrays.values()
+    lengths = len(influencer), len(stream.size_target), len(offsets)
+    if lengths[1:] != (lengths[0], lengths[0] + 1):
+        raise ValueError(f"stream for epoch {epoch}: influencer, size_target and offsets hold "
+                         f"{lengths[0]}, {lengths[1]} and {lengths[2]} entries, not one per "
+                         "cascade and one more offset")
+    if offsets[0] != 0 or offsets[-1] != len(context) or (np.diff(offsets) < 0).any():
+        raise ValueError(f"stream for epoch {epoch}: offsets do not run from 0, "
+                         f"non-decreasing, to the {len(context)} contexts")
+    for name, values, limit in (("influencer", influencer, model.n_influencers),
+                                ("context", context, model.n_nodes)):
+        bad = (values < 0) | (values >= limit)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"stream for epoch {epoch}: {name} {k} ({values[k]}) is outside a "
+                             f"model of {model.n_influencers} influencers and {model.n_nodes} "
+                             "nodes")
+    return replace(stream, context=np.ascontiguousarray(context, np.int32))
 
 
 def train(model, stream_producer, config):
@@ -523,18 +526,15 @@ def train(model, stream_producer, config):
         stream = stream_producer(epoch)
         if not stream:
             raise ValueError(f"stream for epoch {epoch} is empty")
-        stream, is_size = _check_stream(model, stream, epoch)
+        stream = _check_stream(model, stream, epoch)
         if epoch == 0:
             report.stream_draws = stream.draws
         with _sgd_numpy():
-            losses = _run_epoch(model, stream, lr, workspace, lib, epoch)
-        classify_losses, regress_losses = losses[~is_size], losses[is_size]
+            classify_losses, regress_losses = _run_epoch(model, stream, lr, workspace, lib, epoch)
         report.classify_loss.append(
             float(np.mean(classify_losses)) if len(classify_losses) else 0.0
         )
-        report.regress_loss.append(
-            float(np.mean(regress_losses)) if len(regress_losses) else 0.0
-        )
+        report.regress_loss.append(float(np.mean(regress_losses)))
         report.classify_steps.append(len(classify_losses))
         report.regress_steps.append(len(regress_losses))
         report.epoch_seconds.append(time.perf_counter() - t0)

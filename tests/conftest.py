@@ -39,7 +39,7 @@ def _runs_numpy_calls(lib):
         return False
     model = InfectorModel(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros(2), 0.0, np.ones(2), [], [])
     i64, i32, f64 = (np.empty(0, dtype=t) for t in (np.int64, np.int32, np.float64))
-    stop = model_module._take_pairs(lib, model, StepWorkspace(model), i64, i32, 0, 0.0, f64)
+    stop = model_module._take_pairs(lib, model, StepWorkspace(model), 0, i32, 0.0, f64)
     return (stop is not None
             and lib.draw_contexts(f64, np.zeros(1, dtype=np.int64), i32, i64, f64, i32.copy()))
 

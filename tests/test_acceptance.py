@@ -14,7 +14,7 @@ import pytest
 
 from iminfector.cascades import parse_cascades
 from iminfector.cli import main
-from iminfector.context import SIZE_PAIR, build_training_stream
+from iminfector.context import build_training_stream
 from iminfector.diffusion import DiffusionMatrix, SpreadBudget
 from iminfector.evaluation import dni
 from iminfector.model import (
@@ -215,7 +215,7 @@ def test_acceptance_5_sampling_law(capsys):
         corpus = parse_cascades(["u:0\ta:2 b:4\n"])
         n_draws = 100_000
         stream = build_training_stream(corpus, oversample=n_draws / 2, rng_seed=0)
-        contexts = [v for v in stream.context.tolist() if v != SIZE_PAIR]
+        contexts = stream.context.tolist()
         assert len(contexts) == n_draws
         freq_a = contexts.count(corpus.node_index["a"]) / n_draws
         p = 2 / 3

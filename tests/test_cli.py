@@ -372,6 +372,28 @@ def test_train_dump_pairs(tmp_path, corpus_file, monkeypatch):
     assert n_context >= sum(len(c.split("\t")[1].split()) for c in CORPUS)
 
 
+# sha256 of the --dump-pairs TSV of a 3-epoch train on the train split of
+# synth's 300-node log at --rng-seed 0, every other flag at its default. It
+# pins the documented format, which a dump compared with dump_pairs' own
+# output cannot show.
+DUMP_PAIRS_DIGEST = "39af4233ead2ec138d939cc31f566abd1b0d1834a74a5a5c6989b004232a0178"
+
+
+@pytest.mark.parametrize("library", [True, False], ids=["library", "no-library"])
+def test_dump_pairs_bytes_are_pinned(tmp_path, monkeypatch, capsys, library):
+    if not library:
+        monkeypatch.setattr(_native, "load", lambda: None)
+    log, train, test = tmp_path / "c.txt", tmp_path / "train.txt", tmp_path / "test.txt"
+    pairs = tmp_path / "pairs.tsv"
+    assert main(["synth", "--rng-seed", "0", "--out", str(log)]) == 0
+    assert main(["split", "--cascades", str(log), "--train-out", str(train),
+                 "--test-out", str(test)]) == 0
+    assert main(["train", "--cascades", str(train), "--out", str(tmp_path / "m.infv"),
+                 "--epochs", "3", "--dump-pairs", str(pairs)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(pairs.read_bytes()).hexdigest() == DUMP_PAIRS_DIGEST
+
+
 def test_dump_pairs_identical_on_every_draw_path(tmp_path, monkeypatch, capsys):
     # the library's context draws, and rng.choice's without the library or
     # where it refuses the draws

@@ -37,7 +37,7 @@ from iminfector.cascades import (
     parse_cascades,
     serialize_cascades,
 )
-from iminfector.context import SIZE_PAIR, build_training_stream
+from iminfector.context import build_training_stream
 from iminfector.exceptions import (
     CascadeFormatError,
     EmptyCascade,
@@ -241,12 +241,15 @@ def assert_readers_agree(path):
 
 
 def stream_pairs(stream):
-    return [
-        ("S", u, y) if v == SIZE_PAIR else ("C", u, v)
-        for u, v, y in zip(
-            stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist()
-        )
-    ]
+    """The pairs of ``stream`` in stream order: ("C", influencer, context)
+    for a context pair, ("S", influencer, size target) for a size pair."""
+    context, offsets = stream.context.tolist(), stream.offsets.tolist()
+    pairs = []
+    for u, y, a, b in zip(stream.influencer.tolist(), stream.size_target.tolist(), offsets,
+                          offsets[1:]):
+        pairs += [("C", u, v) for v in context[a:b]]
+        pairs.append(("S", u, y))
+    return pairs
 
 
 # ---- generated logs ----

@@ -12,7 +12,6 @@ from iminfector import _native, context
 from iminfector._util import slack_ceil
 from iminfector.cascades import CascadeCorpus, parse_cascades
 from iminfector.context import (
-    SIZE_PAIR,
     build_training_stream,
     choice_contexts,
     sampling_weights,
@@ -20,14 +19,12 @@ from iminfector.context import (
 )
 from iminfector.synth import generate_corpus
 from test_cascade_io import read_only
+from test_columnar_equivalence import stream_pairs
 
 
 def same_stream(a, b):
-    return (
-        np.array_equal(a.influencer, b.influencer)
-        and np.array_equal(a.context, b.context)
-        and np.array_equal(a.size_target, b.size_target, equal_nan=True)
-    )
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("influencer", "size_target", "offsets", "context"))
 
 
 def sampling_distribution(line):
@@ -54,7 +51,7 @@ def test_sampling_law_three_standard_errors():
     corpus = parse_cascades(["u:0\ta:2 b:4\n"])
     n_draws = 100_000
     stream = build_training_stream(corpus, oversample=n_draws / 2, rng_seed=7)
-    contexts = [v for v in stream.context.tolist() if v != SIZE_PAIR]
+    contexts = stream.context.tolist()
     assert len(contexts) == n_draws
     a_idx = corpus.node_index["a"]
     freq = sum(1 for ctx in contexts if ctx == a_idx) / n_draws
@@ -80,18 +77,21 @@ def test_stream_shape_and_order():
     corpus = parse_cascades(["u1:0\ta:1 b:2 c:3\n", "u2:0\ta:5\n"])
     stream = build_training_stream(corpus, oversample=1.2, rng_seed=0)
     # ceil(1.2 * 3) = 4 contexts + size, then ceil(1.2 * 1) = 2 + size
-    kinds = ["S" if v == SIZE_PAIR else "C" for v in stream.context.tolist()]
-    assert kinds == ["C", "C", "C", "C", "S", "C", "C", "S"]
+    pairs = stream_pairs(stream)
+    assert [kind for kind, _, _ in pairs] == ["C", "C", "C", "C", "S", "C", "C", "S"]
     assert len(stream) == 8
+    assert stream.offsets.tolist() == [0, 4, 6]
     u1 = corpus.influencer_ids().index("u1")
     u2 = corpus.influencer_ids().index("u2")
-    assert stream.influencer.tolist() == [u1] * 5 + [u2] * 3
-    sizes = stream.size_target[stream.context == SIZE_PAIR]
-    assert sizes.tolist() == [1.0, 0.0]
-    assert np.isnan(stream.size_target[stream.context != SIZE_PAIR]).all()
+    assert stream.influencer.tolist() == [u1, u2]
+    assert [u for _, u, _ in pairs] == [u1] * 5 + [u2] * 3
+    assert stream.size_target.tolist() == [1.0, 0.0]
+    assert (stream.influencer.dtype, stream.size_target.dtype, stream.offsets.dtype,
+            stream.context.dtype) == (np.int64, np.float64, np.int64, np.int32)
     # contexts are dense node indices drawn from the cascade's own events
     allowed = {corpus.node_index[x] for x in ["a", "b", "c"]}
     assert set(stream.context[:4].tolist()) <= allowed
+    assert stream.context[4:].tolist() == [corpus.node_index["a"]] * 2
 
 
 def test_stream_deterministic_per_seed():
@@ -115,13 +115,13 @@ DRAW_CORPUS = parse_cascades(
 
 def draw_args(seed=0, draws=None):
     """draw_contexts's arguments for DRAW_CORPUS's stream, or for ``draws``
-    draws per cascade, every context row at SIZE_PAIR."""
+    draws per cascade, every context at -1, which no draw gives."""
     weights = sampling_weights(DRAW_CORPUS)
     if draws is None:
         draws = [slack_ceil(1.2 * m) for m in DRAW_CORPUS.sizes().tolist()]
     draws = np.array(draws, np.int64)
     uniforms = np.random.default_rng(seed).random(int(draws.sum()))
-    contexts = np.full(len(uniforms) + len(draws), SIZE_PAIR, dtype=np.int32)
+    contexts = np.full(len(uniforms), -1, dtype=np.int32)
     return [weights, DRAW_CORPUS.offsets, DRAW_CORPUS.node_idx, draws, uniforms, contexts]
 
 
@@ -152,7 +152,7 @@ def context_over_node_idx(args):
 def empty_first_cascade(args):
     weights, offsets, node_idx, draws, uniforms, contexts = args
     return [weights, np.concatenate([[0], offsets]), node_idx, np.concatenate([[0], draws]),
-            uniforms, np.concatenate([[SIZE_PAIR], contexts]).astype(np.int32)]
+            uniforms, contexts]
 
 
 # Each makes draw_args's arguments ones draw_contexts does not take: of
@@ -270,9 +270,8 @@ def test_draw_contexts_splits_at_choice_s_own_cdf(direct_library):
         x = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0.0)])
         uniforms.append(x)
         want.append(node_idx[a:b][cdf.searchsorted(x, side="right")])
-        want.append([SIZE_PAIR])
     draws = np.array([len(x) for x in uniforms], dtype=np.int64)
-    contexts = np.full(int(draws.sum()) + len(sizes), SIZE_PAIR, dtype=np.int32)
+    contexts = np.full(int(draws.sum()), -1, dtype=np.int32)
     args = weights, offsets, node_idx, draws, np.concatenate(uniforms), contexts
     assert direct_library.draw_contexts(*args) is True
     assert np.array_equal(contexts, np.concatenate(want))
@@ -289,9 +288,9 @@ def test_draw_contexts_takes_any_count_of_draws_as_choice(direct_library, cascad
     corpus = parse_cascades(lines)
     weights = sampling_weights(corpus)
     draws = np.array([n for _, n in cascades], dtype=np.int64)
-    want = np.full(int(draws.sum()) + len(draws), SIZE_PAIR, dtype=np.int32)
+    want = np.full(int(draws.sum()), -1, dtype=np.int32)
     choice_contexts(corpus, weights, draws, seed, want)
-    got = np.full_like(want, SIZE_PAIR)
+    got = np.full_like(want, -1)
     uniforms = np.random.default_rng(seed).random(int(draws.sum()))
     assert direct_library.draw_contexts(weights, corpus.offsets, corpus.node_idx, draws,
                                         uniforms, got) is True

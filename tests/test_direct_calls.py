@@ -67,10 +67,9 @@ def test_pipeline_is_identical_when_a_direct_function_is_missing(tmp_path, monke
     # both calls refuse arrays they would take with every function found
     model = shaped_model(3, 13)
     ws = StepWorkspace(model)
-    stream = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int32)
     losses = np.full(1, np.nan)
-    assert lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, *stream, 0,
-                              0.1, ws.bound, ws.bias_bound) is None
+    assert lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, 0,
+                              np.zeros(1, dtype=np.int32), 0.1, ws.bound, ws.bias_bound) is None
     assert np.isnan(losses).all()
     args = draw_args()
     assert direct_library.draw_contexts(*draw_args()) is True

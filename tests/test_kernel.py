@@ -26,7 +26,7 @@ from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cascades import load_cascades
 from iminfector.cli import main
-from iminfector.context import SIZE_PAIR, TrainingStream, build_training_stream
+from iminfector.context import TrainingStream, build_training_stream
 from iminfector.diffusion import load_matrix
 from iminfector.model import ModelConfig, StepWorkspace, init_model, step_classify, train
 from iminfector.synth import generate_corpus
@@ -632,25 +632,25 @@ def test_kernel_workspace_takes_numpy_update_when_arrays_change(direct_library, 
         assert (ws.update is None) == (s < 2)
 
 
-def loop_args(model, ws, influencer, context, losses, start=0, lr=0.1):
+def loop_args(model, ws, u, context, losses, lr=0.1):
     """classify_pairs' arguments on the arrays of ``model`` and ``ws``."""
-    return (model.O, model.T, model.b_t, ws.phi, ws.grad, losses, influencer, context, start, lr,
-            ws.bound, ws.bias_bound)
+    return (model.O, model.T, model.b_t, ws.phi, ws.grad, losses, u, context, lr, ws.bound,
+            ws.bias_bound)
 
 
-# The misfits of the stream's arrays: the loop refuses them, but takes the
-# model's and the workspace's.
-STREAM_MISFITS = ("int64 context", "int32 influencer")
+# The misfits of the stream's influencer and context: the loop refuses
+# them, but takes the model's and the workspace's arrays.
+STREAM_MISFITS = ("int64 context", "u past the rows of O", "negative u", "u past int64")
 
 
 def loop_misfits():
-    """(what, model, ws, influencer, context) for each set of arrays the C
-    loop cannot take: the model's, the workspace's or the stream's."""
+    """(what, model, ws, u, context) for each set of arguments the C loop
+    cannot take: the model's arrays, the workspace's or the stream's
+    influencer and context."""
     rng = np.random.default_rng(47)
     base = random_model(rng, 3, 9, 4)
     shared = np.zeros(4 * 9 + 9)
-    stream = dict(influencer=np.array([0, 1, 2], dtype=np.int64),
-                  context=np.array([1, 2, 3], dtype=np.int32))
+    stream = dict(u=1, context=np.array([1, 2, 3], dtype=np.int32))
     misfits = {
         "T in Fortran order": dict(T=np.asfortranarray(base.T)),
         "float32 b_t": dict(b_t=base.b_t.astype(np.float32)),
@@ -660,7 +660,9 @@ def loop_misfits():
         "b_t too short": dict(b_t=base.b_t[:8].copy()),
         "phi and grad overlap": dict(phi=shared[:9], grad=shared[5:9]),
         "int64 context": dict(context=stream["context"].astype(np.int64)),
-        "int32 influencer": dict(influencer=stream["influencer"].astype(np.int32)),
+        "u past the rows of O": dict(u=3),
+        "negative u": dict(u=-1),
+        "u past int64": dict(u=2**64 + 1),
     }
     for what, arrays in misfits.items():
         model = copy_model(base)
@@ -671,18 +673,19 @@ def loop_misfits():
                 pairs[name] = value
             else:
                 setattr(ws if name in ("phi", "grad") else model, name, value)
-        yield what, model, ws, pairs["influencer"], pairs["context"]
-    yield "fits", base, StepWorkspace(base), stream["influencer"], stream["context"]
+        yield what, model, ws, pairs["u"], pairs["context"]
+    yield "fits", base, StepWorkspace(base), stream["u"], stream["context"]
 
 
 def assert_misfits_refused(lib):
     """classify_pairs takes the pairs of arrays that fit, and returns None for
-    each misfit, having taken no pair and changed nothing; its call on an
-    empty stream tells the two apart for the model's and workspace's arrays."""
-    for what, model, ws, influencer, context in loop_misfits():
+    each misfit, having taken no pair and changed nothing; its call on no
+    pairs of influencer 0 tells the two apart for the model's and
+    workspace's arrays."""
+    for what, model, ws, u, context in loop_misfits():
         before = copy_model(model)
         losses = np.full(3, np.nan)
-        taken = lib.classify_pairs(*loop_args(model, ws, influencer, context, losses))
+        taken = lib.classify_pairs(*loop_args(model, ws, u, context, losses))
         if what == "fits":
             assert taken[0] == 3 and not np.isnan(losses).any()
         else:
@@ -702,9 +705,9 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library, 
     # that ran, with its bits.
     assert_misfits_refused(direct_library)
     rng = np.random.default_rng(67)
-    context = np.where(np.arange(40) % 5 == 4, SIZE_PAIR, rng.integers(0, 9, 40)).astype(np.int32)
-    stream = TrainingStream(rng.integers(0, 3, 40), context,
-                            np.where(context == SIZE_PAIR, rng.uniform(size=40), np.nan))
+    # 40 pairs: 8 cascades of 4 contexts and a size pair
+    stream = TrainingStream(rng.integers(0, 3, 8), rng.uniform(size=8), np.arange(0, 33, 4),
+                            rng.integers(0, 9, 32).astype(np.int32))
     cfg = ModelConfig(embed_dim=4, learning_rate=0.1, epochs=2)
     for (what, model, *_), (_, want, *_) in zip(loop_misfits(), loop_misfits()):
         if what not in (*NUMPY_MISFITS, "fits"):
@@ -721,19 +724,17 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library, 
 
 
 def assert_bounds_returned(lib):
-    """A stretch of the loop from inf bounds returns the finite bounds that
+    """A call of the loop from inf bounds returns the finite bounds that
     the same steps leave in a workspace of step_classify, bit for bit."""
     rng = np.random.default_rng(61)
     ref = random_model(rng, 3, 13, 4)
     new = copy_model(ref)
-    influencer = np.array([0, 1, 2, 0, 1], dtype=np.int64)
     context = np.array([1, 5, 12, 0, 7], dtype=np.int32)
     ws_ref, ws = StepWorkspace(ref), StepWorkspace(new)
     losses = np.full(5, np.nan)
     with model_module._sgd_numpy():
-        want = [step_classify(ref, u, y, 0.1, ws_ref)
-                for u, y in zip(influencer.tolist(), context.tolist())]
-        stop, bound, bias_bound = lib.classify_pairs(*loop_args(new, ws, influencer, context, losses))
+        want = [step_classify(ref, 1, y, 0.1, ws_ref) for y in context.tolist()]
+        stop, bound, bias_bound = lib.classify_pairs(*loop_args(new, ws, 1, context, losses))
     assert (ws.bound, ws.bias_bound) == (math.inf, math.inf)
     assert stop == 5 and losses.tolist() == want
     assert math.isfinite(bound) and math.isfinite(bias_bound)
@@ -754,39 +755,30 @@ class Real:
 
 def assert_argument_errors(lib):
     """Each call of lib.classify_pairs with a bad argument raises its error
-    and changes nothing: not O, T, b_t or the losses. The start is read and
-    checked before the rate and the bounds."""
+    and changes nothing: not O, T, b_t or the losses. The influencer is read
+    and checked before the rate and the bounds."""
     model = random_model(np.random.default_rng(59), 3, 11, 4)
     before = copy_model(model)
     ws = StepWorkspace(model)
     losses = np.full(3, 7.0)
-    pairs = np.array([0, 1, 2], dtype=np.int64), np.array([1, 2, 3], dtype=np.int32)
-    arrays = loop_args(model, ws, *pairs, losses)[:8]
+    arrays = loop_args(model, ws, 0, np.array([1, 2, 3], dtype=np.int32), losses)[:8]
     cases = [
-        (TypeError, (*arrays, 0, 0.1, 2.0)),
-        (TypeError, (*arrays, 0, 0.1, 2.0, 3.0, None)),
-        (TypeError, (*arrays[:5], None, *arrays[6:], 0, 0.1, 2.0, 3.0)),
-        (ValueError, (*arrays, -1, 0.1, 2.0, 3.0)),
-        (ValueError, (*arrays, 4, 0.1, 2.0, 3.0)),
-        (TypeError, (*arrays, 0, "x", 2.0, 3.0)),
-        (TypeError, (*arrays, 0, 0.1, None, 3.0)),
-        (TypeError, (*arrays, 0, 0.1, 2.0, "x")),
+        (TypeError, (*arrays, 0.1, 2.0)),
+        (TypeError, (*arrays, 0.1, 2.0, 3.0, None)),
+        (TypeError, (*arrays, "x", 2.0, 3.0)),
+        (TypeError, (*arrays, 0.1, None, 3.0)),
+        (TypeError, (*arrays, 0.1, 2.0, "x")),
     ]
-    cases += [(TypeError, (*arrays, start, lr, 2.0, 3.0))
-              for start in ("0", 0.5) for lr in (0.1, Real(), Fraction(1, 10))]
+    cases += [(TypeError, (*arrays[:6], u, arrays[7], lr, 2.0, 3.0))
+              for u in ("0", 0.5) for lr in (0.1, Real(), Fraction(1, 10))]
     for error, args in cases:
         with pytest.raises(error):
             lib.classify_pairs(*args)
-        assert_same_model(before, model, repr(args[8:]))
-        assert (losses == 7.0).all(), args[8:]
-    # a start outside the stream raises even where the loop cannot take the
-    # arrays, which would otherwise return None
-    fortran = (arrays[0], np.asfortranarray(model.T), *arrays[2:])
-    for start in (-1, 4):
-        with pytest.raises(ValueError):
-            lib.classify_pairs(*fortran, start, 0.1, 2.0, 3.0)
-        assert_same_model(before, model, f"Fortran-order T, start {start}")
-        assert (losses == 7.0).all(), start
+        assert_same_model(before, model, repr(args[6:]))
+        assert (losses == 7.0).all(), args[6:]
+    # losses that are not an array are refused as arrays of another kind are
+    assert lib.classify_pairs(*arrays[:5], None, *arrays[6:], 0.1, 2.0, 3.0) is None
+    assert_same_model(before, model, "no losses")
 
 
 def test_loop_refuses_bad_arguments_and_changes_nothing(direct_library):

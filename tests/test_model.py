@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cascades import parse_cascades
-from iminfector.context import SIZE_PAIR, TrainingStream, build_training_stream
+from iminfector.context import TrainingStream, build_training_stream
 from iminfector.exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
 from iminfector.model import (
     SGD_BUFSIZE,
@@ -27,6 +28,7 @@ from iminfector.model import (
     train,
 )
 from iminfector.synth import generate_corpus
+from test_columnar_equivalence import stream_pairs
 
 
 def ids(prefix, n):
@@ -316,9 +318,9 @@ def loop_matches_at(lib, E, N):
 
 def takes_arrays(lib, model, ws):
     """Whether the C loop of ``lib`` takes the arrays of ``model`` and
-    ``ws``: its call on a stream of no pairs returns None where it does not."""
-    no_pairs = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
-    return model_module._take_pairs(lib, model, ws, *no_pairs, 0, 0.0, np.empty(0)) is not None
+    ``ws``: its call on no pairs of influencer 0 returns None where it does not."""
+    no_pairs = np.empty(0, dtype=np.int32)
+    return model_module._take_pairs(lib, model, ws, 0, no_pairs, 0.0, np.empty(0)) is not None
 
 
 def loop_takes(lib, model, ws):
@@ -332,18 +334,17 @@ def loop_step(lib=None):
     """step_classify(model, u, y, lr, ws) through the C loop of ``lib``
     (default: the package's library): the pair alone in a stream, taken by
     step_classify if the loop does not take it, as train does. The loop must
-    take the pair unless it refuses the arrays or the pair is out of range."""
+    take the pair unless it refuses the arrays or u, or y is out of range."""
     lib = lib or _native.load()
 
     def step(model, u, y, lr, ws):
         takes = takes_arrays(lib, model, ws)
         if takes and not loop_matches_at(lib, *model.T.shape):
             return step_classify(model, u, y, lr, ws)
-        in_range = 0 <= u < model.O.shape[0] and 0 <= y < model.T.shape[1]
-        want = None if not takes else 1 if in_range else 0
+        takes = takes and 0 <= u < model.O.shape[0]
+        want = None if not takes else 1 if 0 <= y < model.T.shape[1] else 0
         losses = np.full(1, np.nan)
-        pair = np.array([u], dtype=np.int64), np.array([y], dtype=np.int32)
-        stop = model_module._take_pairs(lib, model, ws, *pair, 0, lr, losses)
+        stop = model_module._take_pairs(lib, model, ws, u, np.array([y], dtype=np.int32), lr, losses)
         if stop == ~0:
             raise NonFiniteUpdate("classification step produced a non-finite value")
         assert stop == want, (stop, want)
@@ -353,21 +354,26 @@ def loop_step(lib=None):
 
 
 def loop_until_raise(model, steps):
-    """run_until_raise(step, model, steps) for steps of one rate, all in
-    one call of the package's C loop, or by the numpy step where the loop
-    may not take the model."""
+    """run_until_raise(step, model, steps) for steps of one rate, each run
+    of steps of one influencer in one call of the package's C loop, as
+    train takes a cascade's, or by the numpy step where the loop may not
+    take the model."""
     lib = _native.load()
     ws = StepWorkspace(model)
     if not loop_takes(lib, model, ws):
         return run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), model, steps)
     (lr,) = {lr for _, lr in steps}
-    pairs = list(zip(*(pair for pair, _ in steps)))
-    influencer, context = np.array(pairs[0], dtype=np.int64), np.array(pairs[1], dtype=np.int32)
-    losses = np.full(len(steps), np.nan)
-    stop = model_module._take_pairs(lib, model, ws, influencer, context, 0, lr, losses)
-    # the loop took the pairs: it stopped at the end or at a raise
-    assert stop is not None and (stop < 0 or stop == len(steps)), stop
-    return (losses.tolist(), None) if stop >= 0 else (losses[:~stop].tolist(), ~stop)
+    losses = []
+    for u, run in itertools.groupby((pair for pair, _ in steps), key=lambda pair: pair[0]):
+        context = np.array([y for _, y in run], dtype=np.int32)
+        taken = np.full(len(context), np.nan)
+        stop = model_module._take_pairs(lib, model, ws, u, context, lr, taken)
+        # the loop took the pairs: it stopped at the end or at a raise
+        assert stop is not None and (stop < 0 or stop == len(context)), stop
+        if stop < 0:
+            return losses + taken[:~stop].tolist(), len(losses) + ~stop
+        losses += taken.tolist()
+    return losses, None
 
 
 def workspace_step(path):
@@ -384,13 +390,12 @@ def reference_train(corpus, cfg, streams):
     epochs = []
     for epoch, stream in enumerate(streams):
         classify, regress = [], []
-        pairs = zip(stream.influencer.tolist(), stream.context.tolist(), stream.size_target.tolist())
-        for step, (u, v, y_c) in enumerate(pairs):
+        for step, (kind, u, target) in enumerate(stream_pairs(stream)):
             try:
-                if v != SIZE_PAIR:
-                    classify.append(reference_step_classify(ref, u, v, cfg.learning_rate))
+                if kind == "C":
+                    classify.append(reference_step_classify(ref, u, target, cfg.learning_rate))
                 else:
-                    regress.append(step_regress(ref, u, y_c, cfg.learning_rate))
+                    regress.append(step_regress(ref, u, target, cfg.learning_rate))
             except NonFiniteUpdate as exc:
                 # where it raised, and the model as the raise left it
                 exc.epoch, exc.step, exc.model = epoch, step, ref
@@ -666,22 +671,38 @@ def test_train_scopes_the_small_ufunc_buffer(step_paths):
         assert seen == {"stream": {4096}, "step": want}, name
 
 
-# Streams of a model of 3 influencers and 4 nodes, each with the start of
-# its error after "stream for epoch k: ": its first bad pair (an
-# influencer outside [0, 3), a context neither SIZE_PAIR nor in [0, 4)),
-# arrays of different lengths, or an array of non-integers. A list is
-# made an int64 influencer or an int32 context.
+# Streams of a model of 3 influencers and 4 nodes, each a change of GOOD's
+# arrays with the start of its error after "stream for epoch k: ": its
+# first bad influencer (outside [0, 3)) or context (outside [0, 4)),
+# arrays of lengths that do not fit, offsets that do not run from 0 to the
+# contexts, or an array of non-integers. A list is made an int64
+# influencer or offsets, an int32 context.
+GOOD = dict(influencer=[0, 1, 2], size_target=[0.2, 0.5, 0.8], offsets=[0, 1, 2, 2], context=[1, 3])
 BAD_STREAMS = {
-    "negative influencers and context": ([-1, 0, -3], [1, -2, SIZE_PAIR], r"pair 0 \("),
-    "influencer past the rows of O": ([0, 3, 1], [1, 2, SIZE_PAIR], r"pair 1 \("),
-    "context past the columns of T": ([0, 1, 2], [3, 4, SIZE_PAIR], r"pair 1 \("),
-    "context below SIZE_PAIR": ([0, 1, 2], [1, 2, -2], r"pair 2 \("),
-    "context one short": ([0, 1, 2], [1, 2], "influencer, context and size_target hold"),
+    "negative influencers and context": (dict(influencer=[-1, 0, -3], context=[1, -2]),
+                                         r"influencer 0 \(-1\)"),
+    "influencer past the rows of O": (dict(influencer=[0, 3, 1]), r"influencer 1 \(3\)"),
+    "context past the columns of T": (dict(context=[3, 4]), r"context 1 \(4\)"),
+    "context of -1": (dict(context=[1, -1]), r"context 1 \(-1\)"),
+    "context one short": (dict(context=[1]), "offsets do not run from 0"),
     # int32 would wrap it to 1, a column of T
-    "int64 context past int32": ([0, 1, 2], np.array([1, 2**32 + 1, SIZE_PAIR]), r"pair 1 \("),
-    "NaN influencer": (np.array([0, np.nan, 2]), [1, 2, SIZE_PAIR], "influencer holds float64"),
-    "half a context": ([0, 1, 2], np.array([1, 0.5, SIZE_PAIR]), "context holds float64"),
+    "int64 context past int32": (dict(context=np.array([1, 2**32 + 1])), r"context 1 \(4294967297\)"),
+    "NaN influencer": (dict(influencer=np.array([0, np.nan, 2])), "influencer holds float64"),
+    "half a context": (dict(context=np.array([1, 0.5])), "context holds float64"),
+    "float offsets": (dict(offsets=np.array([0.0, 1, 2, 2])), "offsets holds float64"),
+    "offsets from 1": (dict(offsets=[1, 1, 2, 2]), "offsets do not run from 0"),
+    "descending offsets": (dict(offsets=[0, 2, 1, 2]), "offsets do not run from 0"),
+    "an offset short": (dict(offsets=[0, 1, 2]), "influencer, size_target and offsets hold 3, 3 and 3"),
+    "a size target short": (dict(size_target=[0.2, 0.5]),
+                            "influencer, size_target and offsets hold 3, 2 and 4"),
 }
+
+
+def stream_of(influencer, size_target, offsets, context):
+    def array(values, dtype):
+        return np.asarray(values, dtype=getattr(values, "dtype", dtype))
+    return TrainingStream(array(influencer, np.int64), np.asarray(size_target),
+                          array(offsets, np.int64), array(context, np.int32))
 
 
 @pytest.mark.parametrize("case", sorted(BAD_STREAMS))
@@ -690,14 +711,10 @@ def test_train_refuses_a_stream_outside_the_model(step_paths, case, epoch):
     # The numpy steps would index a negative influencer or context from the
     # end, or a float one rounded down: train raises before the epoch takes
     # a step, on either path.
-    influencer, context, error = BAD_STREAMS[case]
-    size_target = np.array([np.nan, np.nan, 0.5])
-    good = TrainingStream(np.array([0, 1, 2], dtype=np.int64),
-                          np.array([1, 3, SIZE_PAIR], dtype=np.int32), size_target)
+    change, error = BAD_STREAMS[case]
+    good = stream_of(**GOOD)
     streams = [good, good]
-    streams[epoch] = TrainingStream(np.asarray(influencer, dtype=getattr(influencer, "dtype", np.int64)),
-                                    np.asarray(context, dtype=getattr(context, "dtype", np.int32)),
-                                    size_target)
+    streams[epoch] = stream_of(**{**GOOD, **change})
     cfg = ModelConfig(embed_dim=2, learning_rate=0.1, epochs=2)
     for path in step_paths:
         model = random_model(np.random.default_rng(71), 3, 4, 2)
@@ -713,16 +730,17 @@ def test_train_refuses_a_stream_outside_the_model(step_paths, case, epoch):
 @pytest.mark.parametrize("widths", [(np.int32, np.int32), (np.int64, np.int64)],
                          ids=["int32 influencer", "int64 context"])
 def test_train_takes_a_stream_of_other_integer_widths(widths, kernel_name, kernel_isa):
-    # train hands the C loop the int64 influencer and int32 context it
-    # takes, whatever the widths of the stream: the bits of the stream as
-    # build_training_stream makes it, on the same path
+    # train hands the C loop the int32 context it takes, whatever the
+    # widths of the stream: the bits of the stream as build_training_stream
+    # makes it, on the same path. The int32 case has int32 offsets too.
     corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
     cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=2, rng_seed=4)
     streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
     want, want_report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()),
                               streams.__getitem__, cfg)
-    other = [TrainingStream(s.influencer.astype(widths[0]), s.context.astype(widths[1]),
-                            s.size_target, s.draws) for s in streams]
+    other = [TrainingStream(s.influencer.astype(widths[0]), s.size_target,
+                            s.offsets.astype(widths[0]), s.context.astype(widths[1]), s.draws)
+             for s in streams]
     model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()),
                           other.__getitem__, cfg)
     assert (report.classify_kernel, report.classify_isa) == (kernel_name, kernel_isa)
@@ -762,17 +780,15 @@ def test_replaced_step_classify_sees_every_classify_step(native_library, monkeyp
     model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
     assert report.classify_kernel == "numpy" and report.classify_isa is None
     assert len(calls) == sum(report.classify_steps) == sum(steps for *_, steps, _ in want)
-    assert calls == [
-        (u, v) for s in streams for u, v in zip(s.influencer.tolist(), s.context.tolist()) if v != SIZE_PAIR
-    ]
+    assert calls == [(u, v) for s in streams for kind, u, v in stream_pairs(s) if kind == "C"]
     assert_same_model(model, ref, "replaced step_classify")
 
 
 @pytest.mark.parametrize("lr", [1e5, 2.0])
 def test_train_raises_where_the_reference_loop_does(step_paths, lr):
     # 1e5 makes the first classify step's loss -log(0); at 2 the model
-    # overflows at step 15, in the loop's second stretch (the first size
-    # pair is step 10). Both paths raise at the epoch and step where the
+    # overflows at step 15, in the second cascade (the first size pair is
+    # step 10). Both paths raise at the epoch and step where the
     # reference loop does, and leave the model as it does.
     corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
     cfg = ModelConfig(embed_dim=8, learning_rate=lr, epochs=2, rng_seed=4)
