@@ -1,6 +1,7 @@
 /* The package's native library: the classify step's loop with its
  * T update, the context draws of the training stream, a scanner and a
- * writer for the cascade text format, and a scanner for edge lists.
+ * writer for the cascade text format, a scanner for edge lists, and the
+ * canonical events of raw cascades and the distinct edges of an edge list.
  * _native.py builds it on first use against this interpreter's Python.h
  * and numpy's headers and loads it once, as the extension module
  * iminfector._native_lib. Its functions take arrays and numbers only, no
@@ -1061,6 +1062,268 @@ static PyObject *write_cascades(PyObject *Py_UNUSED(module), PyObject *const *ar
     return text;
 }
 
+/* ---- Canonical events and distinct edges ----
+ *
+ * canonical_events(initiator, offsets, node_idx, times, out_offsets,
+ * out_node_idx, out_times, n_ids) puts the raw cascades of build_corpus in
+ * canonical form: per cascade, its events sorted by time, stably, so that
+ * equal times keep their input order as np.lexsort keeps them; of each
+ * node only its first event in that order; and none of the initiator. The
+ * cascades' events go to out_node_idx and out_times, compacted, cascade i's
+ * at out_offsets[i]:out_offsets[i+1]. Each cascade is copied into room
+ * for the longest one, and sorted there (sort_events) only if its times
+ * descend somewhere. Each id carries a stamp, as in the scanner: the
+ * initiator is stamped first, and an event whose id already carries its
+ * cascade's stamp is dropped. So the pass is linear in the events, and
+ * needs no room of the corpus's size.
+ *
+ * distinct_edges(src, dst, out_src, out_dst, n_ids) writes the edges
+ * src[k] -> dst[k] to out_src and out_dst, in their order, less self-loops
+ * and all but the first of each repeated pair. It lists the edges of each
+ * source in a bucket, in order, in out_dst; marks in out_src each edge
+ * whose target its source's bucket has not stamped; and compacts the
+ * marked edges. So it sorts no keys, and takes time linear in the edges
+ * and the ids.
+ *
+ * initiator, node_idx, src and dst are int32 arrays of indices into an id
+ * table of n_ids ids, and their outputs int32 arrays; offsets and times
+ * are int64. Every array is one-dimensional, C-contiguous and aligned, the
+ * outputs writable and apart from every other array. offsets, one more
+ * than the cascades, ascend from 0 to len(node_idx) = len(times), and each
+ * output is as long as its input. Each returns the number of events or
+ * edges it kept, or -1, having written nothing, for arrays it cannot take,
+ * an index out of range or a lack of memory. */
+
+enum { C_INITIATOR, C_OFFSETS, C_NODE_IDX, C_TIMES, C_OUT_OFFSETS, C_OUT_NODE_IDX, C_OUT_TIMES,
+       C_N_IDS, N_CANONICAL };
+static const struct param CANONICAL_ARGS[C_N_IDS] = {{I32, 1, 0}, {I64, 1, 0}, {I32, 1, 0},
+                                                     {I64, 1, 0}, {I64, 1, 1}, {I32, 1, 1},
+                                                     {I64, 1, 1}};
+enum { EDGE_SRC, EDGE_DST, EDGE_OUT_SRC, EDGE_OUT_DST, EDGE_N_IDS, N_DISTINCT };
+static const struct param DISTINCT_ARGS[EDGE_N_IDS] = {{I32, 1, 0}, {I32, 1, 0}, {I32, 1, 1},
+                                                    {I32, 1, 1}};
+
+/* The n_ids argument of either function: the count, or -1 if it is
+ * negative or past long long, or -2 with a Python error set. */
+static long long count_of(PyObject *arg)
+{
+    int overflow;
+    const long long n = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    if (n == -1 && PyErr_Occurred())
+        return -2;
+    return n < 0 || overflow ? -1 : n;
+}
+
+/* Whether no output of the n views, those from first on, overlaps another
+ * view. */
+static int outputs_apart(const Py_buffer *view, int first, int n)
+{
+    for (int a = first; a < n; a++)
+        for (int b = 0; b < n; b++)
+            if (a != b && overlap(&view[a], &view[b]))
+                return 0;
+    return 1;
+}
+
+/* Whether all n entries of index are in [0, n_ids). */
+static int in_range(const int32_t *index, Py_ssize_t n, long long n_ids)
+{
+    for (Py_ssize_t k = 0; k < n; k++)
+        if (index[k] < 0 || index[k] >= n_ids)
+            return 0;
+    return 1;
+}
+
+struct event {
+    int64_t time;
+    int32_t node;
+};
+
+enum { SHORT = 16 }; /* events insertion-sorted; longer cascades take the radix sort */
+
+/* Sorts the m events of a by time, stably, with b as room for m more;
+ * returns a or b, whichever holds them sorted. Up to SHORT events take an
+ * insertion sort; more take a least-significant-digit radix sort, one byte
+ * of time - min per pass, for as many bytes as max - min has. */
+static struct event *sort_events(struct event *a, struct event *b, size_t m)
+{
+    if (m <= SHORT) {
+        for (size_t k = 1; k < m; k++) {
+            const struct event e = a[k];
+            size_t j = k;
+            for (; j > 0 && a[j - 1].time > e.time; j--)
+                a[j] = a[j - 1];
+            a[j] = e;
+        }
+        return a;
+    }
+    int64_t min = a[0].time, max = a[0].time;
+    for (size_t k = 1; k < m; k++) {
+        min = a[k].time < min ? a[k].time : min;
+        max = a[k].time > max ? a[k].time : max;
+    }
+    /* unsigned, so that no difference of two int64 overflows */
+    const uint64_t base = (uint64_t)min, range = (uint64_t)max - base;
+    for (int shift = 0; shift < 64 && range >> shift; shift += 8) {
+        size_t at[256] = {0};
+        for (size_t k = 0; k < m; k++)
+            at[((uint64_t)a[k].time - base) >> shift & 255]++;
+        for (size_t d = 0, sum = 0; d < 256; d++) {
+            const size_t count = at[d];
+            at[d] = sum;
+            sum += count;
+        }
+        /* each digit's events keep their order: stable */
+        for (size_t k = 0; k < m; k++)
+            b[at[((uint64_t)a[k].time - base) >> shift & 255]++] = a[k];
+        struct event *const t = a;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* Whether the arrays of view are those canonical_events takes, with n_ids
+ * ids; if so, the longest cascade in *longest. */
+static int fits_canonical(const Py_buffer *view, long long n_ids, Py_ssize_t *longest)
+{
+    const int64_t *const offsets = view[C_OFFSETS].buf;
+    const Py_ssize_t cascades = view[C_INITIATOR].shape[0], events = view[C_TIMES].shape[0];
+    if (view[C_OFFSETS].shape[0] != cascades + 1 || view[C_OUT_OFFSETS].shape[0] != cascades + 1 ||
+        view[C_NODE_IDX].shape[0] != events || view[C_OUT_NODE_IDX].shape[0] != events ||
+        view[C_OUT_TIMES].shape[0] != events || offsets[0] != 0 || offsets[cascades] != events ||
+        !outputs_apart(view, C_OUT_OFFSETS, C_N_IDS))
+        return 0;
+    *longest = 0;
+    for (Py_ssize_t i = 0; i < cascades; i++) {
+        /* offsets ascend from 0, so no difference overflows */
+        if (offsets[i + 1] < offsets[i])
+            return 0;
+        if (offsets[i + 1] - offsets[i] > *longest)
+            *longest = (Py_ssize_t)(offsets[i + 1] - offsets[i]);
+    }
+    return in_range(view[C_INITIATOR].buf, cascades, n_ids) &&
+           in_range(view[C_NODE_IDX].buf, events, n_ids);
+}
+
+/* Writes the canonical events of view's cascades, fitted, with a stamp per
+ * id, all 0, and room for twice the longest cascade; the events kept. */
+static int64_t write_canonical(const Py_buffer *view, int64_t *stamp, struct event *room,
+                               size_t longest)
+{
+    const int32_t *const initiator = view[C_INITIATOR].buf, *const node_idx = view[C_NODE_IDX].buf;
+    const int64_t *const offsets = view[C_OFFSETS].buf, *const times = view[C_TIMES].buf;
+    int64_t *const out_offsets = view[C_OUT_OFFSETS].buf, *const out_times = view[C_OUT_TIMES].buf;
+    int32_t *const out_node_idx = view[C_OUT_NODE_IDX].buf;
+    int64_t kept = 0;
+    out_offsets[0] = 0;
+    for (Py_ssize_t i = 0; i < view[C_INITIATOR].shape[0]; i++) {
+        const int64_t a = offsets[i], mark = i + 1;
+        const size_t m = (size_t)(offsets[i + 1] - a);
+        int descends = 0;
+        for (size_t e = 0; e < m; e++) {
+            room[e] = (struct event){times[a + (int64_t)e], node_idx[a + (int64_t)e]};
+            descends |= e && room[e].time < room[e - 1].time;
+        }
+        const struct event *const sorted = descends ? sort_events(room, room + longest, m) : room;
+        stamp[initiator[i]] = mark;
+        for (size_t e = 0; e < m; e++)
+            if (stamp[sorted[e].node] != mark) {
+                stamp[sorted[e].node] = mark;
+                out_node_idx[kept] = sorted[e].node;
+                out_times[kept++] = sorted[e].time;
+            }
+        out_offsets[i + 1] = kept;
+    }
+    return kept;
+}
+
+static PyObject *canonical_events(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    if (check_count("canonical_events", nargs, N_CANONICAL))
+        return NULL;
+    const long long n_ids = count_of(args[C_N_IDS]);
+    if (n_ids == -2)
+        return NULL;
+    Py_buffer view[C_N_IDS] = {{0}};
+    Py_ssize_t longest = 0;
+    int64_t kept = -1, *stamp = NULL;
+    struct event *room = NULL;
+    if (n_ids >= 0 && !take_all(args, CANONICAL_ARGS, C_N_IDS, view) &&
+        fits_canonical(view, n_ids, &longest) &&
+        (stamp = calloc(n_ids ? (size_t)n_ids : 1, sizeof *stamp)) != NULL &&
+        (room = malloc(2 * (size_t)(longest ? longest : 1) * sizeof *room)) != NULL)
+        kept = write_canonical(view, stamp, room, (size_t)longest);
+    free(room);
+    free(stamp);
+    release(view, C_N_IDS);
+    return PyLong_FromLongLong(kept);
+}
+
+/* Whether the arrays of view are those distinct_edges takes, with n_ids
+ * ids. */
+static int fits_distinct(const Py_buffer *view, long long n_ids)
+{
+    const Py_ssize_t edges = view[EDGE_SRC].shape[0];
+    /* an edge's index is kept in an int32 entry of out_dst */
+    return edges <= INT32_MAX && view[EDGE_DST].shape[0] == edges &&
+           view[EDGE_OUT_SRC].shape[0] == edges && view[EDGE_OUT_DST].shape[0] == edges &&
+           outputs_apart(view, EDGE_OUT_SRC, EDGE_N_IDS) &&
+           in_range(view[EDGE_SRC].buf, edges, n_ids) && in_range(view[EDGE_DST].buf, edges, n_ids);
+}
+
+/* Writes the distinct edges of view's arrays, fitted, with start and stamp
+ * as room for n_ids + 1 and n_ids entries, all 0; the edges kept. */
+static int64_t distinct(const Py_buffer *view, int64_t *start, int64_t *stamp, long long n_ids)
+{
+    const int32_t *const src = view[EDGE_SRC].buf, *const dst = view[EDGE_DST].buf;
+    int32_t *const out_src = view[EDGE_OUT_SRC].buf, *const bucket = view[EDGE_OUT_DST].buf;
+    const Py_ssize_t edges = view[EDGE_SRC].shape[0];
+    /* start[u] is where source u's bucket begins, then, once it is filled,
+     * where it ends */
+    for (Py_ssize_t k = 0; k < edges; k++)
+        start[src[k] + 1]++;
+    for (long long u = 0; u < n_ids; u++)
+        start[u + 1] += start[u];
+    for (Py_ssize_t k = 0; k < edges; k++)
+        bucket[start[src[k]]++] = (int32_t)k;
+    for (long long u = 0, p = 0; u < n_ids; u++)
+        for (; p < start[u]; p++) {
+            const int32_t k = bucket[p], v = dst[k];
+            out_src[k] = v != u && stamp[v] != u + 1;
+            stamp[v] = u + 1;
+        }
+    int64_t kept = 0;
+    for (Py_ssize_t k = 0; k < edges; k++)
+        if (out_src[k]) {
+            out_src[kept] = src[k];
+            bucket[kept++] = dst[k];
+        }
+    return kept;
+}
+
+static PyObject *distinct_edges(PyObject *Py_UNUSED(module), PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    if (check_count("distinct_edges", nargs, N_DISTINCT))
+        return NULL;
+    const long long n_ids = count_of(args[EDGE_N_IDS]);
+    if (n_ids == -2)
+        return NULL;
+    Py_buffer view[EDGE_N_IDS] = {{0}};
+    int64_t kept = -1, *start = NULL, *stamp = NULL;
+    if (n_ids >= 0 && !take_all(args, DISTINCT_ARGS, EDGE_N_IDS, view) &&
+        fits_distinct(view, n_ids) &&
+        (start = calloc((size_t)n_ids + 1, sizeof *start)) != NULL &&
+        (stamp = calloc(n_ids ? (size_t)n_ids : 1, sizeof *stamp)) != NULL)
+        kept = distinct(view, start, stamp, n_ids);
+    free(stamp);
+    free(start);
+    release(view, EDGE_N_IDS);
+    return PyLong_FromLongLong(kept);
+}
+
 /* Sets the module's isa to the fused_t_update copy that runs: "avx512f",
  * "avx2" or "baseline". The resolver picks the first copy CLONES lists
  * that the CPU supports, and this tests the CPU in the same order. Then
@@ -1088,6 +1351,11 @@ static PyMethodDef methods[] = {
      "scan_edges(text, src, dst, id_offset, id_length)"},
     {"write_cascades", (PyCFunction)(void (*)(void))write_cascades, METH_FASTCALL,
      "write_cascades(id_bytes, initiator, start, offsets, node_idx, times, id_bounds)"},
+    {"canonical_events", (PyCFunction)(void (*)(void))canonical_events, METH_FASTCALL,
+     "canonical_events(initiator, offsets, node_idx, times, out_offsets, out_node_idx, "
+     "out_times, n_ids)"},
+    {"distinct_edges", (PyCFunction)(void (*)(void))distinct_edges, METH_FASTCALL,
+     "distinct_edges(src, dst, out_src, out_dst, n_ids)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1097,7 +1365,8 @@ static struct PyModuleDef module_def = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "iminfector._native_lib",
     .m_doc = "iminfector's native library: the classify loop, the training stream's "
-             "context draws, the cascade text format and the edge list scanner.",
+             "context draws, the cascade text format, the edge list scanner, and the "
+             "canonical events and distinct edges of raw arrays.",
     .m_methods = methods,
     .m_slots = slots,
 };

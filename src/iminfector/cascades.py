@@ -193,10 +193,36 @@ def build_corpus(ids, initiator, start_time, offsets, node_idx, times):
     (it is already infected at the start). The caller has checked that no
     event precedes its cascade's start and that every cascade has some
     participant other than its initiator.
+
+    The native library's ``canonical_events`` does this in one pass that
+    sorts only the cascades whose times descend somewhere; where there is
+    no library, or it refuses the arrays, _numpy_events gives the same
+    arrays. Then the ids are sorted and the indices remapped.
     """
     initiator = np.asarray(initiator, dtype=np.int32)
+    offsets = np.asarray(offsets, dtype=np.int64)
     node_idx = np.asarray(node_idx, dtype=np.int32)
     times = np.asarray(times, dtype=np.int64)
+    lib = _native.load()
+    events = None if lib is None else _native_events(lib, len(ids), initiator, offsets, node_idx,
+                                                      times)
+    if events is None:
+        events = _numpy_events(len(ids), initiator, offsets, node_idx, times)
+    return _reindexed(ids, initiator, np.asarray(start_time, dtype=np.int64), *events,
+                      sort_ids=True)
+
+
+def _native_events(lib, n_ids, initiator, offsets, node_idx, times):
+    """(offsets, node_idx, times) of build_corpus's canonical events, from
+    the library; None if it refuses the arrays."""
+    out = np.empty_like(offsets), np.empty_like(node_idx), np.empty_like(times)
+    kept = lib.canonical_events(initiator, offsets, node_idx, times, *out, n_ids)
+    return None if kept < 0 else (out[0], out[1][:kept], out[2][:kept])
+
+
+def _numpy_events(n_ids, initiator, offsets, node_idx, times):
+    """_native_events in numpy: a stable sort of the events by cascade and
+    time, then a mask of each node's first event in its cascade."""
     sizes = np.diff(offsets)
     owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     # A stable sort of keys already in order is the identity, so the sort
@@ -205,19 +231,11 @@ def build_corpus(ids, initiator, start_time, offsets, node_idx, times):
         order = np.lexsort((times, owner))  # stable: equal times keep input order
         owner, node_idx, times = owner[order], node_idx[order], times[order]
     keep = np.zeros(len(owner), dtype=bool)
-    keep[first_occurrences(owner * len(ids) + node_idx)] = True
+    keep[first_occurrences(owner * n_ids + node_idx)] = True
     keep &= node_idx != initiator[owner]
     new_offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner[keep], minlength=len(sizes)), out=new_offsets[1:])
-    return _reindexed(
-        ids,
-        initiator,
-        np.asarray(start_time, dtype=np.int64),
-        new_offsets,
-        node_idx[keep],
-        times[keep],
-        sort_ids=True,
-    )
+    return new_offsets, node_idx[keep], times[keep]
 
 
 def _parse_token(token, line_number, what):
@@ -499,8 +517,19 @@ class EdgeList(NamedTuple):
 
 
 def _distinct_edges(ids, src, dst):
-    """EdgeList of the edges ``src[k] -> dst[k]`` over ``ids``, less
-    self-loops and all but the first of each repeated pair."""
+    """EdgeList of the edges ``src[k] -> dst[k]`` (int32 index arrays) over
+    ``ids``, less self-loops and all but the first of each repeated pair.
+
+    The native library's ``distinct_edges`` finds them in one pass that
+    sorts nothing; where there is no library, or it refuses the arrays, a
+    sort of the pairs' keys (first_occurrences) finds the same edges.
+    """
+    lib = _native.load()
+    if lib is not None:
+        out_src, out_dst = np.empty_like(src), np.empty_like(dst)
+        kept = lib.distinct_edges(src, dst, out_src, out_dst, len(ids))
+        if kept >= 0:
+            return EdgeList(ids, out_src[:kept], out_dst[:kept])
     kept = np.flatnonzero(src != dst)
     kept = kept[first_occurrences(src[kept].astype(np.int64) * len(ids) + dst[kept])]
     return EdgeList(ids, src[kept], dst[kept])
@@ -510,7 +539,8 @@ def edge_list(pairs):
     """EdgeList of (src id, dst id) pairs, less self-loops and repeats."""
     index = _Interner()
     ends = np.array([index[node] for pair in pairs for node in pair], dtype=np.int32)
-    return _distinct_edges(list(index), ends[0::2], ends[1::2])
+    # contiguous rows, which the library's distinct_edges takes
+    return _distinct_edges(list(index), *ends.reshape(-1, 2).T.copy())
 
 
 def parse_edges(lines):

@@ -110,7 +110,10 @@ def kcore_ranking(edges):
 
 def avg_size_ranking(train):
     """(initiator id, mean cascade event count) pairs, mean descending, ties
-    by id ascending."""
+    by id ascending. A corpus of no cascades raises ValueError, as an empty
+    edge list does for kcore_ranking."""
+    if not train.n_cascades:
+        raise ValueError("no cascades to rank")
     totals = np.bincount(train.initiator, weights=train.sizes(), minlength=train.n_nodes)
     counts = np.bincount(train.initiator, minlength=train.n_nodes)
     started = train.influencers

@@ -751,6 +751,17 @@ def test_baseline_methods(tmp_path, corpus_file, capsys):
     assert rows[0][1] == "u03"
 
 
+@pytest.mark.parametrize("method, flag", [("avgsize", "--train"), ("kcore", "--edges")])
+def test_baseline_of_nothing_to_rank_is_exit_5_and_writes_nothing(tmp_path, method, flag, capsys):
+    # a log with no cascades, an edge list with no edges
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing\n\n")
+    out = tmp_path / "seeds.txt"
+    assert main(["baseline", "--method", method, flag, str(empty), "--out", str(out)]) == 5
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.txt"]
+
+
 def package_env():
     """The environment with the imported iminfector package's directory on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(iminfector.__file__))

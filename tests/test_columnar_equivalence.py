@@ -7,7 +7,9 @@ event and one object per training pair. On any input, the array code must
 give the same ids, cascades and pairs, or raise the same exception class
 with the same message. reference_build_corpus is build_corpus before it
 skipped the sort of events already in time order and found each event's
-first occurrence with first_occurrences instead of np.unique.
+first occurrence with first_occurrences instead of np.unique; build_corpus
+must match it both through the native library's canonical_events and
+through its numpy path.
 
 load_cascades reads a log with the native scanner when it is in the
 scanner's strict form, and with parse_cascades otherwise. On any file it
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iminfector import context
+from iminfector import _native, cascades, context
 from iminfector._util import first_occurrences, read_lines, slack_ceil
 from iminfector.cascades import (
     _reindexed,
@@ -495,29 +497,58 @@ def test_canonical_flag_is_exact_and_its_corpus_is_build_corpus(native_library, 
         assert corpus_state(_with_sorted_ids(*raw)) == corpus_state(build_corpus(*raw))
 
 
+# times on byte boundaries, up to the largest a log holds: the library's
+# radix sort takes one pass per byte of a cascade's range of times
+BYTE_TIMES = [0, 1, 255, 256, 65_535, 65_536, 2**40, 2**63 - 2, 2**63 - 1]
+
+
 @st.composite
 def raw_cascades(draw):
-    """build_corpus arguments: ids, and events with times in any order or
-    in time order within each cascade."""
-    ids = [f"n{k}" for k in draw(st.permutations(range(draw(st.integers(1, 8)))))]
-    sizes = draw(st.lists(st.integers(0, 6), max_size=6))
-    n_events = sum(sizes)
-    node_idx = draw(st.lists(st.integers(0, len(ids) - 1), min_size=n_events, max_size=n_events))
-    times = draw(st.lists(st.integers(0, 5), min_size=n_events, max_size=n_events))
+    """build_corpus arguments: ids, and cascades of 0 to 300 events, past
+    the library's insertion-sort cutoff, with times in any order or in time
+    order within each cascade. Times come from three values (heavy ties),
+    from BYTE_TIMES or from the whole range [0, 2**63). An initiator is
+    now and then among its own events, and one id, or a cascade of its
+    initiator only, leaves cascades that deduplication empties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ids = draw(st.sampled_from([1, 2, 3, 8, 400]))
+    ids = [f"n{k}" for k in rng.permutation(n_ids).tolist()]
+    sizes = draw(st.lists(st.one_of(st.integers(0, 6), st.sampled_from([15, 16, 17, 40]),
+                                    st.integers(0, 300)), max_size=6))
     offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
+    node_idx = rng.integers(0, n_ids, offsets[-1])
+    times = draw(st.sampled_from([
+        lambda n: rng.choice([3, 4, 5], n),
+        lambda n: rng.choice(BYTE_TIMES, n),
+        lambda n: rng.integers(0, 2**63 - 1, n, endpoint=True),
+    ]))(offsets[-1])
     if draw(st.booleans()):
-        times = sorted(times)  # then in order within every cascade too
-    initiator = draw(st.lists(st.integers(0, len(ids) - 1), min_size=len(sizes),
-                              max_size=len(sizes)))
+        times = np.sort(times)  # then in order within every cascade too
+    initiator = rng.integers(0, n_ids, len(sizes))
+    for i in np.flatnonzero((np.array(sizes) > 0) & (rng.random(len(sizes)) < 0.3)).tolist():
+        initiator[i] = node_idx[offsets[i]]  # among its own events
     starts = [0] * len(sizes)
-    return ids, initiator, starts, offsets, node_idx, times
+    return ids, initiator.tolist(), starts, offsets, node_idx.tolist(), times.tolist()
 
 
 @settings(max_examples=300, deadline=None)
-@given(raw_cascades())
-def test_build_corpus_matches_plain_sort(raw):
-    assert corpus_state(build_corpus(*raw)) == corpus_state(reference_build_corpus(*raw))
+@given(raw=raw_cascades())
+def test_build_corpus_matches_plain_sort(native_library, raw):
+    want = corpus_state(reference_build_corpus(*raw))
+    with pytest.MonkeyPatch.context() as mp:
+        # the library's canonical_events, where there is a library
+        if native_library is not None:
+            mp.setattr(cascades, "_numpy_events", refused)
+        assert corpus_state(build_corpus(*raw)) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "load", lambda: None)
+        assert corpus_state(build_corpus(*raw)) == want
+
+
+def refused(*args):
+    """Stands in for a numpy path that the native library should have spared."""
+    raise AssertionError("the library refused arrays it should take")
 
 
 def test_build_corpus_skips_the_sort_of_events_in_time_order(monkeypatch):
@@ -527,9 +558,90 @@ def test_build_corpus_skips_the_sort_of_events_in_time_order(monkeypatch):
         raise AssertionError("sorted events were sorted again")
 
     with monkeypatch.context() as mp:
+        # the numpy path: the library's pass never calls np.lexsort
+        mp.setattr(_native, "load", lambda: None)
         mp.setattr(np, "lexsort", no_sort)
         got = build_corpus(*raw)
     assert corpus_state(got) == corpus_state(reference_build_corpus(*raw))
+
+
+def canonical_args(raw):
+    """canonical_events's arrays for build_corpus's arguments ``raw``, its
+    outputs filled with -7, and its id count."""
+    ids, initiator, _, offsets, node_idx, times = raw
+    arrays = [np.asarray(initiator, np.int32), np.asarray(offsets, np.int64),
+              np.asarray(node_idx, np.int32), np.asarray(times, np.int64)]
+    return [*arrays, *(np.full_like(a, -7) for a in arrays[1:]), len(ids)]
+
+
+CANONICAL_RAW = (["a", "b", "c", "d"], [0, 1, 3], [0, 0, 0], np.array([0, 4, 4, 22]),
+                 [1, 2, 1, 0, 2, 3, *[0, 1, 2, 3] * 4], [9, 2**63 - 1, 0, 4, 7, 7, *range(16, 0, -1)])
+
+
+def canonical_misfits():
+    """canonical_events arguments it refuses, by what is wrong with them."""
+    args = canonical_args(CANONICAL_RAW)
+    _, offsets, node_idx, times, out_offsets, out_node_idx, out_times, _ = args
+
+    def change(k, value):
+        return [*args[:k], value, *args[k + 1 :]]
+
+    read_only = out_times.copy()
+    read_only.setflags(write=False)
+    return {
+        "node index past the ids": change(7, 3),
+        "negative node index": change(2, np.where(node_idx == 3, -1, node_idx).astype(np.int32)),
+        "negative initiator": change(0, np.array([0, -1, 3], np.int32)),
+        "offsets descending": change(1, np.array([0, 4, 3, 22])),
+        "offsets not from 0": change(1, np.array([1, 4, 4, 22])),
+        "offsets short of the events": change(1, np.array([0, 4, 4, 21])),
+        "offsets one short": change(1, offsets[:-1]),
+        "int64 node_idx": change(2, node_idx.astype(np.int64)),
+        "strided times": change(3, np.repeat(times, 2)[::2]),
+        "out_node_idx one short": change(5, out_node_idx[:-1]),
+        "out_offsets one long": change(4, np.zeros(5, np.int64)),
+        "read-only out_times": change(6, read_only),
+        "out_times is times": change(6, times),
+        "out_node_idx over out_times": change(5, out_times.view(np.int32)[: len(node_idx)]),
+        "2-D out_offsets": change(4, out_offsets.reshape(1, -1)),
+        "negative id count": change(7, -1),
+        "id count past 64 bits": change(7, 2**70),
+    }
+
+
+def canonical_raws():
+    """build_corpus arguments for canonical_events: CANONICAL_RAW, no
+    cascades, and 300-event cascades of times that span every byte."""
+    rng = np.random.default_rng(3)
+    offsets = np.array([0, 300, 301, 600, 616])
+    node_idx = rng.integers(0, 50, 616).tolist()
+    times = rng.integers(0, 2**63 - 1, 616, endpoint=True).tolist()
+    return [CANONICAL_RAW, ([], [], [], np.array([0]), [], []),
+            ([f"n{k}" for k in range(50)], [0, 1, 2, 3], [0] * 4, offsets, node_idx, times)]
+
+
+def assert_canonical_events_checked(lib):
+    """canonical_events keeps the canonical events of each raw, as the
+    numpy path does, and refuses each misfit with -1, writing nothing."""
+    for raw in canonical_raws():
+        args = canonical_args(raw)
+        kept = lib.canonical_events(*args)
+        want = cascades._numpy_events(*[args[7], *args[:4]])
+        assert [args[4].tolist(), args[5][:kept].tolist(), args[6][:kept].tolist()] == [
+            w.tolist() for w in want]
+    args = canonical_args(CANONICAL_RAW)
+    for what, misfit in canonical_misfits().items():
+        outputs = [a.copy() for a in misfit[4:7]]
+        assert lib.canonical_events(*misfit) == -1, what
+        for before, after in zip(outputs, misfit[4:7]):
+            np.testing.assert_array_equal(before, after, err_msg=what)
+    for bad in (args[:-1], [*args[:-1], 4.0]):
+        with pytest.raises(TypeError):
+            lib.canonical_events(*bad)
+
+
+def test_canonical_events_refuses_misfits_and_writes_nothing(built_library):
+    assert_canonical_events_checked(built_library)
 
 
 def reference_first_occurrences(keys):

@@ -108,21 +108,22 @@ def test_stream_empty_corpus_rejected():
         build_training_stream(parse_cascades([]), 1.2, 0)
 
 
-DRAW_CORPUS = parse_cascades(
-    ["u1:0\ta:1 b:2 c:3 d:9\n", "u2:3\tb:4\n", "u3:5\ta:5 c:5 e:5\n", "u1:9\tb:10 e:30\n"]
-)
+# parsed in draw_args, not at import: parse_cascades loads the native
+# library, which must come from the session's cache (conftest.py)
+DRAW_LOG = ["u1:0\ta:1 b:2 c:3 d:9\n", "u2:3\tb:4\n", "u3:5\ta:5 c:5 e:5\n", "u1:9\tb:10 e:30\n"]
 
 
 def draw_args(seed=0, draws=None):
-    """draw_contexts's arguments for DRAW_CORPUS's stream, or for ``draws``
+    """draw_contexts's arguments for DRAW_LOG's stream, or for ``draws``
     draws per cascade, every context at -1, which no draw gives."""
-    weights = sampling_weights(DRAW_CORPUS)
+    corpus = parse_cascades(DRAW_LOG)
+    weights = sampling_weights(corpus)
     if draws is None:
-        draws = [slack_ceil(1.2 * m) for m in DRAW_CORPUS.sizes().tolist()]
+        draws = [slack_ceil(1.2 * m) for m in corpus.sizes().tolist()]
     draws = np.array(draws, np.int64)
     uniforms = np.random.default_rng(seed).random(int(draws.sum()))
     contexts = np.full(len(uniforms), -1, dtype=np.int32)
-    return [weights, DRAW_CORPUS.offsets, DRAW_CORPUS.node_idx, draws, uniforms, contexts]
+    return [weights, corpus.offsets, corpus.node_idx, draws, uniforms, contexts]
 
 
 def changed(k, change):

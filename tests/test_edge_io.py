@@ -18,11 +18,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iminfector import cascades
-from iminfector._util import read_lines
-from iminfector.cascades import _room, edge_list, load_edges, parse_edges
+from iminfector import _native, cascades
+from iminfector._util import first_occurrences, read_lines
+from iminfector.cascades import (
+    _distinct_edges,
+    _room,
+    derive_edges,
+    edge_list,
+    load_edges,
+    parse_edges,
+)
 from iminfector.evaluation import kcore_ranking
 from iminfector.exceptions import CascadeFormatError
+from iminfector.synth import generate_corpus
+from test_columnar_equivalence import refused
 
 STRICT_EDGES = b"a\tb\r\nb\ta\n# a comment\tx\n\na\ta\na\tb\nc#\t~!\nb\tc"
 IDS = ["a", "b", "c#", "~!", "0", "x_y"]
@@ -202,3 +211,119 @@ def test_kcore_of_loaded_edges_matches_networkx(native_library):
         want = networkx_ranking(pairs)
         assert kcore_ranking(edges) == want, trial
         assert kcore_ranking(edge_list(pairs)) == want
+
+
+def reference_distinct_edges(ids, src, dst):
+    """_distinct_edges's edges as a sort of the pairs' keys finds them: the
+    pairs other than self-loops, each at its first position."""
+    src, dst = np.asarray(src, np.int32), np.asarray(dst, np.int32)
+    kept = np.flatnonzero(src != dst)
+    kept = kept[first_occurrences(src[kept].astype(np.int64) * len(ids) + dst[kept])]
+    return ids, src[kept].tolist(), dst[kept].tolist()
+
+
+def edge_cases():
+    """(ids, src, dst) of edges to keep distinct, by name."""
+    rng = np.random.default_rng(29)
+    wide = rng.integers(0, 40, (2, 3000))
+    return {
+        "no edge": (["a"], [], []),
+        "a single edge, src > dst": (["a", "b"], [1], [0]),
+        "self-loops": (["a", "b", "c"], [0, 1, 1, 2, 2, 0], [0, 1, 2, 2, 1, 1]),
+        "one pair many times": (["a", "b", "c"], [1] * 50 + [0, 1], [2] * 50 + [1, 2]),
+        "both directions": (["a", "b", "c"], [2, 1, 2, 0, 1], [1, 2, 1, 2, 2]),
+        "ids on no edge": ([f"n{k}" for k in range(10)], [7, 2, 7, 9], [2, 7, 2, 9]),
+        "3,000 edges over 40 ids": ([f"n{k}" for k in range(40)], *wide),
+    }
+
+
+def edge_list_file(ids, src, dst):
+    """An edge list file's bytes for the edges, one line each, every id in
+    the table listed first as a self-loop so that the scanner's table is
+    ids."""
+    pairs = [(v, v) for v in range(len(ids))] + list(zip(np.asarray(src).tolist(),
+                                                         np.asarray(dst).tolist()))
+    return "".join(f"{ids[u]}\t{ids[v]}\n" for u, v in pairs).encode()
+
+
+@pytest.mark.parametrize("library", [True, False], ids=["c", "numpy"])
+def test_edge_pass_matches_first_occurrences(native_library, library):
+    with pytest.MonkeyPatch.context() as mp:
+        if library and native_library is not None:
+            mp.setattr(cascades, "first_occurrences", refused)
+        elif not library:
+            mp.setattr(_native, "load", lambda: None)
+        for name, (ids, src, dst) in edge_cases().items():
+            want = reference_distinct_edges(ids, src, dst)
+            got = _distinct_edges(ids, np.asarray(src, np.int32), np.asarray(dst, np.int32))
+            assert (got.src.dtype, got.dst.dtype) == (np.int32, np.int32), name
+            assert (got.ids, got.src.tolist(), got.dst.tolist()) == want, name
+            pairs = [(ids[u], ids[v]) for u, v in zip(*want[1:])]
+            assert edge_pairs(read_file_of(edge_list_file(ids, src, dst), load_edges)) == pairs
+            given_pairs = [(ids[u], ids[v]) for u, v in zip(list(src), list(dst))]
+            assert edge_pairs(edge_list(given_pairs)) == pairs, name
+        rng = np.random.default_rng(37)
+        for trial in range(4):
+            corpus = generate_corpus(rng, n_nodes=int(rng.integers(60, 300)),
+                                     n_cascades=int(rng.integers(30, 300)), n_planted=2,
+                                     n_lures=2)
+            src = np.repeat(corpus.initiator, corpus.sizes())
+            edges = derive_edges(corpus)
+            assert (edges.ids, edges.src.tolist(), edges.dst.tolist()) == reference_distinct_edges(
+                corpus.ids, src, corpus.node_idx), trial
+
+
+def distinct_args(ids, src, dst):
+    """distinct_edges's arrays for the edges, its outputs filled with -7,
+    and its id count."""
+    src, dst = np.asarray(src, np.int32), np.asarray(dst, np.int32)
+    return [src, dst, np.full_like(src, -7), np.full_like(dst, -7), len(ids)]
+
+
+def distinct_misfits():
+    """distinct_edges arguments it refuses, by what is wrong with them."""
+    args = distinct_args(*edge_cases()["self-loops"])
+    src, dst, out_src, out_dst, _ = args
+
+    def change(k, value):
+        return [*args[:k], value, *args[k + 1 :]]
+
+    read_only = out_dst.copy()
+    read_only.setflags(write=False)
+    return {
+        "dst past the ids": change(4, 2),
+        "negative src": change(0, np.array([0, -1, 1, 2, 2, 0], np.int32)),
+        "dst one short": change(1, dst[:-1]),
+        "out_src one long": change(2, np.zeros(7, np.int32)),
+        "int64 src": change(0, src.astype(np.int64)),
+        "strided dst": change(1, np.repeat(dst, 2)[::2]),
+        "2-D out_dst": change(3, out_dst.reshape(1, -1)),
+        "read-only out_dst": change(3, read_only),
+        "out_src is src": change(2, src),
+        "out_dst over out_src": change(3, out_src[:]),
+        "negative id count": change(4, -1),
+        "id count past 64 bits": change(4, 2**70),
+    }
+
+
+def assert_distinct_edges_checked(lib):
+    """distinct_edges keeps the edges of each case as the key sort does,
+    and refuses each misfit with -1, writing nothing."""
+    for name, case in edge_cases().items():
+        args = distinct_args(*case)
+        kept = lib.distinct_edges(*args)
+        assert (case[0], args[2][:kept].tolist(), args[3][:kept].tolist()) == (
+            reference_distinct_edges(*case)), name
+    for what, misfit in distinct_misfits().items():
+        outputs = [a.copy() for a in misfit[2:4]]
+        assert lib.distinct_edges(*misfit) == -1, what
+        for before, after in zip(outputs, misfit[2:4]):
+            np.testing.assert_array_equal(before, after, err_msg=what)
+    args = distinct_args(*edge_cases()["self-loops"])
+    for bad in (args[:-1], [*args[:-1], 3.0]):
+        with pytest.raises(TypeError):
+            lib.distinct_edges(*bad)
+
+
+def test_distinct_edges_refuses_misfits_and_writes_nothing(built_library):
+    assert_distinct_edges_checked(built_library)

@@ -330,7 +330,10 @@ def test_source_compiles_without_warnings(tmp_path):
 # Drives the library at argv[1] over the scanner logs (long ids and 19- and
 # 20-digit times among them) and writer corpora of test_cascade_io.py and
 # the edge lists of test_edge_io.py, the arrays too short or of the wrong
-# kind among them, and the canonical logs and their mutations; over the C
+# kind among them, and the canonical logs and their mutations; over the
+# canonical events of test_columnar_equivalence.py and the distinct edges
+# of test_edge_io.py, and the misfits each refuses, an index out of range
+# and offsets that descend among them; over the C
 # loop's self-check at the model shapes SHAPES, its argument errors and the
 # context draws of test_context.py, counts of draws that are not multiples
 # of 8 among them, on arrays that fit and on those draw_contexts refuses,
@@ -346,6 +349,7 @@ SANITIZED_SCRIPT = textwrap.dedent(
     from iminfector.cascades import _render, _scan
     import test_cascade_io as io
     import test_context as context
+    import test_columnar_equivalence as equivalence
     import test_edge_io as edge_io
     import test_kernel as kernel
 
@@ -367,6 +371,8 @@ SANITIZED_SCRIPT = textwrap.dedent(
         for args in edge_io.short_edge_scans(lib, data):
             assert lib.scan_edges(data, *args) == (-1, 0)
     edge_io.assert_misfit_edge_scans_refused(lib)
+    equivalence.assert_canonical_events_checked(lib)
+    edge_io.assert_distinct_edges_checked(lib)
     for corpus in io.WRITER_EDGE_CASES + io.WRITER_BAD_INDICES + io.WRITER_MISFITS:
         _render(lib, corpus)
     assert lib.write_cascades(*io.WRITER_ARGS) is not None
