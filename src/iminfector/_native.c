@@ -5,9 +5,9 @@
  * _native.py builds it on first use against this interpreter's Python.h
  * and numpy's headers and loads it once, as the extension module
  * iminfector._native_lib. Its functions take arrays and numbers only, no
- * address, capacity or other Python object: each reads its arrays through
- * the buffer protocol, as its table of params says (take_all), and sizes
- * its work by the arrays' lengths. Of numpy's C API it uses only the
+ * address, capacity or other Python object, and all of them keep the one
+ * argument contract set out under "Arguments" below; each sizes its work
+ * by its arrays' lengths. Of numpy's C API it uses only the
  * ufunc type and its layout: the loop calls numpy's own float64 inner
  * loops and its BLAS's dgemv directly, and model.py sends it only the
  * models of a shape where a self-check of the loop gives the numpy step's
@@ -229,64 +229,47 @@ static int find_numpy_own(PyObject *module)
     return failed ? -1 : 0;
 }
 
-/* ---- Array arguments ----
+/* ---- Arguments ----
  *
- * Each function lists its array arguments in a table of params. take_all
- * takes the arrays as the table says; the function then checks the lengths
- * and overlaps it needs, and releases the views either way.
+ * Every function keeps one contract on its arguments:
+ *
+ *   - numbers: an index is a Python int, read as -1 when it is negative or
+ *     past long long; a real is a Python float;
+ *   - arrays: each is an aligned, C-contiguous buffer of its item kind and
+ *     number of dimensions, writable if the function writes it;
+ *   - aliasing: no array the function writes shares memory with another
+ *     array of the call; arrays it only reads may share memory;
+ *   - refusal: a call of another number of arguments, or with a number
+ *     argument of another type, is a TypeError, raised before any array is
+ *     read. An array that breaks the contract is refused: the function
+ *     returns its refusal value (None, False, -1 or a give-up) having
+ *     written nothing, and its caller takes the Python path.
+ *
+ * Each function lists every argument, in order, in one table of params,
+ * and take_args reads them as the table says: it checks the count, reads
+ * the numbers in argument order, takes the arrays, and refuses a writable
+ * array that overlaps another. The function then checks the lengths and
+ * values it needs, and releases the views either way.
  */
 
-/* The kinds of item an array may hold: the struct formats of each, and its
- * size. */
-enum kind { BYTE, I32, I64, F64 };
+/* The kinds of argument: arrays of four kinds of item, whose struct
+ * formats and sizes follow, then two kinds of number. */
+enum kind { BYTE, I32, I64, F64, INDEX, REAL };
 static const char *const FORMATS[] = {"B", "i", "lq", "d"};
 static const Py_ssize_t SIZE[] = {1, 4, 8, 8};
 
-/* An array argument: its items' kind, its number of dimensions and
+/* An argument: its kind and, for an array, its number of dimensions and
  * whether the function writes it. */
 struct param {
     enum kind kind;
     int ndim, writable;
 };
 
-/* A TypeError unless the function name is given its n arguments; -1 with
- * the error set, else 0. */
-static int check_count(const char *name, Py_ssize_t nargs, Py_ssize_t n)
-{
-    if (nargs != n)
-        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments", name, n);
-    return nargs == n ? 0 : -1;
-}
-
-/* Takes the buffer of args[k] into view[k], for each k < n, if it is an
- * aligned, C-contiguous array as param[k] says; 0, or -1 with no Python
- * error set at the first that is not. The caller releases the views either
- * way. */
-static int take_all(PyObject *const *args, const struct param *param, int n, Py_buffer *view)
-{
-    for (int k = 0; k < n; k++) {
-        const struct param *const p = &param[k];
-        Py_buffer *const v = &view[k];
-        const int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (p->writable ? PyBUF_WRITABLE : 0);
-        if (PyObject_GetBuffer(args[k], v, flags) < 0) {
-            PyErr_Clear();
-            return -1;
-        }
-        const char *const format = v->format;
-        if (v->ndim != p->ndim || v->itemsize != SIZE[p->kind] ||
-            (uintptr_t)v->buf % SIZE[p->kind] || !format[0] || format[1] ||
-            !strchr(FORMATS[p->kind], format[0]))
-            return -1;
-    }
-    return 0;
-}
-
-/* Releases the n views of a take_all, taken or left zeroed. */
-static void release(Py_buffer *view, int n)
-{
-    for (int k = 0; k < n; k++)
-        PyBuffer_Release(&view[k]);
-}
+/* A number argument, as its kind reads it. */
+union number {
+    long long index;
+    double real;
+};
 
 /* Whether the memory of two views overlaps. */
 static int overlap(const Py_buffer *a, const Py_buffer *b)
@@ -295,17 +278,80 @@ static int overlap(const Py_buffer *a, const Py_buffer *b)
     return pa < pb + b->len && pb < pa + a->len;
 }
 
+/* Reads the nargs args of the function name as its n params say: number
+ * k into number[k], array k's buffer into view[k]. -1 with a TypeError
+ * set and no view taken; 1 if it refuses an array, with no Python error
+ * set; else 0. The caller releases the views either way. */
+static int take_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                     const struct param *param, int n, Py_buffer *view, union number *number)
+{
+    if (nargs != n) {
+        PyErr_Format(PyExc_TypeError, "%s takes %d arguments", name, n);
+        return -1;
+    }
+    for (int k = 0; k < n; k++) {
+        if (param[k].kind == INDEX) {
+            /* a value past long long reads as -1 with overflow set */
+            int overflow;
+            const long long value = PyLong_AsLongLongAndOverflow(args[k], &overflow);
+            if (value == -1 && PyErr_Occurred())
+                return -1;
+            number[k].index = value < 0 ? -1 : value;
+        } else if (param[k].kind == REAL) {
+            number[k].real = PyFloat_AsDouble(args[k]);
+            if (number[k].real == -1.0 && PyErr_Occurred())
+                return -1;
+        }
+    }
+    for (int k = 0; k < n; k++) {
+        const struct param *const p = &param[k];
+        Py_buffer *const v = &view[k];
+        if (p->kind >= INDEX)
+            continue;
+        const int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (p->writable ? PyBUF_WRITABLE : 0);
+        if (PyObject_GetBuffer(args[k], v, flags) < 0) {
+            PyErr_Clear();
+            return 1;
+        }
+        const char *const format = v->format;
+        if (v->ndim != p->ndim || v->itemsize != SIZE[p->kind] ||
+            (uintptr_t)v->buf % SIZE[p->kind] || !format[0] || format[1] ||
+            !strchr(FORMATS[p->kind], format[0]))
+            return 1;
+    }
+    for (int a = 0; a < n; a++)
+        for (int b = 0; b < n; b++)
+            if (param[a].writable && a != b && param[b].kind < INDEX && overlap(&view[a], &view[b]))
+                return 1;
+    return 0;
+}
+
+/* Releases the n views of a take_args, taken or left zeroed. */
+static void release(Py_buffer *view, int n)
+{
+    for (int k = 0; k < n; k++)
+        PyBuffer_Release(&view[k]);
+}
+
+/* Whether all n entries of index are in [0, limit). */
+static int in_range(const int32_t *index, Py_ssize_t n, long long limit)
+{
+    for (Py_ssize_t k = 0; k < n; k++)
+        if (index[k] < 0 || index[k] >= limit)
+            return 0;
+    return 1;
+}
+
 /* ---- The classify loop ----
  *
  * classify_pairs(O, T, b_t, phi, grad, losses, u, context, lr, bound,
  * bias_bound) takes the context pairs of one cascade of influencer u, each
  * pair k as model.step_classify takes (u, context[k]) at rate lr with a
- * workspace of these phi, grad, bound and bias_bound, and stops at the
- * first pair whose context is out of range or at the end of context. It
- * returns (stop, bound, bias_bound): stop is that pair's index, or ~k if
- * the step of pair k proved a value non-finite, and the bounds are those
- * its steps leave, inf after a non-finite step. The loss of each pair k it
- * took is in losses[k].
+ * workspace of these phi, grad, bound and bias_bound. It returns (stop,
+ * bound, bias_bound): stop is len(context), or ~k if the step of pair k
+ * proved a value non-finite, and the bounds are those its steps leave, inf
+ * after a non-finite step. The loss of each pair k it took is in
+ * losses[k].
  *
  * A step makes step_classify's operations in its order. Where the rounding
  * is numpy's own it calls numpy's own functions directly, as above: dgemv
@@ -320,13 +366,13 @@ static int overlap(const Py_buffer *a, const Py_buffer *b)
  * The finiteness proofs are those of model.py, on the bounds given. O_u is
  * checked entry by entry, which is what its scaled dot product proves.
  *
- * LOOP_ARGS and CONTEXT_ARG list the arrays: O, T, b_t, phi, grad and
- * losses are distinct, aligned, writable, C-contiguous float64 arrays of
- * shapes (I, E), (E, N), (N), (N), (E) and (n), E and N at least 2, and
- * context is an int32 array of n entries, as build_training_stream makes
- * it. For any other arrays, or a u that is not a row of O, the loop takes
- * no pair and returns None, so that the caller's step takes the pairs; a
- * call on an empty context tells whether it takes the arrays at all.
+ * LOOP_ARGS lists the arguments: O, T, b_t, phi, grad and losses are
+ * writable float64 arrays of shapes (I, E), (E, N), (N), (N), (E) and (n),
+ * E and N at least 2, and context is an int32 array of n columns of T, as
+ * build_training_stream makes it. For any other arrays, a u that is not a
+ * row of O or a context out of range, the loop takes no pair and returns
+ * None, so that the caller's step takes the pairs; a call on an empty
+ * context tells whether it takes the arrays at all.
  */
 
 #define BOUND_LIMIT 1e300
@@ -343,13 +389,10 @@ static double max_abs(const double *x, size_t n)
     return max;
 }
 
-/* classify_pairs' arguments: its float64 arrays, u, context, then its
- * numbers */
-enum { O_, T_, B_T, PHI, GRAD, LOSSES, N_REAL, U = N_REAL, CONTEXT, LR, BOUND, BIAS_BOUND,
-       N_LOOP_ARGS };
-static const struct param LOOP_ARGS[N_REAL] = {{F64, 2, 1}, {F64, 2, 1}, {F64, 1, 1},
-                                               {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}};
-static const struct param CONTEXT_ARG = {I32, 1, 0};
+enum { O_, T_, B_T, PHI, GRAD, LOSSES, U, CONTEXT, LR, BOUND, BIAS_BOUND, N_LOOP_ARGS };
+static const struct param LOOP_ARGS[N_LOOP_ARGS] = {
+    {F64, 2, 1}, {F64, 2, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1},
+    {INDEX, 0, 0}, {I32, 1, 0}, {REAL, 0, 0}, {REAL, 0, 0}, {REAL, 0, 0}};
 
 struct loop {
     const Py_buffer *view; /* classify_pairs' arrays, taken */
@@ -400,21 +443,17 @@ static int step(struct loop *s, size_t u, size_t y, double *loss)
     return finite && isfinite(*loss) && isfinite(s->bound) && isfinite(s->bias_bound);
 }
 
-/* Whether the arrays of view have matching shapes, E and N at least 2
- * (below that numpy's matmul takes no dgemv), and no two float64 arrays
- * overlap. */
-static int fits_loop(const Py_buffer *view)
+/* Whether the arguments of view and number have matching shapes, E and N
+ * at least 2 (below that numpy's matmul takes no dgemv), u a row of O and
+ * every context a column of T. */
+static int fits_loop(const Py_buffer *view, const union number *number)
 {
     const Py_ssize_t *const o = view[O_].shape, *const t = view[T_].shape;
     const Py_ssize_t n = view[LOSSES].shape[0];
-    if (t[0] < 2 || t[1] < 2 || o[1] != t[0] || view[B_T].shape[0] != t[1] ||
-        view[PHI].shape[0] != t[1] || view[GRAD].shape[0] != t[0] || view[CONTEXT].shape[0] != n)
-        return 0;
-    for (int a = 0; a < N_REAL; a++)
-        for (int b = a + 1; b < N_REAL; b++)
-            if (overlap(&view[a], &view[b]))
-                return 0;
-    return 1;
+    return t[0] >= 2 && t[1] >= 2 && o[1] == t[0] && view[B_T].shape[0] == t[1] &&
+           view[PHI].shape[0] == t[1] && view[GRAD].shape[0] == t[0] &&
+           view[CONTEXT].shape[0] == n && number[U].index >= 0 && number[U].index < o[0] &&
+           in_range(view[CONTEXT].buf, n, t[1]);
 }
 
 /* Takes the pairs of influencer u, a row of O; where it stopped, as
@@ -425,48 +464,33 @@ static Py_ssize_t run(struct loop *s, size_t u)
     const int32_t *const context = view[CONTEXT].buf;
     double *const losses = view[LOSSES].buf;
     const Py_ssize_t n = view[LOSSES].shape[0];
-    const int64_t N = view[T_].shape[1];
-    for (Py_ssize_t k = 0; k < n; k++) {
-        const int64_t y = context[k];
-        if (y < 0 || y >= N)
-            return k;
-        if (!step(s, u, (size_t)y, &losses[k])) {
+    for (Py_ssize_t k = 0; k < n; k++)
+        if (!step(s, u, (size_t)context[k], &losses[k])) {
             s->bound = s->bias_bound = INFINITY;
             return ~k;
         }
-    }
     return n;
 }
 
 static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_count("classify_pairs", nargs, N_LOOP_ARGS))
+    Py_buffer view[N_LOOP_ARGS] = {{0}};
+    union number number[N_LOOP_ARGS];
+    const int taken =
+        take_args("classify_pairs", args, nargs, LOOP_ARGS, N_LOOP_ARGS, view, number);
+    if (taken < 0)
         return NULL;
-    /* a u past long long reads as -1, no row of O either */
-    int overflow;
-    const long long u = PyLong_AsLongLongAndOverflow(args[U], &overflow);
-    if (u == -1 && PyErr_Occurred())
-        return NULL;
-    Py_buffer view[CONTEXT + 1] = {{0}};
-    struct loop s = {view, 0.0, 0.0, 0.0};
-    double *const number[] = {&s.lr, &s.bound, &s.bias_bound};
-    for (int k = 0; k < 3; k++) {
-        *number[k] = PyFloat_AsDouble(args[LR + k]);
-        if (*number[k] == -1.0 && PyErr_Occurred())
-            return NULL;
-    }
     PyObject *result;
-    if (!numpy_own.dgemv || take_all(args, LOOP_ARGS, N_REAL, view) ||
-        take_all(&args[CONTEXT], &CONTEXT_ARG, 1, &view[CONTEXT]) || !fits_loop(view) || u < 0 ||
-        u >= view[O_].shape[0]) {
+    if (taken || !numpy_own.dgemv || !fits_loop(view, number)) {
         result = Py_NewRef(Py_None);
     } else {
+        struct loop s = {view, number[LR].real, number[BOUND].real, number[BIAS_BOUND].real};
         /* the stop first: C leaves the order of a call's arguments open,
          * and the bounds to return are those the steps leave */
-        const Py_ssize_t stop = run(&s, (size_t)u);
+        const Py_ssize_t stop = run(&s, (size_t)number[U].index);
         result = Py_BuildValue("(ndd)", stop, s.bound, s.bias_bound);
     }
-    release(view, CONTEXT + 1);
+    release(view, N_LOOP_ARGS);
     return result;
 }
 
@@ -489,11 +513,10 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
  * indices. The cascades' draws fill context in cascade order.
  *
  * weights and uniforms are float64 arrays, offsets and draws int64 and
- * node_idx and context int32 (context writable and apart from the rest),
- * all one-dimensional, C-contiguous and aligned, with one entry of draws
- * per cascade, one more of offsets, offsets from 0 up to len(weights) =
- * len(node_idx) with no empty cascade, and len(uniforms) = len(context) =
- * sum(draws). Every weight is in (0, 1], as
+ * node_idx and context int32, all one-dimensional, context written, with
+ * one entry of draws per cascade, one more of offsets, offsets from 0 up
+ * to len(weights) = len(node_idx) with no empty cascade, and len(uniforms)
+ * = len(context) = sum(draws). Every weight is in (0, 1], as
  * context.sampling_weights makes them, so no sum is 0 or overflows, and
  * every uniform in [0, 1). Returns True once it has filled context, and
  * False, having written nothing, for arrays it cannot take and for every
@@ -513,9 +536,6 @@ static int fits_draws(const Py_buffer *view, Py_ssize_t *longest)
     if (view[D_OFFSETS].shape[0] != cascades + 1 || view[D_NODE_IDX].shape[0] != events ||
         offsets[0] != 0 || offsets[cascades] != events)
         return 0;
-    for (int k = 0; k < CONTEXT_OUT; k++)
-        if (overlap(&view[k], &view[CONTEXT_OUT]))
-            return 0;
     const Py_ssize_t total = view[UNIFORMS].shape[0];
     Py_ssize_t drawn = 0;
     *longest = 0;
@@ -593,13 +613,13 @@ static void draw(const Py_buffer *view, double *cdf)
 
 static PyObject *draw_contexts(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_count("draw_contexts", nargs, N_DRAW))
-        return NULL;
     Py_buffer view[N_DRAW] = {{0}};
+    const int taken = take_args("draw_contexts", args, nargs, DRAW_ARGS, N_DRAW, view, NULL);
+    if (taken < 0)
+        return NULL;
     Py_ssize_t longest = 0;
     double *cdf = NULL;
-    const int fits = numpy_own.dgemv && !take_all(args, DRAW_ARGS, N_DRAW, view) &&
-                     fits_draws(view, &longest) &&
+    const int fits = !taken && numpy_own.dgemv && fits_draws(view, &longest) &&
                      (cdf = malloc((size_t)(longest ? longest : 1) * sizeof *cdf)) != NULL;
     if (fits)
         draw(view, cdf);
@@ -772,10 +792,10 @@ static int64_t read_time(const unsigned char **p, const unsigned char *end)
     for (; q < safe && *q >= '0' && *q <= '9'; q++)
         value = value * 10 + (unsigned)(*q - '0');
     for (; q < end && *q >= '0' && *q <= '9'; q++) {
-        const unsigned digit = *q - '0';
-        if (value > ((uint64_t)INT64_MAX - digit) / 10)
+        const unsigned next = *q - '0';
+        if (value > ((uint64_t)INT64_MAX - next) / 10)
             return -1;
-        value = value * 10 + digit;
+        value = value * 10 + next;
     }
     if (q == *p)
         return -1;
@@ -891,23 +911,25 @@ static int64_t scan(struct ids *ids, const Py_buffer *view, int *canonical)
 
 /* scan_cascades(log, initiator, start, offsets, node_idx, times,
  * id_offset, id_length) scans the bytes of log into the writable arrays of
- * SCAN_ARGS, of one corpus's lengths, cascade i's events at offsets[i]:offsets[i+1] of
- * node_idx and times, and the distinct ids into id_offset and id_length,
- * as long as each other: id k is log[id_offset[k]:id_offset[k] +
- * id_length[k]]. The arrays' lengths are the room there is.
+ * SCAN_ARGS, of one corpus's lengths, cascade i's events at
+ * offsets[i]:offsets[i+1] of node_idx and times, and the distinct ids into
+ * id_offset and id_length, as long as each other: id k is
+ * log[id_offset[k]:id_offset[k] + id_length[k]]. The arrays' lengths are
+ * the room there is.
  *
  * Returns (cascades, ids, canonical), canonical True if the log is in
  * canonical form, or (-1, 0, False) to give up: the log is not in the
- * strict form, an array is not of its kind or length, or the log needs
+ * strict form, an array is refused or not of its length, or the log needs
  * more room or memory than there is. */
 static PyObject *scan_cascades(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_count("scan_cascades", nargs, N_SCAN))
-        return NULL;
     Py_buffer view[N_SCAN] = {0};
+    const int taken = take_args("scan_cascades", args, nargs, SCAN_ARGS, N_SCAN, view, NULL);
+    if (taken < 0)
+        return NULL;
     int64_t n = -1, count = 0;
     int canonical = 1;
-    if (!take_all(args, SCAN_ARGS, N_SCAN, view) && one_corpus(view) &&
+    if (!taken && one_corpus(view) &&
         view[ID_LENGTH].shape[0] == view[ID_OFFSET].shape[0]) {
         const int64_t max = view[ID_OFFSET].shape[0];
         /* pages of stamps no id reaches are never touched */
@@ -931,7 +953,7 @@ static PyObject *scan_cascades(PyObject *Py_UNUSED(module), PyObject *const *arg
  * too. The arrays' lengths are the room there is.
  *
  * Returns (edges, ids), or (-1, 0) to give up: the text is not in the
- * strict form, an array is not of its kind or length, or the text needs
+ * strict form, an array is refused or not of its length, or the text needs
  * more room or memory than there is. */
 enum { E_TEXT, SRC, DST, E_ID_OFFSET, E_ID_LENGTH, N_EDGE_SCAN };
 static const struct param EDGE_ARGS[N_EDGE_SCAN] = {{BYTE, 1, 0}, {I32, 1, 1}, {I32, 1, 1},
@@ -964,11 +986,12 @@ static int64_t scan_edge_lines(struct ids *ids, const Py_buffer *view)
 
 static PyObject *scan_edges(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_count("scan_edges", nargs, N_EDGE_SCAN))
-        return NULL;
     Py_buffer view[N_EDGE_SCAN] = {0};
+    const int taken = take_args("scan_edges", args, nargs, EDGE_ARGS, N_EDGE_SCAN, view, NULL);
+    if (taken < 0)
+        return NULL;
     int64_t n = -1, count = 0;
-    if (!take_all(args, EDGE_ARGS, N_EDGE_SCAN, view) && view[DST].shape[0] == view[SRC].shape[0] &&
+    if (!taken && view[DST].shape[0] == view[SRC].shape[0] &&
         view[E_ID_LENGTH].shape[0] == view[E_ID_OFFSET].shape[0]) {
         struct ids ids = {view[E_TEXT].buf, view[E_ID_OFFSET].buf, view[E_ID_LENGTH].buf, 0,
                           view[E_ID_OFFSET].shape[0], NULL, 0, NULL};
@@ -989,7 +1012,7 @@ static PyObject *scan_edges(PyObject *Py_UNUSED(module), PyObject *const *args, 
  * the corpus arrays are those of WRITE_ARGS, of the lengths of one corpus,
  * read-only or not.
  *
- * Returns the text as bytes, or None if an array is not of its kind or
+ * Returns the text as bytes, or None if an array is refused or not of its
  * length, or an index, an offset or an id bound is out of range. */
 
 /* Writes "ID:VALUE" followed by sep to out, if not NULL; returns its length.
@@ -1050,11 +1073,11 @@ static int64_t render(const Py_buffer *view, char *out)
 
 static PyObject *write_cascades(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (check_count("write_cascades", nargs, N_WRITE))
-        return NULL;
     Py_buffer view[N_WRITE] = {0};
-    const int64_t size =
-        take_all(args, WRITE_ARGS, N_WRITE, view) || !one_corpus(view) ? -1 : render(view, NULL);
+    const int taken = take_args("write_cascades", args, nargs, WRITE_ARGS, N_WRITE, view, NULL);
+    if (taken < 0)
+        return NULL;
+    const int64_t size = taken || !one_corpus(view) ? -1 : render(view, NULL);
     PyObject *text = size < 0 ? Py_NewRef(Py_None) : PyBytes_FromStringAndSize(NULL, size);
     if (text && size >= 0)
         render(view, PyBytes_AS_STRING(text));
@@ -1087,52 +1110,20 @@ static PyObject *write_cascades(PyObject *Py_UNUSED(module), PyObject *const *ar
  *
  * initiator, node_idx, src and dst are int32 arrays of indices into an id
  * table of n_ids ids, and their outputs int32 arrays; offsets and times
- * are int64. Every array is one-dimensional, C-contiguous and aligned, the
- * outputs writable and apart from every other array. offsets, one more
- * than the cascades, ascend from 0 to len(node_idx) = len(times), and each
- * output is as long as its input. Each returns the number of events or
- * edges it kept, or -1, having written nothing, for arrays it cannot take,
- * an index out of range or a lack of memory. */
+ * are int64, all one-dimensional. offsets, one more than the cascades,
+ * ascend from 0 to len(node_idx) = len(times), and each output is as long
+ * as its input. Each returns the number of events or edges it kept, or -1,
+ * having written nothing, for arrays it cannot take, an index out of range
+ * or a lack of memory. */
 
 enum { C_INITIATOR, C_OFFSETS, C_NODE_IDX, C_TIMES, C_OUT_OFFSETS, C_OUT_NODE_IDX, C_OUT_TIMES,
        C_N_IDS, N_CANONICAL };
-static const struct param CANONICAL_ARGS[C_N_IDS] = {{I32, 1, 0}, {I64, 1, 0}, {I32, 1, 0},
-                                                     {I64, 1, 0}, {I64, 1, 1}, {I32, 1, 1},
-                                                     {I64, 1, 1}};
+static const struct param CANONICAL_ARGS[N_CANONICAL] = {
+    {I32, 1, 0}, {I64, 1, 0}, {I32, 1, 0}, {I64, 1, 0},
+    {I64, 1, 1}, {I32, 1, 1}, {I64, 1, 1}, {INDEX, 0, 0}};
 enum { EDGE_SRC, EDGE_DST, EDGE_OUT_SRC, EDGE_OUT_DST, EDGE_N_IDS, N_DISTINCT };
-static const struct param DISTINCT_ARGS[EDGE_N_IDS] = {{I32, 1, 0}, {I32, 1, 0}, {I32, 1, 1},
-                                                    {I32, 1, 1}};
-
-/* The n_ids argument of either function: the count, or -1 if it is
- * negative or past long long, or -2 with a Python error set. */
-static long long count_of(PyObject *arg)
-{
-    int overflow;
-    const long long n = PyLong_AsLongLongAndOverflow(arg, &overflow);
-    if (n == -1 && PyErr_Occurred())
-        return -2;
-    return n < 0 || overflow ? -1 : n;
-}
-
-/* Whether no output of the n views, those from first on, overlaps another
- * view. */
-static int outputs_apart(const Py_buffer *view, int first, int n)
-{
-    for (int a = first; a < n; a++)
-        for (int b = 0; b < n; b++)
-            if (a != b && overlap(&view[a], &view[b]))
-                return 0;
-    return 1;
-}
-
-/* Whether all n entries of index are in [0, n_ids). */
-static int in_range(const int32_t *index, Py_ssize_t n, long long n_ids)
-{
-    for (Py_ssize_t k = 0; k < n; k++)
-        if (index[k] < 0 || index[k] >= n_ids)
-            return 0;
-    return 1;
-}
+static const struct param DISTINCT_ARGS[N_DISTINCT] = {{I32, 1, 0}, {I32, 1, 0}, {I32, 1, 1},
+                                                       {I32, 1, 1}, {INDEX, 0, 0}};
 
 struct event {
     int64_t time;
@@ -1191,8 +1182,7 @@ static int fits_canonical(const Py_buffer *view, long long n_ids, Py_ssize_t *lo
     const Py_ssize_t cascades = view[C_INITIATOR].shape[0], events = view[C_TIMES].shape[0];
     if (view[C_OFFSETS].shape[0] != cascades + 1 || view[C_OUT_OFFSETS].shape[0] != cascades + 1 ||
         view[C_NODE_IDX].shape[0] != events || view[C_OUT_NODE_IDX].shape[0] != events ||
-        view[C_OUT_TIMES].shape[0] != events || offsets[0] != 0 || offsets[cascades] != events ||
-        !outputs_apart(view, C_OUT_OFFSETS, C_N_IDS))
+        view[C_OUT_TIMES].shape[0] != events || offsets[0] != 0 || offsets[cascades] != events)
         return 0;
     *longest = 0;
     for (Py_ssize_t i = 0; i < cascades; i++) {
@@ -1241,23 +1231,23 @@ static int64_t write_canonical(const Py_buffer *view, int64_t *stamp, struct eve
 static PyObject *canonical_events(PyObject *Py_UNUSED(module), PyObject *const *args,
                                   Py_ssize_t nargs)
 {
-    if (check_count("canonical_events", nargs, N_CANONICAL))
+    Py_buffer view[N_CANONICAL] = {{0}};
+    union number number[N_CANONICAL];
+    const int taken =
+        take_args("canonical_events", args, nargs, CANONICAL_ARGS, N_CANONICAL, view, number);
+    if (taken < 0)
         return NULL;
-    const long long n_ids = count_of(args[C_N_IDS]);
-    if (n_ids == -2)
-        return NULL;
-    Py_buffer view[C_N_IDS] = {{0}};
+    const long long n_ids = number[C_N_IDS].index;
     Py_ssize_t longest = 0;
     int64_t kept = -1, *stamp = NULL;
     struct event *room = NULL;
-    if (n_ids >= 0 && !take_all(args, CANONICAL_ARGS, C_N_IDS, view) &&
-        fits_canonical(view, n_ids, &longest) &&
+    if (!taken && n_ids >= 0 && fits_canonical(view, n_ids, &longest) &&
         (stamp = calloc(n_ids ? (size_t)n_ids : 1, sizeof *stamp)) != NULL &&
         (room = malloc(2 * (size_t)(longest ? longest : 1) * sizeof *room)) != NULL)
         kept = write_canonical(view, stamp, room, (size_t)longest);
     free(room);
     free(stamp);
-    release(view, C_N_IDS);
+    release(view, N_CANONICAL);
     return PyLong_FromLongLong(kept);
 }
 
@@ -1269,7 +1259,6 @@ static int fits_distinct(const Py_buffer *view, long long n_ids)
     /* an edge's index is kept in an int32 entry of out_dst */
     return edges <= INT32_MAX && view[EDGE_DST].shape[0] == edges &&
            view[EDGE_OUT_SRC].shape[0] == edges && view[EDGE_OUT_DST].shape[0] == edges &&
-           outputs_apart(view, EDGE_OUT_SRC, EDGE_N_IDS) &&
            in_range(view[EDGE_SRC].buf, edges, n_ids) && in_range(view[EDGE_DST].buf, edges, n_ids);
 }
 
@@ -1306,21 +1295,21 @@ static int64_t distinct(const Py_buffer *view, int64_t *start, int64_t *stamp, l
 static PyObject *distinct_edges(PyObject *Py_UNUSED(module), PyObject *const *args,
                                 Py_ssize_t nargs)
 {
-    if (check_count("distinct_edges", nargs, N_DISTINCT))
+    Py_buffer view[N_DISTINCT] = {{0}};
+    union number number[N_DISTINCT];
+    const int taken =
+        take_args("distinct_edges", args, nargs, DISTINCT_ARGS, N_DISTINCT, view, number);
+    if (taken < 0)
         return NULL;
-    const long long n_ids = count_of(args[EDGE_N_IDS]);
-    if (n_ids == -2)
-        return NULL;
-    Py_buffer view[EDGE_N_IDS] = {{0}};
+    const long long n_ids = number[EDGE_N_IDS].index;
     int64_t kept = -1, *start = NULL, *stamp = NULL;
-    if (n_ids >= 0 && !take_all(args, DISTINCT_ARGS, EDGE_N_IDS, view) &&
-        fits_distinct(view, n_ids) &&
+    if (!taken && n_ids >= 0 && fits_distinct(view, n_ids) &&
         (start = calloc((size_t)n_ids + 1, sizeof *start)) != NULL &&
         (stamp = calloc(n_ids ? (size_t)n_ids : 1, sizeof *stamp)) != NULL)
         kept = distinct(view, start, stamp, n_ids);
     free(stamp);
     free(start);
-    release(view, EDGE_N_IDS);
+    release(view, N_DISTINCT);
     return PyLong_FromLongLong(kept);
 }
 

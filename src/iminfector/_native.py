@@ -12,14 +12,16 @@ system C compiler, ``$CC`` or else ``cc``, against this interpreter's
 the user's cache directory, ``$XDG_CACHE_HOME/iminfector`` (default
 ``~/.cache/iminfector``), and loads it through
 ``importlib.machinery.ExtensionFileLoader`` as the CPython extension module
-``iminfector._native_lib``, at most once per process. Its functions read
-their arrays through the buffer protocol and check their kind, shape and
-layout themselves. A library's name holds two digests: one of the source,
-the compiler flags, the machine type, the interpreter's ABI
-(``EXT_SUFFIX`` and the include directory) and numpy's version and include
-directory, so that a changed source, flag set, interpreter or numpy builds
-a new library and a cached one is reused only where it was built for; and
-one of the library's own bytes, checked before it is loaded. Loading a
+``iminfector._native_lib``, at most once per process. Its functions keep
+one argument contract, set out in the "Arguments" section of
+``_native.c``: what numbers and arrays they take, that no array they write
+shares memory with another, and that they refuse the rest. A library's
+name holds two digests: one of the source, the compiler flags, the
+machine type, the interpreter's ABI (``EXT_SUFFIX`` and the include
+directory) and numpy's version and include directory, so that a changed
+source, flag set, interpreter or numpy builds a new library and a cached
+one is reused only where it was built for; and one of the library's own
+bytes, checked before it is loaded. Loading a
 cut-short shared library can kill the process with SIGBUS, so a file whose
 bytes do not match its name is never loaded; a build replaces it.
 

@@ -60,10 +60,13 @@ train() takes the loop only when all of these hold:
 
 Every other model takes the numpy step, with the same bits.
 
-The loop refuses arrays it cannot take (a Fortran-order T, say) call by
-call, taking no pair, and step_classify takes the cascade's pairs. train()
-refuses a stream with a pair outside the model before its epoch takes a
-step, and hands the loop its context as int32 (_check_stream).
+The loop refuses, call by call and taking no pair, what the native
+library's argument contract (the "Arguments" section of _native.c) or its
+own checks rule out: a Fortran-order T, say, an array it writes that shares
+memory with another, an influencer outside O's rows or a context outside
+T's columns. step_classify then takes the cascade's pairs. train() refuses
+a stream with a pair outside the model before its epoch takes a step, and
+hands the loop its context as int32 (_check_stream).
 
 A step proves the model finite instead of scanning it, and each proof is
 exact:
@@ -320,9 +323,10 @@ def _same_bits(a, b):
 
 def _take_pairs(lib, model, ws, u, context, lr, losses):
     """The C loop of ``lib`` on the pairs of influencer ``u`` and each of
-    ``context``, with the arrays of ``model`` and ``ws``: where it stopped,
+    ``context``, with the arrays of ``model`` and ``ws``: len(context), or
     ~k if step k proved a value non-finite, with the workspace's bounds set
-    to those its steps leave; None if the loop cannot take the arrays or u."""
+    to those its steps leave; None, having taken no pair, if the loop
+    refuses the arrays, u or a context outside T's columns."""
     taken = lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, u, context,
                                lr, ws.bound, ws.bias_bound)
     if taken is None:
@@ -477,10 +481,9 @@ def _check_stream(model, stream, epoch):
     and offsets one more, and offsets run from 0, non-decreasing, to
     len(context); and one naming the first bad cascade or context unless
     every influencer is a row of O and every context a column of T. The C
-    loop refuses an influencer outside the model and stops at such a
-    context, but the numpy steps would index it from the end. The check
-    reads the arrays as given, so a context past int32 is refused, not
-    wrapped.
+    loop refuses an influencer or a context outside the model, but the
+    numpy steps would index it from the end. The check reads the arrays as
+    given, so a context past int32 is refused, not wrapped.
     """
     arrays = dict(influencer=np.asarray(stream.influencer), offsets=np.asarray(stream.offsets),
                   context=np.asarray(stream.context))

@@ -1,6 +1,6 @@
 """Fixtures: the native library and the classify step paths to test. The
-private cache of the native library, ``kernel_cache``, is in the
-repository root's conftest.py."""
+session's private cache of the native library, and ``kernel_cache``, which
+builds the library there, are in the repository root's conftest.py."""
 
 import shutil
 

@@ -109,14 +109,35 @@ SCAN_ARRAYS = {
 }
 
 
-def scan_arrays(room, **change):
-    """The scanner's arrays, with ``room`` entries of each kind of room;
-    ``change`` maps an array's name to a function that replaces it."""
-    arrays = {}
-    for name, (dtype, kind) in SCAN_ARRAYS.items():
-        array = np.zeros(room[kind], dtype)
-        arrays[name] = change[name](array) if name in change else array
-    return list(arrays.values())
+def scan_arrays(room):
+    """The scanner's arrays, with ``room`` entries of each kind of room."""
+    return [np.zeros(room[kind], dtype) for dtype, kind in SCAN_ARRAYS.values()]
+
+
+def changed(name, change):
+    """A change of scan_arrays's array ``name`` by ``change``."""
+    k = list(SCAN_ARRAYS).index(name)
+    return lambda arrays: [*arrays[:k], change(arrays[k]), *arrays[k + 1 :]]
+
+
+def one_buffer(arrays, first, second):
+    """``arrays`` with arrays ``first`` and ``second`` cut from one buffer,
+    each of its own kind and length, the second from the first's last 8
+    bytes on: the two share memory."""
+    a, b = arrays[first], arrays[second]
+    at = (a.nbytes - 1) // 8 * 8
+    shared = np.zeros(max(a.nbytes, at + b.nbytes), np.uint8)
+    arrays = list(arrays)
+    arrays[first] = shared[: a.nbytes].view(a.dtype)
+    arrays[second] = shared[at : at + b.nbytes].view(b.dtype)
+    return arrays
+
+
+def sharing(first, second):
+    """A change of scan_arrays that cuts its arrays ``first`` and ``second``
+    from one buffer."""
+    names = list(SCAN_ARRAYS)
+    return lambda arrays: one_buffer(arrays, names.index(first), names.index(second))
 
 
 def exact_room(lib, data):
@@ -141,7 +162,7 @@ def short_scans(lib, data):
         return []
     want = room["cascades"], room["ids"], room["canonical"]
     assert lib.scan_cascades(data, *scan_arrays(room)) == want
-    cases = [scan_arrays(room, **{name: lambda array: array[:-1]})
+    cases = [changed(name, lambda array: array[:-1])(scan_arrays(room))
              for name, (_, kind) in SCAN_ARRAYS.items() if room[kind]]
     for kind in ("cascades", "events", "ids"):
         if room[kind]:
@@ -162,14 +183,20 @@ def read_only(array):
     return array
 
 
-# Each makes one array the scanner does not take: another kind, strided, read-only.
+# Each makes the scanner's arrays ones it does not take: one of another
+# kind, strided or read-only, or two that share memory, so that every array
+# it writes shares memory with another in some case.
 MISFIT_SCANS = {
-    "int64 initiator": {"initiator": lambda a: a.astype(np.int64)},
-    "float times": {"times": lambda a: a.astype(np.float64)},
-    "strided node_idx": {"node_idx": lambda a: np.repeat(a, 2)[::2]},
-    "strided offsets": {"offsets": lambda a: np.repeat(a, 2)[::2]},
-    "read-only start": {"start": read_only},
-    "read-only id_length": {"id_length": read_only},
+    "int64 initiator": changed("initiator", lambda a: a.astype(np.int64)),
+    "float times": changed("times", lambda a: a.astype(np.float64)),
+    "strided node_idx": changed("node_idx", lambda a: np.repeat(a, 2)[::2]),
+    "strided offsets": changed("offsets", lambda a: np.repeat(a, 2)[::2]),
+    "read-only start": changed("start", read_only),
+    "read-only id_length": changed("id_length", read_only),
+    "initiator and node_idx in one buffer": sharing("initiator", "node_idx"),
+    "start and offsets in one buffer": sharing("start", "offsets"),
+    "times and id_offset in one buffer": sharing("times", "id_offset"),
+    "id_offset and id_length in one buffer": sharing("id_offset", "id_length"),
 }
 
 
@@ -182,10 +209,20 @@ def test_scanner_gives_up_short_of_room(built_library):
             assert built_library.scan_cascades(data, *args) == GIVE_UP, name
 
 
+def assert_misfit_scans_refused(lib):
+    """The scanner gives up on every MISFIT_SCANS case of STRICT's room and
+    writes none of its arrays."""
+    room = exact_room(lib, STRICT)
+    for what, misfit in MISFIT_SCANS.items():
+        arrays = misfit(scan_arrays(room))
+        before = [a.copy() for a in arrays]
+        assert lib.scan_cascades(STRICT, *arrays) == GIVE_UP, what
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b, err_msg=what)
+
+
 def test_scanner_gives_up_on_arrays_it_cannot_take(built_library):
-    room = exact_room(built_library, STRICT)
-    for what, change in MISFIT_SCANS.items():
-        assert built_library.scan_cascades(STRICT, *scan_arrays(room, **change)) == GIVE_UP, what
+    assert_misfit_scans_refused(built_library)
 
 
 # A canonical log: in each cascade the times do not descend, no participant

@@ -601,6 +601,7 @@ def canonical_misfits():
         "out_node_idx one short": change(5, out_node_idx[:-1]),
         "out_offsets one long": change(4, np.zeros(5, np.int64)),
         "read-only out_times": change(6, read_only),
+        "out_offsets is offsets": change(4, offsets),
         "out_times is times": change(6, times),
         "out_node_idx over out_times": change(5, out_times.view(np.int32)[: len(node_idx)]),
         "2-D out_offsets": change(4, out_offsets.reshape(1, -1)),

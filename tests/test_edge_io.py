@@ -31,6 +31,7 @@ from iminfector.cascades import (
 from iminfector.evaluation import kcore_ranking
 from iminfector.exceptions import CascadeFormatError
 from iminfector.synth import generate_corpus
+from test_cascade_io import one_buffer
 from test_columnar_equivalence import refused
 
 STRICT_EDGES = b"a\tb\r\nb\ta\n# a comment\tx\n\na\ta\na\tb\nc#\t~!\nb\tc"
@@ -164,6 +165,8 @@ def short_edge_scans(lib, data):
 
 
 def assert_misfit_edge_scans_refused(lib):
+    """scan_edges gives up on arrays it does not take, those that share
+    memory among them, and writes none of them."""
     arrays = scan_edges_room(STRICT_EDGES)
     misfits = {
         "int64 src": [arrays[0].astype(np.int64), *arrays[1:]],
@@ -171,12 +174,17 @@ def assert_misfit_edge_scans_refused(lib):
         "strided id_offset": [*arrays[:2], np.repeat(arrays[2], 2)[::2], arrays[3]],
         "id_length one short": [*arrays[:3], arrays[3][:-1]],
         "2-D src": [arrays[0].reshape(1, -1), *arrays[1:]],
+        "src and dst in one buffer": one_buffer(arrays, 0, 1),
+        "id_offset and id_length in one buffer": one_buffer(arrays, 2, 3),
     }
     read_only = np.zeros_like(arrays[1])
     read_only.setflags(write=False)
     misfits["read-only dst"] = [arrays[0], read_only, *arrays[2:]]
     for what, args in misfits.items():
+        before = [a.copy() for a in args]
         assert lib.scan_edges(STRICT_EDGES, *args) == (-1, 0), what
+        for a, b in zip(args, before):
+            np.testing.assert_array_equal(a, b, err_msg=what)
 
 
 def test_edge_scanner_gives_up_short_of_room_or_on_misfit_arrays(built_library):

@@ -44,6 +44,16 @@ from test_model import (
 )
 
 
+# The native library's cache directory when this module is imported,
+# during collection: a module that reaches the library at import loads it
+# from there.
+CACHE_AT_IMPORT = _native.cache_dir()
+
+
+def test_collection_uses_the_session_cache():
+    assert CACHE_AT_IMPORT == _native.cache_dir()
+
+
 def loop_passes_self_check(lib):
     with model_module._sgd_numpy():
         return model_module._loop_matches_step(lib)
@@ -310,6 +320,11 @@ def test_library_gone_before_it_is_opened_is_no_library(tmp_path, built_library,
     assert not copy.exists()
 
 
+# -Wstrict-prototypes is left out: it fails inside numpy's own headers
+STRICT_WARNINGS = ("-Wall", "-Wextra", "-Wshadow", "-Wundef", "-Wvla", "-Wpointer-arith",
+                   "-Wwrite-strings", "-Wformat=2")
+
+
 def test_source_compiles_without_warnings(tmp_path):
     # -Werror only here: in the build FLAGS a newer compiler's new warning
     # would turn into a failed build, and so into the numpy/Python paths
@@ -321,7 +336,7 @@ def test_source_compiles_without_warnings(tmp_path):
     assert os.path.isfile(os.path.join(_native.python_abi()[1], "Python.h"))
     (tmp_path / "native.c").write_bytes(_native.source())
     proc = subprocess.run(
-        [_native.CC, *args, "-Wall", "-Wextra", "-Werror", "-o", "native.so", "native.c"],
+        [_native.CC, *args, *STRICT_WARNINGS, "-Werror", "-o", "native.so", "native.c"],
         cwd=tmp_path, capture_output=True, text=True, timeout=_native.BUILD_TIMEOUT_S,
     )
     assert proc.returncode == 0, proc.stderr
@@ -329,11 +344,11 @@ def test_source_compiles_without_warnings(tmp_path):
 
 # Drives the library at argv[1] over the scanner logs (long ids and 19- and
 # 20-digit times among them) and writer corpora of test_cascade_io.py and
-# the edge lists of test_edge_io.py, the arrays too short or of the wrong
-# kind among them, and the canonical logs and their mutations; over the
-# canonical events of test_columnar_equivalence.py and the distinct edges
-# of test_edge_io.py, and the misfits each refuses, an index out of range
-# and offsets that descend among them; over the C
+# the edge lists of test_edge_io.py, the arrays too short, of the wrong
+# kind or sharing memory among them, and the canonical logs and their
+# mutations; over the canonical events of test_columnar_equivalence.py and
+# the distinct edges of test_edge_io.py, and the misfits each refuses, an
+# index out of range and offsets that descend among them; over the C
 # loop's self-check at the model shapes SHAPES, its argument errors and the
 # context draws of test_context.py, counts of draws that are not multiples
 # of 8 among them, on arrays that fit and on those draw_contexts refuses,
@@ -361,9 +376,7 @@ SANITIZED_SCRIPT = textwrap.dedent(
         _scan(lib, data)
         for args in io.short_scans(lib, data):
             assert lib.scan_cascades(data, *args) == io.GIVE_UP
-    room = io.exact_room(lib, io.STRICT)
-    for change in io.MISFIT_SCANS.values():
-        assert lib.scan_cascades(io.STRICT, *io.scan_arrays(room, **change)) == io.GIVE_UP
+    io.assert_misfit_scans_refused(lib)
     for name, data in io.canonical_logs().items():
         assert io.exact_room(lib, data)["canonical"] == (name == "canonical")
     for data in edge_io.edge_logs().values():
@@ -644,28 +657,37 @@ def loop_args(model, ws, u, context, losses, lr=0.1):
             ws.bias_bound)
 
 
-# The misfits of the stream's influencer and context: the loop refuses
-# them, but takes the model's and the workspace's arrays.
-STREAM_MISFITS = ("int64 context", "u past the rows of O", "negative u", "u past int64")
+# The misfits of the stream's influencer, context and losses: the loop
+# refuses them, but takes the model's and the workspace's arrays.
+STREAM_MISFITS = ("int64 context", "a context past the columns of T", "a negative context",
+                  "losses over context", "u past the rows of O", "negative u", "u past int64")
 
 
 def loop_misfits():
-    """(what, model, ws, u, context) for each set of arguments the C loop
-    cannot take: the model's arrays, the workspace's or the stream's
-    influencer and context."""
+    """(what, model, ws, u, context, losses) for each set of arguments the
+    C loop cannot take: the model's arrays, the workspace's or the stream's
+    influencer, context and losses. Each writable array shares memory with
+    another argument in one case."""
     rng = np.random.default_rng(47)
     base = random_model(rng, 3, 9, 4)
-    shared = np.zeros(4 * 9 + 9)
+    shared = np.zeros(3 * 4 + 4 * 9)
     stream = dict(u=1, context=np.array([1, 2, 3], dtype=np.int32))
+    # three int32 contexts, then three float64 losses over them
+    context_and_losses = np.array([1, 2, 3, 0, 0, 0], dtype=np.int32)
     misfits = {
         "T in Fortran order": dict(T=np.asfortranarray(base.T)),
         "float32 b_t": dict(b_t=base.b_t.astype(np.float32)),
         "strided O": dict(O=np.repeat(base.O, 2, axis=0)[::2]),
         "read-only T": dict(T=np.frombuffer(base.T.tobytes()).reshape(4, 9)),
+        "O and T overlap": dict(O=shared[:12].reshape(3, 4), T=shared[11:47].reshape(4, 9)),
         "T and b_t overlap": dict(T=shared[:36].reshape(4, 9), b_t=shared[30:39]),
         "b_t too short": dict(b_t=base.b_t[:8].copy()),
         "phi and grad overlap": dict(phi=shared[:9], grad=shared[5:9]),
         "int64 context": dict(context=stream["context"].astype(np.int64)),
+        "a context past the columns of T": dict(context=np.array([1, 9, 3], dtype=np.int32)),
+        "a negative context": dict(context=np.array([1, 2, -1], dtype=np.int32)),
+        "losses over context": dict(context=context_and_losses[:3],
+                                    losses=context_and_losses.view(np.float64)),
         "u past the rows of O": dict(u=3),
         "negative u": dict(u=-1),
         "u past int64": dict(u=2**64 + 1),
@@ -673,14 +695,14 @@ def loop_misfits():
     for what, arrays in misfits.items():
         model = copy_model(base)
         ws = StepWorkspace(model)
-        pairs = dict(stream)
+        pairs = dict(stream, losses=np.full(3, np.nan))
         for name, value in arrays.items():
             if name in pairs:
                 pairs[name] = value
             else:
                 setattr(ws if name in ("phi", "grad") else model, name, value)
-        yield what, model, ws, pairs["u"], pairs["context"]
-    yield "fits", base, StepWorkspace(base), stream["u"], stream["context"]
+        yield what, model, ws, pairs["u"], pairs["context"], pairs["losses"]
+    yield "fits", base, StepWorkspace(base), stream["u"], stream["context"], np.full(3, np.nan)
 
 
 def assert_misfits_refused(lib):
@@ -688,15 +710,17 @@ def assert_misfits_refused(lib):
     each misfit, having taken no pair and changed nothing; its call on no
     pairs of influencer 0 tells the two apart for the model's and
     workspace's arrays."""
-    for what, model, ws, u, context in loop_misfits():
+    for what, model, ws, u, context, losses in loop_misfits():
         before = copy_model(model)
-        losses = np.full(3, np.nan)
+        stream = [context.copy(), losses.copy()]
         taken = lib.classify_pairs(*loop_args(model, ws, u, context, losses))
         if what == "fits":
             assert taken[0] == 3 and not np.isnan(losses).any()
         else:
-            assert taken is None and np.isnan(losses).all(), what
+            assert taken is None, what
             assert_same_model(before, model, what)
+            for a, b in zip((context, losses), stream):
+                assert np.array_equal(a, b, equal_nan=True), what
         assert takes_arrays(lib, model, ws) == (what == "fits" or what in STREAM_MISFITS)
 
 

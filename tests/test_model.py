@@ -334,15 +334,15 @@ def loop_step(lib=None):
     """step_classify(model, u, y, lr, ws) through the C loop of ``lib``
     (default: the package's library): the pair alone in a stream, taken by
     step_classify if the loop does not take it, as train does. The loop must
-    take the pair unless it refuses the arrays or u, or y is out of range."""
+    take the pair unless it refuses the arrays, u or y."""
     lib = lib or _native.load()
 
     def step(model, u, y, lr, ws):
         takes = takes_arrays(lib, model, ws)
         if takes and not loop_matches_at(lib, *model.T.shape):
             return step_classify(model, u, y, lr, ws)
-        takes = takes and 0 <= u < model.O.shape[0]
-        want = None if not takes else 1 if 0 <= y < model.T.shape[1] else 0
+        takes = takes and 0 <= u < model.O.shape[0] and 0 <= y < model.T.shape[1]
+        want = 1 if takes else None
         losses = np.full(1, np.nan)
         stop = model_module._take_pairs(lib, model, ws, u, np.array([y], dtype=np.int32), lr, losses)
         if stop == ~0:
