@@ -1,7 +1,7 @@
 /* The package's native library: the classify step's loop with its
  * T update, the context draws of the training stream, a scanner and a
  * writer for the cascade text format, a scanner for edge lists, and the
- * canonical events of raw cascades and the distinct edges of an edge list.
+ * canonical events of raw cascades, which edge lists take too.
  * _native.py builds it on first use against this interpreter's Python.h
  * and numpy's headers and loads it once, as the extension module
  * iminfector._native_lib. Its functions take arrays and numbers only, no
@@ -315,7 +315,7 @@ static int take_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
         }
         const char *const format = v->format;
         if (v->ndim != p->ndim || v->itemsize != SIZE[p->kind] ||
-            (uintptr_t)v->buf % SIZE[p->kind] || !format[0] || format[1] ||
+            (uintptr_t)v->buf % (uintptr_t)SIZE[p->kind] || !format[0] || format[1] ||
             !strchr(FORMATS[p->kind], format[0]))
             return 1;
     }
@@ -1085,7 +1085,7 @@ static PyObject *write_cascades(PyObject *Py_UNUSED(module), PyObject *const *ar
     return text;
 }
 
-/* ---- Canonical events and distinct edges ----
+/* ---- Canonical events ----
  *
  * canonical_events(initiator, offsets, node_idx, times, out_offsets,
  * out_node_idx, out_times, n_ids) puts the raw cascades of build_corpus in
@@ -1098,32 +1098,23 @@ static PyObject *write_cascades(PyObject *Py_UNUSED(module), PyObject *const *ar
  * descend somewhere. Each id carries a stamp, as in the scanner: the
  * initiator is stamped first, and an event whose id already carries its
  * cascade's stamp is dropped. So the pass is linear in the events, and
- * needs no room of the corpus's size.
+ * needs no room of the corpus's size. An edge list takes the same pass,
+ * each source's edges one cascade of ascending times (see _distinct_edges
+ * in cascades.py), which drops its self-loops and repeated pairs.
  *
- * distinct_edges(src, dst, out_src, out_dst, n_ids) writes the edges
- * src[k] -> dst[k] to out_src and out_dst, in their order, less self-loops
- * and all but the first of each repeated pair. It lists the edges of each
- * source in a bucket, in order, in out_dst; marks in out_src each edge
- * whose target its source's bucket has not stamped; and compacts the
- * marked edges. So it sorts no keys, and takes time linear in the edges
- * and the ids.
- *
- * initiator, node_idx, src and dst are int32 arrays of indices into an id
- * table of n_ids ids, and their outputs int32 arrays; offsets and times
- * are int64, all one-dimensional. offsets, one more than the cascades,
- * ascend from 0 to len(node_idx) = len(times), and each output is as long
- * as its input. Each returns the number of events or edges it kept, or -1,
- * having written nothing, for arrays it cannot take, an index out of range
- * or a lack of memory. */
+ * initiator and node_idx are int32 arrays of indices into an id table of
+ * n_ids ids, and out_node_idx an int32 array; offsets, times and their
+ * outputs are int64, all one-dimensional. offsets, one more than the
+ * cascades, ascend from 0 to len(node_idx) = len(times), and each output
+ * is as long as its input. It returns the number of events it kept, or
+ * -1, having written nothing, for arrays it cannot take, an index out of
+ * range or a lack of memory. */
 
 enum { C_INITIATOR, C_OFFSETS, C_NODE_IDX, C_TIMES, C_OUT_OFFSETS, C_OUT_NODE_IDX, C_OUT_TIMES,
        C_N_IDS, N_CANONICAL };
 static const struct param CANONICAL_ARGS[N_CANONICAL] = {
     {I32, 1, 0}, {I64, 1, 0}, {I32, 1, 0}, {I64, 1, 0},
     {I64, 1, 1}, {I32, 1, 1}, {I64, 1, 1}, {INDEX, 0, 0}};
-enum { EDGE_SRC, EDGE_DST, EDGE_OUT_SRC, EDGE_OUT_DST, EDGE_N_IDS, N_DISTINCT };
-static const struct param DISTINCT_ARGS[N_DISTINCT] = {{I32, 1, 0}, {I32, 1, 0}, {I32, 1, 1},
-                                                       {I32, 1, 1}, {INDEX, 0, 0}};
 
 struct event {
     int64_t time;
@@ -1251,68 +1242,6 @@ static PyObject *canonical_events(PyObject *Py_UNUSED(module), PyObject *const *
     return PyLong_FromLongLong(kept);
 }
 
-/* Whether the arrays of view are those distinct_edges takes, with n_ids
- * ids. */
-static int fits_distinct(const Py_buffer *view, long long n_ids)
-{
-    const Py_ssize_t edges = view[EDGE_SRC].shape[0];
-    /* an edge's index is kept in an int32 entry of out_dst */
-    return edges <= INT32_MAX && view[EDGE_DST].shape[0] == edges &&
-           view[EDGE_OUT_SRC].shape[0] == edges && view[EDGE_OUT_DST].shape[0] == edges &&
-           in_range(view[EDGE_SRC].buf, edges, n_ids) && in_range(view[EDGE_DST].buf, edges, n_ids);
-}
-
-/* Writes the distinct edges of view's arrays, fitted, with start and stamp
- * as room for n_ids + 1 and n_ids entries, all 0; the edges kept. */
-static int64_t distinct(const Py_buffer *view, int64_t *start, int64_t *stamp, long long n_ids)
-{
-    const int32_t *const src = view[EDGE_SRC].buf, *const dst = view[EDGE_DST].buf;
-    int32_t *const out_src = view[EDGE_OUT_SRC].buf, *const bucket = view[EDGE_OUT_DST].buf;
-    const Py_ssize_t edges = view[EDGE_SRC].shape[0];
-    /* start[u] is where source u's bucket begins, then, once it is filled,
-     * where it ends */
-    for (Py_ssize_t k = 0; k < edges; k++)
-        start[src[k] + 1]++;
-    for (long long u = 0; u < n_ids; u++)
-        start[u + 1] += start[u];
-    for (Py_ssize_t k = 0; k < edges; k++)
-        bucket[start[src[k]]++] = (int32_t)k;
-    for (long long u = 0, p = 0; u < n_ids; u++)
-        for (; p < start[u]; p++) {
-            const int32_t k = bucket[p], v = dst[k];
-            out_src[k] = v != u && stamp[v] != u + 1;
-            stamp[v] = u + 1;
-        }
-    int64_t kept = 0;
-    for (Py_ssize_t k = 0; k < edges; k++)
-        if (out_src[k]) {
-            out_src[kept] = src[k];
-            bucket[kept++] = dst[k];
-        }
-    return kept;
-}
-
-static PyObject *distinct_edges(PyObject *Py_UNUSED(module), PyObject *const *args,
-                                Py_ssize_t nargs)
-{
-    Py_buffer view[N_DISTINCT] = {{0}};
-    union number number[N_DISTINCT];
-    const int taken =
-        take_args("distinct_edges", args, nargs, DISTINCT_ARGS, N_DISTINCT, view, number);
-    if (taken < 0)
-        return NULL;
-    const long long n_ids = number[EDGE_N_IDS].index;
-    int64_t kept = -1, *start = NULL, *stamp = NULL;
-    if (!taken && n_ids >= 0 && fits_distinct(view, n_ids) &&
-        (start = calloc((size_t)n_ids + 1, sizeof *start)) != NULL &&
-        (stamp = calloc(n_ids ? (size_t)n_ids : 1, sizeof *stamp)) != NULL)
-        kept = distinct(view, start, stamp, n_ids);
-    free(stamp);
-    free(start);
-    release(view, N_DISTINCT);
-    return PyLong_FromLongLong(kept);
-}
-
 /* Sets the module's isa to the fused_t_update copy that runs: "avx512f",
  * "avx2" or "baseline". The resolver picks the first copy CLONES lists
  * that the CPU supports, and this tests the CPU in the same order. Then
@@ -1343,8 +1272,6 @@ static PyMethodDef methods[] = {
     {"canonical_events", (PyCFunction)(void (*)(void))canonical_events, METH_FASTCALL,
      "canonical_events(initiator, offsets, node_idx, times, out_offsets, out_node_idx, "
      "out_times, n_ids)"},
-    {"distinct_edges", (PyCFunction)(void (*)(void))distinct_edges, METH_FASTCALL,
-     "distinct_edges(src, dst, out_src, out_dst, n_ids)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1355,7 +1282,7 @@ static struct PyModuleDef module_def = {
     .m_name = "iminfector._native_lib",
     .m_doc = "iminfector's native library: the classify loop, the training stream's "
              "context draws, the cascade text format, the edge list scanner, and the "
-             "canonical events and distinct edges of raw arrays.",
+             "canonical events of raw arrays.",
     .m_methods = methods,
     .m_slots = slots,
 };

@@ -4,9 +4,9 @@
 T update (``fused_t_update``) and its direct calls of numpy's own loops and
 BLAS, the training stream's context draws (``draw_contexts``), the cascade
 scanner (``scan_cascades``), the cascade writer (``write_cascades``), the
-edge list scanner (``scan_edges``), the canonical events of build_corpus
-(``canonical_events``) and the distinct edges of an edge list
-(``distinct_edges``). ``load()`` compiles it with the
+edge list scanner (``scan_edges``) and the canonical events of
+build_corpus (``canonical_events``), which also keep an edge list's
+distinct edges. ``load()`` compiles it with the
 system C compiler, ``$CC`` or else ``cc``, against this interpreter's
 ``Python.h`` and numpy's headers (for the layout of a ufunc object) into
 the user's cache directory, ``$XDG_CACHE_HOME/iminfector`` (default
@@ -42,8 +42,8 @@ Nothing here runs at import. With no compiler, no Python or numpy
 headers, an unwritable cache or a failed build, ``load()`` returns None:
 training takes its numpy step, the stream draws through ``rng.choice``,
 cascade files and edge lists go through the Python parsers and formatter,
-and build_corpus and the edge lists' distinct edges take their numpy
-passes.
+and build_corpus and the edge lists' distinct edges take the numpy pass
+of canonical events.
 """
 
 import contextlib

@@ -194,34 +194,39 @@ def build_corpus(ids, initiator, start_time, offsets, node_idx, times):
     event precedes its cascade's start and that every cascade has some
     participant other than its initiator.
 
-    The native library's ``canonical_events`` does this in one pass that
-    sorts only the cascades whose times descend somewhere; where there is
-    no library, or it refuses the arrays, _numpy_events gives the same
-    arrays. Then the ids are sorted and the indices remapped.
+    _canonical_events does this. Then the ids are sorted and the indices
+    remapped.
     """
     initiator = np.asarray(initiator, dtype=np.int32)
     offsets = np.asarray(offsets, dtype=np.int64)
     node_idx = np.asarray(node_idx, dtype=np.int32)
     times = np.asarray(times, dtype=np.int64)
-    lib = _native.load()
-    events = None if lib is None else _native_events(lib, len(ids), initiator, offsets, node_idx,
-                                                      times)
-    if events is None:
-        events = _numpy_events(len(ids), initiator, offsets, node_idx, times)
+    events = _canonical_events(len(ids), initiator, offsets, node_idx, times)
     return _reindexed(ids, initiator, np.asarray(start_time, dtype=np.int64), *events,
                       sort_ids=True)
 
 
-def _native_events(lib, n_ids, initiator, offsets, node_idx, times):
-    """(offsets, node_idx, times) of build_corpus's canonical events, from
-    the library; None if it refuses the arrays."""
-    out = np.empty_like(offsets), np.empty_like(node_idx), np.empty_like(times)
-    kept = lib.canonical_events(initiator, offsets, node_idx, times, *out, n_ids)
-    return None if kept < 0 else (out[0], out[1][:kept], out[2][:kept])
+def _canonical_events(n_ids, initiator, offsets, node_idx, times):
+    """(offsets, node_idx, times) of the raw cascades' canonical events over
+    ``n_ids`` ids: per cascade, its events sorted by time (stable), each
+    node's first event only, and none of its initiator.
+
+    The native library's ``canonical_events`` finds them in one pass that
+    sorts only the cascades whose times descend somewhere; where there is
+    no library, or it refuses the arrays, _numpy_events gives the same
+    arrays.
+    """
+    lib = _native.load()
+    if lib is not None:
+        out = np.empty_like(offsets), np.empty_like(node_idx), np.empty_like(times)
+        kept = lib.canonical_events(initiator, offsets, node_idx, times, *out, n_ids)
+        if kept >= 0:
+            return out[0], out[1][:kept], out[2][:kept]
+    return _numpy_events(n_ids, initiator, offsets, node_idx, times)
 
 
 def _numpy_events(n_ids, initiator, offsets, node_idx, times):
-    """_native_events in numpy: a stable sort of the events by cascade and
+    """_canonical_events in numpy: a stable sort of the events by cascade and
     time, then a mask of each node's first event in its cascade."""
     sizes = np.diff(offsets)
     owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
@@ -520,18 +525,18 @@ def _distinct_edges(ids, src, dst):
     """EdgeList of the edges ``src[k] -> dst[k]`` (int32 index arrays) over
     ``ids``, less self-loops and all but the first of each repeated pair.
 
-    The native library's ``distinct_edges`` finds them in one pass that
-    sorts nothing; where there is no library, or it refuses the arrays, a
-    sort of the pairs' keys (first_occurrences) finds the same edges.
+    Source v's edges, in order, form cascade v, whose initiator is v and
+    whose times are the edges' positions, and _canonical_events keeps each
+    target's first event. So it drops a self-loop as the initiator's own
+    event and a repeated pair as a later event of its target, and sorts
+    nothing, since the times ascend within each cascade.
     """
-    lib = _native.load()
-    if lib is not None:
-        out_src, out_dst = np.empty_like(src), np.empty_like(dst)
-        kept = lib.distinct_edges(src, dst, out_src, out_dst, len(ids))
-        if kept >= 0:
-            return EdgeList(ids, out_src[:kept], out_dst[:kept])
-    kept = np.flatnonzero(src != dst)
-    kept = kept[first_occurrences(src[kept].astype(np.int64) * len(ids) + dst[kept])]
+    n = len(ids)
+    order = np.argsort(src, kind="stable").astype(np.int64, copy=False)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    _, _, times = _canonical_events(n, np.arange(n, dtype=np.int32), offsets, dst[order], order)
+    kept = np.sort(times)
     return EdgeList(ids, src[kept], dst[kept])
 
 
@@ -539,8 +544,7 @@ def edge_list(pairs):
     """EdgeList of (src id, dst id) pairs, less self-loops and repeats."""
     index = _Interner()
     ends = np.array([index[node] for pair in pairs for node in pair], dtype=np.int32)
-    # contiguous rows, which the library's distinct_edges takes
-    return _distinct_edges(list(index), *ends.reshape(-1, 2).T.copy())
+    return _distinct_edges(list(index), *ends.reshape(-1, 2).T)
 
 
 def parse_edges(lines):

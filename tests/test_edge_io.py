@@ -242,6 +242,9 @@ def edge_cases():
         "both directions": (["a", "b", "c"], [2, 1, 2, 0, 1], [1, 2, 1, 2, 2]),
         "ids on no edge": ([f"n{k}" for k in range(10)], [7, 2, 7, 9], [2, 7, 2, 9]),
         "3,000 edges over 40 ids": ([f"n{k}" for k in range(40)], *wide),
+        "one source holds every edge": ([f"n{k}" for k in range(40)], np.full(3000, 5),
+                                        wide[1]),
+        "one id, only self-loops": (["a"], [0, 0, 0], [0, 0, 0]),
     }
 
 
@@ -279,59 +282,3 @@ def test_edge_pass_matches_first_occurrences(native_library, library):
             edges = derive_edges(corpus)
             assert (edges.ids, edges.src.tolist(), edges.dst.tolist()) == reference_distinct_edges(
                 corpus.ids, src, corpus.node_idx), trial
-
-
-def distinct_args(ids, src, dst):
-    """distinct_edges's arrays for the edges, its outputs filled with -7,
-    and its id count."""
-    src, dst = np.asarray(src, np.int32), np.asarray(dst, np.int32)
-    return [src, dst, np.full_like(src, -7), np.full_like(dst, -7), len(ids)]
-
-
-def distinct_misfits():
-    """distinct_edges arguments it refuses, by what is wrong with them."""
-    args = distinct_args(*edge_cases()["self-loops"])
-    src, dst, out_src, out_dst, _ = args
-
-    def change(k, value):
-        return [*args[:k], value, *args[k + 1 :]]
-
-    read_only = out_dst.copy()
-    read_only.setflags(write=False)
-    return {
-        "dst past the ids": change(4, 2),
-        "negative src": change(0, np.array([0, -1, 1, 2, 2, 0], np.int32)),
-        "dst one short": change(1, dst[:-1]),
-        "out_src one long": change(2, np.zeros(7, np.int32)),
-        "int64 src": change(0, src.astype(np.int64)),
-        "strided dst": change(1, np.repeat(dst, 2)[::2]),
-        "2-D out_dst": change(3, out_dst.reshape(1, -1)),
-        "read-only out_dst": change(3, read_only),
-        "out_src is src": change(2, src),
-        "out_dst over out_src": change(3, out_src[:]),
-        "negative id count": change(4, -1),
-        "id count past 64 bits": change(4, 2**70),
-    }
-
-
-def assert_distinct_edges_checked(lib):
-    """distinct_edges keeps the edges of each case as the key sort does,
-    and refuses each misfit with -1, writing nothing."""
-    for name, case in edge_cases().items():
-        args = distinct_args(*case)
-        kept = lib.distinct_edges(*args)
-        assert (case[0], args[2][:kept].tolist(), args[3][:kept].tolist()) == (
-            reference_distinct_edges(*case)), name
-    for what, misfit in distinct_misfits().items():
-        outputs = [a.copy() for a in misfit[2:4]]
-        assert lib.distinct_edges(*misfit) == -1, what
-        for before, after in zip(outputs, misfit[2:4]):
-            np.testing.assert_array_equal(before, after, err_msg=what)
-    args = distinct_args(*edge_cases()["self-loops"])
-    for bad in (args[:-1], [*args[:-1], 3.0]):
-        with pytest.raises(TypeError):
-            lib.distinct_edges(*bad)
-
-
-def test_distinct_edges_refuses_misfits_and_writes_nothing(built_library):
-    assert_distinct_edges_checked(built_library)
