@@ -32,7 +32,6 @@ from .context import (
 )
 from .diffusion import (
     DiffusionMatrix,
-    SpreadBudget,
     build_matrix,
     compute_budgets,
     load_matrix,

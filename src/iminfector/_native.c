@@ -35,8 +35,8 @@
  * copy. The module's isa names the copy picked; fused_t_update stays
  * exported so that the copy it resolves to can be checked against isa.
  *
- * Returns max|O_u[i]|, or NaN if O_u holds a NaN, as numpy's
- * maximum.reduce of |O_u| does. The four arrays must not overlap.
+ * It returns nothing: the loop takes max|O_u| for its bound with max_abs
+ * before the update. The four arrays must not overlap.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -62,24 +62,17 @@
 #endif
 
 CLONES
-double fused_t_update(double *restrict T, const double *restrict o_u,
-                      const double *restrict g, double *restrict b_t,
-                      double lr, size_t E, size_t N)
+void fused_t_update(double *restrict T, const double *restrict o_u, const double *restrict g,
+                    double *restrict b_t, double lr, size_t E, size_t N)
 {
-    double max_abs = 0.0;
     for (size_t i = 0; i < E; i++) {
         const double o = o_u[i];
         double *restrict row = T + i * N;
         for (size_t j = 0; j < N; j++)
             row[j] = row[j] - ((o * g[j]) * lr);
-        const double a = fabs(o);
-        /* once max_abs is NaN no comparison is true, so it stays NaN */
-        if (a > max_abs || isnan(a))
-            max_abs = a;
     }
     for (size_t j = 0; j < N; j++)
         b_t[j] = b_t[j] - lr * g[j];
-    return max_abs;
 }
 
 /* ---- numpy's own functions, called directly ----
@@ -428,7 +421,8 @@ static int step(struct loop *s, size_t u, size_t y, double *loss)
     matrix_vector(t, phi, grad, E, N);
     /* once the loss is finite every |g_j| <= 1: an entry of T moves by at
      * most lr * max|O_u|, one of b_t by at most lr */
-    s->bound = s->bound + s->lr * fused_t_update(t, o_u, phi, b_t, s->lr, E, N);
+    s->bound = s->bound + s->lr * max_abs(o_u, E);
+    fused_t_update(t, o_u, phi, b_t, s->lr, E, N);
     s->bias_bound = s->bias_bound + s->lr;
     int finite = 1;
     for (size_t i = 0; i < E; i++) {

@@ -1,10 +1,11 @@
 """The package's native library, built on first use.
 
-``_native.c`` holds the classify loop (``classify_pairs``) with its
-T update (``fused_t_update``) and its direct calls of numpy's own loops and
-BLAS, the training stream's context draws (``draw_contexts``), the cascade
-scanner (``scan_cascades``), the cascade writer (``write_cascades``), the
-edge list scanner (``scan_edges``) and the canonical events of
+``_native.c`` holds the classify loop (``classify_pairs``) with its T
+update (``fused_t_update``, which returns nothing) and its direct calls of
+numpy's own loops and BLAS, the training stream's context draws
+(``draw_contexts``), the cascade scanner (``scan_cascades``), the cascade
+writer (``write_cascades``), the edge list scanner (``scan_edges``), which
+reads every pair as parse_edges does, and the canonical events of
 build_corpus (``canonical_events``), which also keep an edge list's
 distinct edges. ``load()`` compiles it with the
 system C compiler, ``$CC`` or else ``cc``, against this interpreter's

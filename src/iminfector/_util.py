@@ -76,13 +76,6 @@ def atomic_write(path, mode="w"):
         raise
 
 
-def read_lines(path):
-    """Yield the lines of a UTF-8 text file, as text_lines does."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    yield from text_lines(data)
-
-
 def text_lines(data):
     """Yield the lines of UTF-8 text ``data`` (bytes), without their line breaks.
 

@@ -47,15 +47,6 @@ class Cascade(NamedTuple):
     start_time: int
     events: list  # (node id, absolute time) pairs, sorted by time, initiator excluded
 
-    @property
-    def nodes(self):
-        """Participant ids in event order."""
-        return [node for node, _ in self.events]
-
-    @property
-    def size(self):
-        return len(self.events)
-
 
 class CascadeCorpus:
     """Cascades as arrays over a sorted id table.
@@ -150,20 +141,19 @@ class CascadeCorpus:
         )
 
 
-def _reindexed(ids, initiator, start_time, offsets, node_idx, times, sort_ids=False):
-    """Corpus whose id table keeps only the ids in use, sorted if asked."""
+def _reindexed(ids, initiator, start_time, offsets, node_idx, times):
+    """Corpus whose id table keeps only the ids in use, sorted. take's kept
+    ids are already in order, so its sort is one linear pass."""
     used = np.zeros(len(ids), dtype=bool)
     used[initiator] = True
     used[node_idx] = True
-    kept = np.flatnonzero(used).tolist()
-    if sort_ids:
-        kept.sort(key=ids.__getitem__)
+    kept = sorted(np.flatnonzero(used).tolist(), key=ids.__getitem__)
     return _over(ids, kept, initiator, start_time, offsets, node_idx, times)
 
 
 def _with_sorted_ids(ids, initiator, start_time, offsets, node_idx, times):
     """Corpus over ``ids`` sorted, every one of which is in use, as
-    _reindexed(..., sort_ids=True) gives it."""
+    _reindexed gives it."""
     return _over(ids, sorted(range(len(ids)), key=ids.__getitem__), initiator, start_time,
                  offsets, node_idx, times)
 
@@ -202,8 +192,7 @@ def build_corpus(ids, initiator, start_time, offsets, node_idx, times):
     node_idx = np.asarray(node_idx, dtype=np.int32)
     times = np.asarray(times, dtype=np.int64)
     events = _canonical_events(len(ids), initiator, offsets, node_idx, times)
-    return _reindexed(ids, initiator, np.asarray(start_time, dtype=np.int64), *events,
-                      sort_ids=True)
+    return _reindexed(ids, initiator, np.asarray(start_time, dtype=np.int64), *events)
 
 
 def _canonical_events(n_ids, initiator, offsets, node_idx, times):
@@ -548,9 +537,10 @@ def edge_list(pairs):
 
 
 def parse_edges(lines):
-    """Parse an edge list; drops self-loops and collapses duplicate pairs."""
+    """Parse an edge list into every (src id, dst id) pair it reads, in line
+    order, as the native scanner reads them; edge_list drops self-loops and
+    repeats."""
     edges = []
-    seen = set()
     for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -561,21 +551,18 @@ def parse_edges(lines):
         src, dst = fields
         if not ID_RE.match(src) or not ID_RE.match(dst):
             raise MalformedLine(f"bad node id in {line!r}", line_number)
-        if src == dst:
-            continue
-        if (src, dst) in seen:
-            continue
-        seen.add((src, dst))
         edges.append((src, dst))
     return edges
 
 
 def load_edges(path):
-    """Read an edge list into an EdgeList, as parse_edges reads its lines.
+    """Read an edge list into an EdgeList, edge_list(parse_edges(lines)).
 
     The native scanner reads a file in its strict ASCII form; any other
     file, and every file when the library is missing, goes through
-    parse_edges, which raises every format error.
+    parse_edges, which raises every format error. Both read the same pairs
+    and ids in the same order, and _distinct_edges keeps them distinct, so
+    the EdgeList does not depend on which one read the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -402,7 +402,7 @@ def train_stage(args, corpus, model, out, pairs_out=None, built=None):
 def rank_stage(args, model, out):
     """Pruned diffusion matrix and budgets of ``model``; writes and returns them."""
     matrix = build_matrix(model, args.prune_percent)
-    budgets = compute_budgets(matrix, model.n_nodes)
+    budgets = compute_budgets(matrix)
     save_matrix(matrix, budgets, out)
     return matrix, budgets
 

@@ -33,11 +33,6 @@ class DiffusionMatrix:
         return self.probs.shape[1]
 
 
-@dataclass
-class SpreadBudget:
-    lambdas: np.ndarray  # positive ints, one per candidate
-
-
 def build_matrix(model, prune_percent):
     """Keep the top ceil(P * I / 100) influencers by embedding norm, at least one.
 
@@ -62,8 +57,10 @@ def build_matrix(model, prune_percent):
     return DiffusionMatrix(candidate_ids=ids, probs=probs, norms=norms[kept].copy())
 
 
-def compute_budgets(matrix, n_nodes):
-    """lambda_u = ceil(N * norm_u / sum of candidate norms), clamped to >= 1.
+def compute_budgets(matrix):
+    """The budgets: an int64 array of lambda_u = ceil(N * norm_u / sum of
+    candidate norms), clamped to >= 1, one per candidate, with N the
+    matrix's node count.
 
     The denominator runs over the pruned candidate set. A zero-norm
     candidate would get ceil(0) = 0 and sit inert in the queue forever, so
@@ -72,11 +69,11 @@ def compute_budgets(matrix, n_nodes):
     total = math.fsum(matrix.norms)
     if total == 0.0:
         raise AllZeroNorms("every candidate has a zero-norm embedding")
-    lambdas = np.array(
+    n_nodes = matrix.n_nodes
+    return np.array(
         [max(1, slack_ceil(n_nodes * norm / total)) for norm in matrix.norms],
         dtype=np.int64,
     )
-    return SpreadBudget(lambdas=lambdas)
 
 
 def save_matrix(matrix, budgets, path):
@@ -84,13 +81,14 @@ def save_matrix(matrix, budgets, path):
     write_binary(path, MAGIC, matrix.probs.shape, [
         matrix.candidate_ids,
         np.asarray(matrix.norms, dtype="<f8"),
-        np.asarray(budgets.lambdas, dtype="<u8"),
+        np.asarray(budgets, dtype="<u8"),
         np.asarray(matrix.probs, dtype="<f8"),
     ])
 
 
 def load_matrix(path):
-    """Read a DPM1 file back into (DiffusionMatrix, SpreadBudget).
+    """Read a DPM1 file back into (DiffusionMatrix, budgets), the budgets
+    an int64 array as compute_budgets returns it.
 
     Model row numbers are not stored: downstream stages address candidates
     by row position or id string. A candidate id that a cascade log could
@@ -125,4 +123,4 @@ def load_matrix(path):
     if not (np.abs(np.add.reduce(probs, axis=1) - 1.0) <= N * 2.0**-52).all():
         raise CorruptFile(f"{path}: a row of probabilities does not sum to 1")
     matrix = DiffusionMatrix(candidate_ids=ids, probs=probs, norms=norms)
-    return matrix, SpreadBudget(lambdas=lambdas.astype(np.int64))
+    return matrix, lambdas.astype(np.int64)

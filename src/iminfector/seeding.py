@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyMatrix, MalformedLine
-from ._util import ID_RE, atomic_write, read_lines
+from ._util import ID_RE, atomic_write, text_lines
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class SeedSelection:
 
 
 def sigma(matrix, budgets, s, uninfected):
-    """Spread of candidate s over the uninfected node array.
+    """Spread of candidate s over the uninfected node array, with
+    ``budgets`` the lambda array of compute_budgets.
 
     Returns (spread, chosen) where chosen holds the min(lambda_s, |F|)
     uninfected columns with the largest probabilities, largest first, ties
@@ -49,7 +50,7 @@ def sigma(matrix, budgets, s, uninfected):
     if uninfected.size == 0:
         return 0.0, ()
     row = matrix.probs[s, uninfected]
-    k = min(int(budgets.lambdas[s]), uninfected.size)
+    k = min(int(budgets[s]), uninfected.size)
     # lexsort: primary value descending, secondary node index ascending
     order = np.lexsort((uninfected, -row))[:k]
     spread = math.fsum(row[order])
@@ -136,8 +137,10 @@ def load_seed_ids(path):
     could not hold (empty, or with whitespace or ``:``), or invalid UTF-8
     raises MalformedLine with its 1-based line number.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     ids = []
-    for line_number, line in enumerate(read_lines(path), start=1):
+    for line_number, line in enumerate(text_lines(data), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

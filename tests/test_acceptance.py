@@ -15,7 +15,7 @@ import pytest
 from iminfector.cascades import parse_cascades
 from iminfector.cli import main
 from iminfector.context import build_training_stream
-from iminfector.diffusion import DiffusionMatrix, SpreadBudget
+from iminfector.diffusion import DiffusionMatrix
 from iminfector.evaluation import dni
 from iminfector.model import (
     ModelConfig,
@@ -66,7 +66,7 @@ def walkthrough_instance():
         probs=probs,
         norms=np.ones(3),
     )
-    return mat, SpreadBudget(lambdas=np.array([2, 2, 3]))
+    return mat, np.array([2, 2, 3])
 
 
 def random_instance(rng):
@@ -79,7 +79,7 @@ def random_instance(rng):
         probs=probs,
         norms=rng.random(n) + 0.01,
     )
-    return mat, SpreadBudget(lambdas=rng.integers(1, N + 1, size=n))
+    return mat, rng.integers(1, N + 1, size=n)
 
 
 def test_acceptance_1_walkthrough(capsys):
@@ -275,7 +275,7 @@ def test_acceptance_7_dni_oracle(capsys):
             expected = set()
             for c in test.cascades:
                 if c.initiator in seeds:
-                    expected |= set(c.nodes)
+                    expected |= {node for node, _ in c.events}
             assert dni(seeds, test).dni == len(expected)
 
 

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from iminfector.diffusion import DiffusionMatrix, SpreadBudget, load_matrix, save_matrix
+from iminfector.diffusion import DiffusionMatrix, load_matrix, save_matrix
 from iminfector.model import InfectorModel, load_embeddings, save_embeddings
 
 
@@ -64,10 +64,10 @@ def test_dpm1_layout(tmp_path):
     )
     matrix = DiffusionMatrix(candidate_ids=ids, probs=np.array(probs), norms=np.array(norms))
     path = tmp_path / "d.bin"
-    save_matrix(matrix, SpreadBudget(lambdas=np.array(lambdas, dtype=np.int64)), path)
+    save_matrix(matrix, np.array(lambdas, dtype=np.int64), path)
     assert path.read_bytes() == packed
     path.write_bytes(packed)
     loaded, budgets = load_matrix(path)
     assert loaded.candidate_ids == ids
     assert np.array_equal(loaded.norms, norms) and np.array_equal(loaded.probs, probs)
-    assert budgets.lambdas.tolist() == lambdas and budgets.lambdas.dtype == np.int64
+    assert budgets.tolist() == lambdas and budgets.dtype == np.int64

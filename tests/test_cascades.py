@@ -6,6 +6,7 @@ import pytest
 from iminfector.cascades import (
     Cascade,
     derive_edges,
+    edge_list,
     initiator_stats,
     load_cascades,
     parse_cascades,
@@ -33,7 +34,7 @@ def test_parse_single_line():
     assert c.start_time == 10
     # events sorted by time, not input order
     assert c.events == [("v2", 11), ("v1", 12), ("v3", 20)]
-    assert c.size == 3
+    assert corpus.sizes().tolist() == [3]
 
 
 def test_comments_and_blank_lines_skipped():
@@ -76,7 +77,7 @@ def test_duplicate_participant_keeps_earliest():
 
 def test_equal_times_allowed_and_stable():
     corpus = parse_cascades(["u1:7\tv1:7 v2:7 v3:7\n"])
-    assert corpus.cascades[0].nodes == ["v1", "v2", "v3"]
+    assert [node for node, _ in corpus.cascades[0].events] == ["v1", "v2", "v3"]
 
 
 def test_serialize_round_trip():
@@ -176,14 +177,14 @@ def stats_from_views(train, test):
 
     for c in train.cascades:
         row(c.initiator)["train_started"] += 1
-        for v in c.nodes:
+        for v, _ in c.events:
             row(v)["train_participated"] += 1
     reached = {}
     for c in test.cascades:
         row(c.initiator)["test_started"] += 1
-        row(c.initiator)["test_total_size"] += c.size
-        reached.setdefault(c.initiator, set()).update(c.nodes)
-        for v in c.nodes:
+        row(c.initiator)["test_total_size"] += len(c.events)
+        reached.setdefault(c.initiator, set()).update(v for v, _ in c.events)
+        for v, _ in c.events:
             row(v)
     for nid, nodes in reached.items():
         rows[nid]["test_dni"] = len(nodes)
@@ -228,9 +229,10 @@ def first_reach_pairs(corpus):
 
 
 def test_edges_parse_and_derive(tmp_path):
-    edges = parse_edges(["a\tb\n", "b\ta\n", "a\ta\n", "# x\n", "a\tc\n"])
-    assert ("a", "b") in edges and ("b", "a") in edges
-    assert ("a", "a") not in edges
+    edges = parse_edges(["a\tb\n", "b\ta\n", "a\ta\n", "# x\n", "a\tc\n", "a\tb\n"])
+    # every pair in line order; edge_list drops the self-loop and the repeat
+    assert edges == [("a", "b"), ("b", "a"), ("a", "a"), ("a", "c"), ("a", "b")]
+    assert edge_pairs(edge_list(edges)) == [("a", "b"), ("b", "a"), ("a", "c")]
     corpus = parse_cascades(["a:0\tb:1 c:2\n", "b:0\tc:1\n"])
     derived = derive_edges(corpus)
     assert set(edge_pairs(derived)) == {("a", "b"), ("a", "c"), ("b", "c")}

@@ -613,8 +613,8 @@ def set_dmatrix_entry(path, good, field, index, value):
     ``norms``, ``lambdas`` or ``probs`` set to ``value``."""
     path.write_bytes(good)
     matrix, budgets = load_matrix(path)
-    budgets.lambdas = budgets.lambdas.astype(np.uint64)
-    getattr(budgets if field == "lambdas" else matrix, field)[index] = value
+    budgets = budgets.astype(np.uint64)
+    (budgets if field == "lambdas" else getattr(matrix, field))[index] = value
     save_matrix(matrix, budgets, path)
 
 

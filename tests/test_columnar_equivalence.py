@@ -29,7 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iminfector import _native, cascades, context
-from iminfector._util import first_occurrences, read_lines, slack_ceil
+from iminfector._util import first_occurrences, slack_ceil, text_lines
 from iminfector.cascades import (
     _reindexed,
     _scan,
@@ -161,7 +161,6 @@ def reference_build_corpus(ids, initiator, start_time, offsets, node_idx, times)
         new_offsets,
         node_idx[keep],
         times[keep],
-        sort_ids=True,
     )
 
 
@@ -223,6 +222,12 @@ ARRAYS = ("initiator", "start_time", "offsets", "node_idx", "times")
 def corpus_state(corpus):
     """The id table and the five arrays of a corpus, with their dtypes."""
     return corpus.ids, [(str(a.dtype), a.tolist()) for a in map(corpus.__getattribute__, ARRAYS)]
+
+
+def read_lines(path):
+    """The lines of the UTF-8 text file at ``path``, as text_lines yields them."""
+    with open(path, "rb") as fh:
+        return text_lines(fh.read())
 
 
 def read_outcome(read, path):

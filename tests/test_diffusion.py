@@ -69,9 +69,9 @@ def test_budget_values():
         probs=np.full((2, 5), 0.2),
         norms=np.array([1.0, 3.0]),
     )
-    lam = compute_budgets(mat, 5).lambdas
-    # ceil(5/4) = 2, ceil(15/4) = 4
-    assert lam.tolist() == [2, 4]
+    lam = compute_budgets(mat)
+    # ceil(5/4) = 2, ceil(15/4) = 4, with N = 5 the matrix's node count
+    assert lam.tolist() == [2, 4] and lam.dtype == np.int64
 
 
 def test_budget_uniform_norms_stay_at_exact_share():
@@ -81,7 +81,7 @@ def test_budget_uniform_norms_stay_at_exact_share():
         norms=np.ones(3),
     )
     # 3 * 1 / 3 = 1 exactly; float slack must not push it to 2
-    assert compute_budgets(mat, 3).lambdas.tolist() == [1, 1, 1]
+    assert compute_budgets(mat).tolist() == [1, 1, 1]
 
 
 def test_budget_clamped_to_one():
@@ -90,7 +90,7 @@ def test_budget_clamped_to_one():
         probs=np.full((2, 4), 0.25),
         norms=np.array([1e-9, 10.0]),
     )
-    lam = compute_budgets(mat, 4).lambdas
+    lam = compute_budgets(mat)
     assert lam[0] == 1
 
 
@@ -101,7 +101,7 @@ def test_budget_all_zero_norms():
         norms=np.zeros(1),
     )
     with pytest.raises(AllZeroNorms):
-        compute_budgets(mat, 2)
+        compute_budgets(mat)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -115,14 +115,14 @@ def test_save_load_round_trip(tmp_path):
             probs=probs,
             norms=rng.random(n) + 0.1,
         )
-        bud = compute_budgets(mat, N)
+        bud = compute_budgets(mat)
         path = tmp_path / f"d{trial}.bin"
         save_matrix(mat, bud, path)
         back, bud2 = load_matrix(path)
         assert back.candidate_ids == mat.candidate_ids
         assert (back.probs == mat.probs).all()
         assert (back.norms == mat.norms).all()
-        assert (bud2.lambdas == bud.lambdas).all()
+        assert (bud2 == bud).all()
 
 
 def test_load_rejects_wrong_magic(tmp_path):
@@ -139,7 +139,7 @@ def test_load_rejects_truncation_and_trailing(tmp_path):
         norms=np.array([1.0, 2.0]),
     )
     path = tmp_path / "d.bin"
-    save_matrix(mat, compute_budgets(mat, 3), path)
+    save_matrix(mat, compute_budgets(mat), path)
     blob = path.read_bytes()
     for cut in [8, len(blob) // 2, len(blob) - 2]:
         clipped = tmp_path / "clip.bin"

@@ -3,9 +3,11 @@ peel of the arrays it gives against networkx.
 
 load_edges reads a file with the native scanner when it is in the strict
 form (ID TAB ID lines, empty lines and '#' comments in column 0, each
-ending in "\\n" or "\\r\\n"), and with parse_edges otherwise. On any file it
-must give the edges parse_edges gives, in their order, or raise the same
-exception class with the same message and line number.
+ending in "\\n" or "\\r\\n"), and with parse_edges otherwise. The scanner
+must read the pairs parse_edges reads, in their order. On any file,
+load_edges must give the EdgeList of edge_list(parse_edges(lines)), its id
+table, sources and targets, or raise the same exception class with the
+same message and line number.
 """
 
 import os
@@ -19,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iminfector import _native, cascades
-from iminfector._util import first_occurrences, read_lines
+from iminfector._util import first_occurrences, text_lines
 from iminfector.cascades import (
+    _decoded_ids,
     _distinct_edges,
     _room,
     derive_edges,
@@ -32,7 +35,7 @@ from iminfector.evaluation import kcore_ranking
 from iminfector.exceptions import CascadeFormatError
 from iminfector.synth import generate_corpus
 from test_cascade_io import one_buffer
-from test_columnar_equivalence import refused
+from test_columnar_equivalence import read_lines, refused
 
 STRICT_EDGES = b"a\tb\r\nb\ta\n# a comment\tx\n\na\ta\na\tb\nc#\t~!\nb\tc"
 IDS = ["a", "b", "c#", "~!", "0", "x_y"]
@@ -71,8 +74,14 @@ def is_strict(data):
 
 
 def edge_pairs(edges):
-    """An EdgeList's edges as (src id, dst id) pairs, as parse_edges lists them."""
+    """An EdgeList's edges as (src id, dst id) pairs, in its order."""
     return [(edges.ids[u], edges.ids[v]) for u, v in zip(edges.src.tolist(), edges.dst.tolist())]
+
+
+def edge_table(edges):
+    """An EdgeList's id table, sources and targets, as plain lists."""
+    assert (edges.src.dtype, edges.dst.dtype) == (np.int32, np.int32)
+    return edges.ids, edges.src.tolist(), edges.dst.tolist()
 
 
 def outcome(read, path):
@@ -105,14 +114,27 @@ def read_file_of(data, read):
         os.unlink(path)
 
 
+def scanned_pairs(lib, data):
+    """The (src id, dst id) pairs the native scanner reads in ``data``, in
+    line order; None if it gives up."""
+    arrays = scan_edges_room(data)
+    n, n_ids = lib.scan_edges(data, *arrays)
+    if n < 0:
+        return None
+    ids = _decoded_ids(data, arrays[2], arrays[3], n_ids)
+    return [(ids[u], ids[v]) for u, v in zip(arrays[0][:n].tolist(), arrays[1][:n].tolist())]
+
+
 def assert_edges_read_alike(data, native_library):
-    want = read_file_of(data, lambda path: parse_edges(read_lines(path)))
+    want = read_file_of(data, lambda path: edge_table(edge_list(parse_edges(read_lines(path)))))
     with pytest.MonkeyPatch.context() as mp:
         calls = counting_parse_edges(mp)
-        got = read_file_of(data, lambda path: edge_pairs(load_edges(path)))
+        got = read_file_of(data, lambda path: edge_table(load_edges(path)))
     assert got == want
-    # the scanner reads exactly the strict files
+    # the scanner reads exactly the strict files, and the pairs parse_edges reads
     assert len(calls) == (native_library is None or not is_strict(data))
+    if native_library is not None and is_strict(data):
+        assert scanned_pairs(native_library, data) == parse_edges(text_lines(data))
 
 
 def test_strict_edges_read_by_the_scanner(native_library):
@@ -213,7 +235,8 @@ def test_kcore_of_loaded_edges_matches_networkx(native_library):
         data = "\n".join(lines).encode()
         assert_edges_read_alike(data, native_library)
         edges = read_file_of(data, load_edges)
-        pairs = parse_edges(data.decode().split("\n"))
+        # networkx takes each pair once, but no self-loop
+        pairs = [(u, v) for u, v in parse_edges(data.decode().split("\n")) if u != v]
         if not pairs:
             continue
         want = networkx_ranking(pairs)
@@ -282,3 +305,28 @@ def test_edge_pass_matches_first_occurrences(native_library, library):
             edges = derive_edges(corpus)
             assert (edges.ids, edges.src.tolist(), edges.dst.tolist()) == reference_distinct_edges(
                 corpus.ids, src, corpus.node_idx), trial
+
+
+# the self-loops put ids in the table that no edge uses, and b -> a repeats
+SELF_LOOPS_FIRST = b"a\ta\nx\tx\nb\ta\nb\ta\nc\tb\n"
+
+
+def test_load_edges_alike_with_and_without_library(built_library):
+    # the id table too, not only the edges: the ids of a self-loop stay in
+    # it, and in the same place, whichever reader read the file
+    files = {"self-loops first": SELF_LOOPS_FIRST}
+    for name, (ids, src, dst) in edge_cases().items():
+        files[name] = edge_list_file(ids, src, dst)
+        pairs = zip(np.asarray(src).tolist(), np.asarray(dst).tolist())
+        files[name + ", bare"] = "".join(f"{ids[u]}\t{ids[v]}\n" for u, v in pairs).encode()
+    for name, data in files.items():
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_parse_edges(mp)
+            scanned = read_file_of(data, lambda path: edge_table(load_edges(path)))
+            assert not calls, name
+            mp.setattr(_native, "load", lambda: None)
+            parsed = read_file_of(data, lambda path: edge_table(load_edges(path)))
+            assert len(calls) == 1, name
+        assert scanned == parsed, name
+    assert read_file_of(SELF_LOOPS_FIRST, lambda path: edge_table(load_edges(path))) == (
+        ["a", "x", "b", "c"], [2, 3], [0, 2])

@@ -38,7 +38,7 @@ def brute_force_dni(seeds, test):
         reached = set()
         for c in test.cascades:
             if c.initiator == seed:
-                reached |= set(c.nodes)
+                reached |= {node for node, _ in c.events}
         contributions[seed] = len(reached - union)
         union |= reached
     return len(union), contributions

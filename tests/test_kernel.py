@@ -238,8 +238,8 @@ def test_pipeline_is_identical_without_the_library_on_drawn_corpora(
         # compute_budgets: ceil(N * norm / sum of norms) for each candidate
         matrix, budgets = load_matrix(work / "library" / "dmatrix.bin")
         N, total = matrix.probs.shape[1], math.fsum(matrix.norms)
-        assert budgets.lambdas.tolist() == [max(1, math.ceil(N * norm / total - 1e-9))
-                                            for norm in matrix.norms.tolist()]
+        assert budgets.tolist() == [max(1, math.ceil(N * norm / total - 1e-9))
+                                    for norm in matrix.norms.tolist()]
     shutil.rmtree(work)
 
 
@@ -325,7 +325,8 @@ def test_library_gone_before_it_is_opened_is_no_library(tmp_path, built_library,
 # in C, -Wconversion includes -Wsign-conversion.
 STRICT_WARNINGS = ("-Wall", "-Wextra", "-Wshadow", "-Wundef", "-Wvla", "-Wpointer-arith",
                    "-Wwrite-strings", "-Wformat=2", "-Wconversion", "-Wdouble-promotion",
-                   "-Wnull-dereference", "-Wimplicit-fallthrough")
+                   "-Wnull-dereference", "-Wimplicit-fallthrough", "-Wbad-function-cast",
+                   "-Wswitch-enum")
 
 
 def test_source_compiles_without_warnings(tmp_path):

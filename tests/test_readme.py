@@ -50,6 +50,7 @@ def test_readme_removed_public_names_are_gone():
     # module of the package, and a dotted one is not on its class
     names = removed_public_names()
     assert "core_numbers" in names and "Cascade.event_nodes" in names
+    assert {"SpreadBudget", "Cascade.nodes", "Cascade.size"} <= set(names)
     modules = [iminfector] + [
         importlib.import_module(f"iminfector.{info.name}")
         for info in pkgutil.iter_modules(iminfector.__path__)

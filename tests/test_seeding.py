@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from iminfector.diffusion import DiffusionMatrix, SpreadBudget
+from iminfector.diffusion import DiffusionMatrix
 from iminfector.exceptions import EmptyMatrix
 from iminfector.seeding import (
     load_seed_ids,
@@ -30,7 +30,7 @@ def golden_instance():
         probs=probs,
         norms=np.array([1.0, 1.0, 1.0]),
     )
-    return mat, SpreadBudget(lambdas=np.array([2, 2, 3]))
+    return mat, np.array([2, 2, 3])
 
 
 def random_instance(rng):
@@ -43,8 +43,7 @@ def random_instance(rng):
         probs=probs,
         norms=rng.random(n) + 0.01,
     )
-    lambdas = rng.integers(1, N + 1, size=n)
-    return mat, SpreadBudget(lambdas=lambdas)
+    return mat, rng.integers(1, N + 1, size=n)
 
 
 def test_two_seed_walkthrough():
@@ -86,7 +85,7 @@ def test_equal_probability_ties_take_smallest_node_index():
         probs=np.array([[0.25, 0.25, 0.25, 0.25]]),
         norms=np.ones(1),
     )
-    bud = SpreadBudget(lambdas=np.array([2]))
+    bud = np.array([2])
     _, chosen = sigma(mat, bud, 0, np.arange(4))
     assert chosen == (0, 1)
 
@@ -98,7 +97,7 @@ def test_equal_spread_candidates_take_smallest_position():
         probs=np.vstack([row, row]),
         norms=np.ones(2),
     )
-    bud = SpreadBudget(lambdas=np.array([1, 1]))
+    bud = np.array([1, 1])
     sel = select_seeds_celf(mat, bud, 2)
     assert [s.candidate for s in sel.seeds] == [0, 1]
 
@@ -116,7 +115,7 @@ def test_requesting_more_seeds_than_candidates_truncates():
         probs=mat.probs[:1],
         norms=mat.norms[:1],
     )
-    small_bud = SpreadBudget(lambdas=np.array([2]))
+    small_bud = np.array([2])
     sel = select_seeds_celf(small, small_bud, 3)
     assert len(sel.seeds) == 1
     assert sel.truncated is True
@@ -128,7 +127,7 @@ def test_stops_when_every_node_is_infected():
         probs=np.full((3, 2), 0.5),
         norms=np.ones(3),
     )
-    bud = SpreadBudget(lambdas=np.array([2, 2, 2]))
+    bud = np.array([2, 2, 2])
     sel = select_seeds_celf(mat, bud, 3)
     assert len(sel.seeds) == 1  # first seed claims both nodes
     assert sel.truncated is True
@@ -136,7 +135,7 @@ def test_stops_when_every_node_is_infected():
 
 def test_empty_matrix_rejected():
     mat = DiffusionMatrix(candidate_ids=[], probs=np.zeros((0, 4)), norms=np.zeros(0))
-    bud = SpreadBudget(lambdas=np.zeros(0, dtype=np.int64))
+    bud = np.zeros(0, dtype=np.int64)
     with pytest.raises(EmptyMatrix):
         select_seeds_celf(mat, bud, 1)
     with pytest.raises(ValueError):
