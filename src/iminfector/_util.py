@@ -107,7 +107,7 @@ def write_binary(path, magic, dims, sections):
         fh.write(np.array(dims, dtype="<u8").tobytes())
         for section in sections:
             if isinstance(section, np.ndarray):
-                fh.write(section.tobytes())
+                fh.write(np.ascontiguousarray(section).data)
             else:
                 encoded = map(str.encode, section)  # UTF-8
                 fh.write(b"".join(len(b).to_bytes(4, "little") + b for b in encoded))

@@ -218,20 +218,31 @@ def _same_file(a, b):
         return False
 
 
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _outputs(args):
+    """(flag, path) of each file the command writes besides its manifest:
+    the values of its output-file flags in declaration order, or the files
+    pipeline writes into --outdir, sorted."""
+    if "outdir" in args:
+        return [("--outdir", os.path.join(args.outdir, name)) for name in sorted(PIPELINE_FILES)]
+    return [(_flag(k), v) for k, v in vars(args).items()
+            if isinstance(v, OutputPath) and k != "manifest"]
+
+
 def _check_distinct_outputs(args, manifest):
     """A usage error if a file the command writes is one that it reads or
     that it writes under another name: the write would replace the input,
     or keep only one of two outputs. Two inputs may be one file."""
-    named = [("--" + k.replace("_", "-"), v) for k, v in vars(args).items() if k != "manifest"]
-    inputs = [(flag, v) for flag, v in named if isinstance(v, InputPath)]
-    outputs = [(flag, v) for flag, v in named if isinstance(v, OutputPath)]
+    inputs = [(_flag(k), v) for k, v in vars(args).items() if isinstance(v, InputPath)]
+    outputs = _outputs(args)
     if "outdir" in args:
         # the directories pipeline makes are outputs too, each once
         made = {os.path.realpath(path): path for path in reversed(_missing_dirs(args.outdir))}
         made.pop(os.path.realpath(args.outdir), None)
-        outdir = [args.outdir, *made.values()]
-        outdir += [os.path.join(args.outdir, name) for name in PIPELINE_FILES]
-        outputs += [("--outdir", path) for path in outdir]
+        outputs[:0] = [("--outdir", path) for path in [args.outdir, *made.values()]]
     outputs.append(("manifest", manifest))
     for i, (flag, path) in enumerate(outputs):
         for other_flag, other in inputs + outputs[:i]:
@@ -255,10 +266,11 @@ def _peak_rss_mb():
     return peak / (1 << 20 if sys.platform == "darwin" else 1024)  # bytes there, kB elsewhere
 
 
-def _write_manifest(args, path, outputs, fields):
+def _write_manifest(args, path, fields):
     """Write the run's JSON manifest to ``path``. The parameters are every
     parsed flag; the inputs are the files given to input-file flags, with
-    their digests; peak_rss_mb is the process's peak memory so far."""
+    their digests; the outputs are the files the command wrote, as _outputs
+    names them; peak_rss_mb is the process's peak memory so far."""
     parameters = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
     doc = {
         "tool": "iminfector",
@@ -266,11 +278,11 @@ def _write_manifest(args, path, outputs, fields):
         "subcommand": args.subcommand,
         "parameters": parameters,
         "inputs": {
-            "--" + k.replace("_", "-"): {"path": v, "sha256": _sha256(v)}
+            _flag(k): {"path": v, "sha256": _sha256(v)}
             for k, v in parameters.items()
             if isinstance(v, InputPath)
         },
-        "outputs": outputs,
+        "outputs": [path for _, path in _outputs(args)],
         **fields,
         "peak_rss_mb": _peak_rss_mb(),
     }
@@ -337,8 +349,9 @@ def _model_config(args):
     )
 
 
-# The stages. Each computes its artifacts, writes them and returns them; the
-# subcommands run one stage each, pipeline runs them all in order.
+# The stages. Each computes its artifacts, writes them and returns what a later
+# stage needs and the manifest fields of its own; the subcommands run one
+# stage each, pipeline runs them all in order.
 
 
 def new_model(args, corpus):
@@ -374,7 +387,8 @@ def epoch_stream(args, corpus, epoch):
 
 
 def train_stage(args, corpus, model, out, pairs_out=None, built=None):
-    """Train ``model`` on ``corpus`` and write it; returns the TrainReport.
+    """Train ``model`` on ``corpus`` and write it; returns the training
+    fields of the manifest.
 
     ``built`` maps epochs to streams made beforehand by epoch_stream; each
     is taken out of it when its epoch starts, so that it is freed with the
@@ -396,19 +410,21 @@ def train_stage(args, corpus, model, out, pairs_out=None, built=None):
     save_embeddings(model, out)
     if pairs_out:
         dump_pairs(first_stream, pairs_out)
-    return report
+    return _epoch_fields(report)
 
 
 def rank_stage(args, model, out):
-    """Pruned diffusion matrix and budgets of ``model``; writes and returns them."""
+    """Pruned diffusion matrix and budgets of ``model``; writes and returns
+    them, and the manifest's fields."""
     matrix = build_matrix(model, args.prune_percent)
     budgets = compute_budgets(matrix)
     save_matrix(matrix, budgets, out)
-    return matrix, budgets
+    return matrix, budgets, dict(n_candidates=matrix.n_candidates)
 
 
 def seed_stage(args, matrix, budgets, out):
-    """CELF seed selection; notes a short selection, writes and returns it."""
+    """CELF seed selection; notes a short selection, writes and returns it,
+    and the manifest's fields."""
     selection = select_seeds_celf(matrix, budgets, args.size)
     if selection.truncated:
         print(
@@ -417,26 +433,25 @@ def seed_stage(args, matrix, budgets, out):
             file=sys.stderr,
         )
     save_seeds(selection, out)
-    return selection
+    return selection, dict(n_selected=len(selection.seeds), truncated=selection.truncated)
 
 
 def evaluate_stage(seed_ids, test_corpus, out):
     """DNI of ``seed_ids`` on the test corpus; writes the cumulative table
-    (one row per seed line) and returns the result and the DNI curve, the
-    table's cumulative DNI after each seed line."""
+    (one row per seed line) and returns the manifest's fields: the DNI and
+    the DNI curve, the table's cumulative DNI after each seed line."""
     result = dni(seed_ids, test_corpus)
+    counts = dict(result.per_seed_contribution)
     curve = []
     with atomic_write(out) as fh:
         fh.write("rank\tnode_id\tnew_nodes\tcumulative_dni\n")
         cumulative = 0
-        reported = set()
         for rank, seed in enumerate(seed_ids, start=1):
-            added = 0 if seed in reported else result.per_seed_contribution[seed]
-            reported.add(seed)
+            added = counts.pop(seed, 0)  # a repeated seed line adds nothing, as in dni
             cumulative += added
             curve.append(cumulative)
             fh.write(f"{rank}\t{seed}\t{added}\t{cumulative}\n")
-    return result, curve
+    return dict(dni=result.dni, dni_curve=curve)
 
 
 def baseline_stage(args, ranking, out):
@@ -451,9 +466,8 @@ def baseline_stage(args, ranking, out):
     return [node for node, _ in top]
 
 
-# The subcommands. Each loads its inputs and runs its stage, and returns its
-# outputs and the manifest fields of its own; main times the call and
-# writes the manifest.
+# The subcommands. Each loads its inputs and runs its stage, and returns the
+# manifest fields of its own; main times the call and writes the manifest.
 
 
 def cmd_synth(args):
@@ -472,11 +486,9 @@ def cmd_synth(args):
         n_lures=args.lures,
     )
     save_cascades(corpus, args.out)
-    outputs = [args.out]
     if args.edges_out:
         save_edges(derive_edges(corpus), args.edges_out)
-        outputs.append(args.edges_out)
-    return outputs, dict(n_nodes=corpus.n_nodes, n_cascades=corpus.n_cascades)
+    return dict(n_nodes=corpus.n_nodes, n_cascades=corpus.n_cascades)
 
 
 def cmd_split(args):
@@ -486,10 +498,8 @@ def cmd_split(args):
     del corpus  # freed before the saves, as only the two sides are written
     save_cascades(train_corpus, args.train_out)
     save_cascades(test_corpus, args.test_out)
-    outputs = [args.train_out, args.test_out]
-    return outputs, dict(
-        n_train=train_corpus.n_cascades, n_test=test_corpus.n_cascades, cascade_reader=reader
-    )
+    return dict(n_train=train_corpus.n_cascades, n_test=test_corpus.n_cascades,
+                cascade_reader=reader)
 
 
 def cmd_stats(args):
@@ -499,31 +509,28 @@ def cmd_stats(args):
         fh.write("\t".join(["node_id", *columns]) + "\n")
         for row in zip(ids, *(column.tolist() for column in columns.values())):
             fh.write("\t".join(map(str, row)) + "\n")
-    return [args.out], dict(cascade_reader=_reader(train_corpus, test_corpus))
+    return dict(cascade_reader=_reader(train_corpus, test_corpus))
 
 
 def cmd_train(args):
     corpus = load_cascades(args.cascades)
-    report = train_stage(args, corpus, new_model(args, corpus), args.out, args.dump_pairs)
-    outputs = [args.out] + ([args.dump_pairs] if args.dump_pairs else [])
-    return outputs, dict(**_epoch_fields(report), cascade_reader=_reader(corpus))
+    fields = train_stage(args, corpus, new_model(args, corpus), args.out, args.dump_pairs)
+    return dict(**fields, cascade_reader=_reader(corpus))
 
 
 def cmd_rank(args):
-    matrix, _ = rank_stage(args, load_embeddings(args.model), args.out)
-    return [args.out], dict(n_candidates=matrix.n_candidates)
+    return rank_stage(args, load_embeddings(args.model), args.out)[-1]
 
 
 def cmd_seed(args):
-    selection = seed_stage(args, *load_matrix(args.dmatrix), args.out)
-    return [args.out], dict(n_selected=len(selection.seeds), truncated=selection.truncated)
+    return seed_stage(args, *load_matrix(args.dmatrix), args.out)[-1]
 
 
 def cmd_evaluate(args):
     test_corpus = load_cascades(args.test)
-    result, curve = evaluate_stage(load_seed_ids(args.seeds), test_corpus, args.out)
-    print(f"dni\t{result.dni}")
-    return [args.out], dict(dni=result.dni, dni_curve=curve, cascade_reader=_reader(test_corpus))
+    fields = evaluate_stage(load_seed_ids(args.seeds), test_corpus, args.out)
+    print(f"dni\t{fields['dni']}")
+    return dict(**fields, cascade_reader=_reader(test_corpus))
 
 
 def cmd_baseline(args):
@@ -538,15 +545,12 @@ def cmd_baseline(args):
         corpus = load_cascades(path)
         ranking = avg_size_ranking(corpus)
         fields["cascade_reader"] = _reader(corpus)
-    return [args.out], dict(n_selected=len(baseline_stage(args, ranking, args.out)), **fields)
+    return dict(n_selected=len(baseline_stage(args, ranking, args.out)), **fields)
 
 
 def cmd_pipeline(args):
-    outputs = []
-
     def out(name):
-        outputs.append(os.path.join(args.outdir, name))
-        return outputs[-1]
+        return os.path.join(args.outdir, name)
 
     wall = {}
     with _timed(wall, "split"):
@@ -562,30 +566,20 @@ def cmd_pipeline(args):
         save_cascades(train_corpus, out("train.txt"))
         save_cascades(test_corpus, out("test.txt"))
     with _timed(wall, "train"):
-        report = train_stage(args, train_corpus, model, out("model.infv"), built=built)
+        train_fields = train_stage(args, train_corpus, model, out("model.infv"), built=built)
     with _timed(wall, "rank"):
-        matrix, budgets = rank_stage(args, model, out("dmatrix.bin"))
+        matrix, budgets, rank_fields = rank_stage(args, model, out("dmatrix.bin"))
     with _timed(wall, "seed"):
-        selection = seed_stage(args, matrix, budgets, out("seeds.txt"))
+        selection, seed_fields = seed_stage(args, matrix, budgets, out("seeds.txt"))
     with _timed(wall, "evaluate"):
-        result, curve = evaluate_stage(selection.seed_ids(), test_corpus, out("result.tsv"))
+        evaluate_fields = evaluate_stage(selection.seed_ids(), test_corpus, out("result.tsv"))
     with _timed(wall, "baseline"):
         ranking = avg_size_ranking(train_corpus)
         baseline_ids = baseline_stage(args, ranking, out("baseline_avgsize_seeds.txt"))
-        baseline_result, _ = evaluate_stage(
-            baseline_ids, test_corpus, out("baseline_avgsize_result.tsv")
-        )
-    print(f"dni\timinfector={result.dni}\tavgsize={baseline_result.dni}")
-    return sorted(outputs), dict(
-        wall_times=wall,
-        **_epoch_fields(report),
-        n_candidates=matrix.n_candidates,
-        n_selected=len(selection.seeds),
-        dni=result.dni,
-        dni_curve=curve,
-        dni_avgsize=baseline_result.dni,
-        cascade_reader=reader,
-    )
+        baseline = evaluate_stage(baseline_ids, test_corpus, out("baseline_avgsize_result.tsv"))
+    print(f"dni\timinfector={evaluate_fields['dni']}\tavgsize={baseline['dni']}")
+    return dict(**train_fields, **rank_fields, **seed_fields, **evaluate_fields, wall_times=wall,
+                dni_avgsize=baseline["dni"], cascade_reader=reader)
 
 
 def build_parser():
@@ -601,8 +595,9 @@ def build_parser():
     p.add_argument("--cascades", type=_checked(int, lambda v: v >= 10, "at least 10"), default=500)
     p.add_argument("--planted", type=_AT_LEAST_1, default=5)
     p.add_argument("--lures", type=_NON_NEGATIVE, default=6)
+    _add_flags(p, "--out")
     p.add_argument("--edges-out", type=_output_file, help="also write the implied edge list")
-    _add_flags(p, "--out", "--rng-seed", "--manifest")
+    _add_flags(p, "--rng-seed", "--manifest")
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("split", help="temporal 80/20 split of a cascade file")
@@ -620,8 +615,9 @@ def build_parser():
 
     p = subs.add_parser("train", help="train the embedding model on a train split")
     p.add_argument("--cascades", **INPUT)
+    _add_flags(p, *TRAIN_FLAGS, "--out")
     p.add_argument("--dump-pairs", type=_output_file, help="write the epoch-0 stream as TSV")
-    _add_flags(p, *TRAIN_FLAGS, "--out", "--rng-seed", "--manifest")
+    _add_flags(p, "--rng-seed", "--manifest")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("rank", help="build the pruned diffusion matrix and budgets")
@@ -668,8 +664,8 @@ def main(argv=None):
         _check_distinct_outputs(args, manifest)
         wall = {}
         with _timed(wall, args.subcommand):
-            outputs, fields = args.func(args)
-        _write_manifest(args, manifest, outputs, {"wall_times": wall, **fields})
+            fields = args.func(args)
+        _write_manifest(args, manifest, {"wall_times": wall, **fields})
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,8 +50,10 @@ def build_matrix(model, prune_percent):
     order = sorted(range(I), key=lambda u: (-norms[u], model.influencer_ids[u]))
     kept = order[: max(1, slack_ceil(prune_percent * I / 100.0))]
     ids = [model.influencer_ids[u] for u in kept]
+    probs = np.empty((len(kept), model.n_nodes))
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = np.stack([forward_classify(model, u) for u in kept])
+        for row, u in zip(probs, kept):
+            forward_classify(model, u, out=row)
     if not (np.isfinite(norms[kept]).all() and np.isfinite(probs).all()):
         raise NonFiniteMatrix("a candidate's norm or diffusion probabilities overflow")
     return DiffusionMatrix(candidate_ids=ids, probs=probs, norms=norms[kept].copy())
@@ -118,7 +120,7 @@ def load_matrix(path):
         raise CorruptFile(f"{path}: a budget lies outside [1, {N}]")
     if not (np.isfinite(norms) & (norms >= 0)).all():
         raise CorruptFile(f"{path}: a norm is negative or not finite")
-    if not ((probs >= 0) & (probs <= 1)).all():  # False for NaN too
+    if not (probs.min() >= 0 and probs.max() <= 1):  # False for NaN too
         raise CorruptFile(f"{path}: a probability is not finite or lies outside [0, 1]")
     if not (np.abs(np.add.reduce(probs, axis=1) - 1.0) <= N * 2.0**-52).all():
         raise CorruptFile(f"{path}: a row of probabilities does not sum to 1")

@@ -453,6 +453,48 @@ def test_stage_chain(tmp_path, corpus_file, capsys):
     assert doc["n_candidates"] == 3
 
 
+def test_manifest_outputs_are_the_files_each_subcommand_writes(tmp_path, corpus_file, capsys):
+    train, test, model, dmat, seeds, _ = chain(tmp_path, corpus_file)
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a\tb\nb\tc\n")
+    # each subcommand's inputs, and its output flags with the files they name
+    runs = {
+        "synth": (["--nodes", "40", "--cascades", "30", "--planted", "1", "--lures", "1"],
+                  [("--out", "s.txt"), ("--edges-out", "e.txt")]),
+        "split": (["--cascades", str(corpus_file)],
+                  [("--train-out", "a.txt"), ("--test-out", "b.txt")]),
+        "stats": (["--train", str(train), "--test", str(test)], [("--out", "st.tsv")]),
+        "train": (["--cascades", str(train), "--embed-dim", "4", "--epochs", "1"],
+                  [("--out", "m.infv"), ("--dump-pairs", "p.tsv")]),
+        "rank": (["--model", str(model)], [("--out", "d.bin")]),
+        "seed": (["--dmatrix", str(dmat), "--size", "2"], [("--out", "s.txt")]),
+        "evaluate": (["--seeds", str(seeds), "--test", str(test)], [("--out", "r.tsv")]),
+        "baseline": (["--method", "kcore", "--edges", str(edges)], [("--out", "k.txt")]),
+    }
+    for sub, (argv, files) in runs.items():
+        work = tmp_path / sub
+        work.mkdir()
+        # the flags in reverse: the outputs follow the parser, not the command line
+        named = [part for flag, name in reversed(files) for part in (flag, str(work / name))]
+        assert main([sub, *argv, *named]) == 0, sub
+        manifest = f"{files[0][1]}.manifest.json"
+        assert sorted(os.listdir(work)) == sorted([name for _, name in files] + [manifest])
+        assert read_manifest(work / manifest)["outputs"] == [str(work / name) for _, name in files]
+        capsys.readouterr()
+        # and in the order --help lists their flags
+        assert main([sub, "--help"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("  --")]
+        assert [flag for flag in listed if flag in dict(files)] == [flag for flag, _ in files]
+    work = tmp_path / "pipeline"
+    assert main(["pipeline", "--cascades", str(corpus_file), "--outdir", str(work),
+                 "--embed-dim", "4", "--epochs", "1"]) == 0
+    names = sorted(os.listdir(work))
+    names.remove("manifest.json")
+    assert read_manifest(work / "manifest.json")["outputs"] == [str(work / name) for name in names]
+    capsys.readouterr()
+
+
 def test_wrong_binary_magic_is_exit_3(tmp_path, corpus_file, capsys):
     _, _, model, dmat, seeds, _ = chain(tmp_path, corpus_file)
     assert main(["rank", "--model", str(dmat), "--out", str(tmp_path / "x.bin")]) == 3
@@ -942,6 +984,16 @@ def test_pipeline_equals_stage_chain(tmp_path, capsys):
     doc = read_manifest(run / "manifest.json")
     assert doc["outputs"] == sorted(str(run / name) for name in names)
     assert list(doc["wall_times"]) == ["baseline", "evaluate", "rank", "seed", "split", "train"]
+    # and its manifest records every field the stages' own manifests do,
+    # with the same values, timings and what each run was given aside
+    own = {"tool", "version", "subcommand", "parameters", "inputs", "outputs", "wall_times",
+           "peak_rss_mb", "epoch_seconds"}
+    for name in ("model.infv", "dmatrix.bin", "seeds.txt", "result.tsv"):
+        stage = read_manifest(c(name) + ".manifest.json")
+        assert {key: doc.get(key) for key in stage.keys() - own} == {
+            key: stage[key] for key in stage.keys() - own}, name
+    baseline = read_manifest(c("baseline_avgsize_result.tsv") + ".manifest.json")
+    assert doc["dni_avgsize"] == baseline["dni"]
 
 
 # Out-of-range values of the flags that a subcommand shares with pipeline.

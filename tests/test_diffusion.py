@@ -1,5 +1,7 @@
 """Norm pruning, spread budgets, and the diffusion-matrix file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from iminfector.diffusion import (
     save_matrix,
 )
 from iminfector.exceptions import AllZeroNorms, CorruptFile, FormatVersionMismatch
-from iminfector.model import InfectorModel
+from iminfector.model import InfectorModel, ModelConfig, forward_classify, init_model
 
 
 def model_from_rows(rows, ids=None, n_nodes=3):
@@ -53,6 +55,26 @@ def test_rows_are_softmax_distributions():
     assert mat.probs.shape == (3, 9)
     assert np.allclose(mat.probs.sum(axis=1), 1.0, atol=1e-12)
     assert (mat.probs > 0).all()
+
+
+def test_build_matrix_holds_one_matrix():
+    # 100 candidates x 20,000 nodes, a 15.3 MiB matrix. Each row is filled
+    # in place: the peak measured 17.3 MiB, the matrix plus the finiteness
+    # check's boolean temporary, against 30.6 MiB when the rows were kept
+    # in a list and stacked.
+    model = init_model(ModelConfig(embed_dim=8, rng_seed=3), [f"u{i}" for i in range(1000)],
+                       [f"v{i}" for i in range(20000)])
+    tracemalloc.start()
+    try:
+        mat = build_matrix(model, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.probs.shape == (100, 20000)
+    assert peak < 1.25 * mat.probs.nbytes
+    # the rows are forward_classify's, bit for bit
+    rows = [model.influencer_ids.index(u) for u in mat.candidate_ids[:3]]
+    assert np.array_equal(mat.probs[:3], [forward_classify(model, u) for u in rows])
 
 
 def test_prune_percent_validation():

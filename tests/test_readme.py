@@ -1,9 +1,10 @@
 """The README's "Library" example runs against the current API, the
-README names the native library's functions, and the public names it
-lists as removed are gone."""
+README names the native library's functions and every manifest field,
+and the public names it lists as removed are gone."""
 
 import dataclasses
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -31,17 +32,30 @@ def native_library_names():
     return re.findall(r"`(\w+)`", functions), re.findall(r"`(\w+)`", others)
 
 
+def without_remarks(text):
+    """``text`` with its remarks in parentheses left out, innermost first,
+    so that nested ones go too."""
+    while True:
+        shorter = re.sub(r"\([^()]*\)", "", text)
+        if shorter == text:
+            return text
+        text = shorter
+
+
+def manifest_fields():
+    """The names the README lists under "Manifest fields", remarks in
+    parentheses left out."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("Manifest fields:")
+    return set(re.findall(r"`(\w+)`", without_remarks(text[start : text.index("\n\n", start)])))
+
+
 def removed_public_names():
     """The names the README lists under "Removed public names", remarks in
     parentheses left out."""
     text = README.read_text(encoding="utf-8")
     start = text.index("Removed public names:")
-    paragraph = text[start : text.index("\n\n", start)]
-    while True:  # innermost remarks first, so nested ones go too
-        shorter = re.sub(r"\([^()]*\)", "", paragraph)
-        if shorter == paragraph:
-            break
-        paragraph = shorter
+    paragraph = without_remarks(text[start : text.index("\n\n", start)])
     return re.findall(r"`([A-Za-z_][\w.]*)`", paragraph)
 
 
@@ -82,3 +96,32 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out.split()
     # DNI of the CELF seeds, then of the average-size baseline's top 10
     assert len(printed) == 2 and all(value.isdigit() for value in printed)
+
+
+# Every subcommand, on a small synth corpus, with each file a later one reads.
+SUBCOMMANDS = [
+    ["synth", "--nodes", "60", "--cascades", "60", "--planted", "2", "--lures", "2",
+     "--out", "c.txt", "--edges-out", "e.txt"],
+    ["split", "--cascades", "c.txt", "--train-out", "train.txt", "--test-out", "test.txt"],
+    ["stats", "--train", "train.txt", "--test", "test.txt", "--out", "stats.tsv"],
+    ["train", "--cascades", "train.txt", "--embed-dim", "4", "--epochs", "1", "--out", "m.infv"],
+    ["rank", "--model", "m.infv", "--out", "d.bin"],
+    ["seed", "--dmatrix", "d.bin", "--out", "s.txt"],
+    ["evaluate", "--seeds", "s.txt", "--test", "test.txt", "--out", "r.tsv"],
+    ["baseline", "--method", "kcore", "--edges", "e.txt", "--out", "k.txt"],
+    ["baseline", "--method", "avgsize", "--train", "train.txt", "--out", "a.txt"],
+    ["pipeline", "--cascades", "c.txt", "--outdir", "run", "--embed-dim", "4", "--epochs", "1"],
+]
+
+
+def test_readme_names_every_manifest_field(tmp_path, monkeypatch, capsys):
+    # the list cannot drift from the manifests: every top-level key a
+    # subcommand writes is named there, and every name there is written
+    monkeypatch.chdir(tmp_path)
+    written = set()
+    for k, argv in enumerate(SUBCOMMANDS):
+        assert main([*argv, "--manifest", f"{k}.json"]) == 0, argv
+        with open(f"{k}.json", encoding="utf-8") as fh:
+            written |= json.load(fh).keys()
+    capsys.readouterr()
+    assert manifest_fields() - {argv[0] for argv in SUBCOMMANDS} == written
