@@ -114,34 +114,38 @@ def write_binary(path, magic, dims, sections):
 
 
 class BinaryReader:
-    """Sequential reader of a file that write_binary wrote.
+    """Sequential reader of a file that write_binary wrote, from the open
+    binary file ``fh``, which the caller closes.
 
     The constructor checks the magic (FormatVersionMismatch otherwise) and
     reads ``n_dims`` u64 dims into ``dims``. Each read checks that its bytes
-    are there before it allocates, so a file cut short raises CorruptFile
-    however large its dims claim to be.
+    are there, by the file's size when it was opened, before it allocates,
+    so a file cut short raises CorruptFile however large its dims claim to
+    be; so does a read that comes up short because the file shrank.
     """
 
-    def __init__(self, path, magic, n_dims, what):
-        with open(path, "rb") as fh:
-            self.data = memoryview(fh.read())
-        self.path, self.offset = path, len(magic)
-        if self.data[: len(magic)] != magic:
-            raise FormatVersionMismatch(f"{path}: not {what}")
+    def __init__(self, fh, magic, n_dims, what):
+        self.fh, self.path = fh, fh.name
+        self.size, self.offset = os.fstat(fh.fileno()).st_size, len(magic)
+        if fh.read(len(magic)) != magic:
+            raise FormatVersionMismatch(f"{self.path}: not {what}")
         self.dims = self.array("<u8", n_dims).tolist()
 
-    def take(self, count):
-        """The next ``count`` bytes, as a view of the file's bytes."""
-        end, size = self.offset + count, len(self.data)
-        if end > size:
-            raise CorruptFile(f"{self.path}: truncated (needed {end} bytes, have {size})")
-        view, self.offset = self.data[self.offset : end], end
-        return view
+    def take(self, count, allocate=bytearray):
+        """The next ``count`` bytes, read straight into ``allocate(count)``
+        once the file's size shows that they are there."""
+        end = self.offset + count
+        if end > self.size:
+            raise CorruptFile(f"{self.path}: truncated (needed {end} bytes, have {self.size})")
+        self.offset, buffer = end, allocate(count)
+        if self.fh.readinto(buffer) != count:
+            raise CorruptFile(f"{self.path}: shrank to fewer than {end} bytes while being read")
+        return buffer
 
     def array(self, dtype, *shape):
-        """The next array of ``shape``, copied out of the file once."""
-        raw = self.take(math.prod(shape) * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype).reshape(shape).copy()
+        """The next array of ``shape``, read straight into the array returned."""
+        count = math.prod(shape) * np.dtype(dtype).itemsize
+        return self.take(count, lambda _: np.empty(shape, dtype))
 
     def ids(self, count):
         """The next id table, of ``count`` ids. An id that is not valid UTF-8,
@@ -158,7 +162,7 @@ class BinaryReader:
             ids.append(name)
         return ids
 
-    def close(self):
+    def end(self):
         """Refuse any bytes after the last section read."""
-        if self.offset != len(self.data):
-            raise CorruptFile(f"{self.path}: {len(self.data) - self.offset} trailing bytes")
+        if self.offset != self.size:
+            raise CorruptFile(f"{self.path}: {self.size - self.offset} trailing bytes")

@@ -142,25 +142,20 @@ class CascadeCorpus:
 
 
 def _reindexed(ids, initiator, start_time, offsets, node_idx, times):
-    """Corpus whose id table keeps only the ids in use, sorted. take's kept
-    ids are already in order, so its sort is one linear pass."""
+    """Corpus whose id table keeps only the ids in use: _over the positions
+    that the initiators and events index."""
     used = np.zeros(len(ids), dtype=bool)
     used[initiator] = True
     used[node_idx] = True
-    kept = sorted(np.flatnonzero(used).tolist(), key=ids.__getitem__)
-    return _over(ids, kept, initiator, start_time, offsets, node_idx, times)
+    return _over(ids, np.flatnonzero(used).tolist(), initiator, start_time, offsets, node_idx,
+                 times)
 
 
-def _with_sorted_ids(ids, initiator, start_time, offsets, node_idx, times):
-    """Corpus over ``ids`` sorted, every one of which is in use, as
-    _reindexed gives it."""
-    return _over(ids, sorted(range(len(ids)), key=ids.__getitem__), initiator, start_time,
-                 offsets, node_idx, times)
-
-
-def _over(ids, kept, initiator, start_time, offsets, node_idx, times):
-    """Corpus over the id table ``[ids[v] for v in kept]``, which holds
-    every id in use."""
+def _over(ids, used, initiator, start_time, offsets, node_idx, times):
+    """Corpus over the id table ``[ids[v] for v in used]`` sorted, where
+    ``used`` lists every position of ``ids`` in use. take's used ids are
+    already in order, so its sort is one linear pass."""
+    kept = sorted(used, key=ids.__getitem__)
     remap = np.empty(len(ids), dtype=np.int32)
     remap[kept] = np.arange(len(kept), dtype=np.int32)
     return CascadeCorpus(
@@ -241,14 +236,13 @@ def _parse_token(token, line_number, what):
         raise MalformedLine(f"bad node id {node!r}", line_number)
     if not _TIME_RE.match(time):
         raise MalformedLine(f"bad time {time!r} in {token!r}", line_number)
-    return node, int(time)
+    return node
 
 
 def _parse_line_slowly(line, line_number):
-    """Token-by-token reading of a line the fast pattern rejected.
-
-    Raises the error for the first bad field or token; returns
-    (initiator, start, nodes, times) if there is none.
+    """Raise the error of the first bad field or token, read token by
+    token, of a line that _LINE_RE rejected. The token reading accepts
+    exactly the lines the pattern accepts, so the last raise is a guard.
     """
     fields = line.split("\t")
     if len(fields) != 2:
@@ -256,12 +250,23 @@ def _parse_line_slowly(line, line_number):
             f"expected '<initiator> TAB <events>', got {len(fields)} field(s)",
             line_number,
         )
-    initiator, start = _parse_token(fields[0], line_number, "initiator")
+    initiator = _parse_token(fields[0], line_number, "initiator")
     tokens = fields[1].split()
     if not tokens:
         raise EmptyCascade(f"cascade started by {initiator} has no events", line_number)
-    events = [_parse_token(t, line_number, "event") for t in tokens]
-    return initiator, start, [n for n, _ in events], [t for _, t in events]
+    for token in tokens:
+        _parse_token(token, line_number, "event")
+    raise MalformedLine("not a cascade line", line_number)
+
+
+def _content_lines(lines):
+    """(1-based line number, line less its line break) of each of ``lines``
+    that is neither blank nor a comment (first non-blank character ``#``)."""
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        head = line.lstrip()
+        if head and not head.startswith("#"):
+            yield line_number, line
 
 
 class _Interner(dict):
@@ -285,19 +290,15 @@ def parse_cascades(lines):
     offsets = array("q", [0])
     nodes = array("i")
     times = array("q")
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_number, line in _content_lines(lines):
         match = _LINE_RE.fullmatch(line)
-        if match:
-            initiator, start, body = match.groups()
-            start = int(start)
-            tokens = body.replace(":", " ").split()
-            names = tokens[0::2]
-            stamps = list(map(int, tokens[1::2]))
-        else:
-            initiator, start, names, stamps = _parse_line_slowly(line, line_number)
+        if match is None:
+            _parse_line_slowly(line, line_number)  # raises the line's first error
+        initiator, start, body = match.groups()
+        start = int(start)
+        tokens = body.replace(":", " ").split()
+        names = tokens[0::2]
+        stamps = list(map(int, tokens[1::2]))
         latest = max(stamps)
         if start >= TIME_LIMIT or latest >= TIME_LIMIT:
             raise MalformedLine(
@@ -392,8 +393,8 @@ def load_cascades(path):
     and every log when the library is missing, goes through
     parse_cascades, which raises every format error. ``corpus.reader``
     says which one read it. A canonical log, such as every log the package
-    writes, uses every id it holds and needs only its ids sorted, so it
-    skips build_corpus.
+    writes, uses every id it holds, so it skips build_corpus and _over
+    sorts all its ids, without _reindexed's mask of the ids in use.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -404,8 +405,8 @@ def load_cascades(path):
         corpus.reader = "python"
         return corpus
     del data  # build_corpus needs the memory more
-    raw, canonical = scanned
-    corpus = _with_sorted_ids(*raw) if canonical else build_corpus(*raw)
+    (ids, *arrays), canonical = scanned
+    corpus = _over(ids, range(len(ids)), *arrays) if canonical else build_corpus(ids, *arrays)
     corpus.reader = "c"
     return corpus
 
@@ -541,10 +542,7 @@ def parse_edges(lines):
     order, as the native scanner reads them; edge_list drops self-loops and
     repeats."""
     edges = []
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_number, line in _content_lines(lines):
         fields = line.split("\t")
         if len(fields) != 2:
             raise MalformedLine("expected '<src> TAB <dst>'", line_number)

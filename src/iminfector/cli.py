@@ -194,14 +194,14 @@ def _sha256(path):
 
 def _manifest_path(args):
     """``--manifest``, else manifest.json in ``--outdir``, else the first
-    output's path plus ``.manifest.json``. A derived path that names
+    path of _outputs plus ``.manifest.json``. A derived path that names
     something other than a regular file is a usage error."""
     if args.manifest:
         return args.manifest
     if "outdir" in args:
         path = os.path.join(args.outdir, "manifest.json")
     else:
-        path = (args.out if "out" in args else args.train_out) + ".manifest.json"
+        path = _outputs(args)[0][1] + ".manifest.json"
     if os.path.lexists(path) and not os.path.isfile(path):
         raise UsageError(f"manifest path is not a regular file: {path}")
     return path

@@ -54,7 +54,8 @@ def build_matrix(model, prune_percent):
     with np.errstate(over="ignore", invalid="ignore"):
         for row, u in zip(probs, kept):
             forward_classify(model, u, out=row)
-    if not (np.isfinite(norms[kept]).all() and np.isfinite(probs).all()):
+    # min and max propagate NaN, and make no full-size temporary
+    if not (np.isfinite(norms[kept]).all() and np.isfinite([probs.min(), probs.max()]).all()):
         raise NonFiniteMatrix("a candidate's norm or diffusion probabilities overflow")
     return DiffusionMatrix(candidate_ids=ids, probs=probs, norms=norms[kept].copy())
 
@@ -104,15 +105,16 @@ def load_matrix(path):
     non-negative terms, so a row sums to 1 within (2N - 1) * 2**-53 plus
     higher-order terms. Measured rows deviate by at most 2.2e-16 at N = 296.
     """
-    reader = BinaryReader(path, MAGIC, 2, "a DPM1 diffusion-matrix file")
-    n, N = reader.dims
-    if n < 1 or N < 1:
-        raise CorruptFile(f"{path}: bad dimensions candidates={n} nodes={N}")
-    ids = reader.ids(n)
-    norms = reader.array("<f8", n)
-    lambdas = reader.array("<u8", n)
-    probs = reader.array("<f8", n, N)
-    reader.close()
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, MAGIC, 2, "a DPM1 diffusion-matrix file")
+        n, N = reader.dims
+        if n < 1 or N < 1:
+            raise CorruptFile(f"{path}: bad dimensions candidates={n} nodes={N}")
+        ids = reader.ids(n)
+        norms = reader.array("<f8", n)
+        lambdas = reader.array("<u8", n)
+        probs = reader.array("<f8", n, N)
+    reader.end()
     if len(set(ids)) != n:
         raise CorruptFile(f"{path}: a candidate id appears more than once")
     # checked on the u8 values: a budget >= 2**63 would wrap negative in int64

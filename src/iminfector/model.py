@@ -568,16 +568,17 @@ def load_embeddings(path):
     could not hold and an id that appears twice in its table: a trained
     model holds none of these.
     """
-    reader = BinaryReader(path, MAGIC, 3, "an INFV1 embedding file")
-    E, I, N = reader.dims
-    if E < 1 or I < 1 or N < 1:
-        raise CorruptFile(f"{path}: bad dimensions E={E} I={I} N={N}")
-    O, T, b_t, b_c = (reader.array("<f8", *shape) for shape in ((I, E), (E, N), (N,), ()))
-    for name, values in (("O", O), ("T", T), ("b_t", b_t), ("b_c", b_c)):
-        if not np.isfinite(values).all():
-            raise CorruptFile(f"{path}: {name} holds a non-finite value")
-    influencer_ids, node_ids = reader.ids(I), reader.ids(N)
-    reader.close()
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, MAGIC, 3, "an INFV1 embedding file")
+        E, I, N = reader.dims
+        if E < 1 or I < 1 or N < 1:
+            raise CorruptFile(f"{path}: bad dimensions E={E} I={I} N={N}")
+        O, T, b_t, b_c = (reader.array("<f8", *shape) for shape in ((I, E), (E, N), (N,), ()))
+        for name, values in (("O", O), ("T", T), ("b_t", b_t), ("b_c", b_c)):
+            if not np.isfinite([values.min(), values.max()]).all():  # NaN propagates
+                raise CorruptFile(f"{path}: {name} holds a non-finite value")
+        influencer_ids, node_ids = reader.ids(I), reader.ids(N)
+    reader.end()
     if len(set(influencer_ids)) != I or len(set(node_ids)) != N:
         raise CorruptFile(f"{path}: an id appears more than once in its table")
     return InfectorModel(

@@ -131,7 +131,9 @@ def save_seeds(selection, path):
 
 
 def load_seed_ids(path):
-    """Read the candidate ids back from a seeds.txt file, in rank order.
+    """Read the candidate ids back from a seeds.txt file, in line order: the
+    id field of each line, its rank and spread fields unread. In every file
+    seed and baseline write, line order is rank order.
 
     A line without three tab-separated fields, an id that a cascade log
     could not hold (empty, or with whitespace or ``:``), or invalid UTF-8

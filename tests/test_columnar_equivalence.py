@@ -31,9 +31,11 @@ from hypothesis import strategies as st
 from iminfector import _native, cascades, context
 from iminfector._util import first_occurrences, slack_ceil, text_lines
 from iminfector.cascades import (
+    _LINE_RE,
+    _over,
+    _parse_line_slowly,
     _reindexed,
     _scan,
-    _with_sorted_ids,
     build_corpus,
     load_cascades,
     parse_cascades,
@@ -346,6 +348,67 @@ def test_load_matches_reference_text_mode(lines, newline):
         os.unlink(path)
 
 
+# ---- the one reading of a cascade line ----
+
+LINE_SPACES = [" ", "\x0b", "\x0c", "\x1c", "\x85", "\u3000"]
+# tabs and other whitespace, ':', ASCII and Arabic-Indic digits, '#' and id characters
+LINE_CHARS = ["\t", *LINE_SPACES, ":", "0", "7", "\u0663", "#", "-", "é"]
+# Now and then a time holds an Arabic-Indic digit, which int() reads and a
+# time may not hold, and a gap between events is a tab, which ends a field.
+LINE_TOKENS = st.tuples(
+    st.text(st.sampled_from(["-", "é", "#", "7", "\u0663"]), min_size=1, max_size=3),
+    st.lists(st.sampled_from(["0", "7"] * 12 + ["\u0663"]), min_size=1, max_size=3).map("".join),
+).map(":".join)
+
+
+@st.composite
+def drawn_lines(draw):
+    """A cascade line of LINE_CHARS with up to two characters inserted,
+    replaced or deleted, so that about two in three are still one."""
+    tokens = draw(st.lists(LINE_TOKENS, min_size=2, max_size=5))
+    gaps = draw(st.lists(st.sampled_from(LINE_SPACES * 3 + ["\t"]), min_size=len(tokens),
+                         max_size=len(tokens)))
+    line = tokens[0] + "\t" + "".join(map(str.__add__, gaps, tokens[1:])) + gaps[0]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["", *LINE_CHARS]))
+        line = line[:at] + edit + line[at + draw(st.integers(0, 1)) :]
+    return line
+
+
+def token_reading(line):
+    """(initiator, start, ids, times) of a line with no bad field or token."""
+    head, body = line.split("\t")
+    initiator, start = head.split(":")
+    events = [token.split(":") for token in body.split()]
+    return initiator, int(start), [v for v, _ in events], [int(t) for _, t in events]
+
+
+@settings(max_examples=800, deadline=None)
+@given(drawn_lines())
+def test_line_pattern_is_the_token_reading(line):
+    # _parse_line_slowly raises a specific error for exactly the lines that
+    # _LINE_RE rejects, and its last raise, the guard, for the others
+    with pytest.raises((MalformedLine, EmptyCascade)) as error:
+        _parse_line_slowly(line, 1)
+    guard = str(error.value).endswith("not a cascade line")
+    assert guard == (_LINE_RE.fullmatch(line) is not None)
+    if not guard:
+        return
+    # an accepted line reaches build_corpus as the token reading reads it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cascades, "build_corpus", lambda *raw: raw)
+        try:
+            ids, initiator, start, _, node_idx, times = parse_cascades([line])
+        except (TimeOrderViolation, EmptyCascade) as exc:
+            # the validation after the reading refuses it, as the reference does
+            assert (type(exc), str(exc)) == outcome(reference_parse, reference_summary, [line])
+            return
+    got = [(ids[u], t, [ids[v] for v in node_idx.tolist()], times.tolist())
+           for u, t in zip(initiator.tolist(), start.tolist())]
+    assert got == ([] if line.startswith("#") else [token_reading(line)])
+
+
 # ---- logs in the native scanner's strict form, with its refusals ----
 
 # '#' may appear in an id, but a line whose first byte is '#' is a comment
@@ -499,7 +562,8 @@ def test_canonical_flag_is_exact_and_its_corpus_is_build_corpus(native_library, 
     raw, canonical = scanned
     assert canonical == is_canonical(text)
     if canonical:
-        assert corpus_state(_with_sorted_ids(*raw)) == corpus_state(build_corpus(*raw))
+        ids, *arrays = raw
+        assert corpus_state(_over(ids, range(len(ids)), *arrays)) == corpus_state(build_corpus(*raw))
 
 
 # times on byte boundaries, up to the largest a log holds: the library's
@@ -626,15 +690,21 @@ def canonical_raws():
             ([f"n{k}" for k in range(50)], [0, 1, 2, 3], [0] * 4, offsets, node_idx, times)]
 
 
+def assert_canonical_events_kept(lib, raw):
+    """canonical_events keeps the canonical events of build_corpus's
+    arguments ``raw``, as the numpy path does."""
+    args = canonical_args(raw)
+    kept = lib.canonical_events(*args)
+    want = cascades._numpy_events(*[args[7], *args[:4]])
+    assert [args[4].tolist(), args[5][:kept].tolist(), args[6][:kept].tolist()] == [
+        w.tolist() for w in want]
+
+
 def assert_canonical_events_checked(lib):
     """canonical_events keeps the canonical events of each raw, as the
     numpy path does, and refuses each misfit with -1, writing nothing."""
     for raw in canonical_raws():
-        args = canonical_args(raw)
-        kept = lib.canonical_events(*args)
-        want = cascades._numpy_events(*[args[7], *args[:4]])
-        assert [args[4].tolist(), args[5][:kept].tolist(), args[6][:kept].tolist()] == [
-            w.tolist() for w in want]
+        assert_canonical_events_kept(lib, raw)
     args = canonical_args(CANONICAL_RAW)
     for what, misfit in canonical_misfits().items():
         outputs = [a.copy() for a in misfit[4:7]]

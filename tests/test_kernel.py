@@ -360,19 +360,26 @@ def test_source_compiles_without_warnings(tmp_path):
 # each taken where the session's library runs numpy's own functions
 # (argv[2]) and refused elsewhere; and, where it runs them, over the bounds
 # the loop returns and the arrays it refuses (None) and takes (the empty
-# stream's call). Built with the address and undefined behaviour
-# sanitizers, the library ends the process on a finding.
+# stream's call). Then, on inputs drawn the same way each run, it reads
+# test_text_fuzz.py's mutations of its cascade and edge files through the
+# scanners, load_cascades and load_edges, against parse_cascades and
+# parse_edges, each text copied first into a buffer of its own length; and
+# it puts raw cascades of test_columnar_equivalence.py through
+# canonical_events, against _numpy_events. Built with the address and
+# undefined behaviour sanitizers, the library ends the process on a finding.
 SANITIZED_SCRIPT = textwrap.dedent(
     """
     import sys
     import numpy as np
+    from hypothesis import given, settings
     from iminfector import _native, cascades, model
-    from iminfector.cascades import _distinct_edges, _render, _scan
+    from iminfector.cascades import _distinct_edges, _numpy_events, _render, _scan
     import test_cascade_io as io
     import test_context as context
     import test_columnar_equivalence as equivalence
     import test_edge_io as edge_io
     import test_kernel as kernel
+    import test_text_fuzz as text_fuzz
 
     SHAPES = ((2, 2), (3, 13), (50, 300), (7, 2930))
 
@@ -413,6 +420,44 @@ SANITIZED_SCRIPT = textwrap.dedent(
         args = context.draw_args(seed, draws)
         assert lib.draw_contexts(*args) is runs
     context.assert_misfit_draws_refused(lib)
+
+    # lib, but each text it scans is first copied into a numpy buffer of the
+    # text's own length: a bytes object ends in a NUL byte that a read past
+    # the text would reach unseen
+    class ExactText:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def scan_cascades(self, text, *arrays):
+            return lib.scan_cascades(np.frombuffer(text, np.uint8).copy(), *arrays)
+
+        def scan_edges(self, text, *arrays):
+            return lib.scan_edges(np.frombuffer(text, np.uint8).copy(), *arrays)
+
+    exact = ExactText()
+    _native.load = lambda: exact
+    # the numpy path again: the library refuses an empty log's arrays, whose
+    # empty buffers are not aligned
+    cascades._numpy_events = _numpy_events
+    drawn = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+
+    @drawn
+    @given(text_fuzz.mutated(text_fuzz.CORPUS))
+    def drawn_logs(blob):
+        edge_io.read_file_of(blob, equivalence.assert_readers_agree)
+
+    @drawn
+    @given(text_fuzz.mutated(text_fuzz.EDGES))
+    def drawn_edge_lists(blob):
+        edge_io.assert_edges_read_alike(blob, exact)
+
+    @drawn
+    @given(equivalence.raw_cascades())
+    def drawn_raws(raw):
+        equivalence.assert_canonical_events_kept(lib, raw)
+
+    for check in (drawn_logs, drawn_edge_lists, drawn_raws):
+        check()
     print("clean")
     """
 )
