@@ -4,14 +4,15 @@
  * canonical events of raw cascades, which edge lists take too.
  * _native.py builds it on first use against this interpreter's Python.h
  * and numpy's headers and loads it once, as the extension module
- * iminfector._native_lib. Its functions take arrays and numbers only, no
- * address, capacity or other Python object, and all of them keep the one
- * argument contract set out under "Arguments" below; each sizes its work
- * by its arrays' lengths. Of numpy's C API it uses only the
- * ufunc type and its layout: the loop calls numpy's own float64 inner
- * loops and its BLAS's dgemv directly, and model.py sends it only the
- * models of a shape where a self-check of the loop gives the numpy step's
- * bits; the context draws call add's loop the same way.
+ * iminfector._native_lib. Its functions take arrays, numbers and bit
+ * generators only, no address, capacity or other Python object, and all
+ * of them keep the one argument contract set out under "Arguments" below;
+ * each sizes its work by its arrays' lengths. Of numpy's C API it uses
+ * only the ufunc type and its layout: the loop calls numpy's own float64
+ * inner loops and its BLAS's dgemv directly, and model.py sends it only
+ * the models of a shape where a self-check of the loop gives the numpy
+ * step's bits; the context draws call add's loop the same way, and a bit
+ * generator's next_double through numpy/random/bitgen.h.
  *
  * ---- The T and b_t update of one classify step, fused into one pass ----
  *
@@ -46,6 +47,7 @@
 #define NPY_NO_DEPRECATED_API NPY_API_VERSION
 #define NO_IMPORT_ARRAY
 #include <numpy/ndarraytypes.h>
+#include <numpy/random/bitgen.h>
 #include <numpy/ufuncobject.h>
 
 #include <dlfcn.h>
@@ -227,7 +229,9 @@ static int find_numpy_own(PyObject *module)
  * Every function keeps one contract on its arguments:
  *
  *   - numbers: an index is a Python int, read as -1 when it is negative or
- *     past long long; a real is a Python float;
+ *     past long long; a real is a Python float; a generator is a numpy
+ *     BitGenerator, read as the bitgen_t of its "BitGenerator" capsule,
+ *     and private to the call, so the function takes no lock on it;
  *   - arrays: each is an aligned, C-contiguous buffer of its item kind and
  *     number of dimensions, writable if the function writes it;
  *   - aliasing: no array the function writes shares memory with another
@@ -246,8 +250,8 @@ static int find_numpy_own(PyObject *module)
  */
 
 /* The kinds of argument: arrays of four kinds of item, whose struct
- * formats and sizes follow, then two kinds of number. */
-enum kind { BYTE, I32, I64, F64, INDEX, REAL };
+ * formats and sizes follow, then three kinds of number. */
+enum kind { BYTE, I32, I64, F64, INDEX, REAL, GENERATOR };
 static const char *const FORMATS[] = {"B", "i", "lq", "d"};
 static const Py_ssize_t SIZE[] = {1, 4, 8, 8};
 
@@ -262,6 +266,7 @@ struct param {
 union number {
     long long index;
     double real;
+    bitgen_t *generator;
 };
 
 /* Whether the memory of two views overlaps. */
@@ -294,6 +299,15 @@ static int take_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
             number[k].real = PyFloat_AsDouble(args[k]);
             if (number[k].real == -1.0 && PyErr_Occurred())
                 return -1;
+        } else if (param[k].kind == GENERATOR) {
+            /* args holds the generator, which owns the capsule and bitgen_t */
+            PyObject *capsule = PyObject_GetAttrString(args[k], "capsule");
+            number[k].generator = capsule ? PyCapsule_GetPointer(capsule, "BitGenerator") : NULL;
+            Py_XDECREF(capsule);
+            if (!number[k].generator) {
+                PyErr_Format(PyExc_TypeError, "%s takes a numpy BitGenerator", name);
+                return -1;
+            }
         }
     }
     for (int k = 0; k < n; k++) {
@@ -490,68 +504,67 @@ static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *ar
 
 /* ---- The training stream's context draws ----
  *
- * draw_contexts(weights, offsets, node_idx, draws, uniforms, context) makes
- * the draws of context.choice_contexts, each cascade's
+ * draw_contexts(start, offsets, node_idx, times, draws, context,
+ * bit_generator) makes the draws of context.choice_contexts, each cascade's
  *
  *     rng.choice(node_idx[a:b], size=draws[i], replace=True, p=w / w.sum())
  *
- * with w = weights[a:b], from uniforms, the values rng.random(sum(draws))
- * gives: choice draws random(draws[i]) of them per cascade, in order. Per
- * cascade it makes Generator.choice's own arithmetic: sum is add's loop in
- * reduce form, as np.add.reduce(w) calls it; p_k = w_k / sum; the cdf is
- * p's sequential sum, as np.cumsum; cdf /= cdf[-1]; and each draw of x
- * takes node_idx[a + k], k the first index with cdf[k] > x, as
- * cdf.searchsorted(x, side="right"). So the contexts are choice's, bit for
- * bit. The draws are independent of each other, so their binary searches
- * run LANES at a time, in lockstep, and the rest one by one, with the same
- * indices. The cascades' draws fill context in cascade order.
+ * with w = sampling_weights(corpus)[a:b] and rng a Generator over
+ * bit_generator: choice takes rng.random(draws[i]) per cascade, each value
+ * the bit generator's next_double, and draw_contexts calls next_double in
+ * the same order. Per cascade it writes the weights, 1.0 / (double)max(t -
+ * start, 1), into its cdf room and makes Generator.choice's own
+ * arithmetic: sum is add's loop in reduce form, as np.add.reduce(w) calls
+ * it; p_k = w_k / sum; the cdf is p's sequential sum, as np.cumsum; cdf /=
+ * cdf[-1]; and each draw of x takes node_idx[a + k], k the first index
+ * with cdf[k] > x, as cdf.searchsorted(x, side="right"). So the contexts
+ * are choice's, bit for bit. The draws are independent of each other, so
+ * their binary searches run LANES at a time, in lockstep, and the rest one
+ * by one, with the same indices. The cascades' draws fill context in
+ * cascade order.
  *
- * weights and uniforms are float64 arrays, offsets and draws int64 and
- * node_idx and context int32, all one-dimensional, context written, with
- * one entry of draws per cascade, one more of offsets, offsets from 0 up
- * to len(weights) = len(node_idx) with no empty cascade, and len(uniforms)
- * = len(context) = sum(draws). Every weight is in (0, 1], as
- * context.sampling_weights makes them, so no sum is 0 or overflows, and
- * every uniform in [0, 1). Returns True once it has filled context, and
- * False, having written nothing, for arrays it cannot take and for every
- * call where numpy's own functions were not found. */
+ * start, offsets, times and draws are int64 arrays, node_idx and context
+ * int32, all one-dimensional, context written, with one entry of start and
+ * draws per cascade, one more of offsets, offsets from 0 up to len(times)
+ * = len(node_idx) with no empty cascade, len(context) = sum(draws), no
+ * start below 0 and no time before its cascade's start: so no delay
+ * overflows, every weight is in (0, 1] and no sum is 0 or overflows.
+ * Returns True once it has filled context, and False, having written and
+ * drawn nothing, for arrays it cannot take and for every call where
+ * numpy's own functions were not found. */
 
-enum { WEIGHTS, D_OFFSETS, D_NODE_IDX, DRAWS, UNIFORMS, CONTEXT_OUT, N_DRAW };
-static const struct param DRAW_ARGS[N_DRAW] = {{F64, 1, 0}, {I64, 1, 0}, {I32, 1, 0},
-                                               {I64, 1, 0}, {F64, 1, 0}, {I32, 1, 1}};
+enum { D_START, D_OFFSETS, D_NODE_IDX, D_TIMES, DRAWS, CONTEXT_OUT, GENERATOR_ARG, N_DRAW };
+static const struct param DRAW_ARGS[N_DRAW] = {{I64, 1, 0}, {I64, 1, 0}, {I32, 1, 0}, {I64, 1, 0},
+                                               {I64, 1, 0}, {I32, 1, 1}, {GENERATOR, 0, 0}};
 
 /* Whether the arrays of view are those draw_contexts takes; if so, the
  * longest cascade in *longest. */
 static int fits_draws(const Py_buffer *view, Py_ssize_t *longest)
 {
-    const double *const weights = view[WEIGHTS].buf, *const uniforms = view[UNIFORMS].buf;
-    const int64_t *const offsets = view[D_OFFSETS].buf, *const draws = view[DRAWS].buf;
-    const Py_ssize_t cascades = view[DRAWS].shape[0], events = view[WEIGHTS].shape[0];
-    if (view[D_OFFSETS].shape[0] != cascades + 1 || view[D_NODE_IDX].shape[0] != events ||
-        offsets[0] != 0 || offsets[cascades] != events)
+    const int64_t *const start = view[D_START].buf, *const offsets = view[D_OFFSETS].buf,
+                  *const times = view[D_TIMES].buf, *const draws = view[DRAWS].buf;
+    const Py_ssize_t cascades = view[DRAWS].shape[0], events = view[D_TIMES].shape[0],
+                     total = view[CONTEXT_OUT].shape[0];
+    if (view[D_START].shape[0] != cascades || view[D_OFFSETS].shape[0] != cascades + 1 ||
+        view[D_NODE_IDX].shape[0] != events || offsets[0] != 0 || offsets[cascades] != events)
         return 0;
-    const Py_ssize_t total = view[UNIFORMS].shape[0];
     Py_ssize_t drawn = 0;
     *longest = 0;
     for (Py_ssize_t i = 0; i < cascades; i++) {
         /* offsets ascend from 0, so no difference overflows */
-        if (offsets[i + 1] <= offsets[i] || draws[i] < 0 || draws[i] > total - drawn)
+        if (offsets[i + 1] <= offsets[i] || offsets[i + 1] > events || start[i] < 0 ||
+            draws[i] < 0 || draws[i] > total - drawn)
             return 0;
+        for (int64_t k = offsets[i]; k < offsets[i + 1]; k++)
+            if (times[k] < start[i])
+                return 0;
         const int64_t m = offsets[i + 1] - offsets[i];
         drawn += (Py_ssize_t)draws[i];
         if (m > *longest)
             *longest = (Py_ssize_t)m;
     }
     /* no sum overflows: each length is at most that of an array in memory */
-    if (drawn != total || total != view[CONTEXT_OUT].shape[0])
-        return 0;
-    for (Py_ssize_t k = 0; k < events; k++)
-        if (!(weights[k] > 0.0 && weights[k] <= 1.0))
-            return 0;
-    for (Py_ssize_t k = 0; k < total; k++)
-        if (!(uniforms[k] >= 0.0 && uniforms[k] < 1.0))
-            return 0;
-    return 1;
+    return drawn == total;
 }
 
 /* For each of the lanes values x[l], the first k with cdf[k] > x[l], into
@@ -573,33 +586,40 @@ static inline void search(const double *cdf, size_t m, const double *x, size_t *
 
 enum { LANES = 8 }; /* draws searched in lockstep */
 
-/* Fills context from view's arrays, fitted, with cdf room for the longest
- * cascade. */
-static void draw(const Py_buffer *view, double *cdf)
+/* Fills context from view's arrays, fitted, with uniforms from generator
+ * and cdf room for the longest cascade. */
+static void draw(const Py_buffer *view, bitgen_t *generator, double *cdf)
 {
-    const double *const weights = view[WEIGHTS].buf, *uniform = view[UNIFORMS].buf;
-    const int64_t *const offsets = view[D_OFFSETS].buf, *const draws = view[DRAWS].buf;
+    const int64_t *const start = view[D_START].buf, *const offsets = view[D_OFFSETS].buf,
+                  *const times = view[D_TIMES].buf, *const draws = view[DRAWS].buf;
     const int32_t *const node_idx = view[D_NODE_IDX].buf;
     int32_t *row = view[CONTEXT_OUT].buf;
     for (Py_ssize_t i = 0; i < view[DRAWS].shape[0]; i++) {
         const int64_t a = offsets[i];
         const size_t m = (size_t)(offsets[i + 1] - a);
-        const double *const w = weights + a;
-        const double sum = add_reduce(w, m);
+        for (size_t k = 0; k < m; k++) {
+            const int64_t delay = times[a + (int64_t)k] - start[i];
+            cdf[k] = 1.0 / (double)(delay > 1 ? delay : 1);
+        }
+        const double sum = add_reduce(cdf, m);
         double cum = 0.0;
         for (size_t k = 0; k < m; k++)
-            cdf[k] = cum = k ? cum + w[k] / sum : w[k] / sum;
+            cdf[k] = cum = k ? cum + cdf[k] / sum : cdf[k] / sum;
         for (size_t k = 0; k < m; k++)
             cdf[k] = cdf[k] / cum;
+        double x[LANES];
         size_t lo[LANES];
         int64_t j = 0;
-        for (; j + LANES <= draws[i]; j += LANES, uniform += LANES) {
-            search(cdf, m, uniform, lo, LANES);
+        for (; j + LANES <= draws[i]; j += LANES) {
+            for (int l = 0; l < LANES; l++)
+                x[l] = generator->next_double(generator->state);
+            search(cdf, m, x, lo, LANES);
             for (int l = 0; l < LANES; l++)
                 *row++ = node_idx[a + (int64_t)lo[l]];
         }
-        for (; j < draws[i]; j++, uniform++) {
-            search(cdf, m, uniform, lo, 1);
+        for (; j < draws[i]; j++) {
+            x[0] = generator->next_double(generator->state);
+            search(cdf, m, x, lo, 1);
             *row++ = node_idx[a + (int64_t)lo[0]];
         }
     }
@@ -608,7 +628,8 @@ static void draw(const Py_buffer *view, double *cdf)
 static PyObject *draw_contexts(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer view[N_DRAW] = {{0}};
-    const int taken = take_args("draw_contexts", args, nargs, DRAW_ARGS, N_DRAW, view, NULL);
+    union number number[N_DRAW];
+    const int taken = take_args("draw_contexts", args, nargs, DRAW_ARGS, N_DRAW, view, number);
     if (taken < 0)
         return NULL;
     Py_ssize_t longest = 0;
@@ -616,7 +637,7 @@ static PyObject *draw_contexts(PyObject *Py_UNUSED(module), PyObject *const *arg
     const int fits = !taken && numpy_own.dgemv && fits_draws(view, &longest) &&
                      (cdf = malloc((size_t)(longest ? longest : 1) * sizeof *cdf)) != NULL;
     if (fits)
-        draw(view, cdf);
+        draw(view, number[GENERATOR_ARG].generator, cdf);
     free(cdf);
     release(view, N_DRAW);
     return Py_NewRef(fits ? Py_True : Py_False);
@@ -1256,7 +1277,7 @@ static PyMethodDef methods[] = {
     {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
      "classify_pairs(O, T, b_t, phi, grad, losses, u, context, lr, bound, bias_bound)"},
     {"draw_contexts", (PyCFunction)(void (*)(void))draw_contexts, METH_FASTCALL,
-     "draw_contexts(weights, offsets, node_idx, draws, uniforms, context)"},
+     "draw_contexts(start, offsets, node_idx, times, draws, context, bit_generator)"},
     {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,
      "scan_cascades(log, initiator, start, offsets, node_idx, times, id_offset, id_length)"},
     {"scan_edges", (PyCFunction)(void (*)(void))scan_edges, METH_FASTCALL,

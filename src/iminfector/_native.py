@@ -3,28 +3,29 @@
 ``_native.c`` holds the classify loop (``classify_pairs``) with its T
 update (``fused_t_update``, which returns nothing) and its direct calls of
 numpy's own loops and BLAS, the training stream's context draws
-(``draw_contexts``), the cascade scanner (``scan_cascades``), the cascade
-writer (``write_cascades``), the edge list scanner (``scan_edges``), which
-reads every pair as parse_edges does, and the canonical events of
-build_corpus (``canonical_events``), which also keep an edge list's
-distinct edges. ``load()`` compiles it with the
-system C compiler, ``$CC`` or else ``cc``, against this interpreter's
-``Python.h`` and numpy's headers (for the layout of a ufunc object) into
-the user's cache directory, ``$XDG_CACHE_HOME/iminfector`` (default
+(``draw_contexts``, which takes its uniforms from a numpy bit generator in
+``rng.random``'s order), the cascade scanner (``scan_cascades``), the
+cascade writer (``write_cascades``), the edge list scanner
+(``scan_edges``), which reads every pair as parse_edges does, and the
+canonical events of build_corpus (``canonical_events``), which also keep an
+edge list's distinct edges. ``load()`` compiles it with the system C
+compiler, ``$CC`` or else ``cc``, against this interpreter's ``Python.h``
+and numpy's headers (for the layout of a ufunc object) into the user's
+cache directory, ``$XDG_CACHE_HOME/iminfector`` (default
 ``~/.cache/iminfector``), and loads it through
 ``importlib.machinery.ExtensionFileLoader`` as the CPython extension module
 ``iminfector._native_lib``, at most once per process. Its functions keep
-one argument contract, set out in the "Arguments" section of
-``_native.c``: what numbers and arrays they take, that no array they write
-shares memory with another, and that they refuse the rest. A library's
-name holds two digests: one of the source, the compiler flags, the
-machine type, the interpreter's ABI (``EXT_SUFFIX`` and the include
+one argument contract, set out in the "Arguments" section of ``_native.c``:
+what numbers, numpy bit generators and arrays they take, that no array they
+write shares memory with another, and that they refuse the rest. A
+library's name holds two digests: one of the source, the compiler flags,
+the machine type, the interpreter's ABI (``EXT_SUFFIX`` and the include
 directory) and numpy's version and include directory, so that a changed
 source, flag set, interpreter or numpy builds a new library and a cached
 one is reused only where it was built for; and one of the library's own
-bytes, checked before it is loaded. Loading a
-cut-short shared library can kill the process with SIGBUS, so a file whose
-bytes do not match its name is never loaded; a build replaces it.
+bytes, checked before it is loaded. Loading a cut-short shared library can
+kill the process with SIGBUS, so a file whose bytes do not match its name
+is never loaded; a build replaces it.
 
 On x86-64 with glibc the library holds a clone of the T update for each of
 AVX-512F, AVX2 and baseline x86-64, and glibc's dynamic loader picks the

@@ -269,6 +269,14 @@ def _content_lines(lines):
             yield line_number, line
 
 
+def _time(digits, line_number):
+    """The value of a time's digits past their leading zeros, as the scanner reads it."""
+    value = digits.lstrip("0")
+    if len(value) > 19:
+        raise MalformedLine(f"time {value[:19]}... does not fit in 64 bits", line_number)
+    return int(value or "0")
+
+
 class _Interner(dict):
     """Id -> position in first-seen order; a lookup of a new id adds it."""
 
@@ -295,10 +303,12 @@ def parse_cascades(lines):
         if match is None:
             _parse_line_slowly(line, line_number)  # raises the line's first error
         initiator, start, body = match.groups()
-        start = int(start)
         tokens = body.replace(":", " ").split()
         names = tokens[0::2]
-        stamps = list(map(int, tokens[1::2]))
+        try:
+            start, stamps = int(start), list(map(int, tokens[1::2]))
+        except ValueError:  # past int()'s digit limit, which counts leading zeros
+            start, *stamps = (_time(t, line_number) for t in [start, *tokens[1::2]])
         latest = max(stamps)
         if start >= TIME_LIMIT or latest >= TIME_LIMIT:
             raise MalformedLine(

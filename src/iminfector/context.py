@@ -7,11 +7,13 @@ influencer-size pair whose target is the min-max normalized cascade length.
 
 The draws are numpy's ``Generator.choice``, one call per cascade on a
 generator seeded with the stream's seed (choice_contexts). The native
-library's draw_contexts makes the same draws from one ``rng.random`` call
-for the whole stream, with choice's own arithmetic, so its contexts are
-choice's bit for bit; tests/test_context.py pins the two together. Without
-the library, or where it refuses the call, choice_contexts draws them; the
-stream's ``draws`` names which did.
+library's draw_contexts makes the same draws in one pass over the corpus
+arrays: it computes each cascade's weights and takes each uniform from the
+seeded generator's bit generator, in the order ``rng.random`` yields them,
+with choice's own arithmetic, so its contexts are choice's bit for bit;
+tests/test_context.py pins the two together. Without the library, or where
+it refuses the call, choice_contexts draws them; the stream's ``draws``
+names which did.
 """
 
 import math
@@ -97,7 +99,6 @@ def build_training_stream(train, oversample=1.2, rng_seed=0):
     """
     if not train.n_cascades:
         raise ValueError("empty train corpus")
-    weights = sampling_weights(train)
     draws, n_pairs = context_draws(train, oversample)
     if n_pairs > np.iinfo(np.intp).max // 8:  # the bytes of an int64 or float64 array
         raise MemoryError(f"a stream of {n_pairs} pairs cannot be indexed")
@@ -105,21 +106,23 @@ def build_training_stream(train, oversample=1.2, rng_seed=0):
     offsets = np.concatenate(([0], np.cumsum(draws)))
     context = np.empty(offsets[-1], dtype=np.int32)
     lib = _native.load()
+    rng = np.random.default_rng(rng_seed)
     drawn = "c"
     if lib is None or not lib.draw_contexts(
-        weights, train.offsets, train.node_idx, draws,
-        np.random.default_rng(rng_seed).random(len(context)), context,
+        train.start_time, train.offsets, train.node_idx, train.times, draws, context,
+        rng.bit_generator,
     ):
-        choice_contexts(train, weights, draws, rng_seed, context)
+        choice_contexts(train, draws, rng_seed, context)
         drawn = "choice"
     return TrainingStream(train.cascade_influencers(), size_targets(train), offsets, context, drawn)
 
 
-def choice_contexts(train, weights, draws, rng_seed, context):
+def choice_contexts(train, draws, rng_seed, context):
     """Fill ``context`` with the cascades' draws, in cascade order:
-    ``rng.choice`` over the cascade's events with probabilities ``weights``
-    normalized, ``draws[i]`` of them for cascade i, from a generator seeded
-    with ``rng_seed``."""
+    ``rng.choice`` over the cascade's events with probabilities its
+    sampling_weights normalized, ``draws[i]`` of them for cascade i, from a
+    generator seeded with ``rng_seed``."""
+    weights = sampling_weights(train)
     rng = np.random.default_rng(rng_seed)
     offsets = train.offsets.tolist()
     row = 0

@@ -186,7 +186,12 @@ def init_model(config, influencer_ids, node_ids):
     rng = np.random.default_rng([config.rng_seed, 0])
     half = 0.5 / E
     O = rng.uniform(-half, half, size=(len(influencer_ids), E))
-    T = rng.uniform(-half, half, size=(E, N))
+    # T starts on a 64-byte boundary: on an AVX-512 host 5 epochs at 300
+    # nodes trained in 0.26 s, against 0.30-0.32 s with T 16, 32 or 48
+    # bytes past one
+    T = np.empty(E * N + 8)
+    T = T[(-T.ctypes.data % 64) // 8 :][: E * N].reshape(E, N)
+    T[...] = rng.uniform(-half, half, size=(E, N))
     return InfectorModel(
         O=O,
         T=T,

@@ -41,7 +41,8 @@ def _runs_numpy_calls(lib):
     i64, i32, f64 = (np.empty(0, dtype=t) for t in (np.int64, np.int32, np.float64))
     stop = model_module._take_pairs(lib, model, StepWorkspace(model), 0, i32, 0.0, f64)
     return (stop is not None
-            and lib.draw_contexts(f64, np.zeros(1, dtype=np.int64), i32, i64, f64, i32.copy()))
+            and lib.draw_contexts(i64, np.zeros(1, dtype=np.int64), i32, i64, i64, i32.copy(),
+                                  np.random.default_rng(0).bit_generator))
 
 
 @pytest.fixture(scope="session")

@@ -51,6 +51,9 @@ CASES = {
     "time of 2**64 + 5, 5 in 64 bits": (b"u:1\tv:18446744073709551621\n", MalformedLine),
     "20-digit time of 2**63 - 1": (b"u:1\tv:09223372036854775807\n", "c"),
     "leading-zero times": (b"u:007\tv:0010 w:00007\n", "c"),
+    # int() converts at most 4,300 digits, leading zeros among them
+    "5,000 leading zeros": (b"u:" + b"0" * 5000 + b"1\tv:2\n", "c"),
+    "a 5,000-digit time": (b"u:1\tv:1" + b"0" * 4999 + b"\n", MalformedLine),
     "event before its start": (b"u:5\tv:6 w:4\n", TimeOrderViolation),
     "initiator-only cascade": (b"u:1\tv:2\nu:1\tu:2 u:3\n", EmptyCascade),
     "'#' line that would parse as a cascade": (b"#u:1\tv:2\nw:1\tv:2\n", "c"),

@@ -267,6 +267,22 @@ def test_malformed_cascades_is_exit_3(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("library", ["native", "none"])
+def test_time_of_5000_digits_is_exit_3(tmp_path, capsys, monkeypatch, library):
+    # past the leading zeros, more than 19 digits do not fit in 64 bits,
+    # however many digits int() converts
+    bad = tmp_path / "bad.txt"
+    bad.write_text("u:1\tv:2\nw:" + "0" * 5000 + "1\tv:" + "1" * 5000 + "\n")
+    if library == "none":
+        monkeypatch.setattr(_native, "load", lambda: None)
+    code = main(
+        ["split", "--cascades", str(bad),
+         "--train-out", str(tmp_path / "a"), "--test-out", str(tmp_path / "b")]
+    )
+    assert code == 3
+    assert "line 2: time 1111111111111111111... does not fit in 64 bits" in capsys.readouterr().err
+
+
 def test_degenerate_split_is_exit_5(tmp_path, capsys):
     one = tmp_path / "one.txt"
     one.write_text("u1:0\tv1:1\n")

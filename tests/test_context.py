@@ -1,7 +1,10 @@
 """Context sampling and training-stream construction, and the native
 library's context draws against rng.choice's."""
 
+import ctypes
+import datetime
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from iminfector import _native, context
 from iminfector._util import slack_ceil
-from iminfector.cascades import CascadeCorpus, parse_cascades
+from iminfector.cascades import CascadeCorpus, parse_cascades, temporal_split
 from iminfector.context import (
     build_training_stream,
     choice_contexts,
@@ -20,6 +23,7 @@ from iminfector.context import (
 from iminfector.synth import generate_corpus
 from test_cascade_io import read_only
 from test_columnar_equivalence import stream_pairs
+from test_diffusion import traced_peak
 
 
 def same_stream(a, b):
@@ -103,6 +107,21 @@ def test_stream_deterministic_per_seed():
     assert not same_stream(s1, s3)
 
 
+def test_stream_build_holds_little_more_than_the_stream(direct_library):
+    # The library weighs each cascade's events in its cdf room and takes
+    # each uniform from the bit generator, so the only array of the
+    # stream's size is the stream's own: the peak measured 1.04 times the
+    # stream's bytes, against 4.8 times with arrays of every event's
+    # weight and of every draw's uniform.
+    corpus = generate_corpus(np.random.default_rng(9001), n_nodes=3000, n_cascades=5000)
+    train, _ = temporal_split(corpus, 0.8)
+    stream, peak = traced_peak(lambda: build_training_stream(train, 1.2, 9001))
+    kept = sum(a.nbytes for a in (stream.influencer, stream.size_target, stream.offsets,
+                                  stream.context))
+    assert stream.draws == "c"
+    assert peak <= 1.1 * kept, (peak, kept)
+
+
 def test_stream_empty_corpus_rejected():
     with pytest.raises(ValueError):
         build_training_stream(parse_cascades([]), 1.2, 0)
@@ -113,17 +132,21 @@ def test_stream_empty_corpus_rejected():
 DRAW_LOG = ["u1:0\ta:1 b:2 c:3 d:9\n", "u2:3\tb:4\n", "u3:5\ta:5 c:5 e:5\n", "u1:9\tb:10 e:30\n"]
 
 
+def corpus_args(corpus):
+    """draw_contexts's corpus arguments: start, offsets, node_idx, times."""
+    return [corpus.start_time, corpus.offsets, corpus.node_idx, corpus.times]
+
+
 def draw_args(seed=0, draws=None):
     """draw_contexts's arguments for DRAW_LOG's stream, or for ``draws``
-    draws per cascade, every context at -1, which no draw gives."""
+    draws per cascade, every context at -1, which no draw gives, and the
+    bit generator of a generator seeded with ``seed``."""
     corpus = parse_cascades(DRAW_LOG)
-    weights = sampling_weights(corpus)
     if draws is None:
         draws = [slack_ceil(1.2 * m) for m in corpus.sizes().tolist()]
     draws = np.array(draws, np.int64)
-    uniforms = np.random.default_rng(seed).random(int(draws.sum()))
-    contexts = np.full(len(uniforms), -1, dtype=np.int32)
-    return [weights, corpus.offsets, corpus.node_idx, draws, uniforms, contexts]
+    contexts = np.full(int(draws.sum()), -1, dtype=np.int32)
+    return [*corpus_args(corpus), draws, contexts, np.random.default_rng(seed).bit_generator]
 
 
 def changed(k, change):
@@ -147,37 +170,37 @@ def context_over_node_idx(args):
     node_idx, contexts = args[2], args[5]
     shared = np.zeros(len(node_idx) + len(contexts) - 1, dtype=np.int32)
     shared[: len(node_idx)] = node_idx
-    return [*args[:2], shared[: len(node_idx)], *args[3:5], shared[len(node_idx) - 1 :]]
+    return [*args[:2], shared[: len(node_idx)], *args[3:5], shared[len(node_idx) - 1 :],
+            args[6]]
 
 
 def empty_first_cascade(args):
-    weights, offsets, node_idx, draws, uniforms, contexts = args
-    return [weights, np.concatenate([[0], offsets]), node_idx, np.concatenate([[0], draws]),
-            uniforms, contexts]
+    start, offsets, node_idx, times, draws, contexts, generator = args
+    return [np.concatenate([[0], start]), np.concatenate([[0], offsets]), node_idx, times,
+            np.concatenate([[0], draws]), contexts, generator]
 
 
 # Each makes draw_args's arguments ones draw_contexts does not take: of
 # another kind or layout, of lengths that do not fit, or values outside the
 # domain where its draws are choice's.
 MISFIT_DRAWS = {
-    "float32 weights": changed(0, lambda a: a.astype(np.float32)),
-    "a weight of 0": set_entry(0, 0, 0.0),
-    "a weight above 1": set_entry(0, 1, 1.5),
-    "a NaN weight": set_entry(0, 2, np.nan),
+    "int32 start": changed(0, lambda a: a.astype(np.int32)),
+    "a negative start": set_entry(0, 0, -1),
+    "start one short": changed(0, lambda a: a[:-1]),
     "int32 offsets": changed(1, lambda a: a.astype(np.int32)),
     "offsets past the events": set_entry(1, -1, 12),
+    "an offset past the events, then back": set_entry(1, 1, 11),
     "offsets from 1": set_entry(1, 0, 1),
     "descending offsets": set_entry(1, 2, 3),
     "an empty cascade": empty_first_cascade,
     "int64 node_idx": changed(2, lambda a: a.astype(np.int64)),
     "strided node_idx": changed(2, lambda a: np.repeat(a, 2)[::2]),
     "node_idx one short": changed(2, lambda a: a[:-1]),
-    "a negative draw": set_entry(3, 0, -1),
-    "draws one short": changed(3, lambda a: a[:-1]),
-    "a uniform of 1": set_entry(4, 0, 1.0),
-    "a negative uniform": set_entry(4, 1, -1e-300),
-    "a NaN uniform": set_entry(4, 2, np.nan),
-    "uniforms one short": changed(4, lambda a: a[:-1]),
+    "float64 times": changed(3, lambda a: a.astype(np.float64)),
+    "a time before its start": set_entry(3, -1, 0),
+    "times one short": changed(3, lambda a: a[:-1]),
+    "a negative draw": set_entry(4, 0, -1),
+    "draws one short": changed(4, lambda a: a[:-1]),
     "contexts one short": changed(5, lambda a: a[:-1]),
     "int64 contexts": changed(5, lambda a: a.astype(np.int64)),
     "read-only contexts": changed(5, read_only),
@@ -188,19 +211,28 @@ MISFIT_DRAWS = {
 
 def assert_misfit_draws_refused(lib):
     """draw_contexts refuses every MISFIT_DRAWS case and changes none of
-    its arguments."""
+    its arguments: no array, and not the generator's state."""
     for what, misfit in MISFIT_DRAWS.items():
-        args = misfit(draw_args())
-        before = [a.copy() for a in args]
-        assert lib.draw_contexts(*args) is False, what
-        for a, b in zip(args, before):
-            assert np.array_equal(a, b, equal_nan=True), what
+        *arrays, generator = misfit(draw_args())
+        before, state = [a.copy() for a in arrays], generator.state
+        assert lib.draw_contexts(*arrays, generator) is False, what
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before)), what
+        assert generator.state == state, what
 
 
 def test_draw_contexts_refuses_arrays_it_cannot_take(direct_library):
     assert_misfit_draws_refused(direct_library)
+    *arrays, generator = draw_args()
     with pytest.raises(TypeError):
-        direct_library.draw_contexts(*draw_args()[:-1])
+        direct_library.draw_contexts(*arrays)
+    # the generator must be a bit generator: a Generator, its state, a
+    # capsule or an object with a capsule of another name is a TypeError
+    others = [np.random.default_rng(0), generator.state, generator.capsule, None,
+              SimpleNamespace(capsule=datetime.datetime_CAPI)]
+    for other in others:
+        with pytest.raises(TypeError):
+            direct_library.draw_contexts(*arrays, other)
+    assert (arrays[5] == -1).all()
 
 
 def counting_choice(monkeypatch):
@@ -254,15 +286,48 @@ def test_stream_falls_back_to_choice_with_the_same_stream(native_library, numpy_
             assert len(calls) == 1, what
 
 
+NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+CAPSULE_NEW = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
+                               ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+
+
+class Bitgen(ctypes.Structure):
+    """numpy/random/bitgen.h's bitgen_t."""
+
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
+                ("next_uint32", ctypes.c_void_p), ("next_double", NEXT_DOUBLE),
+                ("next_raw", ctypes.c_void_p)]
+
+
+class ReplayedUniforms:
+    """A bit generator whose next_double gives ``values`` in order; it has
+    no other output."""
+
+    NAME = b"BitGenerator"  # the capsule keeps a pointer to these bytes
+
+    def __init__(self, values):
+        values = iter(values.tolist())
+        self.next_double = NEXT_DOUBLE(lambda state: next(values))
+        self.bitgen = Bitgen(next_double=self.next_double)
+        self.capsule = CAPSULE_NEW(ctypes.addressof(self.bitgen), self.NAME, None)
+
+
 def test_draw_contexts_splits_at_choice_s_own_cdf(direct_library):
     # uniforms at each cdf value numpy's choice computes, and one ulp
     # below it, fall on either side of that value only if the library's
-    # cdf has the very same bits: its sum, division and cumulative sum
+    # cdf has the very same bits: its weights, sum, division and
+    # cumulative sum. Every other cascade's delays are past 2**53, where
+    # their conversion to double rounds.
     rng = np.random.default_rng(61)
     sizes = [1, 2, 7, 9, 100, 1000, 10_000]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    weights = 1.0 / rng.integers(1, 10**6, offsets[-1]).astype(np.float64)
+    start = rng.integers(0, 10**6, len(sizes))
+    delays = [rng.integers(2**53, 2**62, m) if i % 2 else rng.integers(0, 10**6, m)
+              for i, m in enumerate(sizes)]
+    times = np.repeat(start, sizes) + np.concatenate(delays)
     node_idx = rng.permutation(offsets[-1]).astype(np.int32)
+    corpus = CascadeCorpus([], np.zeros(len(sizes), np.int32), start, offsets, node_idx, times)
+    weights = sampling_weights(corpus)
     uniforms, want = [], []
     for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
         p = weights[a:b] / weights[a:b].sum()
@@ -273,26 +338,51 @@ def test_draw_contexts_splits_at_choice_s_own_cdf(direct_library):
         want.append(node_idx[a:b][cdf.searchsorted(x, side="right")])
     draws = np.array([len(x) for x in uniforms], dtype=np.int64)
     contexts = np.full(int(draws.sum()), -1, dtype=np.int32)
-    args = weights, offsets, node_idx, draws, np.concatenate(uniforms), contexts
-    assert direct_library.draw_contexts(*args) is True
+    generator = ReplayedUniforms(np.concatenate(uniforms))
+    assert direct_library.draw_contexts(*corpus_args(corpus), draws, contexts, generator) is True
     assert np.array_equal(contexts, np.concatenate(want))
 
 
+# delays of 0 and 1, which weigh alike, small ones, and ones past 2**53,
+# where a delay's conversion from int64 to double rounds
+DELAYS = st.one_of(st.sampled_from([0, 1]), st.integers(2, 1000),
+                   st.integers(2**53 + 1, 2**62 - 1))
+
+
+@st.composite
+def drawn_streams(draw):
+    """(corpus, draws, seed): cascades of 1 to 13 events at DELAYS past
+    start times of at most 2**62, with 0 to 17 draws each, every array of
+    its own length."""
+    cascades = draw(st.lists(
+        st.tuples(st.integers(0, 2**62), st.lists(DELAYS, min_size=1, max_size=13),
+                  st.integers(0, 17)),
+        min_size=1, max_size=8,
+    ))
+    offsets = np.cumsum([0] + [len(delays) for _, delays, _ in cascades], dtype=np.int64)
+    times = np.array([t0 + d for t0, delays, _ in cascades for d in delays], np.int64)
+    corpus = CascadeCorpus([], np.zeros(len(cascades), np.int32),
+                           np.array([t0 for t0, _, _ in cascades], np.int64), offsets,
+                           np.arange(len(times), dtype=np.int32), times)
+    draws = np.array([n for _, _, n in cascades], np.int64)
+    return corpus, draws, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_draws_are_choice(lib, stream):
+    """draw_contexts takes a drawn_streams stream, and draws choice_contexts'
+    contexts from a bit generator of the stream's seed."""
+    corpus, draws, seed = stream
+    want = np.full(int(draws.sum()), -1, dtype=np.int32)
+    choice_contexts(corpus, draws, seed, want)
+    got = np.full_like(want, -1)
+    generator = np.random.default_rng(seed).bit_generator
+    assert lib.draw_contexts(*corpus_args(corpus), draws, got, generator) is True
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 13), st.integers(0, 17)), min_size=1, max_size=8),
-       st.integers(0, 2**32 - 1))
-def test_draw_contexts_takes_any_count_of_draws_as_choice(direct_library, cascades, seed):
+@given(drawn_streams())
+def test_draw_contexts_takes_any_count_of_draws_as_choice(direct_library, stream):
     # the library searches 8 draws at a time, then one at a time: every
     # count from 0 to 17 per cascade, so every remainder, in one stream
-    lines = [f"u{i}:5\t" + " ".join(f"n{k}:{5 + (3 * k + i) % 11}" for k in range(m))
-             for i, (m, _) in enumerate(cascades)]
-    corpus = parse_cascades(lines)
-    weights = sampling_weights(corpus)
-    draws = np.array([n for _, n in cascades], dtype=np.int64)
-    want = np.full(int(draws.sum()), -1, dtype=np.int32)
-    choice_contexts(corpus, weights, draws, seed, want)
-    got = np.full_like(want, -1)
-    uniforms = np.random.default_rng(seed).random(int(draws.sum()))
-    assert direct_library.draw_contexts(weights, corpus.offsets, corpus.node_idx, draws,
-                                        uniforms, got) is True
-    assert np.array_equal(got, want)
+    assert_draws_are_choice(direct_library, stream)

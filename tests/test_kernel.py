@@ -363,17 +363,24 @@ def test_source_compiles_without_warnings(tmp_path):
 # stream's call). Then, on inputs drawn the same way each run, it reads
 # test_text_fuzz.py's mutations of its cascade and edge files through the
 # scanners, load_cascades and load_edges, against parse_cascades and
-# parse_edges, each text copied first into a buffer of its own length; and
-# it puts raw cascades of test_columnar_equivalence.py through
-# canonical_events, against _numpy_events. Built with the address and
-# undefined behaviour sanitizers, the library ends the process on a finding.
+# parse_edges, each text copied first into a buffer of its own length; it
+# puts raw cascades of test_columnar_equivalence.py through
+# canonical_events, against _numpy_events, and test_cascade_io.py's
+# corpora through write_cascades, each buffer copied first to its own
+# length, against serialize_cascades; and, where the library runs numpy's
+# own functions, it draws test_context.py's streams, whose delays of 0, 1
+# and past 2**53 round as doubles, through draw_contexts against
+# choice_contexts. Built with the address and undefined behaviour
+# sanitizers, the library ends the process on a finding.
 SANITIZED_SCRIPT = textwrap.dedent(
     """
     import sys
     import numpy as np
     from hypothesis import given, settings
     from iminfector import _native, cascades, model
-    from iminfector.cascades import _distinct_edges, _numpy_events, _render, _scan
+    from iminfector.cascades import (
+        _distinct_edges, _numpy_events, _render, _scan, serialize_cascades,
+    )
     import test_cascade_io as io
     import test_context as context
     import test_columnar_equivalence as equivalence
@@ -421,9 +428,10 @@ SANITIZED_SCRIPT = textwrap.dedent(
         assert lib.draw_contexts(*args) is runs
     context.assert_misfit_draws_refused(lib)
 
-    # lib, but each text it scans is first copied into a numpy buffer of the
-    # text's own length: a bytes object ends in a NUL byte that a read past
-    # the text would reach unseen
+    # lib, but each text it scans or writes from is first copied into a
+    # numpy buffer of the text's own length: a bytes object ends in a NUL
+    # byte that a read past the text would reach unseen. The writer's
+    # arrays are copied too, as a corpus may hold a slice of a longer one.
     class ExactText:
         def __getattr__(self, name):
             return getattr(lib, name)
@@ -433,6 +441,10 @@ SANITIZED_SCRIPT = textwrap.dedent(
 
         def scan_edges(self, text, *arrays):
             return lib.scan_edges(np.frombuffer(text, np.uint8).copy(), *arrays)
+
+        def write_cascades(self, id_bytes, *arrays):
+            return lib.write_cascades(np.frombuffer(id_bytes, np.uint8).copy(),
+                                      *(a.copy() for a in arrays))
 
     exact = ExactText()
     _native.load = lambda: exact
@@ -456,8 +468,20 @@ SANITIZED_SCRIPT = textwrap.dedent(
     def drawn_raws(raw):
         equivalence.assert_canonical_events_kept(lib, raw)
 
-    for check in (drawn_logs, drawn_edge_lists, drawn_raws):
+    @drawn
+    @given(io.corpora())
+    def drawn_corpora(corpus):
+        assert _render(exact, corpus) == serialize_cascades(corpus).encode()
+
+    @drawn
+    @given(context.drawn_streams())
+    def drawn_draws(stream):
+        context.assert_draws_are_choice(lib, stream)
+
+    for check in (drawn_logs, drawn_edge_lists, drawn_raws, drawn_corpora):
         check()
+    if runs:
+        drawn_draws()
     print("clean")
     """
 )

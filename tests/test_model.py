@@ -218,6 +218,14 @@ def test_init_model_deterministic_and_bounded():
     assert np.abs(a.O).max() <= bound and np.abs(a.T).max() <= bound
     c = init_model(ModelConfig(embed_dim=8, rng_seed=12), ids("u", 4), ids("v", 9))
     assert not (a.O == c.O).all()
+    # O's draws, then T's, each from the generator seeded (rng_seed, 0);
+    # T starts on a 64-byte boundary, whatever the allocator gives
+    for n in (1, 9, 295):
+        m = init_model(cfg, ids("u", 4), ids("v", n))
+        rng = np.random.default_rng([cfg.rng_seed, 0])
+        O, T = rng.uniform(-bound, bound, (4, 8)), rng.uniform(-bound, bound, (8, n))
+        assert np.array_equal(m.O, O) and np.array_equal(m.T, T)
+        assert m.T.ctypes.data % 64 == 0 and m.T.flags.c_contiguous
 
 
 def test_config_validation():
