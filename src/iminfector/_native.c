@@ -16,7 +16,8 @@
  *
  * ---- The T and b_t update of one classify step, fused into one pass ----
  *
- * For row-major T (E x N), O_u (E), g (N) and b_t (N):
+ * For row-major T (E x N, its rows ld items apart), O_u (E), g (N) and
+ * b_t (N):
  *
  *     T[i][j] = T[i][j] - ((O_u[i] * g[j]) * lr)
  *     b_t[j]  = b_t[j] - lr * g[j]
@@ -65,11 +66,11 @@
 
 CLONES
 void fused_t_update(double *restrict T, const double *restrict o_u, const double *restrict g,
-                    double *restrict b_t, double lr, size_t E, size_t N)
+                    double *restrict b_t, double lr, size_t E, size_t N, size_t ld)
 {
     for (size_t i = 0; i < E; i++) {
         const double o = o_u[i];
-        double *restrict row = T + i * N;
+        double *restrict row = T + i * ld;
         for (size_t j = 0; j < N; j++)
             row[j] = row[j] - ((o * g[j]) * lr);
     }
@@ -84,11 +85,12 @@ void fused_t_update(double *restrict T, const double *restrict o_u, const double
  * by a matrix, and a matrix by a vector, with its BLAS's cblas_dgemv, and
  * its exp, add and log run the float64 inner loop of their ufunc. The
  * module's exec slot finds these functions, and the loop calls them
- * itself, with the arguments numpy 2 passes them for the step's contiguous
- * float64 arrays:
+ * itself, with the arguments numpy 2 passes them for the step's float64
+ * arrays, all contiguous but T, whose rows lie ld items apart (ld = N for
+ * a packed T):
  *
- *   O_u T   dgemv(RowMajor, Trans, E, N, 1, T, N, O_u, 1, 0, phi, 1)
- *   T g     dgemv(ColMajor, Trans, N, E, 1, T, N, g, 1, 0, grad, 1), the
+ *   O_u T   dgemv(RowMajor, Trans, E, N, 1, T, ld, O_u, 1, 0, phi, 1)
+ *   T g     dgemv(ColMajor, Trans, N, E, 1, T, ld, g, 1, 0, grad, 1), the
  *           RowMajor NoTrans product of T and g
  *   exp     exp's loop on (phi, phi): N entries, steps (8, 8)
  *   sum     add's loop in reduce form on (sum, phi, sum): N entries,
@@ -131,16 +133,20 @@ static struct {
     struct ufunc_loop exp, add, log;
 } numpy_own;
 
-/* out (N) = x (E) times a (E x N), as np.matmul(x, a, out=out) */
-static void vector_matrix(const double *x, const double *a, double *out, size_t E, size_t N)
+/* out (N) = x (E) times a (E x N, rows ld apart), as np.matmul(x, a, out=out) */
+static void vector_matrix(const double *x, const double *a, double *out, size_t E, size_t N,
+                          size_t ld)
 {
-    numpy_own.dgemv(ROW_MAJOR, TRANS, (int64_t)E, (int64_t)N, 1.0, a, (int64_t)N, x, 1, 0.0, out, 1);
+    numpy_own.dgemv(ROW_MAJOR, TRANS, (int64_t)E, (int64_t)N, 1.0, a, (int64_t)ld, x, 1, 0.0,
+                    out, 1);
 }
 
-/* out (E) = a (E x N) times x (N), as np.matmul(a, x, out=out) */
-static void matrix_vector(const double *a, const double *x, double *out, size_t E, size_t N)
+/* out (E) = a (E x N, rows ld apart) times x (N), as np.matmul(a, x, out=out) */
+static void matrix_vector(const double *a, const double *x, double *out, size_t E, size_t N,
+                          size_t ld)
 {
-    numpy_own.dgemv(COL_MAJOR, TRANS, (int64_t)N, (int64_t)E, 1.0, a, (int64_t)N, x, 1, 0.0, out, 1);
+    numpy_own.dgemv(COL_MAJOR, TRANS, (int64_t)N, (int64_t)E, 1.0, a, (int64_t)ld, x, 1, 0.0,
+                    out, 1);
 }
 
 /* out = f(x) over n entries, as np.exp(x, out) or np.log(x, out) */
@@ -233,9 +239,13 @@ static int find_numpy_own(PyObject *module)
  *     BitGenerator, read as the bitgen_t of its "BitGenerator" capsule,
  *     and private to the call, so the function takes no lock on it;
  *   - arrays: each is an aligned, C-contiguous buffer of its item kind and
- *     number of dimensions, writable if the function writes it;
+ *     number of dimensions, writable if the function writes it; but the
+ *     rows of a ROWS array (classify_pairs' T) may lie a stride apart, a
+ *     multiple of the item size and at least one row;
  *   - aliasing: no array the function writes shares memory with another
- *     array of the call; arrays it only reads may share memory;
+ *     array of the call, the memory of each running from its first item to
+ *     the end of its last, padding included; arrays it only reads may share
+ *     memory;
  *   - refusal: a call of another number of arguments, or with a number
  *     argument of another type, is a TypeError, raised before any array is
  *     read. An array that breaks the contract is refused: the function
@@ -249,11 +259,12 @@ static int find_numpy_own(PyObject *module)
  * values it needs, and releases the views either way.
  */
 
-/* The kinds of argument: arrays of four kinds of item, whose struct
- * formats and sizes follow, then three kinds of number. */
-enum kind { BYTE, I32, I64, F64, INDEX, REAL, GENERATOR };
-static const char *const FORMATS[] = {"B", "i", "lq", "d"};
-static const Py_ssize_t SIZE[] = {1, 4, 8, 8};
+/* The kinds of argument: arrays of five kinds, whose struct formats and
+ * item sizes follow (ROWS: float64 rows that may lie a stride apart), then
+ * three kinds of number. */
+enum kind { BYTE, I32, I64, F64, ROWS, INDEX, REAL, GENERATOR };
+static const char *const FORMATS[] = {"B", "i", "lq", "d", "d"};
+static const Py_ssize_t SIZE[] = {1, 4, 8, 8, 8};
 
 /* An argument: its kind and, for an array, its number of dimensions and
  * whether the function writes it. */
@@ -269,11 +280,21 @@ union number {
     bitgen_t *generator;
 };
 
+/* The bytes from a view's first item to the end of its last (no stride of
+ * a view taken is negative). */
+static Py_ssize_t extent(const Py_buffer *v)
+{
+    Py_ssize_t end = v->itemsize;
+    for (int d = 0; d < v->ndim; d++)
+        end += (v->shape[d] - 1) * v->strides[d];
+    return v->len ? end : 0;
+}
+
 /* Whether the memory of two views overlaps. */
 static int overlap(const Py_buffer *a, const Py_buffer *b)
 {
     const char *const pa = a->buf, *const pb = b->buf;
-    return pa < pb + b->len && pb < pa + a->len;
+    return pa < pb + extent(b) && pb < pa + extent(a);
 }
 
 /* Reads the nargs args of the function name as its n params say: number
@@ -315,15 +336,20 @@ static int take_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
         Py_buffer *const v = &view[k];
         if (p->kind >= INDEX)
             continue;
-        const int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (p->writable ? PyBUF_WRITABLE : 0);
+        const int strided = p->kind == ROWS,
+                  flags = (strided ? PyBUF_STRIDES : PyBUF_C_CONTIGUOUS) | PyBUF_FORMAT |
+                          (p->writable ? PyBUF_WRITABLE : 0);
         if (PyObject_GetBuffer(args[k], v, flags) < 0) {
             PyErr_Clear();
             return 1;
         }
         const char *const format = v->format;
-        if (v->ndim != p->ndim || v->itemsize != SIZE[p->kind] ||
-            (uintptr_t)v->buf % (uintptr_t)SIZE[p->kind] || !format[0] || format[1] ||
-            !strchr(FORMATS[p->kind], format[0]))
+        const Py_ssize_t size = SIZE[p->kind];
+        /* strided rows: items contiguous, rows whole items apart and disjoint */
+        if (v->ndim != p->ndim || v->itemsize != size || (uintptr_t)v->buf % (uintptr_t)size ||
+            !format[0] || format[1] || !strchr(FORMATS[p->kind], format[0]) ||
+            (strided && (v->strides[1] != size || v->strides[0] % size ||
+                         v->strides[0] < v->shape[1] * size)))
             return 1;
     }
     for (int a = 0; a < n; a++)
@@ -375,30 +401,33 @@ static int in_range(const int32_t *index, Py_ssize_t n, long long limit)
  *
  * LOOP_ARGS lists the arguments: O, T, b_t, phi, grad and losses are
  * writable float64 arrays of shapes (I, E), (E, N), (N), (N), (E) and (n),
- * E and N at least 2, and context is an int32 array of n columns of T, as
- * build_training_stream makes it. For any other arrays, a u that is not a
- * row of O or a context out of range, the loop takes no pair and returns
+ * E and N at least 2, T's rows possibly strided (model.py pads each to
+ * whole 64-byte lines), and context is an int32 array of n columns of T,
+ * as build_training_stream makes it. For any other arrays, a u that is not
+ * a row of O or a context out of range, the loop takes no pair and returns
  * None, so that the caller's step takes the pairs; a call on an empty
  * context tells whether it takes the arrays at all.
  */
 
 #define BOUND_LIMIT 1e300
 
-/* max|x[k]| of n > 0 entries, NaN if x holds one, as numpy's abs().max() */
-static double max_abs(const double *x, size_t n)
+/* max|x[i * ld + k]| over rows rows of n > 0 entries, NaN if they hold
+ * one, as numpy's abs().max() */
+static double max_abs(const double *x, size_t rows, size_t n, size_t ld)
 {
     double max = 0.0;
-    for (size_t k = 0; k < n; k++) {
-        const double a = fabs(x[k]);
-        if (a > max || isnan(a))
-            max = a;
-    }
+    for (size_t i = 0; i < rows; i++)
+        for (size_t k = 0; k < n; k++) {
+            const double a = fabs(x[i * ld + k]);
+            if (a > max || isnan(a))
+                max = a;
+        }
     return max;
 }
 
 enum { O_, T_, B_T, PHI, GRAD, LOSSES, U, CONTEXT, LR, BOUND, BIAS_BOUND, N_LOOP_ARGS };
 static const struct param LOOP_ARGS[N_LOOP_ARGS] = {
-    {F64, 2, 1}, {F64, 2, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1},
+    {F64, 2, 1}, {ROWS, 2, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1},
     {INDEX, 0, 0}, {I32, 1, 0}, {REAL, 0, 0}, {REAL, 0, 0}, {REAL, 0, 0}};
 
 struct loop {
@@ -411,10 +440,11 @@ struct loop {
 static int step(struct loop *s, size_t u, size_t y, double *loss)
 {
     const Py_buffer *const view = s->view;
-    const size_t E = (size_t)view[T_].shape[0], N = (size_t)view[T_].shape[1];
+    const size_t E = (size_t)view[T_].shape[0], N = (size_t)view[T_].shape[1],
+                 ld = (size_t)view[T_].strides[0] / sizeof(double);
     double *const t = view[T_].buf, *const b_t = view[B_T].buf, *const phi = view[PHI].buf,
                   *const grad = view[GRAD].buf, *const o_u = (double *)view[O_].buf + u * E;
-    vector_matrix(o_u, t, phi, E, N);
+    vector_matrix(o_u, t, phi, E, N, ld);
     double max = -INFINITY;
     for (size_t j = 0; j < N; j++) {
         phi[j] = phi[j] + b_t[j];
@@ -432,11 +462,11 @@ static int step(struct loop *s, size_t u, size_t y, double *loss)
     unary(&numpy_own.log, &phi[y], &log_phi_y, 1);
     *loss = -log_phi_y;
     phi[y] = phi[y] - 1.0;
-    matrix_vector(t, phi, grad, E, N);
+    matrix_vector(t, phi, grad, E, N, ld);
     /* once the loss is finite every |g_j| <= 1: an entry of T moves by at
      * most lr * max|O_u|, one of b_t by at most lr */
-    s->bound = s->bound + s->lr * max_abs(o_u, E);
-    fused_t_update(t, o_u, phi, b_t, s->lr, E, N);
+    s->bound = s->bound + s->lr * max_abs(o_u, 1, E, E);
+    fused_t_update(t, o_u, phi, b_t, s->lr, E, N, ld);
     s->bias_bound = s->bias_bound + s->lr;
     int finite = 1;
     for (size_t i = 0; i < E; i++) {
@@ -445,9 +475,9 @@ static int step(struct loop *s, size_t u, size_t y, double *loss)
         finite &= isfinite(o_u[i]) != 0;
     }
     if (!(s->bound < BOUND_LIMIT))
-        s->bound = max_abs(t, E * N);
+        s->bound = max_abs(t, E, N, ld);
     if (!(s->bias_bound < BOUND_LIMIT))
-        s->bias_bound = max_abs(b_t, N);
+        s->bias_bound = max_abs(b_t, 1, N, N);
     return finite && isfinite(*loss) && isfinite(s->bound) && isfinite(s->bias_bound);
 }
 

@@ -100,14 +100,18 @@ def text_lines(data):
 def write_binary(path, magic, dims, sections):
     """Write a binary artifact: ``magic``, ``dims`` as little-endian u64s,
     then each section in order. An array section is its bytes in C order
-    (the caller gives it its little-endian dtype); any other section is an
-    id table, each id a u32 byte length and its UTF-8 bytes."""
+    (the caller gives it its little-endian dtype), a two-dimensional one
+    that is not C-contiguous written row by row, so that a model's padded
+    T is not copied whole; any other section is an id table, each id a u32
+    byte length and its UTF-8 bytes."""
     with atomic_write(path, "wb") as fh:
         fh.write(magic)
         fh.write(np.array(dims, dtype="<u8").tobytes())
         for section in sections:
             if isinstance(section, np.ndarray):
-                fh.write(np.ascontiguousarray(section).data)
+                whole = section.ndim != 2 or section.flags.c_contiguous
+                for rows in (section,) if whole else section:
+                    fh.write(np.ascontiguousarray(rows).data)
             else:
                 encoded = map(str.encode, section)  # UTF-8
                 fh.write(b"".join(len(b).to_bytes(4, "little") + b for b in encoded))

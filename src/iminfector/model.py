@@ -173,6 +173,18 @@ class TrainReport:
     stream_draws: str = None  # the draws of epoch 0's stream: TrainingStream.draws
 
 
+def _target_matrix(E, N):
+    """An uninitialised E x N float64 array for T on a 64-byte boundary.
+    For N >= 8 it is the first N columns of an E x ld buffer, ld N rounded
+    up to a multiple of 8, so that every row starts on a 64-byte line and
+    no pass over T splits a line between rows. Below 8 it is packed: there
+    numpy's vector-matrix product takes other bits with padded rows (at N
+    of 2 and 3, E >= 4, with OpenBLAS's SkylakeX kernels)."""
+    ld = -(-N // 8) * 8 if N >= 8 else N
+    buffer = np.empty(E * ld + 8)
+    return buffer[(-buffer.ctypes.data % 64) // 8 :][: E * ld].reshape(E, ld)[:, :N]
+
+
 def init_model(config, influencer_ids, node_ids):
     """Fresh model with one row of O per influencer id and one column of T
     per node id, uniform in [-0.5/E, 0.5/E], and zero biases.
@@ -186,11 +198,7 @@ def init_model(config, influencer_ids, node_ids):
     rng = np.random.default_rng([config.rng_seed, 0])
     half = 0.5 / E
     O = rng.uniform(-half, half, size=(len(influencer_ids), E))
-    # T starts on a 64-byte boundary: on an AVX-512 host 5 epochs at 300
-    # nodes trained in 0.26 s, against 0.30-0.32 s with T 16, 32 or 48
-    # bytes past one
-    T = np.empty(E * N + 8)
-    T = T[(-T.ctypes.data % 64) // 8 :][: E * N].reshape(E, N)
+    T = _target_matrix(E, N)
     T[...] = rng.uniform(-half, half, size=(E, N))
     return InfectorModel(
         O=O,
@@ -343,7 +351,8 @@ def _take_pairs(lib, model, ws, u, context, lr, losses):
 def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
     """True if the C loop of ``lib`` takes fixed pairs bit for bit as
     step_classify without a workspace does: each loss, O, T and b_t, where
-    the loop stops and which step raises.
+    the loop stops and which step raises. The loop takes T in init_model's
+    layout, the numpy step a packed T.
 
     Each (E, N) of ``shapes``, N at least 2, runs three models: random,
     one with a NaN in O's second row (whose first step raises), and one
@@ -364,7 +373,8 @@ def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
                 b_t[:] = -1e3
                 b_t[:4] = (0.0, -0.0, -0.0, 0.0)[:N]
             want = InfectorModel(O, T, b_t, 0.0, np.ones(E), [], [])
-            got = InfectorModel(O.copy(), T.copy(), b_t.copy(), 0.0, np.ones(E), [], [])
+            got = InfectorModel(O.copy(), _target_matrix(E, N), b_t.copy(), 0.0, np.ones(E), [], [])
+            got.T[...] = T
             ws = StepWorkspace(got)
             for u, context in ((0, [1, 0]), (1, [3 % N]), (0, [N - 1]), (1, [2 % N])):
                 want_losses = []

@@ -420,6 +420,7 @@ SANITIZED_SCRIPT = textwrap.dedent(
             assert model._loop_matches_at(lib, *shape) == runs
         if runs:
             kernel.assert_bounds_returned(lib)
+            kernel.assert_padded_rows_in_bounds(lib)
     if runs:
         kernel.assert_misfits_refused(lib)
     kernel.assert_argument_errors(lib)
@@ -594,11 +595,12 @@ WIDE_MUTANTS = {
         dict(n_nodes=2400, n_cascades=20, embed_dim=8),
     ),
     "E-sum split past 32": (
-        b"static void vector_matrix(const double *x, const double *a, double *out, size_t E, size_t N)\n{\n",
+        b"static void vector_matrix(const double *x, const double *a, double *out, size_t E, size_t N,\n"
+        b"                          size_t ld)\n{\n",
         b"    if (E > 32) {\n"
-        b"        vector_matrix(x, a, out, 16, N);\n"
-        b"        numpy_own.dgemv(ROW_MAJOR, TRANS, (int64_t)E - 16, (int64_t)N, 1.0, a + 16 * N,\n"
-        b"                        (int64_t)N, x + 16, 1, 1.0, out, 1);\n"
+        b"        vector_matrix(x, a, out, 16, N, ld);\n"
+        b"        numpy_own.dgemv(ROW_MAJOR, TRANS, (int64_t)E - 16, (int64_t)N, 1.0, a + 16 * ld,\n"
+        b"                        (int64_t)ld, x + 16, 1, 1.0, out, 1);\n"
         b"        return;\n"
         b"    }\n",
         dict(n_nodes=60, n_cascades=60, embed_dim=50),
@@ -743,19 +745,38 @@ STREAM_MISFITS = ("int64 context", "a context past the columns of T", "a negativ
                   "losses over context", "u past the rows of O", "negative u", "u past int64")
 
 
+def strided_t(row_stride):
+    """A writable 4 x 9 float64 array whose rows lie ``row_stride`` bytes
+    apart, its first row at entry 32 of a zeroed buffer of 80 that holds
+    all of it."""
+    return np.lib.stride_tricks.as_strided(np.zeros(80)[32:], (4, 9), (row_stride, 8))
+
+
 def loop_misfits():
     """(what, model, ws, u, context, losses) for each set of arguments the
     C loop cannot take: the model's arrays, the workspace's or the stream's
     influencer, context and losses. Each writable array shares memory with
-    another argument in one case."""
+    another argument in one case. Then the arguments it takes: the model as
+    init_model makes it, T's rows 16 entries apart, and the same model with
+    a packed T."""
     rng = np.random.default_rng(47)
     base = random_model(rng, 3, 9, 4)
     shared = np.zeros(3 * 4 + 4 * 9)
+    # T in the first 9 columns of 18, the rest of each row padding: row 2's
+    # lies past T's 4 x 9 entries from its start, but before its last row
+    wide = np.zeros((4, 18))
     stream = dict(u=1, context=np.array([1, 2, 3], dtype=np.int32))
     # three int32 contexts, then three float64 losses over them
     context_and_losses = np.array([1, 2, 3, 0, 0, 0], dtype=np.int32)
     misfits = {
         "T in Fortran order": dict(T=np.asfortranarray(base.T)),
+        "T's rows overlapping": dict(T=strided_t(64)),
+        "T's rows in reverse": dict(T=strided_t(-72)),
+        "every other column of T": dict(T=np.zeros((4, 18))[:, ::2]),
+        # refused by its format too: numpy exports rows not all aligned as "=d"
+        "T's rows 76 bytes apart": dict(T=strided_t(76)),
+        "b_t in T's padding": dict(T=wide[:, :9], b_t=wide[2, 9:]),
+        "phi in T's padding": dict(T=wide[:, :9], phi=wide[2, 9:]),
         "float32 b_t": dict(b_t=base.b_t.astype(np.float32)),
         "strided O": dict(O=np.repeat(base.O, 2, axis=0)[::2]),
         "read-only T": dict(T=np.frombuffer(base.T.tobytes()).reshape(4, 9)),
@@ -782,7 +803,9 @@ def loop_misfits():
             else:
                 setattr(ws if name in ("phi", "grad") else model, name, value)
         yield what, model, ws, pairs["u"], pairs["context"], pairs["losses"]
-    yield "fits", base, StepWorkspace(base), stream["u"], stream["context"], np.full(3, np.nan)
+    assert base.T.strides == (128, 8)
+    for what, model in (("fits", base), ("fits, T packed", copy_model(base))):
+        yield what, model, StepWorkspace(model), stream["u"], stream["context"], np.full(3, np.nan)
 
 
 def assert_misfits_refused(lib):
@@ -794,14 +817,14 @@ def assert_misfits_refused(lib):
         before = copy_model(model)
         stream = [context.copy(), losses.copy()]
         taken = lib.classify_pairs(*loop_args(model, ws, u, context, losses))
-        if what == "fits":
+        if what.startswith("fits"):
             assert taken[0] == 3 and not np.isnan(losses).any()
         else:
             assert taken is None, what
             assert_same_model(before, model, what)
             for a, b in zip((context, losses), stream):
                 assert np.array_equal(a, b, equal_nan=True), what
-        assert takes_arrays(lib, model, ws) == (what == "fits" or what in STREAM_MISFITS)
+        assert takes_arrays(lib, model, ws) == (what.startswith("fits") or what in STREAM_MISFITS)
 
 
 # The misfits of the model's arrays that the numpy step trains.
@@ -820,7 +843,7 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library, 
                             rng.integers(0, 9, 32).astype(np.int32))
     cfg = ModelConfig(embed_dim=4, learning_rate=0.1, epochs=2)
     for (what, model, *_), (_, want, *_) in zip(loop_misfits(), loop_misfits()):
-        if what not in (*NUMPY_MISFITS, "fits"):
+        if what not in NUMPY_MISFITS and not what.startswith("fits"):
             continue
         with monkeypatch.context() as mp:
             mp.setattr(_native, "load", lambda: None)
@@ -829,7 +852,7 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library, 
         assert (report.classify_loss, report.regress_loss) == (want_report.classify_loss,
                                                                want_report.regress_loss), what
         assert_same_model(want, model, what)
-        ran = ("c", direct_library.isa) if what == "fits" else ("numpy", None)
+        ran = ("c", direct_library.isa) if what.startswith("fits") else ("numpy", None)
         assert (report.classify_kernel, report.classify_isa) == ran, what
 
 
@@ -854,6 +877,27 @@ def assert_bounds_returned(lib):
 
 def test_loop_returns_the_bounds_its_steps_leave(direct_library):
     assert_bounds_returned(direct_library)
+
+
+def assert_padded_rows_in_bounds(lib):
+    """The loop takes a T whose rows lie 48 entries apart in a buffer that
+    ends at the last row's 41st entry, bit for bit as step_classify takes a
+    packed copy. The buffer is past numpy's small-block cache, so under
+    AddressSanitizer a pass over T that ran to the end of the last row's
+    padding would overflow it."""
+    E, N, ld = 4, 41, 48
+    ref = random_model(np.random.default_rng(71), 3, N, E)
+    new = copy_model(ref)
+    new.T = np.lib.stride_tricks.as_strided(np.empty((E - 1) * ld + N), (E, N), (ld * 8, 8))
+    new.T[...] = ref.T
+    context = np.array([1, 40, 7, 0], dtype=np.int32)
+    ws_ref, ws = StepWorkspace(ref), StepWorkspace(new)
+    losses = np.full(4, np.nan)
+    with model_module._sgd_numpy():
+        want = [step_classify(ref, 2, y, 0.1, ws_ref) for y in context.tolist()]
+        assert model_module._take_pairs(lib, new, ws, 2, context, 0.1, losses) == 4
+    assert losses.tolist() == want
+    assert_same_model(ref, new, "rows that end the buffer")
 
 
 class Real:
