@@ -1,5 +1,6 @@
-/* The package's native library: the classify step's loop with its
- * T update, the context draws of the training stream, a scanner and a
+/* The package's native library: the training loop, which takes an
+ * epoch's classify and size steps, with the classify step's T update,
+ * the context draws of the training stream, a scanner and a
  * writer for the cascade text format, a scanner for edge lists, and the
  * canonical events of raw cascades, which edge lists take too.
  * _native.py builds it on first use against this interpreter's Python.h
@@ -9,9 +10,9 @@
  * of them keep the one argument contract set out under "Arguments" below;
  * each sizes its work by its arrays' lengths. Of numpy's C API it uses
  * only the ufunc type and its layout: the loop calls numpy's own float64
- * inner loops and its BLAS's dgemv directly, and model.py sends it only
- * the models of a shape where a self-check of the loop gives the numpy
- * step's bits; the context draws call add's loop the same way, and a bit
+ * inner loops and its BLAS's dgemv and ddot directly, and model.py sends
+ * it only the models of a shape where a self-check of the loop gives the
+ * numpy steps' bits; the context draws call add's loop the same way, and a bit
  * generator's next_double through numpy/random/bitgen.h.
  *
  * ---- The T and b_t update of one classify step, fused into one pass ----
@@ -81,21 +82,25 @@ void fused_t_update(double *restrict T, const double *restrict o_u, const double
 /* ---- numpy's own functions, called directly ----
  *
  * Five calls of the classify step have numpy's rounding: matmul for O_u T
- * and for T g, exp, add.reduce and log. numpy's matmul multiplies a vector
- * by a matrix, and a matrix by a vector, with its BLAS's cblas_dgemv, and
- * its exp, add and log run the float64 inner loop of their ufunc. The
- * module's exec slot finds these functions, and the loop calls them
- * itself, with the arguments numpy 2 passes them for the step's float64
- * arrays, all contiguous but T, whose rows lie ld items apart (ld = N for
- * a packed T):
+ * and for T g, exp, add.reduce and log; and two of the size step: matmul
+ * for O_u C and exp on a scalar. numpy's matmul multiplies a vector by a
+ * matrix, and a matrix by a vector, with its BLAS's cblas_dgemv, and a
+ * vector by a vector with its cblas_ddot, adding the product to 0.0; its
+ * exp, add and log run the float64 inner loop of their ufunc, on a scalar
+ * too. The module's exec slot finds these functions, and the loop calls
+ * them itself, with the arguments numpy 2 passes them for the steps'
+ * float64 arrays, all contiguous but T, whose rows lie ld items apart (ld
+ * = N for a packed T):
  *
  *   O_u T   dgemv(RowMajor, Trans, E, N, 1, T, ld, O_u, 1, 0, phi, 1)
  *   T g     dgemv(ColMajor, Trans, N, E, 1, T, ld, g, 1, 0, grad, 1), the
  *           RowMajor NoTrans product of T and g
- *   exp     exp's loop on (phi, phi): N entries, steps (8, 8)
+ *   exp     exp's loop on (phi, phi): N entries, steps (8, 8); on a
+ *           scalar, the same loop on one entry
  *   sum     add's loop in reduce form on (sum, phi, sum): N entries,
  *           steps (0, 8, 0), sum starting at -0.0
  *   log     log's loop on one entry
+ *   O_u C   0.0 + ddot(E, O_u, 1, C, 1), C all ones
  *
  * So the bits are numpy's, with no Python call, argument parsing or ufunc
  * dispatch in between. numpy takes dgemv only for some shapes (an E or N
@@ -106,19 +111,21 @@ void fused_t_update(double *restrict T, const double *restrict o_u, const double
  * runs the loop with numpy's overflow, invalid and divide warnings off
  * anyway.
  *
- * dgemv is scipy_cblas_dgemv64_, the ILP64 symbol of the scipy-openblas
- * library that numpy's wheels link, found through a handle on numpy's
- * _multiarray_umath. Each loop is the first all-float64 entry of its
- * ufunc's functions and data, the one numpy's default loop selector picks.
- * If any of them is missing, classify_pairs and draw_contexts refuse every
- * call, as they refuse arrays they cannot take: train takes the numpy step
- * and the stream draws through rng.choice. The module's blas_core names
- * the kernel set OpenBLAS picked for this CPU, or is None.
+ * dgemv and ddot are scipy_cblas_dgemv64_ and scipy_cblas_ddot64_, the
+ * ILP64 symbols of the scipy-openblas library that numpy's wheels link,
+ * found through a handle on numpy's _multiarray_umath. Each loop is the
+ * first all-float64 entry of its ufunc's functions and data, the one
+ * numpy's default loop selector picks. If any of them is missing,
+ * train_pairs and draw_contexts refuse every call, as they refuse arrays
+ * they cannot take: train takes the numpy steps and the stream draws
+ * through rng.choice. The module's blas_core names the kernel set
+ * OpenBLAS picked for this CPU, or is None.
  */
 
 typedef void dgemv_fn(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
                       int64_t lda, const double *x, int64_t incx, double beta, double *y,
                       int64_t incy);
+typedef double ddot_fn(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
 typedef const char *corename_fn(void);
 enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 }; /* cblas.h's values */
 
@@ -130,6 +137,7 @@ struct ufunc_loop {
 /* Set by the exec slot; dgemv is NULL unless every function was found. */
 static struct {
     dgemv_fn *dgemv;
+    ddot_fn *ddot;
     struct ufunc_loop exp, add, log;
 } numpy_own;
 
@@ -147,6 +155,12 @@ static void matrix_vector(const double *a, const double *x, double *out, size_t 
 {
     numpy_own.dgemv(COL_MAJOR, TRANS, (int64_t)N, (int64_t)E, 1.0, a, (int64_t)ld, x, 1, 0.0,
                     out, 1);
+}
+
+/* x (E) times y (E), as np.matmul(x, y) */
+static double vector_vector(const double *x, const double *y, size_t E)
+{
+    return 0.0 + numpy_own.ddot((int64_t)E, x, 1, y, 1);
 }
 
 /* out = f(x) over n entries, as np.exp(x, out) or np.log(x, out) */
@@ -193,12 +207,13 @@ static int find_loop(PyObject *numpy, const char *name, int nargs, struct ufunc_
     return found >= 0 && loop->fn ? 0 : -1;
 }
 
-/* Finds numpy's dgemv, exp, add and log loops and its BLAS's kernel set,
- * and sets the module's blas_core; -1 with a Python error set if it cannot
- * set it, else 0. */
+/* Finds numpy's dgemv and ddot, its exp, add and log loops and its BLAS's
+ * kernel set, and sets the module's blas_core; -1 with a Python error set
+ * if it cannot set it, else 0. */
 static int find_numpy_own(PyObject *module)
 {
     dgemv_fn *dgemv = NULL;
+    ddot_fn *ddot = NULL;
     const char *core = NULL;
     PyObject *numpy = PyImport_ImportModule("numpy");
     PyObject *umath = numpy ? PyImport_ImportModule("numpy._core._multiarray_umath") : NULL;
@@ -207,6 +222,7 @@ static int find_numpy_own(PyObject *module)
     void *handle = path ? dlopen(path, RTLD_LAZY | RTLD_NOLOAD) : NULL;
     if (handle) {
         dgemv = (dgemv_fn *)dlsym(handle, "scipy_cblas_dgemv64_");
+        ddot = (ddot_fn *)dlsym(handle, "scipy_cblas_ddot64_");
         corename_fn *corename = (corename_fn *)dlsym(handle, "scipy_openblas_get_corename64_");
         if (!corename)
             corename = (corename_fn *)dlsym(handle, "openblas_get_corename");
@@ -215,12 +231,13 @@ static int find_numpy_own(PyObject *module)
         dlclose(handle);
     }
     PyErr_Clear();
-    const int found = dgemv && numpy && _import_umath() == 0 &&
+    const int found = dgemv && ddot && numpy && _import_umath() == 0 &&
                       !find_loop(numpy, "exp", 2, &numpy_own.exp) &&
                       !find_loop(numpy, "add", 3, &numpy_own.add) &&
                       !find_loop(numpy, "log", 2, &numpy_own.log);
     PyErr_Clear();
     numpy_own.dgemv = found ? dgemv : NULL;
+    numpy_own.ddot = ddot;
     Py_XDECREF(file);
     Py_XDECREF(umath);
     Py_XDECREF(numpy);
@@ -240,7 +257,7 @@ static int find_numpy_own(PyObject *module)
  *     and private to the call, so the function takes no lock on it;
  *   - arrays: each is an aligned, C-contiguous buffer of its item kind and
  *     number of dimensions, writable if the function writes it; but the
- *     rows of a ROWS array (classify_pairs' T) may lie a stride apart, a
+ *     rows of a ROWS array (train_pairs' T) may lie a stride apart, a
  *     multiple of the item size and at least one row;
  *   - aliasing: no array the function writes shares memory with another
  *     array of the call, the memory of each running from its first item to
@@ -375,38 +392,50 @@ static int in_range(const int32_t *index, Py_ssize_t n, long long limit)
     return 1;
 }
 
-/* ---- The classify loop ----
+/* ---- The training loop ----
  *
- * classify_pairs(O, T, b_t, phi, grad, losses, u, context, lr, bound,
- * bias_bound) takes the context pairs of one cascade of influencer u, each
- * pair k as model.step_classify takes (u, context[k]) at rate lr with a
- * workspace of these phi, grad, bound and bias_bound. It returns (stop,
- * bound, bias_bound): stop is len(context), or ~k if the step of pair k
- * proved a value non-finite, and the bounds are those its steps leave, inf
- * after a non-finite step. The loss of each pair k it took is in
- * losses[k].
+ * train_pairs(O, T, b_t, phi, grad, classify_losses, regress_losses,
+ * influencer, size_target, offsets, context, lr, b_c, bound, bias_bound)
+ * takes an epoch's pairs in stream order: cascade i's context pairs
+ * (influencer[i], context[k]), k in offsets[i]:offsets[i+1], each as
+ * model.step_classify takes it at rate lr with a workspace of these phi,
+ * grad and bounds, then its size pair (influencer[i], size_target[i]), as
+ * model.step_regress takes it from this b_c. It returns (stop, b_c, bound,
+ * bias_bound): stop is the number of pairs, or ~k if stream pair k (k + i
+ * for context k, offsets[i+1] + i for cascade i's size pair) proved a
+ * value non-finite; b_c and the bounds are those its steps leave, the
+ * bounds inf after a non-finite classify step. The losses go to
+ * classify_losses[k] and regress_losses[i]. As in step_regress, a
+ * non-finite size step has written O_u and b_c.
  *
- * A step makes step_classify's operations in its order. Where the rounding
- * is numpy's own it calls numpy's own functions directly, as above: dgemv
- * for O_u T and T g (BLAS's summation order), exp's loop (numpy's SIMD
- * exp), add's loop for the softmax's denominator (pairwise summation) and
- * log's loop for the loss. The rest is element-wise IEEE arithmetic, which
- * rounds alike in C: + b_t, - max, / sum, g[y] - 1, the fused T and b_t
- * update, grad * lr and O_u - grad. The max does not depend on the order:
- * a NaN makes it NaN, and of a tie between +0 and -0 either serves, as
- * exp(+-0) = 1. No step calls Python.
+ * A classify step makes step_classify's operations in its order. Where
+ * the rounding is numpy's own it calls numpy's own functions directly, as
+ * above: dgemv for O_u T and T g (BLAS's summation order), exp's loop
+ * (numpy's SIMD exp), add's loop for the softmax's denominator (pairwise
+ * summation) and log's loop for the loss. The rest is element-wise IEEE
+ * arithmetic, which rounds alike in C: + b_t, - max, / sum, g[y] - 1, the
+ * fused T and b_t update, grad * lr and O_u - grad. The max does not
+ * depend on the order: a NaN makes it NaN, and of a tie between +0 and -0
+ * either serves, as exp(+-0) = 1. No step calls Python.
  *
- * The finiteness proofs are those of model.py, on the bounds given. O_u is
- * checked entry by entry, which is what its scaled dot product proves.
+ * A size step makes step_regress's operations in its order: O_u C by ddot
+ * (grad holds the ones of C for the call), exp's loop on one entry, and
+ * (y_c - phi_c) ** 2 by libm's pow, as numpy's scalar power calls it. The
+ * rest is IEEE arithmetic on doubles, both branches of the sigmoid and a
+ * NaN's way through them included.
  *
- * LOOP_ARGS lists the arguments: O, T, b_t, phi, grad and losses are
- * writable float64 arrays of shapes (I, E), (E, N), (N), (N), (E) and (n),
- * E and N at least 2, T's rows possibly strided (model.py pads each to
- * whole 64-byte lines), and context is an int32 array of n columns of T,
- * as build_training_stream makes it. For any other arrays, a u that is not
- * a row of O or a context out of range, the loop takes no pair and returns
- * None, so that the caller's step takes the pairs; a call on an empty
- * context tells whether it takes the arrays at all.
+ * The finiteness proofs of a classify step are those of model.py, on the
+ * bounds given. O_u is checked entry by entry, which is what its scaled
+ * dot product proves.
+ *
+ * LOOP_ARGS lists the arguments: O, T, b_t, phi, grad and the losses are
+ * writable float64 arrays of shapes (I, E), (E, N), (N), (N), (E), (n) and
+ * (m), E and N at least 2, T's rows possibly strided (model.py pads each
+ * to whole 64-byte lines); influencer holds m rows of O and offsets m + 1
+ * offsets, from 0, non-decreasing, to n, both int64; size_target holds m
+ * float64s; and context n int32 columns of T. For any other arrays the
+ * loop takes no pair and returns None, so that the caller's steps take
+ * the pairs; a call on an empty stream tells whether it takes the arrays.
  */
 
 #define BOUND_LIMIT 1e300
@@ -425,18 +454,20 @@ static double max_abs(const double *x, size_t rows, size_t n, size_t ld)
     return max;
 }
 
-enum { O_, T_, B_T, PHI, GRAD, LOSSES, U, CONTEXT, LR, BOUND, BIAS_BOUND, N_LOOP_ARGS };
+enum { O_, T_, B_T, PHI, GRAD, CLASSIFY_LOSSES, REGRESS_LOSSES, INFLUENCER, SIZE_TARGET,
+       CASCADE_OFFSETS, CONTEXT, LR, B_C, BOUND, BIAS_BOUND, N_LOOP_ARGS };
 static const struct param LOOP_ARGS[N_LOOP_ARGS] = {
-    {F64, 2, 1}, {ROWS, 2, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1},
-    {INDEX, 0, 0}, {I32, 1, 0}, {REAL, 0, 0}, {REAL, 0, 0}, {REAL, 0, 0}};
+    {F64, 2, 1}, {ROWS, 2, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1},
+    {I64, 1, 0}, {F64, 1, 0}, {I64, 1, 0}, {I32, 1, 0},
+    {REAL, 0, 0}, {REAL, 0, 0}, {REAL, 0, 0}, {REAL, 0, 0}};
 
 struct loop {
-    const Py_buffer *view; /* classify_pairs' arrays, taken */
-    double lr, bound, bias_bound;
+    const Py_buffer *view; /* train_pairs' arrays, taken */
+    double lr, b_c, bound, bias_bound;
 };
 
-/* One step on pair (u, y), its loss into *loss: 1 if it proved every
- * value finite, else 0. */
+/* One classify step on pair (u, y), its loss into *loss: 1 if it proved
+ * every value finite, else 0. */
 static int step(struct loop *s, size_t u, size_t y, double *loss)
 {
     const Py_buffer *const view = s->view;
@@ -481,52 +512,98 @@ static int step(struct loop *s, size_t u, size_t y, double *loss)
     return finite && isfinite(*loss) && isfinite(s->bound) && isfinite(s->bias_bound);
 }
 
-/* Whether the arguments of view and number have matching shapes, E and N
- * at least 2 (below that numpy's matmul takes no dgemv), u a row of O and
- * every context a column of T. */
-static int fits_loop(const Py_buffer *view, const union number *number)
-{
-    const Py_ssize_t *const o = view[O_].shape, *const t = view[T_].shape;
-    const Py_ssize_t n = view[LOSSES].shape[0];
-    return t[0] >= 2 && t[1] >= 2 && o[1] == t[0] && view[B_T].shape[0] == t[1] &&
-           view[PHI].shape[0] == t[1] && view[GRAD].shape[0] == t[0] &&
-           view[CONTEXT].shape[0] == n && number[U].index >= 0 && number[U].index < o[0] &&
-           in_range(view[CONTEXT].buf, n, t[1]);
-}
+/* libm's pow, which numpy's scalar power calls. The call goes through a
+ * volatile pointer because gcc folds pow(d, 2.0) into d * d, and glibc's
+ * pow rounds some squares otherwise. */
+static double (*volatile libm_pow)(double, double) = pow;
 
-/* Takes the pairs of influencer u, a row of O; where it stopped, as
- * classify_pairs returns it. */
-static Py_ssize_t run(struct loop *s, size_t u)
+/* One size step on pair (u, y_c), its loss into *loss: 1 if it proved
+ * every value finite, else 0. */
+static int size_step(struct loop *s, size_t u, double y_c, double *loss)
 {
     const Py_buffer *const view = s->view;
-    const int32_t *const context = view[CONTEXT].buf;
-    double *const losses = view[LOSSES].buf;
-    const Py_ssize_t n = view[LOSSES].shape[0];
-    for (Py_ssize_t k = 0; k < n; k++)
-        if (!step(s, u, (size_t)context[k], &losses[k])) {
-            s->bound = s->bias_bound = INFINITY;
-            return ~k;
-        }
-    return n;
+    const size_t E = (size_t)view[O_].shape[1];
+    double *const ones = view[GRAD].buf, *const o_u = (double *)view[O_].buf + u * E;
+    for (size_t i = 0; i < E; i++)
+        ones[i] = 1.0;
+    const double z = vector_vector(o_u, ones, E) + s->b_c;
+    double e = z >= 0.0 ? -z : z;
+    unary(&numpy_own.exp, &e, &e, 1);
+    const double phi_c = z >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+    const double d = y_c - phi_c, g = -2.0 * d * phi_c * (1.0 - phi_c), step = s->lr * g;
+    *loss = libm_pow(d, 2.0);
+    int finite = 1;
+    for (size_t i = 0; i < E; i++) {
+        o_u[i] = o_u[i] - step;
+        finite &= isfinite(o_u[i]) != 0;
+    }
+    s->b_c = s->b_c - step;
+    return finite && isfinite(*loss) && isfinite(s->b_c);
 }
 
-static PyObject *classify_pairs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+/* Whether the arrays of view have matching shapes, E and N at least 2
+ * (below that numpy's matmul takes no dgemv), offsets that run from 0,
+ * non-decreasing, to the contexts, every influencer a row of O and every
+ * context a column of T. */
+static int fits_loop(const Py_buffer *view)
+{
+    const Py_ssize_t *const o = view[O_].shape, *const t = view[T_].shape;
+    const Py_ssize_t m = view[INFLUENCER].shape[0], n = view[CONTEXT].shape[0];
+    const int64_t *const influencer = view[INFLUENCER].buf,
+                  *const offsets = view[CASCADE_OFFSETS].buf;
+    if (!(t[0] >= 2 && t[1] >= 2 && o[1] == t[0] && view[B_T].shape[0] == t[1] &&
+          view[PHI].shape[0] == t[1] && view[GRAD].shape[0] == t[0] &&
+          view[CLASSIFY_LOSSES].shape[0] == n && view[REGRESS_LOSSES].shape[0] == m &&
+          view[SIZE_TARGET].shape[0] == m && view[CASCADE_OFFSETS].shape[0] == m + 1 &&
+          offsets[0] == 0 && offsets[m] == n))
+        return 0;
+    for (Py_ssize_t i = 0; i < m; i++)
+        if (offsets[i + 1] < offsets[i] || influencer[i] < 0 || influencer[i] >= o[0])
+            return 0;
+    return in_range(view[CONTEXT].buf, n, t[1]);
+}
+
+/* Takes the stream's pairs in order; where it stopped, as train_pairs
+ * returns it. */
+static Py_ssize_t run(struct loop *s)
+{
+    const Py_buffer *const view = s->view;
+    const int64_t *const influencer = view[INFLUENCER].buf,
+                  *const offsets = view[CASCADE_OFFSETS].buf;
+    const double *const size_target = view[SIZE_TARGET].buf;
+    const int32_t *const context = view[CONTEXT].buf;
+    double *const classify = view[CLASSIFY_LOSSES].buf, *const regress = view[REGRESS_LOSSES].buf;
+    const Py_ssize_t m = view[INFLUENCER].shape[0];
+    for (Py_ssize_t i = 0; i < m; i++) {
+        const size_t u = (size_t)influencer[i];
+        for (int64_t k = offsets[i]; k < offsets[i + 1]; k++)
+            if (!step(s, u, (size_t)context[k], &classify[k])) {
+                s->bound = s->bias_bound = INFINITY;
+                return ~(Py_ssize_t)(k + i);
+            }
+        if (!size_step(s, u, size_target[i], &regress[i]))
+            return ~(Py_ssize_t)(offsets[i + 1] + i);
+    }
+    return view[CONTEXT].shape[0] + m;
+}
+
+static PyObject *train_pairs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer view[N_LOOP_ARGS] = {{0}};
     union number number[N_LOOP_ARGS];
-    const int taken =
-        take_args("classify_pairs", args, nargs, LOOP_ARGS, N_LOOP_ARGS, view, number);
+    const int taken = take_args("train_pairs", args, nargs, LOOP_ARGS, N_LOOP_ARGS, view, number);
     if (taken < 0)
         return NULL;
     PyObject *result;
-    if (taken || !numpy_own.dgemv || !fits_loop(view, number)) {
+    if (taken || !numpy_own.dgemv || !fits_loop(view)) {
         result = Py_NewRef(Py_None);
     } else {
-        struct loop s = {view, number[LR].real, number[BOUND].real, number[BIAS_BOUND].real};
+        struct loop s = {view, number[LR].real, number[B_C].real, number[BOUND].real,
+                         number[BIAS_BOUND].real};
         /* the stop first: C leaves the order of a call's arguments open,
-         * and the bounds to return are those the steps leave */
-        const Py_ssize_t stop = run(&s, (size_t)number[U].index);
-        result = Py_BuildValue("(ndd)", stop, s.bound, s.bias_bound);
+         * and the values to return are those the steps leave */
+        const Py_ssize_t stop = run(&s);
+        result = Py_BuildValue("(nddd)", stop, s.b_c, s.bound, s.bias_bound);
     }
     release(view, N_LOOP_ARGS);
     return result;
@@ -1290,7 +1367,7 @@ static PyObject *canonical_events(PyObject *Py_UNUSED(module), PyObject *const *
 /* Sets the module's isa to the fused_t_update copy that runs: "avx512f",
  * "avx2" or "baseline". The resolver picks the first copy CLONES lists
  * that the CPU supports, and this tests the CPU in the same order. Then
- * finds numpy's own functions for the classify loop. */
+ * finds numpy's own functions for the training loop. */
 static int exec_module(PyObject *module)
 {
     const char *isa = "baseline";
@@ -1304,8 +1381,9 @@ static int exec_module(PyObject *module)
 }
 
 static PyMethodDef methods[] = {
-    {"classify_pairs", (PyCFunction)(void (*)(void))classify_pairs, METH_FASTCALL,
-     "classify_pairs(O, T, b_t, phi, grad, losses, u, context, lr, bound, bias_bound)"},
+    {"train_pairs", (PyCFunction)(void (*)(void))train_pairs, METH_FASTCALL,
+     "train_pairs(O, T, b_t, phi, grad, classify_losses, regress_losses, influencer, "
+     "size_target, offsets, context, lr, b_c, bound, bias_bound)"},
     {"draw_contexts", (PyCFunction)(void (*)(void))draw_contexts, METH_FASTCALL,
      "draw_contexts(start, offsets, node_idx, times, draws, context, bit_generator)"},
     {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,
@@ -1325,7 +1403,7 @@ static PyModuleDef_Slot slots[] = {{Py_mod_exec, (void *)exec_module}, {0, NULL}
 static struct PyModuleDef module_def = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "iminfector._native_lib",
-    .m_doc = "iminfector's native library: the classify loop, the training stream's "
+    .m_doc = "iminfector's native library: the training loop, the training stream's "
              "context draws, the cascade text format, the edge list scanner, and the "
              "canonical events of raw arrays.",
     .m_methods = methods,

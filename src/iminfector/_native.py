@@ -1,8 +1,9 @@
 """The package's native library, built on first use.
 
-``_native.c`` holds the classify loop (``classify_pairs``) with its T
+``_native.c`` holds the training loop (``train_pairs``), which takes an
+epoch's classify and size steps in one call, with the classify step's T
 update (``fused_t_update``, which returns nothing) and its direct calls of
-numpy's own loops and BLAS, the training stream's context draws
+numpy's own loops, BLAS and libm's pow, the training stream's context draws
 (``draw_contexts``, which takes its uniforms from a numpy bit generator in
 ``rng.random``'s order), the cascade scanner (``scan_cascades``), the
 cascade writer (``write_cascades``), the edge list scanner
@@ -42,7 +43,7 @@ switch.
 
 Nothing here runs at import. With no compiler, no Python or numpy
 headers, an unwritable cache or a failed build, ``load()`` returns None:
-training takes its numpy step, the stream draws through ``rng.choice``,
+training takes its numpy steps, the stream draws through ``rng.choice``,
 cascade files and edge lists go through the Python parsers and formatter,
 and build_corpus and the edge lists' distinct edges take the numpy pass
 of canonical events.
@@ -192,9 +193,9 @@ def build(code, directory, prefix, cc=CC):
 def open_library(path):
     """The extension module at ``path``. Its ``isa`` names the clone of the
     T update that runs on this CPU: "avx512f", "avx2" or "baseline". Its
-    classify loop and context draws call numpy's BLAS dgemv and float64
-    exp, add and log loops directly, found when it loads; where one is
-    missing, ``classify_pairs`` returns None and ``draw_contexts`` False on
+    training loop and context draws call numpy's BLAS dgemv and ddot and
+    float64 exp, add and log loops directly, found when it loads; where one
+    is missing, ``train_pairs`` returns None and ``draw_contexts`` False on
     every call, as each does for arrays it cannot take. Its ``blas_core``
     names the kernel set numpy's OpenBLAS picked for this CPU, or is None."""
     loader = machinery.ExtensionFileLoader(MODULE, path)

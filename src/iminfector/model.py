@@ -6,30 +6,33 @@ influencer-context pair takes a softmax/NLL step, each influencer-size pair
 takes a sigmoid/squared-loss step through the untrainable all-ones vector C.
 Everything is float64; gradient tolerances depend on it.
 
-train() takes an epoch's classify steps on one of two paths, with the same
-bits on either:
+train() takes an epoch's steps on one of two paths, with the same bits on
+either:
 
-- step_classify, the numpy step: the oracle, and the path when the C loop
-  is not taken;
-- classify_pairs, the C loop of _native.load()'s module, which takes one
-  cascade's context pairs as step_classify would take them one by one;
-  step_regress then takes the cascade's size pair.
+- step_classify and step_regress, the numpy steps: the oracle, and the
+  path when the C loop is not taken;
+- train_pairs, the C loop of _native.load()'s module, which takes the
+  whole epoch's stream in one call, each pair as the numpy step of its
+  head would take it.
 
 Where its order is the contract the loop calls the functions numpy itself
 calls, with the arguments numpy passes: its BLAS's cblas_dgemv for the
-logits O_u T and for T g (BLAS's summation order), and the float64 inner
-loops of np.exp (numpy's SIMD exp), np.add in reduce form (the softmax's
-denominator, pairwise summation) and np.log (the loss), found by the
-library when it loads. A C loop of its own cannot match those bitwise. No
-Python runs within a call.
+logits O_u T and for T g (BLAS's summation order) and cblas_ddot for O_u
+C, the float64 inner loops of np.exp (numpy's SIMD exp, on an array or a
+scalar), np.add in reduce form (the softmax's denominator, pairwise
+summation) and np.log (the loss), found by the library when it loads, and
+libm's pow for the size loss. A C loop of its own cannot match those
+bitwise. No Python runs within a call.
 
-Every other operation is element-wise, and an IEEE add, subtract, multiply or
-divide rounds the same in C as in numpy: + b_t, - max, / sum, g[y] - 1,
-the T and b_t update, grad * lr and O_u - grad. The max of the logits does
-not depend on the order (a NaN makes it NaN; a +0/-0 tie does not reach
-exp(z - max), as exp(+-0) = 1). The T and b_t update is one C pass,
-T[i,j] - ((O_u[i] * g[j]) * lr) and b_t[j] - lr * g[j], the operations of
-numpy's outer product, in-place scaling and subtraction in the same order.
+Every other operation is element-wise or scalar, and an IEEE add,
+subtract, multiply or divide rounds the same in C as in numpy: + b_t,
+- max, / sum, g[y] - 1, the T and b_t update, grad * lr, O_u - grad and
+the size step's arithmetic on either branch of the sigmoid. The max of
+the logits does not depend on the order (a NaN makes it NaN; a +0/-0 tie
+does not reach exp(z - max), as exp(+-0) = 1). The T and b_t update is
+one C pass, T[i,j] - ((O_u[i] * g[j]) * lr) and b_t[j] - lr * g[j], the
+operations of numpy's outer product, in-place scaling and subtraction in
+the same order.
 Each element is one rounded product, a second rounded product and one
 rounded difference, and the library is built with -ffp-contract=off and
 without -ffast-math, so nothing fuses or reorders them. That holds for
@@ -41,32 +44,33 @@ instruction set includes FMA, from fusing the multiply and subtract.
 
 train() takes the loop only when all of these hold:
 
-- model.step_classify is still this module's own function. A replaced
-  step_classify, such as a benchmark's timing wrapper or a test's spy, is
-  called for every classify step, on the numpy path;
+- model.step_classify and model.step_regress are still this module's own
+  functions. A replaced one, such as a benchmark's timing wrapper or a
+  test's spy, is called for every pair of its head, on the numpy path;
 - the native library loads;
 - the loop's self-check passes at the model's E and N (_loop_matches_at):
-  on the fixed (3, 13) and (5, 79) shapes and on (2, N) and (E, 2), which
-  take the model's N and E one at a time, with a NaN in O and a +0/-0 tie
-  at the max of b_t, the loop's losses, O, T, b_t and raising step match
-  step_classify without a workspace bit for bit. So a numpy whose
-  functions round otherwise at the model's N or E than those the library
-  found (a sum split past some length, say) gets the numpy step. It
-  fails too where the library did not find numpy's dgemv and loops, or E
-  or N is 1 (numpy's matmul takes no dgemv there): the library refuses
-  those calls (fits_loop in _native.c). The check does not run at the
-  full (E, N): it would copy T and make the numpy step's E x N
+  on the fixed (3, 13) and (21, 79) shapes and on (2, N) and (E, 2),
+  which take the model's N and E one at a time, with a NaN in O before a
+  size step and before a classify step and a +0/-0 tie at the max of
+  b_t, the loop's losses, O, T, b_t, b_c and raising step match
+  step_classify and step_regress without a workspace bit for bit. So a
+  numpy whose functions round otherwise at the model's N or E than those
+  the library found (a sum split past some length, say) gets the numpy
+  steps. It fails too where the library did not find numpy's dgemv, ddot
+  and loops, or E or N is 1 (numpy's matmul takes no dgemv there): the
+  library refuses those calls (fits_loop in _native.c). The check does not
+  run at the full (E, N): it would copy T and make the numpy step's E x N
   temporaries, about an eighth more peak memory for a 3,000-node model.
 
-Every other model takes the numpy step, with the same bits.
+Every other model takes the numpy steps, with the same bits.
 
-The loop refuses, call by call and taking no pair, what the native
+The loop refuses, epoch by epoch and taking no pair, what the native
 library's argument contract (the "Arguments" section of _native.c) or its
-own checks rule out: a Fortran-order T, say, an array it writes that shares
-memory with another, an influencer outside O's rows or a context outside
-T's columns. step_classify then takes the cascade's pairs. train() refuses
-a stream with a pair outside the model before its epoch takes a step, and
-hands the loop its context as int32 (_check_stream).
+own checks rule out: a Fortran-order T, say, or an array it writes that
+shares memory with another. The numpy steps then take the epoch. train()
+refuses a stream with a pair outside the model before its epoch takes a
+step, and hands the loop its arrays in the dtypes it takes
+(_check_stream).
 
 A step proves the model finite instead of scanning it, and each proof is
 exact:
@@ -113,6 +117,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _native
+from .context import TrainingStream
 from .exceptions import CorruptFile, NonFiniteUpdate
 from ._util import BinaryReader, write_binary
 
@@ -167,7 +172,7 @@ class TrainReport:
     classify_steps: list = field(default_factory=list)
     regress_steps: list = field(default_factory=list)
     epoch_seconds: list = field(default_factory=list)
-    classify_kernel: str = "numpy"  # "c" when the C loop took every classify step
+    classify_kernel: str = "numpy"  # "c" when the C loop took every epoch, both heads' steps
     # with the C loop, the clone of its T update: "avx512f", "avx2" or "baseline"
     classify_isa: str = None
     stream_draws: str = None  # the draws of epoch 0's stream: TrainingStream.draws
@@ -239,6 +244,7 @@ def forward_regress(model, u):
 # exact maximum. _native.c's BOUND_LIMIT is the same.
 _BOUND_LIMIT = 1e300
 _CLASSIFY_FAILED = "classification step produced a non-finite value"
+_REGRESS_FAILED = "regression step produced a non-finite value"
 
 
 class StepWorkspace:
@@ -311,15 +317,47 @@ def step_classify(model, u, y, lr, workspace=None):
     return float(loss)
 
 
-# train() takes the C loop only while model.step_classify is this function.
-_OWN_STEP_CLASSIFY = step_classify
+def step_regress(model, u, y_c, lr):
+    """One SGD step on pair (influencer u, size target y_c); returns the pre-update loss.
+
+    The gradient w.r.t. O_u is the scalar -2(y_c - phi_c) phi_c (1 - phi_c)
+    broadcast across all E coordinates, because dz_c/dO_u = C = ones. T and
+    C are untouched.
+    """
+    phi_c = forward_regress(model, u)
+    loss = (y_c - phi_c) ** 2
+    g = -2.0 * (y_c - phi_c) * phi_c * (1.0 - phi_c)
+    model.O[u] -= lr * g
+    model.b_c -= lr * g
+    if not (np.isfinite(loss) and np.isfinite(model.O[u]).all() and np.isfinite(model.b_c)):
+        raise NonFiniteUpdate(_REGRESS_FAILED)
+    return float(loss)
+
+
+# train() takes the C loop only while model.step_classify and
+# model.step_regress are these functions.
+_OWN_STEP_CLASSIFY, _OWN_STEP_REGRESS = step_classify, step_regress
 
 # The fixed (E, N) shapes of the loop's self-check. In the second, N = 79 =
 # 9 * 8 + 4 + 3, so each row of T and b_t runs every part of every clone of
 # the T update that gcc 12 builds: the 8-wide AVX-512 body, its 4-wide
 # epilogue and a scalar tail; the 4-wide AVX2 body, its 2-wide epilogue
 # and a scalar tail; and baseline x86-64's 2-wide body and scalar tail.
-_SELF_CHECK_SHAPES = ((3, 13), (5, 79))
+# Its E = 21 = 16 + 5 runs OpenBLAS's ddot kernel, which takes blocks of
+# 16 entries, and its scalar tail: below 16 entries ddot sums in order.
+_SELF_CHECK_SHAPES = ((3, 13), (21, 79))
+
+# The self-check's stream, one (influencer, contexts, size target) per
+# cascade, each context taken mod N. Rows 0 and 1 of O sum to at least 0.5
+# and at most -0.5, and each takes its first size step before any other
+# step, so the sigmoid's two branches run. Row 2 is zero and the stream's
+# first pair is its size pair, so z = 0, phi_c = 0.5 and y_c - phi_c =
+# 0.3412 - 0.5 exactly: glibc's pow rounds its square otherwise than a
+# product does. Rows 3 and 4 take their first steps last, a size step and
+# a classify step. Four cascades have no contexts.
+_SELF_CHECK_STREAM = ((2, (), 0.3412), (0, (), 1.0), (1, (), 0.0), (0, (1, 0), 0.5),
+                      (1, (3,), 1.0), (2, (-1,), 0.0), (1, (2,), 0.5), (3, (), 0.5),
+                      (4, (4,), 1.0))
 
 
 def _same_bits(a, b):
@@ -334,40 +372,47 @@ def _same_bits(a, b):
     )
 
 
-def _take_pairs(lib, model, ws, u, context, lr, losses):
-    """The C loop of ``lib`` on the pairs of influencer ``u`` and each of
-    ``context``, with the arrays of ``model`` and ``ws``: len(context), or
-    ~k if step k proved a value non-finite, with the workspace's bounds set
-    to those its steps leave; None, having taken no pair, if the loop
-    refuses the arrays, u or a context outside T's columns."""
-    taken = lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, u, context,
-                               lr, ws.bound, ws.bias_bound)
+def _take_stream(lib, model, ws, stream, lr, classify, regress):
+    """The C loop of ``lib`` on every pair of ``stream``, checked, with the
+    arrays of ``model`` and ``ws``, the losses into ``classify`` and
+    ``regress``: the number of pairs, or ~k if stream pair k proved a value
+    non-finite, with model.b_c and the workspace's bounds set to those its
+    steps leave; None, having taken no pair, if the loop refuses the
+    arrays."""
+    taken = lib.train_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, classify, regress,
+                            stream.influencer, stream.size_target, stream.offsets, stream.context,
+                            lr, model.b_c, ws.bound, ws.bias_bound)
     if taken is None:
         return None
-    stop, ws.bound, ws.bias_bound = taken
+    stop, model.b_c, ws.bound, ws.bias_bound = taken
     return stop
 
 
 def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
-    """True if the C loop of ``lib`` takes fixed pairs bit for bit as
-    step_classify without a workspace does: each loss, O, T and b_t, where
-    the loop stops and which step raises. The loop takes T in init_model's
-    layout, the numpy step a packed T.
+    """True if the C loop of ``lib`` takes _SELF_CHECK_STREAM bit for bit as
+    step_classify and step_regress without a workspace do: each loss, O,
+    T, b_t, b_c, and where the loop stops. The loop takes T in init_model's
+    layout, the numpy steps a packed T.
 
-    Each (E, N) of ``shapes``, N at least 2, runs three models: random,
-    one with a NaN in O's second row (whose first step raises), and one
-    whose largest logits, 0, come from the +0 and -0 entries of b_t over
-    zero columns of T, every other logit far below. Five classify pairs
-    run as four cascades, of influencers 0, 1, 0 and 1, one call each.
-    Their contexts are taken mod N.
+    Each (E, N) of ``shapes``, N at least 2, runs three models of five
+    influencers, random but for the rows the stream sets: one as it is,
+    one with a NaN in row 3 of O, or in row 4 for every other shape, which
+    raises at the row's first step, a size step or a classify step, and
+    one whose largest logits, 0, come from the +0 and -0 entries of b_t
+    over zero columns of T, every other logit far below.
     """
     rng = np.random.default_rng(2019)
     lr = 0.1
-    for E, N in shapes:
+    influencer, contexts, size_target = zip(*_SELF_CHECK_STREAM)
+    offsets = np.cumsum([0, *map(len, contexts)])
+    for k, (E, N) in enumerate(shapes):
+        stream = TrainingStream(np.array(influencer, dtype=np.int64), np.array(size_target),
+                                offsets, np.array([y % N for c in contexts for y in c], np.int32))
         for case in ("random", "nan", "zero tie"):
-            O, T, b_t = rng.normal(size=(2, E)), rng.normal(size=(E, N)), rng.normal(size=N)
+            O, T, b_t = rng.normal(size=(5, E)), rng.normal(size=(E, N)), rng.normal(size=N)
+            O[0], O[1], O[2] = (np.abs(O[0]) + 0.5) / E, -(np.abs(O[1]) + 0.5) / E, 0.0
             if case == "nan":
-                O[1, E // 2] = np.nan
+                O[3 + k % 2, E // 2] = np.nan
             elif case == "zero tie":
                 T[:, :4] = 0.0
                 b_t[:] = -1e3
@@ -375,26 +420,25 @@ def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
             want = InfectorModel(O, T, b_t, 0.0, np.ones(E), [], [])
             got = InfectorModel(O.copy(), _target_matrix(E, N), b_t.copy(), 0.0, np.ones(E), [], [])
             got.T[...] = T
-            ws = StepWorkspace(got)
-            for u, context in ((0, [1, 0]), (1, [3 % N]), (0, [N - 1]), (1, [2 % N])):
-                want_losses = []
-                try:
+            want_classify, want_regress = [], []
+            try:
+                for u, context, y_c in _SELF_CHECK_STREAM:
                     for y in context:
-                        want_losses.append(_OWN_STEP_CLASSIFY(want, u, y, lr))
-                    want_stop = len(context)
-                except NonFiniteUpdate:
-                    want_stop = ~len(want_losses)
-                got_losses = np.full(len(context), np.nan)
-                stop = _take_pairs(lib, got, ws, u, np.array(context, dtype=np.int32), lr,
-                                   got_losses)
-                if not (
-                    stop == want_stop  # not None, where the loop refuses the arrays
-                    and _same_bits(got_losses[: len(want_losses)], want_losses)
-                    and all(_same_bits(getattr(got, a), getattr(want, a)) for a in ("O", "T", "b_t"))
-                ):
-                    return False
-                if stop < 0:
-                    break
+                        want_classify.append(_OWN_STEP_CLASSIFY(want, u, y % N, lr))
+                    want_regress.append(_OWN_STEP_REGRESS(want, u, y_c, lr))
+                want_stop = len(stream)
+            except NonFiniteUpdate:
+                want_stop = ~(len(want_classify) + len(want_regress))
+            classify, regress = np.full(len(stream.context), np.nan), np.full(len(influencer), np.nan)
+            stop = _take_stream(lib, got, StepWorkspace(got), stream, lr, classify, regress)
+            if not (
+                stop == want_stop  # not None, where the loop refuses the arrays
+                and _same_bits(classify[: len(want_classify)], want_classify)
+                and _same_bits(regress[: len(want_regress)], want_regress)
+                and all(_same_bits(getattr(got, a), getattr(want, a))
+                        for a in ("O", "T", "b_t", "b_c"))
+            ):
+                return False
     return True
 
 
@@ -405,10 +449,10 @@ def _loop_matches_at(lib, E, N):
     return _loop_matches_step(lib, (*_SELF_CHECK_SHAPES, (2, N), (E, 2)))
 
 
-def _classify_loop(model):
+def _epoch_loop(model):
     """The native library if train() may take its C loop for ``model``,
     else None: see the module docstring for the rule."""
-    if step_classify is not _OWN_STEP_CLASSIFY:
+    if step_classify is not _OWN_STEP_CLASSIFY or step_regress is not _OWN_STEP_REGRESS:
         return None
     lib = _native.load()
     if lib is None:
@@ -416,23 +460,6 @@ def _classify_loop(model):
     with _sgd_numpy():
         ok = _loop_matches_at(lib, *model.T.shape)
     return lib if ok else None
-
-
-def step_regress(model, u, y_c, lr):
-    """One SGD step on pair (influencer u, size target y_c); returns the pre-update loss.
-
-    The gradient w.r.t. O_u is the scalar -2(y_c - phi_c) phi_c (1 - phi_c)
-    broadcast across all E coordinates, because dz_c/dO_u = C = ones. T and
-    C are untouched.
-    """
-    phi_c = forward_regress(model, u)
-    loss = (y_c - phi_c) ** 2
-    g = -2.0 * (y_c - phi_c) * phi_c * (1.0 - phi_c)
-    model.O[u] -= lr * g
-    model.b_c -= lr * g
-    if not (np.isfinite(loss) and np.isfinite(model.O[u]).all() and np.isfinite(model.b_c)):
-        raise NonFiniteUpdate("regression step produced a non-finite value")
-    return float(loss)
 
 
 # Smallest ufunc buffer numpy accepts; see the module docstring for why the
@@ -457,39 +484,40 @@ def _sgd_numpy():
 
 def _run_epoch(model, stream, lr, workspace, lib, epoch):
     """Take every pair of ``stream`` in order; return the losses of its
-    classify pairs and of its size pairs, each in stream order.
+    classify pairs and of its size pairs, each in stream order, and
+    whether the C loop took them.
 
-    With ``lib`` the C loop takes each cascade's context pairs, and each
-    pair it does not take, or whose arrays it refuses, goes through
-    step_classify, as every context pair does without it; step_regress
-    takes each size pair. A non-finite step raises NonFiniteUpdate with
-    ``epoch`` and the pair's index in the stream as its step.
+    With ``lib`` the C loop takes the whole stream in one call. Where it
+    refuses the arrays, or without it, step_classify takes each context
+    pair and step_regress each size pair. A non-finite step raises
+    NonFiniteUpdate with ``epoch`` and the pair's index in the stream as
+    its step.
     """
-    context = stream.context
-    classify, regress = np.empty(len(context)), np.empty(len(stream.influencer))
-    offsets = stream.offsets.tolist()
+    classify, regress = np.empty(len(stream.context)), np.empty(len(stream.influencer))
+    stop = None if lib is None else _take_stream(lib, model, workspace, stream, lr, classify,
+                                                  regress)
+    if stop is not None:
+        if stop < 0:
+            size_pairs = stream.offsets[1:] + np.arange(len(regress))
+            failed = _REGRESS_FAILED if ~stop in size_pairs else _CLASSIFY_FAILED
+            raise NonFiniteUpdate(failed, epoch=epoch, step=~stop)
+        return classify, regress, True
+    context, offsets = stream.context.tolist(), stream.offsets.tolist()
     cascades = zip(stream.influencer.tolist(), stream.size_target.tolist(), offsets, offsets[1:])
     for i, (u, y_c, a, b) in enumerate(cascades):
-        k = a
-        if lib is not None:
-            stop = _take_pairs(lib, model, workspace, u, context[a:b], lr, classify[a:b])
-            if stop is not None:
-                if stop < 0:
-                    raise NonFiniteUpdate(_CLASSIFY_FAILED, epoch=epoch, step=a + i + ~stop)
-                k += stop
         try:
-            for k in range(k, b):
-                classify[k] = step_classify(model, u, int(context[k]), lr, workspace)
+            for k in range(a, b):
+                classify[k] = step_classify(model, u, context[k], lr, workspace)
             k = b
             regress[i] = step_regress(model, u, y_c, lr)
         except NonFiniteUpdate as exc:
             raise NonFiniteUpdate(str(exc), epoch=epoch, step=k + i) from None
-    return classify, regress
+    return classify, regress, False
 
 
 def _check_stream(model, stream, epoch):
-    """The stream with its context as the C loop takes it, C-contiguous
-    int32.
+    """The stream with its arrays as the C loop takes them, C-contiguous:
+    int64 influencer and offsets, float64 size_target, int32 context.
 
     A ValueError naming ``epoch`` unless influencer, offsets and context
     hold integers, influencer and size_target hold one entry per cascade
@@ -512,7 +540,7 @@ def _check_stream(model, stream, epoch):
         raise ValueError(f"stream for epoch {epoch}: influencer, size_target and offsets hold "
                          f"{lengths[0]}, {lengths[1]} and {lengths[2]} entries, not one per "
                          "cascade and one more offset")
-    if offsets[0] != 0 or offsets[-1] != len(context) or (np.diff(offsets) < 0).any():
+    if offsets[0] != 0 or offsets[-1] != len(context) or (offsets[1:] < offsets[:-1]).any():
         raise ValueError(f"stream for epoch {epoch}: offsets do not run from 0, "
                          f"non-decreasing, to the {len(context)} contexts")
     for name, values, limit in (("influencer", influencer, model.n_influencers),
@@ -523,7 +551,10 @@ def _check_stream(model, stream, epoch):
             raise ValueError(f"stream for epoch {epoch}: {name} {k} ({values[k]}) is outside a "
                              f"model of {model.n_influencers} influencers and {model.n_nodes} "
                              "nodes")
-    return replace(stream, context=np.ascontiguousarray(context, np.int32))
+    return replace(stream, influencer=np.ascontiguousarray(influencer, np.int64),
+                   size_target=np.ascontiguousarray(stream.size_target, np.float64),
+                   offsets=np.ascontiguousarray(offsets, np.int64),
+                   context=np.ascontiguousarray(context, np.int32))
 
 
 def train(model, stream_producer, config):
@@ -538,7 +569,8 @@ def train(model, stream_producer, config):
     report = TrainReport()
     lr = config.learning_rate
     workspace = StepWorkspace(model)
-    lib = _classify_loop(model)
+    lib = _epoch_loop(model)
+    looped = lib is not None
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         stream = stream_producer(epoch)
@@ -548,7 +580,9 @@ def train(model, stream_producer, config):
         if epoch == 0:
             report.stream_draws = stream.draws
         with _sgd_numpy():
-            classify_losses, regress_losses = _run_epoch(model, stream, lr, workspace, lib, epoch)
+            classify_losses, regress_losses, took = _run_epoch(model, stream, lr, workspace, lib,
+                                                               epoch)
+        looped = looped and took
         report.classify_loss.append(
             float(np.mean(classify_losses)) if len(classify_losses) else 0.0
         )
@@ -556,8 +590,7 @@ def train(model, stream_producer, config):
         report.classify_steps.append(len(classify_losses))
         report.regress_steps.append(len(regress_losses))
         report.epoch_seconds.append(time.perf_counter() - t0)
-    # the numpy step makes workspace.update on its first step: None means the loop took them all
-    if lib is not None and workspace.update is None:
+    if looped:
         report.classify_kernel, report.classify_isa = "c", lib.isa
     return model, report
 

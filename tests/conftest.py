@@ -9,6 +9,7 @@ import pytest
 
 from iminfector import _native
 from iminfector import model as model_module
+from iminfector.context import TrainingStream
 from iminfector.model import InfectorModel, StepWorkspace
 
 
@@ -34,12 +35,14 @@ def _runs_numpy_calls(lib):
     """Whether the native library ``lib`` runs its C loop and its context
     draws, which call numpy's own functions: each refuses every call where
     the library did not find them. Asked through an empty call of each,
-    the loop's on a 2 x 2 model."""
+    the loop's an empty stream on a 2 x 2 model."""
     if lib is None:
         return False
     model = InfectorModel(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros(2), 0.0, np.ones(2), [], [])
     i64, i32, f64 = (np.empty(0, dtype=t) for t in (np.int64, np.int32, np.float64))
-    stop = model_module._take_pairs(lib, model, StepWorkspace(model), 0, i32, 0.0, f64)
+    empty = TrainingStream(i64, f64, np.zeros(1, dtype=np.int64), i32)
+    stop = model_module._take_stream(lib, model, StepWorkspace(model), empty, 0.0, f64.copy(),
+                                     f64.copy())
     return (stop is not None
             and lib.draw_contexts(i64, np.zeros(1, dtype=np.int64), i32, i64, i64, i32.copy(),
                                   np.random.default_rng(0).bit_generator))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cli import main
+from iminfector.context import TrainingStream
 from iminfector.model import InfectorModel, StepWorkspace, _sgd_numpy
 from test_context import draw_args
 
@@ -39,18 +40,22 @@ def test_loop_is_bitwise_numpy_at_drawn_shapes(direct_library, E, N):
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 13), (50, 300), (50, 2930)])
-def test_loop_gate_passes_at_the_model_shape(direct_library, shape):
+def test_loop_gate_passes_at_the_model_shape(direct_library, shape, monkeypatch):
+    # a test that clears _native.load's cache makes the next load open a
+    # new module object: the gate is handed the session's library itself
+    monkeypatch.setattr(_native, "load", lambda: direct_library)
     model = shaped_model(*shape)
     before = [a.copy() for a in (model.O, model.T, model.b_t)]
-    assert model_module._classify_loop(model) is direct_library
+    assert model_module._epoch_loop(model) is direct_library
     # the gate reads the model's shape and writes nothing to it
     assert all(np.array_equal(a, b) for a, b in zip(before, (model.O, model.T, model.b_t)))
 
 
 # Source changes under which the library does not find one of numpy's own
-# functions: the dgemv symbol, or the exp ufunc.
+# functions: the dgemv or ddot symbol, or the exp ufunc.
 MISSING = {
     "dgemv": (b'"scipy_cblas_dgemv64_"', b'"iminfector_no_such_dgemv"'),
+    "ddot": (b'"scipy_cblas_ddot64_"', b'"iminfector_no_such_ddot"'),
     "exp": (b'find_loop(numpy, "exp", 2', b'find_loop(numpy, "iminfector_no_such_ufunc", 2'),
 }
 
@@ -67,10 +72,11 @@ def test_pipeline_is_identical_when_a_direct_function_is_missing(tmp_path, monke
     # both calls refuse arrays they would take with every function found
     model = shaped_model(3, 13)
     ws = StepWorkspace(model)
-    losses = np.full(1, np.nan)
-    assert lib.classify_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, 0,
-                              np.zeros(1, dtype=np.int32), 0.1, ws.bound, ws.bias_bound) is None
-    assert np.isnan(losses).all()
+    classify, regress = np.full(1, np.nan), np.full(1, np.nan)
+    stream = TrainingStream(np.zeros(1, dtype=np.int64), np.full(1, 0.5),
+                            np.array([0, 1], dtype=np.int64), np.zeros(1, dtype=np.int32))
+    assert model_module._take_stream(lib, model, ws, stream, 0.1, classify, regress) is None
+    assert np.isnan(classify).all() and np.isnan(regress).all()
     args = draw_args()
     assert direct_library.draw_contexts(*draw_args()) is True
     assert lib.draw_contexts(*args) is False

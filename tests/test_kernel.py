@@ -15,7 +15,6 @@ import sys
 import tempfile
 import textwrap
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,10 +27,18 @@ from iminfector.cascades import load_cascades
 from iminfector.cli import main
 from iminfector.context import TrainingStream, build_training_stream
 from iminfector.diffusion import load_matrix
-from iminfector.model import ModelConfig, StepWorkspace, init_model, step_classify, train
+from iminfector.exceptions import NonFiniteUpdate
+from iminfector.model import (
+    ModelConfig,
+    StepWorkspace,
+    init_model,
+    step_classify,
+    step_regress,
+    train,
+)
 from iminfector.synth import generate_corpus
 from test_cli import package_env as cli_env
-from test_columnar_equivalence import mutated_logs
+from test_columnar_equivalence import mutated_logs, stream_pairs
 from test_text_fuzz import CORPUS, mutated
 from test_model import (
     assert_same_model,
@@ -40,6 +47,7 @@ from test_model import (
     random_model,
     reference_step_classify,
     reference_train,
+    take_pairs,
     takes_arrays,
 )
 
@@ -359,12 +367,14 @@ def test_source_compiles_without_warnings(tmp_path):
 # of 8 among them, on arrays that fit and on those draw_contexts refuses,
 # each taken where the session's library runs numpy's own functions
 # (argv[2]) and refused elsewhere; and, where it runs them, over the bounds
-# the loop returns and the arrays it refuses (None) and takes (the empty
-# stream's call). Then, on inputs drawn the same way each run, it reads
-# test_text_fuzz.py's mutations of its cascade and edge files through the
-# scanners, load_cascades and load_edges, against parse_cascades and
-# parse_edges, each text copied first into a buffer of its own length; it
-# puts raw cascades of test_columnar_equivalence.py through
+# the loop returns, the streams of EPOCH_STREAMS (one taken to its last
+# pair, a size pair; one whose first size step is non-finite; one whose
+# first cascade has no contexts) and the arrays it refuses (None) and
+# takes (the empty stream's call). Then, on inputs drawn the same way each
+# run, it reads test_text_fuzz.py's mutations of its cascade and edge files
+# through the scanners, load_cascades and load_edges, against
+# parse_cascades and parse_edges, each text copied first into a buffer of
+# its own length; it puts raw cascades of test_columnar_equivalence.py through
 # canonical_events, against _numpy_events, and test_cascade_io.py's
 # corpora through write_cascades, each buffer copied first to its own
 # length, against serialize_cascades; and, where the library runs numpy's
@@ -421,6 +431,7 @@ SANITIZED_SCRIPT = textwrap.dedent(
         if runs:
             kernel.assert_bounds_returned(lib)
             kernel.assert_padded_rows_in_bounds(lib)
+            kernel.assert_epoch_streams_taken(lib)
     if runs:
         kernel.assert_misfits_refused(lib)
     kernel.assert_argument_errors(lib)
@@ -583,6 +594,32 @@ def test_self_check_refuses_a_kernel_with_other_rounding(tmp_path, direct_librar
     assert_refused(_native.open_library(path), monkeypatch, runs_numpy_calls)
 
 
+# Mutants of the size step that round otherwise: its loss as a product,
+# where glibc's pow rounds some squares otherwise, and O_u C as a sum in
+# order, as OpenBLAS's ddot sums only below 16 entries.
+SIZE_MUTANTS = {
+    "d * d": (b"*loss = libm_pow(d, 2.0);", b"*loss = d * d;"),
+    "plain sum": (
+        b"    return 0.0 + numpy_own.ddot((int64_t)E, x, 1, y, 1);\n",
+        b"    double sum = 0.0;\n    for (size_t i = 0; i < E; i++)\n"
+        b"        sum += x[i] * y[i];\n    return sum;\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SIZE_MUTANTS))
+def test_self_check_refuses_a_size_step_with_other_rounding(tmp_path, direct_library, mutant,
+                                                           monkeypatch, runs_numpy_calls):
+    d = 0.3412 - 0.5  # the self-check's first size pair's y_c - phi_c
+    if mutant == "d * d" and math.pow(d, 2.0) == d * d:
+        pytest.skip("this libm's pow squares the self-check's d as a product does")
+    old, new = SIZE_MUTANTS[mutant]
+    code = _native.source()
+    assert code.count(old) == 1
+    path = _native.build(code.replace(old, new), str(tmp_path), "mutant-")
+    assert_refused(_native.open_library(path), monkeypatch, runs_numpy_calls)
+
+
 # Mutants of numpy's own calls whose bits differ only past the fixed
 # shapes of the self-check, each with the corpus size and E of a train run
 # whose model they differ at: the softmax's sum split at 1,000 entries when
@@ -733,16 +770,25 @@ def test_kernel_workspace_takes_numpy_update_when_arrays_change(direct_library, 
         assert (ws.update is None) == (s < 2)
 
 
-def loop_args(model, ws, u, context, losses, lr=0.1):
-    """classify_pairs' arguments on the arrays of ``model`` and ``ws``."""
-    return (model.O, model.T, model.b_t, ws.phi, ws.grad, losses, u, context, lr, ws.bound,
+def loop_args(model, ws, stream, classify, regress, lr=0.1):
+    """train_pairs' arguments on the arrays of ``model``, ``ws`` and
+    ``stream``, the losses into ``classify`` and ``regress``."""
+    return (model.O, model.T, model.b_t, ws.phi, ws.grad, classify, regress, stream.influencer,
+            stream.size_target, stream.offsets, stream.context, lr, model.b_c, ws.bound,
             ws.bias_bound)
 
 
-# The misfits of the stream's influencer, context and losses: the loop
-# refuses them, but takes the model's and the workspace's arrays.
-STREAM_MISFITS = ("int64 context", "a context past the columns of T", "a negative context",
-                  "losses over context", "u past the rows of O", "negative u", "u past int64")
+# The misfits of the stream and the losses: the loop refuses them, but
+# takes the model's and the workspace's arrays.
+STREAM_MISFITS = (
+    "int64 context", "a context past the columns of T", "a negative context",
+    "classify losses over context", "int32 influencer", "an influencer past the rows of O",
+    "a negative influencer", "float32 size_target", "regress losses over size_target",
+    "regress losses over classify losses", "influencer one short", "size_target one short",
+    "offsets one short", "classify losses one short", "regress losses one short",
+    "offsets from 1", "offsets short of the contexts", "offsets past the contexts",
+    "descending offsets",
+)
 
 
 def strided_t(row_stride):
@@ -753,21 +799,24 @@ def strided_t(row_stride):
 
 
 def loop_misfits():
-    """(what, model, ws, u, context, losses) for each set of arguments the
-    C loop cannot take: the model's arrays, the workspace's or the stream's
-    influencer, context and losses. Each writable array shares memory with
-    another argument in one case. Then the arguments it takes: the model as
-    init_model makes it, T's rows 16 entries apart, and the same model with
-    a packed T."""
+    """(what, model, ws, stream, classify, regress) for each set of
+    arguments the C loop cannot take: the model's arrays, the workspace's,
+    the stream's or the losses. Each writable array shares memory with
+    another argument in one case. Then the arguments it takes: the model
+    as init_model makes it, T's rows 16 entries apart, and the same model
+    with a packed T. The stream is two cascades, of influencers 1 and 0."""
     rng = np.random.default_rng(47)
     base = random_model(rng, 3, 9, 4)
     shared = np.zeros(3 * 4 + 4 * 9)
     # T in the first 9 columns of 18, the rest of each row padding: row 2's
     # lies past T's 4 x 9 entries from its start, but before its last row
     wide = np.zeros((4, 18))
-    stream = dict(u=1, context=np.array([1, 2, 3], dtype=np.int32))
+    stream = dict(influencer=np.array([1, 0]), size_target=np.array([0.25, 0.75]),
+                  offsets=np.array([0, 2, 3]), context=np.array([1, 2, 3], dtype=np.int32))
     # three int32 contexts, then three float64 losses over them
     context_and_losses = np.array([1, 2, 3, 0, 0, 0], dtype=np.int32)
+    # two size targets, and two losses over the second and past it
+    targets_and_losses = np.array([0.25, 0.75, 0.0])
     misfits = {
         "T in Fortran order": dict(T=np.asfortranarray(base.T)),
         "T's rows overlapping": dict(T=strided_t(64)),
@@ -787,42 +836,64 @@ def loop_misfits():
         "int64 context": dict(context=stream["context"].astype(np.int64)),
         "a context past the columns of T": dict(context=np.array([1, 9, 3], dtype=np.int32)),
         "a negative context": dict(context=np.array([1, 2, -1], dtype=np.int32)),
-        "losses over context": dict(context=context_and_losses[:3],
-                                    losses=context_and_losses.view(np.float64)),
-        "u past the rows of O": dict(u=3),
-        "negative u": dict(u=-1),
-        "u past int64": dict(u=2**64 + 1),
+        "classify losses over context": dict(context=context_and_losses[:3],
+                                             classify=context_and_losses.view(np.float64)),
+        "int32 influencer": dict(influencer=np.array([1, 0], dtype=np.int32)),
+        "an influencer past the rows of O": dict(influencer=np.array([1, 3])),
+        "a negative influencer": dict(influencer=np.array([1, -1])),
+        "float32 size_target": dict(size_target=np.array([0.25, 0.75], dtype=np.float32)),
+        "regress losses over size_target": dict(size_target=targets_and_losses[:2],
+                                                regress=targets_and_losses[1:]),
+        "regress losses over classify losses": dict(classify=shared[:3], regress=shared[2:4]),
+        "influencer one short": dict(influencer=np.array([1])),
+        "size_target one short": dict(size_target=np.array([0.25])),
+        "offsets one short": dict(offsets=np.array([0, 3])),
+        "classify losses one short": dict(classify=np.full(2, np.nan)),
+        "regress losses one short": dict(regress=np.full(1, np.nan)),
+        "offsets from 1": dict(offsets=np.array([1, 2, 3])),
+        "offsets short of the contexts": dict(offsets=np.array([0, 2, 2])),
+        "offsets past the contexts": dict(offsets=np.array([0, 2, 4])),
+        # cascade 0 would read context 3, past the contexts
+        "descending offsets": dict(offsets=np.array([0, 4, 3])),
     }
+    assert set(STREAM_MISFITS) <= set(misfits)
     for what, arrays in misfits.items():
         model = copy_model(base)
         ws = StepWorkspace(model)
-        pairs = dict(stream, losses=np.full(3, np.nan))
+        pairs = dict(stream, classify=np.full(3, np.nan), regress=np.full(2, np.nan))
         for name, value in arrays.items():
             if name in pairs:
                 pairs[name] = value
             else:
                 setattr(ws if name in ("phi", "grad") else model, name, value)
-        yield what, model, ws, pairs["u"], pairs["context"], pairs["losses"]
+        classify, regress = pairs.pop("classify"), pairs.pop("regress")
+        yield what, model, ws, TrainingStream(**pairs), classify, regress
     assert base.T.strides == (128, 8)
     for what, model in (("fits", base), ("fits, T packed", copy_model(base))):
-        yield what, model, StepWorkspace(model), stream["u"], stream["context"], np.full(3, np.nan)
+        yield (what, model, StepWorkspace(model), TrainingStream(**stream), np.full(3, np.nan),
+               np.full(2, np.nan))
+
+
+def stream_arrays(stream, classify, regress):
+    """The stream's arrays and the losses."""
+    return stream.influencer, stream.size_target, stream.offsets, stream.context, classify, regress
 
 
 def assert_misfits_refused(lib):
-    """classify_pairs takes the pairs of arrays that fit, and returns None for
-    each misfit, having taken no pair and changed nothing; its call on no
-    pairs of influencer 0 tells the two apart for the model's and
-    workspace's arrays."""
-    for what, model, ws, u, context, losses in loop_misfits():
+    """train_pairs takes the pairs of arrays that fit, and returns None for
+    each misfit, having taken no pair and changed nothing; its call on an
+    empty stream tells the two apart for the model's and workspace's
+    arrays."""
+    for what, model, ws, stream, classify, regress in loop_misfits():
         before = copy_model(model)
-        stream = [context.copy(), losses.copy()]
-        taken = lib.classify_pairs(*loop_args(model, ws, u, context, losses))
+        arrays = [a.copy() for a in stream_arrays(stream, classify, regress)]
+        taken = lib.train_pairs(*loop_args(model, ws, stream, classify, regress))
         if what.startswith("fits"):
-            assert taken[0] == 3 and not np.isnan(losses).any()
+            assert taken[0] == 5 and not np.isnan(classify).any() and not np.isnan(regress).any()
         else:
             assert taken is None, what
             assert_same_model(before, model, what)
-            for a, b in zip((context, losses), stream):
+            for a, b in zip(stream_arrays(stream, classify, regress), arrays):
                 assert np.array_equal(a, b, equal_nan=True), what
         assert takes_arrays(lib, model, ws) == (what.startswith("fits") or what in STREAM_MISFITS)
 
@@ -833,8 +904,8 @@ NUMPY_MISFITS = ("T in Fortran order", "float32 b_t", "strided O")
 
 def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library, monkeypatch):
     # The self-check reads only the model's shape, so train takes the loop
-    # for every model: the loop refuses each call on a model it cannot
-    # take, and step_classify takes the pair. The report names the step
+    # for every model: the loop refuses each epoch on a model it cannot
+    # take, and the numpy steps take its pairs. The report names the step
     # that ran, with its bits.
     assert_misfits_refused(direct_library)
     rng = np.random.default_rng(67)
@@ -857,21 +928,27 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library, 
 
 
 def assert_bounds_returned(lib):
-    """A call of the loop from inf bounds returns the finite bounds that
-    the same steps leave in a workspace of step_classify, bit for bit."""
+    """A call of the loop from inf bounds returns the b_c and the finite
+    bounds that the same steps leave in a model and a workspace of the
+    numpy steps, bit for bit."""
     rng = np.random.default_rng(61)
     ref = random_model(rng, 3, 13, 4)
     new = copy_model(ref)
-    context = np.array([1, 5, 12, 0, 7], dtype=np.int32)
+    stream = TrainingStream(np.array([1]), np.array([0.5]), np.array([0, 5]),
+                            np.array([1, 5, 12, 0, 7], dtype=np.int32))
     ws_ref, ws = StepWorkspace(ref), StepWorkspace(new)
-    losses = np.full(5, np.nan)
+    classify, regress = np.full(5, np.nan), np.full(1, np.nan)
     with model_module._sgd_numpy():
-        want = [step_classify(ref, 1, y, 0.1, ws_ref) for y in context.tolist()]
-        stop, bound, bias_bound = lib.classify_pairs(*loop_args(new, ws, 1, context, losses))
+        want = [step_classify(ref, 1, y, 0.1, ws_ref) for y in stream.context.tolist()]
+        want_regress = step_regress(ref, 1, 0.5, 0.1)
+        stop, b_c, bound, bias_bound = lib.train_pairs(*loop_args(new, ws, stream, classify,
+                                                                  regress))
     assert (ws.bound, ws.bias_bound) == (math.inf, math.inf)
-    assert stop == 5 and losses.tolist() == want
+    assert stop == 6 and classify.tolist() == want and regress.tolist() == [want_regress]
     assert math.isfinite(bound) and math.isfinite(bias_bound)
     assert (bound.hex(), bias_bound.hex()) == (ws_ref.bound.hex(), ws_ref.bias_bound.hex())
+    assert b_c.hex() == float(ref.b_c).hex()
+    new.b_c = b_c
     assert_same_model(ref, new, "stretch")
 
 
@@ -895,43 +972,78 @@ def assert_padded_rows_in_bounds(lib):
     losses = np.full(4, np.nan)
     with model_module._sgd_numpy():
         want = [step_classify(ref, 2, y, 0.1, ws_ref) for y in context.tolist()]
-        assert model_module._take_pairs(lib, new, ws, 2, context, 0.1, losses) == 4
+        assert take_pairs(lib, new, ws, 2, context, 0.1, losses) == 4
     assert losses.tolist() == want
     assert_same_model(ref, new, "rows that end the buffer")
 
 
-class Real:
-    """A number whose __float__ is Python code."""
+# Streams of three influencers and 13 nodes, each (influencer, size_target,
+# offsets, context): one taken to its end, which is a size pair, with an
+# empty cascade among the others; one whose first size pair's loss, (1e300
+# - phi_c) ** 2, overflows after two context pairs; and one whose first
+# cascade is empty.
+EPOCH_STREAMS = {
+    "to the end": ([2, 0, 1, 0], [0.5, 0.0, 1.0, 0.25], [0, 3, 3, 5, 6], [4, 0, 12, 7, 7, 1]),
+    "first size step non-finite": ([1, 2], [1e300, 0.5], [0, 2, 3], [3, 9, 0]),
+    "an empty first cascade": ([0, 2], [0.75, 0.1], [0, 0, 2], [11, 2]),
+}
 
-    def __float__(self):
-        return 0.1
+
+def assert_epoch_streams_taken(lib):
+    """train_pairs takes each of EPOCH_STREAMS as the numpy steps take its
+    pairs one by one, bit for bit: the losses, the model, b_c among it, the
+    bounds and where it stops."""
+    for what, (influencer, size_target, offsets, context) in EPOCH_STREAMS.items():
+        stream = TrainingStream(np.array(influencer), np.array(size_target), np.array(offsets),
+                                np.array(context, dtype=np.int32))
+        ref = random_model(np.random.default_rng(73), 3, 13, 4)
+        new = copy_model(ref)
+        ws_ref, ws = StepWorkspace(ref), StepWorkspace(new)
+        classify, regress = np.full(len(context), np.nan), np.full(len(influencer), np.nan)
+        want_classify, want_regress = [], []
+        with model_module._sgd_numpy():
+            try:
+                for kind, u, target in stream_pairs(stream):
+                    if kind == "C":
+                        want_classify.append(step_classify(ref, u, target, 0.1, ws_ref))
+                    else:
+                        want_regress.append(step_regress(ref, u, target, 0.1))
+                want_stop = len(stream)
+            except NonFiniteUpdate:
+                want_stop = ~(len(want_classify) + len(want_regress))
+            stop = model_module._take_stream(lib, new, ws, stream, 0.1, classify, regress)
+        assert stop == want_stop == (~2 if what.startswith("first size") else len(stream)), what
+        assert classify[: len(want_classify)].tolist() == want_classify, what
+        assert regress[: len(want_regress)].tolist() == want_regress, what
+        assert_same_model(ref, new, what)
+        assert (ws.bound, ws.bias_bound) == (ws_ref.bound, ws_ref.bias_bound), what
+
+
+def test_loop_takes_each_stream_as_the_numpy_steps(direct_library):
+    assert_epoch_streams_taken(direct_library)
 
 
 def assert_argument_errors(lib):
-    """Each call of lib.classify_pairs with a bad argument raises its error
-    and changes nothing: not O, T, b_t or the losses. The influencer is read
-    and checked before the rate and the bounds."""
+    """Each call of lib.train_pairs with a bad argument raises its error
+    and changes nothing: not O, T, b_t or the losses."""
     model = random_model(np.random.default_rng(59), 3, 11, 4)
     before = copy_model(model)
     ws = StepWorkspace(model)
-    losses = np.full(3, 7.0)
-    arrays = loop_args(model, ws, 0, np.array([1, 2, 3], dtype=np.int32), losses)[:8]
-    cases = [
-        (TypeError, (*arrays, 0.1, 2.0)),
-        (TypeError, (*arrays, 0.1, 2.0, 3.0, None)),
-        (TypeError, (*arrays, "x", 2.0, 3.0)),
-        (TypeError, (*arrays, 0.1, None, 3.0)),
-        (TypeError, (*arrays, 0.1, 2.0, "x")),
-    ]
-    cases += [(TypeError, (*arrays[:6], u, arrays[7], lr, 2.0, 3.0))
-              for u in ("0", 0.5) for lr in (0.1, Real(), Fraction(1, 10))]
-    for error, args in cases:
-        with pytest.raises(error):
-            lib.classify_pairs(*args)
-        assert_same_model(before, model, repr(args[6:]))
-        assert (losses == 7.0).all(), args[6:]
+    classify, regress = np.full(3, 7.0), np.full(2, 7.0)
+    stream = TrainingStream(np.array([0, 1]), np.array([0.5, 0.25]), np.array([0, 2, 3]),
+                            np.array([1, 2, 3], dtype=np.int32))
+    arrays = loop_args(model, ws, stream, classify, regress)[:11]
+    reals = (0.1, 0.0, 2.0, 3.0)
+    cases = [(*arrays, *reals[:3]), (*arrays, *reals, None)]
+    cases += [(*arrays, *reals[:k], bad, *reals[k + 1:]) for k in range(4) for bad in ("x", None)]
+    for args in cases:
+        with pytest.raises(TypeError):
+            lib.train_pairs(*args)
+        assert_same_model(before, model, repr(args[11:]))
+        assert (classify == 7.0).all() and (regress == 7.0).all(), args[11:]
     # losses that are not an array are refused as arrays of another kind are
-    assert lib.classify_pairs(*arrays[:5], None, *arrays[6:], 0.1, 2.0, 3.0) is None
+    for k in (5, 6):
+        assert lib.train_pairs(*arrays[:k], None, *arrays[k + 1:], *reals) is None
     assert_same_model(before, model, "no losses")
 
 

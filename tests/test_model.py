@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cascades import parse_cascades
+from iminfector.cli import main
 from iminfector.context import TrainingStream, build_training_stream
 from iminfector.exceptions import CorruptFile, FormatVersionMismatch, NonFiniteUpdate
 from iminfector.model import (
@@ -334,11 +336,36 @@ def loop_matches_at(lib, E, N):
         return model_module._loop_matches_at(lib, E, N)
 
 
+def take_pairs(lib, model, ws, u, context, lr, losses):
+    """The C loop of ``lib`` on the pairs of influencer ``u`` and each of
+    the int32 ``context``, the losses into ``losses``, with the arrays of
+    ``model`` and ``ws``: len(context), or ~k if step k proved a value
+    non-finite, with the workspace's bounds set to those its steps leave;
+    None, having taken no pair, if the loop refuses the arrays, u or a
+    context outside T's columns.
+
+    The pairs are one cascade of a stream, whose size pair changes
+    nothing. Its b_c is 1e300, not the model's, so the sigmoid is 1, or 0
+    where O_u's sum overflows to -inf, and with the target -1 its gradient
+    is +0: O_u - lr * 0 is O_u, bit for bit."""
+    taken = lib.train_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, np.empty(1),
+                            np.array([u], dtype=np.int64), np.full(1, -1.0),
+                            np.array([0, len(context)], dtype=np.int64), context, lr, 1e300,
+                            ws.bound, ws.bias_bound)
+    if taken is None:
+        return None
+    stop, _, ws.bound, ws.bias_bound = taken
+    # the size pair, stream pair len(context), never raises
+    assert stop == len(context) + 1 or ~stop < len(context), stop
+    return min(stop, len(context))
+
+
 def takes_arrays(lib, model, ws):
     """Whether the C loop of ``lib`` takes the arrays of ``model`` and
-    ``ws``: its call on no pairs of influencer 0 returns None where it does not."""
-    no_pairs = np.empty(0, dtype=np.int32)
-    return model_module._take_pairs(lib, model, ws, 0, no_pairs, 0.0, np.empty(0)) is not None
+    ``ws``: its call on an empty stream returns None where it does not."""
+    i64, i32, f64 = (np.empty(0, dtype=t) for t in (np.int64, np.int32, np.float64))
+    empty = TrainingStream(i64, f64, np.zeros(1, dtype=np.int64), i32)
+    return model_module._take_stream(lib, model, ws, empty, 0.0, f64.copy(), f64.copy()) is not None
 
 
 def loop_takes(lib, model, ws):
@@ -362,7 +389,7 @@ def loop_step(lib=None):
         takes = takes and 0 <= u < model.O.shape[0] and 0 <= y < model.T.shape[1]
         want = 1 if takes else None
         losses = np.full(1, np.nan)
-        stop = model_module._take_pairs(lib, model, ws, u, np.array([y], dtype=np.int32), lr, losses)
+        stop = take_pairs(lib, model, ws, u, np.array([y], dtype=np.int32), lr, losses)
         if stop == ~0:
             raise NonFiniteUpdate("classification step produced a non-finite value")
         assert stop == want, (stop, want)
@@ -385,7 +412,7 @@ def loop_until_raise(model, steps):
     for u, run in itertools.groupby((pair for pair, _ in steps), key=lambda pair: pair[0]):
         context = np.array([y for _, y in run], dtype=np.int32)
         taken = np.full(len(context), np.nan)
-        stop = model_module._take_pairs(lib, model, ws, u, context, lr, taken)
+        stop = take_pairs(lib, model, ws, u, context, lr, taken)
         # the loop took the pairs: it stopped at the end or at a raise
         assert stop is not None and (stop < 0 or stop == len(context)), stop
         if stop < 0:
@@ -502,7 +529,7 @@ def assert_padded_matches_packed(step_paths, E, N, seed):
                 taken = []
                 for m, ws in zip((padded, looped), workspaces):
                     losses = np.full(3, np.nan)
-                    assert model_module._take_pairs(lib, m, ws, u, context, 0.1, losses) == 3
+                    assert take_pairs(lib, m, ws, u, context, 0.1, losses) == 3
                     taken.append(losses.tolist())
                 assert taken[0] == taken[1]
                 assert_same_model(looped, padded, "C loop")
@@ -776,6 +803,9 @@ BAD_STREAMS = {
     "float offsets": (dict(offsets=np.array([0.0, 1, 2, 2])), "offsets holds float64"),
     "offsets from 1": (dict(offsets=[1, 1, 2, 2]), "offsets do not run from 0"),
     "descending offsets": (dict(offsets=[0, 2, 1, 2]), "offsets do not run from 0"),
+    # their differences wrap past 2**63 instead of going below 0
+    "descending uint64 offsets": (dict(offsets=np.array([0, 2, 1, 2], dtype=np.uint64)),
+                                  "offsets do not run from 0"),
     "an offset short": (dict(offsets=[0, 1, 2]), "influencer, size_target and offsets hold 3, 3 and 3"),
     "a size target short": (dict(size_target=[0.2, 0.5]),
                             "influencer, size_target and offsets hold 3, 2 and 4"),
@@ -866,6 +896,120 @@ def test_replaced_step_classify_sees_every_classify_step(native_library, monkeyp
     assert len(calls) == sum(report.classify_steps) == sum(steps for *_, steps, _ in want)
     assert calls == [(u, v) for s in streams for kind, u, v in stream_pairs(s) if kind == "C"]
     assert_same_model(model, ref, "replaced step_classify")
+
+
+def test_replaced_step_regress_sees_every_size_step(native_library, monkeypatch, tmp_path, capsys):
+    # A wrapper on model.step_regress, as a benchmark's timing layer
+    # installs, is called for every size step of train, library or not:
+    # the numpy steps take the epochs, and a manifest says so.
+    corpus = generate_corpus(np.random.default_rng(6), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=2, rng_seed=1)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
+    ref, want = reference_train(corpus, cfg, streams)
+    calls = []
+
+    def counting_step(*args):
+        calls.append(args[1:3])
+        return step_regress(*args)
+
+    monkeypatch.setattr(model_module, "step_regress", counting_step)
+    model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()), streams.__getitem__, cfg)
+    assert report.classify_kernel == "numpy" and report.classify_isa is None
+    assert len(calls) == sum(report.regress_steps) == sum(steps for *_, steps in want)
+    assert calls == [(u, y) for s in streams for kind, u, y in stream_pairs(s) if kind == "S"]
+    assert_same_model(model, ref, "replaced step_regress")
+    synth, manifest = tmp_path / "synth.txt", tmp_path / "train.json"
+    assert main(["synth", "--nodes", "40", "--cascades", "30", "--planted", "1", "--lures", "1",
+                 "--out", str(synth)]) == 0
+    assert main(["train", "--cascades", str(synth), "--embed-dim", "4", "--epochs", "1",
+                 "--out", str(tmp_path / "model.infv"), "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    doc = json.loads(manifest.read_text())
+    assert (doc["classify_kernel"], doc["classify_isa"]) == ("numpy", None)
+
+
+def test_c_path_takes_each_epoch_in_one_library_call(direct_library, monkeypatch):
+    # Every call of the library's functions goes through a proxy; the calls
+    # given the trained model's O are its epochs', one train_pairs each.
+    # The self-check's calls are on models of its own.
+    corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=3, rng_seed=4)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
+    model = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
+    calls = []
+
+    class Proxy:
+        def __getattr__(self, name):
+            found = getattr(direct_library, name)
+            if not callable(found):
+                return found
+
+            def call(*args):
+                calls.append((name, any(arg is model.O for arg in args)))
+                return found(*args)
+
+            return call
+
+    monkeypatch.setattr(_native, "load", Proxy)
+    _, report = train(model, streams.__getitem__, cfg)
+    assert report.classify_kernel == "c"
+    assert [name for name, on_model in calls if on_model] == ["train_pairs"] * cfg.epochs
+    assert {name for name, _ in calls} == {"train_pairs"}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_train_on_drawn_corpora_takes_both_sigmoid_branches_bitwise(step_paths, seed, monkeypatch):
+    # forward_regress's two branches, z >= 0 and z < 0, each on some size
+    # pair of a corpus, embedding size, rate and epoch count drawn from
+    # the seed: each path's model and report are the reference's
+    rng = np.random.default_rng([seed, 83])
+    corpus = generate_corpus(rng, n_nodes=int(rng.integers(60, 120)),
+                             n_cascades=int(rng.integers(10, 80)), n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=int(rng.integers(2, 24)), learning_rate=float(rng.uniform(0.05, 1)),
+                      epochs=int(rng.integers(2, 4)), rng_seed=seed)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
+    forward, signs = model_module.forward_regress, set()
+
+    def recording(model, u):
+        signs.add(float(model.O[u] @ model.C) + model.b_c >= 0.0)
+        return forward(model, u)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(model_module, "forward_regress", recording)
+        ref, want = reference_train(corpus, cfg, streams)
+    assert signs == {True, False}
+    for path in step_paths:
+        with on_path(path) as name:
+            model, report = train(init_model(cfg, corpus.influencer_ids(), corpus.node_ids()),
+                                  streams.__getitem__, cfg)
+        assert report.classify_kernel == name
+        got = list(zip(report.classify_loss, report.regress_loss, report.classify_steps, report.regress_steps))
+        assert got == want
+        assert_same_model(model, ref, f"seed {seed}, {name} path")
+        assert float(model.b_c).hex() == float(ref.b_c).hex()
+
+
+def test_train_raises_at_a_non_finite_size_pair_where_the_reference_loop_does(step_paths):
+    # Epoch 1's fourth size target is 1e300: its size pair's loss, about
+    # 1e600, overflows while O and b_c stay finite. Both paths raise at
+    # that pair, with the regression step's message, and leave the model
+    # as the reference loop does.
+    corpus = generate_corpus(np.random.default_rng(5), n_nodes=60, n_cascades=60, n_planted=2, n_lures=2)
+    cfg = ModelConfig(embed_dim=8, learning_rate=0.1, epochs=2, rng_seed=4)
+    streams = [build_training_stream(corpus, 1.2, cfg.rng_seed + e) for e in range(cfg.epochs)]
+    streams[1].size_target[3] = 1e300
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteUpdate) as raised:
+        reference_train(corpus, cfg, streams)
+    assert (raised.value.epoch, raised.value.step) == (1, int(streams[1].offsets[4]) + 3)
+    ref = raised.value.model
+    assert np.isfinite(ref.O).all() and math.isfinite(ref.b_c)
+    for path in step_paths:
+        model = init_model(cfg, corpus.influencer_ids(), corpus.node_ids())
+        with on_path(path) as name, pytest.raises(NonFiniteUpdate) as exc:
+            train(model, streams.__getitem__, cfg)
+        assert (exc.value.epoch, exc.value.step) == (raised.value.epoch, raised.value.step), name
+        assert str(exc.value).startswith("regression step produced a non-finite value")
+        assert_same_model(model, ref, f"{name} after the raise")
 
 
 @pytest.mark.parametrize("lr", [1e5, 2.0])

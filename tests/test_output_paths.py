@@ -14,10 +14,12 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import iminfector
 from iminfector.cli import PIPELINE_FILES, main
 
 SMALL = ["--epochs", "1", "--embed-dim", "2"]
@@ -219,15 +221,44 @@ def test_random_output_paths_end_0_or_2(tmp_path, inputs, command):
 NOBODY = "65534"
 
 
-@pytest.fixture(scope="module")
-def unprivileged(inputs):
-    """(argv prefix, directory): the prefix runs a command as a user whom
-    file modes bind, setpriv's as NOBODY where this process is root, who
-    reads and writes past them, and none elsewhere. The directory, which
-    that user can reach, holds c.txt (mode 644), secret.txt (mode 000), ro/
-    (mode 555) and rw/ (mode 777)."""
+def interpreters(root):
+    """(python, environment) pairs that may import the package as the
+    unprivileged user, with what each needs under ``root``: this
+    interpreter, the package's directory on PYTHONPATH; then, each the
+    first time it is asked for, another Python of this one's minor version
+    in a system directory, given copies of numpy, numpy.libs and the
+    package in root/site, as that user may not reach this interpreter's
+    files."""
     from test_cli import package_env
 
+    yield sys.executable, package_env()
+    name = f"python3.{sys.version_info.minor}"
+    seen = {os.path.realpath(sys.executable)}
+    site = os.path.join(root, "site")
+    for directory in ("/usr/local/bin", "/usr/bin", "/bin"):
+        python = os.path.join(directory, name)
+        if not os.access(python, os.X_OK) or os.path.realpath(python) in seen:
+            continue
+        seen.add(os.path.realpath(python))
+        if not os.path.isdir(site):
+            numpy_dir = os.path.dirname(np.__file__)
+            copies = [numpy_dir, numpy_dir + ".libs", os.path.dirname(iminfector.__file__)]
+            for source in filter(os.path.isdir, copies):
+                shutil.copytree(source, os.path.join(site, os.path.basename(source)),
+                                ignore=shutil.ignore_patterns("tests", "__pycache__"))
+            os.chmod(site, 0o755)
+        yield python, {**os.environ, "PYTHONPATH": site}
+
+
+@pytest.fixture(scope="module")
+def unprivileged(inputs):
+    """(argv prefix, environment, directory): the prefix, run in the
+    environment, starts a Python that imports the package as a user whom
+    file modes bind: setpriv's NOBODY where this process is root, who
+    reads and writes past them, and this process's user elsewhere. The
+    directory, which that user can reach, holds c.txt (mode 644),
+    secret.txt (mode 000), ro/ (mode 555) and rw/ (mode 777), and site/
+    where the Python is one of interpreters' copies."""
     prefix = []
     if os.geteuid() == 0:
         if shutil.which("setpriv") is None:
@@ -242,11 +273,19 @@ def unprivileged(inputs):
         for name, mode in (("ro", 0o555), ("rw", 0o777)):
             os.mkdir(os.path.join(root, name))
             os.chmod(os.path.join(root, name), mode)
-        proc = subprocess.run([*prefix, sys.executable, "-c", "import iminfector.cli"],
-                              env=package_env(), cwd=root, capture_output=True, timeout=120)
-        if proc.returncode:
-            pytest.skip(f"an unprivileged user cannot import the package: {proc.stderr[-200:]}")
-        yield prefix, root
+        tried = []
+        for python, env in interpreters(root):
+            proc = subprocess.run([*prefix, python, "-c", "import iminfector.cli"], env=env,
+                                  cwd=root, capture_output=True, text=True, timeout=120)
+            if proc.returncode == 0:
+                break
+            tried.append(f"{python}: {proc.stderr.strip()[-200:]}")
+        else:
+            if len(tried) == 1:
+                tried.append(f"no other python3.{sys.version_info.minor} in /usr/local/bin, "
+                             "/usr/bin or /bin")
+            pytest.skip("an unprivileged user cannot import the package: " + "; ".join(tried))
+        yield [*prefix, python], env, root
     finally:
         shutil.rmtree(root)
 
@@ -254,11 +293,9 @@ def unprivileged(inputs):
 def run_as(unprivileged, argv):
     """``iminfector argv`` in the unprivileged user's directory, as that
     user, with a native library cache it cannot make: (exit code, stderr)."""
-    from test_cli import package_env
-
-    prefix, root = unprivileged
-    env = {**package_env(), "XDG_CACHE_HOME": os.path.join(root, "ro", "cache")}
-    proc = subprocess.run([*prefix, sys.executable, "-m", "iminfector", *argv], env=env, cwd=root,
+    command, env, root = unprivileged
+    env = {**env, "XDG_CACHE_HOME": os.path.join(root, "ro", "cache")}
+    proc = subprocess.run([*command, "-m", "iminfector", *argv], env=env, cwd=root,
                           capture_output=True, text=True, timeout=300)
     return proc.returncode, proc.stderr
 
@@ -295,16 +332,16 @@ def test_unreadable_input_or_unwritable_output_is_exit_2(unprivileged, case):
     # file modes bind the unprivileged user only: as root the check proves
     # nothing
     argv, error = UNREACHABLE[case]
-    before = listing(unprivileged[1])
+    before = listing(unprivileged[2])
     code, err = run_as(unprivileged, argv)
     assert (code, err.splitlines()[-1]) == (2, f"iminfector {argv[0]}: error: {error}"), err
-    assert listing(unprivileged[1]) == before
+    assert listing(unprivileged[2]) == before
 
 
 def test_unprivileged_user_writes_where_it_may(unprivileged):
     # the same user reads c.txt and writes into rw/, and a missing --outdir
     # under it is made
-    root = unprivileged[1]
+    root = unprivileged[2]
     assert run_as(unprivileged, SPLIT) == (0, "")
     code, err = run_as(unprivileged, ["pipeline", "--cascades", "c.txt", "--outdir", "rw/new/run",
                                       *SMALL])
