@@ -251,8 +251,7 @@ static int find_numpy_own(PyObject *module)
  *
  * Every function keeps one contract on its arguments:
  *
- *   - numbers: an index is a Python int, read as -1 when it is negative or
- *     past long long; a real is a Python float; a generator is a numpy
+ *   - numbers: a real is a Python float; a generator is a numpy
  *     BitGenerator, read as the bitgen_t of its "BitGenerator" capsule,
  *     and private to the call, so the function takes no lock on it;
  *   - arrays: each is an aligned, C-contiguous buffer of its item kind and
@@ -278,8 +277,8 @@ static int find_numpy_own(PyObject *module)
 
 /* The kinds of argument: arrays of five kinds, whose struct formats and
  * item sizes follow (ROWS: float64 rows that may lie a stride apart), then
- * three kinds of number. */
-enum kind { BYTE, I32, I64, F64, ROWS, INDEX, REAL, GENERATOR };
+ * two kinds of number. */
+enum kind { BYTE, I32, I64, F64, ROWS, REAL, GENERATOR };
 static const char *const FORMATS[] = {"B", "i", "lq", "d", "d"};
 static const Py_ssize_t SIZE[] = {1, 4, 8, 8, 8};
 
@@ -292,7 +291,6 @@ struct param {
 
 /* A number argument, as its kind reads it. */
 union number {
-    long long index;
     double real;
     bitgen_t *generator;
 };
@@ -326,14 +324,7 @@ static int take_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
         return -1;
     }
     for (int k = 0; k < n; k++) {
-        if (param[k].kind == INDEX) {
-            /* a value past long long reads as -1 with overflow set */
-            int overflow;
-            const long long value = PyLong_AsLongLongAndOverflow(args[k], &overflow);
-            if (value == -1 && PyErr_Occurred())
-                return -1;
-            number[k].index = value < 0 ? -1 : value;
-        } else if (param[k].kind == REAL) {
+        if (param[k].kind == REAL) {
             number[k].real = PyFloat_AsDouble(args[k]);
             if (number[k].real == -1.0 && PyErr_Occurred())
                 return -1;
@@ -351,7 +342,7 @@ static int take_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
     for (int k = 0; k < n; k++) {
         const struct param *const p = &param[k];
         Py_buffer *const v = &view[k];
-        if (p->kind >= INDEX)
+        if (p->kind >= REAL)
             continue;
         const int strided = p->kind == ROWS,
                   flags = (strided ? PyBUF_STRIDES : PyBUF_C_CONTIGUOUS) | PyBUF_FORMAT |
@@ -371,7 +362,7 @@ static int take_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
     }
     for (int a = 0; a < n; a++)
         for (int b = 0; b < n; b++)
-            if (param[a].writable && a != b && param[b].kind < INDEX && overlap(&view[a], &view[b]))
+            if (param[a].writable && a != b && param[b].kind < REAL && overlap(&view[a], &view[b]))
                 return 1;
     return 0;
 }
@@ -383,30 +374,34 @@ static void release(Py_buffer *view, int n)
         PyBuffer_Release(&view[k]);
 }
 
-/* Whether all n entries of index are in [0, limit). */
-static int in_range(const int32_t *index, Py_ssize_t n, long long limit)
+/* The largest of floor and the n entries of index, or -1 if floor or an
+ * entry is negative. */
+static int64_t largest_index(const int32_t *index, Py_ssize_t n, int64_t floor)
 {
-    for (Py_ssize_t k = 0; k < n; k++)
-        if (index[k] < 0 || index[k] >= limit)
-            return 0;
-    return 1;
+    /* a min and a max, with no early exit, which gcc vectorizes */
+    int32_t min = 0, max = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        min = index[k] < min ? index[k] : min;
+        max = index[k] > max ? index[k] : max;
+    }
+    return min < 0 || floor < 0 ? -1 : max > floor ? max : floor;
 }
 
 /* ---- The training loop ----
  *
- * train_pairs(O, T, b_t, phi, grad, classify_losses, regress_losses,
- * influencer, size_target, offsets, context, lr, b_c, bound, bias_bound)
- * takes an epoch's pairs in stream order: cascade i's context pairs
- * (influencer[i], context[k]), k in offsets[i]:offsets[i+1], each as
- * model.step_classify takes it at rate lr with a workspace of these phi,
- * grad and bounds, then its size pair (influencer[i], size_target[i]), as
- * model.step_regress takes it from this b_c. It returns (stop, b_c, bound,
- * bias_bound): stop is the number of pairs, or ~k if stream pair k (k + i
- * for context k, offsets[i+1] + i for cascade i's size pair) proved a
- * value non-finite; b_c and the bounds are those its steps leave, the
- * bounds inf after a non-finite classify step. The losses go to
- * classify_losses[k] and regress_losses[i]. As in step_regress, a
- * non-finite size step has written O_u and b_c.
+ * train_pairs(O, T, b_t, b_c, classify_losses, regress_losses, influencer,
+ * size_target, offsets, context, lr) takes an epoch's pairs in stream
+ * order: cascade i's context pairs (influencer[i], context[k]), k in
+ * offsets[i]:offsets[i+1], each as model.step_classify takes it at rate lr
+ * with one workspace made for the call, then its size pair (influencer[i],
+ * size_target[i]), as model.step_regress takes it, with b_c[0] for the
+ * model's b_c. It returns stop, the number of pairs, or ~k if stream pair
+ * k (k + i for context k, offsets[i+1] + i for cascade i's size pair)
+ * proved a value non-finite. The losses go to classify_losses[k] and
+ * regress_losses[i]. As in step_regress, a non-finite size step has
+ * written O_u and b_c. Before each cascade the loop runs Python's signal
+ * handlers (PyErr_CheckSignals): if one raises, the call returns NULL with
+ * its exception set, every array as the cascades taken left it.
  *
  * A classify step makes step_classify's operations in its order. Where
  * the rounding is numpy's own it calls numpy's own functions directly, as
@@ -418,24 +413,26 @@ static int in_range(const int32_t *index, Py_ssize_t n, long long limit)
  * depend on the order: a NaN makes it NaN, and of a tie between +0 and -0
  * either serves, as exp(+-0) = 1. No step calls Python.
  *
- * A size step makes step_regress's operations in its order: O_u C by ddot
- * (grad holds the ones of C for the call), exp's loop on one entry, and
- * (y_c - phi_c) ** 2 by libm's pow, as numpy's scalar power calls it. The
- * rest is IEEE arithmetic on doubles, both branches of the sigmoid and a
- * NaN's way through them included.
+ * A size step makes step_regress's operations in its order: O_u C by ddot,
+ * exp's loop on one entry, and (y_c - phi_c) ** 2 by libm's pow, as
+ * numpy's scalar power calls it. The rest is IEEE arithmetic on doubles,
+ * both branches of the sigmoid and a NaN's way through them included.
  *
- * The finiteness proofs of a classify step are those of model.py, on the
- * bounds given. O_u is checked entry by entry, which is what its scaled
- * dot product proves.
+ * The finiteness proofs of a classify step are those of model.py, on
+ * bounds private to the call that start at inf, so that its first step
+ * scans T and b_t as a fresh workspace's does. O_u is checked entry by
+ * entry, which is what its scaled dot product proves.
  *
- * LOOP_ARGS lists the arguments: O, T, b_t, phi, grad and the losses are
- * writable float64 arrays of shapes (I, E), (E, N), (N), (N), (E), (n) and
- * (m), E and N at least 2, T's rows possibly strided (model.py pads each
- * to whole 64-byte lines); influencer holds m rows of O and offsets m + 1
+ * LOOP_ARGS lists the arguments: O, T, b_t, b_c and the losses are
+ * writable float64 arrays of shapes (I, E), (E, N), (N), (1), (n) and (m),
+ * E and N at least 2, T's rows possibly strided (model.py pads each to
+ * whole 64-byte lines); influencer holds m rows of O and offsets m + 1
  * offsets, from 0, non-decreasing, to n, both int64; size_target holds m
- * float64s; and context n int32 columns of T. For any other arrays the
- * loop takes no pair and returns None, so that the caller's steps take
- * the pairs; a call on an empty stream tells whether it takes the arrays.
+ * float64s; and context n int32 columns of T. For any other arrays, or if
+ * its scratch (phi, grad and the ones of C: N + 2E doubles) cannot be
+ * had, the loop takes no pair and returns None, so that the caller's
+ * steps take the pairs; a call on an empty stream tells whether it takes
+ * the arrays.
  */
 
 #define BOUND_LIMIT 1e300
@@ -454,16 +451,16 @@ static double max_abs(const double *x, size_t rows, size_t n, size_t ld)
     return max;
 }
 
-enum { O_, T_, B_T, PHI, GRAD, CLASSIFY_LOSSES, REGRESS_LOSSES, INFLUENCER, SIZE_TARGET,
-       CASCADE_OFFSETS, CONTEXT, LR, B_C, BOUND, BIAS_BOUND, N_LOOP_ARGS };
+enum { O_, T_, B_T, B_C, CLASSIFY_LOSSES, REGRESS_LOSSES, INFLUENCER, SIZE_TARGET,
+       CASCADE_OFFSETS, CONTEXT, LR, N_LOOP_ARGS };
 static const struct param LOOP_ARGS[N_LOOP_ARGS] = {
-    {F64, 2, 1}, {ROWS, 2, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1},
-    {I64, 1, 0}, {F64, 1, 0}, {I64, 1, 0}, {I32, 1, 0},
-    {REAL, 0, 0}, {REAL, 0, 0}, {REAL, 0, 0}, {REAL, 0, 0}};
+    {F64, 2, 1}, {ROWS, 2, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1}, {F64, 1, 1},
+    {I64, 1, 0}, {F64, 1, 0}, {I64, 1, 0}, {I32, 1, 0}, {REAL, 0, 0}};
 
 struct loop {
     const Py_buffer *view; /* train_pairs' arrays, taken */
-    double lr, b_c, bound, bias_bound;
+    double *phi, *grad, *ones; /* the call's scratch: N, E and E entries */
+    double lr, bound, bias_bound;
 };
 
 /* One classify step on pair (u, y), its loss into *loss: 1 if it proved
@@ -473,8 +470,8 @@ static int step(struct loop *s, size_t u, size_t y, double *loss)
     const Py_buffer *const view = s->view;
     const size_t E = (size_t)view[T_].shape[0], N = (size_t)view[T_].shape[1],
                  ld = (size_t)view[T_].strides[0] / sizeof(double);
-    double *const t = view[T_].buf, *const b_t = view[B_T].buf, *const phi = view[PHI].buf,
-                  *const grad = view[GRAD].buf, *const o_u = (double *)view[O_].buf + u * E;
+    double *const t = view[T_].buf, *const b_t = view[B_T].buf, *const phi = s->phi,
+                  *const grad = s->grad, *const o_u = (double *)view[O_].buf + u * E;
     vector_matrix(o_u, t, phi, E, N, ld);
     double max = -INFINITY;
     for (size_t j = 0; j < N; j++) {
@@ -523,10 +520,8 @@ static int size_step(struct loop *s, size_t u, double y_c, double *loss)
 {
     const Py_buffer *const view = s->view;
     const size_t E = (size_t)view[O_].shape[1];
-    double *const ones = view[GRAD].buf, *const o_u = (double *)view[O_].buf + u * E;
-    for (size_t i = 0; i < E; i++)
-        ones[i] = 1.0;
-    const double z = vector_vector(o_u, ones, E) + s->b_c;
+    double *const b_c = view[B_C].buf, *const o_u = (double *)view[O_].buf + u * E;
+    const double z = vector_vector(o_u, s->ones, E) + *b_c;
     double e = z >= 0.0 ? -z : z;
     unary(&numpy_own.exp, &e, &e, 1);
     const double phi_c = z >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
@@ -537,8 +532,8 @@ static int size_step(struct loop *s, size_t u, double y_c, double *loss)
         o_u[i] = o_u[i] - step;
         finite &= isfinite(o_u[i]) != 0;
     }
-    s->b_c = s->b_c - step;
-    return finite && isfinite(*loss) && isfinite(s->b_c);
+    *b_c = *b_c - step;
+    return finite && isfinite(*loss) && isfinite(*b_c);
 }
 
 /* Whether the arrays of view have matching shapes, E and N at least 2
@@ -552,19 +547,20 @@ static int fits_loop(const Py_buffer *view)
     const int64_t *const influencer = view[INFLUENCER].buf,
                   *const offsets = view[CASCADE_OFFSETS].buf;
     if (!(t[0] >= 2 && t[1] >= 2 && o[1] == t[0] && view[B_T].shape[0] == t[1] &&
-          view[PHI].shape[0] == t[1] && view[GRAD].shape[0] == t[0] &&
-          view[CLASSIFY_LOSSES].shape[0] == n && view[REGRESS_LOSSES].shape[0] == m &&
-          view[SIZE_TARGET].shape[0] == m && view[CASCADE_OFFSETS].shape[0] == m + 1 &&
-          offsets[0] == 0 && offsets[m] == n))
+          view[B_C].shape[0] == 1 && view[CLASSIFY_LOSSES].shape[0] == n &&
+          view[REGRESS_LOSSES].shape[0] == m && view[SIZE_TARGET].shape[0] == m &&
+          view[CASCADE_OFFSETS].shape[0] == m + 1 && offsets[0] == 0 && offsets[m] == n))
         return 0;
     for (Py_ssize_t i = 0; i < m; i++)
         if (offsets[i + 1] < offsets[i] || influencer[i] < 0 || influencer[i] >= o[0])
             return 0;
-    return in_range(view[CONTEXT].buf, n, t[1]);
+    /* a negative context reads as -1, which wraps past every column */
+    return (uint64_t)largest_index(view[CONTEXT].buf, n, 0) < (uint64_t)t[1];
 }
 
 /* Takes the stream's pairs in order; where it stopped, as train_pairs
- * returns it. */
+ * returns it, or PY_SSIZE_T_MIN, which no stop is, with a Python error set
+ * if a signal handler raised. */
 static Py_ssize_t run(struct loop *s)
 {
     const Py_buffer *const view = s->view;
@@ -575,12 +571,12 @@ static Py_ssize_t run(struct loop *s)
     double *const classify = view[CLASSIFY_LOSSES].buf, *const regress = view[REGRESS_LOSSES].buf;
     const Py_ssize_t m = view[INFLUENCER].shape[0];
     for (Py_ssize_t i = 0; i < m; i++) {
+        if (PyErr_CheckSignals() < 0)
+            return PY_SSIZE_T_MIN;
         const size_t u = (size_t)influencer[i];
         for (int64_t k = offsets[i]; k < offsets[i + 1]; k++)
-            if (!step(s, u, (size_t)context[k], &classify[k])) {
-                s->bound = s->bias_bound = INFINITY;
+            if (!step(s, u, (size_t)context[k], &classify[k]))
                 return ~(Py_ssize_t)(k + i);
-            }
         if (!size_step(s, u, size_target[i], &regress[i]))
             return ~(Py_ssize_t)(offsets[i + 1] + i);
     }
@@ -594,17 +590,21 @@ static PyObject *train_pairs(PyObject *Py_UNUSED(module), PyObject *const *args,
     const int taken = take_args("train_pairs", args, nargs, LOOP_ARGS, N_LOOP_ARGS, view, number);
     if (taken < 0)
         return NULL;
+    const int fits = !taken && numpy_own.dgemv && fits_loop(view);
+    const size_t E = fits ? (size_t)view[T_].shape[0] : 0, N = fits ? (size_t)view[T_].shape[1] : 0;
+    double *const scratch = fits ? malloc((N + 2 * E) * sizeof *scratch) : NULL;
     PyObject *result;
-    if (taken || !numpy_own.dgemv || !fits_loop(view)) {
+    if (!scratch) {
         result = Py_NewRef(Py_None);
     } else {
-        struct loop s = {view, number[LR].real, number[B_C].real, number[BOUND].real,
-                         number[BIAS_BOUND].real};
-        /* the stop first: C leaves the order of a call's arguments open,
-         * and the values to return are those the steps leave */
+        struct loop s = {view, scratch, scratch + N, scratch + N + E, number[LR].real, INFINITY,
+                         INFINITY};
+        for (size_t i = 0; i < E; i++)
+            s.ones[i] = 1.0;
         const Py_ssize_t stop = run(&s);
-        result = Py_BuildValue("(nddd)", stop, s.b_c, s.bound, s.bias_bound);
+        result = stop == PY_SSIZE_T_MIN ? NULL : PyLong_FromSsize_t(stop);
     }
+    free(scratch);
     release(view, N_LOOP_ARGS);
     return result;
 }
@@ -1210,33 +1210,32 @@ static PyObject *write_cascades(PyObject *Py_UNUSED(module), PyObject *const *ar
 /* ---- Canonical events ----
  *
  * canonical_events(initiator, offsets, node_idx, times, out_offsets,
- * out_node_idx, out_times, n_ids) puts the raw cascades of build_corpus in
+ * out_node_idx, out_times) puts the raw cascades of build_corpus in
  * canonical form: per cascade, its events sorted by time, stably, so that
  * equal times keep their input order as np.lexsort keeps them; of each
  * node only its first event in that order; and none of the initiator. The
  * cascades' events go to out_node_idx and out_times, compacted, cascade i's
  * at out_offsets[i]:out_offsets[i+1]. Each cascade is copied into room
  * for the longest one, and sorted there (sort_events) only if its times
- * descend somewhere. Each id carries a stamp, as in the scanner: the
- * initiator is stamped first, and an event whose id already carries its
- * cascade's stamp is dropped. So the pass is linear in the events, and
- * needs no room of the corpus's size. An edge list takes the same pass,
+ * descend somewhere. Each index up to the largest given carries a stamp,
+ * as in the scanner: the initiator is stamped first, and an event whose id
+ * already carries its cascade's stamp is dropped. So the pass is linear in
+ * the events, and needs no room of the corpus's size. An edge list takes the same pass,
  * each source's edges one cascade of ascending times (see _distinct_edges
  * in cascades.py), which drops its self-loops and repeated pairs.
  *
- * initiator and node_idx are int32 arrays of indices into an id table of
- * n_ids ids, and out_node_idx an int32 array; offsets, times and their
- * outputs are int64, all one-dimensional. offsets, one more than the
- * cascades, ascend from 0 to len(node_idx) = len(times), and each output
- * is as long as its input. It returns the number of events it kept, or
- * -1, having written nothing, for arrays it cannot take, an index out of
- * range or a lack of memory. */
+ * initiator and node_idx are int32 arrays of indices into an id table,
+ * and out_node_idx an int32 array; offsets, times and their outputs are
+ * int64, all one-dimensional. offsets, one more than the cascades, ascend
+ * from 0 to len(node_idx) = len(times), and each output is as long as its
+ * input. It returns the number of events it kept, or -1, having written
+ * nothing, for arrays it cannot take, a negative index or a lack of
+ * memory. */
 
 enum { C_INITIATOR, C_OFFSETS, C_NODE_IDX, C_TIMES, C_OUT_OFFSETS, C_OUT_NODE_IDX, C_OUT_TIMES,
-       C_N_IDS, N_CANONICAL };
+       N_CANONICAL };
 static const struct param CANONICAL_ARGS[N_CANONICAL] = {
-    {I32, 1, 0}, {I64, 1, 0}, {I32, 1, 0}, {I64, 1, 0},
-    {I64, 1, 1}, {I32, 1, 1}, {I64, 1, 1}, {INDEX, 0, 0}};
+    {I32, 1, 0}, {I64, 1, 0}, {I32, 1, 0}, {I64, 1, 0}, {I64, 1, 1}, {I32, 1, 1}, {I64, 1, 1}};
 
 struct event {
     int64_t time;
@@ -1287,9 +1286,10 @@ static struct event *sort_events(struct event *a, struct event *b, size_t m)
     return a;
 }
 
-/* Whether the arrays of view are those canonical_events takes, with n_ids
- * ids; if so, the longest cascade in *longest. */
-static int fits_canonical(const Py_buffer *view, long long n_ids, Py_ssize_t *longest)
+/* Whether the arrays of view are those canonical_events takes; if so, the
+ * number of ids, 1 + the largest index, in *n_ids and the longest cascade
+ * in *longest. */
+static int fits_canonical(const Py_buffer *view, int64_t *n_ids, Py_ssize_t *longest)
 {
     const int64_t *const offsets = view[C_OFFSETS].buf;
     const Py_ssize_t cascades = view[C_INITIATOR].shape[0], events = view[C_TIMES].shape[0];
@@ -1305,8 +1305,9 @@ static int fits_canonical(const Py_buffer *view, long long n_ids, Py_ssize_t *lo
         if (offsets[i + 1] - offsets[i] > *longest)
             *longest = (Py_ssize_t)(offsets[i + 1] - offsets[i]);
     }
-    return in_range(view[C_INITIATOR].buf, cascades, n_ids) &&
-           in_range(view[C_NODE_IDX].buf, events, n_ids);
+    *n_ids = largest_index(view[C_INITIATOR].buf, cascades,
+                           largest_index(view[C_NODE_IDX].buf, events, 0)) + 1;
+    return *n_ids > 0;
 }
 
 /* Writes the canonical events of view's cascades, fitted, with a stamp per
@@ -1345,17 +1346,15 @@ static PyObject *canonical_events(PyObject *Py_UNUSED(module), PyObject *const *
                                   Py_ssize_t nargs)
 {
     Py_buffer view[N_CANONICAL] = {{0}};
-    union number number[N_CANONICAL];
     const int taken =
-        take_args("canonical_events", args, nargs, CANONICAL_ARGS, N_CANONICAL, view, number);
+        take_args("canonical_events", args, nargs, CANONICAL_ARGS, N_CANONICAL, view, NULL);
     if (taken < 0)
         return NULL;
-    const long long n_ids = number[C_N_IDS].index;
     Py_ssize_t longest = 0;
-    int64_t kept = -1, *stamp = NULL;
+    int64_t n_ids = 0, kept = -1, *stamp = NULL;
     struct event *room = NULL;
-    if (!taken && n_ids >= 0 && fits_canonical(view, n_ids, &longest) &&
-        (stamp = calloc(n_ids ? (size_t)n_ids : 1, sizeof *stamp)) != NULL &&
+    if (!taken && fits_canonical(view, &n_ids, &longest) &&
+        (stamp = calloc((size_t)n_ids, sizeof *stamp)) != NULL &&
         (room = malloc(2 * (size_t)(longest ? longest : 1) * sizeof *room)) != NULL)
         kept = write_canonical(view, stamp, room, (size_t)longest);
     free(room);
@@ -1382,8 +1381,8 @@ static int exec_module(PyObject *module)
 
 static PyMethodDef methods[] = {
     {"train_pairs", (PyCFunction)(void (*)(void))train_pairs, METH_FASTCALL,
-     "train_pairs(O, T, b_t, phi, grad, classify_losses, regress_losses, influencer, "
-     "size_target, offsets, context, lr, b_c, bound, bias_bound)"},
+     "train_pairs(O, T, b_t, b_c, classify_losses, regress_losses, influencer, size_target, "
+     "offsets, context, lr)"},
     {"draw_contexts", (PyCFunction)(void (*)(void))draw_contexts, METH_FASTCALL,
      "draw_contexts(start, offsets, node_idx, times, draws, context, bit_generator)"},
     {"scan_cascades", (PyCFunction)(void (*)(void))scan_cascades, METH_FASTCALL,
@@ -1394,7 +1393,7 @@ static PyMethodDef methods[] = {
      "write_cascades(id_bytes, initiator, start, offsets, node_idx, times, id_bounds)"},
     {"canonical_events", (PyCFunction)(void (*)(void))canonical_events, METH_FASTCALL,
      "canonical_events(initiator, offsets, node_idx, times, out_offsets, out_node_idx, "
-     "out_times, n_ids)"},
+     "out_times)"},
     {NULL, NULL, 0, NULL},
 };
 

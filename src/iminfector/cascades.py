@@ -203,7 +203,7 @@ def _canonical_events(n_ids, initiator, offsets, node_idx, times):
     lib = _native.load()
     if lib is not None:
         out = np.empty_like(offsets), np.empty_like(node_idx), np.empty_like(times)
-        kept = lib.canonical_events(initiator, offsets, node_idx, times, *out, n_ids)
+        kept = lib.canonical_events(initiator, offsets, node_idx, times, *out)
         if kept >= 0:
             return out[0], out[1][:kept], out[2][:kept]
     return _numpy_events(n_ids, initiator, offsets, node_idx, times)

@@ -22,7 +22,8 @@ C, the float64 inner loops of np.exp (numpy's SIMD exp, on an array or a
 scalar), np.add in reduce form (the softmax's denominator, pairwise
 summation) and np.log (the loss), found by the library when it loads, and
 libm's pow for the size loss. A C loop of its own cannot match those
-bitwise. No Python runs within a call.
+bitwise. No Python runs within a call but the signal handlers, which it
+runs before each cascade: a KeyboardInterrupt, say, ends the call there.
 
 Every other operation is element-wise or scalar, and an IEEE add,
 subtract, multiply or divide rounds the same in C as in numpy: + b_t,
@@ -79,12 +80,12 @@ exact:
   +-inf logit makes the softmax denominator s NaN, and with it every
   phi_j. Otherwise every exp(z - max z) lies in [0, 1] and s >= 1, so
   every |g_j| <= 1;
-- the StepWorkspace keeps upper bounds on max|T| and max|b_t|, which both
-  paths read and update (the C loop is given them and returns them).
-  With |g_j| <= 1 a step moves T by at most lr * max|O_u| and b_t by at
-  most lr, so the bounds grow by that much. T or b_t is scanned only when
-  its bound reaches 1e300 (both start at inf, so the first step scans),
-  and the bound is then reset to the exact maximum;
+- the StepWorkspace of the numpy steps, and the C loop for its call, keep
+  upper bounds on max|T| and max|b_t|. With |g_j| <= 1 a step moves T by
+  at most lr * max|O_u| and b_t by at most lr, so the bounds grow by that
+  much. T or b_t is scanned only when its bound reaches 1e300 (both start
+  at inf, so the first step scans), and the bound is then reset to the
+  exact maximum;
 - O_u is finite iff its dot product with a vector of 2**-60 is. Scaling
   by a power of two keeps +-inf and NaN, and the scaled entries are below
   2**964, so the sum of E < 2**60 of them cannot overflow. Unlike a plain
@@ -250,10 +251,10 @@ _REGRESS_FAILED = "regression step produced a non-finite value"
 class StepWorkspace:
     """Buffers and the max|T|, max|b_t| bounds that consecutive classify steps share.
 
-    Valid only while T and b_t change through step_classify calls, or C
-    loop runs, given this workspace. Both bounds start at inf, which makes
-    the first step scan T and b_t; a step that raises NonFiniteUpdate sets
-    them back to inf.
+    Valid only while T and b_t change through step_classify calls given
+    this workspace. Both bounds start at inf, which makes the first step
+    scan T and b_t; a step that raises NonFiniteUpdate sets them back to
+    inf.
     """
 
     def __init__(self, model):
@@ -372,20 +373,19 @@ def _same_bits(a, b):
     )
 
 
-def _take_stream(lib, model, ws, stream, lr, classify, regress):
+def _take_stream(lib, model, stream, lr, classify, regress):
     """The C loop of ``lib`` on every pair of ``stream``, checked, with the
-    arrays of ``model`` and ``ws``, the losses into ``classify`` and
-    ``regress``: the number of pairs, or ~k if stream pair k proved a value
-    non-finite, with model.b_c and the workspace's bounds set to those its
-    steps leave; None, having taken no pair, if the loop refuses the
-    arrays."""
-    taken = lib.train_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, classify, regress,
-                            stream.influencer, stream.size_target, stream.offsets, stream.context,
-                            lr, model.b_c, ws.bound, ws.bias_bound)
-    if taken is None:
-        return None
-    stop, model.b_c, ws.bound, ws.bias_bound = taken
-    return stop
+    arrays of ``model``, the losses into ``classify`` and ``regress``: the
+    number of pairs, or ~k if stream pair k proved a value non-finite;
+    None, having taken no pair, if the loop refuses the arrays. model.b_c
+    is what the steps taken leave, also when a signal handler raises."""
+    b_c = np.array([model.b_c])
+    try:
+        return lib.train_pairs(model.O, model.T, model.b_t, b_c, classify, regress,
+                               stream.influencer, stream.size_target, stream.offsets,
+                               stream.context, lr)
+    finally:
+        model.b_c = float(b_c[0])
 
 
 def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
@@ -430,7 +430,7 @@ def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
             except NonFiniteUpdate:
                 want_stop = ~(len(want_classify) + len(want_regress))
             classify, regress = np.full(len(stream.context), np.nan), np.full(len(influencer), np.nan)
-            stop = _take_stream(lib, got, StepWorkspace(got), stream, lr, classify, regress)
+            stop = _take_stream(lib, got, stream, lr, classify, regress)
             if not (
                 stop == want_stop  # not None, where the loop refuses the arrays
                 and _same_bits(classify[: len(want_classify)], want_classify)
@@ -482,26 +482,26 @@ def _sgd_numpy():
         np.setbufsize(old_bufsize)
 
 
-def _run_epoch(model, stream, lr, workspace, lib, epoch):
+def _run_epoch(model, stream, lr, lib, epoch):
     """Take every pair of ``stream`` in order; return the losses of its
     classify pairs and of its size pairs, each in stream order, and
     whether the C loop took them.
 
     With ``lib`` the C loop takes the whole stream in one call. Where it
     refuses the arrays, or without it, step_classify takes each context
-    pair and step_regress each size pair. A non-finite step raises
-    NonFiniteUpdate with ``epoch`` and the pair's index in the stream as
-    its step.
+    pair, with one workspace for the epoch, and step_regress each size
+    pair. A non-finite step raises NonFiniteUpdate with ``epoch`` and the
+    pair's index in the stream as its step.
     """
     classify, regress = np.empty(len(stream.context)), np.empty(len(stream.influencer))
-    stop = None if lib is None else _take_stream(lib, model, workspace, stream, lr, classify,
-                                                  regress)
+    stop = None if lib is None else _take_stream(lib, model, stream, lr, classify, regress)
     if stop is not None:
         if stop < 0:
             size_pairs = stream.offsets[1:] + np.arange(len(regress))
             failed = _REGRESS_FAILED if ~stop in size_pairs else _CLASSIFY_FAILED
             raise NonFiniteUpdate(failed, epoch=epoch, step=~stop)
         return classify, regress, True
+    workspace = StepWorkspace(model)
     context, offsets = stream.context.tolist(), stream.offsets.tolist()
     cascades = zip(stream.influencer.tolist(), stream.size_target.tolist(), offsets, offsets[1:])
     for i, (u, y_c, a, b) in enumerate(cascades):
@@ -568,7 +568,6 @@ def train(model, stream_producer, config):
     """
     report = TrainReport()
     lr = config.learning_rate
-    workspace = StepWorkspace(model)
     lib = _epoch_loop(model)
     looped = lib is not None
     for epoch in range(config.epochs):
@@ -580,8 +579,7 @@ def train(model, stream_producer, config):
         if epoch == 0:
             report.stream_draws = stream.draws
         with _sgd_numpy():
-            classify_losses, regress_losses, took = _run_epoch(model, stream, lr, workspace, lib,
-                                                               epoch)
+            classify_losses, regress_losses, took = _run_epoch(model, stream, lr, lib, epoch)
         looped = looped and took
         report.classify_loss.append(
             float(np.mean(classify_losses)) if len(classify_losses) else 0.0

@@ -10,7 +10,7 @@ import pytest
 from iminfector import _native
 from iminfector import model as model_module
 from iminfector.context import TrainingStream
-from iminfector.model import InfectorModel, StepWorkspace
+from iminfector.model import InfectorModel
 
 
 @pytest.fixture(scope="session")
@@ -41,8 +41,7 @@ def _runs_numpy_calls(lib):
     model = InfectorModel(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros(2), 0.0, np.ones(2), [], [])
     i64, i32, f64 = (np.empty(0, dtype=t) for t in (np.int64, np.int32, np.float64))
     empty = TrainingStream(i64, f64, np.zeros(1, dtype=np.int64), i32)
-    stop = model_module._take_stream(lib, model, StepWorkspace(model), empty, 0.0, f64.copy(),
-                                     f64.copy())
+    stop = model_module._take_stream(lib, model, empty, 0.0, f64.copy(), f64.copy())
     return (stop is not None
             and lib.draw_contexts(i64, np.zeros(1, dtype=np.int64), i32, i64, i64, i32.copy(),
                                   np.random.default_rng(0).bit_generator))

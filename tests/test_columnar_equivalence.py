@@ -636,11 +636,11 @@ def test_build_corpus_skips_the_sort_of_events_in_time_order(monkeypatch):
 
 def canonical_args(raw):
     """canonical_events's arrays for build_corpus's arguments ``raw``, its
-    outputs filled with -7, and its id count."""
-    ids, initiator, _, offsets, node_idx, times = raw
+    outputs filled with -7."""
+    _, initiator, _, offsets, node_idx, times = raw
     arrays = [np.asarray(initiator, np.int32), np.asarray(offsets, np.int64),
               np.asarray(node_idx, np.int32), np.asarray(times, np.int64)]
-    return [*arrays, *(np.full_like(a, -7) for a in arrays[1:]), len(ids)]
+    return [*arrays, *(np.full_like(a, -7) for a in arrays[1:])]
 
 
 CANONICAL_RAW = (["a", "b", "c", "d"], [0, 1, 3], [0, 0, 0], np.array([0, 4, 4, 22]),
@@ -650,7 +650,7 @@ CANONICAL_RAW = (["a", "b", "c", "d"], [0, 1, 3], [0, 0, 0], np.array([0, 4, 4, 
 def canonical_misfits():
     """canonical_events arguments it refuses, by what is wrong with them."""
     args = canonical_args(CANONICAL_RAW)
-    _, offsets, node_idx, times, out_offsets, out_node_idx, out_times, _ = args
+    _, offsets, node_idx, times, out_offsets, out_node_idx, out_times = args
 
     def change(k, value):
         return [*args[:k], value, *args[k + 1 :]]
@@ -658,7 +658,6 @@ def canonical_misfits():
     read_only = out_times.copy()
     read_only.setflags(write=False)
     return {
-        "node index past the ids": change(7, 3),
         "negative node index": change(2, np.where(node_idx == 3, -1, node_idx).astype(np.int32)),
         "negative initiator": change(0, np.array([0, -1, 3], np.int32)),
         "offsets descending": change(1, np.array([0, 4, 3, 22])),
@@ -674,8 +673,6 @@ def canonical_misfits():
         "out_times is times": change(6, times),
         "out_node_idx over out_times": change(5, out_times.view(np.int32)[: len(node_idx)]),
         "2-D out_offsets": change(4, out_offsets.reshape(1, -1)),
-        "negative id count": change(7, -1),
-        "id count past 64 bits": change(7, 2**70),
     }
 
 
@@ -695,14 +692,15 @@ def assert_canonical_events_kept(lib, raw):
     arguments ``raw``, as the numpy path does."""
     args = canonical_args(raw)
     kept = lib.canonical_events(*args)
-    want = cascades._numpy_events(*[args[7], *args[:4]])
+    want = cascades._numpy_events(len(raw[0]), *args[:4])
     assert [args[4].tolist(), args[5][:kept].tolist(), args[6][:kept].tolist()] == [
         w.tolist() for w in want]
 
 
 def assert_canonical_events_checked(lib):
     """canonical_events keeps the canonical events of each raw, as the
-    numpy path does, and refuses each misfit with -1, writing nothing."""
+    numpy path does, and refuses each misfit with -1, writing nothing. It
+    takes 7 arrays and no number."""
     for raw in canonical_raws():
         assert_canonical_events_kept(lib, raw)
     args = canonical_args(CANONICAL_RAW)
@@ -711,7 +709,7 @@ def assert_canonical_events_checked(lib):
         assert lib.canonical_events(*misfit) == -1, what
         for before, after in zip(outputs, misfit[4:7]):
             np.testing.assert_array_equal(before, after, err_msg=what)
-    for bad in (args[:-1], [*args[:-1], 4.0]):
+    for bad in (args[:-1], [*args, len(CANONICAL_RAW[0])]):
         with pytest.raises(TypeError):
             lib.canonical_events(*bad)
 

@@ -17,7 +17,7 @@ from iminfector import _native
 from iminfector import model as model_module
 from iminfector.cli import main
 from iminfector.context import TrainingStream
-from iminfector.model import InfectorModel, StepWorkspace, _sgd_numpy
+from iminfector.model import InfectorModel, _sgd_numpy
 from test_context import draw_args
 
 
@@ -71,11 +71,10 @@ def test_pipeline_is_identical_when_a_direct_function_is_missing(tmp_path, monke
     assert not runs_numpy_calls(lib) and lib.blas_core == direct_library.blas_core
     # both calls refuse arrays they would take with every function found
     model = shaped_model(3, 13)
-    ws = StepWorkspace(model)
     classify, regress = np.full(1, np.nan), np.full(1, np.nan)
     stream = TrainingStream(np.zeros(1, dtype=np.int64), np.full(1, 0.5),
                             np.array([0, 1], dtype=np.int64), np.zeros(1, dtype=np.int32))
-    assert model_module._take_stream(lib, model, ws, stream, 0.1, classify, regress) is None
+    assert model_module._take_stream(lib, model, stream, 0.1, classify, regress) is None
     assert np.isnan(classify).all() and np.isnan(regress).all()
     args = draw_args()
     assert direct_library.draw_contexts(*draw_args()) is True

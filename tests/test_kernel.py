@@ -359,18 +359,19 @@ def test_source_compiles_without_warnings(tmp_path):
 # the edge lists of test_edge_io.py, the arrays too short, of the wrong
 # kind or sharing memory among them, and the canonical logs and their
 # mutations; over the canonical events of test_columnar_equivalence.py and
-# the misfits it refuses, an index out of range and offsets that descend
-# among them, and over the edge lists of test_edge_io.py kept distinct
-# through canonical_events, with empty and 3,000-edge cascades; over the C
-# loop's self-check at the model shapes SHAPES, its argument errors and the
+# the misfits it refuses, a negative index and offsets that descend among
+# them, and over the edge lists of test_edge_io.py kept distinct through
+# canonical_events, with empty and 3,000-edge cascades; over the C loop's
+# self-check at the model shapes SHAPES, its argument errors and the
 # context draws of test_context.py, counts of draws that are not multiples
 # of 8 among them, on arrays that fit and on those draw_contexts refuses,
 # each taken where the session's library runs numpy's own functions
-# (argv[2]) and refused elsewhere; and, where it runs them, over the bounds
-# the loop returns, the streams of EPOCH_STREAMS (one taken to its last
-# pair, a size pair; one whose first size step is non-finite; one whose
-# first cascade has no contexts) and the arrays it refuses (None) and
-# takes (the empty stream's call). Then, on inputs drawn the same way each
+# (argv[2]) and refused elsewhere; and, where it runs them, over the b_c
+# the loop writes in place, the streams of EPOCH_STREAMS (one taken to its
+# last pair, a size pair; one whose first size step is non-finite; one
+# whose first cascade has no contexts), the arrays it refuses (None) and
+# takes (the empty stream's call), and an epoch's call that a raising
+# signal handler ends between cascades. Then, on inputs drawn the same way each
 # run, it reads test_text_fuzz.py's mutations of its cascade and edge files
 # through the scanners, load_cascades and load_edges, against
 # parse_cascades and parse_edges, each text copied first into a buffer of
@@ -396,6 +397,7 @@ SANITIZED_SCRIPT = textwrap.dedent(
     import test_columnar_equivalence as equivalence
     import test_edge_io as edge_io
     import test_kernel as kernel
+    import test_model
     import test_text_fuzz as text_fuzz
 
     SHAPES = ((2, 2), (3, 13), (50, 300), (7, 2930))
@@ -429,11 +431,12 @@ SANITIZED_SCRIPT = textwrap.dedent(
         for shape in SHAPES:
             assert model._loop_matches_at(lib, *shape) == runs
         if runs:
-            kernel.assert_bounds_returned(lib)
+            kernel.assert_b_c_written_in_place(lib)
             kernel.assert_padded_rows_in_bounds(lib)
             kernel.assert_epoch_streams_taken(lib)
     if runs:
         kernel.assert_misfits_refused(lib)
+        test_model.assert_interrupted_between_cascades(0.1, 1.0, 0.5)
     kernel.assert_argument_errors(lib)
     for seed, draws in enumerate((None, [17, 8, 0, 9], [7, 16, 1, 15])):
         args = context.draw_args(seed, draws)
@@ -770,17 +773,19 @@ def test_kernel_workspace_takes_numpy_update_when_arrays_change(direct_library, 
         assert (ws.update is None) == (s < 2)
 
 
-def loop_args(model, ws, stream, classify, regress, lr=0.1):
-    """train_pairs' arguments on the arrays of ``model``, ``ws`` and
-    ``stream``, the losses into ``classify`` and ``regress``."""
-    return (model.O, model.T, model.b_t, ws.phi, ws.grad, classify, regress, stream.influencer,
-            stream.size_target, stream.offsets, stream.context, lr, model.b_c, ws.bound,
-            ws.bias_bound)
+def loop_args(model, b_c, stream, classify, regress, lr=0.1):
+    """train_pairs' arguments on the arrays of ``model`` and ``stream``,
+    ``b_c`` for the model's b_c, the losses into ``classify`` and
+    ``regress``."""
+    return (model.O, model.T, model.b_t, b_c, classify, regress, stream.influencer,
+            stream.size_target, stream.offsets, stream.context, lr)
 
 
-# The misfits of the stream and the losses: the loop refuses them, but
-# takes the model's and the workspace's arrays.
+# The misfits of b_c, the stream and the losses: the loop refuses them, but
+# takes the model's arrays.
 STREAM_MISFITS = (
+    "b_c of length 0", "b_c of length 2", "float32 b_c", "read-only b_c", "b_c inside O",
+    "b_c inside the classify losses", "b_c inside T's padding",
     "int64 context", "a context past the columns of T", "a negative context",
     "classify losses over context", "int32 influencer", "an influencer past the rows of O",
     "a negative influencer", "float32 size_target", "regress losses over size_target",
@@ -799,12 +804,12 @@ def strided_t(row_stride):
 
 
 def loop_misfits():
-    """(what, model, ws, stream, classify, regress) for each set of
-    arguments the C loop cannot take: the model's arrays, the workspace's,
-    the stream's or the losses. Each writable array shares memory with
-    another argument in one case. Then the arguments it takes: the model
-    as init_model makes it, T's rows 16 entries apart, and the same model
-    with a packed T. The stream is two cascades, of influencers 1 and 0."""
+    """(what, model, b_c, stream, classify, regress) for each set of
+    arguments the C loop cannot take: the model's arrays, b_c, the
+    stream's or the losses. Each writable array shares memory with another
+    argument in one case. Then the arguments it takes: the model as
+    init_model makes it, T's rows 16 entries apart, and the same model with
+    a packed T. The stream is two cascades, of influencers 1 and 0."""
     rng = np.random.default_rng(47)
     base = random_model(rng, 3, 9, 4)
     shared = np.zeros(3 * 4 + 4 * 9)
@@ -817,6 +822,7 @@ def loop_misfits():
     context_and_losses = np.array([1, 2, 3, 0, 0, 0], dtype=np.int32)
     # two size targets, and two losses over the second and past it
     targets_and_losses = np.array([0.25, 0.75, 0.0])
+    classify_losses = np.full(3, np.nan)
     misfits = {
         "T in Fortran order": dict(T=np.asfortranarray(base.T)),
         "T's rows overlapping": dict(T=strided_t(64)),
@@ -825,14 +831,19 @@ def loop_misfits():
         # refused by its format too: numpy exports rows not all aligned as "=d"
         "T's rows 76 bytes apart": dict(T=strided_t(76)),
         "b_t in T's padding": dict(T=wide[:, :9], b_t=wide[2, 9:]),
-        "phi in T's padding": dict(T=wide[:, :9], phi=wide[2, 9:]),
         "float32 b_t": dict(b_t=base.b_t.astype(np.float32)),
         "strided O": dict(O=np.repeat(base.O, 2, axis=0)[::2]),
         "read-only T": dict(T=np.frombuffer(base.T.tobytes()).reshape(4, 9)),
         "O and T overlap": dict(O=shared[:12].reshape(3, 4), T=shared[11:47].reshape(4, 9)),
         "T and b_t overlap": dict(T=shared[:36].reshape(4, 9), b_t=shared[30:39]),
         "b_t too short": dict(b_t=base.b_t[:8].copy()),
-        "phi and grad overlap": dict(phi=shared[:9], grad=shared[5:9]),
+        "b_c of length 0": dict(b_c=np.empty(0)),
+        "b_c of length 2": dict(b_c=np.zeros(2)),
+        "float32 b_c": dict(b_c=np.zeros(1, dtype=np.float32)),
+        "read-only b_c": dict(b_c=np.frombuffer(np.zeros(1).tobytes())),
+        "b_c inside O": dict(O=shared[:12].reshape(3, 4), b_c=shared[5:6]),
+        "b_c inside the classify losses": dict(classify=classify_losses, b_c=classify_losses[2:]),
+        "b_c inside T's padding": dict(T=wide[:, :9], b_c=wide[1, 12:13]),
         "int64 context": dict(context=stream["context"].astype(np.int64)),
         "a context past the columns of T": dict(context=np.array([1, 9, 3], dtype=np.int32)),
         "a negative context": dict(context=np.array([1, 2, -1], dtype=np.int32)),
@@ -859,43 +870,42 @@ def loop_misfits():
     assert set(STREAM_MISFITS) <= set(misfits)
     for what, arrays in misfits.items():
         model = copy_model(base)
-        ws = StepWorkspace(model)
-        pairs = dict(stream, classify=np.full(3, np.nan), regress=np.full(2, np.nan))
+        pairs = dict(stream, b_c=np.array([base.b_c]), classify=np.full(3, np.nan),
+                     regress=np.full(2, np.nan))
         for name, value in arrays.items():
             if name in pairs:
                 pairs[name] = value
             else:
-                setattr(ws if name in ("phi", "grad") else model, name, value)
-        classify, regress = pairs.pop("classify"), pairs.pop("regress")
-        yield what, model, ws, TrainingStream(**pairs), classify, regress
+                setattr(model, name, value)
+        b_c, classify, regress = (pairs.pop(name) for name in ("b_c", "classify", "regress"))
+        yield what, model, b_c, TrainingStream(**pairs), classify, regress
     assert base.T.strides == (128, 8)
     for what, model in (("fits", base), ("fits, T packed", copy_model(base))):
-        yield (what, model, StepWorkspace(model), TrainingStream(**stream), np.full(3, np.nan),
+        yield (what, model, np.array([base.b_c]), TrainingStream(**stream), np.full(3, np.nan),
                np.full(2, np.nan))
 
 
-def stream_arrays(stream, classify, regress):
-    """The stream's arrays and the losses."""
-    return stream.influencer, stream.size_target, stream.offsets, stream.context, classify, regress
+def stream_arrays(b_c, stream, classify, regress):
+    """b_c, the stream's arrays and the losses."""
+    return b_c, stream.influencer, stream.size_target, stream.offsets, stream.context, classify, regress
 
 
 def assert_misfits_refused(lib):
     """train_pairs takes the pairs of arrays that fit, and returns None for
     each misfit, having taken no pair and changed nothing; its call on an
-    empty stream tells the two apart for the model's and workspace's
-    arrays."""
-    for what, model, ws, stream, classify, regress in loop_misfits():
+    empty stream tells the two apart for the model's arrays."""
+    for what, model, b_c, stream, classify, regress in loop_misfits():
         before = copy_model(model)
-        arrays = [a.copy() for a in stream_arrays(stream, classify, regress)]
-        taken = lib.train_pairs(*loop_args(model, ws, stream, classify, regress))
+        arrays = [a.copy() for a in stream_arrays(b_c, stream, classify, regress)]
+        stop = lib.train_pairs(*loop_args(model, b_c, stream, classify, regress))
         if what.startswith("fits"):
-            assert taken[0] == 5 and not np.isnan(classify).any() and not np.isnan(regress).any()
+            assert stop == 5 and not np.isnan(classify).any() and not np.isnan(regress).any()
         else:
-            assert taken is None, what
+            assert stop is None, what
             assert_same_model(before, model, what)
-            for a, b in zip(stream_arrays(stream, classify, regress), arrays):
+            for a, b in zip(stream_arrays(b_c, stream, classify, regress), arrays):
                 assert np.array_equal(a, b, equal_nan=True), what
-        assert takes_arrays(lib, model, ws) == (what.startswith("fits") or what in STREAM_MISFITS)
+        assert takes_arrays(lib, model) == (what.startswith("fits") or what in STREAM_MISFITS)
 
 
 # The misfits of the model's arrays that the numpy step trains.
@@ -927,33 +937,28 @@ def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library, 
         assert (report.classify_kernel, report.classify_isa) == ran, what
 
 
-def assert_bounds_returned(lib):
-    """A call of the loop from inf bounds returns the b_c and the finite
-    bounds that the same steps leave in a model and a workspace of the
-    numpy steps, bit for bit."""
+def assert_b_c_written_in_place(lib):
+    """A call of the loop writes the b_c that the same steps leave in a
+    model of the numpy steps into its one-entry b_c array, bit for bit, and
+    returns the number of pairs."""
     rng = np.random.default_rng(61)
     ref = random_model(rng, 3, 13, 4)
     new = copy_model(ref)
     stream = TrainingStream(np.array([1]), np.array([0.5]), np.array([0, 5]),
                             np.array([1, 5, 12, 0, 7], dtype=np.int32))
-    ws_ref, ws = StepWorkspace(ref), StepWorkspace(new)
-    classify, regress = np.full(5, np.nan), np.full(1, np.nan)
+    classify, regress, b_c = np.full(5, np.nan), np.full(1, np.nan), np.array([new.b_c])
     with model_module._sgd_numpy():
-        want = [step_classify(ref, 1, y, 0.1, ws_ref) for y in stream.context.tolist()]
+        want = [step_classify(ref, 1, y, 0.1) for y in stream.context.tolist()]
         want_regress = step_regress(ref, 1, 0.5, 0.1)
-        stop, b_c, bound, bias_bound = lib.train_pairs(*loop_args(new, ws, stream, classify,
-                                                                  regress))
-    assert (ws.bound, ws.bias_bound) == (math.inf, math.inf)
+        stop = lib.train_pairs(*loop_args(new, b_c, stream, classify, regress))
     assert stop == 6 and classify.tolist() == want and regress.tolist() == [want_regress]
-    assert math.isfinite(bound) and math.isfinite(bias_bound)
-    assert (bound.hex(), bias_bound.hex()) == (ws_ref.bound.hex(), ws_ref.bias_bound.hex())
-    assert b_c.hex() == float(ref.b_c).hex()
-    new.b_c = b_c
+    assert b_c[0].hex() == float(ref.b_c).hex() != float(new.b_c).hex()
+    new.b_c = float(b_c[0])
     assert_same_model(ref, new, "stretch")
 
 
-def test_loop_returns_the_bounds_its_steps_leave(direct_library):
-    assert_bounds_returned(direct_library)
+def test_loop_writes_b_c_in_place(direct_library):
+    assert_b_c_written_in_place(direct_library)
 
 
 def assert_padded_rows_in_bounds(lib):
@@ -967,12 +972,12 @@ def assert_padded_rows_in_bounds(lib):
     new = copy_model(ref)
     new.T = np.lib.stride_tricks.as_strided(np.empty((E - 1) * ld + N), (E, N), (ld * 8, 8))
     new.T[...] = ref.T
-    context = np.array([1, 40, 7, 0], dtype=np.int32)
-    ws_ref, ws = StepWorkspace(ref), StepWorkspace(new)
+    context = [1, 40, 7, 0]
+    ws_ref = StepWorkspace(ref)
     losses = np.full(4, np.nan)
     with model_module._sgd_numpy():
-        want = [step_classify(ref, 2, y, 0.1, ws_ref) for y in context.tolist()]
-        assert take_pairs(lib, new, ws, 2, context, 0.1, losses) == 4
+        want = [step_classify(ref, 2, y, 0.1, ws_ref) for y in context]
+        assert take_pairs(lib, new, [(2, y) for y in context], 0.1, losses) == 4
     assert losses.tolist() == want
     assert_same_model(ref, new, "rows that end the buffer")
 
@@ -991,14 +996,14 @@ EPOCH_STREAMS = {
 
 def assert_epoch_streams_taken(lib):
     """train_pairs takes each of EPOCH_STREAMS as the numpy steps take its
-    pairs one by one, bit for bit: the losses, the model, b_c among it, the
-    bounds and where it stops."""
+    pairs one by one, bit for bit: the losses, the model, b_c among it, and
+    where it stops."""
     for what, (influencer, size_target, offsets, context) in EPOCH_STREAMS.items():
         stream = TrainingStream(np.array(influencer), np.array(size_target), np.array(offsets),
                                 np.array(context, dtype=np.int32))
         ref = random_model(np.random.default_rng(73), 3, 13, 4)
         new = copy_model(ref)
-        ws_ref, ws = StepWorkspace(ref), StepWorkspace(new)
+        ws_ref = StepWorkspace(ref)
         classify, regress = np.full(len(context), np.nan), np.full(len(influencer), np.nan)
         want_classify, want_regress = [], []
         with model_module._sgd_numpy():
@@ -1011,12 +1016,11 @@ def assert_epoch_streams_taken(lib):
                 want_stop = len(stream)
             except NonFiniteUpdate:
                 want_stop = ~(len(want_classify) + len(want_regress))
-            stop = model_module._take_stream(lib, new, ws, stream, 0.1, classify, regress)
+            stop = model_module._take_stream(lib, new, stream, 0.1, classify, regress)
         assert stop == want_stop == (~2 if what.startswith("first size") else len(stream)), what
         assert classify[: len(want_classify)].tolist() == want_classify, what
         assert regress[: len(want_regress)].tolist() == want_regress, what
         assert_same_model(ref, new, what)
-        assert (ws.bound, ws.bias_bound) == (ws_ref.bound, ws_ref.bias_bound), what
 
 
 def test_loop_takes_each_stream_as_the_numpy_steps(direct_library):
@@ -1025,26 +1029,24 @@ def test_loop_takes_each_stream_as_the_numpy_steps(direct_library):
 
 def assert_argument_errors(lib):
     """Each call of lib.train_pairs with a bad argument raises its error
-    and changes nothing: not O, T, b_t or the losses."""
+    and changes nothing: not O, T, b_t, b_c or the losses. It takes 11
+    arguments, the last, lr, its only number."""
     model = random_model(np.random.default_rng(59), 3, 11, 4)
     before = copy_model(model)
-    ws = StepWorkspace(model)
-    classify, regress = np.full(3, 7.0), np.full(2, 7.0)
+    b_c, classify, regress = np.array([model.b_c]), np.full(3, 7.0), np.full(2, 7.0)
     stream = TrainingStream(np.array([0, 1]), np.array([0.5, 0.25]), np.array([0, 2, 3]),
                             np.array([1, 2, 3], dtype=np.int32))
-    arrays = loop_args(model, ws, stream, classify, regress)[:11]
-    reals = (0.1, 0.0, 2.0, 3.0)
-    cases = [(*arrays, *reals[:3]), (*arrays, *reals, None)]
-    cases += [(*arrays, *reals[:k], bad, *reals[k + 1:]) for k in range(4) for bad in ("x", None)]
-    for args in cases:
+    arrays = loop_args(model, b_c, stream, classify, regress)[:10]
+    for args in (arrays, (*arrays, 0.1, 0.1), (*arrays, "x"), (*arrays, None), (*arrays, classify)):
         with pytest.raises(TypeError):
             lib.train_pairs(*args)
-        assert_same_model(before, model, repr(args[11:]))
-        assert (classify == 7.0).all() and (regress == 7.0).all(), args[11:]
-    # losses that are not an array are refused as arrays of another kind are
-    for k in (5, 6):
-        assert lib.train_pairs(*arrays[:k], None, *arrays[k + 1:], *reals) is None
-    assert_same_model(before, model, "no losses")
+        assert_same_model(before, model, repr(args[10:]))
+        assert b_c[0] == model.b_c and (classify == 7.0).all() and (regress == 7.0).all(), args[10:]
+    # b_c or losses that are not an array are refused as arrays of another
+    # kind are
+    for k in (3, 4, 5):
+        assert lib.train_pairs(*arrays[:k], None, *arrays[k + 1:], 0.1) is None
+    assert_same_model(before, model, "no b_c or losses")
 
 
 def test_loop_refuses_bad_arguments_and_changes_nothing(direct_library):

@@ -5,6 +5,8 @@ import functools
 import itertools
 import json
 import math
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -336,60 +338,63 @@ def loop_matches_at(lib, E, N):
         return model_module._loop_matches_at(lib, E, N)
 
 
-def take_pairs(lib, model, ws, u, context, lr, losses):
-    """The C loop of ``lib`` on the pairs of influencer ``u`` and each of
-    the int32 ``context``, the losses into ``losses``, with the arrays of
-    ``model`` and ``ws``: len(context), or ~k if step k proved a value
-    non-finite, with the workspace's bounds set to those its steps leave;
-    None, having taken no pair, if the loop refuses the arrays, u or a
-    context outside T's columns.
+def take_pairs(lib, model, pairs, lr, losses):
+    """The C loop of ``lib`` on the (influencer, context) ``pairs`` in one
+    call, the losses into ``losses``, with the arrays of ``model``:
+    len(pairs), or ~k if pair k proved a value non-finite; None, having
+    taken no pair, if the loop refuses the arrays, an influencer outside
+    O's rows or a context outside T's columns.
 
-    The pairs are one cascade of a stream, whose size pair changes
-    nothing. Its b_c is 1e300, not the model's, so the sigmoid is 1, or 0
-    where O_u's sum overflows to -inf, and with the target -1 its gradient
-    is +0: O_u - lr * 0 is O_u, bit for bit."""
-    taken = lib.train_pairs(model.O, model.T, model.b_t, ws.phi, ws.grad, losses, np.empty(1),
-                            np.array([u], dtype=np.int64), np.full(1, -1.0),
-                            np.array([0, len(context)], dtype=np.int64), context, lr, 1e300,
-                            ws.bound, ws.bias_bound)
-    if taken is None:
+    The stream holds a cascade per run of pairs of one influencer, each
+    with a size pair that changes nothing. Its b_c is 1e300, not the
+    model's, so the sigmoid is 1, or 0 where O_u's sum overflows to -inf,
+    and with the target -1 its gradient is +0: O_u - lr * 0 is O_u, bit for
+    bit."""
+    runs = [(u, len(list(run))) for u, run in itertools.groupby(pairs, key=lambda pair: pair[0])]
+    offsets = np.cumsum([0, *(n for _, n in runs)], dtype=np.int64)
+    stop = lib.train_pairs(model.O, model.T, model.b_t, np.array([1e300]), losses,
+                           np.empty(len(runs)), np.array([u for u, _ in runs], dtype=np.int64),
+                           np.full(len(runs), -1.0), offsets,
+                           np.array([y for _, y in pairs], dtype=np.int32), lr)
+    if stop is None:
         return None
-    stop, _, ws.bound, ws.bias_bound = taken
-    # the size pair, stream pair len(context), never raises
-    assert stop == len(context) + 1 or ~stop < len(context), stop
-    return min(stop, len(context))
+    # the size pairs, stream pairs offsets[i + 1] + i, never raise
+    size_pairs = offsets[1:] + np.arange(len(runs))
+    assert stop == len(pairs) + len(runs) if stop >= 0 else ~stop not in size_pairs, stop
+    return len(pairs) if stop >= 0 else ~(~stop - int(np.searchsorted(size_pairs, ~stop)))
 
 
-def takes_arrays(lib, model, ws):
-    """Whether the C loop of ``lib`` takes the arrays of ``model`` and
-    ``ws``: its call on an empty stream returns None where it does not."""
+def takes_arrays(lib, model):
+    """Whether the C loop of ``lib`` takes the arrays of ``model``: its
+    call on an empty stream returns None where it does not."""
     i64, i32, f64 = (np.empty(0, dtype=t) for t in (np.int64, np.int32, np.float64))
     empty = TrainingStream(i64, f64, np.zeros(1, dtype=np.int64), i32)
-    return model_module._take_stream(lib, model, ws, empty, 0.0, f64.copy(), f64.copy()) is not None
+    return model_module._take_stream(lib, model, empty, 0.0, f64.copy(), f64.copy()) is not None
 
 
-def loop_takes(lib, model, ws):
+def loop_takes(lib, model):
     """Whether the C loop of ``lib`` takes ``model``'s pairs in train: its
     self-check passes at the model's shape, and the loop takes the arrays
     (not with an E or N of 1, say)."""
-    return takes_arrays(lib, model, ws) and loop_matches_at(lib, *model.T.shape)
+    return takes_arrays(lib, model) and loop_matches_at(lib, *model.T.shape)
 
 
 def loop_step(lib=None):
     """step_classify(model, u, y, lr, ws) through the C loop of ``lib``
     (default: the package's library): the pair alone in a stream, taken by
     step_classify if the loop does not take it, as train does. The loop must
-    take the pair unless it refuses the arrays, u or y."""
+    take the pair unless it refuses the arrays, u or y. Its bounds are its
+    call's own: ``ws`` serves the numpy step alone."""
     lib = lib or _native.load()
 
     def step(model, u, y, lr, ws):
-        takes = takes_arrays(lib, model, ws)
+        takes = takes_arrays(lib, model)
         if takes and not loop_matches_at(lib, *model.T.shape):
             return step_classify(model, u, y, lr, ws)
         takes = takes and 0 <= u < model.O.shape[0] and 0 <= y < model.T.shape[1]
         want = 1 if takes else None
         losses = np.full(1, np.nan)
-        stop = take_pairs(lib, model, ws, u, np.array([y], dtype=np.int32), lr, losses)
+        stop = take_pairs(lib, model, [(u, y)], lr, losses)
         if stop == ~0:
             raise NonFiniteUpdate("classification step produced a non-finite value")
         assert stop == want, (stop, want)
@@ -399,26 +404,34 @@ def loop_step(lib=None):
 
 
 def loop_until_raise(model, steps):
-    """run_until_raise(step, model, steps) for steps of one rate, each run
-    of steps of one influencer in one call of the package's C loop, as
-    train takes a cascade's, or by the numpy step where the loop may not
-    take the model."""
+    """run_until_raise(step, model, steps) for steps of one rate, all in
+    one call of the package's C loop, a cascade per run of steps of one
+    influencer, or by the numpy step where the loop may not take the
+    model."""
     lib = _native.load()
-    ws = StepWorkspace(model)
-    if not loop_takes(lib, model, ws):
+    if not loop_takes(lib, model):
+        ws = StepWorkspace(model)
         return run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), model, steps)
     (lr,) = {lr for _, lr in steps}
-    losses = []
-    for u, run in itertools.groupby((pair for pair, _ in steps), key=lambda pair: pair[0]):
-        context = np.array([y for _, y in run], dtype=np.int32)
-        taken = np.full(len(context), np.nan)
-        stop = take_pairs(lib, model, ws, u, context, lr, taken)
-        # the loop took the pairs: it stopped at the end or at a raise
-        assert stop is not None and (stop < 0 or stop == len(context)), stop
-        if stop < 0:
-            return losses + taken[:~stop].tolist(), len(losses) + ~stop
-        losses += taken.tolist()
-    return losses, None
+    losses = np.full(len(steps), np.nan)
+    stop = take_pairs(lib, model, [pair for pair, _ in steps], lr, losses)
+    assert stop is not None
+    return (losses.tolist(), None) if stop >= 0 else (losses[:~stop].tolist(), ~stop)
+
+
+def assert_one_call_matches(model, pairs, lr, what):
+    """The (influencer, context) ``pairs`` at rate ``lr`` in one call of
+    the C loop (loop_until_raise), whose bounds carry from step to step
+    within the call, against the reference steps, on copies of ``model``:
+    the losses, where they raise and the model, bit for bit. Returns the
+    reference's losses and the index of the step that raised."""
+    ref, new = copy_model(model), copy_model(model)
+    steps = [(pair, lr) for pair in pairs]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        want = run_until_raise(reference_step_classify, ref, steps)
+        assert loop_until_raise(new, steps) == want, what
+    assert_same_model(ref, new, what, equal_nan=True)
+    return want
 
 
 def workspace_step(path):
@@ -523,19 +536,18 @@ def assert_padded_matches_packed(step_paths, E, N, seed):
             # train would take the loop at this shape
             lib, looped = _native.load(), copy_model(packed)
             oracle = loop_matches_at(lib, E, N)
-            workspaces = [StepWorkspace(m) for m in (padded, looped, packed)]
+            ws = StepWorkspace(packed)
             for u in range(3):
-                context = rng.integers(0, N, 3).astype(np.int32)
+                context = rng.integers(0, N, 3).tolist()
                 taken = []
-                for m, ws in zip((padded, looped), workspaces):
+                for m in (padded, looped):
                     losses = np.full(3, np.nan)
-                    assert take_pairs(lib, m, ws, u, context, 0.1, losses) == 3
+                    assert take_pairs(lib, m, [(u, y) for y in context], 0.1, losses) == 3
                     taken.append(losses.tolist())
                 assert taken[0] == taken[1]
                 assert_same_model(looped, padded, "C loop")
                 if oracle:
-                    ws = workspaces[2]
-                    assert taken[0] == [step_classify(packed, u, y, 0.1, ws) for y in context.tolist()]
+                    assert taken[0] == [step_classify(packed, u, y, 0.1, ws) for y in context]
                     assert_same_model(packed, padded, "C loop against the numpy step")
     cfg = ModelConfig(embed_dim=E, learning_rate=0.1, epochs=2, rng_seed=seed % 1000)
     stream = TrainingStream(rng.integers(0, 3, 4), rng.uniform(size=4), np.arange(0, 13, 3),
@@ -589,7 +601,10 @@ def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_paths):
     # double. The loss, g, O_u and b_t stay finite: only the scan that the
     # max|T| bound falls back to can see the overflow. First, influencer 1
     # (O[1, 0] = 0, so row 0 of T stays zero) takes steps at rate 1 that
-    # leave the bound finite and far below the limit.
+    # leave the bound finite and far below the limit. On the C path the
+    # pairs also take one call of the loop, all at rate lr: at rate 3 its
+    # own bounds carry the first steps' growth to the raise at step 6, and
+    # at 3e298 influencer 1's second step overflows.
     for path in step_paths:
         step = workspace_step(path)
         ref = model_with_ids(
@@ -599,7 +614,7 @@ def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_paths):
             b_c=0.0,
             C=np.ones(2),
         )
-        new = copy_model(ref)
+        new, start = copy_model(ref), copy_model(ref)
         steps = [((1, s % 3), 1.0) for s in range(6)] + [((0, 1), lr)] * 3
         with np.errstate(over="ignore", invalid="ignore"):
             want = run_until_raise(reference_step_classify, ref, steps)
@@ -608,9 +623,13 @@ def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_paths):
         assert want[1] == 6
         assert np.isinf(ref.T[0, 1]) and np.isfinite(ref.O).all() and np.isfinite(ref.b_t).all()
         assert got == want
-        # the raise leaves the workspace to scan T and b_t again if reused
-        assert ws.bound == ws.bias_bound == math.inf
         assert_same_model(ref, new, f"overflow, path {path}")
+        if path is None:
+            # the raise leaves the workspace to scan T and b_t again if reused
+            assert ws.bound == ws.bias_bound == math.inf
+        else:
+            pairs = [pair for pair, _ in steps]
+            assert assert_one_call_matches(start, pairs, lr, "one call")[1] == (6 if lr == 3.0 else 1)
 
 
 def test_workspace_step_catches_overflow_of_o_u_alone(step_paths):
@@ -673,11 +692,9 @@ def test_workspace_step_raises_at_reference_step_on_huge_entries(step_paths):
                 got = run_until_raise(lambda m, u, y, r: step(m, u, y, r, ws), new, steps)
             assert got == want, f"path {path} trial {trial}"
             if path is not None:
-                # the same pairs in one stretch of the loop
-                stretch = copy_model(before)
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    assert loop_until_raise(stretch, steps) == want, f"stretch, trial {trial}"
-                assert_same_model(ref, stretch, f"stretch, trial {trial}", equal_nan=True)
+                # the same pairs in one call of the loop
+                pairs = [pair for pair, _ in steps]
+                assert assert_one_call_matches(before, pairs, lr, f"one call, trial {trial}") == want
             raised += want[1] is not None
             if 40 <= trial < 60 and want[1] is not None:
                 # the raising step's loss is finite and only b_t overflowed, so
@@ -698,38 +715,46 @@ def test_workspace_step_large_t_without_overflow_does_not_raise(step_paths):
     # Column 0 of T holds -1.7e308, so its logit is hugely negative, its
     # softmax entry is exactly 0 and no step moves it. max|T| stays above
     # the bound limit and every step scans T, finds it finite and goes on.
+    # On the C path each case's pairs also take one call of the loop, at
+    # one rate, whose own bounds carry from step to step.
+    pairs = [(s % 2, 1 + s % 5) for s in range(20)]
     for path in step_paths:
         step = workspace_step(path)
         rng = np.random.default_rng(29)
         ref = random_model(rng, 2, 6, 3)
         ref.O[:] = np.abs(ref.O) + 0.5
         ref.T[0, 0] = -1.7e308
-        new = copy_model(ref)
+        new, start = copy_model(ref), copy_model(ref)
         ws = StepWorkspace(new)
-        for s in range(20):
-            u, y = s % 2, 1 + s % 5
+        for s, (u, y) in enumerate(pairs):
             assert step(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
             assert_same_model(ref, new, f"step {s}")
-        assert ws.bound == 1.7e308
         assert new.T[0, 0] == -1.7e308
+        if path is None:
+            assert ws.bound == 1.7e308
+        else:
+            assert assert_one_call_matches(start, pairs, 0.1, "T, one call")[1] is None
 
         # The same with b_t[0] = -1.7e308: every step scans b_t, finds it
         # finite and goes on.
         ref = random_model(rng, 2, 6, 3)
         ref.O[:] = np.abs(ref.O) + 0.5
         ref.b_t[0] = -1.7e308
-        new = copy_model(ref)
+        new, start = copy_model(ref), copy_model(ref)
         ws = StepWorkspace(new)
-        for s in range(20):
-            u, y = s % 2, 1 + s % 5
+        for s, (u, y) in enumerate(pairs):
             assert step(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
             assert_same_model(ref, new, f"b_t step {s}")
-        assert ws.bias_bound == 1.7e308
         assert new.b_t[0] == -1.7e308
+        if path is None:
+            assert ws.bias_bound == 1.7e308
+        else:
+            assert assert_one_call_matches(start, pairs, 0.1, "b_t, one call")[1] is None
 
         # O_0 is finite though its sum overflows. Rows 0 and 1 of T start at
         # zero and move by 1e-310 * 1e308 * g per step, so every logit stays
-        # finite and no step raises.
+        # finite and no step raises. One call of the loop takes every step
+        # at the rate 1e-310.
         ref = model_with_ids(
             O=np.array([[1e308, 1e308, 0.3]]),
             T=np.vstack([np.zeros((2, 5)), rng.normal(0, 0.5, (1, 5))]),
@@ -737,13 +762,15 @@ def test_workspace_step_large_t_without_overflow_does_not_raise(step_paths):
             b_c=0.0,
             C=np.ones(3),
         )
-        new = copy_model(ref)
+        new, start = copy_model(ref), copy_model(ref)
         ws = StepWorkspace(new)
         for s in range(10):
             lr = (0.0, 1e-310)[s % 2]
             assert step(new, 0, 1, lr, ws) == reference_step_classify(ref, 0, 1, lr)
             assert_same_model(ref, new, f"O_u step {s}")
         assert new.O[0, 0] == 1e308 and (new.T[:2] != 0).any()
+        if path is not None:
+            assert assert_one_call_matches(start, [(0, 1)] * 10, 1e-310, "O_u, one call")[1] is None
 
 
 def test_train_scopes_the_small_ufunc_buffer(step_paths):
@@ -955,6 +982,79 @@ def test_c_path_takes_each_epoch_in_one_library_call(direct_library, monkeypatch
     assert report.classify_kernel == "c"
     assert [name for name, on_model in calls if on_model] == ["train_pairs"] * cfg.epochs
     assert {name for name, _ in calls} == {"train_pairs"}
+
+
+class Alarm(Exception):
+    """What the SIGALRM handler of assert_interrupted_between_cascades
+    raises: not a KeyboardInterrupt, so that an alarm that came late would
+    not end a test session."""
+
+
+def numpy_cascades(model, stream, lr):
+    """Takes the cascades of ``stream`` by the numpy steps, yielding the
+    number taken before each and after the last."""
+    ws, offsets = StepWorkspace(model), stream.offsets.tolist()
+    for i, (u, y_c) in enumerate(zip(stream.influencer.tolist(), stream.size_target.tolist())):
+        yield i
+        for y in stream.context[offsets[i] : offsets[i + 1]].tolist():
+            step_classify(model, u, y, lr, ws)
+        step_regress(model, u, y_c, lr)
+    yield len(stream.influencer)
+
+
+def assert_interrupted_between_cascades(alarm_s, length_s, within_s):
+    """train on the C path of the package's library, given an epoch of
+    about ``length_s`` seconds of pairs at the wide benchmark's shape (E =
+    50, N = 2,930), is stopped by a SIGALRM handler that raises Alarm
+    ``alarm_s`` seconds in. Alarm leaves train within ``within_s`` seconds
+    of the alarm; the model is what the numpy steps leave after some whole
+    number of the stream's cascades, neither none nor all; and numpy's
+    settings and the SIGALRM handler are as they were."""
+    rng = np.random.default_rng(89)
+    cfg = ModelConfig(embed_dim=50, learning_rate=0.05, epochs=1)
+    model = init_model(cfg, ids("u", 40), ids("v", 2930))
+
+    def cascades(m):
+        sizes = rng.integers(0, 16, m)
+        return TrainingStream(rng.integers(0, 40, m), rng.uniform(size=m), np.cumsum([0, *sizes]),
+                              rng.integers(0, 2930, sizes.sum()).astype(np.int32))
+
+    # the stream's length from the loop's time on 100 cascades
+    lib, probe = _native.load(), cascades(100)
+    start = time.perf_counter()
+    model_module._take_stream(lib, copy_model(model), probe, cfg.learning_rate,
+                              np.empty(len(probe.context)), np.empty(100))
+    stream = cascades(int(length_s * 100 / (time.perf_counter() - start)))
+    before, settings_before = copy_model(model), (np.geterr(), np.getbufsize())
+
+    def alarm(signum, frame):
+        raise Alarm
+
+    handler = signal.signal(signal.SIGALRM, alarm)
+    try:
+        start = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, alarm_s)
+        with pytest.raises(Alarm):
+            train(model, lambda epoch: stream, cfg)
+        late = time.perf_counter() - start - alarm_s
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert late < within_s, late
+    assert (np.geterr(), np.getbufsize()) == settings_before
+    assert signal.getsignal(signal.SIGALRM) is handler
+    with model_module._sgd_numpy():
+        taken = next((i for i in numpy_cascades(before, stream, cfg.learning_rate)
+                      if float(before.b_c).hex() == float(model.b_c).hex()
+                      and all(np.array_equal(getattr(before, a), getattr(model, a))
+                              for a in ("O", "T", "b_t"))), None)
+    assert taken is not None and 0 < taken < len(stream.influencer), taken
+
+
+def test_a_signal_handler_stops_the_c_loop_between_cascades(direct_library):
+    # Python's signal handlers run before each cascade of the loop's call:
+    # a raise ends the epoch there, every array as the cascades taken left it
+    assert_interrupted_between_cascades(0.2, 2.0, 0.5)
 
 
 @pytest.mark.parametrize("seed", range(6))
