@@ -392,16 +392,16 @@ static int64_t largest_index(const int32_t *index, Py_ssize_t n, int64_t floor)
  * train_pairs(O, T, b_t, b_c, classify_losses, regress_losses, influencer,
  * size_target, offsets, context, lr) takes an epoch's pairs in stream
  * order: cascade i's context pairs (influencer[i], context[k]), k in
- * offsets[i]:offsets[i+1], each as model.step_classify takes it at rate lr
- * with one workspace made for the call, then its size pair (influencer[i],
- * size_target[i]), as model.step_regress takes it, with b_c[0] for the
- * model's b_c. It returns stop, the number of pairs, or ~k if stream pair
- * k (k + i for context k, offsets[i+1] + i for cascade i's size pair)
- * proved a value non-finite. The losses go to classify_losses[k] and
- * regress_losses[i]. As in step_regress, a non-finite size step has
- * written O_u and b_c. Before each cascade the loop runs Python's signal
- * handlers (PyErr_CheckSignals): if one raises, the call returns NULL with
- * its exception set, every array as the cascades taken left it.
+ * offsets[i]:offsets[i+1], each as model.step_classify takes it at rate
+ * lr, then its size pair (influencer[i], size_target[i]), as
+ * model.step_regress takes it, with b_c[0] for the model's b_c. It
+ * returns stop, the number of pairs, or ~k if stream pair k (k + i for
+ * context k, offsets[i+1] + i for cascade i's size pair) proved a value
+ * non-finite. The losses go to classify_losses[k] and regress_losses[i].
+ * As in step_regress, a non-finite size step has written O_u and b_c.
+ * Before each cascade the loop runs Python's signal handlers
+ * (PyErr_CheckSignals): if one raises, the call returns NULL with its
+ * exception set, every array as the cascades taken left it.
  *
  * A classify step makes step_classify's operations in its order. Where
  * the rounding is numpy's own it calls numpy's own functions directly, as
@@ -418,10 +418,23 @@ static int64_t largest_index(const int32_t *index, Py_ssize_t n, int64_t floor)
  * numpy's scalar power calls it. The rest is IEEE arithmetic on doubles,
  * both branches of the sigmoid and a NaN's way through them included.
  *
- * The finiteness proofs of a classify step are those of model.py, on
- * bounds private to the call that start at inf, so that its first step
- * scans T and b_t as a fresh workspace's does. O_u is checked entry by
- * entry, which is what its scaled dot product proves.
+ * Where step_classify scans the loss, O_u, T and b_t for a non-finite
+ * value, a classify step here proves them finite, and each proof is
+ * exact, so that the loop stops at the step where the scan raises:
+ * - a finite loss -log(phi_y) proves the softmax gradient g finite. A NaN
+ *   or +-inf logit makes the softmax's denominator NaN, and with it every
+ *   phi_j. Otherwise every exp(z - max z) lies in [0, 1] and the sum is
+ *   at least 1, so every |g_j| <= 1;
+ * - the call keeps upper bounds on max|T| and max|b_t|. With |g_j| <= 1
+ *   a step moves T by at most lr * max|O_u| and b_t by at most lr, so the
+ *   bounds grow by that much. Rounding can leave the true maximum above
+ *   its bound by a few units of 2^-53, relative, a step: more than 2^53
+ *   steps would close the gap from BOUND_LIMIT to the largest double. T
+ *   or b_t is scanned only when its bound reaches BOUND_LIMIT or is NaN
+ *   (a NaN in O_u), and the bound is then reset to the exact maximum,
+ *   which is finite iff every entry is. Both bounds start at inf, so the
+ *   call's first step scans T and b_t;
+ * - O_u is checked entry by entry.
  *
  * LOOP_ARGS lists the arguments: O, T, b_t, b_c and the losses are
  * writable float64 arrays of shapes (I, E), (E, N), (N), (1), (n) and (m),

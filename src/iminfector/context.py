@@ -95,8 +95,11 @@ def build_training_stream(train, oversample=1.2, rng_seed=0):
     Stream order follows cascade input order; within a cascade all context
     pairs precede the single size pair. Identical rng_seed values reproduce
     the identical stream. A stream whose arrays numpy cannot index or
-    allocate raises MemoryError.
+    allocate raises MemoryError, and an oversample that is not finite and
+    positive ValueError.
     """
+    if not 0.0 < oversample < math.inf:
+        raise ValueError(f"oversample must be finite and > 0, got {oversample}")
     if not train.n_cascades:
         raise ValueError("empty train corpus")
     draws, n_pairs = context_draws(train, oversample)

@@ -32,7 +32,7 @@ the size step's arithmetic on either branch of the sigmoid. The max of
 the logits does not depend on the order (a NaN makes it NaN; a +0/-0 tie
 does not reach exp(z - max), as exp(+-0) = 1). The T and b_t update is
 one C pass, T[i,j] - ((O_u[i] * g[j]) * lr) and b_t[j] - lr * g[j], the
-operations of numpy's outer product, in-place scaling and subtraction in
+operations of numpy's outer product, scaling and subtraction in
 the same order.
 Each element is one rounded product, a second rounded product and one
 rounded difference, and the library is built with -ffp-contract=off and
@@ -54,14 +54,14 @@ train() takes the loop only when all of these hold:
   which take the model's N and E one at a time, with a NaN in O before a
   size step and before a classify step and a +0/-0 tie at the max of
   b_t, the loop's losses, O, T, b_t, b_c and raising step match
-  step_classify and step_regress without a workspace bit for bit. So a
-  numpy whose functions round otherwise at the model's N or E than those
-  the library found (a sum split past some length, say) gets the numpy
-  steps. It fails too where the library did not find numpy's dgemv, ddot
-  and loops, or E or N is 1 (numpy's matmul takes no dgemv there): the
-  library refuses those calls (fits_loop in _native.c). The check does not
-  run at the full (E, N): it would copy T and make the numpy step's E x N
-  temporaries, about an eighth more peak memory for a 3,000-node model.
+  step_classify and step_regress bit for bit. So a numpy whose functions
+  round otherwise at the model's N or E than those the library found (a
+  sum split past some length, say) gets the numpy steps. It fails too
+  where the library did not find numpy's dgemv, ddot and loops, or E or N
+  is 1 (numpy's matmul takes no dgemv there): the library refuses those
+  calls (fits_loop in _native.c). The check does not run at the full
+  (E, N): it would copy T and make the numpy step's E x N temporaries,
+  about an eighth more peak memory for a 3,000-node model.
 
 Every other model takes the numpy steps, with the same bits.
 
@@ -73,31 +73,12 @@ refuses a stream with a pair outside the model before its epoch takes a
 step, and hands the loop its arrays in the dtypes it takes
 (_check_stream).
 
-A step proves the model finite instead of scanning it, and each proof is
-exact:
-
-- a finite loss -log(phi_y) proves the softmax gradient g finite. A NaN or
-  +-inf logit makes the softmax denominator s NaN, and with it every
-  phi_j. Otherwise every exp(z - max z) lies in [0, 1] and s >= 1, so
-  every |g_j| <= 1;
-- the StepWorkspace of the numpy steps, and the C loop for its call, keep
-  upper bounds on max|T| and max|b_t|. With |g_j| <= 1 a step moves T by
-  at most lr * max|O_u| and b_t by at most lr, so the bounds grow by that
-  much. T or b_t is scanned only when its bound reaches 1e300 (both start
-  at inf, so the first step scans), and the bound is then reset to the
-  exact maximum;
-- O_u is finite iff its dot product with a vector of 2**-60 is. Scaling
-  by a power of two keeps +-inf and NaN, and the scaled entries are below
-  2**964, so the sum of E < 2**60 of them cannot overflow. Unlike a plain
-  sum of O_u, it needs no fallback scan and cannot warn of an overflow
-  the step did not make. The C loop checks O_u entry by entry, which this
-  proves equivalent.
-
-None of this changes the arithmetic: a step with a workspace, on either
-path, is bitwise-identical to one without, and NonFiniteUpdate fires at
-the same step. train() runs the steps with numpy's overflow, invalid and
-divide warnings off, so that NonFiniteUpdate is the only report of a
-non-finite step.
+The numpy steps scan the values they write and raise NonFiniteUpdate at
+the first non-finite one. The C loop proves the same instead of scanning,
+and the proofs, exact so that it raises at the same steps, are stated
+once, in the training loop's comment in _native.c. train() runs the steps
+with numpy's overflow, invalid and divide warnings off, so that
+NonFiniteUpdate is the only report of a non-finite step.
 
 train() also runs each epoch's steps with numpy's ufunc buffer at its
 minimum, SGD_BUFSIZE elements, and restores the caller's size on every
@@ -135,8 +116,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -240,80 +221,30 @@ def forward_regress(model, u):
     return e / (1.0 + e)
 
 
-# A bound on max|T| or max|b_t| below this proves the array finite; at or
-# above it, or NaN, the step scans the array and resets the bound to its
-# exact maximum. _native.c's BOUND_LIMIT is the same.
-_BOUND_LIMIT = 1e300
 _CLASSIFY_FAILED = "classification step produced a non-finite value"
 _REGRESS_FAILED = "regression step produced a non-finite value"
 
 
-class StepWorkspace:
-    """Buffers and the max|T|, max|b_t| bounds that consecutive classify steps share.
-
-    Valid only while T and b_t change through step_classify calls given
-    this workspace. Both bounds start at inf, which makes the first step
-    scan T and b_t; a step that raises NonFiniteUpdate sets them back to
-    inf.
-    """
-
-    def __init__(self, model):
-        E, N = model.T.shape
-        self.phi = np.empty(N)
-        self.grad = np.empty(E)
-        self.scale = np.full(E, 2.0**-60)
-        self.bound = math.inf
-        self.bias_bound = math.inf
-        # the T update's buffers, made when a numpy step first runs
-        self.update = self.abs_O = None
-
-
-def step_classify(model, u, y, lr, workspace=None):
+def step_classify(model, u, y, lr):
     """One SGD step on pair (influencer u, context node y); returns the pre-update loss.
 
     The softmax/NLL gradient w.r.t. the logits collapses to phi - y, so the
     parameter gradients are T(phi - y) for O_u, the outer product
     O_u (phi - y)^T for T, and phi - y for b_t. Both matrix gradients use the
-    pre-update O_u / T values (a single simultaneous step).
-
-    Without a workspace the step allocates its own and scans all of T and
-    b_t for non-finite values. With one shared across steps (as train()
-    does), each is scanned only when the workspace's bound on its maximum
-    magnitude reaches 1e300; the module docstring gives the proofs.
+    pre-update O_u / T values (a single simultaneous step). The step then
+    scans the loss, O_u, T and b_t for non-finite values.
     """
-    ws = StepWorkspace(model) if workspace is None else workspace
-    T = model.T
-    O_u = model.O[u]
-    g = forward_classify(model, u, out=ws.phi)
+    T, b_t, O_u = model.T, model.b_t, model.O[u]
+    g = forward_classify(model, u)
     loss = -np.log(g[y])
     g[y] -= 1.0
-    grad = np.matmul(T, g, out=ws.grad)
-    # T -= (O_u g^T) * lr and b_t -= lr * g
-    if ws.update is None:
-        ws.update, ws.abs_O = np.empty_like(T), np.empty(T.shape[0])
-    max_abs = float(np.maximum.reduce(np.abs(O_u, out=ws.abs_O)))  # NaN if O_u holds one
-    np.multiply(O_u[:, None], g, out=ws.update)
-    ws.update *= lr
-    T -= ws.update
-    model.b_t -= np.multiply(lr, g, out=ws.update[0])
-    # once the loss is finite every |g_j| <= 1: an entry of T moves by at
-    # most lr * max|O_u|, one of b_t by at most lr
-    ws.bound += lr * max_abs
-    ws.bias_bound += lr
+    grad = np.matmul(T, g)
+    T -= (O_u[:, None] * g) * lr
+    b_t -= lr * g
     grad *= lr
     O_u -= grad
-    if not ws.bound < _BOUND_LIMIT:
-        # exact: max|T| is finite iff every entry is
-        ws.bound = float(np.abs(T).max())
-    if not ws.bias_bound < _BOUND_LIMIT:
-        ws.bias_bound = float(np.abs(model.b_t).max())
-    if not (
-        math.isfinite(loss)
-        and math.isfinite(np.dot(O_u, ws.scale))
-        and math.isfinite(ws.bound)
-        and math.isfinite(ws.bias_bound)
-    ):
-        ws.bound = ws.bias_bound = math.inf
+    if not (np.isfinite(loss) and np.isfinite(O_u).all() and np.isfinite(T).all()
+            and np.isfinite(b_t).all()):
         raise NonFiniteUpdate(_CLASSIFY_FAILED)
     return float(loss)
 
@@ -390,9 +321,9 @@ def _take_stream(lib, model, stream, lr, classify, regress):
 
 def _loop_matches_step(lib, shapes=_SELF_CHECK_SHAPES):
     """True if the C loop of ``lib`` takes _SELF_CHECK_STREAM bit for bit as
-    step_classify and step_regress without a workspace do: each loss, O,
-    T, b_t, b_c, and where the loop stops. The loop takes T in init_model's
-    layout, the numpy steps a packed T.
+    step_classify and step_regress do: each loss, O, T, b_t, b_c, and
+    where the loop stops. The loop takes T in init_model's layout, the
+    numpy steps a packed T.
 
     Each (E, N) of ``shapes``, N at least 2, runs three models of five
     influencers, random but for the rows the stream sets: one as it is,
@@ -489,9 +420,9 @@ def _run_epoch(model, stream, lr, lib, epoch):
 
     With ``lib`` the C loop takes the whole stream in one call. Where it
     refuses the arrays, or without it, step_classify takes each context
-    pair, with one workspace for the epoch, and step_regress each size
-    pair. A non-finite step raises NonFiniteUpdate with ``epoch`` and the
-    pair's index in the stream as its step.
+    pair and step_regress each size pair. A non-finite step raises
+    NonFiniteUpdate with ``epoch`` and the pair's index in the stream as
+    its step.
     """
     classify, regress = np.empty(len(stream.context)), np.empty(len(stream.influencer))
     stop = None if lib is None else _take_stream(lib, model, stream, lr, classify, regress)
@@ -501,13 +432,12 @@ def _run_epoch(model, stream, lr, lib, epoch):
             failed = _REGRESS_FAILED if ~stop in size_pairs else _CLASSIFY_FAILED
             raise NonFiniteUpdate(failed, epoch=epoch, step=~stop)
         return classify, regress, True
-    workspace = StepWorkspace(model)
     context, offsets = stream.context.tolist(), stream.offsets.tolist()
     cascades = zip(stream.influencer.tolist(), stream.size_target.tolist(), offsets, offsets[1:])
     for i, (u, y_c, a, b) in enumerate(cascades):
         try:
             for k in range(a, b):
-                classify[k] = step_classify(model, u, context[k], lr, workspace)
+                classify[k] = step_classify(model, u, context[k], lr)
             k = b
             regress[i] = step_regress(model, u, y_c, lr)
         except NonFiniteUpdate as exc:

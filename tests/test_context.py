@@ -127,6 +127,21 @@ def test_stream_empty_corpus_rejected():
         build_training_stream(parse_cascades([]), 1.2, 0)
 
 
+@pytest.mark.parametrize("oversample", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_stream_refuses_an_oversample_that_is_not_finite_and_positive(oversample, monkeypatch):
+    # --oversample's rule, checked before any context is drawn
+    corpus = parse_cascades(["u1:0\ta:1 b:2\n"])
+
+    def drawn(*args):
+        raise AssertionError("a context was drawn")
+
+    monkeypatch.setattr(context, "context_draws", drawn)
+    monkeypatch.setattr(context, "choice_contexts", drawn)
+    monkeypatch.setattr(_native, "load", drawn)
+    with pytest.raises(ValueError, match="oversample must be finite and > 0"):
+        build_training_stream(corpus, oversample, 0)
+
+
 # parsed in draw_args, not at import: parse_cascades loads the native
 # library, which must come from the session's cache (conftest.py)
 DRAW_LOG = ["u1:0\ta:1 b:2 c:3 d:9\n", "u2:3\tb:4\n", "u3:5\ta:5 c:5 e:5\n", "u1:9\tb:10 e:30\n"]

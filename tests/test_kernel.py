@@ -30,7 +30,6 @@ from iminfector.diffusion import load_matrix
 from iminfector.exceptions import NonFiniteUpdate
 from iminfector.model import (
     ModelConfig,
-    StepWorkspace,
     init_model,
     step_classify,
     step_regress,
@@ -692,14 +691,13 @@ def test_each_isa_level_is_bitwise_numpy(tmp_path, direct_library, monkeypatch, 
     ref.O *= 0.2
     ref.T *= 0.2
     new = copy_model(ref)
-    ws = StepWorkspace(new)
     step = loop_step(lib)
     for s in range(6):
         u, y = s % I, int(rng.integers(0, N))
-        assert step(new, u, y, 0.5, ws) == reference_step_classify(ref, u, y, 0.5)
+        assert step(new, u, y, 0.5) == reference_step_classify(ref, u, y, 0.5)
         assert_same_model(ref, new, f"-march={march} step {s}")
-    # the loop took every step: the numpy step's T update never ran
-    assert ws.update is None
+    # the loop took every step
+    assert step.fallbacks == 0
 
 
 class DlInfo(ctypes.Structure):
@@ -750,13 +748,12 @@ MISFIT = {
 
 
 @pytest.mark.parametrize("change", ["negative u", "O", "T", "b_t"])
-def test_kernel_workspace_takes_numpy_update_when_arrays_change(direct_library, change):
+def test_numpy_step_takes_pairs_when_arrays_change(direct_library, change):
     # The loop would write to the wrong row of O, or read or write an array
     # the wrong way: it takes no pair, and step_classify takes it.
     rng = np.random.default_rng(43)
     ref = random_model(rng, 3, 11, 4)
     new = copy_model(ref)
-    ws = StepWorkspace(new)
     step = loop_step(direct_library)
     for s in range(6):
         u = s % 3
@@ -767,10 +764,10 @@ def test_kernel_workspace_takes_numpy_update_when_arrays_change(direct_library, 
             # takes the same BLAS call on both
             for m in (ref, new):
                 setattr(m, change, MISFIT[change](getattr(m, change)))
-        assert step(new, u, s, 0.1, ws) == reference_step_classify(ref, u, s, 0.1)
+        assert step(new, u, s, 0.1) == reference_step_classify(ref, u, s, 0.1)
         assert_same_model(ref, new, f"step {s}")
         # steps 0 and 1 are the loop's
-        assert (ws.update is None) == (s < 2)
+        assert step.fallbacks == max(0, s - 1)
 
 
 def loop_args(model, b_c, stream, classify, regress, lr=0.1):
@@ -912,7 +909,7 @@ def assert_misfits_refused(lib):
 NUMPY_MISFITS = ("T in Fortran order", "float32 b_t", "strided O")
 
 
-def test_workspace_refuses_the_kernel_for_arrays_it_cannot_take(direct_library, monkeypatch):
+def test_train_takes_numpy_steps_for_arrays_the_loop_cannot_take(direct_library, monkeypatch):
     # The self-check reads only the model's shape, so train takes the loop
     # for every model: the loop refuses each epoch on a model it cannot
     # take, and the numpy steps take its pairs. The report names the step
@@ -973,10 +970,9 @@ def assert_padded_rows_in_bounds(lib):
     new.T = np.lib.stride_tricks.as_strided(np.empty((E - 1) * ld + N), (E, N), (ld * 8, 8))
     new.T[...] = ref.T
     context = [1, 40, 7, 0]
-    ws_ref = StepWorkspace(ref)
     losses = np.full(4, np.nan)
     with model_module._sgd_numpy():
-        want = [step_classify(ref, 2, y, 0.1, ws_ref) for y in context]
+        want = [step_classify(ref, 2, y, 0.1) for y in context]
         assert take_pairs(lib, new, [(2, y) for y in context], 0.1, losses) == 4
     assert losses.tolist() == want
     assert_same_model(ref, new, "rows that end the buffer")
@@ -1003,14 +999,13 @@ def assert_epoch_streams_taken(lib):
                                 np.array(context, dtype=np.int32))
         ref = random_model(np.random.default_rng(73), 3, 13, 4)
         new = copy_model(ref)
-        ws_ref = StepWorkspace(ref)
         classify, regress = np.full(len(context), np.nan), np.full(len(influencer), np.nan)
         want_classify, want_regress = [], []
         with model_module._sgd_numpy():
             try:
                 for kind, u, target in stream_pairs(stream):
                     if kind == "C":
-                        want_classify.append(step_classify(ref, u, target, 0.1, ws_ref))
+                        want_classify.append(step_classify(ref, u, target, 0.1))
                     else:
                         want_regress.append(step_regress(ref, u, target, 0.1))
                 want_stop = len(stream)

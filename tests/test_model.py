@@ -24,7 +24,6 @@ from iminfector.model import (
     SGD_BUFSIZE,
     InfectorModel,
     ModelConfig,
-    StepWorkspace,
     forward_classify,
     forward_regress,
     init_model,
@@ -245,8 +244,11 @@ def test_init_model_deterministic_and_bounded():
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(embed_dim=0)
-    with pytest.raises(ValueError):
-        ModelConfig(learning_rate=-0.1)
+    # --lr's rule: a non-finite rate is a bad config, not a NonFiniteUpdate
+    # of the first step
+    for lr in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="learning_rate must be finite and >= 0"):
+            ModelConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         ModelConfig(epochs=0)
 
@@ -270,8 +272,8 @@ def test_train_reduces_loss_on_toy_corpus():
     assert all(t >= 0 for t in report.epoch_seconds)
 
 
-# The classify step as first written, with fresh temporaries and a scan of
-# all of T on every step: the oracle for the workspace step.
+# The classify step as first written, in plain numpy expressions: the
+# oracle for step_classify and the C loop.
 def reference_forward_classify(model, u):
     z = model.O[u] @ model.T + model.b_t
     z = z - z.max()
@@ -380,17 +382,21 @@ def loop_takes(lib, model):
 
 
 def loop_step(lib=None):
-    """step_classify(model, u, y, lr, ws) through the C loop of ``lib``
+    """step_classify(model, u, y, lr) through the C loop of ``lib``
     (default: the package's library): the pair alone in a stream, taken by
     step_classify if the loop does not take it, as train does. The loop must
-    take the pair unless it refuses the arrays, u or y. Its bounds are its
-    call's own: ``ws`` serves the numpy step alone."""
+    take the pair unless it refuses the arrays, u or y. The step's
+    ``fallbacks`` counts the pairs step_classify took."""
     lib = lib or _native.load()
 
-    def step(model, u, y, lr, ws):
+    def fallback(model, u, y, lr):
+        step.fallbacks += 1
+        return step_classify(model, u, y, lr)
+
+    def step(model, u, y, lr):
         takes = takes_arrays(lib, model)
         if takes and not loop_matches_at(lib, *model.T.shape):
-            return step_classify(model, u, y, lr, ws)
+            return fallback(model, u, y, lr)
         takes = takes and 0 <= u < model.O.shape[0] and 0 <= y < model.T.shape[1]
         want = 1 if takes else None
         losses = np.full(1, np.nan)
@@ -398,8 +404,9 @@ def loop_step(lib=None):
         if stop == ~0:
             raise NonFiniteUpdate("classification step produced a non-finite value")
         assert stop == want, (stop, want)
-        return float(losses[0]) if stop == 1 else step_classify(model, u, y, lr, ws)
+        return float(losses[0]) if stop == 1 else fallback(model, u, y, lr)
 
+    step.fallbacks = 0
     return step
 
 
@@ -410,8 +417,7 @@ def loop_until_raise(model, steps):
     model."""
     lib = _native.load()
     if not loop_takes(lib, model):
-        ws = StepWorkspace(model)
-        return run_until_raise(lambda m, u, y, r: step_classify(m, u, y, r, ws), model, steps)
+        return run_until_raise(step_classify, model, steps)
     (lr,) = {lr for _, lr in steps}
     losses = np.full(len(steps), np.nan)
     stop = take_pairs(lib, model, [pair for pair, _ in steps], lr, losses)
@@ -434,7 +440,7 @@ def assert_one_call_matches(model, pairs, lr, what):
     return want
 
 
-def workspace_step(path):
+def classify_step_on(path):
     """The classify step on ``path``: the numpy step (None) or the C loop
     ("c")."""
     return step_classify if path is None else loop_step()
@@ -475,12 +481,12 @@ def on_path(path):
 
 def test_workspace_step_bitwise_equals_reference(step_paths):
     # The reference runs under numpy's default ufunc buffer. Odd trials and
-    # the last three take the workspace step under the buffer train() uses;
+    # the last three take the step under the buffer train() uses;
     # trials 60 and 61 have N just below and just above the largest N
     # (about 2,730) for which the default buffer packs rows of the E x N
     # outer, trial 62 has the shape of the wide-3000 benchmark workload.
     for path in step_paths:
-        step = workspace_step(path)
+        step = classify_step_on(path)
         rng = np.random.default_rng(17)
         for trial in range(63):
             I = int(rng.integers(1, 5))
@@ -495,7 +501,6 @@ def test_workspace_step_bitwise_equals_reference(step_paths):
             ref.O *= 0.2
             ref.T *= 0.2
             new = copy_model(ref)
-            ws = StepWorkspace(new)
             for s in range(25):
                 u = int(rng.integers(0, I))
                 logits = ref.O[u] @ ref.T + ref.b_t
@@ -505,20 +510,19 @@ def test_workspace_step_bitwise_equals_reference(step_paths):
                 want = reference_step_classify(ref, u, y, lr)
                 with ufunc_bufsize(bufsize):
                     assert np.array_equal(forward_classify(new, u), want_phi)
-                    got = step(new, u, y, lr, ws)
+                    got = step(new, u, y, lr)
                 assert got == want, f"{path} trial {trial} step {s}: loss {got} != {want}"
                 assert_same_model(ref, new, f"{path} trial {trial} step {s}")
-            # a step without a workspace takes the same arithmetic
+            # the numpy step goes on from where the step on path left the model
             want = reference_step_classify(ref, 0, N - 1, lr)
             with ufunc_bufsize(bufsize):
                 assert step_classify(new, 0, N - 1, lr) == want
-            assert_same_model(ref, new, f"{path} trial {trial} without workspace")
+            assert_same_model(ref, new, f"{path} trial {trial}, then the numpy step")
 
 
 def assert_padded_matches_packed(step_paths, E, N, seed):
     """init_model's T against a packed copy, bit for bit: the softmax, the
-    numpy step without and with a workspace, the C loop, and 2 epochs of
-    train on each step path."""
+    numpy step, the C loop, and 2 epochs of train on each step path."""
     padded = random_model(np.random.default_rng(seed), 3, N, E)
     assert padded.T.strides[0] == (-(-N // 8) * 8 if N >= 8 else N) * 8
     packed = copy_model(padded)
@@ -526,17 +530,16 @@ def assert_padded_matches_packed(step_paths, E, N, seed):
     with model_module._sgd_numpy():
         for u in range(3):
             assert forward_classify(padded, u).tobytes() == forward_classify(packed, u).tobytes()
-        for ws_padded, ws_packed in ((None, None), (StepWorkspace(padded), StepWorkspace(packed))):
+        for _ in range(2):
             for u, y in zip(rng.integers(0, 3, 4).tolist(), rng.integers(0, N, 4).tolist()):
-                want = step_classify(packed, u, y, 0.1, ws_packed)
-                assert step_classify(padded, u, y, 0.1, ws_padded) == want
-                assert_same_model(packed, padded, f"numpy step, workspace {ws_padded is not None}")
+                want = step_classify(packed, u, y, 0.1)
+                assert step_classify(padded, u, y, 0.1) == want
+                assert_same_model(packed, padded, "numpy step")
         if "c" in step_paths:
             # the C loop on both layouts, and the packed numpy step where
             # train would take the loop at this shape
             lib, looped = _native.load(), copy_model(packed)
             oracle = loop_matches_at(lib, E, N)
-            ws = StepWorkspace(packed)
             for u in range(3):
                 context = rng.integers(0, N, 3).tolist()
                 taken = []
@@ -547,7 +550,7 @@ def assert_padded_matches_packed(step_paths, E, N, seed):
                 assert taken[0] == taken[1]
                 assert_same_model(looped, padded, "C loop")
                 if oracle:
-                    assert taken[0] == [step_classify(packed, u, y, 0.1, ws) for y in context]
+                    assert taken[0] == [step_classify(packed, u, y, 0.1) for y in context]
                     assert_same_model(packed, padded, "C loop against the numpy step")
     cfg = ModelConfig(embed_dim=E, learning_rate=0.1, epochs=2, rng_seed=seed % 1000)
     stream = TrainingStream(rng.integers(0, 3, 4), rng.uniform(size=4), np.arange(0, 13, 3),
@@ -598,15 +601,16 @@ def test_train_bitwise_equals_reference_loop(step_paths):
 def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_paths):
     # O[0, 0] is big and row 0 of T is zero, so influencer 0's logits stay
     # finite while its step at rate lr pushes T[0, 1] past the largest
-    # double. The loss, g, O_u and b_t stay finite: only the scan that the
-    # max|T| bound falls back to can see the overflow. First, influencer 1
-    # (O[1, 0] = 0, so row 0 of T stays zero) takes steps at rate 1 that
-    # leave the bound finite and far below the limit. On the C path the
-    # pairs also take one call of the loop, all at rate lr: at rate 3 its
-    # own bounds carry the first steps' growth to the raise at step 6, and
-    # at 3e298 influencer 1's second step overflows.
+    # double. The loss, g, O_u and b_t stay finite: only the check of T
+    # can see the overflow, on the C path the scan that its max|T| bound
+    # falls back to. First, influencer 1 (O[1, 0] = 0, so row 0 of T stays
+    # zero) takes steps at rate 1 that leave the loop's bound finite and
+    # far below its limit. On the C path the pairs also take one call of
+    # the loop, all at rate lr: at rate 3 its bounds carry the first steps'
+    # growth to the raise at step 6, and at 3e298 influencer 1's second
+    # step overflows.
     for path in step_paths:
-        step = workspace_step(path)
+        step = classify_step_on(path)
         ref = model_with_ids(
             O=np.array([[big, 0.0], [0.0, 0.3]]),
             T=np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.4]]),
@@ -618,16 +622,12 @@ def test_workspace_step_catches_overflow_of_t_alone(big, lr, step_paths):
         steps = [((1, s % 3), 1.0) for s in range(6)] + [((0, 1), lr)] * 3
         with np.errstate(over="ignore", invalid="ignore"):
             want = run_until_raise(reference_step_classify, ref, steps)
-            ws = StepWorkspace(new)
-            got = run_until_raise(lambda m, u, y, r: step(m, u, y, r, ws), new, steps)
+            got = run_until_raise(step, new, steps)
         assert want[1] == 6
         assert np.isinf(ref.T[0, 1]) and np.isfinite(ref.O).all() and np.isfinite(ref.b_t).all()
         assert got == want
         assert_same_model(ref, new, f"overflow, path {path}")
-        if path is None:
-            # the raise leaves the workspace to scan T and b_t again if reused
-            assert ws.bound == ws.bias_bound == math.inf
-        else:
+        if path is not None:
             pairs = [pair for pair, _ in steps]
             assert assert_one_call_matches(start, pairs, lr, "one call")[1] == (6 if lr == 3.0 else 1)
 
@@ -639,7 +639,7 @@ def test_workspace_step_catches_overflow_of_o_u_alone(step_paths):
     # the rate 3 pushes O[0, 0] past the largest double. The loss, T and
     # b_t stay finite: only the check of O_u can see it.
     for path in step_paths:
-        step = workspace_step(path)
+        step = classify_step_on(path)
         ref = model_with_ids(
             O=np.array([[0.0, 0.5]]),
             T=np.array([[1e308, -1e308, 0.0], [0.2, -0.1, 0.4]]),
@@ -651,8 +651,7 @@ def test_workspace_step_catches_overflow_of_o_u_alone(step_paths):
         steps = [((0, 2), 0.0)] * 4 + [((0, 0), 3.0)]
         with np.errstate(over="ignore"):
             want = run_until_raise(reference_step_classify, ref, steps)
-            ws = StepWorkspace(new)
-            got = run_until_raise(lambda m, u, y, r: step(m, u, y, r, ws), new, steps)
+            got = run_until_raise(step, new, steps)
         assert want[1] == 4 and all(math.isfinite(loss) for loss in want[0])
         assert np.isinf(ref.O[0, 0]) and np.isfinite(ref.T).all() and np.isfinite(ref.b_t).all()
         assert got == want
@@ -661,12 +660,12 @@ def test_workspace_step_catches_overflow_of_o_u_alone(step_paths):
 
 def test_workspace_step_raises_at_reference_step_on_huge_entries(step_paths):
     # Entries near 1e308 in O or T and moderate learning rates: whichever
-    # check fires, the workspace step must stop at the reference's step.
+    # check fires, the step must stop at the reference's step.
     # Trials 40-59 put tied entries near 1e308 into b_t and take large
     # rates, so that b_t alone can overflow; trials 60-79 put a NaN or
     # +-inf into O, T or b_t, which makes logits non-finite.
     for path in step_paths:
-        step = workspace_step(path)
+        step = classify_step_on(path)
         rng = np.random.default_rng(23)
         raised = b_t_alone = nonfinite_raised = 0
         for trial in range(80):
@@ -688,8 +687,7 @@ def test_workspace_step_raises_at_reference_step_on_huge_entries(step_paths):
             steps = [((int(rng.integers(0, I)), int(rng.integers(0, N))), lr) for _ in range(20)]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 want = run_until_raise(reference_step_classify, ref, steps)
-                ws = StepWorkspace(new)
-                got = run_until_raise(lambda m, u, y, r: step(m, u, y, r, ws), new, steps)
+                got = run_until_raise(step, new, steps)
             assert got == want, f"path {path} trial {trial}"
             if path is not None:
                 # the same pairs in one call of the loop
@@ -714,41 +712,36 @@ def test_workspace_step_raises_at_reference_step_on_huge_entries(step_paths):
 def test_workspace_step_large_t_without_overflow_does_not_raise(step_paths):
     # Column 0 of T holds -1.7e308, so its logit is hugely negative, its
     # softmax entry is exactly 0 and no step moves it. max|T| stays above
-    # the bound limit and every step scans T, finds it finite and goes on.
-    # On the C path each case's pairs also take one call of the loop, at
-    # one rate, whose own bounds carry from step to step.
+    # the C loop's bound limit, so that every step of the loop scans T,
+    # finds it finite and goes on. On the C path each case's pairs also
+    # take one call of the loop, at one rate, whose bounds carry from step
+    # to step.
     pairs = [(s % 2, 1 + s % 5) for s in range(20)]
     for path in step_paths:
-        step = workspace_step(path)
+        step = classify_step_on(path)
         rng = np.random.default_rng(29)
         ref = random_model(rng, 2, 6, 3)
         ref.O[:] = np.abs(ref.O) + 0.5
         ref.T[0, 0] = -1.7e308
         new, start = copy_model(ref), copy_model(ref)
-        ws = StepWorkspace(new)
         for s, (u, y) in enumerate(pairs):
-            assert step(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
+            assert step(new, u, y, 0.1) == reference_step_classify(ref, u, y, 0.1)
             assert_same_model(ref, new, f"step {s}")
         assert new.T[0, 0] == -1.7e308
-        if path is None:
-            assert ws.bound == 1.7e308
-        else:
+        if path is not None:
             assert assert_one_call_matches(start, pairs, 0.1, "T, one call")[1] is None
 
-        # The same with b_t[0] = -1.7e308: every step scans b_t, finds it
-        # finite and goes on.
+        # The same with b_t[0] = -1.7e308: every step of the loop scans
+        # b_t, finds it finite and goes on.
         ref = random_model(rng, 2, 6, 3)
         ref.O[:] = np.abs(ref.O) + 0.5
         ref.b_t[0] = -1.7e308
         new, start = copy_model(ref), copy_model(ref)
-        ws = StepWorkspace(new)
         for s, (u, y) in enumerate(pairs):
-            assert step(new, u, y, 0.1, ws) == reference_step_classify(ref, u, y, 0.1)
+            assert step(new, u, y, 0.1) == reference_step_classify(ref, u, y, 0.1)
             assert_same_model(ref, new, f"b_t step {s}")
         assert new.b_t[0] == -1.7e308
-        if path is None:
-            assert ws.bias_bound == 1.7e308
-        else:
+        if path is not None:
             assert assert_one_call_matches(start, pairs, 0.1, "b_t, one call")[1] is None
 
         # O_0 is finite though its sum overflows. Rows 0 and 1 of T start at
@@ -763,10 +756,9 @@ def test_workspace_step_large_t_without_overflow_does_not_raise(step_paths):
             C=np.ones(3),
         )
         new, start = copy_model(ref), copy_model(ref)
-        ws = StepWorkspace(new)
         for s in range(10):
             lr = (0.0, 1e-310)[s % 2]
-            assert step(new, 0, 1, lr, ws) == reference_step_classify(ref, 0, 1, lr)
+            assert step(new, 0, 1, lr) == reference_step_classify(ref, 0, 1, lr)
             assert_same_model(ref, new, f"O_u step {s}")
         assert new.O[0, 0] == 1e308 and (new.T[:2] != 0).any()
         if path is not None:
@@ -993,11 +985,11 @@ class Alarm(Exception):
 def numpy_cascades(model, stream, lr):
     """Takes the cascades of ``stream`` by the numpy steps, yielding the
     number taken before each and after the last."""
-    ws, offsets = StepWorkspace(model), stream.offsets.tolist()
+    offsets = stream.offsets.tolist()
     for i, (u, y_c) in enumerate(zip(stream.influencer.tolist(), stream.size_target.tolist())):
         yield i
         for y in stream.context[offsets[i] : offsets[i + 1]].tolist():
-            step_classify(model, u, y, lr, ws)
+            step_classify(model, u, y, lr)
         step_regress(model, u, y_c, lr)
     yield len(stream.influencer)
 
